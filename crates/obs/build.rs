@@ -15,8 +15,14 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=TIRM_GIT_SHA={sha}");
-    // Re-run when HEAD moves so the sha stays honest; harmless when the
-    // paths don't exist.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
-    println!("cargo:rerun-if-changed=../../.git/refs");
+    // Re-run when HEAD moves so the sha stays honest. Only paths that
+    // exist are named: cargo treats a missing `rerun-if-changed` path as
+    // always changed, which outside a git checkout would recompile this
+    // crate and everything above it on every build.
+    println!("cargo:rerun-if-changed=build.rs");
+    for path in ["../../.git/HEAD", "../../.git/refs"] {
+        if std::path::Path::new(path).exists() {
+            println!("cargo:rerun-if-changed={path}");
+        }
+    }
 }

@@ -2,9 +2,9 @@
 //!
 //! A process-wide metrics registry (sharded atomic [`Counter`]s,
 //! [`Gauge`]s, fixed-bucket log2 [`Histogram`]s), a span-timing macro
-//! ([`time!`]), a bounded top-K [`SlowTrace`], and two exposition
-//! renderers (Prometheus text in [`prom`], a deterministic JSON dump in
-//! [`registry`]) served over std TCP by [`http`].
+//! ([`time!`]), and two exposition renderers (Prometheus text in
+//! [`prom`], a deterministic JSON dump in [`registry`]) served over std
+//! TCP by [`http`].
 //!
 //! # Out-of-band by construction
 //!
@@ -35,7 +35,6 @@ pub mod metric;
 pub mod prom;
 pub mod registry;
 pub mod sample;
-pub mod trace;
 
 pub use flight::{FlightEvent, Stage};
 pub use metric::{
@@ -44,4 +43,3 @@ pub use metric::{
 };
 pub use registry::{dump_json, snapshot, RegistrySnapshot};
 pub use sample::SampleHistogram;
-pub use trace::{SlowEvent, SlowTrace};

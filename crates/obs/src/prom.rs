@@ -235,7 +235,6 @@ mod tests {
     use super::*;
     use crate::metric::Histogram;
     use crate::registry::RegistrySnapshot;
-    use crate::trace::SlowEvent;
 
     fn tiny_snapshot() -> RegistrySnapshot {
         let h = Histogram::new();
@@ -257,12 +256,6 @@ mod tests {
                     labeled.snapshot(),
                 ),
             ],
-            slow_events: vec![SlowEvent {
-                kind: "x",
-                ad_id: 1,
-                nanos: 2,
-                seq: 0,
-            }],
             build: crate::registry::BuildInfo {
                 git_sha: "abc123def456",
                 protocol_version: 4,

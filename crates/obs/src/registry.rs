@@ -11,7 +11,6 @@
 //! nanosecond histograms suffixed `_ns`.
 
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::trace::{SlowEvent, SlowTrace};
 
 // ---------------------------------------------------------------------
 // Sampler (tirm_rrset / tirm_core).
@@ -113,9 +112,6 @@ pub static BUILD_SCHEMA_VERSION: Gauge = Gauge::new();
 /// Git commit this binary was built from (captured by the obs build
 /// script; `"unknown"` outside a git checkout).
 pub const GIT_SHA: &str = env!("TIRM_GIT_SHA");
-
-/// Process-wide slow-event trace (top-64 slowest spans).
-pub static SLOW_TRACE: SlowTrace = SlowTrace::new(64);
 
 /// Counter inventory: `(name, help, counter)`.
 pub static COUNTERS: &[(&str, &str, &Counter)] = &[
@@ -332,8 +328,6 @@ pub struct RegistrySnapshot {
         &'static str,
         HistogramSnapshot,
     )>,
-    /// Slow-event trace contents, slowest first.
-    pub slow_events: Vec<SlowEvent>,
     /// Build identity (`tirm_build_info` labels).
     pub build: BuildInfo,
 }
@@ -350,7 +344,6 @@ pub fn snapshot() -> RegistrySnapshot {
             .iter()
             .map(|(f, l, h, hist)| (*f, *l, *h, hist.snapshot()))
             .collect(),
-        slow_events: SLOW_TRACE.dump(),
         build: BuildInfo {
             git_sha: GIT_SHA,
             protocol_version: BUILD_PROTOCOL_VERSION.get(),
@@ -435,19 +428,7 @@ impl RegistrySnapshot {
             }
             out.push_str("]}");
         }
-        out.push_str("},\"slow_events\":[");
-        for (i, e) in self.slow_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"kind\":\"");
-            json_escape(e.kind, &mut out);
-            out.push_str(&format!(
-                "\",\"ad_id\":{},\"nanos\":{},\"seq\":{}}}",
-                e.ad_id, e.nanos, e.seq
-            ));
-        }
-        out.push_str("],\"build\":{\"git_sha\":\"");
+        out.push_str("},\"build\":{\"git_sha\":\"");
         json_escape(self.build.git_sha, &mut out);
         out.push_str(&format!(
             "\",\"protocol_version\":{},\"schema_version\":{}}}}}",
@@ -521,7 +502,6 @@ mod tests {
         RR_SETS_SAMPLED.add(3);
         RR_ARENA_BYTES.set_max(1 << 20);
         WAL_FSYNC_LATENCY_NS.record(12_345);
-        SLOW_TRACE.record("test_span", 7, 999_999);
         let dump = dump_json();
         let v: serde_json::Value = serde_json::from_str(&dump).expect("dump is valid JSON");
         // The vendored serde_json preserves object insertion order and the
@@ -536,7 +516,6 @@ mod tests {
         assert!(hists
             .iter()
             .any(|(k, _)| k.as_str() == "tirm_server_wal_fsync_latency_ns"));
-        assert!(v.get("slow_events").and_then(|s| s.as_array()).is_some());
         let build = v.get("build").and_then(|b| b.as_object()).unwrap();
         assert!(build.iter().any(|(k, _)| k.as_str() == "git_sha"));
         let fsync = hists

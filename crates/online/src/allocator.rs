@@ -45,17 +45,6 @@ use tirm_core::{
 use tirm_graph::{DiGraph, NodeId};
 use tirm_topics::{CtpTable, TopicDist, TopicEdgeProbs};
 
-/// The ad an event concerns, for the slow-event trace (0 for events
-/// that aren't ad-scoped).
-fn event_ad_id(event: &OnlineEvent) -> u64 {
-    match event {
-        OnlineEvent::AdArrival { id, .. }
-        | OnlineEvent::BudgetTopUp { id, .. }
-        | OnlineEvent::AdDeparture { id } => *id,
-        OnlineEvent::Reallocate | OnlineEvent::RegretQuery => 0,
-    }
-}
-
 /// Configuration of an [`OnlineAllocator`].
 #[derive(Clone, Debug)]
 pub struct OnlineConfig {
@@ -188,8 +177,8 @@ impl<'g> OnlineAllocator<'g> {
     /// the allocation before returning.
     pub fn process(&mut self, event: &OnlineEvent) -> Result<EventOutcome, OnlineError> {
         // Observability wrapper: time the whole apply (including
-        // reconciliation) into the per-kind registry histogram and the
-        // slow-event trace. Write-only — the outcome is untouched.
+        // reconciliation) into the per-kind registry histogram.
+        // Write-only — the outcome is untouched.
         let t0 = std::time::Instant::now();
         let out = self.process_impl(event);
         let nanos = t0.elapsed().as_nanos() as u64;
@@ -199,7 +188,6 @@ impl<'g> OnlineAllocator<'g> {
             // (0 outside a serving writer — recorded plainly).
             h.record_traced(nanos, tirm_obs::flight::current_trace());
         }
-        tirm_obs::registry::SLOW_TRACE.record(kind_name, event_ad_id(event), nanos);
         out
     }
 

@@ -221,7 +221,7 @@ impl Client {
     }
 
     /// The server's observability registry dump as a JSON string
-    /// (counters, gauges, histograms, slow-event trace). The dump is
+    /// (counters, gauges, histograms, build identity). The dump is
     /// process-lifetime state — it survives snapshot publishes and
     /// follower promotion, unlike the per-run [`Self::stats`] counters.
     pub fn metrics(&mut self) -> io::Result<String> {

@@ -1,0 +1,272 @@
+//! The durable-apply path: the one owner of a process's replicated
+//! state — allocator, write-ahead log, published snapshot, checkpoint
+//! cadence — and the one sequence that moves it forward.
+//!
+//! ```text
+//! open:    recover (checkpoint + log tail) → Wal::open at the frontier
+//!          → announce epoch and frontiers
+//! commit:  append × n → fsync (once) → advance the frontier
+//!          → apply → publish per applied event → checkpoint + prune
+//! finish:  wind-down checkpoint
+//! ```
+//!
+//! A leader's writer thread feeds [`DurableState::commit`] from its
+//! admission queue, a follower's apply loop feeds it the pages it
+//! polls from the leader, and a restart is `open` over what either
+//! left on disk. The feeders differ in where a batch comes from and
+//! how large it is; what happens to a batch does not, so one argument
+//! covers leader ≡ follower ≡ recovered: every copy applies the same
+//! frames in the same order to the same starting image, and nothing it
+//! applies is ever ahead of its own log.
+
+use crate::protocol::Role;
+use crate::server::{DurabilityConfig, Shared};
+use crate::swap::SnapshotSwap;
+use crate::wal::{self, RecoveryReport, Wal};
+use std::io;
+use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use tirm_graph::DiGraph;
+use tirm_obs::flight::{self, Stage};
+use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig, OnlineEvent, OnlineStats};
+use tirm_topics::TopicEdgeProbs;
+
+/// What it takes to (re)build the allocator: the borrowed dataset, the
+/// allocator configuration and, when durable, where and how to log.
+pub(crate) struct Origin<'g> {
+    pub(crate) graph: &'g DiGraph,
+    pub(crate) topic_probs: &'g TopicEdgeProbs,
+    pub(crate) online: OnlineConfig,
+    /// `None` ⇒ memory-only: the same path minus the disk.
+    pub(crate) durability: Option<DurabilityConfig>,
+    /// Threads the reconciliation step of a batch fans out across
+    /// (`ServerConfig::shard_writers`).
+    pub(crate) shard_writers: usize,
+}
+
+pub(crate) struct DurableState<'g> {
+    origin: Origin<'g>,
+    allocator: OnlineAllocator<'g>,
+    log: Option<Wal>,
+    /// Events committed since the last checkpoint.
+    since_checkpoint: u64,
+    pub(crate) swap: Arc<SnapshotSwap>,
+    pub(crate) shared: Arc<Shared>,
+}
+
+impl<'g> DurableState<'g> {
+    /// Rebuilds the state from `origin`'s state dir and starts a fresh
+    /// run's [`Shared`] counters and snapshot cell around it. Also
+    /// returns what recovery found (`None` when memory-only).
+    pub(crate) fn open(origin: Origin<'g>) -> io::Result<(Self, Option<RecoveryReport>)> {
+        let (allocator, log, recovery) = Self::load(&origin)?;
+        let state = DurableState {
+            swap: SnapshotSwap::new(allocator.snapshot()),
+            shared: Shared::new(),
+            origin,
+            allocator,
+            log,
+            since_checkpoint: 0,
+        };
+        state.announce()?;
+        Ok((state, recovery))
+    }
+
+    /// Loads the state dir again after a follower replaced its contents
+    /// (fencing wipe, installed checkpoint) and publishes the result to
+    /// the readers.
+    pub(crate) fn reopen(&mut self) -> io::Result<()> {
+        let (allocator, log, _) = Self::load(&self.origin)?;
+        self.allocator = allocator;
+        self.log = log;
+        self.since_checkpoint = 0;
+        self.announce()?;
+        self.swap.publish(self.allocator.snapshot());
+        Ok(())
+    }
+
+    /// Newest usable checkpoint + log tail, then a fresh segment at the
+    /// recovered frontier. Memory-only start-up is the recovery of an
+    /// empty state dir, minus the disk.
+    fn load(
+        origin: &Origin<'g>,
+    ) -> io::Result<(OnlineAllocator<'g>, Option<Wal>, Option<RecoveryReport>)> {
+        let (graph, topic_probs) = (origin.graph, origin.topic_probs);
+        let Some(d) = &origin.durability else {
+            let cold = OnlineAllocator::new(graph, topic_probs, origin.online.clone());
+            return Ok((cold, None, None));
+        };
+        let (allocator, report) = wal::recover(&d.state_dir, graph, topic_probs, &origin.online)?;
+        let log = Wal::open(&d.state_dir, report.wal_seq, d.segment_events)?;
+        Ok((allocator, Some(log), Some(report)))
+    }
+
+    /// Stores what the readers announce about the loaded state: the
+    /// persisted fencing epoch and both frontiers.
+    fn announce(&self) -> io::Result<()> {
+        if let Some(dir) = self.dir() {
+            // The fencing epoch survives in the state dir: a leader that
+            // was ever promoted keeps announcing its earned epoch across
+            // plain restarts.
+            let epoch = wal::read_fencing_epoch(dir)?;
+            self.shared.fencing_epoch.store(epoch, Ordering::Release);
+        }
+        let frontier = self.seq();
+        self.shared.wal_seq.store(frontier, Ordering::Release);
+        // The leader's frontier is at least our own; what a follower
+        // has already observed of it stays.
+        self.shared.leader_seq.fetch_max(frontier, Ordering::AcqRel);
+        Ok(())
+    }
+
+    /// The state dir (`None` ⇒ memory-only).
+    fn dir(&self) -> Option<&Path> {
+        self.origin
+            .durability
+            .as_ref()
+            .map(|d| d.state_dir.as_path())
+    }
+
+    /// The durable frontier: the position the next committed event
+    /// lands at. Its flight trace id is this `+ 1` (0 is the no-trace
+    /// sentinel); memory-only state keeps the same positional numbering
+    /// so lineage works without a log.
+    pub(crate) fn seq(&self) -> u64 {
+        match &self.log {
+            Some(log) => log.seq(),
+            None => self.shared.wal_seq.load(Ordering::Acquire),
+        }
+    }
+
+    /// Makes `batch` durable, then applies it: log every frame, fsync
+    /// **once**, advance the frontier, and only then let the allocator
+    /// see it — the WAL-before-apply invariant that makes a kill at any
+    /// instant recoverable to a prefix. `first_trace` is the flight
+    /// trace id of `batch[0]`; a follower passes the leader's, so its
+    /// stages extend the leader's timeline for the same mutation.
+    ///
+    /// With one shard writer each event is applied and published on its
+    /// own (minimal read staleness); with several the deferred per-ad
+    /// TIRM runs fan out across threads and the batch publishes once —
+    /// bit-identical output either way. A rejected event changed
+    /// nothing (and didn't bump the epoch), so it skips the
+    /// O(ads + seeds) snapshot copy and the reader refresh it would
+    /// force; rejection is deterministic, so every copy of the state
+    /// counts the same ones.
+    ///
+    /// An `Err` is a log or checkpoint I/O failure: the state on disk is
+    /// still a consistent prefix, but this process can no longer vouch
+    /// for what it acknowledges.
+    pub(crate) fn commit(
+        &mut self,
+        batch: &[OnlineEvent],
+        first_trace: u64,
+        role: Role,
+    ) -> io::Result<()> {
+        let n = batch.len() as u64;
+        let append_start = flight::now_ns();
+        let frontier = match &mut self.log {
+            Some(log) => {
+                for ev in batch {
+                    log.append(ev)?;
+                }
+                log.sync()?;
+                log.seq()
+            }
+            None => self.shared.wal_seq.load(Ordering::Acquire) + n,
+        };
+        self.shared.wal_seq.store(frontier, Ordering::Release);
+        let apply_stage = match role {
+            Role::Leader => {
+                self.shared.leader_seq.store(frontier, Ordering::Release);
+                Stage::Apply
+            }
+            Role::Follower => {
+                let append_end = flight::now_ns();
+                for trace in first_trace..first_trace + n {
+                    flight::record(trace, Stage::FollowerAppend, append_start, append_end);
+                }
+                let leader_seq = self.shared.leader_seq.load(Ordering::Acquire);
+                tirm_obs::registry::REPL_FOLLOWER_LAG.set(leader_seq.saturating_sub(frontier));
+                Stage::FollowerApply
+            }
+        };
+
+        if self.origin.shard_writers == 1 {
+            for (trace, ev) in (first_trace..).zip(batch) {
+                flight::set_current_trace(trace);
+                let apply_start = flight::now_ns();
+                let outcome = self.allocator.process(ev);
+                flight::record_since(trace, apply_stage, apply_start);
+                match outcome {
+                    Ok(_) => self.swap.publish(self.allocator.snapshot()),
+                    Err(_) => self.count_rejected(1),
+                }
+            }
+        } else {
+            // The fan-out applies the whole batch as one unit, so each
+            // event's apply span is the batch's; the publish that
+            // follows is attributed to the batch's last trace.
+            flight::set_current_trace(first_trace + n - 1);
+            let apply_start = flight::now_ns();
+            let outcomes = self
+                .allocator
+                .process_batch(batch, self.origin.shard_writers);
+            let apply_end = flight::now_ns();
+            for trace in first_trace..first_trace + n {
+                flight::record(trace, apply_stage, apply_start, apply_end);
+            }
+            let rejected = outcomes.iter().filter(|o| o.is_err()).count();
+            self.count_rejected(rejected as u64);
+            if rejected < outcomes.len() {
+                self.swap.publish(self.allocator.snapshot());
+            }
+        }
+        flight::set_current_trace(0);
+        if role == Role::Leader {
+            // The batch came off the admission queue: it is no longer
+            // in flight once applied, whatever the checkpoint below
+            // takes.
+            self.shared
+                .queue_len
+                .fetch_sub(batch.len(), Ordering::Relaxed);
+        }
+
+        // Each checkpoint bounds the replay a restart pays and lets the
+        // covered segments go.
+        self.since_checkpoint += n;
+        match &self.origin.durability {
+            Some(d) if self.since_checkpoint >= d.checkpoint_interval => self.checkpoint(),
+            _ => Ok(()),
+        }
+    }
+
+    /// Applied events the allocator refused, in both ledgers: this
+    /// run's [`Shared`] and the process-lifetime registry.
+    fn count_rejected(&self, n: u64) {
+        self.shared.rejected.fetch_add(n, Ordering::Relaxed);
+        tirm_obs::registry::SERVER_REJECTED.add(n);
+    }
+
+    fn checkpoint(&mut self) -> io::Result<()> {
+        if let (Some(log), Some(d)) = (&mut self.log, &self.origin.durability) {
+            wal::write_checkpoint(&d.state_dir, &mut self.allocator, log.seq())?;
+            log.prune(log.seq())?;
+        }
+        self.since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// Winds the state down: a clean stop (or a promotion) checkpoints
+    /// whatever the cadence has not covered yet, so the next `open`
+    /// warm-loads it instead of replaying the tail — only a crash
+    /// leaves replay work behind. Returns the final snapshot and the
+    /// allocator's lifetime counters.
+    pub(crate) fn finish(mut self) -> io::Result<(Arc<AllocationSnapshot>, OnlineStats)> {
+        if self.since_checkpoint > 0 {
+            self.checkpoint()?;
+        }
+        Ok((self.allocator.snapshot(), self.allocator.stats()))
+    }
+}

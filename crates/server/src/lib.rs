@@ -18,6 +18,10 @@
 //!   admitted mutations (group-commit fsync), allocator checkpoints
 //!   through the checksummed snapshot container, and the recovery
 //!   scan that rebuilds a server from checkpoint + log tail.
+//! * `durable` (private) — the one owner of a process's replicated
+//!   state and the one open → append → fsync → apply → publish →
+//!   checkpoint sequence that a leader's writer, a follower's apply
+//!   loop and a restart all go through.
 //! * [`swap`] — the snapshot-swap cell: the writer publishes an
 //!   immutable [`tirm_online::AllocationSnapshot`] after every applied
 //!   event; readers serve queries from a cached `Arc` without ever
@@ -38,6 +42,7 @@
 //! Property-tested in `tests/wire_equivalence.rs`.
 
 pub mod client;
+mod durable;
 pub mod replica;
 pub mod server;
 pub mod swap;

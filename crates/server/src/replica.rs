@@ -7,11 +7,12 @@
 //! A follower is [`crate::wal::recover`] run forever: it bootstraps
 //! from its local state dir (checkpoint + WAL tail, exactly like a
 //! leader restart), then polls the leader with `replicate_poll` from
-//! its own durable frontier. Each page of frames is appended to the
-//! *local* WAL, fsynced once (group commit), applied to the allocator,
-//! and published through the same [`SnapshotSwap`] the connection
-//! handlers read — so a follower's reads carry the identical
-//! bit-for-bit snapshots the leader would serve at that frontier.
+//! its own durable frontier. Each page of frames goes through the same
+//! durable commit the leader's writer uses — appended to the *local*
+//! WAL, fsynced once, applied, and published through the same
+//! [`crate::SnapshotSwap`] the connection handlers read — so a
+//! follower's reads carry the identical bit-for-bit snapshots the
+//! leader would serve at that frontier.
 //! An anchor that falls inside a segment the leader has pruned comes
 //! back as a typed `ReplicateBootstrap`, and the follower downloads
 //! the leader's newest checkpoint instead of demanding history that no
@@ -36,22 +37,19 @@
 //! over the same state dir — recovery replays the follower's durable
 //! frontier, and the new epoch fences the old leader off.
 
+use crate::durable::DurableState;
 use crate::protocol::{ClientOptions, Response, Role};
-use crate::server::{run_acceptor, Admitted, ReplicaCtx, ServerHandle, Shared};
-use crate::swap::SnapshotSwap;
-use crate::wal::{self, RecoveryReport, Wal};
+use crate::server::{run_server, DurabilityConfig, ReplicaCtx, ServerConfig, ServerHandle, Shared};
+use crate::wal::{self, RecoveryReport};
 use crate::Client;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tirm_graph::DiGraph;
-use tirm_obs::flight::{self, Stage};
 use tirm_online::{
-    AllocationSnapshot, OnlineAllocator, OnlineConfig, OnlineEvent, OnlineStats,
-    ReplicationFrontier,
+    AllocationSnapshot, OnlineConfig, OnlineEvent, OnlineStats, ReplicationFrontier,
 };
 use tirm_topics::TopicEdgeProbs;
 
@@ -143,12 +141,10 @@ pub struct FollowerReport {
     pub promoted: bool,
 }
 
-/// Everything the apply thread returns when it winds down.
-struct ApplyOutcome {
-    final_snapshot: Arc<AllocationSnapshot>,
-    stats: OnlineStats,
+/// What the apply loop counted over its run.
+#[derive(Default)]
+struct Tail {
     applied: u64,
-    rejected_on_apply: u64,
     bootstraps: u64,
     fenced_rejects: u64,
 }
@@ -164,110 +160,49 @@ pub fn serve_follower<R>(
     cfg: FollowerConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> io::Result<(R, FollowerReport)> {
-    assert!(cfg.max_connections >= 1, "need at least one connection");
     assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval >= 1");
     assert!(cfg.segment_events >= 1, "segment_events >= 1");
-    let listener = TcpListener::bind(&cfg.bind)?;
-    let addr = listener.local_addr()?;
-
-    // Local startup recovery — a follower restart resumes from its own
-    // durable frontier; only the missing suffix is re-streamed.
-    // Same identity/flight-clock setup as the leader's `serve`.
-    tirm_obs::registry::BUILD_PROTOCOL_VERSION.set(crate::protocol::PROTOCOL_VERSION as u64);
-    tirm_obs::registry::BUILD_SCHEMA_VERSION.set(wal::WAL_VERSION as u64);
-    flight::now_ns();
-
-    let (mut allocator, recovery) = wal::recover(&cfg.state_dir, graph, topic_probs, &cfg.online)?;
-    let mut wal_log = Wal::open(&cfg.state_dir, recovery.wal_seq, cfg.segment_events)?;
-
-    let swap = SnapshotSwap::new(allocator.snapshot());
-    let shared = Shared::new();
-    shared.wal_seq.store(recovery.wal_seq, Ordering::Release);
-    shared.leader_seq.store(recovery.wal_seq, Ordering::Release);
-    let epoch = wal::read_fencing_epoch(&cfg.state_dir)?;
-    shared.fencing_epoch.store(epoch, Ordering::Release);
-    let ctx = Arc::new(ReplicaCtx {
-        role: Role::Follower,
-        state_dir: Some(cfg.state_dir.clone()),
-        leader_addr: Mutex::new(cfg.leader_addr.clone()),
-    });
-    // Handlers need a sender for their signature, but a follower's
-    // `Mutate` arm answers `NotLeader` before ever admitting — the
-    // channel stays empty by construction.
-    let (tx, _rx) = std::sync::mpsc::sync_channel::<Admitted>(1);
-    let handle = ServerHandle {
-        addr,
-        swap: swap.clone(),
-        shared: shared.clone(),
+    // A follower is a durable single-writer server fed from the
+    // leader's log instead of an admission queue. Local start-up
+    // recovery is the leader's: a follower restart resumes from its own
+    // durable frontier and only the missing suffix is re-streamed.
+    let server_cfg = ServerConfig {
+        online: cfg.online.clone(),
+        bind: cfg.bind.clone(),
+        // Handlers hold a queue sender for their signature, but a
+        // follower's `Mutate` arm answers `NotLeader` before ever
+        // admitting — the queue stays empty by construction.
+        queue_depth: 1,
+        max_connections: cfg.max_connections,
+        read_poll: cfg.read_poll,
+        durability: Some(DurabilityConfig {
+            state_dir: cfg.state_dir.clone(),
+            checkpoint_interval: cfg.checkpoint_interval,
+            segment_events: cfg.segment_events,
+        }),
+        shard_writers: 1,
     };
+    let run = run_server(
+        graph,
+        topic_probs,
+        server_cfg,
+        Role::Follower,
+        cfg.leader_addr.clone(),
+        |state, _queue, ctx| apply_loop(&cfg, state, ctx),
+        f,
+    )?;
 
-    let (result, outcome) = std::thread::scope(|s| {
-        let apply = {
-            let swap = swap.clone();
-            let shared = shared.clone();
-            let ctx = ctx.clone();
-            let cfg = &cfg;
-            s.spawn(move || {
-                apply_loop(
-                    graph,
-                    topic_probs,
-                    cfg,
-                    &mut allocator,
-                    &mut wal_log,
-                    &swap,
-                    &shared,
-                    &ctx,
-                )
-            })
-        };
-
-        let acceptor = run_acceptor(
-            s,
-            listener,
-            shared.clone(),
-            swap.clone(),
-            tx.clone(),
-            ctx.clone(),
-            cfg.read_poll,
-            cfg.max_connections,
-        );
-
-        // Same both-exits stop guard as `serve`: a panicking closure
-        // must still unpark the acceptor or the scope join hangs.
-        struct StopGuard<'a> {
-            shared: &'a Shared,
-            addr: SocketAddr,
-        }
-        impl Drop for StopGuard<'_> {
-            fn drop(&mut self) {
-                self.shared.stop.store(true, Ordering::Release);
-                self.shared.request_shutdown();
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
-        let result = {
-            let _stop = StopGuard {
-                shared: &shared,
-                addr,
-            };
-            f(&handle)
-        };
-
-        acceptor.join().expect("acceptor panicked");
-        drop(tx);
-        let outcome = apply.join().expect("apply loop panicked");
-        (result, outcome)
-    });
-    let outcome = outcome?;
-
+    let shared = &run.shared;
     let report = FollowerReport {
-        final_snapshot: outcome.final_snapshot,
-        stats: outcome.stats,
-        recovery,
-        applied: outcome.applied,
-        rejected_on_apply: outcome.rejected_on_apply,
-        bootstraps: outcome.bootstraps,
-        fenced_rejects: outcome.fenced_rejects,
+        final_snapshot: run.final_snapshot,
+        stats: run.stats,
+        recovery: run.recovery.expect("a follower is always durable"),
+        applied: run.fed.applied,
+        // This run's `Shared` counts nothing but apply-time rejections:
+        // a follower admits no mutation of its own.
+        rejected_on_apply: shared.rejected.load(Ordering::Relaxed),
+        bootstraps: run.fed.bootstraps,
+        fenced_rejects: run.fed.fenced_rejects,
         connections: shared.connections_total.load(Ordering::Relaxed),
         frontier: ReplicationFrontier {
             applied_seq: shared.wal_seq.load(Ordering::Acquire),
@@ -277,47 +212,35 @@ pub fn serve_follower<R>(
         },
         promoted: shared.promote_requested.load(Ordering::Acquire),
     };
-    Ok((result, report))
+    Ok((run.result, report))
 }
 
-/// The tail-the-leader loop: poll → append to the local WAL → fsync →
-/// apply → publish, with checkpoint cadence, pruned-anchor bootstrap,
-/// fencing, and leader re-targeting. Owns the allocator for the whole
-/// run (the handlers only ever read published snapshots).
-#[allow(clippy::too_many_arguments)]
-fn apply_loop<'g>(
-    graph: &'g DiGraph,
-    topic_probs: &'g TopicEdgeProbs,
+/// The follower's feeder: connect → fence → poll → decode, committing
+/// each page of frames through the same [`DurableState::commit`] the
+/// leader's writer uses, with pruned-anchor bootstrap and leader
+/// re-targeting around it. Owns the state for the whole run (the
+/// handlers only ever read published snapshots).
+fn apply_loop(
     cfg: &FollowerConfig,
-    allocator: &mut OnlineAllocator<'g>,
-    wal_log: &mut Wal,
-    swap: &SnapshotSwap,
-    shared: &Shared,
+    state: &mut DurableState<'_>,
     ctx: &ReplicaCtx,
-) -> io::Result<ApplyOutcome> {
+) -> io::Result<Tail> {
     let dir = &cfg.state_dir;
-    let mut out = ApplyOutcome {
-        final_snapshot: swap.load(),
-        stats: allocator.stats(),
-        applied: 0,
-        rejected_on_apply: 0,
-        bootstraps: 0,
-        fenced_rejects: 0,
-    };
-    let mut since_checkpoint: u64 = 0;
+    let shared = Arc::clone(&state.shared);
+    let mut out = Tail::default();
     // Endpoints to try, current first; rotated on failure so a dead
     // leader doesn't starve the peers that know the new one.
     let mut endpoints: Vec<String> = std::iter::once(cfg.leader_addr.clone())
         .chain(cfg.peer_addrs.iter().cloned())
         .collect();
 
-    'reconnect: while !stopping(shared) {
+    'reconnect: while !stopping(&shared) {
         let target = endpoints[0].clone();
         let mut client = match Client::connect_with(target.as_str(), &cfg.leader_client) {
             Ok(c) => c,
             Err(_) => {
                 endpoints.rotate_left(1);
-                sleep_checked(shared, cfg.poll_interval);
+                sleep_checked(&shared, cfg.poll_interval);
                 continue 'reconnect;
             }
         };
@@ -328,32 +251,19 @@ fn apply_loop<'g>(
                 out.fenced_rejects += 1;
                 tirm_obs::registry::REPL_FENCED_REJECTS.inc();
                 endpoints.rotate_left(1);
-                sleep_checked(shared, cfg.poll_interval);
+                sleep_checked(&shared, cfg.poll_interval);
                 continue 'reconnect;
             }
             if h.fencing_epoch > local_epoch {
-                advance_epoch(
-                    h.fencing_epoch,
-                    h.wal_seq,
-                    dir,
-                    graph,
-                    topic_probs,
-                    cfg,
-                    allocator,
-                    wal_log,
-                    swap,
-                    shared,
-                    &mut out,
-                )?;
+                advance_epoch(h.fencing_epoch, h.wal_seq, dir, state, &mut out)?;
             }
         }
 
         loop {
-            if stopping(shared) {
+            if stopping(&shared) {
                 break 'reconnect;
             }
-            let from_seq = wal_log.seq();
-            match client.replicate_poll(from_seq, cfg.max_frames_per_poll) {
+            match client.replicate_poll(state.seq(), cfg.max_frames_per_poll) {
                 Ok(Response::ReplicateFrames {
                     fencing_epoch,
                     durable_seq,
@@ -371,27 +281,15 @@ fn apply_loop<'g>(
                         continue 'reconnect;
                     }
                     if fencing_epoch > local_epoch {
-                        advance_epoch(
-                            fencing_epoch,
-                            durable_seq,
-                            dir,
-                            graph,
-                            topic_probs,
-                            cfg,
-                            allocator,
-                            wal_log,
-                            swap,
-                            shared,
-                            &mut out,
-                        )?;
+                        advance_epoch(fencing_epoch, durable_seq, dir, state, &mut out)?;
                         // The anchor may have moved (wipe): re-poll.
                         continue;
                     }
                     shared.leader_seq.store(durable_seq, Ordering::Release);
                     tirm_obs::registry::REPL_FOLLOWER_LAG
-                        .set(durable_seq.saturating_sub(wal_log.seq()));
+                        .set(durable_seq.saturating_sub(state.seq()));
                     if frames.is_empty() {
-                        sleep_checked(shared, cfg.poll_interval);
+                        sleep_checked(&shared, cfg.poll_interval);
                         continue;
                     }
                     let events: Vec<OnlineEvent> = match frames
@@ -408,53 +306,13 @@ fn apply_loop<'g>(
                             continue 'reconnect;
                         }
                     };
-                    // The same WAL-before-apply group commit the
-                    // leader's writer uses — a follower killed here
-                    // recovers to a prefix, never past its log.
                     // Replication preserves positional numbering, so
                     // `trace_base + i` is the *same* trace id the
                     // leader recorded its stages under — the follower's
                     // stages extend that timeline across the process
                     // boundary.
-                    let append_start = flight::now_ns();
-                    for ev in &events {
-                        wal_log.append(ev).expect("follower WAL append failed");
-                    }
-                    wal_log.sync().expect("follower WAL fsync failed");
-                    let append_end = flight::now_ns();
-                    for i in 0..events.len() as u64 {
-                        flight::record(
-                            trace_base + i,
-                            Stage::FollowerAppend,
-                            append_start,
-                            append_end,
-                        );
-                    }
-                    shared.wal_seq.store(wal_log.seq(), Ordering::Release);
-                    tirm_obs::registry::REPL_FOLLOWER_LAG
-                        .set(durable_seq.saturating_sub(wal_log.seq()));
-                    for (i, ev) in events.iter().enumerate() {
-                        let trace = trace_base + i as u64;
-                        flight::set_current_trace(trace);
-                        let apply_start = flight::now_ns();
-                        let outcome = allocator.process(ev);
-                        flight::record_since(trace, Stage::FollowerApply, apply_start);
-                        match outcome {
-                            Ok(_) => swap.publish(allocator.snapshot()),
-                            Err(_) => {
-                                out.rejected_on_apply += 1;
-                                shared.rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    flight::set_current_trace(0);
+                    state.commit(&events, trace_base, Role::Follower)?;
                     out.applied += events.len() as u64;
-                    since_checkpoint += events.len() as u64;
-                    if since_checkpoint >= cfg.checkpoint_interval {
-                        wal::write_checkpoint(dir, allocator, wal_log.seq())?;
-                        wal_log.prune(wal_log.seq())?;
-                        since_checkpoint = 0;
-                    }
                 }
                 Ok(Response::ReplicateBootstrap {
                     fencing_epoch,
@@ -469,24 +327,10 @@ fn apply_loop<'g>(
                         continue 'reconnect;
                     }
                     if fencing_epoch > local_epoch {
-                        persist_epoch(dir, shared, fencing_epoch)?;
+                        persist_epoch(dir, &shared, fencing_epoch)?;
                     }
-                    match bootstrap(
-                        &mut client,
-                        checkpoint_seq,
-                        dir,
-                        graph,
-                        topic_probs,
-                        cfg,
-                        allocator,
-                        wal_log,
-                        swap,
-                        shared,
-                    ) {
-                        Ok(()) => {
-                            out.bootstraps += 1;
-                            since_checkpoint = 0;
-                        }
+                    match bootstrap(&mut client, checkpoint_seq, dir, state) {
+                        Ok(()) => out.bootstraps += 1,
                         // A download cut short (leader died or was
                         // deposed mid-stream, chunk decode failure) is
                         // a stream error like any other: the local
@@ -496,7 +340,7 @@ fn apply_loop<'g>(
                             eprintln!("bootstrap from {target} failed (will retry): {e}");
                             tirm_obs::registry::REPL_BOOTSTRAP_RETRIES.inc();
                             endpoints.rotate_left(1);
-                            sleep_checked(shared, cfg.poll_interval);
+                            sleep_checked(&shared, cfg.poll_interval);
                             continue 'reconnect;
                         }
                     }
@@ -509,22 +353,17 @@ fn apply_loop<'g>(
                         *ctx.leader_addr.lock().expect("leader addr poisoned") = leader;
                     } else {
                         endpoints.rotate_left(1);
-                        sleep_checked(shared, cfg.poll_interval);
+                        sleep_checked(&shared, cfg.poll_interval);
                     }
                     continue 'reconnect;
                 }
-                // A typed refusal (e.g. a memory-only server) or an
-                // unexpected response: try the next endpoint.
-                Ok(_) => {
+                // A typed refusal (e.g. a memory-only server), an
+                // unexpected response, a dead leader or a broken
+                // stream: keep serving reads at the current frontier
+                // and try the next endpoint.
+                Ok(_) | Err(_) => {
                     endpoints.rotate_left(1);
-                    sleep_checked(shared, cfg.poll_interval);
-                    continue 'reconnect;
-                }
-                // The leader died or the stream broke: keep serving
-                // reads at the current frontier and retry.
-                Err(_) => {
-                    endpoints.rotate_left(1);
-                    sleep_checked(shared, cfg.poll_interval);
+                    sleep_checked(&shared, cfg.poll_interval);
                     continue 'reconnect;
                 }
             }
@@ -536,16 +375,6 @@ fn apply_loop<'g>(
             }
         }
     }
-
-    // Wind-down checkpoint: a promoted or cleanly stopped follower
-    // restarts (or re-serves as leader) from a warm checkpoint instead
-    // of a tail replay.
-    if since_checkpoint > 0 {
-        wal::write_checkpoint(dir, allocator, wal_log.seq())?;
-        wal_log.prune(wal_log.seq())?;
-    }
-    out.final_snapshot = allocator.snapshot();
-    out.stats = allocator.stats();
     Ok(out)
 }
 
@@ -577,28 +406,17 @@ fn persist_epoch(dir: &Path, shared: &Shared, epoch: u64) -> io::Result<()> {
 /// durable state so the unreconcilable tail (frames only the deposed
 /// leader ever had) is dropped and the next poll re-anchors from
 /// scratch.
-#[allow(clippy::too_many_arguments)]
-fn advance_epoch<'g>(
+fn advance_epoch(
     new_epoch: u64,
     leader_frontier: u64,
     dir: &Path,
-    graph: &'g DiGraph,
-    topic_probs: &'g TopicEdgeProbs,
-    cfg: &FollowerConfig,
-    allocator: &mut OnlineAllocator<'g>,
-    wal_log: &mut Wal,
-    swap: &SnapshotSwap,
-    shared: &Shared,
-    out: &mut ApplyOutcome,
+    state: &mut DurableState<'_>,
+    out: &mut Tail,
 ) -> io::Result<()> {
-    persist_epoch(dir, shared, new_epoch)?;
-    if wal_log.seq() > leader_frontier {
+    persist_epoch(dir, &state.shared, new_epoch)?;
+    if state.seq() > leader_frontier {
         clear_durable_state(dir)?;
-        let (a, report) = wal::recover(dir, graph, topic_probs, &cfg.online)?;
-        *allocator = a;
-        *wal_log = Wal::open(dir, report.wal_seq, cfg.segment_events)?;
-        shared.wal_seq.store(report.wal_seq, Ordering::Release);
-        swap.publish(allocator.snapshot());
+        state.reopen()?;
         out.bootstraps += 1;
     }
     Ok(())
@@ -608,18 +426,11 @@ fn advance_epoch<'g>(
 /// (replacing all local segments and checkpoints — they predate the
 /// leader's retained history) and restarts the allocator from it. The
 /// next poll resumes at the checkpoint's cover point.
-#[allow(clippy::too_many_arguments)]
-fn bootstrap<'g>(
+fn bootstrap(
     client: &mut Client,
     announced_seq: u64,
     dir: &Path,
-    graph: &'g DiGraph,
-    topic_probs: &'g TopicEdgeProbs,
-    cfg: &FollowerConfig,
-    allocator: &mut OnlineAllocator<'g>,
-    wal_log: &mut Wal,
-    swap: &SnapshotSwap,
-    shared: &Shared,
+    state: &mut DurableState<'_>,
 ) -> io::Result<()> {
     const CHUNK: u64 = 1 << 20;
     const MAX_RESTARTS: u32 = 5;
@@ -659,12 +470,7 @@ fn bootstrap<'g>(
     // don't merge.
     clear_durable_state(dir)?;
     wal::install_checkpoint(dir, seq, &bytes)?;
-    let (a, report) = wal::recover(dir, graph, topic_probs, &cfg.online)?;
-    *allocator = a;
-    *wal_log = Wal::open(dir, report.wal_seq, cfg.segment_events)?;
-    shared.wal_seq.store(report.wal_seq, Ordering::Release);
-    swap.publish(allocator.snapshot());
-    Ok(())
+    state.reopen()
 }
 
 /// Deletes every WAL segment and checkpoint in `dir` (the fencing

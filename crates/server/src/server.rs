@@ -15,9 +15,9 @@
 //!         bounded sync_channel (queue_depth)   ← admission control:
 //!                      │                          full ⇒ typed Overloaded,
 //!                      ▼                          never a blocked accept
-//!             writer thread (owns OnlineAllocator)
-//!                      │ after each applied event
-//!                      ▼
+//!             writer thread (owns the DurableState)
+//!                      │ commit: log → fsync → apply, and after
+//!                      ▼ each applied event
 //!             SnapshotSwap::publish(Arc<AllocationSnapshot>)
 //! ```
 //!
@@ -34,12 +34,13 @@
 //! allocator refuses it (exactly as an in-process replay would); a
 //! shed (`Overloaded`) one never was admitted in the first place.
 
+use crate::durable::{DurableState, Origin};
 use crate::protocol::{
     hex_encode, read_frame_polling, write_frame, Request, Response, Role, StatsView,
     PROTOCOL_VERSION,
 };
 use crate::swap::{SnapshotReader, SnapshotSwap};
-use crate::wal::{self, RecoveryReport, ReplicaBatch, Wal};
+use crate::wal::{self, RecoveryReport, ReplicaBatch};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,11 +48,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 use tirm_graph::DiGraph;
 use tirm_obs::flight::{self, Stage};
-use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig, OnlineEvent, OnlineStats};
+use tirm_online::{AllocationSnapshot, OnlineConfig, OnlineEvent, OnlineStats};
 use tirm_topics::TopicEdgeProbs;
 
 /// Durability knobs: where the write-ahead log and checkpoints live and
@@ -112,8 +112,8 @@ pub struct ServerConfig {
     /// the classic single-writer path (apply + publish per event);
     /// `> 1` ⇒ the writer drains the queue in batches and fans the
     /// per-ad TIRM runs across this many threads
-    /// ([`OnlineAllocator::process_batch`]) — bit-identical output for
-    /// any value. Must be ≥ 1.
+    /// ([`tirm_online::OnlineAllocator::process_batch`]) — bit-identical
+    /// output for any value. Must be ≥ 1.
     pub shard_writers: usize,
 }
 
@@ -480,132 +480,28 @@ pub fn serve<R>(
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> std::io::Result<(R, ServeReport)> {
     assert!(cfg.queue_depth >= 1, "queue_depth must admit something");
-    assert!(cfg.max_connections >= 1, "need at least one connection");
     assert!(cfg.shard_writers >= 1, "need at least one shard writer");
-    let listener = TcpListener::bind(&cfg.bind)?;
-    let addr = listener.local_addr()?;
-
-    // Durable startup: rebuild from checkpoint + WAL tail, then open a
-    // fresh segment at the recovered frontier. Memory-only startup is
-    // the recovery of an empty state dir, minus the disk.
-    let (mut allocator, recovery, mut wal_log) = match &cfg.durability {
-        Some(d) => {
-            let (allocator, report) = wal::recover(&d.state_dir, graph, topic_probs, &cfg.online)?;
-            let log = Wal::open(&d.state_dir, report.wal_seq, d.segment_events)?;
-            (allocator, Some(report), Some(log))
-        }
-        None => (
-            OnlineAllocator::new(graph, topic_probs, cfg.online.clone()),
-            None,
-            None,
-        ),
+    // With one shard writer each mutation commits on its own; with
+    // several, everything already queued shares one fsync and one shard
+    // fan-out.
+    let drain = cfg.shard_writers > 1;
+    let feeder = |state: &mut DurableState<'_>, rx: Receiver<Admitted>, _: &ReplicaCtx| {
+        feed_from_queue(state, &rx, drain);
+        Ok(())
     };
-    let swap = SnapshotSwap::new(allocator.snapshot());
-    let shared = Shared::new();
-    let frontier = recovery.as_ref().map_or(0, |r| r.wal_seq);
-    shared.wal_seq.store(frontier, Ordering::Release);
-    shared.leader_seq.store(frontier, Ordering::Release);
-    if let Some(d) = &cfg.durability {
-        // The fencing epoch survives in the state dir: a leader that
-        // was ever promoted keeps announcing its earned epoch across
-        // plain restarts.
-        let epoch = wal::read_fencing_epoch(&d.state_dir)?;
-        shared.fencing_epoch.store(epoch, Ordering::Release);
-    }
-    let ctx = Arc::new(ReplicaCtx {
-        role: Role::Leader,
-        state_dir: cfg.durability.as_ref().map(|d| d.state_dir.clone()),
-        leader_addr: Mutex::new(String::new()),
-    });
-    // Surface this binary's identity and start the flight clock before
-    // the first mutation can be admitted.
-    tirm_obs::registry::BUILD_PROTOCOL_VERSION.set(PROTOCOL_VERSION as u64);
-    tirm_obs::registry::BUILD_SCHEMA_VERSION.set(wal::WAL_VERSION as u64);
-    flight::now_ns();
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(cfg.queue_depth);
-    let handle = ServerHandle {
-        addr,
-        swap: swap.clone(),
-        shared: shared.clone(),
-    };
-
-    let (result, final_snapshot, stats) = std::thread::scope(|s| {
-        // Writer: the only thread that ever touches the allocator (the
-        // shard threads it may fan out to live inside process_batch and
-        // are joined before it returns).
-        let writer = {
-            let swap = swap.clone();
-            let shared = shared.clone();
-            let durability = cfg.durability.clone();
-            let shard_writers = cfg.shard_writers;
-            s.spawn(move || {
-                writer_loop(
-                    &rx,
-                    &mut allocator,
-                    wal_log.as_mut(),
-                    durability.as_ref(),
-                    shard_writers,
-                    &swap,
-                    &shared,
-                );
-                // All senders dropped ⇒ every admitted mutation above
-                // was applied: the drain guarantee.
-                (allocator.snapshot(), allocator.stats())
-            })
-        };
-
-        // Acceptor: spawns one handler per admitted connection.
-        let acceptor = run_acceptor(
-            s,
-            listener,
-            shared.clone(),
-            swap.clone(),
-            tx.clone(),
-            ctx.clone(),
-            cfg.read_poll,
-            cfg.max_connections,
-        );
-
-        // The stop guard runs on BOTH exits from `f`: a clean return and
-        // an unwind. A panicking closure (a failed harness expectation)
-        // would otherwise leave the acceptor parked in `accept()`
-        // forever — the scope joins all threads before re-raising, so
-        // the panic would hang instead of propagating.
-        struct StopGuard<'a> {
-            shared: &'a Shared,
-            addr: SocketAddr,
-        }
-        impl Drop for StopGuard<'_> {
-            fn drop(&mut self) {
-                self.shared.stop.store(true, Ordering::Release);
-                self.shared.request_shutdown();
-                // Wake the blocked accept with a throwaway connection.
-                let _ = TcpStream::connect(self.addr);
-            }
-        }
-        let result = {
-            let _stop = StopGuard {
-                shared: &shared,
-                addr,
-            };
-            f(&handle)
-        };
-
-        // Drain-then-close (the guard above already flipped stop and
-        // woke the acceptor). Handlers exit via their read-poll stop
-        // checks, dropping their queue senders; once ours goes too the
-        // writer drains whatever was admitted and returns the final
-        // snapshot. The explicit join order just makes the sequence
-        // readable — the scope would join everything anyway.
-        acceptor.join().expect("acceptor panicked");
-        drop(tx);
-        let (final_snapshot, stats) = writer.join().expect("writer panicked");
-        (result, final_snapshot, stats)
-    });
-
+    let run = run_server(
+        graph,
+        topic_probs,
+        cfg,
+        Role::Leader,
+        String::new(),
+        feeder,
+        f,
+    )?;
+    let shared = &run.shared;
     let report = ServeReport {
-        final_snapshot,
-        stats,
+        final_snapshot: run.final_snapshot,
+        stats: run.stats,
         accepted: shared.accepted.load(Ordering::Relaxed),
         shed: shared.shed.load(Ordering::Relaxed),
         rejected: shared.rejected.load(Ordering::Relaxed),
@@ -613,11 +509,11 @@ pub fn serve<R>(
         max_queue_depth: shared.max_queue_len.load(Ordering::Relaxed),
         connections: shared.connections_total.load(Ordering::Relaxed),
         connections_refused: shared.connections_refused.load(Ordering::Relaxed),
-        recovery,
+        recovery: run.recovery,
         wal_seq: shared.wal_seq.load(Ordering::Acquire),
         fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
     };
-    Ok((result, report))
+    Ok((run.result, report))
 }
 
 /// What a connection handler needs to know about the process's role in
@@ -637,52 +533,149 @@ pub(crate) struct ReplicaCtx {
     pub(crate) leader_addr: Mutex<String>,
 }
 
-/// Spawns the acceptor thread: admission-bounds connections and spawns
-/// one [`handle_connection`] thread per admitted one. Shared between
-/// the leader's [`serve`] and the follower's
-/// [`crate::replica::serve_follower`] — the read path is identical on
-/// both; only the role context differs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_acceptor<'scope>(
-    s: &'scope Scope<'scope, '_>,
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    swap: Arc<SnapshotSwap>,
-    tx: SyncSender<Admitted>,
-    ctx: Arc<ReplicaCtx>,
-    read_poll: Duration,
-    max_connections: usize,
-) -> ScopedJoinHandle<'scope, ()> {
-    s.spawn(move || {
-        for stream in listener.incoming() {
-            if shared.stop.load(Ordering::Acquire) {
-                break;
+/// Flips the stop flag and unparks the acceptor on BOTH exits from the
+/// caller's closure: a clean return and an unwind. A panicking closure
+/// (a failed harness expectation) would otherwise leave the acceptor
+/// parked in `accept()` forever — the scope joins all threads before
+/// re-raising, so the panic would hang instead of propagating.
+struct StopGuard<'a> {
+    shared: &'a Shared,
+    addr: SocketAddr,
+}
+
+impl Drop for StopGuard<'_> {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+        self.shared.request_shutdown();
+        // Wake the blocked accept with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// What one [`run_server`] run leaves behind.
+pub(crate) struct Run<R, T> {
+    /// What the caller's closure returned.
+    pub(crate) result: R,
+    /// What the feeder returned.
+    pub(crate) fed: T,
+    pub(crate) final_snapshot: Arc<AllocationSnapshot>,
+    pub(crate) stats: OnlineStats,
+    pub(crate) recovery: Option<RecoveryReport>,
+    pub(crate) shared: Arc<Shared>,
+}
+
+/// The scaffold a leader and a follower share: bind, open the durable
+/// state, then run three kinds of thread inside one scope — the
+/// `feeder` (the only thread that ever touches the allocator: it owns
+/// the [`DurableState`] and decides what to commit next), the acceptor
+/// (one handler thread per admitted connection; the read path is
+/// identical on both roles) and the caller's closure `f` — and stop
+/// them in the drain-then-close order. `cfg` is the leader's shape; a
+/// follower maps its own config onto it.
+pub(crate) fn run_server<'g, R, T: Send>(
+    graph: &'g DiGraph,
+    topic_probs: &'g TopicEdgeProbs,
+    cfg: ServerConfig,
+    role: Role,
+    leader_addr: String,
+    feeder: impl FnOnce(&mut DurableState<'g>, Receiver<Admitted>, &ReplicaCtx) -> std::io::Result<T>
+        + Send,
+    f: impl FnOnce(&ServerHandle) -> R,
+) -> std::io::Result<Run<R, T>> {
+    assert!(cfg.max_connections >= 1, "need at least one connection");
+    let listener = TcpListener::bind(&cfg.bind)?;
+    let addr = listener.local_addr()?;
+    // Surface this binary's identity and start the flight clock before
+    // the first mutation can be admitted.
+    tirm_obs::registry::BUILD_PROTOCOL_VERSION.set(PROTOCOL_VERSION as u64);
+    tirm_obs::registry::BUILD_SCHEMA_VERSION.set(wal::WAL_VERSION as u64);
+    flight::now_ns();
+
+    let ctx = ReplicaCtx {
+        role,
+        state_dir: cfg.durability.as_ref().map(|d| d.state_dir.clone()),
+        leader_addr: Mutex::new(leader_addr),
+    };
+    let (mut state, recovery) = DurableState::open(Origin {
+        graph,
+        topic_probs,
+        online: cfg.online,
+        durability: cfg.durability,
+        shard_writers: cfg.shard_writers,
+    })?;
+    let (swap, shared) = (state.swap.clone(), state.shared.clone());
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(cfg.queue_depth);
+    let handle = ServerHandle {
+        addr,
+        swap: swap.clone(),
+        shared: shared.clone(),
+    };
+
+    let (result, fed) = std::thread::scope(|s| {
+        let (ctx, shared) = (&ctx, &*shared);
+        let feeder = s.spawn(move || -> std::io::Result<_> {
+            let fed = feeder(&mut state, rx, ctx)?;
+            // The feeder returned ⇒ everything it took in was applied
+            // (on a leader: all senders dropped and the queue drained —
+            // the drain guarantee).
+            let (final_snapshot, stats) = state.finish()?;
+            Ok((fed, final_snapshot, stats))
+        });
+
+        // The acceptor owns the queue's original sender and hands each
+        // connection a clone, so the queue disconnects exactly when the
+        // acceptor and every handler have exited.
+        let acceptor = s.spawn(move || {
+            for stream in listener.incoming() {
+                if shared.stop.load(Ordering::Acquire) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                if shared.connections_open.load(Ordering::Relaxed) >= cfg.max_connections {
+                    shared.connections_refused.fetch_add(1, Ordering::Relaxed);
+                    refuse_connection(stream);
+                    continue;
+                }
+                shared.connections_open.fetch_add(1, Ordering::Relaxed);
+                shared.connections_total.fetch_add(1, Ordering::Relaxed);
+                let (tx, swap) = (tx.clone(), swap.clone());
+                s.spawn(move || {
+                    handle_connection(stream, tx, swap, shared, ctx, cfg.read_poll);
+                    shared.connections_open.fetch_sub(1, Ordering::Relaxed);
+                });
             }
-            let Ok(stream) = stream else { continue };
-            if shared.connections_open.load(Ordering::Relaxed) >= max_connections {
-                shared.connections_refused.fetch_add(1, Ordering::Relaxed);
-                refuse_connection(stream);
-                continue;
-            }
-            shared.connections_open.fetch_add(1, Ordering::Relaxed);
-            shared.connections_total.fetch_add(1, Ordering::Relaxed);
-            let shared = shared.clone();
-            let swap = swap.clone();
-            let tx = tx.clone();
-            let ctx = ctx.clone();
-            s.spawn(move || {
-                handle_connection(stream, tx, swap, &shared, &ctx, read_poll);
-                shared.connections_open.fetch_sub(1, Ordering::Relaxed);
-            });
-        }
+        });
+
+        let result = {
+            let _stop = StopGuard { shared, addr };
+            f(&handle)
+        };
+
+        // Drain-then-close (the guard above already flipped stop and
+        // woke the acceptor). Handlers exit via their read-poll stop
+        // checks, dropping their queue senders; the feeder then takes
+        // in whatever is left, winds the state down and returns the
+        // final snapshot. The explicit join order just makes the
+        // sequence readable — the scope would join everything anyway.
+        acceptor.join().expect("acceptor panicked");
+        (result, feeder.join().expect("feeder panicked"))
+    });
+    let (fed, final_snapshot, stats) = fed?;
+    Ok(Run {
+        result,
+        fed,
+        final_snapshot,
+        stats,
+        recovery,
+        shared,
     })
 }
 
 /// A mutation travelling from admission to the writer, carrying the
 /// flight-clock stamps the writer needs to reconstruct the mutation's
 /// `admit` and `queue` lifecycle stages retroactively. The trace id is
-/// *not* carried: it is the WAL position + 1, which only the writer
-/// knows once the append assigns it.
+/// *not* carried: it is the WAL position + 1, and admissions race for
+/// their place in the queue — only the writer knows the order.
 pub(crate) struct Admitted {
     pub(crate) ev: OnlineEvent,
     /// Flight clock at admission entry (decode done, about to enqueue).
@@ -691,142 +684,40 @@ pub(crate) struct Admitted {
     pub(crate) enqueue_ns: u64,
 }
 
-/// The writer's drain loop. Per batch: log every frame, fsync **once**,
-/// then apply — the WAL-before-apply invariant that makes a kill at any
-/// instant recoverable. With one shard writer each mutation is applied
-/// and published individually (the classic path, minimal read-path
-/// staleness); with several the deferred per-ad TIRM runs fan out
-/// across threads and the batch publishes once — bit-identical output
-/// either way.
+/// The leader's feeder: takes admitted mutations off the queue — one at
+/// a time, or with `drain` everything already queued (opportunistic
+/// group commit) — and commits them, until every sender has hung up
+/// and the queue is empty.
 ///
-/// A WAL I/O failure is fatal by design: continuing would hand out
+/// A commit failure is fatal by design: continuing would hand out
 /// `Accepted` responses for mutations that can never be recovered. The
 /// panic propagates through the scope join, tearing the server down
 /// loudly instead of serving silently non-durable writes.
-fn writer_loop(
-    rx: &Receiver<Admitted>,
-    allocator: &mut OnlineAllocator<'_>,
-    mut wal_log: Option<&mut Wal>,
-    durability: Option<&DurabilityConfig>,
-    shard_writers: usize,
-    swap: &SnapshotSwap,
-    shared: &Shared,
-) {
+fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>, drain: bool) {
     let mut batch: Vec<OnlineEvent> = Vec::new();
     // Parallel to `batch`: (admit_ns, enqueue_ns) flight stamps, kept
-    // out of the event vec so `process_batch` sees plain events.
+    // out of the event vec so `commit` sees plain events.
     let mut stamps: Vec<(u64, u64)> = Vec::new();
-    let mut since_checkpoint: u64 = 0;
     while let Ok(first) = rx.recv() {
         batch.clear();
         stamps.clear();
-        stamps.push((first.admit_ns, first.enqueue_ns));
-        batch.push(first.ev);
-        if shard_writers > 1 {
-            // Opportunistic group commit: everything already queued
-            // shares one fsync and one shard fan-out.
-            while let Ok(a) = rx.try_recv() {
-                stamps.push((a.admit_ns, a.enqueue_ns));
-                batch.push(a.ev);
-            }
+        let mut next = Some(first);
+        while let Some(a) = next {
+            stamps.push((a.admit_ns, a.enqueue_ns));
+            batch.push(a.ev);
+            next = if drain { rx.try_recv().ok() } else { None };
         }
         let dequeue_ns = flight::now_ns();
-
-        // `base` is the WAL position before this batch; event i lands
-        // at position base + i, so its trace id is base + i + 1 (0 is
-        // the no-trace sentinel). The memory-only branch keeps the
-        // same positional numbering so lineage works without a WAL.
-        let base = if let Some(log) = wal_log.as_deref_mut() {
-            let base = log.seq();
-            for ev in &batch {
-                log.append(ev).expect("write-ahead log append failed");
-            }
-            log.sync().expect("write-ahead log fsync failed");
-            shared.wal_seq.store(log.seq(), Ordering::Release);
-            shared.leader_seq.store(log.seq(), Ordering::Release);
-            base
-        } else {
-            let base = shared
-                .wal_seq
-                .fetch_add(batch.len() as u64, Ordering::Release);
-            shared
-                .leader_seq
-                .store(base + batch.len() as u64, Ordering::Release);
-            base
-        };
-        // The trace id only exists now that the append assigned a
-        // position — record the admission-side stages retroactively.
-        for (i, (admit_ns, enqueue_ns)) in stamps.iter().enumerate() {
-            let trace = base + i as u64 + 1;
+        // Event i lands at log position seq + i, which names its trace:
+        // record the admission-side stages now that it is known.
+        let first_trace = state.seq() + 1;
+        for (trace, (admit_ns, enqueue_ns)) in (first_trace..).zip(&stamps) {
             flight::record(trace, Stage::Admit, *admit_ns, *enqueue_ns);
             flight::record(trace, Stage::Queue, *enqueue_ns, dequeue_ns);
         }
-
-        if shard_writers == 1 {
-            for (i, ev) in batch.iter().enumerate() {
-                let trace = base + i as u64 + 1;
-                flight::set_current_trace(trace);
-                let apply_start = flight::now_ns();
-                // A rejected event changed nothing (and didn't bump
-                // the epoch): skip the O(ads + seeds) snapshot copy
-                // and the reader-side refresh it would force.
-                let outcome = allocator.process(ev);
-                flight::record_since(trace, Stage::Apply, apply_start);
-                match outcome {
-                    Ok(_) => swap.publish(allocator.snapshot()),
-                    Err(_) => {
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        tirm_obs::registry::SERVER_REJECTED.inc();
-                    }
-                }
-            }
-        } else {
-            // The fan-out applies the whole batch as one unit, so each
-            // event's apply span is the batch's; the publish that
-            // follows is attributed to the batch's last trace.
-            flight::set_current_trace(base + batch.len() as u64);
-            let apply_start = flight::now_ns();
-            let outcomes = allocator.process_batch(&batch, shard_writers);
-            let apply_end = flight::now_ns();
-            for i in 0..batch.len() as u64 {
-                flight::record(base + i + 1, Stage::Apply, apply_start, apply_end);
-            }
-            let mut applied = false;
-            for outcome in &outcomes {
-                match outcome {
-                    Ok(_) => applied = true,
-                    Err(_) => {
-                        shared.rejected.fetch_add(1, Ordering::Relaxed);
-                        tirm_obs::registry::SERVER_REJECTED.inc();
-                    }
-                }
-            }
-            if applied {
-                swap.publish(allocator.snapshot());
-            }
-        }
-        flight::set_current_trace(0);
-        shared.queue_len.fetch_sub(batch.len(), Ordering::Relaxed);
-
-        if let (Some(log), Some(d)) = (wal_log.as_deref_mut(), durability) {
-            since_checkpoint += batch.len() as u64;
-            if since_checkpoint >= d.checkpoint_interval {
-                wal::write_checkpoint(&d.state_dir, allocator, log.seq())
-                    .expect("checkpoint write failed");
-                log.prune(log.seq()).expect("WAL prune failed");
-                since_checkpoint = 0;
-            }
-        }
-    }
-    // Clean shutdown (every sender hung up, queue drained): checkpoint
-    // the final state so the next boot warm-loads it instead of
-    // replaying the tail — only a crash leaves replay work behind.
-    if let (Some(log), Some(d)) = (wal_log, durability) {
-        if since_checkpoint > 0 {
-            wal::write_checkpoint(&d.state_dir, allocator, log.seq())
-                .expect("shutdown checkpoint write failed");
-            log.prune(log.seq()).expect("WAL prune failed");
-        }
+        state
+            .commit(&batch, first_trace, Role::Leader)
+            .expect("durable commit failed");
     }
 }
 
@@ -894,13 +785,7 @@ pub(crate) fn handle_connection(
                 // A follower never admits writes — the typed redirect
                 // names the leader so a client can fail over in one
                 // hop instead of probing the pool.
-                Role::Follower => Response::NotLeader {
-                    leader: ctx
-                        .leader_addr
-                        .lock()
-                        .expect("leader addr poisoned")
-                        .clone(),
-                },
+                Role::Follower => not_leader(ctx),
             },
             Ok(Request::RegretQuery) => {
                 let snap = reader.latest();

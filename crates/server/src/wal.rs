@@ -95,8 +95,8 @@ fn segment_path(dir: &Path, start_seq: u64) -> PathBuf {
     dir.join(format!("wal-{start_seq:020}.seg"))
 }
 
-fn checkpoint_path(dir: &Path, wal_seq: u64) -> PathBuf {
-    dir.join(format!("ckpt-{wal_seq:020}.ck"))
+fn checkpoint_name(wal_seq: u64) -> String {
+    format!("ckpt-{wal_seq:020}.ck")
 }
 
 /// Parses `name` as one of our durable files; `prefix`/`suffix` select
@@ -147,13 +147,33 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// no-op error on filesystems that don't support it; that's fine, those
 /// also don't need it.
 fn sync_dir(dir: &Path) -> io::Result<()> {
-    match File::open(dir) {
-        Ok(d) => {
-            let _ = d.sync_all();
-            Ok(())
-        }
-        Err(e) => Err(e),
+    let _ = File::open(dir)?.sync_all();
+    Ok(())
+}
+
+/// Replaces `dir/name` atomically: the content goes to a temp file,
+/// is fsynced, renamed into place, and the rename made durable — a
+/// crash at any point leaves either the old file or the new one, never
+/// a half-written file under a valid name.
+fn write_atomically(
+    dir: &Path,
+    name: &str,
+    content: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
+    let result = (|| {
+        let mut f = File::create(&tmp)?;
+        content(&mut f)?;
+        f.sync_all()?;
+        fs::rename(&tmp, &path)?;
+        sync_dir(dir)
+    })();
+    if result.is_err() {
+        fs::remove_file(&tmp).ok();
     }
+    result.map(|()| path)
 }
 
 /// The append side of the write-ahead log: owned by the writer thread,
@@ -261,7 +281,6 @@ impl Wal {
         }
         tirm_obs::registry::WAL_FSYNC_LATENCY_NS.record_traced(elapsed.as_nanos() as u64, self.seq);
         tirm_obs::registry::WAL_BATCH_EVENTS.record(batch);
-        tirm_obs::registry::SLOW_TRACE.record("wal_fsync", 0, elapsed.as_nanos() as u64);
         Ok(())
     }
 
@@ -315,22 +334,10 @@ pub fn read_fencing_epoch(dir: &Path) -> io::Result<u64> {
     }
 }
 
-/// Persists `epoch` as the fencing epoch of `dir` (tmp → fsync →
-/// rename, like checkpoints — a crash mid-write leaves the old epoch).
+/// Persists `epoch` as the fencing epoch of `dir` (atomically, like
+/// checkpoints — a crash mid-write leaves the old epoch).
 pub fn write_fencing_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!("fencing.tmp.{}", std::process::id()));
-    let result = (|| -> io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        f.write_all(format!("{epoch}\n").as_bytes())?;
-        f.sync_all()
-    })();
-    if let Err(e) = result {
-        fs::remove_file(&tmp).ok();
-        return Err(e);
-    }
-    fs::rename(&tmp, dir.join(FENCING_EPOCH_FILE))?;
-    sync_dir(dir)
+    write_atomically(dir, FENCING_EPOCH_FILE, |f| writeln!(f, "{epoch}")).map(drop)
 }
 
 /// Atomically advances the fencing epoch in `dir` by one and returns
@@ -351,28 +358,12 @@ pub fn newest_checkpoint(dir: &Path) -> io::Result<Option<(u64, PathBuf)>> {
     Ok(list_checkpoints(dir)?.pop())
 }
 
-/// Installs a checkpoint downloaded from a leader: the bytes land
-/// under the canonical `ckpt-{wal_seq}.ck` name via the same
-/// tmp-write → fsync → rename → dir-fsync dance [`write_checkpoint`]
-/// uses, so a crash mid-install leaves either the old state or the new
-/// checkpoint — never a half-written file under a valid name. The
-/// payload is validated by [`recover`]'s checksummed restore, not
-/// here.
+/// Installs a checkpoint downloaded from a leader under the canonical
+/// `ckpt-{wal_seq}.ck` name, as atomically as [`write_checkpoint`]
+/// writes its own. The payload is validated by [`recover`]'s
+/// checksummed restore, not here.
 pub fn install_checkpoint(dir: &Path, wal_seq: u64, bytes: &[u8]) -> io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let path = checkpoint_path(dir, wal_seq);
-    let tmp = dir.join(format!("ckpt.tmp.{}", std::process::id()));
-    let result = (|| -> io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        fs::rename(&tmp, &path)?;
-        sync_dir(dir)
-    })();
-    if result.is_err() {
-        fs::remove_file(&tmp).ok();
-    }
-    result
+    write_atomically(dir, &checkpoint_name(wal_seq), |f| f.write_all(bytes)).map(drop)
 }
 
 /// One answer from the leader-side replication read path.
@@ -425,12 +416,11 @@ pub fn read_frames(
     let mut cursor = from_seq;
     for (i, (start, path)) in segments.iter().enumerate().skip(first) {
         if *start > cursor {
-            return Err(io::Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "gap in the write-ahead log: segment {} starts at seq {start} \
-                     but the replication scan reached only seq {cursor}",
-                    path.display()
+            return Err(invalid_data(
+                path,
+                format_args!(
+                    "gap in the write-ahead log: this segment starts at seq {start} \
+                     but the replication scan reached only seq {cursor}"
                 ),
             ));
         }
@@ -440,85 +430,30 @@ pub fn read_frames(
         // cursor — so only take this segment's frames up to where the
         // next segment takes over.
         let takeover = segments.get(i + 1).map(|&(s, _)| s);
-        collect_segment_frames(
-            path,
-            *start,
-            &mut cursor,
-            takeover,
-            frontier,
-            max_frames,
-            &mut bodies,
-        )?;
+        let mut scan = SegmentScan::open(path, *start)?;
+        while bodies.len() < max_frames && cursor < frontier {
+            match scan.next_frame()? {
+                // The successor segment owns it from here.
+                Scan::Frame { seq, .. } if takeover.is_some_and(|t| seq >= t) => break,
+                Scan::Frame { seq, body } if seq >= cursor => {
+                    debug_assert_eq!(seq, cursor, "frames are positionally dense");
+                    bodies.push(String::from_utf8(body).map_err(|_| {
+                        invalid_data(path, "non-UTF-8 frame below the durable frontier")
+                    })?);
+                    cursor = seq + 1;
+                }
+                Scan::Frame { .. } => {}
+                // Clean end or a torn/corrupt tail: replication only
+                // serves durable frames, and below the frontier those
+                // artifacts cannot exist — nothing durable lies past it.
+                Scan::End(_) => break,
+            }
+        }
         if bodies.len() >= max_frames || cursor >= frontier {
             break;
         }
     }
     Ok(ReplicaBatch::Frames { bodies })
-}
-
-/// Scans one segment, pushing bodies for `seq >= *cursor` (bounded by
-/// `takeover`, `frontier` and `max_frames`) and advancing the cursor.
-/// Torn/corrupt tails end the scan silently — replication only serves
-/// durable frames, and below the frontier those artifacts cannot
-/// exist.
-fn collect_segment_frames(
-    path: &Path,
-    start: u64,
-    cursor: &mut u64,
-    takeover: Option<u64>,
-    frontier: u64,
-    max_frames: usize,
-    bodies: &mut Vec<String>,
-) -> io::Result<()> {
-    let mut r = BufReader::with_capacity(1 << 16, File::open(path)?);
-    let mut header = [0u8; WAL_HEADER_BYTES];
-    if !read_exact_or_eof(&mut r, &mut header).unwrap_or(false) {
-        return Ok(()); // header never synced: zero durable frames here
-    }
-    if &header[..8] != WAL_MAGIC {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!("{} is not a WAL segment (bad magic)", path.display()),
-        ));
-    }
-    let mut seq = start;
-    loop {
-        if bodies.len() >= max_frames || *cursor >= frontier {
-            return Ok(());
-        }
-        if takeover.is_some_and(|t| seq >= t) {
-            return Ok(()); // the successor segment owns it from here
-        }
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut r, &mut len_buf) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return Ok(()), // clean end or torn tail
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_WAL_FRAME_BYTES {
-            return Ok(()); // corrupt tail: nothing durable past it
-        }
-        let mut body = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut r, &mut body) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return Ok(()),
-        }
-        if seq >= *cursor {
-            debug_assert_eq!(seq, *cursor, "frames are positionally dense");
-            let text = String::from_utf8(body).map_err(|_| {
-                io::Error::new(
-                    ErrorKind::InvalidData,
-                    format!(
-                        "non-UTF-8 frame below the durable frontier in {}",
-                        path.display()
-                    ),
-                )
-            })?;
-            bodies.push(text);
-            *cursor = seq + 1;
-        }
-        seq += 1;
-    }
 }
 
 /// Writes a checkpoint covering sequence numbers `< wal_seq` and
@@ -531,21 +466,11 @@ pub fn write_checkpoint(
     wal_seq: u64,
 ) -> io::Result<PathBuf> {
     let t0 = std::time::Instant::now();
-    fs::create_dir_all(dir)?;
-    let path = checkpoint_path(dir, wal_seq);
-    let tmp = dir.join(format!("ckpt.tmp.{}", std::process::id()));
-    let result = (|| -> io::Result<()> {
-        let mut w = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
+    let path = write_atomically(dir, &checkpoint_name(wal_seq), |f| {
+        let mut w = BufWriter::with_capacity(1 << 20, f);
         allocator.checkpoint(wal_seq, &mut w)?;
-        w.flush()?;
-        w.get_ref().sync_all()
-    })();
-    if let Err(e) = result {
-        fs::remove_file(&tmp).ok();
-        return Err(e);
-    }
-    fs::rename(&tmp, &path)?;
-    sync_dir(dir)?;
+        w.flush()
+    })?;
     let checkpoints = list_checkpoints(dir)?;
     if checkpoints.len() > KEEP_CHECKPOINTS {
         for (_, old) in &checkpoints[..checkpoints.len() - KEEP_CHECKPOINTS] {
@@ -553,9 +478,7 @@ pub fn write_checkpoint(
         }
         sync_dir(dir)?;
     }
-    let elapsed = t0.elapsed();
-    tirm_obs::registry::CHECKPOINT_WALL_NS.record_duration(elapsed);
-    tirm_obs::registry::SLOW_TRACE.record("checkpoint", 0, elapsed.as_nanos() as u64);
+    tirm_obs::registry::CHECKPOINT_WALL_NS.record_duration(t0.elapsed());
     Ok(path)
 }
 
@@ -627,20 +550,133 @@ pub struct RecoveryReport {
     pub warnings: Vec<RecoveryWarning>,
 }
 
-/// Reads `buf.len()` bytes; `Ok(false)` on clean EOF at the first byte,
-/// `Err(UnexpectedEof)` when the file ends mid-buffer.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+/// How far a read got before the file ended.
+enum Fill {
+    /// The whole buffer was read.
+    Whole,
+    /// Clean EOF: the file ended before the first byte.
+    Empty,
+    /// The file ended mid-buffer — the shape of a torn write.
+    Partial,
+}
+
+/// Reads `buf.len()` bytes unless the file ends first; `Err` is a real
+/// I/O failure, never an EOF.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<Fill> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(0) if filled == 0 => return Ok(Fill::Empty),
+            Ok(0) => return Ok(Fill::Partial),
             Ok(n) => filled += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(true)
+    Ok(Fill::Whole)
+}
+
+fn invalid_data(path: &Path, why: impl fmt::Display) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, format!("{}: {why}", path.display()))
+}
+
+/// One step of a [`SegmentScan`].
+enum Scan {
+    /// The next whole frame and its (positional) sequence number.
+    Frame { seq: u64, body: Vec<u8> },
+    /// The segment holds no further frame: `None` at a clean frame
+    /// boundary, otherwise the torn or corrupt tail, typed as the
+    /// warning recovery reports for it.
+    End(Option<RecoveryWarning>),
+}
+
+/// The one reader of the segment format: validates the header on open,
+/// then yields whole frames in sequence order until a typed end.
+/// [`recover`] replays what it yields; [`read_frames`] ships it.
+struct SegmentScan<'a> {
+    path: &'a Path,
+    r: BufReader<File>,
+    /// Sequence number of the next frame.
+    seq: u64,
+    /// Byte offset of the next frame's length prefix; 0 when the file
+    /// ends inside its header.
+    offset: u64,
+}
+
+impl<'a> SegmentScan<'a> {
+    /// Opens the segment the directory listing names `start`. A foreign
+    /// file, another format version or a header that disagrees with the
+    /// file name is `InvalidData`; a file shorter than its header is not
+    /// an error — a crash between segment creation and its first sync
+    /// leaves one — and scans as a tail torn at byte 0.
+    fn open(path: &'a Path, start: u64) -> io::Result<SegmentScan<'a>> {
+        let mut r = BufReader::with_capacity(1 << 16, File::open(path)?);
+        let mut header = [0u8; WAL_HEADER_BYTES];
+        let mut offset = 0;
+        if let Fill::Whole = fill(&mut r, &mut header)? {
+            if &header[..8] != WAL_MAGIC {
+                return Err(invalid_data(path, "not a WAL segment (bad magic)"));
+            }
+            let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
+            if version != WAL_VERSION {
+                return Err(invalid_data(
+                    path,
+                    format_args!(
+                        "unsupported WAL version {version} (this build reads {WAL_VERSION})"
+                    ),
+                ));
+            }
+            let header_start = u64::from_le_bytes(header[12..20].try_into().unwrap());
+            if header_start != start {
+                return Err(invalid_data(
+                    path,
+                    format_args!("header says start seq {header_start}, file name says {start}"),
+                ));
+            }
+            offset = WAL_HEADER_BYTES as u64;
+        }
+        Ok(SegmentScan {
+            path,
+            r,
+            seq: start,
+            offset,
+        })
+    }
+
+    fn torn(&self) -> Scan {
+        Scan::End(Some(RecoveryWarning::TornFrame {
+            segment: self.path.to_path_buf(),
+            offset: self.offset,
+        }))
+    }
+
+    fn next_frame(&mut self) -> io::Result<Scan> {
+        if self.offset == 0 {
+            return Ok(self.torn());
+        }
+        let mut len_buf = [0u8; 4];
+        match fill(&mut self.r, &mut len_buf)? {
+            Fill::Whole => {}
+            Fill::Empty => return Ok(Scan::End(None)),
+            Fill::Partial => return Ok(self.torn()),
+        }
+        let len = u32::from_le_bytes(len_buf);
+        if len == 0 || len > MAX_WAL_FRAME_BYTES {
+            return Ok(Scan::End(Some(RecoveryWarning::CorruptFrame {
+                segment: self.path.to_path_buf(),
+                seq: self.seq,
+                why: format!("frame length {len} out of range"),
+            })));
+        }
+        let mut body = vec![0u8; len as usize];
+        let Fill::Whole = fill(&mut self.r, &mut body)? else {
+            return Ok(self.torn());
+        };
+        let seq = self.seq;
+        self.seq += 1;
+        self.offset += 4 + len as u64;
+        Ok(Scan::Frame { seq, body })
+    }
 }
 
 /// Rebuilds an allocator from the durable state in `dir`: newest usable
@@ -695,134 +731,51 @@ pub fn recover<'g>(
             continue;
         }
         if *start > cursor {
-            return Err(io::Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "gap in the write-ahead log: segment {} starts at seq {start} \
-                     but recovery reached only seq {cursor}",
-                    path.display()
+            return Err(invalid_data(
+                path,
+                format_args!(
+                    "gap in the write-ahead log: this segment starts at seq {start} \
+                     but recovery reached only seq {cursor}"
                 ),
             ));
         }
-        let torn = replay_segment(path, *start, &mut cursor, &mut allocator, &mut report)?;
-        if torn {
-            // A torn tail ends this segment; a successor segment is
-            // only consistent if it starts exactly at the cursor (the
-            // restart-after-crash shape) — the gap check above enforces
-            // that on the next iteration.
+        // A torn or corrupt tail ends this segment; a successor is only
+        // consistent if it starts exactly at the cursor (the
+        // restart-after-crash shape) — the gap check above enforces that
+        // on the next iteration.
+        let mut scan = SegmentScan::open(path, *start)?;
+        loop {
+            match scan.next_frame()? {
+                Scan::Frame { seq, body } if seq >= cursor => {
+                    let ev = match decode_frame(&body) {
+                        Ok(ev) => ev,
+                        Err(why) => {
+                            report.warnings.push(RecoveryWarning::CorruptFrame {
+                                segment: path.clone(),
+                                seq,
+                                why,
+                            });
+                            break;
+                        }
+                    };
+                    if allocator.process(&ev).is_err() {
+                        report.rejected_on_replay += 1;
+                    }
+                    report.replayed += 1;
+                    cursor = seq + 1;
+                }
+                // Covered by the checkpoint.
+                Scan::Frame { .. } => {}
+                Scan::End(warning) => {
+                    report.warnings.extend(warning);
+                    break;
+                }
+            }
         }
     }
 
     report.wal_seq = cursor;
     Ok((allocator, report))
-}
-
-/// Replays one segment's frames with sequence numbers `>= cursor`
-/// through the allocator, advancing `cursor` per frame. Returns whether
-/// the segment ended in a torn/corrupt frame (logged into `report`).
-fn replay_segment(
-    path: &Path,
-    start: u64,
-    cursor: &mut u64,
-    allocator: &mut OnlineAllocator<'_>,
-    report: &mut RecoveryReport,
-) -> io::Result<bool> {
-    let mut r = BufReader::with_capacity(1 << 16, File::open(path)?);
-    let mut header = [0u8; WAL_HEADER_BYTES];
-    if !read_exact_or_eof(&mut r, &mut header).unwrap_or(false) {
-        // Not even a full header: a crash between segment creation and
-        // its first sync. Zero frames, same handling as a torn tail.
-        report.warnings.push(RecoveryWarning::TornFrame {
-            segment: path.to_path_buf(),
-            offset: 0,
-        });
-        return Ok(true);
-    }
-    if &header[..8] != WAL_MAGIC {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!("{} is not a WAL segment (bad magic)", path.display()),
-        ));
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if version != WAL_VERSION {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!(
-                "{}: unsupported WAL version {version} (this build reads {WAL_VERSION})",
-                path.display()
-            ),
-        ));
-    }
-    let header_start = u64::from_le_bytes(header[12..20].try_into().unwrap());
-    if header_start != start {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!(
-                "{}: header says start seq {header_start}, file name says {start}",
-                path.display()
-            ),
-        ));
-    }
-
-    let mut offset = WAL_HEADER_BYTES as u64;
-    let mut seq = start;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match read_exact_or_eof(&mut r, &mut len_buf) {
-            Ok(false) => return Ok(false), // clean end of segment
-            Ok(true) => {}
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
-                report.warnings.push(RecoveryWarning::TornFrame {
-                    segment: path.to_path_buf(),
-                    offset,
-                });
-                return Ok(true);
-            }
-            Err(e) => return Err(e),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > MAX_WAL_FRAME_BYTES {
-            report.warnings.push(RecoveryWarning::CorruptFrame {
-                segment: path.to_path_buf(),
-                seq,
-                why: format!("frame length {len} out of range"),
-            });
-            return Ok(true);
-        }
-        let mut body = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut r, &mut body) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => {
-                report.warnings.push(RecoveryWarning::TornFrame {
-                    segment: path.to_path_buf(),
-                    offset,
-                });
-                return Ok(true);
-            }
-        }
-        if seq >= *cursor {
-            let ev = match decode_frame(&body) {
-                Ok(ev) => ev,
-                Err(why) => {
-                    report.warnings.push(RecoveryWarning::CorruptFrame {
-                        segment: path.to_path_buf(),
-                        seq,
-                        why,
-                    });
-                    return Ok(true);
-                }
-            };
-            match allocator.process(&ev) {
-                Ok(_) => {}
-                Err(_) => report.rejected_on_replay += 1,
-            }
-            report.replayed += 1;
-            *cursor = seq + 1;
-        }
-        offset += 4 + len as u64;
-        seq += 1;
-    }
 }
 
 pub(crate) fn decode_frame(body: &[u8]) -> Result<OnlineEvent, String> {
@@ -1266,6 +1219,49 @@ mod tests {
         let err = read_frames(&dir, 0, 100, frontier).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("gap"), "{err}");
+    }
+
+    /// Overwrites bytes at offset `at` of the first segment in `dir`.
+    fn patch_header(dir: &Path, at: usize, bytes: &[u8]) {
+        let (_, seg) = list_segments(dir).unwrap().remove(0);
+        let mut raw = fs::read(&seg).unwrap();
+        raw[at..at + bytes.len()].copy_from_slice(bytes);
+        fs::write(&seg, raw).unwrap();
+    }
+
+    #[test]
+    fn a_foreign_segment_header_is_invalid_data_for_recovery_and_replication_alike() {
+        let (graph, probs) = setup(120, 5);
+        let cfg = config(3);
+        let patches: [(&str, usize, &[u8]); 3] = [
+            ("bad magic", 0, b"NOTAWAL0"),
+            (
+                "unsupported WAL version",
+                8,
+                &(WAL_VERSION + 1).to_le_bytes(),
+            ),
+            ("header says start seq 7", 12, &7u64.to_le_bytes()),
+        ];
+        for (i, (why, at, bytes)) in patches.into_iter().enumerate() {
+            let dir = fresh_dir(&format!("header_{i}"));
+            let mut wal = Wal::open(&dir, 0, 1_000).unwrap();
+            for ev in &events() {
+                wal.append(ev).unwrap();
+            }
+            wal.sync().unwrap();
+            let frontier = wal.seq();
+            drop(wal);
+            patch_header(&dir, at, bytes);
+
+            let err = read_frames(&dir, 0, 100, frontier).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{why}");
+            assert!(err.to_string().contains(why), "{err}");
+            let Err(err) = recover(&dir, &graph, &probs, &cfg) else {
+                panic!("{why}: recovery must refuse the segment");
+            };
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{why}");
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -509,6 +509,50 @@ fn follower_redirects_mutations_to_the_leader() {
     std::fs::remove_dir_all(&fdir).ok();
 }
 
+/// A rejection the follower re-derives on apply lands in both ledgers,
+/// exactly as on the leader: this run's `stats.rejected` and the
+/// process-lifetime registry behind `stats.rejected_total`.
+#[test]
+fn a_followers_rejections_reach_both_ledgers() {
+    let (graph, probs) = setup(250, 13);
+    let cfg = config(7);
+    let ldir = fresh_dir("ledgers_l");
+    let fdir = fresh_dir("ledgers_f");
+    // Through the duplicate arrival: one rejection.
+    let events = &mutations()[..5];
+    let epochs = epoch_per_prefix(&graph, &probs, &cfg, events);
+    // The registry is shared by every server of this test binary and
+    // only ever grows, so the check is on what this test adds to it.
+    let before = tirm_obs::registry::SERVER_REJECTED.get();
+
+    let (follower_stats, leader_report) =
+        serve(&graph, &probs, leader_cfg(&cfg, &ldir, None), |h| {
+            let fcfg = follower_cfg(&cfg, h.addr().to_string(), &fdir);
+            let (stats, _) = serve_follower(&graph, &probs, fcfg, |fh| {
+                let mut client = Client::connect(h.addr()).unwrap();
+                for ev in events {
+                    client.send_event(ev).unwrap();
+                }
+                wait_applied(fh.addr(), events.len() as u64, epochs[events.len()]);
+                Client::connect(fh.addr()).unwrap().stats().unwrap()
+            })
+            .unwrap();
+            stats
+        })
+        .unwrap();
+
+    assert_eq!(leader_report.rejected, 1);
+    assert_eq!(follower_stats.rejected, 1);
+    assert!(
+        follower_stats.rejected_total >= before + 2,
+        "leader and follower each count the rejection: {} after {before}",
+        follower_stats.rejected_total
+    );
+
+    std::fs::remove_dir_all(&ldir).ok();
+    std::fs::remove_dir_all(&fdir).ok();
+}
+
 /// A follower joining after the leader pruned its early segments must
 /// come up through the checkpoint-download path — and still land
 /// bit-identical.

@@ -66,8 +66,8 @@ use tirm_workloads::events::{event_from_value, event_json_fields};
 /// `metrics` observability request and the registry-backed
 /// `shed_total` / `rejected_total` fields on `stats`. v4 added the
 /// event-lineage vocabulary: the `trace_dump` request and the
-/// `trace_base` field on `replicate_frames` (lenient — it restates the
-/// positional trace numbering, so v3 peers interoperate).
+/// `trace_base` field on `replicate_frames`. A decoder reads exactly
+/// this version: every field is required.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard cap on one frame's body. Requests are small (an arrival with a
@@ -138,7 +138,7 @@ pub enum Request {
     Stats,
     /// The process-wide observability registry dump
     /// (`{"type":"metrics"}`): every counter, gauge and latency
-    /// histogram plus the slow-event trace, as one JSON object.
+    /// histogram, as one JSON object.
     Metrics,
     /// The event-lineage flight-recorder dump
     /// (`{"type":"trace_dump"}`): the process's per-mutation lifecycle
@@ -303,11 +303,10 @@ pub struct StatsView {
     /// Mutations shed over the *process* lifetime (registry-backed):
     /// unlike `shed`, this survives a follower's promotion to leader
     /// within the same process, so lag-aware routers see accumulated
-    /// leader pressure across hand-offs. Decodes leniently to `shed`
-    /// against pre-v3 servers.
+    /// leader pressure across hand-offs.
     pub shed_total: u64,
     /// Allocator rejections over the process lifetime
-    /// (registry-backed; lenient to `rejected` pre-v3).
+    /// (registry-backed).
     pub rejected_total: u64,
 }
 
@@ -335,12 +334,11 @@ pub enum Response {
         epoch: u64,
         /// WAL sequence number at handshake time (0 without a WAL).
         wal_seq: u64,
-        /// The process's replication role (decodes leniently: a v1
-        /// `hello` without the field is a leader).
+        /// The process's replication role.
         role: Role,
-        /// Fencing epoch the process serves at (lenient: 0 when
-        /// absent). A follower tracks the max it has seen and rejects
-        /// replication frames from anything older.
+        /// Fencing epoch the process serves at. A follower tracks the
+        /// max it has seen and rejects replication frames from
+        /// anything older.
         fencing_epoch: u64,
     },
     /// The mutation was admitted to the writer queue: it will be
@@ -394,7 +392,7 @@ pub enum Response {
     /// Serving statistics.
     Stats(StatsView),
     /// The observability registry dump: one JSON object (`counters`,
-    /// `gauges`, `histograms`, `slow_events`) embedded verbatim. All
+    /// `gauges`, `histograms`, `build`) embedded verbatim. All
     /// values are integers and object order is preserved by the codec,
     /// so the dump round-trips byte-exactly.
     Metrics {
@@ -425,9 +423,7 @@ pub enum Response {
         /// `follower_append` / `follower_apply` stages under
         /// `trace_base + i`, joining the leader's timeline for the same
         /// mutation. Under positional trace numbering this is
-        /// `start_seq + 1`, and a v3 response without the field decodes
-        /// to exactly that, so propagation degrades to the derived ids
-        /// rather than to no lineage.
+        /// `start_seq + 1`.
         trace_base: u64,
         /// Raw event-JSON frame bodies, in sequence order.
         frames: Vec<String>,
@@ -624,10 +620,8 @@ impl Response {
                     .map_err(|_| "version out of range".to_string())?,
                 epoch: u("epoch")?,
                 wal_seq: u("wal_seq")?,
-                // Lenient: a v1 hello has neither field (single-process
-                // leader at epoch 0).
-                role: role_or_default(&v)?,
-                fencing_epoch: u("fencing_epoch").unwrap_or(0),
+                role: role(&v)?,
+                fencing_epoch: u("fencing_epoch")?,
             }),
             "accepted" => Ok(Response::Accepted {
                 epoch: u("epoch")?,
@@ -688,35 +682,26 @@ impl Response {
                     json: serde_json::to_string(dump).map_err(|e| e.to_string())?,
                 })
             }
-            "stats" => {
-                let wal_seq = u("wal_seq")?;
-                let shed = u("shed")?;
-                let rejected = u("rejected")?;
-                Ok(Response::Stats(StatsView {
-                    epoch: u("epoch")?,
-                    wal_seq,
-                    live_ads: u("live_ads")? as usize,
-                    total_seeds: u("total_seeds")? as usize,
-                    total_rr_sets: u("total_rr_sets")? as usize,
-                    engine_memory_bytes: u("engine_memory_bytes")? as usize,
-                    queue_depth: u("queue_depth")? as usize,
-                    max_queue_depth: u("max_queue_depth")? as usize,
-                    accepted: u("accepted")?,
-                    shed,
-                    rejected,
-                    bad_requests: u("bad_requests")?,
-                    connections: u("connections")? as usize,
-                    // Lenient v1 defaults: a leader at fencing epoch 0,
-                    // with its own frontier as the leader frontier.
-                    role: role_or_default(&v)?,
-                    fencing_epoch: u("fencing_epoch").unwrap_or(0),
-                    leader_seq: u("leader_seq").unwrap_or(wal_seq),
-                    // Lenient pre-v3 defaults: one serve-run per process,
-                    // so the per-run counters are the lifetime ones.
-                    shed_total: u("shed_total").unwrap_or(shed),
-                    rejected_total: u("rejected_total").unwrap_or(rejected),
-                }))
-            }
+            "stats" => Ok(Response::Stats(StatsView {
+                epoch: u("epoch")?,
+                wal_seq: u("wal_seq")?,
+                live_ads: u("live_ads")? as usize,
+                total_seeds: u("total_seeds")? as usize,
+                total_rr_sets: u("total_rr_sets")? as usize,
+                engine_memory_bytes: u("engine_memory_bytes")? as usize,
+                queue_depth: u("queue_depth")? as usize,
+                max_queue_depth: u("max_queue_depth")? as usize,
+                accepted: u("accepted")?,
+                shed: u("shed")?,
+                rejected: u("rejected")?,
+                bad_requests: u("bad_requests")?,
+                connections: u("connections")? as usize,
+                role: role(&v)?,
+                fencing_epoch: u("fencing_epoch")?,
+                leader_seq: u("leader_seq")?,
+                shed_total: u("shed_total")?,
+                rejected_total: u("rejected_total")?,
+            })),
             "replicate_frames" => {
                 let frames = v
                     .get("frames")
@@ -731,14 +716,11 @@ impl Response {
                         }
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                let start_seq = u("start_seq")?;
                 Ok(Response::ReplicateFrames {
                     fencing_epoch: u("fencing_epoch")?,
-                    start_seq,
+                    start_seq: u("start_seq")?,
                     durable_seq: u("durable_seq")?,
-                    // Lenient v3 default: positional trace numbering
-                    // (trace = WAL position + 1).
-                    trace_base: u("trace_base").unwrap_or(start_seq + 1),
+                    trace_base: u("trace_base")?,
                     frames,
                 })
             }
@@ -772,16 +754,13 @@ impl Response {
     }
 }
 
-/// Decodes an optional `role` field (absent ⇒ [`Role::Leader`], the v1
-/// single-process shape); a present-but-unknown role is an error.
-fn role_or_default(v: &Value) -> Result<Role, String> {
-    match v.get("role") {
-        None => Ok(Role::Leader),
-        Some(r) => {
-            let name = r.as_str().ok_or_else(|| "non-string `role`".to_string())?;
-            Role::parse(name).ok_or_else(|| format!("unknown role {name:?}"))
-        }
-    }
+/// Decodes the `role` field; an unknown role is an error.
+fn role(v: &Value) -> Result<Role, String> {
+    let name = v
+        .get("role")
+        .and_then(|r| r.as_str())
+        .ok_or_else(|| "missing `role`".to_string())?;
+    Role::parse(name).ok_or_else(|| format!("unknown role {name:?}"))
 }
 
 /// Client-side connection policy, mirrored against the server's
@@ -1200,7 +1179,7 @@ mod tests {
             }),
             Response::Metrics {
                 json: "{\"counters\":{\"tirm_server_shed_total\":2},\"gauges\":{},\
-                       \"histograms\":{},\"slow_events\":[]}"
+                       \"histograms\":{}}"
                     .to_string(),
             },
             Response::TraceDump {
@@ -1284,27 +1263,6 @@ mod tests {
         }
         assert!(Response::decode(b"{\"type\":\"trace_dump\",\"trace\":[]}").is_err());
         assert!(Response::decode(b"{\"type\":\"trace_dump\"}").is_err());
-    }
-
-    #[test]
-    fn v3_replicate_frames_decode_with_positional_trace_base() {
-        // A v3 leader ships no trace_base; the follower derives the
-        // positional numbering (trace = WAL position + 1) instead of
-        // losing lineage.
-        let v3 = b"{\"type\":\"replicate_frames\",\"fencing_epoch\":2,\
-            \"start_seq\":40,\"durable_seq\":44,\
-            \"frames\":[{\"type\":\"departure\",\"id\":3}]}";
-        match Response::decode(v3).unwrap() {
-            Response::ReplicateFrames {
-                trace_base,
-                start_seq,
-                ..
-            } => {
-                assert_eq!(start_seq, 40);
-                assert_eq!(trace_base, 41);
-            }
-            other => panic!("wrong response: {other:?}"),
-        }
     }
 
     #[test]
@@ -1397,39 +1355,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_and_stats_decode_leniently_as_a_leader() {
-        // A v1 peer's frames carry neither role nor fencing fields.
-        let hello = b"{\"type\":\"hello\",\"version\":1,\"epoch\":4,\"wal_seq\":7}";
-        match Response::decode(hello).unwrap() {
-            Response::Hello {
-                role,
-                fencing_epoch,
-                wal_seq,
-                ..
-            } => {
-                assert_eq!(role, Role::Leader);
-                assert_eq!(fencing_epoch, 0);
-                assert_eq!(wal_seq, 7);
-            }
-            other => panic!("wrong response: {other:?}"),
-        }
-        let stats = b"{\"type\":\"stats\",\"epoch\":4,\"wal_seq\":7,\"live_ads\":1,\
-            \"total_seeds\":2,\"total_rr_sets\":3,\"engine_memory_bytes\":4,\
-            \"queue_depth\":0,\"max_queue_depth\":1,\"accepted\":5,\"shed\":0,\
-            \"rejected\":0,\"bad_requests\":0,\"connections\":1}";
-        match Response::decode(stats).unwrap() {
-            Response::Stats(s) => {
-                assert_eq!(s.role, Role::Leader);
-                assert_eq!(s.fencing_epoch, 0);
-                assert_eq!(s.leader_seq, s.wal_seq, "own frontier is the leader's");
-                assert_eq!(s.lag(), 0);
-            }
-            other => panic!("wrong response: {other:?}"),
-        }
-        // An unknown role is a decode error, not a silent default.
-        let bad = b"{\"type\":\"hello\",\"version\":2,\"epoch\":0,\"wal_seq\":0,\
-            \"role\":\"observer\"}";
-        assert!(Response::decode(bad).is_err());
+    fn a_stats_body_without_role_is_rejected() {
+        let full = Response::Stats(StatsView::default()).encode();
+        assert!(Response::decode(full.as_bytes()).is_ok());
+        let without_role = full.replace("\"role\":\"leader\",", "");
+        assert_ne!(without_role, full, "the fixture must drop the field");
+        assert_eq!(
+            Response::decode(without_role.as_bytes()).unwrap_err(),
+            "missing `role`"
+        );
+        // An unknown role is a decode error too, not a silent default.
+        let observer = full.replace("\"role\":\"leader\"", "\"role\":\"observer\"");
+        assert!(Response::decode(observer.as_bytes()).is_err());
     }
 
     #[test]

@@ -1,0 +1,173 @@
+//! The durable-apply path in the root gate: one event log driven
+//! through a leader, a follower tailing it over TCP, and a recovery of
+//! the leader's state dir as a kill would have left it — all three
+//! bit-identical to an in-process replay of the same log.
+//!
+//! The exhaustive anchors (kill at every index, every shard count,
+//! hand-off, fencing) live in `crates/server/tests/`; this is the slice
+//! of them that `cargo test -q` at the root runs.
+
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+use tirm_core::TirmOptions;
+use tirm_graph::generators;
+use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
+use tirm_server::{serve, serve_follower, wal, Client, FollowerConfig, Response, ServerConfig};
+use tirm_topics::{genprob, TopicDist};
+
+fn arrival(id: u64, budget: f64, topic: usize) -> OnlineEvent {
+    OnlineEvent::AdArrival {
+        id,
+        budget,
+        cpe: 1.0,
+        topics: TopicDist::single(2, topic),
+        ctp: 0.5,
+    }
+}
+
+/// Every event kind, including a deterministic rejection (duplicate
+/// arrival) that is logged, shipped and re-rejected by every copy.
+fn event_log() -> Vec<OnlineEvent> {
+    vec![
+        arrival(1, 5.0, 0),
+        arrival(2, 4.0, 1),
+        OnlineEvent::BudgetTopUp { id: 1, amount: 2.0 },
+        arrival(3, 6.0, 0),
+        arrival(3, 9.0, 1),
+        OnlineEvent::AdDeparture { id: 2 },
+        arrival(4, 3.5, 1),
+        OnlineEvent::BudgetTopUp { id: 4, amount: 1.5 },
+        arrival(5, 2.5, 0),
+        OnlineEvent::AdDeparture { id: 3 },
+    ]
+}
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tirm_durable_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Copies a live state dir file by file: what a SIGKILL at this instant
+/// would leave for the next boot (every acknowledged frame is fsynced,
+/// so the copy holds it).
+fn crash_image(live: &Path, image: &Path) {
+    std::fs::create_dir_all(image).unwrap();
+    for entry in std::fs::read_dir(live).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+    }
+}
+
+fn wait_for(addr: std::net::SocketAddr, wal_seq: u64, epoch: u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let stats = Client::connect(addr).and_then(|mut c| c.stats()).unwrap();
+        if stats.wal_seq >= wal_seq && stats.epoch >= epoch && stats.queue_depth == 0 {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{addr} never reached seq {wal_seq}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn leader_follower_and_recovery_agree_with_an_in_process_replay() {
+    let graph = generators::preferential_attachment(300, 3, 0.3, 11);
+    let probs = genprob::exponential_topic_probs(graph.num_edges(), 2, 8.0, 11 ^ 0x77);
+    let online = OnlineConfig {
+        tirm: TirmOptions {
+            eps: 0.45,
+            seed: 3,
+            threads: 1,
+            max_theta_per_ad: Some(500),
+            ..TirmOptions::default()
+        },
+        kappa: 2,
+        ..OnlineConfig::default()
+    };
+    let log = event_log();
+
+    let mut oracle = OnlineAllocator::new(&graph, &probs, online.clone());
+    let rejected = log.iter().filter(|ev| oracle.process(ev).is_err()).count() as u64;
+    let want = oracle.snapshot();
+    assert_eq!(rejected, 1, "the log holds one duplicate arrival");
+
+    // Cadence tight enough that ten events span several segments and
+    // two checkpoints, with a tail past the last one.
+    let (leader_dir, follower_dir, image_dir) = (
+        fresh_dir("leader"),
+        fresh_dir("follower"),
+        fresh_dir("image"),
+    );
+    let leader_cfg = ServerConfig::builder()
+        .online(online.clone())
+        .state_dir(&leader_dir)
+        .checkpoint_interval(4)
+        .segment_events(3)
+        .build()
+        .unwrap();
+
+    let ((follower_report, follower_stats), leader_report) =
+        serve(&graph, &probs, leader_cfg, |leader| {
+            let follower_cfg = FollowerConfig {
+                online: online.clone(),
+                checkpoint_interval: 4,
+                segment_events: 3,
+                poll_interval: Duration::from_millis(1),
+                ..FollowerConfig::new(leader.addr().to_string(), &follower_dir)
+            };
+            let (stats, report) = serve_follower(&graph, &probs, follower_cfg, |follower| {
+                let mut client = Client::connect(leader.addr()).unwrap();
+                for (i, ev) in log.iter().enumerate() {
+                    let answer = client.send_event(ev).unwrap();
+                    assert!(matches!(answer, Response::Accepted { .. }), "{answer:?}");
+                    // In lockstep, so the follower tails every frame: left
+                    // behind, it would find its anchor pruned and skip the
+                    // frames a downloaded checkpoint covers.
+                    wait_for(follower.addr(), i as u64 + 1, 0);
+                }
+                wait_for(leader.addr(), log.len() as u64, want.epoch);
+                wait_for(follower.addr(), log.len() as u64, want.epoch);
+                crash_image(&leader_dir, &image_dir);
+                Client::connect(follower.addr()).unwrap().stats().unwrap()
+            })
+            .unwrap();
+            (report, stats)
+        })
+        .unwrap();
+
+    assert!(leader_report.final_snapshot.same_allocation(&want));
+    assert!(follower_report.final_snapshot.same_allocation(&want));
+    assert_eq!(leader_report.wal_seq, log.len() as u64);
+    assert_eq!(follower_report.frontier.durable_seq, log.len() as u64);
+    assert_eq!(follower_report.bootstraps, 0);
+    assert_eq!(follower_report.applied, log.len() as u64);
+    // One commit path ⇒ one rejection ledger on both roles.
+    assert_eq!(leader_report.rejected, rejected);
+    assert_eq!(follower_report.rejected_on_apply, rejected);
+    assert_eq!(follower_stats.rejected, rejected);
+    // ... and the process-lifetime registry behind `rejected_total`
+    // moves with it: this test is alone in its process, so the total is
+    // the leader's count plus the follower's.
+    assert_eq!(follower_stats.rejected_total, 2 * rejected);
+
+    // The kill image: a checkpoint plus a log tail to replay.
+    let (recovered, report) = wal::recover(&image_dir, &graph, &probs, &online).unwrap();
+    assert_eq!(report.wal_seq, log.len() as u64);
+    assert_eq!(report.checkpoint_seq, Some(8));
+    assert_eq!(report.replayed, 2);
+    assert!(recovered.snapshot().same_allocation(&want));
+
+    // The clean stop left a wind-down checkpoint: nothing to replay.
+    let (warm, report) = wal::recover(&leader_dir, &graph, &probs, &online).unwrap();
+    assert_eq!(report.replayed, 0);
+    assert!(warm.snapshot().same_allocation(&want));
+
+    for dir in [leader_dir, follower_dir, image_dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
