@@ -90,17 +90,6 @@ fn main() -> ExitCode {
         (Ok(o), Ok(n)) => (o, n),
         (Err(e), _) | (_, Err(e)) => return usage(&e),
     };
-    if old.schema_version != new.schema_version {
-        // Loadable ⇒ comparable: newer schema versions only add fields,
-        // which the decoder defaults when absent (e.g. a v1 baseline has
-        // no ingestion timings — they read as 0 and are never gated on).
-        eprintln!(
-            "note: comparing across schema versions ({} vs {}); \
-             fields absent from the older artifact default to 0",
-            old.schema_version, new.schema_version
-        );
-    }
-
     println!(
         "### bench_diff: `{}` ({}) → `{}` ({})\n",
         old.git_sha, old.tier, new.git_sha, new.tier

@@ -328,9 +328,9 @@ fn diff_cell(
 
     // RR-index layout: bytes-per-posting is deterministic (a pure
     // function of the run's postings), so it gates like memory but
-    // cross-machine too. A zero baseline (pre-v5 artifact, or a non-RR
-    // cell) has nothing to compare — the field's introduction surfaces
-    // as drift, not a regression.
+    // cross-machine too. A zero baseline (a non-RR cell, or one that
+    // sampled nothing) has nothing to compare — a first non-zero value
+    // surfaces as drift, not a regression.
     let (o, n) = (oc.bytes_per_posting, nc.bytes_per_posting);
     if o > 0.0 && rel_exceeds(o, n, opts.mem_rel_tol) {
         push("bytes_per_posting", o, n, Verdict::Regression);
@@ -673,12 +673,12 @@ mod tests {
             .iter()
             .any(|f| f.metric == "bytes_per_posting" && f.verdict == Verdict::Improvement));
 
-        // Pre-v5 baselines decode the field as 0: its first appearance
-        // is informational drift, never a regression.
-        let mut prev5 = cell("a");
-        prev5.bytes_per_posting = 0.0;
-        prev5.legacy_bytes_per_posting = 0.0;
-        let old = report(vec![prev5]);
+        // A zero baseline has nothing to compare: a first non-zero
+        // value is informational drift, never a regression.
+        let mut zero = cell("a");
+        zero.bytes_per_posting = 0.0;
+        zero.legacy_bytes_per_posting = 0.0;
+        let old = report(vec![zero]);
         let d = diff_reports(&old, &report(vec![cell("a")]), &DiffOptions::default());
         assert!(!d.has_regressions(), "{:?}", d.findings);
         assert!(d

@@ -13,32 +13,11 @@ use serde_json::Value;
 use std::path::Path;
 use tirm_workloads::ScaleConfig;
 
-/// Version stamp of the artifact layout. Bump on any field change; the
-/// decoder rejects *newer* versions and reads older ones leniently
-/// (fields added later default), so `bench_diff` can still gate a fresh
-/// artifact against an older committed baseline.
-///
-/// v2 added the dataset ingestion timings `dataset_cold_s` /
-/// `dataset_warm_s` (cache-miss vs cache-hit cost; absent ⇒ 0.0 in v1
-/// artifacts).
-///
-/// v3 added the online-serving metrics `latency_p50_us` /
-/// `latency_p95_us` / `latency_p99_us` / `events_per_s` (0.0 on batch
-/// cells; absent ⇒ 0.0 in v1/v2 artifacts).
-///
-/// v4 added the network-serving metrics `read_p99_us` / `reads_per_s` /
-/// `shed_rate` (0.0 outside `SERVING/…` cells; absent ⇒ 0.0 in pre-v4
-/// artifacts).
-///
-/// v5 added the RR-index layout metrics `bytes_per_posting` /
-/// `legacy_bytes_per_posting` (deterministic — the arena-vs-legacy
-/// footprint ratio the regression gate pins) and the machine-dependent
-/// `postings_scan_mentries_per_s` scan-throughput probe (0.0 outside
-/// TIRM cells; absent ⇒ 0.0 in pre-v5 artifacts).
-///
-/// v6 added the replication metrics `follower_reads_per_s` /
-/// `follower_lag_p99` (0.0 outside `SERVING-REPL/…` cells; absent ⇒
-/// 0.0 in pre-v6 artifacts).
+/// Version stamp of the artifact layout. Bump on any field change. The
+/// decoder reads exactly this version: every field is required, and an
+/// artifact of any other version is a [`SchemaError::Version`] (the only
+/// committed artifact, `baselines/BENCH_quick.json`, is regenerated
+/// with the bump).
 pub const SCHEMA_VERSION: u64 = 6;
 
 /// Where an artifact was measured. Wall-clock comparisons are only
@@ -137,12 +116,12 @@ pub struct BenchCell {
     /// compaction — `postings_bytes / postings_entries`. Deterministic
     /// (both numerator and denominator are), so cross-machine diffs can
     /// pin the arena layout's footprint. 0 for non-RR cells and cells
-    /// that sampled nothing; absent pre-v5, decoded as 0.
+    /// that sampled nothing.
     pub bytes_per_posting: f64,
     /// Same ratio costed under the pre-arena `Vec<Vec<u32>>` layout
     /// (per-node header + capacity slack). The `bytes_per_posting /
     /// legacy_bytes_per_posting` quotient is the layout's measured
-    /// reduction. 0 for non-RR cells; absent pre-v5, decoded as 0.
+    /// reduction. 0 for non-RR cells.
     pub legacy_bytes_per_posting: f64,
     /// Allocation wall-clock seconds.
     pub wall_s: f64,
@@ -151,23 +130,21 @@ pub struct BenchCell {
     /// Seconds this cell's dataset cost as a *cache miss*: generation
     /// from scratch, plus snapshot write-back when a `TIRM_SNAPSHOT_DIR`
     /// is in use. 0 when the dataset came from a snapshot or was already
-    /// in memory from an earlier cell of the same run. Absent in
-    /// schema-v1 artifacts (decoded as 0).
+    /// in memory from an earlier cell of the same run.
     pub dataset_cold_s: f64,
     /// Seconds spent *loading* this cell's dataset from a
     /// `TIRM_SNAPSHOT_DIR` snapshot (warm). 0 when generated cold or
-    /// reused in memory. Absent in schema-v1 artifacts (decoded as 0).
+    /// reused in memory.
     pub dataset_warm_s: f64,
     /// RR-set sampling throughput, `theta / wall_s` (0 for non-RR cells).
     pub rr_sets_per_s: f64,
     /// Synthetic postings-scan probe: millions of posting entries
     /// traversed per second through the arena index, measured once per
     /// suite run and stamped on its TIRM cells (0 elsewhere). Machine-
-    /// dependent — a cache-locality canary, not a gate; absent pre-v5,
-    /// decoded as 0.
+    /// dependent — a cache-locality canary, not a gate.
     pub postings_scan_mentries_per_s: f64,
     /// Online cells: median per-event serving latency in microseconds
-    /// (0 on batch cells; absent in pre-v3 artifacts, decoded as 0).
+    /// (0 on batch cells).
     pub latency_p50_us: f64,
     /// Online cells: p95 per-event serving latency in microseconds.
     pub latency_p95_us: f64,
@@ -177,7 +154,7 @@ pub struct BenchCell {
     pub events_per_s: f64,
     /// Network serving cells: p99 latency of the concurrent readers'
     /// wire queries in microseconds — the snapshot-swapped read path
-    /// under a grinding writer (0 elsewhere; absent pre-v4, decoded 0).
+    /// under a grinding writer (0 elsewhere).
     pub read_p99_us: f64,
     /// Network serving cells: read queries served per wall-clock second
     /// across the reader pool.
@@ -188,7 +165,7 @@ pub struct BenchCell {
     pub shed_rate: f64,
     /// Replicated serving cells: read queries answered by the follower
     /// per wall-clock second — the replication read path's throughput
-    /// (0 elsewhere; absent pre-v6, decoded 0).
+    /// (0 elsewhere).
     pub follower_reads_per_s: f64,
     /// Replicated serving cells: p99 of the follower's replication lag
     /// in events, sampled at each reader's periodic stats probe.
@@ -248,7 +225,7 @@ pub enum SchemaError {
     Parse(String),
     /// A required field is absent or has the wrong type.
     Field(String),
-    /// The artifact was written by an unknown (newer) schema version.
+    /// The artifact was written by another schema version.
     Version(u64),
     /// Filesystem failure.
     Io(std::io::Error),
@@ -261,7 +238,7 @@ impl std::fmt::Display for SchemaError {
             SchemaError::Field(which) => write!(f, "missing or mistyped field `{which}`"),
             SchemaError::Version(v) => write!(
                 f,
-                "artifact has schema_version {v}, this binary understands {SCHEMA_VERSION}"
+                "artifact has schema_version {v}, this binary reads only {SCHEMA_VERSION}"
             ),
             SchemaError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -291,28 +268,6 @@ fn f64_field(v: &Value, key: &str) -> Result<f64, SchemaError> {
     field(v, key)?
         .as_f64()
         .ok_or_else(|| SchemaError::Field(key.to_string()))
-}
-
-/// A field added in schema version `since`: required (strict) in
-/// artifacts of that version or newer, and defaulted to `0.0` only when
-/// decoding an *older* artifact that predates the field — a newer cell
-/// missing it is mistyped/corrupt and is rejected like any other missing
-/// metric field.
-fn f64_field_since(
-    v: &Value,
-    key: &str,
-    since: u64,
-    schema_version: u64,
-) -> Result<f64, SchemaError> {
-    if schema_version >= since {
-        return f64_field(v, key);
-    }
-    match v.get(key) {
-        None => Ok(0.0),
-        Some(val) => val
-            .as_f64()
-            .ok_or_else(|| SchemaError::Field(key.to_string())),
-    }
 }
 
 fn u64_field(v: &Value, key: &str) -> Result<u64, SchemaError> {
@@ -352,7 +307,7 @@ impl EnvFingerprint {
 }
 
 impl BenchCell {
-    fn from_value(v: &Value, schema_version: u64) -> Result<Self, SchemaError> {
+    fn from_value(v: &Value) -> Result<Self, SchemaError> {
         Ok(BenchCell {
             id: str_field(v, "id")?,
             dataset: str_field(v, "dataset")?,
@@ -372,33 +327,23 @@ impl BenchCell {
             relative_regret: f64_field(v, "relative_regret")?,
             revenue: f64_field(v, "revenue")?,
             memory_bytes: usize_field(v, "memory_bytes")?,
-            bytes_per_posting: f64_field_since(v, "bytes_per_posting", 5, schema_version)?,
-            legacy_bytes_per_posting: f64_field_since(
-                v,
-                "legacy_bytes_per_posting",
-                5,
-                schema_version,
-            )?,
+            bytes_per_posting: f64_field(v, "bytes_per_posting")?,
+            legacy_bytes_per_posting: f64_field(v, "legacy_bytes_per_posting")?,
             wall_s: f64_field(v, "wall_s")?,
             eval_s: f64_field(v, "eval_s")?,
-            dataset_cold_s: f64_field_since(v, "dataset_cold_s", 2, schema_version)?,
-            dataset_warm_s: f64_field_since(v, "dataset_warm_s", 2, schema_version)?,
+            dataset_cold_s: f64_field(v, "dataset_cold_s")?,
+            dataset_warm_s: f64_field(v, "dataset_warm_s")?,
             rr_sets_per_s: f64_field(v, "rr_sets_per_s")?,
-            postings_scan_mentries_per_s: f64_field_since(
-                v,
-                "postings_scan_mentries_per_s",
-                5,
-                schema_version,
-            )?,
-            latency_p50_us: f64_field_since(v, "latency_p50_us", 3, schema_version)?,
-            latency_p95_us: f64_field_since(v, "latency_p95_us", 3, schema_version)?,
-            latency_p99_us: f64_field_since(v, "latency_p99_us", 3, schema_version)?,
-            events_per_s: f64_field_since(v, "events_per_s", 3, schema_version)?,
-            read_p99_us: f64_field_since(v, "read_p99_us", 4, schema_version)?,
-            reads_per_s: f64_field_since(v, "reads_per_s", 4, schema_version)?,
-            shed_rate: f64_field_since(v, "shed_rate", 4, schema_version)?,
-            follower_reads_per_s: f64_field_since(v, "follower_reads_per_s", 6, schema_version)?,
-            follower_lag_p99: f64_field_since(v, "follower_lag_p99", 6, schema_version)?,
+            postings_scan_mentries_per_s: f64_field(v, "postings_scan_mentries_per_s")?,
+            latency_p50_us: f64_field(v, "latency_p50_us")?,
+            latency_p95_us: f64_field(v, "latency_p95_us")?,
+            latency_p99_us: f64_field(v, "latency_p99_us")?,
+            events_per_s: f64_field(v, "events_per_s")?,
+            read_p99_us: f64_field(v, "read_p99_us")?,
+            reads_per_s: f64_field(v, "reads_per_s")?,
+            shed_rate: f64_field(v, "shed_rate")?,
+            follower_reads_per_s: f64_field(v, "follower_reads_per_s")?,
+            follower_lag_p99: f64_field(v, "follower_lag_p99")?,
             peak_rss_bytes: usize_field(v, "peak_rss_bytes")?,
         })
     }
@@ -430,14 +375,14 @@ impl BenchReport {
     pub fn from_json_str(s: &str) -> Result<Self, SchemaError> {
         let v = serde_json::from_str(s).map_err(|e| SchemaError::Parse(e.to_string()))?;
         let schema_version = u64_field(&v, "schema_version")?;
-        if schema_version > SCHEMA_VERSION {
+        if schema_version != SCHEMA_VERSION {
             return Err(SchemaError::Version(schema_version));
         }
         let cells = field(&v, "cells")?
             .as_array()
             .ok_or_else(|| SchemaError::Field("cells".to_string()))?
             .iter()
-            .map(|c| BenchCell::from_value(c, schema_version))
+            .map(BenchCell::from_value)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(BenchReport {
             schema_version,
@@ -553,18 +498,21 @@ mod tests {
     }
 
     #[test]
-    fn rejects_future_versions_and_missing_fields() {
+    fn rejects_other_versions_and_missing_fields() {
         let mut report = BenchReport::new(
             "quick",
             EnvFingerprint::current(&ScaleConfig::default()),
             vec![],
         );
-        report.schema_version = SCHEMA_VERSION + 1;
-        let text = report.to_json_string();
-        assert!(matches!(
-            BenchReport::from_json_str(&text),
-            Err(SchemaError::Version(_))
-        ));
+        // One schema version has readers: a newer artifact and an older
+        // one (v5) alike are refused outright, not zero-filled.
+        for other in [SCHEMA_VERSION + 1, 5] {
+            report.schema_version = other;
+            assert!(matches!(
+                BenchReport::from_json_str(&report.to_json_string()),
+                Err(SchemaError::Version(v)) if v == other
+            ));
+        }
         assert!(matches!(
             BenchReport::from_json_str("{}"),
             Err(SchemaError::Field(_))
@@ -574,7 +522,7 @@ mod tests {
             Err(SchemaError::Parse(_))
         ));
         // A cell missing a metric field is rejected, not zero-filled.
-        let text = r#"{"schema_version":1,"git_sha":"x","tier":"quick","created_unix":0,
+        let text = r#"{"schema_version":6,"git_sha":"x","tier":"quick","created_unix":0,
             "env":{"os":"linux","arch":"x86_64","cpus":1,"debug_assertions":false,
                    "scale":1,"eval_runs":10},
             "cells":[{"id":"a"}]}"#;
@@ -609,177 +557,6 @@ mod tests {
             "layout ratios are deterministic, not timings"
         );
         assert_eq!(c.legacy_bytes_per_posting, 8.25);
-    }
-
-    #[test]
-    fn v1_artifacts_without_ingestion_timings_still_load() {
-        // A schema-v1 cell (no dataset_cold_s / dataset_warm_s) must
-        // decode with zeros, not be rejected — committed baselines predate
-        // the fields.
-        let report = BenchReport::new(
-            "quick",
-            EnvFingerprint::current(&ScaleConfig::default()),
-            vec![sample_cell("v1cell")],
-        );
-        let mut text = report.to_json_string();
-        text = text.replace("\"schema_version\": 6", "\"schema_version\": 1");
-        for key in [
-            "dataset_cold_s",
-            "dataset_warm_s",
-            "latency_p50_us",
-            "latency_p95_us",
-            "latency_p99_us",
-            "read_p99_us",
-            "reads_per_s",
-            "shed_rate",
-            // v5 additions; list the plain key before its `legacy_…`
-            // superstring so `find` strips the right line.
-            "bytes_per_posting",
-            "legacy_bytes_per_posting",
-            "postings_scan_mentries_per_s",
-            "events_per_s",
-        ] {
-            let from = text.find(key).expect("field serialized");
-            let to = text[from..].find('\n').unwrap() + from + 1;
-            text.replace_range(from - 1..to, ""); // leading quote … newline
-        }
-        assert!(!text.contains("dataset_cold_s"));
-        let back = BenchReport::from_json_str(&text).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert_eq!(back.cells[0].dataset_cold_s, 0.0);
-        assert_eq!(back.cells[0].dataset_warm_s, 0.0);
-        assert_eq!(back.cells[0].latency_p50_us, 0.0);
-        assert_eq!(back.cells[0].events_per_s, 0.0);
-        assert_eq!(back.cells[0].wall_s, 0.75, "other fields unaffected");
-        // Present but mistyped is still an error.
-        let bad = text.replace(
-            "\"eval_s\": 0.125,",
-            "\"eval_s\": 0.125, \"dataset_cold_s\": \"x\",",
-        );
-        assert!(matches!(
-            BenchReport::from_json_str(&bad),
-            Err(SchemaError::Field(_))
-        ));
-        // The leniency is version-gated: a v2 artifact missing a v2 field
-        // is corrupt and must be rejected, not zero-filled.
-        let v2_missing = text.replace("\"schema_version\": 1", "\"schema_version\": 2");
-        assert!(matches!(
-            BenchReport::from_json_str(&v2_missing),
-            Err(SchemaError::Field(_))
-        ));
-    }
-
-    #[test]
-    fn v2_artifacts_without_latency_metrics_still_load() {
-        // PR-3-era baselines are v2: no serving metrics. They must decode
-        // with zeros; a v3 artifact missing them is rejected.
-        let report = BenchReport::new(
-            "quick",
-            EnvFingerprint::current(&ScaleConfig::default()),
-            vec![sample_cell("v2cell")],
-        );
-        let mut text = report.to_json_string();
-        text = text.replace("\"schema_version\": 6", "\"schema_version\": 2");
-        for key in [
-            "latency_p50_us",
-            "latency_p95_us",
-            "latency_p99_us",
-            "events_per_s",
-            "read_p99_us",
-            "reads_per_s",
-            "shed_rate",
-        ] {
-            let from = text.find(key).expect("field serialized");
-            let to = text[from..].find('\n').unwrap() + from + 1;
-            text.replace_range(from - 1..to, "");
-        }
-        let back = BenchReport::from_json_str(&text).unwrap();
-        assert_eq!(back.schema_version, 2);
-        assert_eq!(back.cells[0].latency_p50_us, 0.0);
-        assert_eq!(back.cells[0].latency_p95_us, 0.0);
-        assert_eq!(back.cells[0].latency_p99_us, 0.0);
-        assert_eq!(back.cells[0].events_per_s, 0.0);
-        assert_eq!(
-            back.cells[0].dataset_cold_s, 3.5,
-            "v2 fields still strict in v2"
-        );
-        let v3_missing = text.replace("\"schema_version\": 2", "\"schema_version\": 3");
-        assert!(matches!(
-            BenchReport::from_json_str(&v3_missing),
-            Err(SchemaError::Field(_))
-        ));
-    }
-
-    #[test]
-    fn v3_artifacts_without_serving_frontend_metrics_still_load() {
-        // PR-4-era baselines are v3: no network-serving metrics. They
-        // must decode with zeros; a v4 artifact missing them is
-        // rejected.
-        let report = BenchReport::new(
-            "quick",
-            EnvFingerprint::current(&ScaleConfig::default()),
-            vec![sample_cell("v3cell")],
-        );
-        let mut text = report.to_json_string();
-        text = text.replace("\"schema_version\": 6", "\"schema_version\": 3");
-        for key in ["read_p99_us", "reads_per_s", "shed_rate"] {
-            let from = text.find(key).expect("field serialized");
-            let to = text[from..].find('\n').unwrap() + from + 1;
-            text.replace_range(from - 1..to, "");
-        }
-        let back = BenchReport::from_json_str(&text).unwrap();
-        assert_eq!(back.schema_version, 3);
-        assert_eq!(back.cells[0].read_p99_us, 0.0);
-        assert_eq!(back.cells[0].reads_per_s, 0.0);
-        assert_eq!(back.cells[0].shed_rate, 0.0);
-        assert_eq!(
-            back.cells[0].latency_p99_us, 4_200.0,
-            "v3 fields still strict in v3"
-        );
-        let v4_missing = text.replace("\"schema_version\": 3", "\"schema_version\": 4");
-        assert!(matches!(
-            BenchReport::from_json_str(&v4_missing),
-            Err(SchemaError::Field(_))
-        ));
-    }
-
-    #[test]
-    fn v4_artifacts_without_postings_layout_metrics_still_load() {
-        // PR-5-era baselines are v4: no RR-index layout metrics. They
-        // must decode with zeros; a v5 artifact missing them is
-        // rejected.
-        let report = BenchReport::new(
-            "quick",
-            EnvFingerprint::current(&ScaleConfig::default()),
-            vec![sample_cell("v4cell")],
-        );
-        let mut text = report.to_json_string();
-        text = text.replace("\"schema_version\": 6", "\"schema_version\": 4");
-        // The plain key before its `legacy_…` superstring so `find`
-        // strips the right line.
-        for key in [
-            "bytes_per_posting",
-            "legacy_bytes_per_posting",
-            "postings_scan_mentries_per_s",
-        ] {
-            let from = text.find(key).expect("field serialized");
-            let to = text[from..].find('\n').unwrap() + from + 1;
-            text.replace_range(from - 1..to, "");
-        }
-        let back = BenchReport::from_json_str(&text).unwrap();
-        assert_eq!(back.schema_version, 4);
-        assert_eq!(back.cells[0].bytes_per_posting, 0.0);
-        assert_eq!(back.cells[0].legacy_bytes_per_posting, 0.0);
-        assert_eq!(back.cells[0].postings_scan_mentries_per_s, 0.0);
-        assert_eq!(
-            back.cells[0].read_p99_us, 310.0,
-            "v4 fields still strict in v4"
-        );
-        let v5_missing = text.replace("\"schema_version\": 4", "\"schema_version\": 5");
-        assert!(matches!(
-            BenchReport::from_json_str(&v5_missing),
-            Err(SchemaError::Field(_))
-        ));
     }
 
     #[test]

@@ -75,7 +75,8 @@ use tirm_graph::DiGraph;
 use tirm_obs::flight::{self, Stage};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_topics::TopicEdgeProbs;
-use tirm_workloads::events::{event_from_value, event_json_fields};
+use tirm_wire::Request;
+use tirm_workloads::events::event_json_fields;
 
 /// First 8 bytes of every WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"TIRMWAL0";
@@ -778,11 +779,13 @@ pub fn recover<'g>(
     Ok((allocator, report))
 }
 
+/// A logged or shipped frame body is a mutation request; anything else
+/// the wire codec can read is not an event.
 pub(crate) fn decode_frame(body: &[u8]) -> Result<OnlineEvent, String> {
-    let text = std::str::from_utf8(body).map_err(|e| format!("not UTF-8: {e}"))?;
-    let v: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    event_from_value(&v)
+    match Request::decode(body)? {
+        Request::Mutate(ev) => Ok(ev),
+        other => Err(format!("not an event: {other:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -877,6 +880,42 @@ mod tests {
         assert_eq!(report.checkpoint_seq, None);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
 
+        let want = oracle(&graph, &probs, &cfg, &evs);
+        assert!(recovered.snapshot().same_allocation(&want.snapshot()));
+    }
+
+    #[test]
+    fn an_admitted_frame_is_readable_once_logged() {
+        // `append` writes the event's own encoding, not the peer's bytes,
+        // and that turns a point-mass `weights` vector into the compact
+        // form. The largest vector a peer gets past the decoder has to
+        // survive that, or one frame ends replay for all that follow it.
+        let (graph, probs) = setup(300, 11);
+        let cfg = config(3);
+        let dir = fresh_dir("rewritten");
+        let frame = |k: usize| {
+            format!(
+                "{{\"type\":\"arrival\",\"id\":9,\"budget\":1,\"cpe\":1,\
+                 \"weights\":[1{}],\"ctp\":1}}",
+                ",0".repeat(k - 1)
+            )
+        };
+        assert!(decode_frame(frame((1 << 16) + 1).as_bytes()).is_err());
+        let evs = [
+            decode_frame(frame(1 << 16).as_bytes()).unwrap(), // wrong k: rejected on apply
+            arrival(1, 5.0, 0),
+        ];
+
+        let mut wal = Wal::open(&dir, 0, 1_000).unwrap();
+        for ev in &evs {
+            wal.append(ev).unwrap();
+        }
+        wal.sync().unwrap();
+        drop(wal);
+
+        let (recovered, report) = recover(&dir, &graph, &probs, &cfg).unwrap();
+        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
+        assert_eq!((report.wal_seq, report.rejected_on_replay), (2, 1));
         let want = oracle(&graph, &probs, &cfg, &evs);
         assert!(recovered.snapshot().same_allocation(&want.snapshot()));
     }

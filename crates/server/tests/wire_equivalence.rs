@@ -169,18 +169,16 @@ fn server_final(
             assert!(regret.is_finite());
             assert!(epoch <= events.len() as u64);
         }
-        // Wire view of the allocation after the writer catches up: poll
-        // until the epoch stops moving (all admitted events applied).
-        let mut last = reader.allocation().expect("allocation query");
-        loop {
+        // Wire view of the allocation after the writer catches up. Every
+        // event above was admitted before its call returned, and the
+        // writer releases an event's queue slot only after publishing
+        // what it did — so first wait for the queue to be empty, then
+        // read. (The epoch cannot be the signal: a rejected last event
+        // bumps none.)
+        while handle.queue_depth() > 0 {
             std::thread::sleep(Duration::from_millis(2));
-            let cur = reader.allocation().expect("allocation query");
-            if cur.epoch == last.epoch && handle.queue_depth() == 0 {
-                break;
-            }
-            last = cur;
         }
-        last
+        reader.allocation().expect("allocation query")
     })
     .expect("serve");
     assert_eq!(report.bad_requests, 0);

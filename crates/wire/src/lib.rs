@@ -6,6 +6,15 @@
 //! [`Request`]/[`Response`] shapes. One crate owns the encode/decode of
 //! every frame on the wire, so the server and each client cannot drift.
 //!
+//! Inside the crate the single source is the **declaration**: one
+//! `wire!` table each for [`Request`], [`Response`] and [`StatsView`],
+//! whose rows (`field: Type => "key"`, in wire order, under the
+//! message's `"tag"`) produce the type, its `encode` and its `decode`
+//! together, so the two directions cannot drift either. A field is one
+//! row, a wire type one private `Field` codec; only `Request::Mutate`,
+//! `Response::Allocation` and `Response::Stats` keep hand-written arms,
+//! next to their table.
+//!
 //! Every message is one **frame**: a 4-byte little-endian length prefix
 //! followed by exactly that many bytes of UTF-8 JSON. Frames are capped
 //! at [`MAX_FRAME_BYTES`] — a peer announcing a larger frame is a
@@ -53,6 +62,7 @@
 //! writes ([`Response::Promoting`]).
 
 use serde_json::Value;
+use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
 use tirm_online::{AdId, AdSnapshot, AllocationSnapshot, OnlineEvent};
@@ -102,212 +112,396 @@ impl Role {
 
     /// Parses a wire role name.
     pub fn parse(s: &str) -> Option<Role> {
-        match s {
-            "leader" => Some(Role::Leader),
-            "follower" => Some(Role::Follower),
-            _ => None,
-        }
+        [Role::Leader, Role::Follower]
+            .into_iter()
+            .find(|role| role.name() == s)
     }
 }
 
-/// One decoded request.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// Protocol handshake (`{"type":"hello","version":N}`): announce the
-    /// client's protocol version, learn the server's version, snapshot
-    /// epoch and WAL sequence number.
-    Hello {
-        /// The client's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// A mutating event for the writer queue (`arrival` / `topup` /
-    /// `departure` / `reallocate` in event-log notation).
-    Mutate(OnlineEvent),
-    /// Current regret estimate, served from the snapshot
-    /// (`regret_query` — the event vocabulary's only read is a wire
-    /// read too).
-    RegretQuery,
-    /// The full standing allocation (`{"type":"allocation"}`).
-    AllocationQuery,
-    /// One ad's slice of the allocation (`{"type":"ad","id":N}`).
-    AdQuery {
-        /// Advertiser id to look up.
-        id: AdId,
-    },
-    /// Serving statistics (`{"type":"stats"}`).
-    Stats,
-    /// The process-wide observability registry dump
-    /// (`{"type":"metrics"}`): every counter, gauge and latency
-    /// histogram, as one JSON object.
-    Metrics,
-    /// The event-lineage flight-recorder dump
-    /// (`{"type":"trace_dump"}`): the process's per-mutation lifecycle
-    /// timelines in Chrome trace-event JSON, same payload as the
-    /// `/trace.json` exposition route.
-    TraceDump,
-    /// Ask the server to begin graceful shutdown
-    /// (`{"type":"shutdown"}`).
-    Shutdown,
-    /// Follower → leader: stream WAL frames starting at the `from_seq`
-    /// subscription anchor
-    /// (`{"type":"replicate_poll","from_seq":N,"max_frames":N}`).
-    ReplicatePoll {
-        /// First sequence number the follower still needs.
-        from_seq: u64,
-        /// Cap on frames in one response (bounds the frame size).
-        max_frames: u64,
-    },
-    /// Follower → leader: page down the bootstrap checkpoint named by a
-    /// [`Response::ReplicateBootstrap`]
-    /// (`{"type":"replicate_checkpoint","offset":N,"max_bytes":N}`).
-    ReplicateCheckpoint {
-        /// Byte offset into the checkpoint image.
-        offset: u64,
-        /// Cap on payload bytes in one chunk.
-        max_bytes: u64,
-    },
-    /// Ask a follower to take over as leader: stop tailing, bump the
-    /// fencing epoch, accept writes (`{"type":"promote"}`).
-    Promote,
+/// How one wire type is written into and read out of a frame body.
+/// Each type that occurs on the wire implements it once; `As` tells
+/// apart the encodings of a Rust type that has several (a `String` is
+/// an escaped JSON string unless its row says [`Hex`] or [`Object`]).
+trait Field<As = ()>: Sized {
+    /// Appends the value as JSON text.
+    fn put(&self, out: &mut String);
+    /// Reads field `key` of the object `v`.
+    fn get(v: &Value, key: &str) -> Result<Self, String>;
 }
 
-impl Request {
-    /// Encodes the request as a JSON object (frame body).
-    pub fn encode(&self) -> String {
-        match self {
-            Request::Hello { version } => {
-                format!("{{\"type\":\"hello\",\"version\":{version}}}")
+/// Row marker: a string of hex digits, written between quotes as it is
+/// (nothing in it needs escaping, and a checkpoint page is megabytes).
+enum Hex {}
+
+/// Row marker: JSON objects carried as their own text (the metrics and
+/// trace dumps, WAL frame bodies) — embedded verbatim, read back by
+/// re-serialising the parsed object. The codec preserves key order, so
+/// what was embedded comes back byte for byte.
+enum Object {}
+
+/// The one accessor under every [`Field::get`]: field `key` of `v` seen
+/// through `as_t`. Absent and mistyped alike are ``missing `key` ``.
+fn field<'v, T>(
+    v: &'v Value,
+    key: &str,
+    as_t: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(as_t)
+        .ok_or_else(|| format!("missing `{key}`"))
+}
+
+/// A non-negative integer that fits `T`: the one narrowing on the
+/// decode side (`as` would wrap seed `4294967301` to `5`).
+fn int<T: TryFrom<u64>>(x: &Value) -> Option<T> {
+    x.as_u64().and_then(|n| T::try_from(n).ok())
+}
+
+/// The text of `x` if it is a JSON object.
+fn object_text(x: &Value) -> Option<String> {
+    x.as_object()?;
+    serde_json::to_string(x).ok()
+}
+
+/// Numbers print by `Display`: integers as digits, floats in shortest
+/// round-trip notation (what makes allocation payloads bit-exact).
+macro_rules! number_fields {
+    ($($ty:ty => $read:expr),*) => {$(
+        impl Field for $ty {
+            fn put(&self, out: &mut String) {
+                write!(out, "{self}").expect("writing to a String is infallible");
             }
-            Request::Mutate(ev) => format!("{{{}}}", event_json_fields(ev)),
-            Request::RegretQuery => "{\"type\":\"regret_query\"}".to_string(),
-            Request::AllocationQuery => "{\"type\":\"allocation\"}".to_string(),
-            Request::AdQuery { id } => format!("{{\"type\":\"ad\",\"id\":{id}}}"),
-            Request::Stats => "{\"type\":\"stats\"}".to_string(),
-            Request::Metrics => "{\"type\":\"metrics\"}".to_string(),
-            Request::TraceDump => "{\"type\":\"trace_dump\"}".to_string(),
-            Request::Shutdown => "{\"type\":\"shutdown\"}".to_string(),
-            Request::ReplicatePoll {
-                from_seq,
-                max_frames,
-            } => format!(
-                "{{\"type\":\"replicate_poll\",\"from_seq\":{from_seq},\
-                 \"max_frames\":{max_frames}}}"
-            ),
-            Request::ReplicateCheckpoint { offset, max_bytes } => format!(
-                "{{\"type\":\"replicate_checkpoint\",\"offset\":{offset},\
-                 \"max_bytes\":{max_bytes}}}"
-            ),
-            Request::Promote => "{\"type\":\"promote\"}".to_string(),
+            fn get(v: &Value, key: &str) -> Result<Self, String> {
+                field(v, key, $read)
+            }
+        }
+    )*};
+}
+number_fields!(u32 => int, u64 => int, usize => int, f64 => Value::as_f64);
+
+impl Field for String {
+    fn put(&self, out: &mut String) {
+        out.push_str(&serde_json::to_string(self).expect("string serialization is infallible"));
+    }
+    fn get(v: &Value, key: &str) -> Result<Self, String> {
+        field(v, key, Value::as_str).map(str::to_string)
+    }
+}
+
+impl Field<Hex> for String {
+    fn put(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(self);
+        out.push('"');
+    }
+    fn get(v: &Value, key: &str) -> Result<Self, String> {
+        <String as Field>::get(v, key)
+    }
+}
+
+impl Field<Object> for String {
+    fn put(&self, out: &mut String) {
+        out.push_str(self);
+    }
+    fn get(v: &Value, key: &str) -> Result<Self, String> {
+        field(v, key, object_text)
+    }
+}
+
+impl Field<Object> for Vec<String> {
+    fn put(&self, out: &mut String) {
+        out.push('[');
+        for (i, object) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(object);
+        }
+        out.push(']');
+    }
+    fn get(v: &Value, key: &str) -> Result<Self, String> {
+        field(v, key, Value::as_array)?
+            .iter()
+            .map(object_text)
+            .collect::<Option<_>>()
+            .ok_or_else(|| format!("`{key}` holds a non-object"))
+    }
+}
+
+impl Field for Role {
+    fn put(&self, out: &mut String) {
+        out.push('"');
+        out.push_str(self.name());
+        out.push('"');
+    }
+    fn get(v: &Value, key: &str) -> Result<Self, String> {
+        let name = field(v, key, Value::as_str)?;
+        Role::parse(name).ok_or_else(|| format!("unknown role {name:?}"))
+    }
+}
+
+impl Field for Option<AdSnapshot> {
+    fn put(&self, out: &mut String) {
+        match self {
+            None => out.push_str("null"),
+            Some(ad) => out.push_str(&ad.to_json()),
         }
     }
+    fn get(v: &Value, key: &str) -> Result<Self, String> {
+        match field(v, key, Some)? {
+            ad if ad.is_null() => Ok(None),
+            ad => ad_from_value(ad).map(Some),
+        }
+    }
+}
 
+/// The one way into a frame body: bytes → UTF-8 → JSON object → its
+/// `type` tag, handed to `arms` together with the object.
+fn typed_object<T>(
+    bytes: &[u8],
+    arms: impl FnOnce(&str, &Value) -> Result<T, String>,
+) -> Result<T, String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not UTF-8: {e}"))?;
+    let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    arms(field(&v, "type", Value::as_str)?, &v)
+}
+
+/// The declaration every wire shape is produced from. A row
+/// `field: Type => "key"` (`: Hex` / `: Object` after the key picks a
+/// non-default [`Field`] encoding) is the only place the field, its wire
+/// key and its codec are written; rows are in wire order.
+///
+/// * `pub enum`: one `"tag" => Variant { rows }` per message. Produces
+///   the enum, `encode` (`{"type":"tag","key":value,…}`) and `decode`.
+///   Messages that do not fit a row are listed under `irregular`, and
+///   their hand-written `encode` / `decode` arms are spliced into the
+///   same two `match`es.
+/// * `pub struct`: a flattened field list. Produces the struct,
+///   `put_fields` (`,"key":value` per row) and `get_fields`.
+macro_rules! wire {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident $({
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident: $ty:ty => $key:literal $(: $as:ty)?
+                    ),+ $(,)?
+                })?,
+            )+
+        }
+        irregular { $($irregular:tt)* }
+        $(#[$emeta:meta])*
+        encode($out:ident) { $($earms:tt)* }
+        $(#[$dmeta:meta])*
+        decode($tag_in:ident, $v:ident) { $($darms:tt)* }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $( $(#[$fmeta])* $field: $ty ),+ })?,
+            )+
+            $($irregular)*
+        }
+
+        impl $name {
+            $(#[$emeta])*
+            pub fn encode(&self) -> String {
+                let mut $out = String::new();
+                match self {
+                    $(
+                        Self::$variant $({ $($field),+ })? => {
+                            $out.push_str(concat!("{\"type\":\"", $tag, "\""));
+                            $($(
+                                $out.push_str(concat!(",\"", $key, "\":"));
+                                <$ty as Field<$($as)?>>::put($field, &mut $out);
+                            )+)?
+                            $out.push('}');
+                        }
+                    )+
+                    $($earms)*
+                }
+                $out
+            }
+
+            $(#[$dmeta])*
+            pub fn decode(bytes: &[u8]) -> Result<Self, String> {
+                typed_object(bytes, |$tag_in, $v| match $tag_in {
+                    $(
+                        $tag => Ok(Self::$variant $({
+                            $( $field: <$ty as Field<$($as)?>>::get($v, $key)? ),+
+                        })?),
+                    )+
+                    $($darms)*
+                })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $ty:ty => $key:literal $(: $as:ty)?
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty ),+
+        }
+
+        impl $name {
+            /// Appends every field as `,"key":value`, in wire order.
+            fn put_fields(&self, out: &mut String) {
+                $(
+                    out.push_str(concat!(",\"", $key, "\":"));
+                    <$ty as Field<$($as)?>>::put(&self.$field, out);
+                )+
+            }
+
+            /// Reads every field out of the object `v`.
+            fn get_fields(v: &Value) -> Result<Self, String> {
+                Ok($name { $( $field: <$ty as Field<$($as)?>>::get(v, $key)? ),+ })
+            }
+        }
+    };
+}
+
+wire! {
+    /// One decoded request.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Request {
+        /// Protocol handshake (`{"type":"hello","version":N}`): announce the
+        /// client's protocol version, learn the server's version, snapshot
+        /// epoch and WAL sequence number.
+        "hello" => Hello {
+            /// The client's [`PROTOCOL_VERSION`].
+            version: u32 => "version",
+        },
+        /// Current regret estimate, served from the snapshot
+        /// (`regret_query` — the event vocabulary's only read is a wire
+        /// read too).
+        "regret_query" => RegretQuery,
+        /// The full standing allocation (`{"type":"allocation"}`).
+        "allocation" => AllocationQuery,
+        /// One ad's slice of the allocation (`{"type":"ad","id":N}`).
+        "ad" => AdQuery {
+            /// Advertiser id to look up.
+            id: AdId => "id",
+        },
+        /// Serving statistics (`{"type":"stats"}`).
+        "stats" => Stats,
+        /// The process-wide observability registry dump
+        /// (`{"type":"metrics"}`): every counter, gauge and latency
+        /// histogram, as one JSON object.
+        "metrics" => Metrics,
+        /// The event-lineage flight-recorder dump
+        /// (`{"type":"trace_dump"}`): the process's per-mutation lifecycle
+        /// timelines in Chrome trace-event JSON, same payload as the
+        /// `/trace.json` exposition route.
+        "trace_dump" => TraceDump,
+        /// Ask the server to begin graceful shutdown
+        /// (`{"type":"shutdown"}`).
+        "shutdown" => Shutdown,
+        /// Follower → leader: stream WAL frames starting at the `from_seq`
+        /// subscription anchor
+        /// (`{"type":"replicate_poll","from_seq":N,"max_frames":N}`).
+        "replicate_poll" => ReplicatePoll {
+            /// First sequence number the follower still needs.
+            from_seq: u64 => "from_seq",
+            /// Cap on frames in one response (bounds the frame size).
+            max_frames: u64 => "max_frames",
+        },
+        /// Follower → leader: page down the bootstrap checkpoint named by a
+        /// [`Response::ReplicateBootstrap`]
+        /// (`{"type":"replicate_checkpoint","offset":N,"max_bytes":N}`).
+        "replicate_checkpoint" => ReplicateCheckpoint {
+            /// Byte offset into the checkpoint image.
+            offset: u64 => "offset",
+            /// Cap on payload bytes in one chunk.
+            max_bytes: u64 => "max_bytes",
+        },
+        /// Ask a follower to take over as leader: stop tailing, bump the
+        /// fencing epoch, accept writes (`{"type":"promote"}`).
+        "promote" => Promote,
+    }
+    irregular {
+        /// A mutating event for the writer queue (`arrival` / `topup` /
+        /// `departure` / `reallocate` in event-log notation).
+        Mutate(OnlineEvent),
+    }
+    /// Encodes the request as a JSON object (frame body).
+    encode(out) {
+        Request::Mutate(ev) => {
+            out.push('{');
+            out.push_str(&event_json_fields(ev));
+            out.push('}');
+        }
+    }
     /// Decodes a frame body. Mutating events go through the shared
     /// event codec; `RegretQuery` — an event kind that mutates nothing —
     /// is routed to the read path.
-    pub fn decode(bytes: &[u8]) -> Result<Request, String> {
-        let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-        let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let ty = v
-            .get("type")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| "missing `type`".to_string())?;
-        match ty {
-            "hello" => Ok(Request::Hello {
-                version: v
-                    .get("version")
-                    .and_then(|x| x.as_u64())
-                    .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| "missing `version`".to_string())?,
-            }),
-            "allocation" => Ok(Request::AllocationQuery),
-            "ad" => Ok(Request::AdQuery {
-                id: v
-                    .get("id")
-                    .and_then(|x| x.as_u64())
-                    .ok_or_else(|| "missing `id`".to_string())?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "trace_dump" => Ok(Request::TraceDump),
-            "shutdown" => Ok(Request::Shutdown),
-            "replicate_poll" => {
-                let u = |key: &str| {
-                    v.get(key)
-                        .and_then(|x| x.as_u64())
-                        .ok_or_else(|| format!("missing `{key}`"))
-                };
-                Ok(Request::ReplicatePoll {
-                    from_seq: u("from_seq")?,
-                    max_frames: u("max_frames")?,
-                })
-            }
-            "replicate_checkpoint" => {
-                let u = |key: &str| {
-                    v.get(key)
-                        .and_then(|x| x.as_u64())
-                        .ok_or_else(|| format!("missing `{key}`"))
-                };
-                Ok(Request::ReplicateCheckpoint {
-                    offset: u("offset")?,
-                    max_bytes: u("max_bytes")?,
-                })
-            }
-            "promote" => Ok(Request::Promote),
-            _ => match event_from_value(&v)? {
-                OnlineEvent::RegretQuery => Ok(Request::RegretQuery),
-                ev => Ok(Request::Mutate(ev)),
-            },
-        }
+    decode(tag, v) {
+        _ => match event_from_value(v)? {
+            OnlineEvent::RegretQuery => Ok(Request::RegretQuery),
+            ev => Ok(Request::Mutate(ev)),
+        },
     }
 }
 
-/// Serving statistics as reported over the wire.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StatsView {
-    /// Mutating events applied (the published snapshot's epoch).
-    pub epoch: u64,
-    /// Admitted mutations durably logged (the WAL sequence number); 0 on
-    /// a server running without a WAL.
-    pub wal_seq: u64,
-    /// Live campaigns.
-    pub live_ads: usize,
-    /// Seeds allocated in total.
-    pub total_seeds: usize,
-    /// RR sets held across live shards.
-    pub total_rr_sets: usize,
-    /// Allocator index + capital bytes.
-    pub engine_memory_bytes: usize,
-    /// Mutations currently queued or in flight at the writer.
-    pub queue_depth: usize,
-    /// High-water mark of `queue_depth` over the server's lifetime.
-    pub max_queue_depth: usize,
-    /// Mutations admitted to the queue.
-    pub accepted: u64,
-    /// Mutations shed with `overloaded` (queue full).
-    pub shed: u64,
-    /// Admitted mutations the allocator rejected (unknown ids, malformed
-    /// payload domains).
-    pub rejected: u64,
-    /// Frames that failed to decode as requests.
-    pub bad_requests: u64,
-    /// Currently open connections.
-    pub connections: usize,
-    /// This process's replication role.
-    pub role: Role,
-    /// Fencing epoch the process serves at (0 before any hand-off).
-    pub fencing_epoch: u64,
-    /// The leader's durable frontier as last observed: equal to
-    /// `wal_seq` on a leader; on a follower, the `durable_seq` of the
-    /// newest replication response it applied.
-    pub leader_seq: u64,
-    /// Mutations shed over the *process* lifetime (registry-backed):
-    /// unlike `shed`, this survives a follower's promotion to leader
-    /// within the same process, so lag-aware routers see accumulated
-    /// leader pressure across hand-offs.
-    pub shed_total: u64,
-    /// Allocator rejections over the process lifetime
-    /// (registry-backed).
-    pub rejected_total: u64,
+wire! {
+    /// Serving statistics as reported over the wire.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct StatsView {
+        /// Mutating events applied (the published snapshot's epoch).
+        epoch: u64 => "epoch",
+        /// Admitted mutations durably logged (the WAL sequence number); 0 on
+        /// a server running without a WAL.
+        wal_seq: u64 => "wal_seq",
+        /// Live campaigns.
+        live_ads: usize => "live_ads",
+        /// Seeds allocated in total.
+        total_seeds: usize => "total_seeds",
+        /// RR sets held across live shards.
+        total_rr_sets: usize => "total_rr_sets",
+        /// Allocator index + capital bytes.
+        engine_memory_bytes: usize => "engine_memory_bytes",
+        /// Mutations currently queued or in flight at the writer.
+        queue_depth: usize => "queue_depth",
+        /// High-water mark of `queue_depth` over the server's lifetime.
+        max_queue_depth: usize => "max_queue_depth",
+        /// Mutations admitted to the queue.
+        accepted: u64 => "accepted",
+        /// Mutations shed with `overloaded` (queue full).
+        shed: u64 => "shed",
+        /// Admitted mutations the allocator rejected (unknown ids, malformed
+        /// payload domains).
+        rejected: u64 => "rejected",
+        /// Frames that failed to decode as requests.
+        bad_requests: u64 => "bad_requests",
+        /// Currently open connections.
+        connections: usize => "connections",
+        /// This process's replication role.
+        role: Role => "role",
+        /// Fencing epoch the process serves at (0 before any hand-off).
+        fencing_epoch: u64 => "fencing_epoch",
+        /// The leader's durable frontier as last observed: equal to
+        /// `wal_seq` on a leader; on a follower, the `durable_seq` of the
+        /// newest replication response it applied.
+        leader_seq: u64 => "leader_seq",
+        /// Mutations shed over the *process* lifetime (registry-backed):
+        /// unlike `shed`, this survives a follower's promotion to leader
+        /// within the same process, so lag-aware routers see accumulated
+        /// leader pressure across hand-offs.
+        shed_total: u64 => "shed_total",
+        /// Allocator rejections over the process lifetime
+        /// (registry-backed).
+        rejected_total: u64 => "rejected_total",
+    }
 }
 
 impl StatsView {
@@ -319,448 +513,176 @@ impl StatsView {
     }
 }
 
-/// One decoded response.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Response {
-    /// Handshake reply: the server's protocol version and the two
-    /// resume anchors a reconnecting client needs — the snapshot epoch
-    /// and the WAL sequence number (count of admitted mutations durably
-    /// logged; a client replaying an event log resumes right after its
-    /// `wal_seq`-th non-query event).
-    Hello {
-        /// The server's [`PROTOCOL_VERSION`].
-        version: u32,
-        /// Snapshot epoch at handshake time.
-        epoch: u64,
-        /// WAL sequence number at handshake time (0 without a WAL).
-        wal_seq: u64,
-        /// The process's replication role.
-        role: Role,
-        /// Fencing epoch the process serves at. A follower tracks the
-        /// max it has seen and rejects replication frames from
-        /// anything older.
-        fencing_epoch: u64,
-    },
-    /// The mutation was admitted to the writer queue: it will be
-    /// **processed** before the server exits (the drain guarantee).
-    /// Admission is a delivery promise, not a validity one — the
-    /// allocator may still reject the event when it is applied
-    /// (duplicate arrival id, unknown top-up target); such rejections
-    /// count into `stats.rejected`, and a client that needs
-    /// confirmation queries the ad (or watches the epoch) afterwards.
-    /// Exactly the same events are rejected by an in-process replay, so
-    /// the bit-identity anchor is unaffected. `epoch` is the snapshot
-    /// epoch visible at admission, not the one the event will produce.
-    Accepted {
-        /// Snapshot epoch at admission time.
-        epoch: u64,
-        /// Queue depth right after admission.
-        queue_depth: usize,
-    },
-    /// The write queue is full: the mutation was **shed**, not queued.
-    /// The client may retry; the server never blocks its accept loop on
-    /// a slow writer.
-    Overloaded {
-        /// Queue depth observed when the mutation was shed.
-        queue_depth: usize,
-    },
-    /// The server is draining and no longer admits mutations.
-    ShuttingDown,
-    /// The request was malformed (decode failure); nothing was admitted.
-    Rejected {
-        /// Human-readable decode failure.
-        why: String,
-    },
-    /// Regret estimate from the latest snapshot.
-    Regret {
-        /// Snapshot epoch.
-        epoch: u64,
-        /// Live campaigns.
-        live_ads: usize,
-        /// Engine regret estimate.
-        regret_estimate: f64,
-    },
-    /// The full standing allocation from the latest snapshot.
-    Allocation(AllocationSnapshot),
-    /// One ad's slice of the latest snapshot (`None`: not live).
-    Ad {
-        /// Snapshot epoch.
-        epoch: u64,
-        /// The ad's slice, if live.
-        ad: Option<AdSnapshot>,
-    },
-    /// Serving statistics.
-    Stats(StatsView),
-    /// The observability registry dump: one JSON object (`counters`,
-    /// `gauges`, `histograms`, `build`) embedded verbatim. All
-    /// values are integers and object order is preserved by the codec,
-    /// so the dump round-trips byte-exactly.
-    Metrics {
-        /// The registry dump as rendered by `tirm_obs::dump_json`.
-        json: String,
-    },
-    /// The flight-recorder lineage dump: Chrome trace-event JSON
-    /// embedded verbatim (one object, all-integer `args`), exactly the
-    /// `/trace.json` exposition payload.
-    TraceDump {
-        /// The dump as rendered by `tirm_obs::flight::dump_chrome_json`.
-        json: String,
-    },
-    /// Replication stream payload: `frames[i]` is the event-JSON body
-    /// of WAL frame `start_seq + i`. Frames are clamped to the leader's
-    /// durable frontier, so everything here is fsynced on the leader's
-    /// disk. An empty `frames` means "caught up; poll again later".
-    ReplicateFrames {
-        /// The leader's fencing epoch — stale-epoch frames are the
-        /// deposed-leader signature and must be dropped by followers.
-        fencing_epoch: u64,
-        /// Sequence number of `frames[0]`.
-        start_seq: u64,
-        /// The leader's durable frontier at response time (lag =
-        /// `durable_seq - (start_seq + frames.len())`).
-        durable_seq: u64,
-        /// Flight trace id of `frames[0]`: the follower records its
-        /// `follower_append` / `follower_apply` stages under
-        /// `trace_base + i`, joining the leader's timeline for the same
-        /// mutation. Under positional trace numbering this is
-        /// `start_seq + 1`.
-        trace_base: u64,
-        /// Raw event-JSON frame bodies, in sequence order.
-        frames: Vec<String>,
-    },
-    /// The poll's `from_seq` precedes the oldest retained WAL segment
-    /// (pruned after a checkpoint): the follower must bootstrap from
-    /// the named checkpoint instead — **not** a gap error.
-    ReplicateBootstrap {
-        /// The leader's fencing epoch.
-        fencing_epoch: u64,
-        /// Cover point of the checkpoint to fetch; re-subscribe here.
-        checkpoint_seq: u64,
-        /// Size of the checkpoint image in bytes.
-        total_bytes: u64,
-    },
-    /// One page of the bootstrap checkpoint image.
-    ReplicateCheckpointChunk {
-        /// Cover point of the checkpoint being paged.
-        checkpoint_seq: u64,
-        /// Byte offset of this chunk.
-        offset: u64,
-        /// Total size of the image (chunking ends at it).
-        total_bytes: u64,
-        /// Hex-encoded payload bytes (`2·max_bytes` chars ≤ frame cap).
-        data_hex: String,
-    },
-    /// Typed redirect: this process is a follower; mutations (and
-    /// shutdown) belong at the leader.
-    NotLeader {
-        /// Address of the leader this follower tails (best effort —
-        /// may itself be stale during a hand-off).
-        leader: String,
-    },
-    /// A follower acknowledging [`Request::Promote`]: it is tearing
-    /// down the tail loop and will re-serve as leader.
-    Promoting {
-        /// The fencing epoch the promoted leader will serve at.
-        fencing_epoch: u64,
-    },
-}
-
-impl Response {
+wire! {
+    /// One decoded response.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Response {
+        /// Handshake reply: the server's protocol version and the two
+        /// resume anchors a reconnecting client needs — the snapshot epoch
+        /// and the WAL sequence number (count of admitted mutations durably
+        /// logged; a client replaying an event log resumes right after its
+        /// `wal_seq`-th non-query event).
+        "hello" => Hello {
+            /// The server's [`PROTOCOL_VERSION`].
+            version: u32 => "version",
+            /// Snapshot epoch at handshake time.
+            epoch: u64 => "epoch",
+            /// WAL sequence number at handshake time (0 without a WAL).
+            wal_seq: u64 => "wal_seq",
+            /// The process's replication role.
+            role: Role => "role",
+            /// Fencing epoch the process serves at. A follower tracks the
+            /// max it has seen and rejects replication frames from
+            /// anything older.
+            fencing_epoch: u64 => "fencing_epoch",
+        },
+        /// The mutation was admitted to the writer queue: it will be
+        /// **processed** before the server exits (the drain guarantee).
+        /// Admission is a delivery promise, not a validity one — the
+        /// allocator may still reject the event when it is applied
+        /// (duplicate arrival id, unknown top-up target); such rejections
+        /// count into `stats.rejected`, and a client that needs
+        /// confirmation queries the ad (or watches the epoch) afterwards.
+        /// Exactly the same events are rejected by an in-process replay, so
+        /// the bit-identity anchor is unaffected. `epoch` is the snapshot
+        /// epoch visible at admission, not the one the event will produce.
+        "accepted" => Accepted {
+            /// Snapshot epoch at admission time.
+            epoch: u64 => "epoch",
+            /// Queue depth right after admission.
+            queue_depth: usize => "queue_depth",
+        },
+        /// The write queue is full: the mutation was **shed**, not queued.
+        /// The client may retry; the server never blocks its accept loop on
+        /// a slow writer.
+        "overloaded" => Overloaded {
+            /// Queue depth observed when the mutation was shed.
+            queue_depth: usize => "queue_depth",
+        },
+        /// The server is draining and no longer admits mutations.
+        "shutting_down" => ShuttingDown,
+        /// The request was malformed (decode failure); nothing was admitted.
+        "rejected" => Rejected {
+            /// Human-readable decode failure.
+            why: String => "why",
+        },
+        /// Regret estimate from the latest snapshot.
+        "regret" => Regret {
+            /// Snapshot epoch.
+            epoch: u64 => "epoch",
+            /// Live campaigns.
+            live_ads: usize => "live_ads",
+            /// Engine regret estimate.
+            regret_estimate: f64 => "regret_estimate",
+        },
+        /// One ad's slice of the latest snapshot (`None`: not live).
+        "ad" => Ad {
+            /// Snapshot epoch.
+            epoch: u64 => "epoch",
+            /// The ad's slice, if live.
+            ad: Option<AdSnapshot> => "ad",
+        },
+        /// The observability registry dump: one JSON object (`counters`,
+        /// `gauges`, `histograms`, `build`) embedded verbatim. All
+        /// values are integers and object order is preserved by the codec,
+        /// so the dump round-trips byte-exactly.
+        "metrics" => Metrics {
+            /// The registry dump as rendered by `tirm_obs::dump_json`.
+            json: String => "metrics": Object,
+        },
+        /// The flight-recorder lineage dump: Chrome trace-event JSON
+        /// embedded verbatim (one object, all-integer `args`), exactly the
+        /// `/trace.json` exposition payload.
+        "trace_dump" => TraceDump {
+            /// The dump as rendered by `tirm_obs::flight::dump_chrome_json`.
+            json: String => "trace": Object,
+        },
+        /// Replication stream payload: `frames[i]` is the event-JSON body
+        /// of WAL frame `start_seq + i`. Frames are clamped to the leader's
+        /// durable frontier, so everything here is fsynced on the leader's
+        /// disk. An empty `frames` means "caught up; poll again later".
+        "replicate_frames" => ReplicateFrames {
+            /// The leader's fencing epoch — stale-epoch frames are the
+            /// deposed-leader signature and must be dropped by followers.
+            fencing_epoch: u64 => "fencing_epoch",
+            /// Sequence number of `frames[0]`.
+            start_seq: u64 => "start_seq",
+            /// The leader's durable frontier at response time (lag =
+            /// `durable_seq - (start_seq + frames.len())`).
+            durable_seq: u64 => "durable_seq",
+            /// Flight trace id of `frames[0]`: the follower records its
+            /// `follower_append` / `follower_apply` stages under
+            /// `trace_base + i`, joining the leader's timeline for the same
+            /// mutation. Under positional trace numbering this is
+            /// `start_seq + 1`.
+            trace_base: u64 => "trace_base",
+            /// Raw event-JSON frame bodies, in sequence order.
+            frames: Vec<String> => "frames": Object,
+        },
+        /// The poll's `from_seq` precedes the oldest retained WAL segment
+        /// (pruned after a checkpoint): the follower must bootstrap from
+        /// the named checkpoint instead — **not** a gap error.
+        "replicate_bootstrap" => ReplicateBootstrap {
+            /// The leader's fencing epoch.
+            fencing_epoch: u64 => "fencing_epoch",
+            /// Cover point of the checkpoint to fetch; re-subscribe here.
+            checkpoint_seq: u64 => "checkpoint_seq",
+            /// Size of the checkpoint image in bytes.
+            total_bytes: u64 => "total_bytes",
+        },
+        /// One page of the bootstrap checkpoint image.
+        "replicate_checkpoint_chunk" => ReplicateCheckpointChunk {
+            /// Cover point of the checkpoint being paged.
+            checkpoint_seq: u64 => "checkpoint_seq",
+            /// Byte offset of this chunk.
+            offset: u64 => "offset",
+            /// Total size of the image (chunking ends at it).
+            total_bytes: u64 => "total_bytes",
+            /// Hex-encoded payload bytes (`2·max_bytes` chars ≤ frame cap).
+            data_hex: String => "data_hex": Hex,
+        },
+        /// Typed redirect: this process is a follower; mutations (and
+        /// shutdown) belong at the leader.
+        "not_leader" => NotLeader {
+            /// Address of the leader this follower tails (best effort —
+            /// may itself be stale during a hand-off).
+            leader: String => "leader",
+        },
+        /// A follower acknowledging [`Request::Promote`]: it is tearing
+        /// down the tail loop and will re-serve as leader.
+        "promoting" => Promoting {
+            /// The fencing epoch the promoted leader will serve at.
+            fencing_epoch: u64 => "fencing_epoch",
+        },
+    }
+    irregular {
+        /// The full standing allocation from the latest snapshot.
+        Allocation(AllocationSnapshot),
+        /// Serving statistics.
+        Stats(StatsView),
+    }
     /// Encodes the response as a JSON object (frame body).
-    pub fn encode(&self) -> String {
-        match self {
-            Response::Hello {
-                version,
-                epoch,
-                wal_seq,
-                role,
-                fencing_epoch,
-            } => format!(
-                "{{\"type\":\"hello\",\"version\":{version},\"epoch\":{epoch},\
-                 \"wal_seq\":{wal_seq},\"role\":\"{}\",\"fencing_epoch\":{fencing_epoch}}}",
-                role.name()
-            ),
-            Response::Accepted { epoch, queue_depth } => {
-                format!("{{\"type\":\"accepted\",\"epoch\":{epoch},\"queue_depth\":{queue_depth}}}")
-            }
-            Response::Overloaded { queue_depth } => {
-                format!("{{\"type\":\"overloaded\",\"queue_depth\":{queue_depth}}}")
-            }
-            Response::ShuttingDown => "{\"type\":\"shutting_down\"}".to_string(),
-            Response::Rejected { why } => format!(
-                "{{\"type\":\"rejected\",\"why\":{}}}",
-                serde_json::to_string(why).expect("string serialization is infallible")
-            ),
-            Response::Regret {
-                epoch,
-                live_ads,
-                regret_estimate,
-            } => format!(
-                "{{\"type\":\"regret\",\"epoch\":{epoch},\"live_ads\":{live_ads},\
-                 \"regret_estimate\":{regret_estimate}}}"
-            ),
-            Response::Allocation(snap) => {
-                format!(
-                    "{{\"type\":\"allocation\",\"snapshot\":{}}}",
-                    snap.to_json()
-                )
-            }
-            Response::Ad { epoch, ad } => {
-                let ad_json = match ad {
-                    None => "null".to_string(),
-                    Some(a) => a.to_json(),
-                };
-                format!("{{\"type\":\"ad\",\"epoch\":{epoch},\"ad\":{ad_json}}}")
-            }
-            Response::Stats(s) => format!(
-                "{{\"type\":\"stats\",\"epoch\":{},\"wal_seq\":{},\"live_ads\":{},\
-                 \"total_seeds\":{},\"total_rr_sets\":{},\"engine_memory_bytes\":{},\
-                 \"queue_depth\":{},\"max_queue_depth\":{},\"accepted\":{},\"shed\":{},\
-                 \"rejected\":{},\"bad_requests\":{},\"connections\":{},\"role\":\"{}\",\
-                 \"fencing_epoch\":{},\"leader_seq\":{},\"shed_total\":{},\
-                 \"rejected_total\":{}}}",
-                s.epoch,
-                s.wal_seq,
-                s.live_ads,
-                s.total_seeds,
-                s.total_rr_sets,
-                s.engine_memory_bytes,
-                s.queue_depth,
-                s.max_queue_depth,
-                s.accepted,
-                s.shed,
-                s.rejected,
-                s.bad_requests,
-                s.connections,
-                s.role.name(),
-                s.fencing_epoch,
-                s.leader_seq,
-                s.shed_total,
-                s.rejected_total
-            ),
-            Response::Metrics { json } => {
-                // The dump is already a JSON object: embed verbatim.
-                format!("{{\"type\":\"metrics\",\"metrics\":{json}}}")
-            }
-            Response::TraceDump { json } => {
-                // The dump is already a JSON object: embed verbatim.
-                format!("{{\"type\":\"trace_dump\",\"trace\":{json}}}")
-            }
-            Response::ReplicateFrames {
-                fencing_epoch,
-                start_seq,
-                durable_seq,
-                trace_base,
-                frames,
-            } => {
-                // Frame bodies are event-JSON objects: embed verbatim.
-                let mut out = format!(
-                    "{{\"type\":\"replicate_frames\",\"fencing_epoch\":{fencing_epoch},\
-                     \"start_seq\":{start_seq},\"durable_seq\":{durable_seq},\
-                     \"trace_base\":{trace_base},\"frames\":["
-                );
-                for (i, frame) in frames.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(frame);
-                }
-                out.push_str("]}");
-                out
-            }
-            Response::ReplicateBootstrap {
-                fencing_epoch,
-                checkpoint_seq,
-                total_bytes,
-            } => format!(
-                "{{\"type\":\"replicate_bootstrap\",\"fencing_epoch\":{fencing_epoch},\
-                 \"checkpoint_seq\":{checkpoint_seq},\"total_bytes\":{total_bytes}}}"
-            ),
-            Response::ReplicateCheckpointChunk {
-                checkpoint_seq,
-                offset,
-                total_bytes,
-                data_hex,
-            } => format!(
-                "{{\"type\":\"replicate_checkpoint_chunk\",\"checkpoint_seq\":{checkpoint_seq},\
-                 \"offset\":{offset},\"total_bytes\":{total_bytes},\"data_hex\":\"{data_hex}\"}}"
-            ),
-            Response::NotLeader { leader } => format!(
-                "{{\"type\":\"not_leader\",\"leader\":{}}}",
-                serde_json::to_string(leader).expect("string serialization is infallible")
-            ),
-            Response::Promoting { fencing_epoch } => {
-                format!("{{\"type\":\"promoting\",\"fencing_epoch\":{fencing_epoch}}}")
-            }
+    encode(out) {
+        // A tuple variant under the key `snapshot`: one `to_json()` and
+        // one copy of it into the body.
+        Response::Allocation(snapshot) => {
+            out.push_str("{\"type\":\"allocation\",\"snapshot\":");
+            out.push_str(&snapshot.to_json());
+            out.push('}');
+        }
+        // A tuple variant whose fields sit flattened next to `type`.
+        Response::Stats(stats) => {
+            out.push_str("{\"type\":\"stats\"");
+            stats.put_fields(&mut out);
+            out.push('}');
         }
     }
-
     /// Decodes a frame body.
-    pub fn decode(bytes: &[u8]) -> Result<Response, String> {
-        let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-        let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let ty = v
-            .get("type")
-            .and_then(|x| x.as_str())
-            .ok_or_else(|| "missing `type`".to_string())?;
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| format!("missing `{key}`"))
-        };
-        let f = |key: &str| {
-            v.get(key)
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| format!("missing `{key}`"))
-        };
-        match ty {
-            "hello" => Ok(Response::Hello {
-                version: u("version")?
-                    .try_into()
-                    .map_err(|_| "version out of range".to_string())?,
-                epoch: u("epoch")?,
-                wal_seq: u("wal_seq")?,
-                role: role(&v)?,
-                fencing_epoch: u("fencing_epoch")?,
-            }),
-            "accepted" => Ok(Response::Accepted {
-                epoch: u("epoch")?,
-                queue_depth: u("queue_depth")? as usize,
-            }),
-            "overloaded" => Ok(Response::Overloaded {
-                queue_depth: u("queue_depth")? as usize,
-            }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "rejected" => Ok(Response::Rejected {
-                why: v
-                    .get("why")
-                    .and_then(|x| x.as_str())
-                    .ok_or_else(|| "missing `why`".to_string())?
-                    .to_string(),
-            }),
-            "regret" => Ok(Response::Regret {
-                epoch: u("epoch")?,
-                live_ads: u("live_ads")? as usize,
-                regret_estimate: f("regret_estimate")?,
-            }),
-            "allocation" => {
-                let snap = v
-                    .get("snapshot")
-                    .ok_or_else(|| "missing `snapshot`".to_string())?;
-                Ok(Response::Allocation(snapshot_from_value(snap)?))
-            }
-            "ad" => {
-                let ad = match v.get("ad") {
-                    None => return Err("missing `ad`".to_string()),
-                    Some(a) if a.is_null() => None,
-                    Some(a) => Some(ad_from_value(a)?),
-                };
-                Ok(Response::Ad {
-                    epoch: u("epoch")?,
-                    ad,
-                })
-            }
-            "metrics" => {
-                let dump = v
-                    .get("metrics")
-                    .ok_or_else(|| "missing `metrics`".to_string())?;
-                if dump.as_object().is_none() {
-                    return Err("`metrics` is not an object".to_string());
-                }
-                Ok(Response::Metrics {
-                    json: serde_json::to_string(dump).map_err(|e| e.to_string())?,
-                })
-            }
-            "trace_dump" => {
-                let dump = v
-                    .get("trace")
-                    .ok_or_else(|| "missing `trace`".to_string())?;
-                if dump.as_object().is_none() {
-                    return Err("`trace` is not an object".to_string());
-                }
-                Ok(Response::TraceDump {
-                    json: serde_json::to_string(dump).map_err(|e| e.to_string())?,
-                })
-            }
-            "stats" => Ok(Response::Stats(StatsView {
-                epoch: u("epoch")?,
-                wal_seq: u("wal_seq")?,
-                live_ads: u("live_ads")? as usize,
-                total_seeds: u("total_seeds")? as usize,
-                total_rr_sets: u("total_rr_sets")? as usize,
-                engine_memory_bytes: u("engine_memory_bytes")? as usize,
-                queue_depth: u("queue_depth")? as usize,
-                max_queue_depth: u("max_queue_depth")? as usize,
-                accepted: u("accepted")?,
-                shed: u("shed")?,
-                rejected: u("rejected")?,
-                bad_requests: u("bad_requests")?,
-                connections: u("connections")? as usize,
-                role: role(&v)?,
-                fencing_epoch: u("fencing_epoch")?,
-                leader_seq: u("leader_seq")?,
-                shed_total: u("shed_total")?,
-                rejected_total: u("rejected_total")?,
-            })),
-            "replicate_frames" => {
-                let frames = v
-                    .get("frames")
-                    .and_then(|x| x.as_array())
-                    .ok_or_else(|| "missing `frames`".to_string())?
-                    .iter()
-                    .map(|frame| {
-                        if frame.as_object().is_some() {
-                            serde_json::to_string(frame).map_err(|e| e.to_string())
-                        } else {
-                            Err("frame body is not an object".to_string())
-                        }
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::ReplicateFrames {
-                    fencing_epoch: u("fencing_epoch")?,
-                    start_seq: u("start_seq")?,
-                    durable_seq: u("durable_seq")?,
-                    trace_base: u("trace_base")?,
-                    frames,
-                })
-            }
-            "replicate_bootstrap" => Ok(Response::ReplicateBootstrap {
-                fencing_epoch: u("fencing_epoch")?,
-                checkpoint_seq: u("checkpoint_seq")?,
-                total_bytes: u("total_bytes")?,
-            }),
-            "replicate_checkpoint_chunk" => Ok(Response::ReplicateCheckpointChunk {
-                checkpoint_seq: u("checkpoint_seq")?,
-                offset: u("offset")?,
-                total_bytes: u("total_bytes")?,
-                data_hex: v
-                    .get("data_hex")
-                    .and_then(|x| x.as_str())
-                    .ok_or_else(|| "missing `data_hex`".to_string())?
-                    .to_string(),
-            }),
-            "not_leader" => Ok(Response::NotLeader {
-                leader: v
-                    .get("leader")
-                    .and_then(|x| x.as_str())
-                    .ok_or_else(|| "missing `leader`".to_string())?
-                    .to_string(),
-            }),
-            "promoting" => Ok(Response::Promoting {
-                fencing_epoch: u("fencing_epoch")?,
-            }),
-            other => Err(format!("unknown response type {other:?}")),
-        }
+    decode(tag, v) {
+        "allocation" => snapshot_from_value(field(v, "snapshot", Some)?).map(Response::Allocation),
+        "stats" => Ok(Response::Stats(StatsView::get_fields(v)?)),
+        other => Err(format!("unknown response type {other:?}")),
     }
-}
-
-/// Decodes the `role` field; an unknown role is an error.
-fn role(v: &Value) -> Result<Role, String> {
-    let name = v
-        .get("role")
-        .and_then(|r| r.as_str())
-        .ok_or_else(|| "missing `role`".to_string())?;
-    Role::parse(name).ok_or_else(|| format!("unknown role {name:?}"))
 }
 
 /// Client-side connection policy, mirrored against the server's
@@ -885,28 +807,16 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 
 /// Decodes one ad object of an allocation payload.
 fn ad_from_value(v: &Value) -> Result<AdSnapshot, String> {
-    let seeds = v
-        .get("seeds")
-        .and_then(|x| x.as_array())
-        .ok_or_else(|| "missing `seeds`".to_string())?
-        .iter()
-        .map(|s| s.as_u64().map(|x| x as u32))
-        .collect::<Option<Vec<_>>>()
-        .ok_or_else(|| "non-integer seed".to_string())?;
-    let f = |key: &str| {
-        v.get(key)
-            .and_then(|x| x.as_f64())
-            .ok_or_else(|| format!("missing `{key}`"))
-    };
     Ok(AdSnapshot {
-        id: v
-            .get("id")
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| "missing `id`".to_string())?,
-        budget: f("budget")?,
-        cpe: f("cpe")?,
-        seeds,
-        revenue_est: f("revenue_est")?,
+        id: Field::get(v, "id")?,
+        budget: Field::get(v, "budget")?,
+        cpe: Field::get(v, "cpe")?,
+        seeds: field(v, "seeds", Value::as_array)?
+            .iter()
+            .map(int)
+            .collect::<Option<_>>()
+            .ok_or_else(|| "seed out of range".to_string())?,
+        revenue_est: Field::get(v, "revenue_est")?,
     })
 }
 
@@ -914,31 +824,17 @@ fn ad_from_value(v: &Value) -> Result<AdSnapshot, String> {
 /// are not on the wire ([`AllocationSnapshot::same_allocation`] ignores
 /// them), so `stats` decodes to zeros.
 pub fn snapshot_from_value(v: &Value) -> Result<AllocationSnapshot, String> {
-    let u = |key: &str| {
-        v.get(key)
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| format!("missing `{key}`"))
-    };
-    let f = |key: &str| {
-        v.get(key)
-            .and_then(|x| x.as_f64())
-            .ok_or_else(|| format!("missing `{key}`"))
-    };
-    let ads = v
-        .get("ads")
-        .and_then(|x| x.as_array())
-        .ok_or_else(|| "missing `ads`".to_string())?
-        .iter()
-        .map(ad_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
     Ok(AllocationSnapshot {
-        epoch: u("epoch")?,
-        kappa: u("kappa")? as u32,
-        lambda: f("lambda")?,
-        ads,
-        regret_estimate: f("regret_estimate")?,
-        total_rr_sets: u("total_rr_sets")? as usize,
-        engine_memory_bytes: u("engine_memory_bytes")? as usize,
+        epoch: Field::get(v, "epoch")?,
+        kappa: Field::get(v, "kappa")?,
+        lambda: Field::get(v, "lambda")?,
+        ads: field(v, "ads", Value::as_array)?
+            .iter()
+            .map(ad_from_value)
+            .collect::<Result<_, _>>()?,
+        regret_estimate: Field::get(v, "regret_estimate")?,
+        total_rr_sets: Field::get(v, "total_rr_sets")?,
+        engine_memory_bytes: Field::get(v, "engine_memory_bytes")?,
         stats: Default::default(),
     })
 }
@@ -1293,6 +1189,44 @@ mod tests {
             }
             other => panic!("wrong response: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_seed_past_u32_is_rejected_not_wrapped() {
+        // 4294967301 = 2^32 + 5: narrowing with `as` read it as seed 5.
+        let ad = |seeds: &str| {
+            format!(
+                "{{\"type\":\"ad\",\"epoch\":1,\"ad\":{{\"id\":1,\"budget\":1,\"cpe\":1,\
+                 \"revenue_est\":0,\"seeds\":[{seeds}]}}}}"
+            )
+        };
+        assert!(Response::decode(ad("4294967295").as_bytes()).is_ok());
+        assert_eq!(
+            Response::decode(ad("7,4294967301").as_bytes()).unwrap_err(),
+            "seed out of range"
+        );
+    }
+
+    #[test]
+    fn a_kappa_past_u32_is_rejected_not_wrapped() {
+        let snap = AllocationSnapshot {
+            epoch: 1,
+            kappa: u32::MAX,
+            lambda: 0.0,
+            ads: vec![],
+            regret_estimate: 0.0,
+            total_rr_sets: 0,
+            engine_memory_bytes: 0,
+            stats: Default::default(),
+        };
+        let text = Response::Allocation(snap).encode();
+        assert!(Response::decode(text.as_bytes()).is_ok());
+        let wrapped = text.replace("\"kappa\":4294967295", "\"kappa\":4294967301");
+        assert_ne!(wrapped, text, "the fixture must change kappa");
+        assert_eq!(
+            Response::decode(wrapped.as_bytes()).unwrap_err(),
+            "missing `kappa`"
+        );
     }
 
     #[test]

@@ -347,6 +347,15 @@ impl std::fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
+/// Most topics an arrival may name, in either form. The compact
+/// `k`/`topic`/`mass` form stands for a `k`-entry weight vector the
+/// decoder allocates, so an unbounded `k` lets one hundred-byte line ask
+/// for petabytes; the explicit `weights` form has the same bound because
+/// [`event_json_fields`] writes a single or concentrated vector back in
+/// the compact form, and what decodes must decode again once re-encoded
+/// (the server's log holds the re-encoding).
+const MAX_TOPICS: usize = 1 << 16;
+
 /// Decodes one event object — the `type` + payload fields produced by
 /// [`event_json_fields`]; any surrounding fields (like a log line's
 /// `at`) are ignored. Shared by the JSONL log reader and the
@@ -374,6 +383,9 @@ pub fn event_from_value(v: &serde_json::Value) -> Result<OnlineEvent, String> {
                 let ws = ws
                     .as_array()
                     .ok_or_else(|| "`weights` must be an array".to_string())?;
+                if ws.len() > MAX_TOPICS {
+                    return Err("inconsistent topic distribution".to_string());
+                }
                 let weights: Vec<f32> = ws
                     .iter()
                     .map(|w| w.as_f64().map(|x| x as f32))
@@ -390,21 +402,33 @@ pub fn event_from_value(v: &serde_json::Value) -> Result<OnlineEvent, String> {
                         .and_then(|x| x.as_u64())
                         .ok_or_else(|| "missing `topic`".to_string())? as usize;
                 let mass = f64_of("mass")? as f32;
-                if k == 0 || topic >= k || !(0.0..=1.0).contains(&mass) {
+                if !(1..=MAX_TOPICS).contains(&k) || topic >= k || !(0.0..=1.0).contains(&mass) {
                     return Err("inconsistent topic distribution".to_string());
                 }
-                if k == 1 || mass >= 1.0 {
+                let dist = if k == 1 || mass >= 1.0 {
                     TopicDist::single(k, topic)
                 } else {
                     TopicDist::concentrated(k, topic, mass)
-                }
+                };
+                // Held to what the `weights` form is held to, because the
+                // writer falls back to that form when `topic` is not the
+                // heaviest: summed in `f32`, a few thousand equal shares
+                // of the remainder miss 1 by more than the tolerance.
+                TopicDist::new(dist.weights().to_vec())
+                    .map_err(|_| "inconsistent topic distribution".to_string())?
             };
+            // Narrowing can overflow to infinity, which has no JSON form
+            // to be written back in.
+            let ctp = f64_of("ctp")? as f32;
+            if !ctp.is_finite() {
+                return Err("`ctp` out of range".to_string());
+            }
             OnlineEvent::AdArrival {
                 id: id()?,
                 budget: f64_of("budget")?,
                 cpe: f64_of("cpe")?,
                 topics,
-                ctp: f64_of("ctp")? as f32,
+                ctp,
             }
         }
         "topup" => OnlineEvent::BudgetTopUp {
@@ -647,7 +671,51 @@ mod tests {
             log_from_jsonl("{\"at\":1.0,\"type\":\"martian\"}"),
             Err(LogError::Malformed { .. })
         ));
+        // A `k` no topic model has: an error, not a petabyte allocation.
+        assert!(matches!(
+            log_from_jsonl(
+                "{\"at\":1.0,\"type\":\"arrival\",\"id\":1,\"budget\":1,\"cpe\":1,\
+                 \"k\":8000000000000000,\"topic\":0,\"mass\":1,\"ctp\":1}"
+            ),
+            Err(LogError::Malformed { .. })
+        ));
         assert!(log_from_jsonl("\n\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn what_decodes_decodes_again_once_written_back() {
+        let arrival = |budget: &str, topics: &str, ctp: &str| {
+            format!(
+                "{{\"at\":0,\"type\":\"arrival\",\"id\":1,\"budget\":{budget},\"cpe\":1,\
+                 {topics},\"ctp\":{ctp}}}"
+            )
+        };
+        let malformed =
+            |line: String| matches!(log_from_jsonl(&line), Err(LogError::Malformed { .. }));
+        // The writer turns a point-mass `weights` vector into the compact
+        // form, so both forms share one bound: at it the line survives
+        // the rewrite, one past it neither form gets in.
+        let point_mass = |k: usize| format!("\"weights\":[1{}]", ",0".repeat(k - 1));
+        let log = log_from_jsonl(&arrival("1", &point_mass(MAX_TOPICS), "1")).unwrap();
+        let text = log_to_jsonl(&log);
+        assert!(text.contains(&format!("\"k\":{MAX_TOPICS},")), "{text}");
+        assert_eq!(log_from_jsonl(&text).unwrap(), log);
+        let compact = format!("\"k\":{},\"topic\":0,\"mass\":1", MAX_TOPICS + 1);
+        assert!(malformed(arrival("1", &point_mass(MAX_TOPICS + 1), "1")));
+        assert!(malformed(arrival("1", &compact, "1")));
+        // A compact form the writer would answer with a `weights` vector
+        // that does not sum to 1 in `f32` (topic 0 is not the heaviest).
+        assert!(malformed(arrival(
+            "1",
+            "\"k\":30000,\"topic\":0,\"mass\":0",
+            "1"
+        )));
+        // Numbers the writer would print as `inf`: past `f64` on the
+        // line, past `f32` once narrowed.
+        let one_topic = "\"k\":1,\"topic\":0,\"mass\":1";
+        assert!(malformed(arrival("1e999", one_topic, "1")));
+        assert!(malformed(arrival("1", one_topic, "1e300")));
+        assert!(!malformed(arrival("1e300", one_topic, "1")));
     }
 
     #[test]
