@@ -77,6 +77,13 @@ pub static CHECKPOINT_WALL_NS: Histogram = Histogram::new();
 
 /// Durable frames shipped to followers via `replicate_poll`.
 pub static REPL_FRAMES_SHIPPED: Counter = Counter::new();
+/// `replicate_poll` requests a durable leader took up (answered with
+/// frames, an empty page or a bootstrap pivot); counted before any
+/// hold, so the idle poll rate reads off it.
+pub static REPL_POLLS: Counter = Counter::new();
+/// How long the leader held each caught-up `replicate_poll` before its
+/// durable frontier advanced, it stopped, or the poll's wait ran out.
+pub static REPL_POLL_PARKED_NS: Histogram = Histogram::new();
 /// Replication requests rejected by fencing-epoch checks.
 pub static REPL_FENCED_REJECTS: Counter = Counter::new();
 /// Follower bootstrap attempts that failed and were retried.
@@ -174,6 +181,11 @@ pub static COUNTERS: &[(&str, &str, &Counter)] = &[
         "tirm_repl_frames_shipped_total",
         "Durable WAL frames shipped to followers",
         &REPL_FRAMES_SHIPPED,
+    ),
+    (
+        "tirm_repl_polls_total",
+        "replicate_poll requests taken up by this leader",
+        &REPL_POLLS,
     ),
     (
         "tirm_repl_fenced_rejects_total",
@@ -284,6 +296,12 @@ pub static HISTOGRAMS: &[(&str, Option<(&str, &str)>, &str, &Histogram)] = &[
         None,
         "Checkpoint write wall time (ns)",
         &CHECKPOINT_WALL_NS,
+    ),
+    (
+        "tirm_repl_poll_parked_ns",
+        None,
+        "Time a caught-up replicate_poll was held at the leader (ns)",
+        &REPL_POLL_PARKED_NS,
     ),
 ];
 

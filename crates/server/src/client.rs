@@ -241,15 +241,22 @@ impl Client {
     }
 
     /// One replication poll: asks the server for WAL frames starting
-    /// at `from_seq`. The response is returned raw because three
+    /// at `from_seq`, blocking up to `wait_ms` at the server while
+    /// there are none. The response is returned raw because three
     /// outcomes are all legitimate protocol — `ReplicateFrames` (a
-    /// page, possibly empty when caught up), `ReplicateBootstrap` (the
-    /// anchor was pruned; download the checkpoint first), `NotLeader`
-    /// (re-target the stream).
-    pub fn replicate_poll(&mut self, from_seq: u64, max_frames: u64) -> io::Result<Response> {
+    /// page, empty when the wait ran out caught up),
+    /// `ReplicateBootstrap` (the anchor was pruned; download the
+    /// checkpoint first), `NotLeader` (re-target the stream).
+    pub fn replicate_poll(
+        &mut self,
+        from_seq: u64,
+        max_frames: u64,
+        wait_ms: u64,
+    ) -> io::Result<Response> {
         self.request(&Request::ReplicatePoll {
             from_seq,
             max_frames,
+            wait_ms,
         })
     }
 

@@ -5,8 +5,9 @@
 //! ```text
 //! open:    recover (checkpoint + log tail) → Wal::open at the frontier
 //!          → announce epoch and frontiers
-//! commit:  append × n → fsync (once) → advance the frontier
-//!          → apply → publish per applied event → checkpoint + prune
+//! commit:  append × n → fsync (once) → advance the frontier and wake
+//!          the parked replication polls → apply → publish per applied
+//!          event → checkpoint + prune
 //! finish:  wind-down checkpoint
 //! ```
 //!
@@ -177,6 +178,10 @@ impl<'g> DurableState<'g> {
             None => self.shared.wal_seq.load(Ordering::Acquire) + n,
         };
         self.shared.wal_seq.store(frontier, Ordering::Release);
+        // Release the parked replication polls now, before the apply:
+        // the batch is fsynced, which is all shipping a frame requires,
+        // so a follower's append + fsync + apply overlaps ours.
+        self.shared.notify_frontier();
         let apply_stage = match role {
             Role::Leader => {
                 self.shared.leader_seq.store(frontier, Ordering::Release);

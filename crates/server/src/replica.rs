@@ -7,7 +7,10 @@
 //! A follower is [`crate::wal::recover`] run forever: it bootstraps
 //! from its local state dir (checkpoint + WAL tail, exactly like a
 //! leader restart), then polls the leader with `replicate_poll` from
-//! its own durable frontier. Each page of frames goes through the same
+//! its own durable frontier. A caught-up poll is held at the leader
+//! until a new frame is durable there (or `poll_interval` runs out), so
+//! the loop never sleeps between polls: a frame arrives when it exists,
+//! not at the next timer tick. Each page of frames goes through the same
 //! durable commit the leader's writer uses — appended to the *local*
 //! WAL, fsynced once, applied, and published through the same
 //! [`crate::SnapshotSwap`] the connection handlers read — so a
@@ -80,8 +83,13 @@ pub struct FollowerConfig {
     pub max_connections: usize,
     /// Handler read-poll interval (shutdown latency on idle sockets).
     pub read_poll: Duration,
-    /// Delay between replication polls while caught up (also the apply
-    /// loop's shutdown-check granularity).
+    /// How long the leader may hold a caught-up replication poll before
+    /// answering it empty (sent as the poll's `wait_ms`, rounded up to
+    /// a whole millisecond; a frame that becomes durable ends the hold
+    /// at once). So it bounds how long the apply loop goes without
+    /// checking for shutdown or promotion, and is the idle poll period;
+    /// it is not a floor on replication lag. Also the pause before
+    /// retrying an endpoint that failed.
     pub poll_interval: Duration,
     /// Frames requested per poll (the leader clamps its own cap on
     /// top).
@@ -162,6 +170,9 @@ pub fn serve_follower<R>(
 ) -> io::Result<(R, FollowerReport)> {
     assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval >= 1");
     assert!(cfg.segment_events >= 1, "segment_events >= 1");
+    // Nothing paces the apply loop but the leader's answers: a poll
+    // that asks for no frames is answered at once, forever.
+    assert!(cfg.max_frames_per_poll >= 1, "max_frames_per_poll >= 1");
     // A follower is a durable single-writer server fed from the
     // leader's log instead of an admission queue. Local start-up
     // recovery is the leader's: a follower restart resumes from its own
@@ -233,6 +244,11 @@ fn apply_loop(
     let mut endpoints: Vec<String> = std::iter::once(cfg.leader_addr.clone())
         .chain(cfg.peer_addrs.iter().cloned())
         .collect();
+    // Whole milliseconds, rounded up: a sub-millisecond interval must
+    // not become `wait_ms = 0`, which the leader answers at once.
+    let wait_ms = u64::try_from(cfg.poll_interval.as_nanos().div_ceil(1_000_000))
+        .unwrap_or(u64::MAX)
+        .max(1);
 
     'reconnect: while !stopping(&shared) {
         let target = endpoints[0].clone();
@@ -263,7 +279,7 @@ fn apply_loop(
             if stopping(&shared) {
                 break 'reconnect;
             }
-            match client.replicate_poll(state.seq(), cfg.max_frames_per_poll) {
+            match client.replicate_poll(state.seq(), cfg.max_frames_per_poll, wait_ms) {
                 Ok(Response::ReplicateFrames {
                     fencing_epoch,
                     durable_seq,
@@ -289,7 +305,8 @@ fn apply_loop(
                     tirm_obs::registry::REPL_FOLLOWER_LAG
                         .set(durable_seq.saturating_sub(state.seq()));
                     if frames.is_empty() {
-                        sleep_checked(&shared, cfg.poll_interval);
+                        // The leader held the poll for `wait_ms` and
+                        // nothing became durable: ask again.
                         continue;
                     }
                     let events: Vec<OnlineEvent> = match frames

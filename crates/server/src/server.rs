@@ -26,6 +26,7 @@
 //! [`serve`] stops in a fixed order that makes the drain guarantee
 //! structural: (1) the stop flag flips and the acceptor is woken — no
 //! new connections; (2) handler threads finish their in-flight request
+//! (the stop wakes a `replicate_poll` parked on the durable frontier)
 //! and exit, dropping their queue senders; (3) with all senders gone
 //! the writer drains every admitted mutation from the channel,
 //! processes it, publishes, and only then returns the final snapshot.
@@ -48,7 +49,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tirm_graph::DiGraph;
 use tirm_obs::flight::{self, Stage};
 use tirm_online::{AllocationSnapshot, OnlineConfig, OnlineEvent, OnlineStats};
@@ -301,6 +302,13 @@ pub(crate) struct Shared {
     /// [`ServerHandle::wait_shutdown`] blocks on it.
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
+    /// Raised whenever `wal_seq` advances or the run starts to stop:
+    /// what a caught-up `replicate_poll` parks on
+    /// ([`await_frontier_past`](Self::await_frontier_past)). The mutex
+    /// guards no data — `wal_seq` and `stop` are atomics — it only
+    /// orders a waiter's re-check against the notifier.
+    frontier_lock: Mutex<()>,
+    frontier_cv: Condvar,
 }
 
 impl Shared {
@@ -322,6 +330,8 @@ impl Shared {
             promote_requested: AtomicBool::new(false),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
+            frontier_lock: Mutex::new(()),
+            frontier_cv: Condvar::new(),
         })
     }
 
@@ -332,6 +342,30 @@ impl Shared {
             .expect("shutdown flag poisoned");
         *requested = true;
         self.shutdown_cv.notify_all();
+    }
+
+    /// Wakes every parked `replicate_poll`. Call *after* storing the
+    /// new `wal_seq` (or `stop`): taking the lock orders the store
+    /// before any waiter's next re-check, so a wake-up is never lost.
+    pub(crate) fn notify_frontier(&self) {
+        let _ordered = self.frontier_lock.lock().expect("frontier lock poisoned");
+        self.frontier_cv.notify_all();
+    }
+
+    /// Parks until the durable frontier passes `seq`, the run stops, or
+    /// `wait` elapses — whichever is first — and returns the frontier
+    /// then. Returns at once when the frontier is already past `seq`.
+    fn await_frontier_past(&self, seq: u64, wait: Duration) -> u64 {
+        let guard = self.frontier_lock.lock().expect("frontier lock poisoned");
+        // The condition is re-read under the lock: a store made before
+        // we took it is seen here, one made after notifies us.
+        let _released = self
+            .frontier_cv
+            .wait_timeout_while(guard, wait, |_| {
+                self.wal_seq.load(Ordering::Acquire) <= seq && !self.stop.load(Ordering::Acquire)
+            })
+            .expect("frontier lock poisoned");
+        self.wal_seq.load(Ordering::Acquire)
     }
 }
 
@@ -546,6 +580,8 @@ struct StopGuard<'a> {
 impl Drop for StopGuard<'_> {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
+        // No handler outlives the stop by a hold: wake the parked polls.
+        self.shared.notify_frontier();
         self.shared.request_shutdown();
         // Wake the blocked accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -846,7 +882,8 @@ pub(crate) fn handle_connection(
             Ok(Request::ReplicatePoll {
                 from_seq,
                 max_frames,
-            }) => replicate_poll(ctx, shared, from_seq, max_frames),
+                wait_ms,
+            }) => replicate_poll(ctx, shared, from_seq, max_frames, wait_ms),
             Ok(Request::ReplicateCheckpoint { offset, max_bytes }) => {
                 replicate_checkpoint_chunk(ctx, offset, max_bytes)
             }
@@ -936,6 +973,10 @@ const MAX_REPLICATION_FRAMES: u64 = 4096;
 /// Cumulative event-body bytes per poll page (well under the wire
 /// frame cap; a follower just polls again from its new anchor).
 const MAX_REPLICATION_BYTES: usize = 4 << 20;
+/// Longest a caught-up poll is held, whatever `wait_ms` the peer asks
+/// for: bounds how long a handler thread sits on a peer that went away
+/// without closing its socket.
+const MAX_REPLICATION_WAIT: Duration = Duration::from_secs(5);
 /// Checkpoint bytes per bootstrap chunk (hex doubles it on the wire).
 const MAX_CHECKPOINT_CHUNK: u64 = 1 << 20;
 
@@ -952,8 +993,18 @@ fn not_leader(ctx: &ReplicaCtx) -> Response {
 
 /// Answers one `replicate_poll`: a page of WAL frames starting at the
 /// follower's anchor, clamped to the durable frontier — or the typed
-/// bootstrap pivot when the anchor falls inside a pruned segment.
-fn replicate_poll(ctx: &ReplicaCtx, shared: &Shared, from_seq: u64, max_frames: u64) -> Response {
+/// bootstrap pivot when the anchor falls inside a pruned segment. A
+/// caught-up poll is held first, until the frontier passes the anchor,
+/// the server stops or `wait_ms` (clamped to [`MAX_REPLICATION_WAIT`])
+/// runs out, so a new frame reaches the follower when it is durable
+/// instead of at the follower's next timer tick.
+fn replicate_poll(
+    ctx: &ReplicaCtx,
+    shared: &Shared,
+    from_seq: u64,
+    max_frames: u64,
+    wait_ms: u64,
+) -> Response {
     if ctx.role == Role::Follower {
         return not_leader(ctx);
     }
@@ -962,11 +1013,18 @@ fn replicate_poll(ctx: &ReplicaCtx, shared: &Shared, from_seq: u64, max_frames: 
             why: "replication requires durability (this server has no state dir)".to_string(),
         };
     };
-    let fencing_epoch = shared.fencing_epoch.load(Ordering::Acquire);
+    tirm_obs::registry::REPL_POLLS.inc();
     // Only frames at or below the durable frontier are streamed: they
     // are fsynced (the WAL-before-apply invariant), so a disk read
     // here can never observe a torn or unsynced tail.
-    let frontier = shared.wal_seq.load(Ordering::Acquire);
+    let mut frontier = shared.wal_seq.load(Ordering::Acquire);
+    if from_seq >= frontier && wait_ms > 0 {
+        let parked = Instant::now();
+        let wait = Duration::from_millis(wait_ms).min(MAX_REPLICATION_WAIT);
+        frontier = shared.await_frontier_past(from_seq, wait);
+        tirm_obs::registry::REPL_POLL_PARKED_NS.record_duration(parked.elapsed());
+    }
+    let fencing_epoch = shared.fencing_epoch.load(Ordering::Acquire);
     let max = max_frames.min(MAX_REPLICATION_FRAMES) as usize;
     match wal::read_frames(dir, from_seq, max, frontier) {
         Ok(ReplicaBatch::Frames { mut bodies }) => {

@@ -401,10 +401,12 @@ pub fn read_frames(
     max_frames: usize,
     frontier: u64,
 ) -> io::Result<ReplicaBatch> {
-    let segments = list_segments(dir)?;
+    // A caught-up read — every idle replication poll — has nothing to
+    // look up: answer it before listing the directory.
     if from_seq >= frontier || max_frames == 0 {
         return Ok(ReplicaBatch::Frames { bodies: Vec::new() });
     }
+    let segments = list_segments(dir)?;
     // The segment holding `from_seq`: greatest start at or below it.
     let Some(first) = segments.iter().rposition(|&(start, _)| start <= from_seq) else {
         // Every retained segment starts past the anchor (or there are
@@ -1158,6 +1160,27 @@ mod tests {
             panic!("expected frames");
         };
         assert!(bodies.is_empty());
+    }
+
+    #[test]
+    fn a_caught_up_read_does_not_touch_the_directory() {
+        // `dir` names a regular file: listing it fails (`NotADirectory`),
+        // so the empty page proves the read never got that far.
+        let dir = fresh_dir("repl_caught_up");
+        fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("not-a-dir");
+        fs::write(&file, b"").unwrap();
+        assert!(
+            list_segments(&file).is_err(),
+            "the probe must be able to fail"
+        );
+        for (from_seq, max_frames, frontier) in [(7, 100, 7), (9, 100, 7), (0, 0, 7)] {
+            let batch = read_frames(&file, from_seq, max_frames, frontier).unwrap();
+            assert_eq!(batch, ReplicaBatch::Frames { bodies: Vec::new() });
+        }
+        // Below the frontier there is something to look up.
+        assert!(read_frames(&file, 6, 100, 7).is_err());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

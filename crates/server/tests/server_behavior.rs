@@ -314,3 +314,61 @@ fn ad_queries_serve_from_snapshot() {
     })
     .unwrap();
 }
+
+/// A `replicate_poll` parked on an idle durable leader, asking for the
+/// longest hold the codec admits, is released by the stop: `serve`
+/// returns within 1 s, not after the leader's own cap on a hold (5 s) —
+/// a parked handler must never be the thread the scope join waits on.
+#[test]
+fn shutdown_releases_a_parked_replicate_poll() {
+    let (graph, probs) = setup(120, 5);
+    let dir = std::env::temp_dir().join(format!("tirm_parked_poll_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = ServerConfig::builder()
+        .online(config(5, 2_000))
+        .state_dir(&dir)
+        .build()
+        .unwrap();
+    let polls = &tirm_obs::registry::REPL_POLLS;
+    std::thread::scope(|s| {
+        let ((stop_began, parked), _report) = serve(&graph, &probs, cfg, |handle| {
+            let addr = handle.addr();
+            // `u64::MAX` never reaches the handler: the codec reads
+            // integers below 9·10¹⁵ and answers the rest typed.
+            let refused = Client::connect(addr)
+                .unwrap()
+                .replicate_poll(0, 1, u64::MAX)
+                .unwrap();
+            assert!(matches!(refused, Response::Rejected { .. }), "{refused:?}");
+
+            let before = polls.get();
+            let parked = s.spawn(move || {
+                Client::connect(addr)
+                    .unwrap()
+                    .replicate_poll(0, 1, 8_999_999_999_999_999)
+            });
+            // The handler counts the poll before it parks: from here on
+            // it is either parked or about to be.
+            while polls.get() == before {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            (Instant::now(), parked)
+        })
+        .unwrap();
+        let stop_took = stop_began.elapsed();
+        assert!(
+            stop_took < Duration::from_secs(1),
+            "serve waited {stop_took:?} on a parked poll"
+        );
+        // The poll got its answer on the way out: caught up, no frames.
+        match parked.join().unwrap().unwrap() {
+            Response::ReplicateFrames {
+                durable_seq: 0,
+                frames,
+                ..
+            } => assert!(frames.is_empty()),
+            other => panic!("{other:?}"),
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -47,7 +47,9 @@
 //!
 //! Followers tail a leader's write-ahead log through the same framing:
 //! [`Request::ReplicatePoll`] asks for frames at or past a `wal_seq`
-//! subscription anchor and is answered with
+//! subscription anchor; a caught-up poll is held at the leader until the
+//! durable frontier passes the anchor, the leader stops, or the poll's
+//! `wait_ms` (clamped by the leader) runs out. It is answered with
 //! [`Response::ReplicateFrames`] (raw event-JSON bodies, clamped to the
 //! leader's durable frontier) or [`Response::ReplicateBootstrap`] when
 //! the anchor falls inside a pruned segment — the follower then pages
@@ -76,9 +78,10 @@ use tirm_workloads::events::{event_from_value, event_json_fields};
 /// `metrics` observability request and the registry-backed
 /// `shed_total` / `rejected_total` fields on `stats`. v4 added the
 /// event-lineage vocabulary: the `trace_dump` request and the
-/// `trace_base` field on `replicate_frames`. A decoder reads exactly
-/// this version: every field is required.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// `trace_base` field on `replicate_frames`. v5 added `wait_ms` to
+/// `replicate_poll` (a caught-up poll is held at the leader). A decoder
+/// reads exactly this version: every field is required.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Hard cap on one frame's body. Requests are small (an arrival with a
 /// full topic-weight vector is hundreds of bytes); responses embed at
@@ -409,12 +412,17 @@ wire! {
         "shutdown" => Shutdown,
         /// Follower → leader: stream WAL frames starting at the `from_seq`
         /// subscription anchor
-        /// (`{"type":"replicate_poll","from_seq":N,"max_frames":N}`).
+        /// (`{"type":"replicate_poll","from_seq":N,"max_frames":N,"wait_ms":N}`).
         "replicate_poll" => ReplicatePoll {
             /// First sequence number the follower still needs.
             from_seq: u64 => "from_seq",
             /// Cap on frames in one response (bounds the frame size).
             max_frames: u64 => "max_frames",
+            /// How long the leader may hold a caught-up poll before
+            /// answering with an empty page (the leader clamps it; the
+            /// durable frontier passing `from_seq`, or the leader
+            /// stopping, ends the hold early). 0 ⇒ answer at once.
+            wait_ms: u64 => "wait_ms",
         },
         /// Follower → leader: page down the bootstrap checkpoint named by a
         /// [`Response::ReplicateBootstrap`]
@@ -600,7 +608,8 @@ wire! {
         /// Replication stream payload: `frames[i]` is the event-JSON body
         /// of WAL frame `start_seq + i`. Frames are clamped to the leader's
         /// durable frontier, so everything here is fsynced on the leader's
-        /// disk. An empty `frames` means "caught up; poll again later".
+        /// disk. An empty `frames` means the poll's hold ran out with the
+        /// follower still caught up: poll again.
         "replicate_frames" => ReplicateFrames {
             /// The leader's fencing epoch — stale-epoch frames are the
             /// deposed-leader signature and must be dropped by followers.
@@ -965,6 +974,7 @@ mod tests {
             Request::ReplicatePoll {
                 from_seq: 42,
                 max_frames: 256,
+                wait_ms: 10,
             },
             Request::ReplicateCheckpoint {
                 offset: 1 << 20,

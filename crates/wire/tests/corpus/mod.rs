@@ -12,8 +12,8 @@ use super::{
 pub fn requests() -> Vec<(Request, &'static str)> {
     vec![
         (
-            Request::Hello { version: 4 },
-            r#"{"type":"hello","version":4}"#,
+            Request::Hello { version: 5 },
+            r#"{"type":"hello","version":5}"#,
         ),
         (
             Request::Mutate(OnlineEvent::AdArrival {
@@ -58,8 +58,19 @@ pub fn requests() -> Vec<(Request, &'static str)> {
             Request::ReplicatePoll {
                 from_seq: 42,
                 max_frames: 256,
+                wait_ms: 10,
             },
-            r#"{"type":"replicate_poll","from_seq":42,"max_frames":256}"#,
+            r#"{"type":"replicate_poll","from_seq":42,"max_frames":256,"wait_ms":10}"#,
+        ),
+        // The longest hold a peer can ask for (the codec reads integers
+        // below 9·10¹⁵, and refuses `u64::MAX`); the leader clamps it.
+        (
+            Request::ReplicatePoll {
+                from_seq: 0,
+                max_frames: 1,
+                wait_ms: 8_999_999_999_999_999,
+            },
+            r#"{"type":"replicate_poll","from_seq":0,"max_frames":1,"wait_ms":8999999999999999}"#,
         ),
         (
             Request::ReplicateCheckpoint {
@@ -105,13 +116,13 @@ pub fn responses() -> Vec<(Response, &'static str)> {
     vec![
         (
             Response::Hello {
-                version: 4,
+                version: 5,
                 epoch: 12,
                 wal_seq: 9,
                 role: Role::Follower,
                 fencing_epoch: 3,
             },
-            r#"{"type":"hello","version":4,"epoch":12,"wal_seq":9,"role":"follower","fencing_epoch":3}"#,
+            r#"{"type":"hello","version":5,"epoch":12,"wal_seq":9,"role":"follower","fencing_epoch":3}"#,
         ),
         (
             Response::Accepted {
