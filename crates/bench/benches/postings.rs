@@ -5,9 +5,9 @@
 //!   layout it replaced. The coverage overlays spend their time exactly
 //!   here, so this is the locality story in isolation.
 //! * **Sampler inner loop** — the threshold-batched BFS
-//!   ([`RrSampler::sample_with`] + [`BlockRng`]) vs the float-coin path
-//!   ([`RrSampler::sample`] + `SmallRng`), with and without the
-//!   degree-ordered mark relabeling. All three variants draw the exact
+//!   ([`RrSampler::sample_with`]) vs the float-coin path
+//!   ([`RrSampler::sample`]), with and without the degree-ordered mark
+//!   relabeling, all on `SmallRng`. All three variants draw the exact
 //!   same RR sets (pinned by the rrset tests); the delta is pure
 //!   per-arc cost.
 
@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use tirm_rrset::{BlockRng, FastPath, RrIndex, RrSampler, SampleWorkspace, SamplingLayout};
+use tirm_rrset::{FastPath, RrIndex, RrSampler, SampleWorkspace, SamplingLayout};
 use tirm_workloads::{Dataset, DatasetKind, ScaleConfig};
 
 const NODES: usize = 4096;
@@ -115,25 +115,9 @@ fn bench_sampler_inner_loop(c: &mut Criterion) {
         )
     });
     let identity = FastPath::new(Arc::new(SamplingLayout::identity()), &d.graph, &probs);
-    // Same threshold route, driven by the bare generator instead of the
-    // 64-word block buffer — isolates the buffering cost from the
-    // threshold comparison (the word stream is identical either way).
-    g.bench_function("thresholds_bare_rng", |b| {
-        b.iter_batched(
-            || (SampleWorkspace::new(n), SmallRng::seed_from_u64(7)),
-            |(mut ws, mut rng)| {
-                let mut total = 0usize;
-                for _ in 0..1000 {
-                    total += sampler.sample_with(&identity, &mut ws, &mut rng).len();
-                }
-                total
-            },
-            BatchSize::SmallInput,
-        )
-    });
     g.bench_function("thresholds_identity_layout", |b| {
         b.iter_batched(
-            || (SampleWorkspace::new(n), BlockRng::seed_from_u64(7)),
+            || (SampleWorkspace::new(n), SmallRng::seed_from_u64(7)),
             |(mut ws, mut rng)| {
                 let mut total = 0usize;
                 for _ in 0..1000 {
@@ -151,7 +135,7 @@ fn bench_sampler_inner_loop(c: &mut Criterion) {
     );
     g.bench_function("thresholds_degree_layout", |b| {
         b.iter_batched(
-            || (SampleWorkspace::new(n), BlockRng::seed_from_u64(7)),
+            || (SampleWorkspace::new(n), SmallRng::seed_from_u64(7)),
             |(mut ws, mut rng)| {
                 let mut total = 0usize;
                 for _ in 0..1000 {

@@ -26,10 +26,10 @@
 //!
 //! Flags: `--dataset NAME` (default EPINIONS), `--events N` (default
 //! 240), `--kills K` (default 2), `--seed N`, `--readers N` (default
-//! 2), `--queue-depth N` (default 32), `--shard-writers S` (default 2),
-//! `--checkpoint-interval N` (default 16), `--segment-events N`
-//! (default 64), `--min-speedup X` (0 disables the floor),
-//! `--ready-timeout-s S` (default 240), `--keep-state`.
+//! 2), `--queue-depth N` (default 32), `--checkpoint-interval N`
+//! (default 16), `--segment-events N` (default 64), `--min-speedup X`
+//! (0 disables the floor), `--ready-timeout-s S` (default 240),
+//! `--keep-state`.
 //!
 //! `TIRM_SCALE` / `TIRM_THREADS` size the run as usual. If
 //! `TIRM_SNAPSHOT_DIR` is unset, a scratch snapshot cache is used so
@@ -53,7 +53,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: crash_soak [--dataset NAME] [--events N] [--kills K] [--seed N] \
-         [--readers N] [--queue-depth N] [--shard-writers S] [--checkpoint-interval N] \
+         [--readers N] [--queue-depth N] [--checkpoint-interval N] \
          [--segment-events N] [--min-speedup X] [--ready-timeout-s S] [--keep-state]"
     );
     ExitCode::from(2)
@@ -76,7 +76,6 @@ struct SoakSummary {
     events: usize,
     mutations: u64,
     kills: usize,
-    shard_writers: usize,
     checkpoint_interval: u64,
     segment_events: u64,
     first_ready_s: f64,
@@ -154,7 +153,6 @@ fn main() -> ExitCode {
     let mut seed = 0xc4a5_0c4au64;
     let mut readers = 2usize;
     let mut queue_depth = 32usize;
-    let mut shard_writers = 2usize;
     let mut checkpoint_interval = 16u64;
     let mut segment_events = 64u64;
     let mut min_speedup = 5.0f64;
@@ -187,10 +185,6 @@ fn main() -> ExitCode {
             "--queue-depth" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => queue_depth = n,
                 _ => return usage("--queue-depth expects a positive integer"),
-            },
-            "--shard-writers" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => shard_writers = n,
-                _ => return usage("--shard-writers expects a positive integer"),
             },
             "--checkpoint-interval" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => checkpoint_interval = n,
@@ -236,13 +230,12 @@ fn main() -> ExitCode {
     let cfg = ScaleConfig::from_env();
     let model = ProbModel::canonical(dataset);
     eprintln!(
-        "== crash_soak {} / {} | {} events, {} kill(s), {} shard writer(s), ckpt every {} | \
+        "== crash_soak {} / {} | {} events, {} kill(s), ckpt every {} | \
          scale={} threads={} ==",
         dataset.name(),
         model.name(),
         events,
         kills,
-        shard_writers,
         checkpoint_interval,
         cfg.scale,
         cfg.threads
@@ -296,8 +289,6 @@ fn main() -> ExitCode {
             checkpoint_interval.to_string(),
             "--segment-events".into(),
             segment_events.to_string(),
-            "--shard-writers".into(),
-            shard_writers.to_string(),
             "--metrics-addr".into(),
             metrics_addr.to_string(),
         ],
@@ -528,7 +519,6 @@ fn main() -> ExitCode {
             events: log.len(),
             mutations,
             kills,
-            shard_writers,
             checkpoint_interval,
             segment_events,
             first_ready_s,

@@ -72,9 +72,8 @@ pub struct TirmOptions {
     /// Mark-layout policy for the sampling hot path (see [`RelabelMode`]).
     /// Pure cache optimization: the allocation (seeds, revenue estimates,
     /// regret) is bit-identical under every mode — pinned by the
-    /// `relabel_equivalence` property tests. Defaults to the
-    /// `TIRM_RELABEL` env var (`0` ⇒ [`RelabelMode::Off`], any other
-    /// value ⇒ [`RelabelMode::On`], unset ⇒ [`RelabelMode::Auto`]).
+    /// `relabel_equivalence` property tests. Defaults to
+    /// [`RelabelMode::Auto`].
     pub relabel: RelabelMode,
 }
 
@@ -138,11 +137,7 @@ impl Default for TirmOptions {
             max_total_seeds: None,
             exact_drop_selection: false,
             hard_cover: false,
-            relabel: match std::env::var("TIRM_RELABEL").as_deref() {
-                Ok("0") => RelabelMode::Off,
-                Ok(_) => RelabelMode::On,
-                Err(_) => RelabelMode::Auto,
-            },
+            relabel: RelabelMode::Auto,
         }
     }
 }

@@ -62,10 +62,8 @@ pub struct OnlineConfig {
     /// only update the campaign model and an explicit
     /// [`OnlineEvent::Reallocate`] batches the work.
     pub auto_reallocate: bool,
-    /// Keep departed ads' index shards for re-arrival (default).
-    pub retain_departed: bool,
-    /// Byte budget of the retained pool (oldest shards evicted beyond
-    /// it).
+    /// Byte budget of the retained pool: departed ads' index shards are
+    /// kept for re-arrival, oldest evicted beyond it (0 keeps none).
     pub max_retained_bytes: usize,
 }
 
@@ -76,7 +74,6 @@ impl Default for OnlineConfig {
             kappa: 1,
             lambda: 0.0,
             auto_reallocate: true,
-            retain_departed: true,
             max_retained_bytes: 256 << 20,
         }
     }
@@ -235,214 +232,6 @@ impl<'g> OnlineAllocator<'g> {
         })
     }
 
-    /// Processes a batch of events with the reconciliation work fanned
-    /// out over `shards` per-ad writer threads (partitioned `ad_id %
-    /// shards`, each thread owning its ads' index shards; thread-scope
-    /// join is the epoch-merge barrier). Model mutations are applied
-    /// sequentially in admission order — exactly as [`Self::process`]
-    /// would, one epoch bump per applied event — and only the per-ad
-    /// TIRM runs are deferred to the batch end and parallelized.
-    ///
-    /// The final state is **bit-identical** to processing the same batch
-    /// through [`Self::process`] one event at a time, for every shard
-    /// count: the standing allocation is a pure function of the campaign
-    /// model (warm capital is cache, never input), per-ad runs are
-    /// deterministic in their own inputs, and whenever per-ad
-    /// independence cannot be certified (a saturated composition, or a
-    /// global `max_total_seeds` cap coupling trajectories) the batch
-    /// falls back to the same full interleaved single-writer run the
-    /// per-event path uses. Only the outcome *attribution* differs:
-    /// reconciliation cost (fresh RR sets, fast-path flags) is reported
-    /// on the batch, not per event.
-    pub fn process_batch(
-        &mut self,
-        events: &[OnlineEvent],
-        shards: usize,
-    ) -> Vec<Result<EventOutcome, OnlineError>> {
-        let mut out = Vec::with_capacity(events.len());
-        for event in events {
-            self.stats.events += 1;
-            let kind = event.kind();
-            let applied = match event {
-                OnlineEvent::AdArrival {
-                    id,
-                    budget,
-                    cpe,
-                    topics,
-                    ctp,
-                } => self.arrive(*id, *budget, *cpe, topics, *ctp),
-                OnlineEvent::BudgetTopUp { id, amount } => self.top_up(*id, *amount),
-                OnlineEvent::AdDeparture { id } => self.depart(*id),
-                OnlineEvent::Reallocate => {
-                    // Without auto-reallocation, an explicit Reallocate is
-                    // a batching point the caller placed deliberately —
-                    // honor it at its position in the stream.
-                    if !self.cfg.auto_reallocate {
-                        self.reconcile_sharded(shards);
-                    }
-                    Ok(())
-                }
-                OnlineEvent::RegretQuery => {
-                    out.push(Ok(EventOutcome {
-                        kind,
-                        reallocated: false,
-                        fast_path: true,
-                        regret: Some(self.regret_estimate()),
-                        fresh_rr_sets: 0,
-                    }));
-                    continue;
-                }
-            };
-            out.push(applied.map(|()| {
-                self.epoch += 1;
-                EventOutcome {
-                    kind,
-                    reallocated: kind == EventKind::Departure,
-                    fast_path: true,
-                    regret: None,
-                    fresh_rr_sets: 0,
-                }
-            }));
-        }
-        if self.cfg.auto_reallocate {
-            self.reconcile_sharded(shards);
-        }
-        out
-    }
-
-    /// [`Self::reconcile`] with the delta path's independent per-ad runs
-    /// spread over `shards` writer threads. `shards <= 1` is exactly the
-    /// sequential path.
-    fn reconcile_sharded(&mut self, shards: usize) -> (bool, bool) {
-        if shards <= 1 {
-            return self.reconcile();
-        }
-        if !self.stale {
-            return (false, true);
-        }
-        if self.live.is_empty() {
-            self.dirty.clear();
-            self.stale = false;
-            self.contended = false;
-            self.stats.delta_reallocations += 1;
-            tirm_obs::registry::DELTA_RECONCILIATIONS.inc();
-            return (true, true);
-        }
-        let delta_sound = !self.contended && self.cfg.tirm.max_total_seeds.is_none();
-        if delta_sound {
-            let dirty: Vec<AdId> = std::mem::take(&mut self.dirty);
-            let indices: Vec<usize> = dirty.iter().filter_map(|&id| self.index_of(id)).collect();
-            self.run_ads_sharded(&indices, shards);
-            let sat = self.saturated();
-            if !sat || self.live.len() == 1 {
-                self.contended = sat;
-                self.stale = false;
-                self.stats.delta_reallocations += 1;
-                tirm_obs::registry::DELTA_RECONCILIATIONS.inc();
-                return (true, true);
-            }
-            // Same fallback as the sequential delta path: the composition
-            // saturated someone, so per-ad independence no longer holds.
-        }
-        self.full_run();
-        self.dirty.clear();
-        self.stale = false;
-        self.stats.full_reallocations += 1;
-        tirm_obs::registry::FULL_RECONCILIATIONS.inc();
-        (true, false)
-    }
-
-    /// Runs the independent per-ad TIRM of every index in `indices` on
-    /// `shards` scoped writer threads, partitioned by `ad_id % shards` so
-    /// each thread exclusively owns its ads' shards (capital is moved
-    /// out before the scope and restituted after the join — the
-    /// epoch-merge barrier). Each per-ad run calls the same
-    /// [`tirm_allocate_warm`] with the same inputs as the sequential
-    /// delta path, so results are bit-identical for every shard count.
-    fn run_ads_sharded(&mut self, indices: &[usize], shards: usize) {
-        struct Job {
-            idx: usize,
-            adv: Advertiser,
-            probs: Vec<f32>,
-            ctp_col: Vec<f32>,
-            plan: AdSeeds,
-            warm: Option<AdWarmState>,
-        }
-        struct Done {
-            idx: usize,
-            probs: Vec<f32>,
-            ctp_col: Vec<f32>,
-            warm: AdWarmState,
-            seeds: Vec<NodeId>,
-            revenue_est: f64,
-            fresh: usize,
-        }
-        let mut groups: Vec<Vec<Job>> = (0..shards).map(|_| Vec::new()).collect();
-        for &i in indices {
-            let ad = &mut self.live[i];
-            groups[(ad.id % shards as u64) as usize].push(Job {
-                idx: i,
-                adv: ad.adv.clone(),
-                probs: std::mem::take(&mut ad.probs),
-                ctp_col: std::mem::take(&mut ad.ctp_col),
-                plan: ad.plan,
-                warm: ad.warm.take(),
-            });
-        }
-        let graph = self.graph;
-        let kappa = self.cfg.kappa;
-        let lambda = self.cfg.lambda;
-        let opts = self.cfg.tirm;
-        let run_one = move |job: Job| -> Done {
-            let cached = job.warm.as_ref().map(|w| w.num_sets()).unwrap_or(0);
-            let problem = ProblemInstance::new(
-                graph,
-                vec![job.adv],
-                vec![job.probs],
-                CtpTable::direct(vec![job.ctp_col]),
-                Attention::Uniform(kappa),
-                lambda,
-            );
-            let (alloc, stats, mut warm_out) =
-                tirm_allocate_warm(&problem, opts, &[job.plan], vec![job.warm]);
-            let warm = warm_out.pop().expect("one warm state per ad");
-            let mut edge_probs = problem.edge_probs;
-            let mut cols = problem.ctp.into_columns();
-            Done {
-                idx: job.idx,
-                probs: edge_probs.pop().expect("one probability column"),
-                ctp_col: cols.pop().expect("one CTP column"),
-                fresh: warm.num_sets() - cached,
-                warm,
-                seeds: alloc.seeds(0).to_vec(),
-                revenue_est: stats.estimated_revenue[0],
-            }
-        };
-        let results: Vec<Vec<Done>> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .filter(|g| !g.is_empty())
-                .map(|group| {
-                    let run_one = &run_one;
-                    s.spawn(move || group.into_iter().map(run_one).collect::<Vec<Done>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard writer panicked"))
-                .collect()
-        });
-        for done in results.into_iter().flatten() {
-            let ad = &mut self.live[done.idx];
-            ad.probs = done.probs;
-            ad.ctp_col = done.ctp_col;
-            ad.warm = Some(done.warm);
-            ad.seeds = done.seeds;
-            ad.revenue_est = done.revenue_est;
-            self.stats.fresh_rr_sets += done.fresh;
-        }
-    }
-
     fn arrive(
         &mut self,
         id: AdId,
@@ -507,10 +296,8 @@ impl<'g> OnlineAllocator<'g> {
         let i = self.index_of(id).ok_or(OnlineError::UnknownAd(id))?;
         let ad = self.live.remove(i);
         self.dirty.retain(|&d| d != id);
-        if self.cfg.retain_departed {
-            if let Some(state) = ad.warm {
-                self.pool.release(id, ad.adv.topics.clone(), state);
-            }
+        if let Some(state) = ad.warm {
+            self.pool.release(id, ad.adv.topics.clone(), state);
         }
         if self.contended || self.cfg.tirm.max_total_seeds.is_some() {
             // The departed seeds may have been blocking others
@@ -934,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_departed_off_drops_shards() {
+    fn zero_retained_budget_drops_shards() {
         let (g, probs) = setup();
         let mut a = OnlineAllocator::new(
             &g,
@@ -942,7 +729,7 @@ mod tests {
             OnlineConfig {
                 tirm: quick_opts(5),
                 kappa: 2,
-                retain_departed: false,
+                max_retained_bytes: 0,
                 ..OnlineConfig::default()
             },
         );
@@ -1130,70 +917,6 @@ mod tests {
             batch.seeds(0).len() >= ad2_shared.len(),
             "alone under the cap, ad 2 can only gain seeds"
         );
-    }
-
-    #[test]
-    fn batch_processing_is_bit_identical_to_per_event_for_every_shard_count() {
-        let (g, probs) = setup();
-        let events = vec![
-            arrival(1, 8.0, 0),
-            arrival(2, 6.0, 1),
-            OnlineEvent::BudgetTopUp { id: 2, amount: 4.0 },
-            arrival(1, 1.0, 0), // rejected duplicate — no epoch bump
-            OnlineEvent::AdDeparture { id: 1 },
-            arrival(3, 5.0, 0),
-            OnlineEvent::RegretQuery,
-            arrival(4, 7.0, 1),
-        ];
-        let mut reference = allocator(&g, &probs, 2);
-        let per_event: Vec<_> = events.iter().map(|ev| reference.process(ev)).collect();
-        assert!(
-            per_event.iter().any(|r| r.is_err()),
-            "fixture hits a reject"
-        );
-
-        for shards in [1usize, 2, 4] {
-            let mut batched = allocator(&g, &probs, 2);
-            let outcomes = batched.process_batch(&events, shards);
-            assert_eq!(outcomes.len(), events.len());
-            for (o, p) in outcomes.iter().zip(&per_event) {
-                assert_eq!(o.is_ok(), p.is_ok(), "admission must agree per event");
-            }
-            assert_eq!(batched.epoch(), reference.epoch(), "shards = {shards}");
-            assert!(
-                reference.snapshot().same_allocation(&batched.snapshot()),
-                "shards = {shards}"
-            );
-            assert_eq!(batched.live_ids(), reference.live_ids());
-        }
-
-        // And batches can be split arbitrarily without changing the result.
-        let mut split = allocator(&g, &probs, 2);
-        split.process_batch(&events[..3], 4);
-        split.process_batch(&events[3..5], 4);
-        split.process_batch(&events[5..], 4);
-        assert!(reference.snapshot().same_allocation(&split.snapshot()));
-    }
-
-    #[test]
-    fn batch_respects_global_seed_cap_via_full_path() {
-        let (g, probs) = setup();
-        let mut opts = quick_opts(5);
-        opts.max_total_seeds = Some(4);
-        let cfg = OnlineConfig {
-            tirm: opts,
-            kappa: 3,
-            ..OnlineConfig::default()
-        };
-        let events = vec![arrival(1, 9.0, 0), arrival(2, 9.0, 1)];
-        let mut reference = OnlineAllocator::new(&g, &probs, cfg.clone());
-        for ev in &events {
-            reference.process(ev).unwrap();
-        }
-        let mut batched = OnlineAllocator::new(&g, &probs, cfg);
-        batched.process_batch(&events, 4);
-        assert!(batched.allocation().total_seeds() <= 4);
-        assert!(reference.snapshot().same_allocation(&batched.snapshot()));
     }
 
     #[test]

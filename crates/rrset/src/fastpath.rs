@@ -1,10 +1,10 @@
-//! The sampling hot path: integer coin thresholds, block-drawn RNG words
-//! and the cache-local (degree-relabeled) mark layout.
+//! The sampling hot path: integer coin thresholds and the cache-local
+//! (degree-relabeled) mark layout.
 //!
 //! Everything in this module is **bit-stream preserving**: a sampler run
 //! through [`FastPath`] draws exactly the same RNG words and emits exactly
 //! the same sets as the plain [`crate::RrSampler`] walk, so deterministic
-//! baselines do not move. Three transformations stack:
+//! baselines do not move. Two transformations stack:
 //!
 //! * **Thresholds.** The per-arc coin `rng.gen::<f32>() < p` costs a
 //!   gather (`probs[in_edge_ids[pos]]`), an int→float convert and a float
@@ -18,15 +18,6 @@
 //!   `(w >> 40) < t`. `t == 0 ⇔ p ≤ 0`, which mirrors the slow path's
 //!   `p > 0.0 &&` short-circuit: dead arcs skip the coin *without*
 //!   consuming RNG state in both paths.
-//! * **Block RNG (kept off the hot path).** [`BlockRng`] refills a
-//!   64-word buffer from the inner generator wholesale; word order is
-//!   untouched — `next_u64` pops the same sequence, and `next_u32` keeps
-//!   the vendored convention of the word's high half. Measurement
-//!   (`sampler_inner_loop` microbench) put the buffered wrapper ~2×
-//!   behind the bare generator in the BFS loop — per-draw buffer loads
-//!   and stores lose to xoshiro state the compiler keeps in registers —
-//!   so production shards drive `SmallRng` directly and `BlockRng`
-//!   remains as the stream-equivalence witness.
 //! * **Relabeled marks.** [`SamplingLayout::degree_ordered`] carries a
 //!   degree-ordered permutation (via [`tirm_graph::Relabeling`]): the BFS
 //!   still walks the *original* CSR in original arc order — same RNG
@@ -36,8 +27,6 @@
 //!   prefix. User-facing ids never change; the permutation exists only
 //!   inside the mark indexing.
 
-use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 use tirm_graph::{DiGraph, NodeId, Relabeling};
 
@@ -171,63 +160,9 @@ impl FastPath {
     }
 }
 
-/// Block-buffered RNG: refills 64 words at a time from the inner
-/// generator and serves them in order — the word stream (and the
-/// vendored-rand `u32`/float derivations from it) is bit-identical to
-/// driving the inner generator directly.
-#[derive(Clone, Debug)]
-pub struct BlockRng {
-    inner: SmallRng,
-    buf: [u64; 64],
-    pos: usize,
-}
-
-impl BlockRng {
-    /// Wraps a generator; the buffer starts empty.
-    pub fn new(inner: SmallRng) -> Self {
-        BlockRng {
-            inner,
-            buf: [0; 64],
-            pos: 64,
-        }
-    }
-
-    /// Bytes held by the buffer (for long-lived owners' accounting).
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<[u64; 64]>()
-    }
-}
-
-impl SeedableRng for BlockRng {
-    fn seed_from_u64(state: u64) -> Self {
-        BlockRng::new(SmallRng::seed_from_u64(state))
-    }
-}
-
-impl RngCore for BlockRng {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        if self.pos == 64 {
-            for w in &mut self.buf {
-                *w = self.inner.next_u64();
-            }
-            self.pos = 0;
-        }
-        let w = self.buf[self.pos];
-        self.pos += 1;
-        w
-    }
-
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn threshold_matches_float_coin_exactly() {
@@ -266,25 +201,6 @@ mod tests {
                 assert_eq!(f < p, x < t, "p={p} x={x}");
             }
         }
-    }
-
-    #[test]
-    fn block_rng_preserves_the_word_stream() {
-        let mut plain = SmallRng::seed_from_u64(99);
-        let mut block = BlockRng::seed_from_u64(99);
-        for i in 0..1000 {
-            // Mix call types: u32s come from the same words in both.
-            if i % 3 == 0 {
-                assert_eq!(plain.next_u32(), block.next_u32(), "draw {i}");
-            } else {
-                assert_eq!(plain.next_u64(), block.next_u64(), "draw {i}");
-            }
-        }
-        // Float and range derivations ride on the same words.
-        let a: f32 = plain.gen();
-        let b: f32 = block.gen();
-        assert_eq!(a, b);
-        assert_eq!(plain.gen_range(0..1000usize), block.gen_range(0..1000usize));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod tim;
 pub mod weighted;
 
 pub use collection::RrCollection;
-pub use fastpath::{coin_threshold, BlockRng, FastPath, SamplingLayout};
+pub use fastpath::{coin_threshold, FastPath, SamplingLayout};
 pub use heap::LazyMaxHeap;
 pub use index::{Postings, RrIndex};
 pub use parallel::{ParallelSampler, RrArena, RrSink, SamplerState, SamplingConfig};

@@ -160,12 +160,10 @@ impl RrArena {
     }
 }
 
-/// One worker's persistent state. The RNG is the bare generator, *not*
-/// the block-buffered [`BlockRng`]: the two emit identical word streams
-/// (pinned by the fastpath tests), but the buffer's per-draw loads and
-/// stores measured ~2× slower than xoshiro state the compiler keeps in
-/// registers across the BFS loop (`sampler_inner_loop` microbench), so
-/// the buffered wrapper stays available without being on the hot path.
+/// One worker's persistent state. The RNG is the bare generator: a
+/// block-buffered wrapper measured ~2× slower than xoshiro state the
+/// compiler keeps in registers across the BFS loop (ARCHITECTURE, "RR
+/// hot path").
 struct Shard {
     rng: SmallRng,
     ws: SampleWorkspace,

@@ -376,7 +376,7 @@ mod tests {
         // sample_with must replay sample's RNG stream and output exactly,
         // under both the identity and the degree-relabeled layouts, for a
         // prob vector exercising the p = 0 skip and the p = 1 sure-coin.
-        use crate::fastpath::{BlockRng, FastPath, SamplingLayout};
+        use crate::fastpath::{FastPath, SamplingLayout};
         use std::sync::Arc;
 
         let g = generators::preferential_attachment(400, 4, 0.3, 21);
@@ -400,9 +400,7 @@ mod tests {
             let mut ws_a = SampleWorkspace::new(400);
             let mut ws_b = SampleWorkspace::new(400);
             let mut rng_a = SmallRng::seed_from_u64(5);
-            // The fast side also runs through BlockRng, proving the full
-            // production stack (thresholds + blocks + relabel) at once.
-            let mut rng_b = BlockRng::seed_from_u64(5);
+            let mut rng_b = SmallRng::seed_from_u64(5);
             for i in 0..300 {
                 let a = s.sample(&mut ws_a, &mut rng_a).to_vec();
                 let b = s.sample_with(&fp, &mut ws_b, &mut rng_b).to_vec();

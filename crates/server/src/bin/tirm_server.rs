@@ -29,8 +29,6 @@
 //!   (default 256; needs `--state-dir`).
 //! * `--segment-events N` — WAL frames per segment file (default 1024;
 //!   needs `--state-dir`).
-//! * `--shard-writers S` — per-ad shard threads for reconciliation
-//!   (default 1 = classic single-writer; any S is bit-identical).
 //! * `--follow ADDR` — run as a **follower** of the leader at ADDR:
 //!   tail its WAL over the wire, serve snapshot-swapped reads at
 //!   `--bind`, answer mutations with a typed `not_leader` redirect.
@@ -66,7 +64,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: tirm_server [--dataset NAME] [--model topic|exp|wc] [--bind ADDR] \
          [--kappa N] [--lambda F] [--seed N] [--queue-depth N] [--max-connections N] \
-         [--state-dir DIR] [--checkpoint-interval N] [--segment-events N] [--shard-writers S] \
+         [--state-dir DIR] [--checkpoint-interval N] [--segment-events N] \
          [--follow LEADER_ADDR [--peer ADDR]...] [--metrics-addr ADDR] [--metrics-json PATH] \
          [--trace-json PATH]"
     );
@@ -85,7 +83,6 @@ fn main() -> ExitCode {
     let mut state_dir: Option<String> = None;
     let mut checkpoint_interval: Option<u64> = None;
     let mut segment_events: Option<u64> = None;
-    let mut shard_writers = 1usize;
     let mut follow: Option<String> = None;
     let mut peers: Vec<String> = Vec::new();
     let mut metrics_addr: Option<String> = None;
@@ -138,10 +135,6 @@ fn main() -> ExitCode {
             "--segment-events" => match args.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n >= 1 => segment_events = Some(n),
                 _ => return usage("--segment-events expects a positive integer"),
-            },
-            "--shard-writers" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n >= 1 => shard_writers = n,
-                _ => return usage("--shard-writers expects a positive integer"),
             },
             "--follow" => match args.next() {
                 Some(a) if !a.is_empty() => follow = Some(a),
@@ -323,8 +316,7 @@ fn main() -> ExitCode {
         .online(online)
         .bind(bind)
         .queue_depth(queue_depth)
-        .max_connections(max_connections)
-        .shard_writers(shard_writers);
+        .max_connections(max_connections);
     if let Some(dir) = &state_dir {
         builder = builder.state_dir(dir);
     }
@@ -351,7 +343,7 @@ fn main() -> ExitCode {
             |handle| {
                 eprintln!(
                     "listening on {} (queue depth {queue_depth}, ≤ {max_connections} connections, \
-                     {shard_writers} shard writer(s), durability {}); \
+                     durability {}); \
                      send {{\"type\":\"shutdown\"}} to stop",
                     handle.addr(),
                     match &state_dir {

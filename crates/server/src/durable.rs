@@ -41,9 +41,6 @@ pub(crate) struct Origin<'g> {
     pub(crate) online: OnlineConfig,
     /// `None` ⇒ memory-only: the same path minus the disk.
     pub(crate) durability: Option<DurabilityConfig>,
-    /// Threads the reconciliation step of a batch fans out across
-    /// (`ServerConfig::shard_writers`).
-    pub(crate) shard_writers: usize,
 }
 
 pub(crate) struct DurableState<'g> {
@@ -147,12 +144,10 @@ impl<'g> DurableState<'g> {
     /// trace id of `batch[0]`; a follower passes the leader's, so its
     /// stages extend the leader's timeline for the same mutation.
     ///
-    /// With one shard writer each event is applied and published on its
-    /// own (minimal read staleness); with several the deferred per-ad
-    /// TIRM runs fan out across threads and the batch publishes once —
-    /// bit-identical output either way. A rejected event changed
-    /// nothing (and didn't bump the epoch), so it skips the
-    /// O(ads + seeds) snapshot copy and the reader refresh it would
+    /// Each event is applied and published on its own, so every copy
+    /// of the state publishes the same sequence of snapshots. A rejected
+    /// event changed nothing (and didn't bump the epoch), so it skips
+    /// the O(ads + seeds) snapshot copy and the reader refresh it would
     /// force; rejection is deterministic, so every copy of the state
     /// counts the same ones.
     ///
@@ -198,34 +193,14 @@ impl<'g> DurableState<'g> {
             }
         };
 
-        if self.origin.shard_writers == 1 {
-            for (trace, ev) in (first_trace..).zip(batch) {
-                flight::set_current_trace(trace);
-                let apply_start = flight::now_ns();
-                let outcome = self.allocator.process(ev);
-                flight::record_since(trace, apply_stage, apply_start);
-                match outcome {
-                    Ok(_) => self.swap.publish(self.allocator.snapshot()),
-                    Err(_) => self.count_rejected(1),
-                }
-            }
-        } else {
-            // The fan-out applies the whole batch as one unit, so each
-            // event's apply span is the batch's; the publish that
-            // follows is attributed to the batch's last trace.
-            flight::set_current_trace(first_trace + n - 1);
+        for (trace, ev) in (first_trace..).zip(batch) {
+            flight::set_current_trace(trace);
             let apply_start = flight::now_ns();
-            let outcomes = self
-                .allocator
-                .process_batch(batch, self.origin.shard_writers);
-            let apply_end = flight::now_ns();
-            for trace in first_trace..first_trace + n {
-                flight::record(trace, apply_stage, apply_start, apply_end);
-            }
-            let rejected = outcomes.iter().filter(|o| o.is_err()).count();
-            self.count_rejected(rejected as u64);
-            if rejected < outcomes.len() {
-                self.swap.publish(self.allocator.snapshot());
+            let outcome = self.allocator.process(ev);
+            flight::record_since(trace, apply_stage, apply_start);
+            match outcome {
+                Ok(_) => self.swap.publish(self.allocator.snapshot()),
+                Err(_) => self.count_rejected(),
             }
         }
         flight::set_current_trace(0);
@@ -247,11 +222,11 @@ impl<'g> DurableState<'g> {
         }
     }
 
-    /// Applied events the allocator refused, in both ledgers: this
+    /// An applied event the allocator refused, in both ledgers: this
     /// run's [`Shared`] and the process-lifetime registry.
-    fn count_rejected(&self, n: u64) {
-        self.shared.rejected.fetch_add(n, Ordering::Relaxed);
-        tirm_obs::registry::SERVER_REJECTED.add(n);
+    fn count_rejected(&self) {
+        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+        tirm_obs::registry::SERVER_REJECTED.inc();
     }
 
     fn checkpoint(&mut self) -> io::Result<()> {

@@ -168,8 +168,6 @@ pub fn serve_follower<R>(
     cfg: FollowerConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> io::Result<(R, FollowerReport)> {
-    assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval >= 1");
-    assert!(cfg.segment_events >= 1, "segment_events >= 1");
     // Nothing paces the apply loop but the leader's answers: a poll
     // that asks for no frames is answered at once, forever.
     assert!(cfg.max_frames_per_poll >= 1, "max_frames_per_poll >= 1");
@@ -191,7 +189,6 @@ pub fn serve_follower<R>(
             checkpoint_interval: cfg.checkpoint_interval,
             segment_events: cfg.segment_events,
         }),
-        shard_writers: 1,
     };
     let run = run_server(
         graph,

@@ -109,13 +109,6 @@ pub struct ServerConfig {
     /// on the configured cadence, and startup recovers checkpoint +
     /// log tail. `None` ⇒ memory-only.
     pub durability: Option<DurabilityConfig>,
-    /// Per-ad shard writer threads for the reconciliation step. `1` ⇒
-    /// the classic single-writer path (apply + publish per event);
-    /// `> 1` ⇒ the writer drains the queue in batches and fans the
-    /// per-ad TIRM runs across this many threads
-    /// ([`tirm_online::OnlineAllocator::process_batch`]) — bit-identical
-    /// output for any value. Must be ≥ 1.
-    pub shard_writers: usize,
 }
 
 impl Default for ServerConfig {
@@ -127,7 +120,6 @@ impl Default for ServerConfig {
             max_connections: 64,
             read_poll: Duration::from_millis(25),
             durability: None,
-            shard_writers: 1,
         }
     }
 }
@@ -140,11 +132,42 @@ impl ServerConfig {
             cfg: ServerConfig::default(),
         }
     }
+
+    /// Checks every value a server run relies on; `Err` names the first
+    /// bad field. [`ServerConfigBuilder::build`] and [`serve`] both call
+    /// it, so a struct-literal config is held to the same rules.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.queue_depth < 1 {
+            return Err("queue_depth must be >= 1 (the queue must admit something)".into());
+        }
+        if self.max_connections < 1 {
+            return Err("max_connections must be >= 1".into());
+        }
+        if self.read_poll.is_zero() {
+            return Err("read_poll must be non-zero (it paces shutdown checks)".into());
+        }
+        if let Some(d) = &self.durability {
+            if d.state_dir.as_os_str().is_empty() {
+                return Err(
+                    "durability needs a state_dir (checkpoint_interval/segment_events \
+                     were set without one)"
+                        .into(),
+                );
+            }
+            if d.checkpoint_interval < 1 {
+                return Err("checkpoint_interval must be >= 1 event".into());
+            }
+            if d.segment_events < 1 {
+                return Err("segment_events must be >= 1 frame".into());
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Fluent constructor for [`ServerConfig`]; [`build`](Self::build)
-/// rejects nonsensical values with a typed error instead of letting
-/// [`serve`] panic mid-startup.
+/// rejects nonsensical values ([`ServerConfig::validate`]) before a
+/// server is started with them.
 #[derive(Clone, Debug)]
 pub struct ServerConfigBuilder {
     cfg: ServerConfig,
@@ -227,44 +250,11 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Per-ad shard writer threads (1 = single-writer path).
-    pub fn shard_writers(mut self, shards: usize) -> Self {
-        self.cfg.shard_writers = shards;
-        self
-    }
-
     /// Validates and returns the config. `Err` names the first bad
     /// field.
     pub fn build(self) -> Result<ServerConfig, String> {
-        let cfg = self.cfg;
-        if cfg.queue_depth < 1 {
-            return Err("queue_depth must be >= 1 (the queue must admit something)".into());
-        }
-        if cfg.max_connections < 1 {
-            return Err("max_connections must be >= 1".into());
-        }
-        if cfg.shard_writers < 1 {
-            return Err("shard_writers must be >= 1".into());
-        }
-        if cfg.read_poll.is_zero() {
-            return Err("read_poll must be non-zero (it paces shutdown checks)".into());
-        }
-        if let Some(d) = &cfg.durability {
-            if d.state_dir.as_os_str().is_empty() {
-                return Err(
-                    "durability needs a state_dir (checkpoint_interval/segment_events \
-                     were set without one)"
-                        .into(),
-                );
-            }
-            if d.checkpoint_interval < 1 {
-                return Err("checkpoint_interval must be >= 1 event".into());
-            }
-            if d.segment_events < 1 {
-                return Err("segment_events must be >= 1 frame".into());
-            }
-        }
-        Ok(cfg)
+        self.cfg.validate()?;
+        Ok(self.cfg)
     }
 }
 
@@ -513,14 +503,8 @@ pub fn serve<R>(
     cfg: ServerConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> std::io::Result<(R, ServeReport)> {
-    assert!(cfg.queue_depth >= 1, "queue_depth must admit something");
-    assert!(cfg.shard_writers >= 1, "need at least one shard writer");
-    // With one shard writer each mutation commits on its own; with
-    // several, everything already queued shares one fsync and one shard
-    // fan-out.
-    let drain = cfg.shard_writers > 1;
     let feeder = |state: &mut DurableState<'_>, rx: Receiver<Admitted>, _: &ReplicaCtx| {
-        feed_from_queue(state, &rx, drain);
+        feed_from_queue(state, &rx);
         Ok(())
     };
     let run = run_server(
@@ -618,7 +602,8 @@ pub(crate) fn run_server<'g, R, T: Send>(
         + Send,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> std::io::Result<Run<R, T>> {
-    assert!(cfg.max_connections >= 1, "need at least one connection");
+    cfg.validate()
+        .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
     let listener = TcpListener::bind(&cfg.bind)?;
     let addr = listener.local_addr()?;
     // Surface this binary's identity and start the flight clock before
@@ -637,7 +622,6 @@ pub(crate) fn run_server<'g, R, T: Send>(
         topic_probs,
         online: cfg.online,
         durability: cfg.durability,
-        shard_writers: cfg.shard_writers,
     })?;
     let (swap, shared) = (state.swap.clone(), state.shared.clone());
     let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(cfg.queue_depth);
@@ -720,39 +704,24 @@ pub(crate) struct Admitted {
     pub(crate) enqueue_ns: u64,
 }
 
-/// The leader's feeder: takes admitted mutations off the queue — one at
-/// a time, or with `drain` everything already queued (opportunistic
-/// group commit) — and commits them, until every sender has hung up
-/// and the queue is empty.
+/// The leader's feeder: takes admitted mutations off the queue and
+/// commits them one at a time, until every sender has hung up and the
+/// queue is empty.
 ///
 /// A commit failure is fatal by design: continuing would hand out
 /// `Accepted` responses for mutations that can never be recovered. The
 /// panic propagates through the scope join, tearing the server down
 /// loudly instead of serving silently non-durable writes.
-fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>, drain: bool) {
-    let mut batch: Vec<OnlineEvent> = Vec::new();
-    // Parallel to `batch`: (admit_ns, enqueue_ns) flight stamps, kept
-    // out of the event vec so `commit` sees plain events.
-    let mut stamps: Vec<(u64, u64)> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        batch.clear();
-        stamps.clear();
-        let mut next = Some(first);
-        while let Some(a) = next {
-            stamps.push((a.admit_ns, a.enqueue_ns));
-            batch.push(a.ev);
-            next = if drain { rx.try_recv().ok() } else { None };
-        }
+fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>) {
+    while let Ok(a) = rx.recv() {
         let dequeue_ns = flight::now_ns();
-        // Event i lands at log position seq + i, which names its trace:
+        // The event lands at log position `seq`, which names its trace:
         // record the admission-side stages now that it is known.
-        let first_trace = state.seq() + 1;
-        for (trace, (admit_ns, enqueue_ns)) in (first_trace..).zip(&stamps) {
-            flight::record(trace, Stage::Admit, *admit_ns, *enqueue_ns);
-            flight::record(trace, Stage::Queue, *enqueue_ns, dequeue_ns);
-        }
+        let trace = state.seq() + 1;
+        flight::record(trace, Stage::Admit, a.admit_ns, a.enqueue_ns);
+        flight::record(trace, Stage::Queue, a.enqueue_ns, dequeue_ns);
         state
-            .commit(&batch, first_trace, Role::Leader)
+            .commit(&[a.ev], trace, Role::Leader)
             .expect("durable commit failed");
     }
 }
@@ -1144,7 +1113,6 @@ mod tests {
         assert_eq!(built.queue_depth, default.queue_depth);
         assert_eq!(built.max_connections, default.max_connections);
         assert_eq!(built.read_poll, default.read_poll);
-        assert_eq!(built.shard_writers, 1);
         assert!(built.durability.is_none());
     }
 
@@ -1155,7 +1123,6 @@ mod tests {
             .segment_events(64)
             .state_dir("/tmp/tirm-state")
             .queue_depth(8)
-            .shard_writers(4)
             .build()
             .unwrap();
         let d = cfg.durability.unwrap();
@@ -1163,18 +1130,12 @@ mod tests {
         assert_eq!(d.checkpoint_interval, 16);
         assert_eq!(d.segment_events, 64);
         assert_eq!(cfg.queue_depth, 8);
-        assert_eq!(cfg.shard_writers, 4);
     }
 
     #[test]
     fn builder_rejects_nonsense_with_the_offending_field_named() {
         let err = ServerConfig::builder().queue_depth(0).build().unwrap_err();
         assert!(err.contains("queue_depth"), "{err}");
-        let err = ServerConfig::builder()
-            .shard_writers(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("shard_writers"), "{err}");
         let err = ServerConfig::builder()
             .checkpoint_interval(8)
             .build()

@@ -1,19 +1,17 @@
-//! Crash-recovery correctness anchor: kill the serving stack at **any**
-//! event index, restore from checkpoint + WAL tail, finish the log —
-//! the final allocation (assignments *and* revenue-estimate bits) is
-//! identical to an uninterrupted run, for every shard-writer count.
+//! Crash-recovery end to end: a real durable server is stopped and a
+//! second one over the same state dir restores from checkpoint + WAL
+//! tail and finishes the log — the final allocation (assignments *and*
+//! revenue-estimate bits) is identical to an uninterrupted run.
 //!
-//! The kill-anywhere sweep simulates the writer protocol directly
-//! (append → fsync → apply, checkpoint on a cadence) so it can stop at
-//! every index cheaply; the end-to-end tests run real servers over a
-//! shared state dir across restarts.
+//! The kill-at-every-index sweep over the same log lives in the root
+//! `tests/durable_path.rs`, so the tier-1 `cargo test -q` runs it.
 
 use std::path::PathBuf;
 use std::time::Duration;
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::wal::{recover, write_checkpoint, RecoveryWarning, Wal};
+use tirm_server::wal::RecoveryWarning;
 use tirm_server::{serve, Client, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
@@ -70,77 +68,6 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Kill at every event index × shard-writer counts {1, 2, 4}: recover
-/// and finish the log, always landing bit-identical to the
-/// uninterrupted run. Odd kill points additionally get a torn frame
-/// appended to the live segment — the exact artifact a kill during an
-/// unsynced append leaves behind.
-#[test]
-fn kill_at_any_index_then_finish_log_is_bit_identical_for_every_shard_count() {
-    let (graph, probs) = setup(250, 13);
-    let cfg = config(7);
-    let events = mutations();
-
-    // The uninterrupted oracle.
-    let mut oracle = OnlineAllocator::new(&graph, &probs, cfg.clone());
-    for ev in &events {
-        let _ = oracle.process(ev);
-    }
-    let want = oracle.snapshot();
-
-    for shards in [1usize, 2, 4] {
-        for kill_at in 0..=events.len() {
-            let dir = fresh_dir(&format!("kill_{shards}_{kill_at}"));
-            // Live run up to the kill point, with the writer's
-            // protocol: append → fsync → apply; checkpoint every 4.
-            let mut wal = Wal::open(&dir, 0, 3).unwrap();
-            let mut live = OnlineAllocator::new(&graph, &probs, cfg.clone());
-            for (i, ev) in events[..kill_at].iter().enumerate() {
-                wal.append(ev).unwrap();
-                wal.sync().unwrap();
-                let _ = live.process(ev);
-                if (i + 1) % 4 == 0 {
-                    write_checkpoint(&dir, &mut live, wal.seq()).unwrap();
-                    wal.prune(wal.seq()).unwrap();
-                }
-            }
-            drop(wal);
-            drop(live);
-            if kill_at % 2 == 1 {
-                // Crash artifact: a frame announced but half-written.
-                let (_, seg) = tirm_server::wal::list_segments(&dir)
-                    .unwrap()
-                    .pop()
-                    .unwrap();
-                let mut f = std::fs::OpenOptions::new().append(true).open(seg).unwrap();
-                std::io::Write::write_all(&mut f, &77u32.to_le_bytes()).unwrap();
-                std::io::Write::write_all(&mut f, b"{\"type\":\"ad").unwrap();
-            }
-
-            let (mut recovered, report) = recover(&dir, &graph, &probs, &cfg).unwrap();
-            assert_eq!(
-                report.wal_seq, kill_at as u64,
-                "shards={shards} kill_at={kill_at}: durable frontier"
-            );
-            // Finish the log through the sharded batch path.
-            let outcomes = recovered.process_batch(&events[kill_at..], shards);
-            assert_eq!(outcomes.len(), events.len() - kill_at);
-
-            let got = recovered.snapshot();
-            assert!(
-                got.same_allocation(&want),
-                "shards={shards} kill_at={kill_at}: recovered+finished run diverged \
-                 (epoch {} vs {}, regret {} vs {})",
-                got.epoch,
-                want.epoch,
-                got.regret_estimate,
-                want.regret_estimate,
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-}
-
 /// End-to-end: a durable server is stopped and a second server over the
 /// same state dir picks up exactly where it left off — epoch and
 /// allocation preserved across the restart, the remaining events land
@@ -154,20 +81,17 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
     let split = 6;
     let dir = fresh_dir("server_restart");
 
-    let server_cfg = |shards: usize| {
-        ServerConfig::builder()
-            .online(config(7))
-            .queue_depth(16)
-            .checkpoint_interval(3)
-            .segment_events(4)
-            .state_dir(&dir)
-            .shard_writers(shards)
-            .build()
-            .unwrap()
-    };
+    let server_cfg = ServerConfig::builder()
+        .online(config(7))
+        .queue_depth(16)
+        .checkpoint_interval(3)
+        .segment_events(4)
+        .state_dir(&dir)
+        .build()
+        .unwrap();
 
     // First life: the log's head.
-    let ((), report1) = serve(&graph, &probs, server_cfg(1), |handle| {
+    let ((), report1) = serve(&graph, &probs, server_cfg.clone(), |handle| {
         let mut client = Client::connect(handle.addr()).unwrap();
         for ev in &events[..split] {
             client
@@ -180,8 +104,8 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
     assert_eq!(report1.wal_seq, split as u64);
     assert!(report1.recovery.is_some());
 
-    // Second life: recovery + the log's tail, with sharded writers.
-    let ((), report2) = serve(&graph, &probs, server_cfg(4), |handle| {
+    // Second life: recovery + the log's tail.
+    let ((), report2) = serve(&graph, &probs, server_cfg, |handle| {
         let mut client =
             Client::connect_with(handle.addr(), &tirm_server::ClientOptions::default()).unwrap();
         let hello = *client.hello().unwrap();
@@ -232,42 +156,4 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
         "restarted server must land on the uninterrupted replay"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A server with several shard writers (batched drain + fanned-out
-/// reconciliation) is observably identical to the classic single-writer
-/// server and to an in-process replay.
-#[test]
-fn sharded_writer_server_matches_in_process_replay() {
-    let (graph, probs) = setup(250, 13);
-    let cfg = config(7);
-    let events = mutations();
-
-    let mut oracle = OnlineAllocator::new(&graph, &probs, cfg.clone());
-    for ev in &events {
-        let _ = oracle.process(ev);
-    }
-
-    for shards in [2usize, 4] {
-        let server_cfg = ServerConfig::builder()
-            .online(config(7))
-            .queue_depth(16)
-            .shard_writers(shards)
-            .build()
-            .unwrap();
-        let ((), report) = serve(&graph, &probs, server_cfg, |handle| {
-            let mut client = Client::connect(handle.addr()).unwrap();
-            for ev in &events {
-                client
-                    .send_event_retrying(ev, Duration::from_millis(1), Duration::from_secs(30))
-                    .unwrap();
-            }
-        })
-        .unwrap();
-        assert!(
-            report.final_snapshot.same_allocation(&oracle.snapshot()),
-            "shard_writers={shards} diverged from the in-process replay"
-        );
-        assert_eq!(report.rejected, 1, "the duplicate arrival");
-    }
 }

@@ -372,3 +372,55 @@ fn shutdown_releases_a_parked_replicate_poll() {
     });
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A struct-literal config gets the builder's checks: every bad value
+/// is a typed `InvalidInput` from `serve` before anything binds — not
+/// a panic mid-startup, and not a server that accepts connections it
+/// can never answer (`read_poll: 0`) or checkpoints after every commit
+/// (`checkpoint_interval: 0`).
+#[test]
+fn serve_rejects_an_invalid_config_before_binding() {
+    use tirm_server::DurabilityConfig;
+    let (graph, probs) = setup(50, 3);
+    // A port that was free a moment ago: nothing may be bound to it
+    // after `serve` refused the config.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    fn durable(checkpoint_interval: u64, segment_events: u64) -> Option<DurabilityConfig> {
+        Some(DurabilityConfig {
+            checkpoint_interval,
+            segment_events,
+            ..DurabilityConfig::new(std::env::temp_dir().join("tirm_invalid_cfg_never_created"))
+        })
+    }
+    type Spoil = fn(&mut ServerConfig);
+    let bad: [(&str, Spoil); 6] = [
+        ("queue_depth", |c| c.queue_depth = 0),
+        ("max_connections", |c| c.max_connections = 0),
+        ("read_poll", |c| c.read_poll = Duration::ZERO),
+        ("checkpoint_interval", |c| c.durability = durable(0, 4)),
+        ("segment_events", |c| c.durability = durable(4, 0)),
+        ("state_dir", |c| {
+            c.durability = Some(DurabilityConfig::new(""))
+        }),
+    ];
+    for (field, spoil) in bad {
+        let mut cfg = ServerConfig {
+            online: config(5, 500),
+            bind: addr.to_string(),
+            ..ServerConfig::default()
+        };
+        spoil(&mut cfg);
+        let err = serve(&graph, &probs, cfg, |_| panic!("{field}: served"))
+            .err()
+            .unwrap_or_else(|| panic!("{field}: accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{field}");
+        assert!(err.to_string().contains(field), "{field}: {err}");
+        assert!(
+            std::net::TcpStream::connect(addr).is_err(),
+            "{field}: something is listening on {addr}"
+        );
+    }
+}

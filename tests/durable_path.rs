@@ -1,11 +1,12 @@
 //! The durable-apply path in the root gate: one event log driven
 //! through a leader, a follower tailing it over TCP, and a recovery of
 //! the leader's state dir as a kill would have left it — all three
-//! bit-identical to an in-process replay of the same log.
+//! bit-identical to an in-process replay of the same log — and the
+//! same log killed at every index, recovered and finished.
 //!
-//! The exhaustive anchors (kill at every index, every shard count,
-//! hand-off, fencing) live in `crates/server/tests/`; this is the slice
-//! of them that `cargo test -q` at the root runs.
+//! The other anchors (server restart, hand-off, fencing) live in
+//! `crates/server/tests/`; this is the slice of them that
+//! `cargo test -q` at the root runs.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -151,8 +152,8 @@ fn leader_follower_and_recovery_agree_with_an_in_process_replay() {
     assert_eq!(follower_report.rejected_on_apply, rejected);
     assert_eq!(follower_stats.rejected, rejected);
     // ... and the process-lifetime registry behind `rejected_total`
-    // moves with it: this test is alone in its process, so the total is
-    // the leader's count plus the follower's.
+    // moves with it: no other test in this process runs a server, so
+    // the total is the leader's count plus the follower's.
     assert_eq!(follower_stats.rejected_total, 2 * rejected);
 
     // The kill image: a checkpoint plus a log tail to replay.
@@ -169,5 +170,82 @@ fn leader_follower_and_recovery_agree_with_an_in_process_replay() {
 
     for dir in [leader_dir, follower_dir, image_dir] {
         std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// Kill at every event index: recover and finish the log, always
+/// landing bit-identical to the uninterrupted run. The live run is the
+/// writer's protocol spelled out (append → fsync → apply, checkpoint on
+/// a cadence) so it can stop at every index cheaply. Odd kill points
+/// additionally get a torn frame appended to the live segment — the
+/// exact artifact a kill during an unsynced append leaves behind.
+#[test]
+fn kill_at_any_index_then_finish_log_is_bit_identical() {
+    let graph = generators::preferential_attachment(250, 3, 0.3, 13);
+    let probs = genprob::exponential_topic_probs(graph.num_edges(), 2, 8.0, 13 ^ 0x77);
+    let cfg = OnlineConfig {
+        tirm: TirmOptions {
+            eps: 0.45,
+            seed: 7,
+            max_theta_per_ad: Some(500),
+            ..TirmOptions::default()
+        },
+        kappa: 2,
+        ..OnlineConfig::default()
+    };
+    let events = event_log();
+
+    // The uninterrupted oracle.
+    let mut oracle = OnlineAllocator::new(&graph, &probs, cfg.clone());
+    for ev in &events {
+        let _ = oracle.process(ev);
+    }
+    let want = oracle.snapshot();
+
+    for kill_at in 0..=events.len() {
+        let dir = fresh_dir(&format!("kill_{kill_at}"));
+        // Live run up to the kill point: checkpoint every 4 events,
+        // 3-frame segments.
+        let mut log = wal::Wal::open(&dir, 0, 3).unwrap();
+        let mut live = OnlineAllocator::new(&graph, &probs, cfg.clone());
+        for (i, ev) in events[..kill_at].iter().enumerate() {
+            log.append(ev).unwrap();
+            log.sync().unwrap();
+            let _ = live.process(ev);
+            if (i + 1) % 4 == 0 {
+                wal::write_checkpoint(&dir, &mut live, log.seq()).unwrap();
+                log.prune(log.seq()).unwrap();
+            }
+        }
+        drop(log);
+        drop(live);
+        if kill_at % 2 == 1 {
+            // Crash artifact: a frame announced but half-written.
+            let (_, seg) = wal::list_segments(&dir).unwrap().pop().unwrap();
+            let mut f = std::fs::OpenOptions::new().append(true).open(seg).unwrap();
+            std::io::Write::write_all(&mut f, &77u32.to_le_bytes()).unwrap();
+            std::io::Write::write_all(&mut f, b"{\"type\":\"ad").unwrap();
+        }
+
+        let (mut recovered, report) = wal::recover(&dir, &graph, &probs, &cfg).unwrap();
+        assert_eq!(
+            report.wal_seq, kill_at as u64,
+            "kill_at={kill_at}: durable frontier"
+        );
+        for ev in &events[kill_at..] {
+            let _ = recovered.process(ev);
+        }
+
+        let got = recovered.snapshot();
+        assert!(
+            got.same_allocation(&want),
+            "kill_at={kill_at}: recovered+finished run diverged \
+             (epoch {} vs {}, regret {} vs {})",
+            got.epoch,
+            want.epoch,
+            got.regret_estimate,
+            want.regret_estimate,
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
