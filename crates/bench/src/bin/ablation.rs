@@ -18,7 +18,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tirm_bench::schema::{BenchCell, BenchReport, EnvFingerprint};
+use tirm_bench::schema::{BenchCell, BenchReport};
 use tirm_bench::suite::{cell_from_run, CellLabels};
 use tirm_bench::{banner, write_json, write_report, QualityWorkload};
 use tirm_core::report::{fnum, Table};
@@ -90,9 +90,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let (alloc, stats) = tirm_allocate(&problem, opts);
         let secs = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
         let ev = evaluate(&problem, &alloc, w.cfg.eval_runs, 0xe7a1, threads);
-        let eval_s = t1.elapsed().as_secs_f64();
         eprintln!("  {name}: regret {:.1} in {:.1}s", ev.regret.total(), secs);
         t.row(vec![
             name.to_string(),
@@ -118,7 +116,6 @@ fn main() {
             &stats,
             Some(&ev),
             secs,
-            eval_s,
         ));
     }
     println!("\nAblation 1+3 — selection rule and theta cap (kappa=1, lambda=0)");
@@ -131,9 +128,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         let (alloc, stats) = tirm_allocate(&problem, base);
         let secs = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
         let ev = evaluate(&problem, &alloc, w.cfg.eval_runs, 1, threads);
-        let eval_s = t1.elapsed().as_secs_f64();
         // Free service = revenue beyond the *original* budgets.
         let original: f64 = w.ads.iter().map(|a| a.budget).sum();
         let revenue = ev.regret.total_revenue();
@@ -163,16 +158,12 @@ fn main() {
             &stats,
             Some(&ev),
             secs,
-            eval_s,
         ));
     }
     println!("\nAblation 2 — budget boost beta (Section 3 Discussion)");
     println!("{}", t.render());
 
-    write_report(
-        "ablation",
-        &BenchReport::new("ablation", EnvFingerprint::current(&w.cfg), cells),
-    );
+    write_report("ablation", &BenchReport::new("ablation", &w.cfg, cells));
 
     // --- 4. RRC vs RR sample economics -----------------------------------
     // Average RRC-set membership shrinks by ~E[δ] vs RR sets, so hitting

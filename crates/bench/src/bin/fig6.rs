@@ -13,10 +13,11 @@
 //! magnitude slower at moderate h.
 //!
 //! Cells run through `tirm_bench::suite` and the artifact is a schema
-//! [`BenchReport`] (`fig6.json`), so the sweep is diffable with
-//! `bench_diff` like any other experiment in the repo.
+//! [`BenchReport`] (`fig6.json`): the figure itself is the cells' `wall_s`,
+//! which `bench_diff` never compares — diffing two `fig6.json` files
+//! checks that the sweep's seeds, θ and memory did not drift.
 
-use tirm_bench::schema::{BenchCell, BenchReport, EnvFingerprint};
+use tirm_bench::schema::{BenchCell, BenchReport};
 use tirm_bench::suite::run_scalability_cell;
 use tirm_bench::{banner, write_report};
 use tirm_core::report::{fnum, Table};
@@ -142,6 +143,6 @@ fn main() {
         println!("{}", t.render());
     }
 
-    let report = BenchReport::new("fig6", EnvFingerprint::current(&cfg), cells);
+    let report = BenchReport::new("fig6", &cfg, cells);
     write_report("fig6", &report);
 }

@@ -1,5 +1,9 @@
 //! Scenario-matrix perf suite: runs every cell of a tier's grid with
-//! fixed seeds and writes a versioned `BENCH_<git-sha>.json` artifact.
+//! fixed seeds and writes a versioned `BENCH_<git-sha>.json` artifact —
+//! per cell the deterministic payload (θ, seeds, regret, revenue, memory)
+//! that `bench_diff` compares exactly, plus the allocation's `wall_s`,
+//! which is reported and never compared (`benchmark/` is the instrument
+//! for time).
 //!
 //! ```text
 //! cargo run -p tirm_bench --bin perf_suite --release -- --tier quick
@@ -10,10 +14,9 @@
 //!   `paper` is the Table-1-scale scalability grid — LIVEJOURNAL at 4.8M
 //!   nodes, MC evaluation skipped; `online` is the event-stream serving
 //!   grid — cells replay generated campaign streams through the
-//!   `tirm_online` engine and stamp latency percentiles + events/s;
-//!   `serving` is the network frontend grid — each cell boots a real
-//!   `tirm_server` on loopback and drives it with the load generator,
-//!   stamping wire latencies, read-path p99/throughput and shed rate).
+//!   `tirm_online` engine; `serving` is the network frontend grid — each
+//!   cell boots a real `tirm_server` on loopback and drives it with the
+//!   load generator; both evaluate the final allocation).
 //! * `--out PATH`        — artifact path (default
 //!   `target/experiments/BENCH_<sha>.json`, honouring
 //!   `TIRM_EXPERIMENTS_DIR`).
@@ -25,8 +28,8 @@
 //! `TIRM_SCALE` / `TIRM_EVAL_RUNS` / `TIRM_THREADS` override the tier's
 //! fidelity defaults. `TIRM_SNAPSHOT_DIR` enables the dataset snapshot
 //! cache: graphs + probabilities are generated once, then loaded from
-//! binary snapshots on later runs (cold/warm timings land in the
-//! artifact's `dataset_cold_s` / `dataset_warm_s` fields).
+//! binary snapshots on later runs (the progress log says which, and how
+//! long it took).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -91,13 +94,13 @@ fn main() -> ExitCode {
 
     let report = run_suite(&cfg);
 
-    let mut t = Table::new(&["cell", "alloc s", "eval s", "θ", "regret", "mem MB"]);
+    let mut t = Table::new(&["cell", "alloc s", "θ", "seeds", "regret", "mem MB"]);
     for c in &report.cells {
         t.row(vec![
             c.id.clone(),
             fnum(c.wall_s),
-            fnum(c.eval_s),
             c.theta.to_string(),
+            c.total_seeds.to_string(),
             fnum(c.total_regret),
             fnum(c.memory_bytes as f64 / 1e6),
         ]);

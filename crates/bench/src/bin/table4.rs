@@ -9,9 +9,10 @@
 //! growth in h are the reproduced claims.
 //!
 //! Cells run through `tirm_bench::suite` and the artifact is a schema
-//! [`BenchReport`] (`table4.json`), diffable with `bench_diff`.
+//! [`BenchReport`] (`table4.json`); its `memory_bytes` are deterministic,
+//! so two runs at one scale pass `bench_diff` exactly.
 
-use tirm_bench::schema::{BenchCell, BenchReport, EnvFingerprint};
+use tirm_bench::schema::{BenchCell, BenchReport};
 use tirm_bench::suite::run_scalability_cell;
 use tirm_bench::{banner, write_report};
 use tirm_core::report::Table;
@@ -84,6 +85,6 @@ fn main() {
         println!("\nTable 4 — {}: memory usage vs h", kind.name());
         println!("{}", t.render());
     }
-    let report = BenchReport::new("table4", EnvFingerprint::current(&cfg), cells);
+    let report = BenchReport::new("table4", &cfg, cells);
     write_report("table4", &report);
 }

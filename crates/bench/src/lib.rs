@@ -5,7 +5,7 @@
 //! The measurement backbone lives in four submodules: [`schema`] (the
 //! versioned `BENCH_*.json` artifact every experiment emits), [`suite`]
 //! (the deterministic scenario-matrix runner behind `perf_suite`),
-//! [`diff`] (the noise-aware baseline comparison behind `bench_diff`)
+//! [`diff`] (the exact field-equality drift gate behind `bench_diff`)
 //! and [`loadgen`] (the open-loop wire-protocol driver behind the
 //! `loadgen` bin and the `SERVING/…` cells).
 

@@ -1,8 +1,8 @@
 //! Integration tests for the perf-suite backbone: artifact round trips,
 //! `bench_diff` fixture pairs, and suite determinism.
 
-use tirm_bench::diff::{diff_reports, DiffOptions, Verdict};
-use tirm_bench::schema::{BenchReport, EnvFingerprint, SCHEMA_VERSION};
+use tirm_bench::diff::{diff_cell, diff_reports};
+use tirm_bench::schema::{BenchReport, SCHEMA_VERSION};
 use tirm_bench::suite::{run_scenario, run_suite, SuiteConfig};
 use tirm_workloads::scenarios::{AllocatorKind, ScenarioSpec, Tier};
 use tirm_workloads::{DatasetKind, ProbModel, ScaleConfig};
@@ -61,7 +61,7 @@ fn measured_cells_round_trip_through_the_artifact_format() {
         &tiny_scale(),
         42,
     );
-    let report = BenchReport::new("test", EnvFingerprint::current(&tiny_scale()), vec![cell]);
+    let report = BenchReport::new("test", &tiny_scale(), vec![cell]);
     let back = BenchReport::from_json_str(&report.to_json_string()).unwrap();
     assert_eq!(report, back, "measured values must survive JSON exactly");
     assert_eq!(back.schema_version, SCHEMA_VERSION);
@@ -95,20 +95,7 @@ fn fixture_diff(mutate: impl FnOnce(&mut BenchReport)) -> tirm_bench::diff::Diff
         &tiny_scale(),
         7,
     );
-    // Explicit release-like fingerprint: `EnvFingerprint::current` in a
-    // debug test build sets `debug_assertions`, which (correctly) makes
-    // the diff refuse to compare wall-clock fields at all.
-    let env = EnvFingerprint {
-        debug_assertions: false,
-        ..EnvFingerprint::current(&tiny_scale())
-    };
-    let mut baseline = BenchReport::new("test", env.clone(), vec![cell_a, cell_b]);
-    for c in &mut baseline.cells {
-        // Debug-build fixture timings sit under the 50 ms noise gate;
-        // normalize them so the pair actually exercises time comparison.
-        c.wall_s = 1.0;
-        c.eval_s = 1.0;
-    }
+    let baseline = BenchReport::new("test", &tiny_scale(), vec![cell_a, cell_b]);
     let mut probe = baseline.clone();
     mutate(&mut probe);
 
@@ -122,43 +109,34 @@ fn fixture_diff(mutate: impl FnOnce(&mut BenchReport)) -> tirm_bench::diff::Diff
     let new = BenchReport::load(&new_path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
-    // Fixture timings must be above the noise gate for time checks.
-    diff_reports(&old, &new, &DiffOptions::default())
+    diff_reports(&old, &new).expect("same tier, scale and eval_runs")
 }
 
 #[test]
-fn fixture_pair_no_regression() {
-    let d = fixture_diff(|_| {});
+fn fixture_pair_no_drift() {
+    // Wall clock is the one field that may move between two artifacts.
+    let d = fixture_diff(|probe| {
+        for c in &mut probe.cells {
+            c.wall_s *= 10.0;
+        }
+    });
     assert!(
-        !d.has_regressions(),
-        "identical artifacts must pass: {:?}",
+        d.findings.is_empty(),
+        "artifacts differing only in wall_s must pass: {:?}",
         d.findings
     );
     assert_eq!(d.cells_joined, 2);
 }
 
 #[test]
-fn fixture_pair_injected_slowdown_is_flagged() {
+fn fixture_pair_one_ulp_of_regret_is_flagged() {
     let d = fixture_diff(|probe| {
-        for c in &mut probe.cells {
-            c.wall_s *= 1.2;
-        }
+        let c = &mut probe.cells[1];
+        c.total_regret = f64::from_bits(c.total_regret.to_bits() + 1);
     });
-    assert!(d.has_regressions(), "a 20% slowdown must fail the gate");
-    assert!(d
-        .findings
-        .iter()
-        .any(|f| f.metric == "wall_s" && f.verdict == Verdict::Regression));
-}
-
-#[test]
-fn fixture_pair_jitter_passes() {
-    let d = fixture_diff(|probe| {
-        for c in &mut probe.cells {
-            c.wall_s *= 1.08; // under the 15% tolerance
-        }
-    });
-    assert!(!d.has_regressions(), "8% jitter must not fail the gate");
+    assert_eq!(d.findings.len(), 1, "{:?}", d.findings);
+    assert_eq!(d.findings[0].field, "total_regret");
+    assert_eq!(d.findings[0].id, "EPINIONS/exp/IRIE/t1/k1/l0");
 }
 
 #[test]
@@ -166,9 +144,53 @@ fn fixture_pair_missing_cell_is_flagged() {
     let d = fixture_diff(|probe| {
         probe.cells.pop();
     });
-    assert!(d.has_regressions());
-    assert!(d.findings.iter().any(|f| f.verdict == Verdict::MissingCell));
+    assert_eq!(d.findings.len(), 1, "{:?}", d.findings);
+    assert_eq!(d.findings[0].field, "(cell)");
     assert_eq!(d.cells_joined, 1);
+}
+
+#[test]
+fn bench_diff_exits_0_when_clean_1_on_drift_2_when_refused() {
+    let cell = run_scenario(
+        &spec(
+            DatasetKind::Epinions,
+            ProbModel::Exponential,
+            AllocatorKind::GreedyIrie,
+        ),
+        &tiny_scale(),
+        7,
+    );
+    let base = BenchReport::new("test", &tiny_scale(), vec![cell]);
+    let mut drifted = base.clone();
+    drifted.cells[0].total_seeds += 1;
+    let mut rescaled = base.clone();
+    rescaled.scale = 0.3;
+
+    let dir = std::env::temp_dir().join(format!("tirm_diff_exit_{}", std::process::id()));
+    let old_path = dir.join("BENCH_old.json");
+    base.save(&old_path).unwrap();
+    let run = |new: &BenchReport| {
+        let new_path = dir.join("BENCH_new.json");
+        new.save(&new_path).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench_diff"))
+            .args([&old_path, &new_path])
+            .output()
+            .expect("bench_diff runs");
+        let text = [out.stdout, out.stderr].concat();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&text).into_owned(),
+        )
+    };
+    let (code, text) = run(&base);
+    assert_eq!(code, Some(0), "{text}");
+    let (code, text) = run(&drifted);
+    assert_eq!(code, Some(1), "{text}");
+    assert!(text.contains("total_seeds"), "{text}");
+    let (code, text) = run(&rescaled);
+    assert_eq!(code, Some(2), "{text}");
+    assert!(text.contains("scale differs (0.02 vs 0.3)"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------- determinism
@@ -176,7 +198,7 @@ fn fixture_pair_missing_cell_is_flagged() {
 #[test]
 fn same_seed_same_metric_payload() {
     // Two independent runs of the same cells must agree on every
-    // deterministic field; only wall-clock fields may differ.
+    // deterministic field; only `wall_s` may differ.
     let scale = tiny_scale();
     let specs = [
         spec(
@@ -191,15 +213,9 @@ fn same_seed_same_metric_payload() {
         ),
     ];
     for s in &specs {
-        let mut a = run_scenario(s, &scale, 0x71a6_5eed);
-        let mut b = run_scenario(s, &scale, 0x71a6_5eed);
-        a.strip_timings();
-        b.strip_timings();
-        assert_eq!(a, b, "non-deterministic payload in {}", s.id());
-        // Byte-level too: the artifact is the contract.
-        let ja = serde_json::to_string(&a).unwrap();
-        let jb = serde_json::to_string(&b).unwrap();
-        assert_eq!(ja, jb);
+        let a = run_scenario(s, &scale, 0x71a6_5eed);
+        let b = run_scenario(s, &scale, 0x71a6_5eed);
+        assert_eq!(diff_cell(&a, &b), [], "non-deterministic payload");
     }
 }
 
@@ -213,15 +229,13 @@ fn different_base_seed_changes_the_payload() {
         AllocatorKind::Tirm,
     );
     let scale = tiny_scale();
-    let mut a = run_scenario(&s, &scale, 1);
-    let mut b = run_scenario(&s, &scale, 2);
-    a.strip_timings();
-    b.strip_timings();
-    assert_ne!(a.seed, b.seed);
-    assert_ne!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap(),
-        "different seeds should perturb some metric"
+    let a = run_scenario(&s, &scale, 1);
+    let b = run_scenario(&s, &scale, 2);
+    let moved: Vec<&str> = diff_cell(&a, &b).iter().map(|f| f.field).collect();
+    assert!(moved.contains(&"seed"), "{moved:?}");
+    assert!(
+        moved.len() > 1,
+        "different seeds should perturb some metric: {moved:?}"
     );
 }
 
@@ -229,48 +243,30 @@ fn different_base_seed_changes_the_payload() {
 fn snapshot_warm_run_has_identical_metric_payload() {
     // The run-twice determinism contract must survive the snapshot cache:
     // run 1 generates cold and writes snapshots, run 2 loads them warm —
-    // every non-timing field of the artifacts must be byte-identical, and
-    // the cold/warm provenance fields must say what happened.
+    // the artifacts must not differ. (That run 1 was a miss and run 2 a
+    // hit is asserted where the cache lives, `workloads::datasets`.)
     let dir = std::env::temp_dir().join(format!("tirm_suite_snapwarm_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cfg = SuiteConfig {
         tier: Tier::Quick,
         scale: tiny_scale(),
         base_seed: 0x71a6_5eed,
-        // Two cells sharing one (dataset, model): the second must reuse
-        // the in-memory instance and report zero ingestion time.
+        // Two cells sharing one (dataset, model): the second reuses the
+        // in-memory instance.
         filter: Some("EPINIONS/exp".to_string()),
         snapshot_dir: Some(dir.clone()),
     };
     let cold = run_suite(&cfg);
     assert!(cold.cells.len() >= 2, "filter matched {}", cold.cells.len());
-    assert!(
-        cold.cells[0].dataset_cold_s > 0.0 && cold.cells[0].dataset_warm_s == 0.0,
-        "first run generates cold"
-    );
-    assert!(
-        cold.cells[1].dataset_cold_s == 0.0 && cold.cells[1].dataset_warm_s == 0.0,
-        "second cell reuses the in-memory dataset"
-    );
-
+    assert!(std::fs::read_dir(&dir).unwrap().next().is_some());
     let warm = run_suite(&cfg);
-    assert!(
-        warm.cells[0].dataset_warm_s > 0.0 && warm.cells[0].dataset_cold_s == 0.0,
-        "second run loads the snapshot warm"
-    );
     std::fs::remove_dir_all(&dir).ok();
 
-    let strip = |r: &BenchReport| {
-        let mut r = r.clone();
-        r.created_unix = 0;
-        for c in &mut r.cells {
-            c.strip_timings();
-        }
-        serde_json::to_string(&r).unwrap()
-    };
+    let d = diff_reports(&cold, &warm).unwrap();
+    assert_eq!(d.cells_joined, cold.cells.len());
     assert_eq!(
-        strip(&cold),
-        strip(&warm),
+        d.findings,
+        [],
         "snapshot-warm run must be bit-identical to cold generation"
     );
 }
@@ -278,7 +274,7 @@ fn snapshot_warm_run_has_identical_metric_payload() {
 // -------------------------------------------------------------- online
 
 #[test]
-fn online_cell_measures_serving_metrics() {
+fn online_cell_reports_the_serving_layer() {
     let cell = run_scenario(
         &online_spec(DatasetKind::Epinions, ProbModel::Exponential, 2),
         &tiny_scale(),
@@ -288,37 +284,31 @@ fn online_cell_measures_serving_metrics() {
     assert_eq!(cell.allocator, "ONLINE");
     assert!(cell.theta > 0, "serving layer holds RR capital");
     assert!(cell.memory_bytes > 0);
-    assert!(cell.events_per_s > 0.0);
-    assert!(cell.latency_p50_us > 0.0);
-    assert!(cell.latency_p99_us >= cell.latency_p95_us);
-    assert!(cell.latency_p95_us >= cell.latency_p50_us);
-    // The artifact round-trips the new fields exactly.
-    let report = BenchReport::new("test", EnvFingerprint::current(&tiny_scale()), vec![cell]);
-    let back = BenchReport::from_json_str(&report.to_json_string()).unwrap();
-    assert_eq!(report, back);
+    assert!(cell.total_seeds > 0 && cell.wall_s > 0.0);
 }
 
 #[test]
 fn online_cell_payload_is_deterministic() {
     let s = online_spec(DatasetKind::Epinions, ProbModel::Exponential, 2);
     let scale = tiny_scale();
-    let mut a = run_scenario(&s, &scale, 0x71a6_5eed);
-    let mut b = run_scenario(&s, &scale, 0x71a6_5eed);
-    a.strip_timings();
-    b.strip_timings();
+    let a = run_scenario(&s, &scale, 0x71a6_5eed);
+    let b = run_scenario(&s, &scale, 0x71a6_5eed);
     assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap(),
-        "two replays must agree on every non-timing field"
+        diff_cell(&a, &b),
+        [],
+        "two replays must agree on every compared field"
     );
-    assert_eq!(a.latency_p50_us, 0.0, "latencies are timing fields");
-    assert_eq!(a.events_per_s, 0.0);
 }
 
 // -------------------------------------------------------------- serving
 
 #[test]
-fn serving_cell_measures_the_network_frontend() {
+fn serving_cell_reports_the_network_frontend() {
+    // The runner itself asserts the behavioural floor: nothing rejected,
+    // every one of the ≥ 4 concurrent reader connections made progress
+    // while the writer ground, and the metrics / trace exposition held
+    // the run. (The latency-instrumented no-reader-blocks assertion
+    // lives in tirm_server's `readers_never_block_on_the_writer`.)
     let cell = run_scenario(
         &serving_spec(DatasetKind::Epinions, ProbModel::Exponential, 2),
         &tiny_scale(),
@@ -328,53 +318,23 @@ fn serving_cell_measures_the_network_frontend() {
     assert_eq!(cell.allocator, "SERVING");
     assert!(cell.theta > 0, "drained snapshot carries the RR capital");
     assert!(cell.memory_bytes > 0);
-    assert!(cell.events_per_s > 0.0);
-    assert!(cell.latency_p50_us > 0.0, "wire mutation latencies stamped");
-    assert!(cell.latency_p99_us >= cell.latency_p95_us);
-    // The acceptance floor: ≥ 4 concurrent readers served during the
-    // run, with their p99 and throughput in the artifact.
-    assert!(cell.read_p99_us > 0.0, "read path p99 stamped");
-    assert!(cell.reads_per_s > 0.0, "reader pool made progress");
-    // Closed-loop readers must outpace the ~48-event mutation stream by
-    // orders of magnitude — serialized-behind-the-writer reads can't.
-    // (Mutation responses return at *admission*, so latency_p99_us is
-    // wire RTT, not allocator service time — comparing read p99 against
-    // it would be scheduler-noise roulette. The latency-instrumented
-    // no-reader-blocks assertion lives in tirm_server's
-    // `readers_never_block_on_the_writer`, which measures real mutation
-    // service time via queue drain.)
-    assert!(
-        cell.reads_per_s > cell.events_per_s,
-        "reader pool throughput {} vs {} events/s",
-        cell.reads_per_s,
-        cell.events_per_s
-    );
-    assert!((0.0..=1.0).contains(&cell.shed_rate), "shed rate recorded");
-    // The artifact round-trips the v4 fields exactly.
-    let report = BenchReport::new("test", EnvFingerprint::current(&tiny_scale()), vec![cell]);
-    let back = BenchReport::from_json_str(&report.to_json_string()).unwrap();
-    assert_eq!(report, back);
+    assert!(cell.total_seeds > 0 && cell.wall_s > 0.0);
 }
 
 #[test]
 fn serving_cell_payload_is_deterministic() {
     // Deterministic delivery (retry-on-overload) makes the drained
     // snapshot a pure function of the log: two runs through two real
-    // servers on two ports must agree on every non-timing field.
+    // servers on two ports must agree on every compared field.
     let s = serving_spec(DatasetKind::Epinions, ProbModel::Exponential, 2);
     let scale = tiny_scale();
-    let mut a = run_scenario(&s, &scale, 0x71a6_5eed);
-    let mut b = run_scenario(&s, &scale, 0x71a6_5eed);
-    a.strip_timings();
-    b.strip_timings();
+    let a = run_scenario(&s, &scale, 0x71a6_5eed);
+    let b = run_scenario(&s, &scale, 0x71a6_5eed);
     assert_eq!(
-        serde_json::to_string(&a).unwrap(),
-        serde_json::to_string(&b).unwrap(),
-        "two served runs must agree on every non-timing field"
+        diff_cell(&a, &b),
+        [],
+        "two served runs must agree on every compared field"
     );
-    assert_eq!(a.read_p99_us, 0.0, "read metrics are timing fields");
-    assert_eq!(a.reads_per_s, 0.0);
-    assert_eq!(a.shed_rate, 0.0);
 }
 
 fn replicated_spec(dataset: DatasetKind, model: ProbModel, kappa: u32) -> ScenarioSpec {
@@ -386,13 +346,13 @@ fn replicated_spec(dataset: DatasetKind, model: ProbModel, kappa: u32) -> Scenar
 }
 
 #[test]
-fn replicated_cell_converges_and_stamps_follower_metrics() {
+fn replicated_cell_converges() {
     // One real leader + one real WAL-shipping follower: the runner
-    // itself asserts the follower's final snapshot is bit-identical to
-    // the leader's drained one, so this test passing *is* the
-    // replication-correctness check at tiny scale. On top we check the
-    // v6 metric stamps and the artifact round trip.
-    let mut cell = run_scenario(
+    // itself asserts that the reader pool exercised the follower and
+    // that the follower's final snapshot is bit-identical to the
+    // leader's drained one, so this test passing *is* the
+    // replication-correctness check at tiny scale.
+    let cell = run_scenario(
         &replicated_spec(DatasetKind::Epinions, ProbModel::Exponential, 2),
         &tiny_scale(),
         0x71a6_5eed,
@@ -400,23 +360,7 @@ fn replicated_cell_converges_and_stamps_follower_metrics() {
     assert!(cell.id.starts_with("SERVING-REPL/"));
     assert_eq!(cell.allocator, "SERVING-REPL");
     assert!(cell.theta > 0, "drained snapshot carries the RR capital");
-    assert!(cell.events_per_s > 0.0);
-    assert!(cell.reads_per_s > 0.0, "reader pool made progress");
-    assert!(
-        cell.follower_reads_per_s > 0.0,
-        "part of the reader pool must route through the follower"
-    );
-    assert!(cell.follower_lag_p99 >= 0.0, "lag p99 recorded");
-    let report = BenchReport::new(
-        "test",
-        EnvFingerprint::current(&tiny_scale()),
-        vec![cell.clone()],
-    );
-    let back = BenchReport::from_json_str(&report.to_json_string()).unwrap();
-    assert_eq!(report, back, "v6 fields round-trip through the artifact");
-    cell.strip_timings();
-    assert_eq!(cell.follower_reads_per_s, 0.0, "timing field");
-    assert_eq!(cell.follower_lag_p99, 0.0, "timing field");
+    assert!(cell.total_seeds > 0 && cell.wall_s > 0.0);
 }
 
 #[test]

@@ -598,7 +598,6 @@ fn tirm_run(
         oracle_calls,
         postings_bytes: states.iter().map(|s| s.coll.postings_bytes()).sum(),
         postings_entries: states.iter().map(|s| s.coll.total_entries()).sum(),
-        legacy_postings_bytes: states.iter().map(|s| s.coll.legacy_postings_bytes()).sum(),
     };
     let warm_out = states
         .into_iter()

@@ -30,10 +30,6 @@ pub struct AlgoStats {
     /// Total inverted-posting entries across ads (TIRM only). Dividing
     /// [`Self::postings_bytes`] by this gives bytes-per-posting.
     pub postings_entries: usize,
-    /// Bytes the historical `Vec<Vec<u32>>` postings layout would need
-    /// for the same contents — kept so artifact diffs can pin the arena
-    /// layout's reduction without re-deriving the old formula.
-    pub legacy_postings_bytes: usize,
 }
 
 fn ser_duration<S: serde::Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
@@ -61,21 +57,9 @@ impl AlgoStats {
 /// Optional resident-set-size probe (`/proc/self/status`, Linux only) used
 /// to corroborate the precise accounting in [`AlgoStats::memory_bytes`].
 pub fn rss_bytes() -> Option<usize> {
-    proc_status_bytes("VmRSS:")
-}
-
-/// Optional *peak* resident-set-size probe (`VmHWM`, Linux only) — the
-/// perf-suite schema records it per process so baseline diffs catch memory
-/// regressions that precise per-structure accounting misses (allocator
-/// overhead, transient buffers).
-pub fn peak_rss_bytes() -> Option<usize> {
-    proc_status_bytes("VmHWM:")
-}
-
-fn proc_status_bytes(prefix: &str) -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(prefix) {
+        if let Some(rest) = line.strip_prefix("VmRSS:") {
             let kb: usize = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
             return Some(kb * 1024);
         }
@@ -108,15 +92,6 @@ mod tests {
         // Smoke test: on Linux this should return something > 1 MB.
         if let Some(rss) = rss_bytes() {
             assert!(rss > 1 << 20);
-        }
-    }
-
-    #[test]
-    fn peak_rss_is_at_least_current_rss() {
-        if let (Some(peak), Some(rss)) = (peak_rss_bytes(), rss_bytes()) {
-            assert!(peak > 1 << 20);
-            // VmHWM is a high-water mark; allow slack for sampling skew.
-            assert!(peak + (4 << 20) >= rss, "peak {peak} vs rss {rss}");
         }
     }
 }

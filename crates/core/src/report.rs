@@ -1,6 +1,6 @@
 //! Minimal aligned-column text tables for the experiment harness output,
 //! renderable as plain text (stdout) or GitHub-flavoured markdown (the
-//! `bench_diff` regression gate posts the latter into CI logs/PRs).
+//! `bench_diff` drift gate posts the latter into CI logs/PRs).
 
 /// A simple text table with left-aligned first column and right-aligned
 /// numeric columns, rendered with aligned widths.

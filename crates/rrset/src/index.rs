@@ -422,7 +422,7 @@ impl RrIndex {
     /// layout (`Vec<Vec<u32>>`: one 24-byte header per node plus a
     /// doubling buffer of capacity `max(4, len.next_power_of_two())`).
     /// Deterministic in the list lengths, so the arena's byte reduction
-    /// is reportable without ever building the old layout. O(n).
+    /// is testable without ever building the old layout. O(n).
     pub fn legacy_postings_bytes(&self) -> usize {
         (0..self.n)
             .map(|v| {

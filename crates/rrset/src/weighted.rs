@@ -257,11 +257,6 @@ impl WeightedRrCollection {
     pub fn postings_bytes(&self) -> usize {
         self.index.postings_bytes()
     }
-
-    /// Bytes the legacy `Vec<Vec<u32>>` postings layout would need.
-    pub fn legacy_postings_bytes(&self) -> usize {
-        self.index.legacy_postings_bytes()
-    }
 }
 
 /// Encodes a non-negative score as a heap key preserving order
