@@ -235,6 +235,9 @@ fn probe_metrics_exposition() {
         "tirm_server_accepted_total",
         "tirm_rrset_rr_sets_sampled_total",
         "tirm_online_apply_latency_ns_count",
+        "tirm_kpt_estimates_total",
+        "tirm_fastpath_builds_total",
+        "tirm_core_phase_ns_count",
     ] {
         let v = tirm_obs::prom::sample_value(&samples, name);
         assert!(

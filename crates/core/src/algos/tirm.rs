@@ -34,8 +34,9 @@ use crate::metrics::AlgoStats;
 use crate::problem::ProblemInstance;
 use crate::regret::ad_regret;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tirm_graph::NodeId;
+use tirm_obs::registry::{CORE_PHASES, CORE_PHASE_NS};
 use tirm_rrset::heap::Verdict;
 use tirm_rrset::weighted::{score_key, WeightedRrCollection};
 use tirm_rrset::{
@@ -333,9 +334,10 @@ pub struct AdWarmParts {
 /// Per-ad sampling and coverage state.
 struct AdState<'a> {
     sampler: RrSampler<'a>,
-    /// Precomputed fast sampling route (thresholds + shared mark layout);
-    /// bit-identical to the plain route, used for every draw.
-    fast: FastPath,
+    /// Fast sampling route (thresholds + shared mark layout);
+    /// bit-identical to the plain route, used for every draw. Its
+    /// threshold table is built by the ad's first draw of the run.
+    fast: FastPath<'a>,
     coll: WeightedRrCollection,
     heap: LazyMaxHeap,
     kpt: KptEstimator<'a>,
@@ -360,14 +362,24 @@ struct AdState<'a> {
 }
 
 impl<'a> AdState<'a> {
+    /// `KPT(s)` through the ad's fast route, timed as `KptEstimate`.
+    fn estimate_kpt(&mut self, s: usize, clock: &mut PhaseClock) -> f64 {
+        let built = self.fast.build_time();
+        let kpt = self.kpt.estimate_with(s, Some(&self.fast));
+        clock.lap_draw(Phase::KptEstimate, self.fast.build_time() - built);
+        kpt
+    }
+
     /// Brings the collection up to `theta` active sets: cached dormant
     /// sets are re-activated first (bit-identical to sampling them, per
     /// the engine's batch-split invariance), then fresh sets are drawn.
-    fn ensure_theta(&mut self, theta: usize, oracle_calls: &mut usize) {
+    /// Timed as `ThetaSample`.
+    fn ensure_theta(&mut self, theta: usize, oracle_calls: &mut usize, clock: &mut PhaseClock) {
         let have = self.coll.num_sets();
         if theta <= have {
             return;
         }
+        let built = self.fast.build_time();
         let mut need = theta - have;
         need -= self.coll.activate_next(need);
         if need > 0 {
@@ -376,6 +388,60 @@ impl<'a> AdState<'a> {
                     .sample_into_with(&self.sampler, Some(&self.fast), need, &mut self.coll);
             debug_assert_eq!(drawn, need, "θ engines run uncapped");
             *oracle_calls += drawn;
+        }
+        clock.lap_draw(Phase::ThetaSample, self.fast.build_time() - built);
+    }
+}
+
+/// The phases one `tirm_run` is split into, in the index order of
+/// [`CORE_PHASES`].
+#[derive(Clone, Copy)]
+enum Phase {
+    KptEstimate,
+    TableBuild,
+    ThetaSample,
+    HeapBuild,
+    Select,
+    Commit,
+    Grow,
+    Other,
+}
+
+const _: () = assert!(Phase::Other as usize + 1 == CORE_PHASES.len());
+
+/// Where one run's wall time went. A lap charges everything since the
+/// previous lap to one phase, so the phases partition the run; the sums
+/// stay in locals until [`PhaseClock::record`] writes each once.
+struct PhaseClock {
+    last: Instant,
+    spent: [Duration; CORE_PHASES.len()],
+}
+
+impl PhaseClock {
+    fn start() -> Self {
+        PhaseClock {
+            last: Instant::now(),
+            spent: [Duration::ZERO; CORE_PHASES.len()],
+        }
+    }
+
+    fn lap(&mut self, phase: Phase) {
+        self.lap_draw(phase, Duration::ZERO);
+    }
+
+    /// A lap over a stretch that may have drawn RR sets: `table_build`
+    /// of it, the time a first draw spent gathering the ad's threshold
+    /// table, goes to `TableBuild` and the rest to `phase`.
+    fn lap_draw(&mut self, phase: Phase, table_build: Duration) {
+        let now = Instant::now();
+        self.spent[phase as usize] += (now - self.last).saturating_sub(table_build);
+        self.spent[Phase::TableBuild as usize] += table_build;
+        self.last = now;
+    }
+
+    fn record(&self) {
+        for (hist, spent) in CORE_PHASE_NS.iter().zip(&self.spent) {
+            hist.record_duration(*spent);
         }
     }
 }
@@ -430,6 +496,7 @@ fn tirm_run(
     want_warm: bool,
 ) -> (Allocation, AlgoStats, Vec<AdWarmState>) {
     let start = Instant::now();
+    let mut clock = PhaseClock::start();
     let h = problem.num_ads();
     assert_eq!(ad_seeds.len(), h, "one seed plan per ad");
     assert_eq!(warm.len(), h, "one warm slot per ad");
@@ -501,20 +568,25 @@ fn tirm_run(
             saturated: false,
             capped: false,
         };
-        let kpt1 = st.kpt.estimate_with(1, Some(&st.fast));
+        clock.lap(Phase::Other);
+        let kpt1 = st.estimate_kpt(1, &mut clock);
         let (theta, capped) = bound.theta(1, kpt1);
         st.capped = capped;
         match &st.base {
             // O(n) shortcut past the O(entries) activation walk: the
             // pristine θ₀ scores are integers, so restoring them is
             // bit-identical to re-activating set by set.
-            Some((t0, scores)) if *t0 == theta => st.coll.restore_prefix(theta, scores),
+            Some((t0, scores)) if *t0 == theta => {
+                st.coll.restore_prefix(theta, scores);
+                clock.lap(Phase::ThetaSample);
+            }
             _ => {
-                st.ensure_theta(theta, &mut oracle_calls);
+                st.ensure_theta(theta, &mut oracle_calls, &mut clock);
                 st.base = want_warm.then(|| (theta, st.coll.scores().to_vec()));
             }
         }
         rebuild_heap(&mut st);
+        clock.lap(Phase::HeapBuild);
         states.push(st);
     }
 
@@ -560,6 +632,7 @@ fn tirm_run(
                 best = Some((i, v, drop, mg, score));
             }
         }
+        clock.lap(Phase::Select);
         let (i, v, _drop, mg, _score) = match best {
             Some(b) => b,
             None => break,
@@ -575,10 +648,12 @@ fn tirm_run(
         st.revenue += mg;
         st.last_mg = mg;
         st.seeds.push((v, decay, credited));
+        clock.lap(Phase::Commit);
 
         // Seed-count growth + sample top-up (lines 14–19).
         if alloc.seeds(i).len() == st.s_est {
-            grow_and_resample(problem, st, i, &bound, nf, &mut oracle_calls);
+            grow_and_resample(problem, st, i, &bound, nf, &mut oracle_calls, &mut clock);
+            clock.lap(Phase::Grow);
         }
     }
 
@@ -610,6 +685,8 @@ fn tirm_run(
             threads: opts.threads,
         })
         .collect();
+    clock.lap(Phase::Other);
+    clock.record();
     (alloc, stats, warm_out)
 }
 
@@ -725,7 +802,9 @@ fn select_best_drop(
     best.map(|(v, score, mg, _)| (v, score, mg))
 }
 
-/// Lines 14–19 of Algorithm 2 plus Algorithm 4 (`UpdateEstimates`).
+/// Lines 14–19 of Algorithm 2 plus Algorithm 4 (`UpdateEstimates`). The
+/// caller charges what is left on `clock` to `Grow`; the laps in here
+/// only close a stretch of it before a nested phase begins.
 fn grow_and_resample(
     problem: &ProblemInstance<'_>,
     st: &mut AdState<'_>,
@@ -733,6 +812,7 @@ fn grow_and_resample(
     bound: &SampleBound,
     nf: f64,
     oracle_calls: &mut usize,
+    clock: &mut PhaseClock,
 ) {
     let budget = problem.target_budget(ad);
     let budget_regret = (budget - st.revenue).abs();
@@ -751,7 +831,8 @@ fn grow_and_resample(
     // bound: the larger of KPT(s_i) and the (1−ε)-discounted CTP-free
     // union-coverage estimate of the current seed set (both are
     // high-probability lower bounds on OPT_{s_i}).
-    let kpt = st.kpt.estimate_with(st.s_est, Some(&st.fast));
+    clock.lap(Phase::Grow);
+    let kpt = st.estimate_kpt(st.s_est, clock);
     let theta_now = st.coll.num_sets();
     let union_est = nf * st.coll.union_coverage() as f64 / theta_now.max(1) as f64;
     let opt_lb = kpt.max(union_est * (1.0 - bound.eps)).max(1.0);
@@ -759,7 +840,8 @@ fn grow_and_resample(
     st.capped |= capped;
     if theta_needed > theta_now {
         let first_new_sid = theta_now as u32;
-        st.ensure_theta(theta_needed, oracle_calls);
+        clock.lap(Phase::Grow);
+        st.ensure_theta(theta_needed, oracle_calls, clock);
         // Algorithm 4: apply existing seeds (in selection order) to the
         // fresh sets so future marginals stay marginal, crediting the
         // extra coverage to each seed.
@@ -784,7 +866,9 @@ fn grow_and_resample(
         };
         // Scores grew for everyone → lazy invalidation is unsound until
         // the heap is rebuilt.
+        clock.lap(Phase::Grow);
         rebuild_heap(st);
+        clock.lap(Phase::HeapBuild);
     }
 }
 

@@ -41,6 +41,18 @@ fn push_header(out: &mut String, name: &str, help: &str, kind: &str) {
     out.push('\n');
 }
 
+/// The `{key="value"}` selector of a labelled series; nothing when
+/// unlabelled.
+fn push_label(out: &mut String, label: Option<(&str, &str)>) {
+    if let Some((k, v)) = label {
+        out.push('{');
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_label(v, out);
+        out.push_str("\"}");
+    }
+}
+
 fn push_hist(out: &mut String, family: &str, label: Option<(&str, &str)>, s: &HistogramSnapshot) {
     let prefix = |out: &mut String, suffix: &str| {
         out.push_str(family);
@@ -73,29 +85,26 @@ fn push_hist(out: &mut String, family: &str, label: Option<(&str, &str)>, s: &Hi
         out.push_str("\",");
     }
     out.push_str(&format!("le=\"+Inf\"}} {}\n", s.count));
-    let label_sel = |out: &mut String| {
-        if let Some((k, v)) = label {
-            out.push('{');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_label(v, out);
-            out.push_str("\"}");
-        }
-    };
     prefix(out, "_sum");
-    label_sel(out);
+    push_label(out, label);
     out.push_str(&format!(" {}\n", s.sum));
     prefix(out, "_count");
-    label_sel(out);
+    push_label(out, label);
     out.push_str(&format!(" {}\n", s.count));
 }
 
 /// Renders a registry snapshot as Prometheus text exposition.
 pub fn render(snap: &RegistrySnapshot) -> String {
     let mut out = String::with_capacity(8192);
-    for (name, help, v) in &snap.counters {
-        push_header(&mut out, name, help, "counter");
-        out.push_str(&format!("{name} {v}\n"));
+    let mut last_family: Option<&str> = None;
+    for (family, label, help, v) in &snap.counters {
+        if last_family != Some(*family) {
+            push_header(&mut out, family, help, "counter");
+            last_family = Some(*family);
+        }
+        out.push_str(family);
+        push_label(&mut out, *label);
+        out.push_str(&format!(" {v}\n"));
     }
     for (name, help, v) in &snap.gauges {
         push_header(&mut out, name, help, "gauge");
@@ -245,7 +254,26 @@ mod tests {
         let labeled = Histogram::new();
         labeled.record(5);
         RegistrySnapshot {
-            counters: vec![("tirm_test_events_total", "Events with a \\ in help", 42)],
+            counters: vec![
+                (
+                    "tirm_test_events_total",
+                    None,
+                    "Events with a \\ in help",
+                    42,
+                ),
+                (
+                    "tirm_test_asks_total",
+                    Some(("result", "hit")),
+                    "Asks by result",
+                    5,
+                ),
+                (
+                    "tirm_test_asks_total",
+                    Some(("result", "miss")),
+                    "Asks by result",
+                    2,
+                ),
+            ],
             gauges: vec![("tirm_test_depth", "Current depth", 7)],
             histograms: vec![
                 ("tirm_test_latency_ns", None, "Latency (ns)", h.snapshot()),
@@ -264,8 +292,9 @@ mod tests {
         }
     }
 
-    /// Golden-format pin: HELP/TYPE lines, help escaping, label-value
-    /// escaping, and cumulative histogram buckets, byte for byte.
+    /// Golden-format pin: HELP/TYPE lines (one per family), help
+    /// escaping, label-value escaping, and cumulative histogram buckets,
+    /// byte for byte.
     #[test]
     fn golden_format() {
         let text = render(&tiny_snapshot());
@@ -273,6 +302,10 @@ mod tests {
 # HELP tirm_test_events_total Events with a \\\\ in help
 # TYPE tirm_test_events_total counter
 tirm_test_events_total 42
+# HELP tirm_test_asks_total Asks by result
+# TYPE tirm_test_asks_total counter
+tirm_test_asks_total{result=\"hit\"} 5
+tirm_test_asks_total{result=\"miss\"} 2
 # HELP tirm_test_depth Current depth
 # TYPE tirm_test_depth gauge
 tirm_test_depth 7

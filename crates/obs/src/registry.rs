@@ -24,6 +24,28 @@ pub static RR_ARENA_BYTES: Gauge = Gauge::new();
 pub static RELABEL_SCALE_AWARE: Counter = Counter::new();
 /// Per-run relabel decisions that kept the identity layout.
 pub static RELABEL_IDENTITY: Counter = Counter::new();
+/// `KptEstimator::estimate` calls answered from the per-ad answer table.
+pub static KPT_ESTIMATE_HITS: Counter = Counter::new();
+/// `KptEstimator::estimate` calls that summed the width cache.
+pub static KPT_ESTIMATE_MISSES: Counter = Counter::new();
+/// `FastPath` threshold tables gathered (by the first draw through each).
+pub static FASTPATH_BUILDS: Counter = Counter::new();
+/// Wall time of one `tirm_run` split by phase, one record per phase per
+/// run, in [`CORE_PHASES`] order. The phases partition the run: they sum
+/// to its wall time.
+pub static CORE_PHASE_NS: [Histogram; CORE_PHASES.len()] =
+    [const { Histogram::new() }; CORE_PHASES.len()];
+/// The `phase` labels of [`CORE_PHASE_NS`], in index order.
+pub const CORE_PHASES: [&str; 8] = [
+    "kpt_estimate",
+    "table_build",
+    "theta_sample",
+    "heap_build",
+    "select",
+    "commit",
+    "grow",
+    "other",
+];
 
 // ---------------------------------------------------------------------
 // Online allocator (tirm_online).
@@ -120,95 +142,134 @@ pub static BUILD_SCHEMA_VERSION: Gauge = Gauge::new();
 /// script; `"unknown"` outside a git checkout).
 pub const GIT_SHA: &str = env!("TIRM_GIT_SHA");
 
-/// Counter inventory: `(name, help, counter)`.
-pub static COUNTERS: &[(&str, &str, &Counter)] = &[
+/// Counter inventory: `(family, label `(key, value)` or None, help,
+/// counter)`. Rows sharing a family must be contiguous, as for
+/// [`HISTOGRAMS`].
+#[allow(clippy::type_complexity)]
+pub static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
     (
         "tirm_rrset_rr_sets_sampled_total",
+        None,
         "RR sets materialized by the parallel sampler",
         &RR_SETS_SAMPLED,
     ),
     (
         "tirm_rrset_relabel_scale_aware_total",
+        None,
         "Sampler runs that chose scale-aware mark relabeling",
         &RELABEL_SCALE_AWARE,
     ),
     (
         "tirm_rrset_relabel_identity_total",
+        None,
         "Sampler runs that kept the identity vertex layout",
         &RELABEL_IDENTITY,
     ),
     (
+        "tirm_kpt_estimates_total",
+        Some(("result", "hit")),
+        "KptEstimator::estimate calls, by whether the per-ad answer table had the answer",
+        &KPT_ESTIMATE_HITS,
+    ),
+    (
+        "tirm_kpt_estimates_total",
+        Some(("result", "miss")),
+        "KptEstimator::estimate calls, by whether the per-ad answer table had the answer",
+        &KPT_ESTIMATE_MISSES,
+    ),
+    (
+        "tirm_fastpath_builds_total",
+        None,
+        "FastPath threshold tables gathered by a first draw",
+        &FASTPATH_BUILDS,
+    ),
+    (
         "tirm_online_delta_reconciliations_total",
+        None,
         "Reconciliations served by the incremental delta path",
         &DELTA_RECONCILIATIONS,
     ),
     (
         "tirm_online_full_reconciliations_total",
+        None,
         "Reconciliations that fell back to a full interleaved re-run",
         &FULL_RECONCILIATIONS,
     ),
     (
         "tirm_online_pool_evictions_total",
+        None,
         "Departed-ad shards evicted from the retained pool",
         &POOL_EVICTIONS,
     ),
     (
         "tirm_online_pool_reclaims_total",
+        None,
         "Departed-ad shards reclaimed warm on re-arrival",
         &POOL_RECLAIMS,
     ),
     (
         "tirm_server_accepted_total",
+        None,
         "Mutations admitted into the writer queue",
         &SERVER_ACCEPTED,
     ),
     (
         "tirm_server_shed_total",
+        None,
         "Mutations shed at admission because the queue was full",
         &SERVER_SHED,
     ),
     (
         "tirm_server_rejected_total",
+        None,
         "Events rejected by the allocator",
         &SERVER_REJECTED,
     ),
     (
         "tirm_server_snapshot_publishes_total",
+        None,
         "Allocation snapshots published to the reader swap",
         &SNAPSHOT_PUBLISHES,
     ),
     (
         "tirm_repl_frames_shipped_total",
+        None,
         "Durable WAL frames shipped to followers",
         &REPL_FRAMES_SHIPPED,
     ),
     (
         "tirm_repl_polls_total",
+        None,
         "replicate_poll requests taken up by this leader",
         &REPL_POLLS,
     ),
     (
         "tirm_repl_fenced_rejects_total",
+        None,
         "Replication requests rejected by fencing-epoch checks",
         &REPL_FENCED_REJECTS,
     ),
     (
         "tirm_repl_bootstrap_retries_total",
+        None,
         "Follower bootstrap attempts that failed and were retried",
         &REPL_BOOTSTRAP_RETRIES,
     ),
     (
         "tirm_flight_records_total",
+        None,
         "Lifecycle stage records written into the flight rings",
         &FLIGHT_RECORDS,
     ),
     (
         "tirm_flight_records_overwritten_total",
+        None,
         "Flight records that overwrote an older ring entry",
         &FLIGHT_OVERWRITTEN,
     ),
     (
         "tirm_flight_records_dropped_total",
+        None,
         "Flight records dropped because every ring slot was claimed",
         &FLIGHT_DROPPED,
     ),
@@ -238,11 +299,31 @@ pub static GAUGES: &[(&str, &str, &Gauge)] = &[
     ),
 ];
 
+/// The [`HISTOGRAMS`] row of phase `i` of [`CORE_PHASES`].
+macro_rules! phase_row {
+    ($i:expr) => {
+        (
+            "tirm_core_phase_ns",
+            Some(("phase", CORE_PHASES[$i])),
+            "tirm_run wall time by phase, one record per run (ns)",
+            &CORE_PHASE_NS[$i],
+        )
+    };
+}
+
 /// Histogram inventory: `(family, label `(key, value)` or None, help,
 /// histogram)`. Rows sharing a family must be contiguous — the
 /// Prometheus renderer emits one HELP/TYPE header per family run.
 #[allow(clippy::type_complexity)]
 pub static HISTOGRAMS: &[(&str, Option<(&str, &str)>, &str, &Histogram)] = &[
+    phase_row!(0),
+    phase_row!(1),
+    phase_row!(2),
+    phase_row!(3),
+    phase_row!(4),
+    phase_row!(5),
+    phase_row!(6),
+    phase_row!(7),
     (
         "tirm_online_apply_latency_ns",
         Some(("kind", "arrival")),
@@ -334,8 +415,14 @@ pub struct BuildInfo {
 /// Point-in-time copy of every registry metric, in inventory order.
 #[derive(Clone, Debug, Default)]
 pub struct RegistrySnapshot {
-    /// `(name, help, value)` per counter.
-    pub counters: Vec<(&'static str, &'static str, u64)>,
+    /// `(family, label, help, value)` per counter.
+    #[allow(clippy::type_complexity)]
+    pub counters: Vec<(
+        &'static str,
+        Option<(&'static str, &'static str)>,
+        &'static str,
+        u64,
+    )>,
     /// `(name, help, value)` per gauge.
     pub gauges: Vec<(&'static str, &'static str, u64)>,
     /// `(family, label, help, snapshot)` per histogram.
@@ -356,7 +443,10 @@ pub fn snapshot() -> RegistrySnapshot {
     // code never reads it, preserving the write-only invariant.
     PROCESS_UPTIME_SECONDS.set(crate::flight::now_ns() / 1_000_000_000);
     RegistrySnapshot {
-        counters: COUNTERS.iter().map(|(n, h, c)| (*n, *h, c.get())).collect(),
+        counters: COUNTERS
+            .iter()
+            .map(|(f, l, h, c)| (*f, *l, *h, c.get()))
+            .collect(),
         gauges: GAUGES.iter().map(|(n, h, g)| (*n, *h, g.get())).collect(),
         histograms: HISTOGRAMS
             .iter()
@@ -384,10 +474,10 @@ fn json_escape(s: &str, out: &mut String) {
     }
 }
 
-/// Display name of one histogram row: the family, plus the label in
-/// Prometheus selector form when present
+/// Display name of one counter or histogram row: the family, plus the
+/// label in Prometheus selector form when present
 /// (`tirm_online_apply_latency_ns{kind="arrival"}`).
-pub fn histogram_display_name(family: &str, label: Option<(&str, &str)>) -> String {
+pub fn series_display_name(family: &str, label: Option<(&str, &str)>) -> String {
     match label {
         Some((k, v)) => format!("{family}{{{k}=\"{v}\"}}"),
         None => family.to_string(),
@@ -406,12 +496,12 @@ impl RegistrySnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"counters\":{");
-        for (i, (name, _, v)) in self.counters.iter().enumerate() {
+        for (i, (family, label, _, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('"');
-            json_escape(name, &mut out);
+            json_escape(&series_display_name(family, *label), &mut out);
             out.push_str(&format!("\":{v}"));
         }
         out.push_str("},\"gauges\":{");
@@ -429,7 +519,7 @@ impl RegistrySnapshot {
                 out.push(',');
             }
             out.push('"');
-            json_escape(&histogram_display_name(family, *label), &mut out);
+            json_escape(&series_display_name(family, *label), &mut out);
             out.push_str(&format!(
                 "\":{{\"count\":{},\"sum\":{},\"exemplar\":[{},{}],\"buckets\":[",
                 snap.count, snap.sum, snap.exemplar_value, snap.exemplar_trace
@@ -470,30 +560,37 @@ mod tests {
     fn inventory_names_are_unique_and_well_formed() {
         let mut names: Vec<String> = COUNTERS
             .iter()
-            .map(|(n, _, _)| n.to_string())
+            .map(|(f, l, _, _)| series_display_name(f, *l))
             .chain(GAUGES.iter().map(|(n, _, _)| n.to_string()))
             .chain(
                 HISTOGRAMS
                     .iter()
-                    .map(|(f, l, _, _)| histogram_display_name(f, *l)),
+                    .map(|(f, l, _, _)| series_display_name(f, *l)),
             )
             .collect();
         let total = names.len();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), total, "duplicate metric names in inventory");
-        for (n, _, _) in COUNTERS {
+        for (n, _, _, _) in COUNTERS {
             assert!(n.starts_with("tirm_"), "{n}");
             assert!(n.ends_with("_total"), "counter {n} must end in _total");
         }
         for (n, _, _) in GAUGES {
             assert!(n.starts_with("tirm_"), "{n}");
         }
+        let phase_rows = HISTOGRAMS
+            .iter()
+            .filter(|(f, _, _, _)| *f == "tirm_core_phase_ns")
+            .count();
+        assert_eq!(phase_rows, CORE_PHASES.len(), "one row per phase");
         // Family runs must be contiguous for the Prometheus renderer.
+        let counter_families = COUNTERS.iter().map(|(f, _, _, _)| *f);
+        let histogram_families = HISTOGRAMS.iter().map(|(f, _, _, _)| *f);
         let mut seen: Vec<&str> = Vec::new();
-        for (f, _, _, _) in HISTOGRAMS {
-            if seen.last() != Some(f) {
-                assert!(!seen.contains(f), "family {f} split across inventory");
+        for f in counter_families.chain(histogram_families) {
+            if seen.last() != Some(&f) {
+                assert!(!seen.contains(&f), "family {f} split across inventory");
                 seen.push(f);
             }
         }

@@ -27,7 +27,8 @@
 //!   prefix. User-facing ids never change; the permutation exists only
 //!   inside the mark indexing.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 use tirm_graph::{DiGraph, NodeId, Relabeling};
 
 /// `⌈p·2²⁴⌉` clamped to `[0, 2²⁴]` — the integer coin threshold with
@@ -105,32 +106,67 @@ impl SamplingLayout {
 }
 
 /// Per-ad fast sampling state: position-ordered coin thresholds plus a
-/// shared [`SamplingLayout`]. Cheap to build (O(m) gather), read-only
-/// and `Sync` — workers of the parallel engine share one per batch.
+/// shared [`SamplingLayout`]. Creating one is free; the threshold table
+/// (an O(m) gather) is built by the first draw that reads it, so a run
+/// that only re-activates cached sets never pays for it. Read-only and
+/// `Sync` — workers of the parallel engine share one per batch, table
+/// included.
 #[derive(Clone, Debug)]
-pub struct FastPath {
+pub struct FastPath<'a> {
     layout: Arc<SamplingLayout>,
-    /// `th[pos] = coin_threshold(probs[in_edge_ids[pos]])`.
-    th: Vec<u32>,
+    g: &'a DiGraph,
+    probs: &'a [f32],
+    table: OnceLock<ThresholdTable>,
 }
 
-impl FastPath {
-    /// Gathers `probs` (indexed by edge id) into in-CSR position order
-    /// under `layout`.
-    pub fn new(layout: Arc<SamplingLayout>, g: &DiGraph, probs: &[f32]) -> Self {
+#[derive(Clone, Debug)]
+struct ThresholdTable {
+    /// `th[pos] = coin_threshold(probs[in_edge_ids[pos]])`.
+    th: Vec<u32>,
+    /// Wall time the gather took.
+    build_time: Duration,
+}
+
+impl<'a> FastPath<'a> {
+    /// The fast route for `probs` (indexed by edge id) over `g` under
+    /// `layout`.
+    pub fn new(layout: Arc<SamplingLayout>, g: &'a DiGraph, probs: &'a [f32]) -> Self {
         assert_eq!(probs.len(), g.num_edges());
-        let th = g
-            .in_edge_ids_raw()
-            .iter()
-            .map(|&e| coin_threshold(probs[e as usize]))
-            .collect();
-        FastPath { layout, th }
+        FastPath {
+            layout,
+            g,
+            probs,
+            table: OnceLock::new(),
+        }
     }
 
-    /// Position-ordered thresholds.
+    /// Position-ordered thresholds: `probs` gathered into in-CSR position
+    /// order, on the first call.
     #[inline]
     pub fn thresholds(&self) -> &[u32] {
-        &self.th
+        &self.table.get_or_init(|| self.build()).th
+    }
+
+    #[cold]
+    fn build(&self) -> ThresholdTable {
+        let start = Instant::now();
+        let th = self
+            .g
+            .in_edge_ids_raw()
+            .iter()
+            .map(|&e| coin_threshold(self.probs[e as usize]))
+            .collect();
+        tirm_obs::registry::FASTPATH_BUILDS.inc();
+        ThresholdTable {
+            th,
+            build_time: start.elapsed(),
+        }
+    }
+
+    /// Wall time spent gathering the threshold table; zero while no draw
+    /// has asked for it.
+    pub fn build_time(&self) -> Duration {
+        self.table.get().map_or(Duration::ZERO, |t| t.build_time)
     }
 
     /// New id of `old` under the layout (identity when not relabeled).
@@ -153,10 +189,10 @@ impl FastPath {
         &self.layout
     }
 
-    /// Bytes held by the threshold table (the layout is shared and
-    /// counted once by its owner).
+    /// Bytes held by the threshold table, once built (the layout is
+    /// shared and counted once by its owner).
     pub fn memory_bytes(&self) -> usize {
-        self.th.capacity() * 4
+        self.table.get().map_or(0, |t| t.th.capacity() * 4)
     }
 }
 

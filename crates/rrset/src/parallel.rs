@@ -278,6 +278,18 @@ impl ParallelSampler {
         }
     }
 
+    /// Has `fast` build its threshold table now, on the calling thread,
+    /// if a batch of `count` draws anything: the workers then share a
+    /// table that lives in the caller's allocator arena instead of in
+    /// that of whichever worker drew first.
+    fn build_route(&self, fast: Option<&FastPath<'_>>, count: usize) {
+        if let Some(fp) = fast {
+            if self.admissible(count) > 0 {
+                fp.thresholds();
+            }
+        }
+    }
+
     /// Per-shard quotas for the batch of `count` samples starting at
     /// global draw `start`: draw `g` belongs to shard `g mod threads`, so
     /// the quota of shard `i` is the number of such `g` in
@@ -312,10 +324,11 @@ impl ParallelSampler {
     pub fn sample_into_with(
         &mut self,
         sampler: &RrSampler<'_>,
-        fast: Option<&FastPath>,
+        fast: Option<&FastPath<'_>>,
         count: usize,
         sink: &mut impl RrSink,
     ) -> usize {
+        self.build_route(fast, count);
         match fast {
             Some(fp) => self.run_batch(count, sink, |shard, quota, emit| {
                 for _ in 0..quota {
@@ -362,7 +375,7 @@ impl ParallelSampler {
     pub fn sample_map_with<T, F>(
         &mut self,
         sampler: &RrSampler<'_>,
-        fast: Option<&FastPath>,
+        fast: Option<&FastPath<'_>>,
         count: usize,
         map: F,
     ) -> Vec<T>
@@ -370,6 +383,7 @@ impl ParallelSampler {
         T: Send,
         F: Fn(&[NodeId]) -> T + Sync,
     {
+        self.build_route(fast, count);
         let count = self.admissible(count);
         let start = self.total_sampled;
         let map = &map;

@@ -131,7 +131,7 @@ impl<'a> RrSampler<'a> {
     /// like the slow path's `p > 0.0 &&` short-circuit.
     pub fn sample_with<'w, R: Rng>(
         &self,
-        fp: &FastPath,
+        fp: &FastPath<'_>,
         ws: &'w mut SampleWorkspace,
         rng: &mut R,
     ) -> &'w [NodeId] {

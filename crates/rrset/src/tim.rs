@@ -84,12 +84,15 @@ impl SampleBound {
 /// Because the width cache is always a prefix of one fixed per-seed
 /// stream, [`KptEstimator::estimate`] is a *pure function of `s`* for a
 /// given `(sampler, ell, config)` — the result never depends on which
-/// estimates were asked for earlier. The online serving layer leans on
-/// this: it detaches the width cache ([`KptEstimator::into_state`]) when
-/// an allocation run ends and re-attaches it
+/// estimates were asked for earlier. The type uses that twice. The online
+/// serving layer detaches the width cache ([`KptEstimator::into_state`])
+/// when an allocation run ends and re-attaches it
 /// ([`KptEstimator::from_state`]) on the next run, so repeated
 /// re-allocations of a long-lived ad never redraw estimation samples yet
-/// return bit-identical estimates.
+/// return bit-identical estimates. And the estimator remembers its most
+/// recent answers next to the widths they were summed from, so a re-run
+/// that asks for the same `s` values (TIRM asks for `s = 1` and each
+/// grown `s_i` on every run) neither draws nor sums.
 pub struct KptEstimator<'a> {
     sampler: RrSampler<'a>,
     m: usize,
@@ -97,8 +100,40 @@ pub struct KptEstimator<'a> {
     /// `w(R)` of every estimation sample drawn so far.
     widths: Vec<u64>,
     engine: ParallelSampler,
-    /// Sum of in-degrees per node, precomputed once.
-    indeg: Vec<u32>,
+    memo: EstimateMemo,
+}
+
+/// Answers kept per estimator. TIRM asks one ad for `s = 1` plus one `s`
+/// per seed-count revision, a handful per run.
+const MEMO_CAPACITY: usize = 8;
+
+/// The most recently used `(s, estimate(s))` pairs of one width cache. It
+/// travels with that cache through [`KptState`] and is dropped with it;
+/// a checkpoint does not carry it, and a restored copy recomputes the
+/// same bits on first use. An inline array on purpose: it adds nothing to
+/// the heap, so `memory_bytes`, pool eviction order and checkpoint sizes
+/// are what they were without it.
+#[derive(Clone, Copy, Default)]
+struct EstimateMemo {
+    /// The first `len` entries are live, most recently used first.
+    entries: [(usize, f64); MEMO_CAPACITY],
+    len: usize,
+}
+
+impl EstimateMemo {
+    fn get(&mut self, s: usize) -> Option<f64> {
+        let at = self.entries[..self.len].iter().position(|e| e.0 == s)?;
+        self.entries[..=at].rotate_right(1);
+        Some(self.entries[0].1)
+    }
+
+    /// Adds an answer in front; a full table drops its least recently
+    /// used one.
+    fn put(&mut self, s: usize, kpt: f64) {
+        self.len = (self.len + 1).min(MEMO_CAPACITY);
+        self.entries[..self.len].rotate_right(1);
+        self.entries[0] = (s, kpt);
+    }
 }
 
 impl<'a> KptEstimator<'a> {
@@ -114,9 +149,6 @@ impl<'a> KptEstimator<'a> {
     /// collection memory, which estimation samples never occupy).
     pub fn with_config(sampler: RrSampler<'a>, ell: f64, config: SamplingConfig) -> Self {
         let g = sampler.graph();
-        let indeg = (0..g.num_nodes() as NodeId)
-            .map(|v| g.in_degree(v) as u32)
-            .collect();
         let config = SamplingConfig {
             max_theta: None,
             ..config
@@ -127,21 +159,21 @@ impl<'a> KptEstimator<'a> {
             ell,
             widths: Vec::new(),
             engine: ParallelSampler::new(config, g.num_nodes()),
-            indeg,
+            memo: EstimateMemo::default(),
         }
     }
 
     /// Tops the width cache up to `target` samples (one engine batch).
-    fn fill_widths(&mut self, target: usize, fast: Option<&FastPath>) {
+    fn fill_widths(&mut self, target: usize, fast: Option<&FastPath<'_>>) {
         if self.widths.len() >= target {
             return;
         }
         let need = target - self.widths.len();
-        let indeg = &self.indeg;
+        let g = self.sampler.graph();
         let batch = self
             .engine
             .sample_map_with(&self.sampler, fast, need, |set| {
-                set.iter().map(|&v| indeg[v as usize] as u64).sum::<u64>()
+                set.iter().map(|&v| g.in_degree(v) as u64).sum::<u64>()
             });
         self.widths.extend(batch);
     }
@@ -159,7 +191,61 @@ impl<'a> KptEstimator<'a> {
     /// precomputed [`FastPath`]. Bit-identical result either way — the
     /// fast route preserves the width stream exactly, so mixing plain
     /// and fast calls against one estimator is sound.
-    pub fn estimate_with(&mut self, s: usize, fast: Option<&FastPath>) -> f64 {
+    ///
+    /// More than `n` seeds cannot be chosen, so `s` is read as
+    /// `s.min(n)`. An `s` asked before is answered from the memo without
+    /// touching the width cache or the engine; the first call would have
+    /// left both where a repeat finds them, so `samples_used` and the
+    /// stream position do not tell the two apart.
+    pub fn estimate_with(&mut self, s: usize, fast: Option<&FastPath<'_>>) -> f64 {
+        let n = self.sampler.graph().num_nodes();
+        if self.m == 0 {
+            return 1.0;
+        }
+        let s = s.min(n);
+        if let Some(kpt) = self.memo.get(s) {
+            tirm_obs::registry::KPT_ESTIMATE_HITS.inc();
+            return kpt;
+        }
+        tirm_obs::registry::KPT_ESTIMATE_MISSES.inc();
+        let kpt = self.sum_rounds(s, fast);
+        self.memo.put(s, kpt);
+        kpt
+    }
+
+    /// The geometric rounds of [`Self::estimate`]. Round `i` extends the
+    /// running sum of round `i − 1` over `widths[c_{i−1}..c_i]`: the
+    /// additions happen in index order from 0 whichever round they
+    /// belong to, so every partial sum is the one a fresh pass over
+    /// `widths[..c_i]` would reach, to the bit.
+    fn sum_rounds(&mut self, s: usize, fast: Option<&FastPath<'_>>) -> f64 {
+        let n = self.sampler.graph().num_nodes();
+        let exponent = i32::try_from(s).unwrap_or(i32::MAX);
+        let log2n = (n as f64).log2();
+        let rounds = log2n.floor() as i32 - 1;
+        let base = 6.0 * self.ell * (n as f64).ln() + 6.0 * log2n.max(1.0).ln();
+        let mut sum = 0.0f64;
+        let mut summed = 0;
+        for i in 1..=rounds.max(1) {
+            let ci = (base * 2f64.powi(i)).ceil() as usize;
+            self.fill_widths(ci, fast);
+            for &w in &self.widths[summed..ci] {
+                let frac = (w as f64 / self.m as f64).min(1.0);
+                sum += 1.0 - (1.0 - frac).powi(exponent);
+            }
+            summed = ci;
+            if sum / ci as f64 > 1.0 / 2f64.powi(i) {
+                return (n as f64 * sum / (2.0 * ci as f64)).max(1.0);
+            }
+        }
+        1.0
+    }
+
+    /// The restart-per-round loop [`Self::sum_rounds`] replaced, kept as
+    /// the oracle for its bits: no memo, no carried sum, and the exponent
+    /// cast it used to make.
+    #[cfg(test)]
+    fn estimate_reference(&mut self, s: usize, fast: Option<&FastPath<'_>>) -> f64 {
         let n = self.sampler.graph().num_nodes();
         if self.m == 0 {
             return 1.0;
@@ -187,13 +273,14 @@ impl<'a> KptEstimator<'a> {
         self.widths.len()
     }
 
-    /// Detaches the estimator's persistent capital — the width cache and
-    /// the sampling-engine stream position — for storage by a long-lived
-    /// owner across borrow scopes.
+    /// Detaches the estimator's persistent capital — the width cache with
+    /// the answers already summed from it, and the sampling-engine stream
+    /// position — for storage by a long-lived owner across borrow scopes.
     pub fn into_state(self) -> KptState {
         KptState {
             widths: self.widths,
             engine: self.engine,
+            memo: self.memo,
         }
     }
 
@@ -202,28 +289,25 @@ impl<'a> KptEstimator<'a> {
     /// must come from an estimator with the same configuration, or the
     /// width stream would be inconsistent.
     pub fn from_state(sampler: RrSampler<'a>, ell: f64, state: KptState) -> Self {
-        let g = sampler.graph();
-        let indeg = (0..g.num_nodes() as NodeId)
-            .map(|v| g.in_degree(v) as u32)
-            .collect();
         KptEstimator {
             sampler,
-            m: g.num_edges(),
+            m: sampler.graph().num_edges(),
             ell,
             widths: state.widths,
             engine: state.engine,
-            indeg,
+            memo: state.memo,
         }
     }
 }
 
-/// Detached [`KptEstimator`] capital: the cached sample widths plus the
-/// estimation engine's stream position. Owning this (instead of the
-/// estimator itself) avoids tying a long-lived structure to the graph
-/// borrow inside `RrSampler`.
+/// Detached [`KptEstimator`] capital: the cached sample widths, the
+/// answers summed from them, and the estimation engine's stream position.
+/// Owning this (instead of the estimator itself) avoids tying a
+/// long-lived structure to the graph borrow inside `RrSampler`.
 pub struct KptState {
     widths: Vec<u64>,
     engine: ParallelSampler,
+    memo: EstimateMemo,
 }
 
 impl KptState {
@@ -234,7 +318,8 @@ impl KptState {
     }
 
     /// The serializable view for checkpointing: the cached widths and
-    /// the estimation engine's stream position.
+    /// the estimation engine's stream position. The remembered answers
+    /// stay behind; they are a function of these two.
     pub fn export_parts(&self) -> (&[u64], crate::parallel::SamplerState) {
         (&self.widths, self.engine.export_state())
     }
@@ -249,6 +334,7 @@ impl KptState {
         Ok(KptState {
             widths,
             engine: ParallelSampler::from_state(engine, num_nodes)?,
+            memo: EstimateMemo::default(),
         })
     }
 }
@@ -417,6 +503,88 @@ mod tests {
         assert_eq!(back.samples_used(), used);
         assert_eq!(back.estimate(5), via_history);
         assert_eq!(back.samples_used(), used, "cache hit, no new draws");
+    }
+
+    #[test]
+    fn exponent_beyond_the_graph_reads_as_n() {
+        // `powi(s as i32)` used to wrap: negative for 2³¹ (every term ≤ 0,
+        // all rounds sampled, answer 1.0), a smaller `s` for 2³² + 5.
+        let g = generators::erdos_renyi(300, 1500, 5);
+        let probs = vec![0.1f32; g.num_edges()];
+        let sampler = RrSampler::new(&g, &probs);
+        let at_n = KptEstimator::new(sampler, 1.0, 9).estimate(300);
+        assert!(at_n > 1.0, "a non-trivial bound to compare against");
+        for s in [usize::MAX, 1 << 31, (1 << 32) + 5, 301] {
+            let mut est = KptEstimator::new(sampler, 1.0, 9);
+            assert_eq!(est.estimate(s).to_bits(), at_n.to_bits(), "s = {s}");
+        }
+    }
+
+    #[test]
+    fn memo_keeps_the_most_recently_used_answers() {
+        let mut memo = EstimateMemo::default();
+        assert_eq!(memo.get(1), None);
+        for s in 1..=MEMO_CAPACITY {
+            memo.put(s, s as f64);
+        }
+        // Touch the oldest, then overflow: the untouched oldest goes.
+        assert_eq!(memo.get(1), Some(1.0));
+        memo.put(99, 99.0);
+        assert_eq!(memo.get(2), None);
+        assert_eq!(memo.get(1), Some(1.0));
+        assert_eq!(memo.get(99), Some(99.0));
+        assert_eq!(memo.get(MEMO_CAPACITY), Some(MEMO_CAPACITY as f64));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The restart-per-round loop is the oracle: whatever was asked
+        /// before, whichever route draws, and wherever the state has
+        /// been in between, every answer has its bits and the width
+        /// cache is as long as its own.
+        #[test]
+        fn estimate_matches_the_reference_loop(
+            seed in 0u64..1000,
+            n in 16usize..200,
+            p in 0.01f32..0.6,
+            threads in 1usize..=3,
+            pool in proptest::collection::vec(1usize..400, MEMO_CAPACITY + 4),
+            asks in proptest::collection::vec((0..MEMO_CAPACITY + 4, 0u8..2), 12..40),
+        ) {
+            let g = generators::erdos_renyi(n, 4 * n, seed);
+            let probs: Vec<f32> = (0..g.num_edges())
+                .map(|e| if e % 7 == 0 { 0.0 } else { p * (1 + e % 3) as f32 / 3.0 })
+                .collect();
+            let sampler = RrSampler::new(&g, &probs);
+            let layout = std::sync::Arc::new(if seed % 2 == 0 {
+                crate::SamplingLayout::identity()
+            } else {
+                crate::SamplingLayout::degree_ordered(&g)
+            });
+            let fast = FastPath::new(layout, &g, &probs);
+            let config = SamplingConfig::new(threads, seed ^ 0x5eed);
+            let mut est = KptEstimator::with_config(sampler, 1.0, config);
+            let mut oracle = KptEstimator::with_config(sampler, 1.0, config);
+            for (k, &(which, through_fast)) in asks.iter().enumerate() {
+                if k == asks.len() / 3 {
+                    est = KptEstimator::from_state(sampler, 1.0, est.into_state());
+                }
+                if k == 2 * asks.len() / 3 {
+                    let state = est.into_state();
+                    let (widths, engine) = state.export_parts();
+                    let restored = KptState::from_parts(widths.to_vec(), &engine, n).unwrap();
+                    est = KptEstimator::from_state(sampler, 1.0, restored);
+                }
+                // Bit-identity is claimed for every s ≤ n.
+                let s = 1 + (pool[which] - 1) % n;
+                let route = (through_fast == 1).then_some(&fast);
+                let got = est.estimate_with(s, route);
+                let want = oracle.estimate_reference(s, route);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "ask {} s = {}", k, s);
+                proptest::prop_assert_eq!(est.samples_used(), oracle.samples_used());
+            }
+        }
     }
 
     #[test]

@@ -112,10 +112,15 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     let gauges = section("gauges");
     let histograms = section("histograms");
 
-    // Counters the run exercised must be visibly non-zero.
+    // Counters the run exercised must be visibly non-zero: the top-up
+    // re-runs a standing ad (remembered KPT answers), and every arrival
+    // sums its own and builds its threshold table.
     for name in [
         "tirm_server_accepted_total",
         "tirm_rrset_rr_sets_sampled_total",
+        "tirm_kpt_estimates_total{result=\"hit\"}",
+        "tirm_kpt_estimates_total{result=\"miss\"}",
+        "tirm_fastpath_builds_total",
     ] {
         let v = section_u64(&counters, name);
         assert!(v.is_some_and(|v| v > 0), "{name} missing or zero: {v:?}");
@@ -155,6 +160,16 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     assert!(
         hist_count("tirm_online_apply_latency_ns{kind=\"arrival\"}").is_some_and(|c| c > 0),
         "apply latency must be split by event kind"
+    );
+    // One record per phase per TIRM run: the phases share a count.
+    let phase_counts: Vec<Option<u64>> = tirm_obs::registry::CORE_PHASES
+        .iter()
+        .map(|p| hist_count(&format!("tirm_core_phase_ns{{phase=\"{p}\"}}")))
+        .collect();
+    assert!(
+        phase_counts[0].is_some_and(|c| c > 0)
+            && phase_counts.iter().all(|c| *c == phase_counts[0]),
+        "tirm_run must record every phase once per run: {phase_counts:?}"
     );
 
     // The same registry through the HTTP endpoint, as Prometheus text.
