@@ -35,13 +35,13 @@ use crate::problem::ProblemInstance;
 use crate::regret::ad_regret;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tirm_graph::NodeId;
+use tirm_graph::{DiGraph, NodeId};
 use tirm_obs::registry::{CORE_PHASES, CORE_PHASE_NS};
 use tirm_rrset::heap::Verdict;
 use tirm_rrset::weighted::{score_key, WeightedRrCollection};
 use tirm_rrset::{
     FastPath, KptEstimator, KptState, LazyMaxHeap, ParallelSampler, RrIndex, RrSampler,
-    SampleBound, SamplerState, SamplingConfig, SamplingLayout,
+    SampleBound, SamplingConfig, SamplingLayout,
 };
 
 /// Options for TIRM.
@@ -230,105 +230,105 @@ impl AdWarmState {
         self.seeds
     }
 
-    /// Decomposes the state into owned flat arrays for checkpointing
-    /// (compacting the index first, so the five index arrays are its
-    /// entire contents). The seed plan and thread count are *not* part of
-    /// the decomposition: both are derivable from the owner's
-    /// configuration and are re-supplied — and re-validated — by
-    /// [`Self::from_parts`].
-    pub fn export_parts(&mut self) -> AdWarmParts {
-        let (num_nodes, set_offsets, set_nodes, frozen_offsets, frozen_data) =
-            self.index.compacted_parts();
-        let (kpt_widths, kpt_engine) = self.kpt.export_parts();
-        AdWarmParts {
-            num_nodes,
-            set_offsets: set_offsets.to_vec(),
-            set_nodes: set_nodes.to_vec(),
-            frozen_offsets: frozen_offsets.to_vec(),
-            frozen_data: frozen_data.to_vec(),
-            engine: self.engine.export_state(),
-            kpt_widths: kpt_widths.to_vec(),
-            kpt_engine,
-            base: self.base.clone(),
+    /// The counts [`Self::regenerate`] rebuilds this state from.
+    pub fn counts(&self) -> WarmCounts {
+        WarmCounts {
+            theta: self.index.num_sets(),
+            kpt_samples: self.kpt.samples_used(),
+            theta0: self.base.as_ref().map_or(0, |(theta0, _)| *theta0),
+            total_entries: self.index.total_entries(),
         }
     }
 
-    /// Rebuilds warm capital from checkpointed parts under the owner's
-    /// seed plan and thread count. Everything is re-validated: index
-    /// invariants, RNG shard counts, and that the captured engine streams
-    /// actually belong to `(seeds, threads)` — a checkpoint restored into
-    /// a differently-configured allocator errors instead of silently
-    /// producing a diverged sample stream.
-    pub fn from_parts(
-        parts: AdWarmParts,
+    /// Rebuilds the state a run under `(opts, seeds)` over `graph` and the
+    /// ad's projected `probs` holds at `want`, by drawing both streams
+    /// again from their seeds. Every field comes back as the run left it
+    /// — sets, postings, engine positions, widths, base scores, and
+    /// `memory_bytes` to the byte — because each is a function of how
+    /// many draws its stream has made and in which batches: the widths
+    /// are drawn round by round as the estimator draws them, the θ₀ sets
+    /// first so the base scores are taken where a run takes them, then
+    /// the rest, then the postings settle as they do when a run ends.
+    ///
+    /// `want` is a checkpoint's word. Its counts are checked before
+    /// anything is drawn (`theta0 ≤ theta`, `theta` within
+    /// `opts.max_theta_per_ad` and the `u32` set-id space, `kpt_samples`
+    /// the end of an estimation round), its set-size sum after: sets
+    /// drawn over another graph or other probabilities add up differently.
+    pub fn regenerate(
+        graph: &DiGraph,
+        probs: &[f32],
+        opts: &TirmOptions,
         seeds: AdSeeds,
-        threads: usize,
+        want: WarmCounts,
     ) -> Result<AdWarmState, String> {
-        if parts.engine.config.threads != threads {
+        let cap = opts.max_theta_per_ad.unwrap_or(u32::MAX as usize);
+        if want.theta > cap.min(u32::MAX as usize) {
+            return Err(format!("{} RR sets exceed the cap of {cap}", want.theta));
+        }
+        if want.theta0 > want.theta {
             return Err(format!(
-                "θ engine checkpointed with {} threads, allocator runs {}",
-                parts.engine.config.threads, threads
+                "θ₀ of {} exceeds {} RR sets",
+                want.theta0, want.theta
             ));
         }
-        if parts.engine.config.seed != seeds.engine || parts.kpt_engine.config.seed != seeds.kpt {
-            return Err("checkpointed engine streams belong to another seed plan".to_string());
-        }
-        let index = RrIndex::from_compacted_parts(
-            parts.num_nodes,
-            parts.set_offsets,
-            parts.set_nodes,
-            parts.frozen_offsets,
-            parts.frozen_data,
-        )?;
-        let engine = ParallelSampler::from_state(&parts.engine, parts.num_nodes)?;
-        let kpt = KptState::from_parts(parts.kpt_widths, &parts.kpt_engine, parts.num_nodes)?;
-        if let Some((_, scores)) = &parts.base {
-            if scores.len() != parts.num_nodes {
-                return Err(format!(
-                    "base snapshot has {} scores for {} nodes",
-                    scores.len(),
-                    parts.num_nodes
-                ));
-            }
+        let n = graph.num_nodes();
+        let sampler = RrSampler::new(graph, probs);
+        let fast = FastPath::new(Arc::new(sampling_layout(graph, opts)), graph, probs);
+        let kpt_config = SamplingConfig::new(opts.threads, seeds.kpt);
+        let mut kpt = KptEstimator::with_config(sampler, opts.ell, kpt_config);
+        kpt.refill(want.kpt_samples, Some(&fast))?;
+        let mut engine = ParallelSampler::new(SamplingConfig::new(opts.threads, seeds.engine), n);
+        let mut coll = WeightedRrCollection::new(n);
+        engine.sample_into_with(&sampler, Some(&fast), want.theta0, &mut coll);
+        let base = Some((want.theta0, coll.scores().to_vec()));
+        engine.sample_into_with(&sampler, Some(&fast), want.theta - want.theta0, &mut coll);
+        coll.compact_postings();
+        if coll.total_entries() != want.total_entries {
+            return Err(format!(
+                "{} RR sets redrawn here hold {} members, the checkpointed ones held {}: not \
+                 the graph and probabilities they were sampled over",
+                want.theta,
+                coll.total_entries(),
+                want.total_entries
+            ));
         }
         Ok(AdWarmState {
-            index,
+            index: coll.take_index(),
             engine,
-            kpt,
-            base: parts.base,
+            kpt: kpt.into_state(),
+            base,
             seeds,
-            threads,
+            threads: opts.threads,
         })
     }
 }
 
-/// Owned, serializable decomposition of an [`AdWarmState`] — the flat
-/// arrays the online checkpoint layer writes through the checksummed
-/// snapshot format and reads back on recovery. Restoring the full capital
-/// (instead of resampling) is what makes a warm restart both fast and
-/// stream-exact: the rebuilt state continues the very same RNG streams,
-/// so post-restore reconciliations are bit-identical to an uninterrupted
-/// run's.
-#[derive(Clone, Debug)]
-pub struct AdWarmParts {
-    /// Graph size the capital was sampled over.
-    pub num_nodes: usize,
-    /// RR-set extents: `set_offsets[i]..set_offsets[i+1]` in `set_nodes`.
-    pub set_offsets: Vec<u32>,
-    /// Flattened RR-set membership lists.
-    pub set_nodes: Vec<u32>,
-    /// Compacted postings offsets (node → extent in `frozen_data`).
-    pub frozen_offsets: Vec<u32>,
-    /// Compacted postings (set ids per node, ascending).
-    pub frozen_data: Vec<u32>,
-    /// θ-sampling engine position.
-    pub engine: SamplerState,
-    /// Cached KPT sample widths.
-    pub kpt_widths: Vec<u64>,
-    /// KPT estimation engine position.
-    pub kpt_engine: SamplerState,
-    /// `(θ₀, scores)` base snapshot, if one was taken.
-    pub base: Option<(usize, Vec<f64>)>,
+/// All a checkpoint keeps of an [`AdWarmState`]: with the host data, the
+/// options and the seed plan, the first three determine it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WarmCounts {
+    /// RR sets cached.
+    pub theta: usize,
+    /// Estimation samples in the KPT width cache.
+    pub kpt_samples: usize,
+    /// θ₀: the prefix whose pristine scores are kept (every state
+    /// [`tirm_allocate_warm`] hands out keeps one).
+    pub theta0: usize,
+    /// Σ set sizes: a fingerprint of what the sets were sampled over.
+    pub total_entries: usize,
+}
+
+/// The mark layout `opts` picks for sampling over `graph`, counted as one
+/// sampler run's choice.
+fn sampling_layout(graph: &DiGraph, opts: &TirmOptions) -> SamplingLayout {
+    if opts.relabel.enabled_for(graph.num_nodes()) {
+        tirm_obs::registry::RELABEL_SCALE_AWARE.inc();
+        SamplingLayout::degree_ordered(graph)
+    } else {
+        tirm_obs::registry::RELABEL_IDENTITY.inc();
+        SamplingLayout::identity()
+    }
 }
 
 /// Per-ad sampling and coverage state.
@@ -512,13 +512,7 @@ fn tirm_run(
     // One mark layout for the whole run (same graph for every ad); the
     // per-ad FastPaths share it. Building the degree ordering is
     // O(n log n + m) once — noise against the sampling volume.
-    let layout = Arc::new(if opts.relabel.enabled_for(n) {
-        tirm_obs::registry::RELABEL_SCALE_AWARE.inc();
-        SamplingLayout::degree_ordered(problem.graph)
-    } else {
-        tirm_obs::registry::RELABEL_IDENTITY.inc();
-        SamplingLayout::identity()
-    });
+    let layout = Arc::new(sampling_layout(problem.graph, &opts));
 
     // Initialise per-ad state: s_i = 1, θ_i = L(1, ε), sample (or
     // re-activate the cached prefix), build heap (Algorithm 2, lines 1–3).
@@ -1180,6 +1174,124 @@ mod tests {
         for i in 0..h {
             assert_eq!(batch.seeds(i), hot.seeds(i));
         }
+    }
+
+    /// The rule a checkpoint rests on: a shard is a pure function of
+    /// (graph, projected probabilities, seed plan, threads, θ count, KPT
+    /// count). Whatever runs grew it, in however many batches, the shard
+    /// redrawn from its counts is the held one — every array, both engine
+    /// positions (the next run draws the same sets through either) and
+    /// `memory_bytes` to the byte.
+    #[test]
+    fn regenerated_shard_is_the_held_shard() {
+        let g = generators::preferential_attachment(150, 4, 0.2, 9);
+        let h = 3;
+        let probs: Vec<Vec<f32>> = (0..h)
+            .map(|i| vec![0.15 + 0.05 * i as f32; g.num_edges()])
+            .collect();
+        let mk = |budget: f64| {
+            let ads = (0..h)
+                .map(|i| Advertiser::new(budget + i as f64, 1.0, TopicDist::single(1, 0)))
+                .collect::<Vec<_>>();
+            let ctp = CtpTable::constant(150, h, 0.3);
+            ProblemInstance::new(&g, ads, probs.clone(), ctp, Attention::Uniform(3), 0.0)
+        };
+        let plan: Vec<AdSeeds> = (0..h)
+            .map(|i| AdSeeds::for_ad_id(7, 100 + i as u64))
+            .collect();
+        let same = |a: &AdWarmState, b: &AdWarmState| {
+            assert_eq!(a.counts(), b.counts());
+            assert_eq!(a.base, b.base);
+            assert!(format!("{:?}", a.index) == format!("{:?}", b.index));
+            assert_eq!(a.engine.total_sampled(), b.engine.total_sampled());
+            assert_eq!(a.memory_bytes(), b.memory_bytes());
+        };
+        for threads in [1, 2] {
+            let o = TirmOptions {
+                threads,
+                eps: 0.3,
+                max_theta_per_ad: Some(30_000),
+                ..opts(7)
+            };
+            // Two runs, the second with budgets that grow θ past the
+            // first's: the held shards were filled in several batches.
+            let (_, _, warm) = tirm_allocate_warm(&mk(1.0), o, &plan, vec![None, None, None]);
+            let first: Vec<usize> = warm.iter().map(|w| w.num_sets()).collect();
+            let (_, _, held) =
+                tirm_allocate_warm(&mk(25.0), o, &plan, warm.into_iter().map(Some).collect());
+            let grown: Vec<usize> = held.iter().map(|w| w.num_sets()).collect();
+            assert!(
+                grown.iter().zip(&first).any(|(g, f)| g > f),
+                "{first:?} → {grown:?}"
+            );
+
+            let redrawn: Vec<AdWarmState> = held
+                .iter()
+                .zip(&probs)
+                .zip(&plan)
+                .map(|((w, p), &seeds)| {
+                    let c = w.counts();
+                    assert!(0 < c.theta0 && c.theta0 <= c.theta && c.kpt_samples > 0);
+                    AdWarmState::regenerate(&g, p, &o, seeds, c).unwrap()
+                })
+                .collect();
+            for (a, b) in held.iter().zip(&redrawn) {
+                same(a, b);
+            }
+            // The set-size sum is held against what was drawn.
+            let off_by_one = WarmCounts {
+                total_entries: held[0].counts().total_entries + 1,
+                ..held[0].counts()
+            };
+            assert!(AdWarmState::regenerate(&g, &probs[0], &o, plan[0], off_by_one).is_err());
+            // Both continue the same streams.
+            let next = mk(50.0);
+            let (x, xs, held) =
+                tirm_allocate_warm(&next, o, &plan, held.into_iter().map(Some).collect());
+            let (y, ys, redrawn) =
+                tirm_allocate_warm(&next, o, &plan, redrawn.into_iter().map(Some).collect());
+            for i in 0..h {
+                assert_eq!(x.seeds(i), y.seeds(i));
+            }
+            assert_eq!(xs.estimated_revenue, ys.estimated_revenue);
+            for (a, b) in held.iter().zip(&redrawn) {
+                same(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn regenerate_refuses_counts_no_run_could_hold() {
+        let g = generators::preferential_attachment(300, 3, 0.2, 5);
+        let probs = vec![0.1f32; g.num_edges()];
+        let o = TirmOptions {
+            max_theta_per_ad: Some(1_000),
+            ..opts(3)
+        };
+        let redraw = |opts: &TirmOptions, theta, kpt_samples, theta0| {
+            let want = WarmCounts {
+                theta,
+                kpt_samples,
+                theta0,
+                total_entries: 0,
+            };
+            AdWarmState::regenerate(&g, &probs, opts, AdSeeds::for_ad_id(3, 1), want)
+        };
+        // (That nothing is drawn first is counted where tests take turns
+        // at the counter: `tirm_online`'s `hostile_checkpoint`.)
+        assert!(redraw(&o, 1_001, 0, 10).is_err(), "θ past the cap");
+        assert!(redraw(&o, 1 << 40, 0, 10).is_err(), "θ past the cap");
+        assert!(redraw(&o, 500, 0, 501).is_err(), "θ₀ past θ");
+        assert!(redraw(&o, 500, 7, 100).is_err(), "KPT inside a round");
+        assert!(
+            redraw(&o, 500, usize::MAX, 100).is_err(),
+            "KPT past the rounds"
+        );
+        let uncapped = TirmOptions {
+            max_theta_per_ad: None,
+            ..o
+        };
+        assert!(redraw(&uncapped, 1 << 33, 0, 0).is_err(), "set ids are u32");
     }
 
     #[test]

@@ -69,6 +69,10 @@ pub static FULL_RECONCILIATIONS: Counter = Counter::new();
 pub static POOL_EVICTIONS: Counter = Counter::new();
 /// Departed-ad shards reclaimed warm on re-arrival.
 pub static POOL_RECLAIMS: Counter = Counter::new();
+/// Wall time one checkpoint restore spent re-running its shards' streams.
+pub static RESTORE_REGENERATE_NS: Histogram = Histogram::new();
+/// RR sets and KPT samples redrawn by checkpoint restores.
+pub static RESTORE_SETS_REGENERATED: Counter = Counter::new();
 
 // ---------------------------------------------------------------------
 // Serving (tirm_server).
@@ -92,6 +96,8 @@ pub static WAL_FSYNC_LATENCY_NS: Histogram = Histogram::new();
 pub static WAL_BATCH_EVENTS: Histogram = Histogram::new();
 /// Checkpoint write wall time.
 pub static CHECKPOINT_WALL_NS: Histogram = Histogram::new();
+/// Size of the newest checkpoint file written.
+pub static CHECKPOINT_BYTES: Gauge = Gauge::new();
 
 // ---------------------------------------------------------------------
 // Replication.
@@ -208,6 +214,12 @@ pub static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
         &POOL_RECLAIMS,
     ),
     (
+        "tirm_online_restore_sets_regenerated_total",
+        None,
+        "RR sets and KPT samples redrawn by checkpoint restores",
+        &RESTORE_SETS_REGENERATED,
+    ),
+    (
         "tirm_server_accepted_total",
         None,
         "Mutations admitted into the writer queue",
@@ -288,6 +300,11 @@ pub static GAUGES: &[(&str, &str, &Gauge)] = &[
         &SERVER_QUEUE_HIGH_WATER,
     ),
     (
+        "tirm_server_checkpoint_bytes",
+        "Size of the newest checkpoint file written (bytes)",
+        &CHECKPOINT_BYTES,
+    ),
+    (
         "tirm_repl_follower_lag_frames",
         "Follower lag behind the leader, in frames",
         &REPL_FOLLOWER_LAG,
@@ -353,6 +370,12 @@ pub static HISTOGRAMS: &[(&str, Option<(&str, &str)>, &str, &Histogram)] = &[
         Some(("kind", "regret_query")),
         "Allocator process() latency by event kind (ns)",
         &APPLY_LATENCY_REGRET_QUERY,
+    ),
+    (
+        "tirm_online_restore_regenerate_ns",
+        None,
+        "Time a checkpoint restore spent re-running its shards' streams (ns)",
+        &RESTORE_REGENERATE_NS,
     ),
     (
         "tirm_server_wal_append_latency_ns",

@@ -1,47 +1,65 @@
 //! Durable checkpoints of an [`OnlineAllocator`].
 //!
-//! A checkpoint is the allocator's **entire** state — the campaign model
-//! (live ads, budgets, standing seed sets), every ad's RR-index shard,
-//! the θ/KPT engine RNG positions, the retained pool, and the lifetime
-//! counters — tagged with the WAL sequence number it covers and framed
-//! through the checksummed word-stream container of
-//! [`tirm_graph::snapshot`]. Because the sampling engines are restored to
-//! their exact stream positions, a restored allocator **continues the
-//! same RNG streams**: replaying the WAL tail after a crash produces
-//! allocations and revenue estimates bit-identical to the uninterrupted
-//! run, and pays no resampling for anything the checkpoint already held.
+//! A checkpoint is the **campaign model** — live ads with their budgets
+//! and standing seed sets, the retained pool's release order, the lifetime
+//! counters — plus, for every index shard (a live ad's or a pool
+//! entry's), its [`WarmCounts`]: RR sets held, KPT samples held, θ₀ and
+//! the sum of the set sizes. It is tagged with the WAL sequence number it
+//! covers and framed through the checksummed word-stream container of
+//! [`tirm_graph::snapshot`]. Kilobytes, whatever the shards weigh.
+//!
+//! The RR sets are not in it: a shard is a pure function of `(graph,
+//! projected probabilities, seed plan, threads, θ count, KPT count)`.
+//! `restore` re-runs each shard's two id-derived streams from their seeds
+//! ([`AdWarmState::regenerate`]) and gets back the shard the checkpointed
+//! allocator held, `memory_bytes` included — so the restored allocator
+//! **continues the same RNG streams**, evicts from its pool in the same
+//! order, and replaying the WAL tail after a crash produces allocations
+//! and revenue estimates bit-identical to the uninterrupted run. Writing
+//! a checkpoint costs the model and nothing else; a restore, once per
+//! process life, pays the graph walks of the sets it redraws.
 //!
 //! The configuration the checkpoint was written under is echoed into the
 //! payload and re-validated on restore — a checkpoint restored into an
 //! allocator with a different seed, thread count, ε/ℓ schedule or
 //! attention bound would silently diverge from the log it is supposed to
-//! anchor, so it errors instead ([`SnapshotError::Malformed`]).
+//! anchor, so it errors instead ([`SnapshotError::Malformed`]). The host
+//! data is echoed by shape and, per shard, by the set-size sum, which
+//! sets redrawn over another graph or other probabilities do not reach.
 //!
-//! This is a child module of [`allocator`](super) so it can serialize
-//! private capital (live-ad shards, pool entries) without widening the
+//! A payload's counts buy CPU and memory, so nothing is drawn before the
+//! whole payload has been read and its model validated, and no shard
+//! before its own counts are within what the configuration allows.
+//!
+//! This is a child module of [`allocator`](super) so it can reach private
+//! capital (live-ad shards, pool entries) without widening the
 //! allocator's public mutation surface.
 
 use super::{LiveAd, OnlineAllocator, OnlineConfig, OnlineStats};
 use crate::events::AdId;
+use std::collections::HashSet;
 use std::io::{Read, Write};
-use tirm_core::{AdSeeds, AdWarmParts, AdWarmState, Advertiser};
+use tirm_core::{AdSeeds, AdWarmState, Advertiser, WarmCounts};
 use tirm_graph::snapshot::{read_words_stream, write_words_stream, SnapshotError};
 use tirm_graph::{DiGraph, NodeId};
-use tirm_rrset::{SamplerState, SamplingConfig};
+use tirm_obs::registry::{RESTORE_REGENERATE_NS, RESTORE_SETS_REGENERATED};
 use tirm_topics::{TopicDist, TopicEdgeProbs};
 
 /// Magic prefix of allocator checkpoint streams.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TIRMCKPT";
-/// Version of the checkpoint payload layout.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version of the checkpoint payload layout. Version 1 carried every
+/// shard's arrays word for word; a file of that version is refused as
+/// [`SnapshotError::UnsupportedVersion`] and recovery falls back to an
+/// older checkpoint or the log.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 impl<'g> OnlineAllocator<'g> {
-    /// Serializes the allocator's complete state to `w`, tagged with the
-    /// WAL sequence number `wal_seq` (the count of admitted mutations the
-    /// checkpoint covers; restart replays the log from there). Takes
-    /// `&mut self` because index shards are compacted in place first —
-    /// a behavior-preserving reorganization the index performs on its
-    /// own during normal growth.
+    /// Serializes the campaign model and every shard's counts to `w`,
+    /// tagged with the WAL sequence number `wal_seq` (the count of
+    /// admitted mutations the checkpoint covers; restart replays the log
+    /// from there). Nothing is mutated; `&mut self` is the signature the
+    /// commit path, which holds the allocator exclusively, has always
+    /// called.
     pub fn checkpoint<W: Write>(&mut self, wal_seq: u64, w: &mut W) -> std::io::Result<()> {
         let payload = encode(self, wal_seq);
         write_words_stream(w, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload)
@@ -51,7 +69,8 @@ impl<'g> OnlineAllocator<'g> {
     /// the WAL sequence number the checkpoint covers. `cfg` must match
     /// the configuration the checkpoint was written under (validated
     /// against the payload's echo); `graph` and `topic_probs` must be the
-    /// same host data, checked by shape.
+    /// same host data, checked by shape and by what the shards redrawn
+    /// over them add up to.
     pub fn restore<R: Read>(
         graph: &'g DiGraph,
         topic_probs: &'g TopicEdgeProbs,
@@ -112,12 +131,6 @@ impl WordWriter {
         self.usize(v.len());
         for &x in v {
             self.f32(x);
-        }
-    }
-    fn f64s(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
         }
     }
 }
@@ -200,10 +213,6 @@ impl<'a> WordReader<'a> {
         let n = self.len(1)?;
         (0..n).map(|_| self.f32()).collect()
     }
-    fn f64s(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.len(2)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
     fn finish(&self) -> Result<(), SnapshotError> {
         if self.pos != self.words.len() {
             return Err(malformed(format!(
@@ -215,84 +224,24 @@ impl<'a> WordReader<'a> {
     }
 }
 
-fn put_sampler(w: &mut WordWriter, s: &SamplerState) {
-    w.usize(s.config.threads);
-    w.u64(s.config.seed);
-    w.opt_usize(s.config.max_theta);
-    w.usize(s.rng_states.len());
-    for st in &s.rng_states {
-        for &word in st {
-            w.u64(word);
-        }
-    }
-    w.usize(s.total_sampled);
+fn put_shard(w: &mut WordWriter, shard: &AdWarmState) {
+    let counts = shard.counts();
+    w.usize(counts.theta);
+    w.usize(counts.kpt_samples);
+    w.usize(counts.theta0);
+    w.usize(counts.total_entries);
 }
 
-fn get_sampler(r: &mut WordReader<'_>) -> Result<SamplerState, SnapshotError> {
-    let threads = r.usize()?;
-    let seed = r.u64()?;
-    let max_theta = r.opt_usize()?;
-    let shards = r.len(8)?;
-    let mut rng_states = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let mut st = [0u64; 4];
-        for word in &mut st {
-            *word = r.u64()?;
-        }
-        rng_states.push(st);
-    }
-    let total_sampled = r.usize()?;
-    Ok(SamplerState {
-        config: SamplingConfig {
-            threads,
-            seed,
-            max_theta,
-        },
-        rng_states,
-        total_sampled,
+fn get_shard(r: &mut WordReader<'_>) -> Result<WarmCounts, SnapshotError> {
+    Ok(WarmCounts {
+        theta: r.usize()?,
+        kpt_samples: r.usize()?,
+        theta0: r.usize()?,
+        total_entries: r.usize()?,
     })
 }
 
-fn put_warm(w: &mut WordWriter, p: &AdWarmParts) {
-    w.usize(p.num_nodes);
-    w.u32s(&p.set_offsets);
-    w.u32s(&p.set_nodes);
-    w.u32s(&p.frozen_offsets);
-    w.u32s(&p.frozen_data);
-    put_sampler(w, &p.engine);
-    w.u64s(&p.kpt_widths);
-    put_sampler(w, &p.kpt_engine);
-    match &p.base {
-        Some((theta0, scores)) => {
-            w.bool(true);
-            w.usize(*theta0);
-            w.f64s(scores);
-        }
-        None => w.bool(false),
-    }
-}
-
-fn get_warm(r: &mut WordReader<'_>) -> Result<AdWarmParts, SnapshotError> {
-    Ok(AdWarmParts {
-        num_nodes: r.usize()?,
-        set_offsets: r.u32s()?,
-        set_nodes: r.u32s()?,
-        frozen_offsets: r.u32s()?,
-        frozen_data: r.u32s()?,
-        engine: get_sampler(r)?,
-        kpt_widths: r.u64s()?,
-        kpt_engine: get_sampler(r)?,
-        base: {
-            if r.bool()? {
-                Some((r.usize()?, r.f64s()?))
-            } else {
-                None
-            }
-        },
-    })
-}
-
-fn encode(a: &mut OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
+fn encode(a: &OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
     let mut w = WordWriter::default();
     w.u64(wal_seq);
     // Configuration echo — everything the replayed results depend on.
@@ -322,7 +271,7 @@ fn encode(a: &mut OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
     w.u64s(&a.dirty);
     // Live campaigns, arrival order.
     w.usize(a.live.len());
-    for ad in &mut a.live {
+    for ad in &a.live {
         w.u64(ad.id);
         w.f64(ad.adv.budget);
         w.f64(ad.adv.cpe);
@@ -332,21 +281,18 @@ fn encode(a: &mut OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
         w.f32(ad.ctp_col.first().copied().unwrap_or(0.0));
         w.u32s(&ad.seeds);
         w.f64(ad.revenue_est);
-        match &mut ad.warm {
-            Some(warm) => {
-                w.bool(true);
-                put_warm(&mut w, &warm.export_parts());
-            }
-            None => w.bool(false),
+        w.bool(ad.warm.is_some());
+        if let Some(shard) = &ad.warm {
+            put_shard(&mut w, shard);
         }
     }
     // Retained pool, release order.
     w.usize(a.pool.evictions());
     w.usize(a.pool.len());
-    for entry in a.pool.entries_mut() {
+    for entry in a.pool.entries() {
         w.u64(entry.id);
         w.f32s(entry.topics.weights());
-        put_warm(&mut w, &entry.state.export_parts());
+        put_shard(&mut w, &entry.state);
     }
     w.words
 }
@@ -364,6 +310,14 @@ fn check<T: PartialEq + std::fmt::Debug>(
         )));
     }
     Ok(())
+}
+
+/// A checkpointed topic distribution, in the host's topic space.
+fn get_topics(r: &mut WordReader<'_>, id: AdId, k: usize) -> Result<TopicDist, SnapshotError> {
+    let topics = TopicDist::new(r.f32s()?)
+        .map_err(|e| malformed(format!("ad {id} topic distribution: {e}")))?;
+    check("an ad's topic count", k, topics.k())?;
+    Ok(topics)
 }
 
 fn decode<'g>(
@@ -414,40 +368,47 @@ fn decode<'g>(
     };
     a.dirty = r.u64s()?;
 
+    // First the whole payload is read and the model checked; shards are
+    // only noted. Drawing starts once nothing is left to refuse.
     let num_live = r.len(8)?;
+    let mut live_shards = Vec::with_capacity(num_live);
+    let mut ids = HashSet::new();
     for _ in 0..num_live {
         let id: AdId = r.u64()?;
         let budget = r.f64()?;
         let cpe = r.f64()?;
-        let topics = TopicDist::new(r.f32s()?)
-            .map_err(|e| malformed(format!("ad {id} topic distribution: {e}")))?;
+        let topics = get_topics(r, id, topic_probs.k())?;
         let ctp = r.f32()?;
         let seeds: Vec<NodeId> = r.u32s()?;
         let revenue_est = r.f64()?;
-        let warm_parts = if r.bool()? { Some(get_warm(r)?) } else { None };
+        live_shards.push(if r.bool()? { Some(get_shard(r)?) } else { None });
 
-        if a.index_of(id).is_some() {
+        if !ids.insert(id) {
             return Err(malformed(format!("ad {id} appears twice among live ads")));
         }
-        if !(0.0..=1.0).contains(&ctp) {
-            return Err(malformed(format!("ad {id} ctp {ctp} outside [0, 1]")));
-        }
-        if let Some(&v) = seeds.iter().find(|&&v| v as usize >= n) {
+        let in_domain = budget.is_finite() && budget >= 0.0 && cpe.is_finite() && cpe > 0.0;
+        if !(in_domain && (0.0..=1.0).contains(&ctp) && revenue_est.is_finite()) {
             return Err(malformed(format!(
-                "ad {id} seed node {v} outside the graph"
+                "ad {id}: budget {budget}, cpe {cpe}, ctp {ctp} or revenue estimate \
+                 {revenue_est} out of domain"
             )));
         }
-        let plan = AdSeeds::for_ad_id(a.cfg.tirm.seed, id);
-        let warm = warm_parts
-            .map(|p| restore_warm(id, p, plan, a.cfg.tirm.threads, n))
-            .transpose()?;
+        let mut seeded = HashSet::new();
+        if let Some(v) = seeds
+            .iter()
+            .find(|&&v| v as usize >= n || !seeded.insert(v))
+        {
+            return Err(malformed(format!(
+                "ad {id} seed node {v} outside the graph or seeded twice"
+            )));
+        }
         a.live.push(LiveAd {
             id,
             adv: Advertiser::new(budget, cpe, topics.clone()),
             probs: topic_probs.project(&topics),
             ctp_col: vec![ctp; n],
-            plan,
-            warm,
+            plan: AdSeeds::for_ad_id(a.cfg.tirm.seed, id),
+            warm: None,
             seeds,
             revenue_est,
         });
@@ -455,37 +416,51 @@ fn decode<'g>(
 
     let evictions = r.usize()?;
     let num_pooled = r.len(8)?;
+    let mut pooled = Vec::with_capacity(num_pooled);
+    ids.clear();
     for _ in 0..num_pooled {
         let id: AdId = r.u64()?;
-        let topics = TopicDist::new(r.f32s()?)
-            .map_err(|e| malformed(format!("pooled shard {id} topic distribution: {e}")))?;
-        let parts = get_warm(r)?;
-        let plan = AdSeeds::for_ad_id(a.cfg.tirm.seed, id);
-        let state = restore_warm(id, parts, plan, a.cfg.tirm.threads, n)?;
-        // Re-released through the normal path: byte accounting is
-        // recomputed from the rebuilt shard, and a restore into a
-        // tighter-budgeted pool trims like any release would.
+        let topics = get_topics(r, id, topic_probs.k())?;
+        if !ids.insert(id) {
+            return Err(malformed(format!("ad {id} appears twice in the pool")));
+        }
+        pooled.push((id, topics, get_shard(r)?));
+    }
+    r.finish()?;
+
+    let t0 = std::time::Instant::now();
+    for (ad, counts) in a.live.iter_mut().zip(live_shards) {
+        if let Some(counts) = counts {
+            ad.warm = Some(regenerate(graph, &ad.probs, &a.cfg, ad.id, counts)?);
+        }
+    }
+    for (id, topics, counts) in pooled {
+        let probs = topic_probs.project(&topics);
+        let state = regenerate(graph, &probs, &a.cfg, id, counts)?;
+        // Re-released through the normal path: the redrawn shard weighs
+        // what the held one did, so the pool trims — if the budget is
+        // tighter than the one the checkpoint was written under — exactly
+        // as a release would.
         a.pool.release(id, topics, state);
     }
     a.pool.set_evictions(evictions);
-    r.finish()?;
+    RESTORE_REGENERATE_NS.record_duration(t0.elapsed());
     Ok((a, wal_seq))
 }
 
-fn restore_warm(
+/// Redraws ad `id`'s shard from its checkpointed counts.
+fn regenerate(
+    graph: &DiGraph,
+    probs: &[f32],
+    cfg: &OnlineConfig,
     id: AdId,
-    parts: AdWarmParts,
-    plan: AdSeeds,
-    threads: usize,
-    num_nodes: usize,
+    counts: WarmCounts,
 ) -> Result<AdWarmState, SnapshotError> {
-    if parts.num_nodes != num_nodes {
-        return Err(malformed(format!(
-            "ad {id} shard sampled over {} nodes, graph has {num_nodes}",
-            parts.num_nodes
-        )));
-    }
-    AdWarmState::from_parts(parts, plan, threads).map_err(|e| malformed(format!("ad {id}: {e}")))
+    let plan = AdSeeds::for_ad_id(cfg.tirm.seed, id);
+    let shard = AdWarmState::regenerate(graph, probs, &cfg.tirm, plan, counts)
+        .map_err(|e| malformed(format!("ad {id}: {e}")))?;
+    RESTORE_SETS_REGENERATED.add((counts.theta + counts.kpt_samples) as u64);
+    Ok(shard)
 }
 
 #[cfg(test)]
@@ -526,9 +501,11 @@ mod tests {
     }
 
     /// Round-trips an allocator through a checkpoint and proves the
-    /// restored copy (a) carries the identical allocation and (b) keeps
-    /// producing **bit-identical** results on further events — the RNG
-    /// streams resume exactly where the original's stand.
+    /// restored copy (a) carries the identical allocation, (b) weighs
+    /// what the original weighs, to the byte — the pool evicts on that
+    /// number — and (c) keeps producing **bit-identical** results on
+    /// further events — the RNG streams resume exactly where the
+    /// original's stand.
     #[test]
     fn checkpoint_restore_is_bit_identical_and_resumes_streams() {
         let (g, probs) = setup();
@@ -548,6 +525,7 @@ mod tests {
         assert_eq!(b.pooled_shards(), a.pooled_shards());
         assert!(a.snapshot().same_allocation(&b.snapshot()));
         assert_eq!(b.total_rr_sets(), a.total_rr_sets());
+        assert_eq!(b.memory_bytes(), a.memory_bytes());
 
         // Continue both on the same tail: fresh sampling must agree.
         for ev in [
@@ -561,6 +539,7 @@ mod tests {
         }
         assert!(a.snapshot().same_allocation(&b.snapshot()));
         assert_eq!(a.stats(), b.stats());
+        assert_eq!(b.memory_bytes(), a.memory_bytes());
     }
 
     #[test]

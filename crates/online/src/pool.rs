@@ -88,10 +88,9 @@ impl RetainedPool {
     }
 
     /// Checkpoint access: the retained entries in release order (oldest —
-    /// first-evicted — first), mutably so shards can be decomposed in
-    /// place for serialization.
-    pub(crate) fn entries_mut(&mut self) -> impl Iterator<Item = &mut Retained> {
-        self.entries.iter_mut()
+    /// first-evicted — first).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &Retained> {
+        self.entries.iter()
     }
 
     /// Checkpoint restore: pins the lifetime eviction counter to the

@@ -274,84 +274,6 @@ impl RrIndex {
         self.free.iter_mut().for_each(|f| *f = NIL);
     }
 
-    /// Compacts the hot tail and exposes the flat arrays that fully
-    /// describe the index: `(n, set_offsets, set_nodes, frozen_offsets,
-    /// frozen_data)`. After [`Self::compact`] the arena, heads and free
-    /// lists are all at their default state, so these five arrays are the
-    /// index's entire serialization surface — the checkpoint layer writes
-    /// them verbatim.
-    pub fn compacted_parts(&mut self) -> (usize, &[u32], &[u32], &[u32], &[u32]) {
-        self.compact();
-        (
-            self.n,
-            &self.offsets,
-            &self.nodes,
-            &self.frozen_offsets,
-            &self.frozen_data,
-        )
-    }
-
-    /// Rebuilds an index from arrays captured by
-    /// [`Self::compacted_parts`]. Every structural invariant is
-    /// re-validated (monotone offsets, ids in range, postings consistent
-    /// with the set count), so a corrupted or hand-forged checkpoint
-    /// surfaces as a typed error instead of an out-of-bounds panic later.
-    pub fn from_compacted_parts(
-        n: usize,
-        offsets: Vec<u32>,
-        nodes: Vec<NodeId>,
-        frozen_offsets: Vec<u32>,
-        frozen_data: Vec<u32>,
-    ) -> Result<RrIndex, String> {
-        if offsets.first() != Some(&0) {
-            return Err("set offsets must start at 0".to_string());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("set offsets must be monotone".to_string());
-        }
-        if *offsets.last().unwrap() as usize != nodes.len() {
-            return Err(format!(
-                "set offsets end at {} but {} member slots are stored",
-                offsets.last().unwrap(),
-                nodes.len()
-            ));
-        }
-        if nodes.iter().any(|&v| v as usize >= n) {
-            return Err(format!("set member out of the {n}-node id space"));
-        }
-        if frozen_offsets.len() != n + 1 {
-            return Err(format!(
-                "frozen offsets have {} entries for {} nodes",
-                frozen_offsets.len(),
-                n
-            ));
-        }
-        if frozen_offsets.first() != Some(&0) || frozen_offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("frozen offsets must be monotone from 0".to_string());
-        }
-        if *frozen_offsets.last().unwrap() as usize != frozen_data.len() {
-            return Err(format!(
-                "frozen offsets end at {} but {} postings are stored",
-                frozen_offsets.last().unwrap(),
-                frozen_data.len()
-            ));
-        }
-        let num_sets = (offsets.len() - 1) as u32;
-        if frozen_data.iter().any(|&sid| sid >= num_sets) {
-            return Err(format!("posting refers past the {num_sets} stored sets"));
-        }
-        Ok(RrIndex {
-            n,
-            offsets,
-            nodes,
-            frozen_offsets,
-            frozen_data,
-            data: Vec::new(),
-            heads: vec![PostingHead::default(); n],
-            free: vec![NIL; 40],
-        })
-    }
-
     /// Appends one set (members must be duplicate-free — the sampler's
     /// contract) and indexes its members. Returns the new set's id.
     pub fn push_set(&mut self, members: &[NodeId]) -> u32 {

@@ -37,7 +37,7 @@ pub use collection::RrCollection;
 pub use fastpath::{coin_threshold, FastPath, SamplingLayout};
 pub use heap::LazyMaxHeap;
 pub use index::{Postings, RrIndex};
-pub use parallel::{ParallelSampler, RrArena, RrSink, SamplerState, SamplingConfig};
+pub use parallel::{ParallelSampler, RrArena, RrSink, SamplingConfig};
 pub use sampler::{RrSampler, SampleWorkspace};
 pub use tim::{tim_select, tim_select_with, KptEstimator, KptState, SampleBound, TimResult};
 pub use weighted::{score_key, WeightedRrCollection};

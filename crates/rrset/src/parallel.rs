@@ -177,64 +177,7 @@ pub struct ParallelSampler {
     total_sampled: usize,
 }
 
-/// Detached, serializable position of a [`ParallelSampler`]: the
-/// configuration plus every shard's raw RNG state and the cumulative
-/// draw counter. The per-shard [`SampleWorkspace`]s are rebuildable
-/// scratch (epoch-marked visit arrays that never influence the output
-/// stream) and are deliberately *not* captured — an engine rebuilt via
-/// [`ParallelSampler::from_state`] continues the exact same sample
-/// stream as the original.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SamplerState {
-    /// Engine configuration (threads, base seed, cumulative cap).
-    pub config: SamplingConfig,
-    /// One xoshiro256++ state per shard, shard order.
-    pub rng_states: Vec<[u64; 4]>,
-    /// Samples drawn through the engine so far.
-    pub total_sampled: usize,
-}
-
 impl ParallelSampler {
-    /// Captures the engine's position for checkpointing. See
-    /// [`SamplerState`].
-    pub fn export_state(&self) -> SamplerState {
-        SamplerState {
-            config: self.config,
-            rng_states: self.shards.iter().map(|s| s.rng.state()).collect(),
-            total_sampled: self.total_sampled,
-        }
-    }
-
-    /// Rebuilds an engine at a previously captured position over a graph
-    /// with `num_nodes` nodes. Errors (instead of panicking) on a state
-    /// whose shard count disagrees with its own configuration — the
-    /// malformed-checkpoint path.
-    pub fn from_state(state: &SamplerState, num_nodes: usize) -> Result<Self, String> {
-        if state.rng_states.len() != state.config.effective_threads() {
-            return Err(format!(
-                "sampler state has {} shard RNGs for {} configured threads",
-                state.rng_states.len(),
-                state.config.effective_threads()
-            ));
-        }
-        if state.rng_states.iter().any(|s| s.iter().all(|&w| w == 0)) {
-            return Err("sampler state contains an all-zero RNG state".to_string());
-        }
-        let shards = state
-            .rng_states
-            .iter()
-            .map(|&s| Shard {
-                rng: SmallRng::from_state(s),
-                ws: SampleWorkspace::new(num_nodes),
-            })
-            .collect();
-        Ok(ParallelSampler {
-            config: state.config,
-            shards,
-            total_sampled: state.total_sampled,
-        })
-    }
-
     /// Engine over a graph with `num_nodes` nodes.
     pub fn new(config: SamplingConfig, num_nodes: usize) -> Self {
         let shards = (0..config.effective_threads())

@@ -109,10 +109,10 @@ const MEMO_CAPACITY: usize = 8;
 
 /// The most recently used `(s, estimate(s))` pairs of one width cache. It
 /// travels with that cache through [`KptState`] and is dropped with it;
-/// a checkpoint does not carry it, and a restored copy recomputes the
-/// same bits on first use. An inline array on purpose: it adds nothing to
-/// the heap, so `memory_bytes`, pool eviction order and checkpoint sizes
-/// are what they were without it.
+/// a checkpoint does not carry it, and a cache redrawn by
+/// [`KptEstimator::refill`] recomputes the same bits on first use. An
+/// inline array on purpose: it adds nothing to the heap, so `memory_bytes`
+/// and pool eviction order are what they were without it.
 #[derive(Clone, Copy, Default)]
 struct EstimateMemo {
     /// The first `len` entries are live, most recently used first.
@@ -134,6 +134,16 @@ impl EstimateMemo {
         self.entries[..self.len].rotate_right(1);
         self.entries[0] = (s, kpt);
     }
+}
+
+/// Sample counts `c_1 < c_2 < …` the estimator's rounds end at over an
+/// `n`-node graph: `c_i = (6ℓ ln n + 6 ln log₂ n) · 2^i` for
+/// `i = 1, …, log₂(n) − 1` (at least one round).
+fn round_sizes(n: usize, ell: f64) -> impl Iterator<Item = usize> {
+    let log2n = (n as f64).log2();
+    let rounds = log2n.floor() as i32 - 1;
+    let base = 6.0 * ell * (n as f64).ln() + 6.0 * log2n.max(1.0).ln();
+    (1..=rounds.max(1)).map(move |i| (base * 2f64.powi(i)).ceil() as usize)
 }
 
 impl<'a> KptEstimator<'a> {
@@ -221,13 +231,9 @@ impl<'a> KptEstimator<'a> {
     fn sum_rounds(&mut self, s: usize, fast: Option<&FastPath<'_>>) -> f64 {
         let n = self.sampler.graph().num_nodes();
         let exponent = i32::try_from(s).unwrap_or(i32::MAX);
-        let log2n = (n as f64).log2();
-        let rounds = log2n.floor() as i32 - 1;
-        let base = 6.0 * self.ell * (n as f64).ln() + 6.0 * log2n.max(1.0).ln();
         let mut sum = 0.0f64;
         let mut summed = 0;
-        for i in 1..=rounds.max(1) {
-            let ci = (base * 2f64.powi(i)).ceil() as usize;
+        for (i, ci) in (1..).zip(round_sizes(n, self.ell)) {
             self.fill_widths(ci, fast);
             for &w in &self.widths[summed..ci] {
                 let frac = (w as f64 / self.m as f64).min(1.0);
@@ -239,6 +245,26 @@ impl<'a> KptEstimator<'a> {
             }
         }
         1.0
+    }
+
+    /// Draws the width cache of a fresh estimator up to the `samples` an
+    /// earlier one with the same `(sampler, ell, config)` had drawn, in
+    /// the batches [`Self::estimate`] draws them in (one per round), so
+    /// the cache comes back with the same contents, the same engine
+    /// position and the same capacity. An estimator only ever holds
+    /// nothing or a whole number of rounds; any other `samples` is
+    /// refused before a set is drawn.
+    pub fn refill(&mut self, samples: usize, fast: Option<&FastPath<'_>>) -> Result<(), String> {
+        let n = self.sampler.graph().num_nodes();
+        if samples != 0 && !round_sizes(n, self.ell).any(|ci| ci == samples) {
+            return Err(format!(
+                "{samples} KPT samples is not the end of an estimation round over {n} nodes"
+            ));
+        }
+        for ci in round_sizes(n, self.ell).take_while(|&ci| ci <= samples) {
+            self.fill_widths(ci, fast);
+        }
+        Ok(())
     }
 
     /// The restart-per-round loop [`Self::sum_rounds`] replaced, kept as
@@ -317,25 +343,11 @@ impl KptState {
         self.widths.capacity() * 8 + self.engine.memory_bytes()
     }
 
-    /// The serializable view for checkpointing: the cached widths and
-    /// the estimation engine's stream position. The remembered answers
-    /// stay behind; they are a function of these two.
-    pub fn export_parts(&self) -> (&[u64], crate::parallel::SamplerState) {
-        (&self.widths, self.engine.export_state())
-    }
-
-    /// Rebuilds detached KPT capital from checkpointed parts, over a
-    /// graph with `num_nodes` nodes.
-    pub fn from_parts(
-        widths: Vec<u64>,
-        engine: &crate::parallel::SamplerState,
-        num_nodes: usize,
-    ) -> Result<KptState, String> {
-        Ok(KptState {
-            widths,
-            engine: ParallelSampler::from_state(engine, num_nodes)?,
-            memo: EstimateMemo::default(),
-        })
+    /// Estimation samples drawn so far — with the estimator's
+    /// configuration, all [`KptEstimator::refill`] needs to rebuild this
+    /// state.
+    pub fn samples_used(&self) -> usize {
+        self.widths.len()
     }
 }
 
@@ -506,6 +518,36 @@ mod tests {
     }
 
     #[test]
+    fn refill_takes_round_ends_only() {
+        let g = generators::erdos_renyi(300, 1500, 5);
+        let probs = vec![0.02f32; g.num_edges()];
+        let sampler = RrSampler::new(&g, &probs);
+        // Sparse enough that s = 1 walks several rounds.
+        let mut held = KptEstimator::new(sampler, 1.0, 9);
+        held.estimate(1);
+        let used = held.samples_used();
+        let sizes: Vec<usize> = round_sizes(300, 1.0).collect();
+        assert!(sizes.windows(2).all(|w| w[0] < w[1]));
+        assert!(sizes[1..].contains(&used), "{used} in {sizes:?}");
+
+        let mut again = KptEstimator::new(sampler, 1.0, 9);
+        again.refill(used, None).unwrap();
+        assert_eq!(again.widths, held.widths);
+        assert_eq!(again.widths.capacity(), held.widths.capacity());
+        assert_eq!(again.estimate(7).to_bits(), held.estimate(7).to_bits());
+
+        let drawn = |samples| {
+            let mut est = KptEstimator::new(sampler, 1.0, 9);
+            est.refill(samples, None).map(|()| est.samples_used())
+        };
+        assert_eq!(drawn(0), Ok(0));
+        assert_eq!(drawn(sizes[0]), Ok(sizes[0]));
+        for bad in [1, sizes[0] + 1, sizes[sizes.len() - 1] + 1, usize::MAX] {
+            assert!(drawn(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn exponent_beyond_the_graph_reads_as_n() {
         // `powi(s as i32)` used to wrap: negative for 2³¹ (every term ≤ 0,
         // all rounds sampled, answer 1.0), a smaller `s` for 2³² + 5.
@@ -571,10 +613,15 @@ mod tests {
                     est = KptEstimator::from_state(sampler, 1.0, est.into_state());
                 }
                 if k == 2 * asks.len() / 3 {
-                    let state = est.into_state();
-                    let (widths, engine) = state.export_parts();
-                    let restored = KptState::from_parts(widths.to_vec(), &engine, n).unwrap();
-                    est = KptEstimator::from_state(sampler, 1.0, restored);
+                    // Rebuilt from its sample count alone: same widths,
+                    // same engine position, same bytes.
+                    let held = est.into_state();
+                    est = KptEstimator::with_config(sampler, 1.0, config);
+                    est.refill(held.samples_used(), Some(&fast)).unwrap();
+                    proptest::prop_assert_eq!(&est.widths, &held.widths);
+                    let redrawn = est.into_state();
+                    proptest::prop_assert_eq!(redrawn.memory_bytes(), held.memory_bytes());
+                    est = KptEstimator::from_state(sampler, 1.0, redrawn);
                 }
                 // Bit-identity is claimed for every s ≤ n.
                 let s = 1 + (pool[which] - 1) % n;

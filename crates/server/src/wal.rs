@@ -469,10 +469,13 @@ pub fn write_checkpoint(
     wal_seq: u64,
 ) -> io::Result<PathBuf> {
     let t0 = std::time::Instant::now();
+    let mut bytes = 0;
     let path = write_atomically(dir, &checkpoint_name(wal_seq), |f| {
         let mut w = BufWriter::with_capacity(1 << 20, f);
         allocator.checkpoint(wal_seq, &mut w)?;
-        w.flush()
+        w.flush()?;
+        bytes = w.get_ref().metadata()?.len();
+        Ok(())
     })?;
     let checkpoints = list_checkpoints(dir)?;
     if checkpoints.len() > KEEP_CHECKPOINTS {
@@ -482,6 +485,7 @@ pub fn write_checkpoint(
         sync_dir(dir)?;
     }
     tirm_obs::registry::CHECKPOINT_WALL_NS.record_duration(t0.elapsed());
+    tirm_obs::registry::CHECKPOINT_BYTES.set(bytes);
     Ok(path)
 }
 

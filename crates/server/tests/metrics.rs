@@ -145,6 +145,14 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
         section_u64(&gauges, "tirm_repl_follower_lag_frames").is_some(),
         "follower lag gauge not covered"
     );
+    assert!(
+        section_u64(&gauges, "tirm_server_checkpoint_bytes").is_some(),
+        "checkpoint size gauge not covered"
+    );
+    assert!(
+        section_u64(&counters, "tirm_online_restore_sets_regenerated_total").is_some(),
+        "restore's redrawn-set counter not covered"
+    );
     let hist_count = |name: &str| {
         histograms
             .as_object()
@@ -156,6 +164,10 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     assert!(
         hist_count("tirm_server_wal_fsync_latency_ns").is_some_and(|c| c > 0),
         "durable run must have recorded WAL fsyncs"
+    );
+    assert!(
+        hist_count("tirm_online_restore_regenerate_ns").is_some(),
+        "restore's regeneration time not covered"
     );
     assert!(
         hist_count("tirm_online_apply_latency_ns{kind=\"arrival\"}").is_some_and(|c| c > 0),

@@ -249,3 +249,121 @@ fn kill_at_any_index_then_finish_log_is_bit_identical() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// The writer's protocol up to `kill_at` (append → fsync → apply, a
+/// checkpoint every 4 events), then recovery from what that left on disk
+/// and the rest of the log.
+fn killed_recovered_and_finished<'g>(
+    graph: &'g tirm_graph::DiGraph,
+    probs: &'g tirm_topics::TopicEdgeProbs,
+    cfg: &OnlineConfig,
+    events: &[OnlineEvent],
+    kill_at: usize,
+) -> OnlineAllocator<'g> {
+    let dir = fresh_dir(&format!("pool_kill_{kill_at}"));
+    let mut log = wal::Wal::open(&dir, 0, 3).unwrap();
+    let mut live = OnlineAllocator::new(graph, probs, cfg.clone());
+    for (i, ev) in events[..kill_at].iter().enumerate() {
+        log.append(ev).unwrap();
+        log.sync().unwrap();
+        let _ = live.process(ev);
+        if (i + 1) % 4 == 0 {
+            wal::write_checkpoint(&dir, &mut live, log.seq()).unwrap();
+            log.prune(log.seq()).unwrap();
+        }
+    }
+    drop(log);
+    drop(live);
+    let (mut recovered, report) = wal::recover(&dir, graph, probs, cfg).unwrap();
+    assert_eq!(report.wal_seq, kill_at as u64, "kill_at={kill_at}");
+    for ev in &events[kill_at..] {
+        let _ = recovered.process(ev);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    recovered
+}
+
+/// The kill sweep again with the retained pool one byte too small for
+/// the two shards the log releases, and then exactly large enough: the
+/// pool evicts on `memory_bytes`, so a recovered shard a byte lighter or
+/// heavier than the one the uninterrupted run holds ends the log with a
+/// different pool. A shard redrawn from its counts weighs what the held
+/// one weighs.
+#[test]
+fn kill_at_any_index_under_pool_pressure_evicts_like_the_uninterrupted_run() {
+    let graph = generators::preferential_attachment(250, 3, 0.3, 13);
+    let probs = genprob::exponential_topic_probs(graph.num_edges(), 2, 8.0, 13 ^ 0x77);
+    let cfg = |max_retained_bytes| OnlineConfig {
+        tirm: TirmOptions {
+            eps: 0.45,
+            seed: 7,
+            max_theta_per_ad: Some(500),
+            ..TirmOptions::default()
+        },
+        kappa: 2,
+        max_retained_bytes,
+        ..OnlineConfig::default()
+    };
+    let events = event_log();
+    let uninterrupted = |max_retained_bytes| {
+        let mut oracle = OnlineAllocator::new(&graph, &probs, cfg(max_retained_bytes));
+        for ev in &events {
+            let _ = oracle.process(ev);
+        }
+        oracle
+    };
+    // What the two departed shards weigh: everything held, less what is
+    // held when nothing is retained.
+    let both = uninterrupted(usize::MAX).memory_bytes() - uninterrupted(0).memory_bytes();
+
+    for (budget, evictions) in [(both - 1, 1), (both, 0)] {
+        let oracle = uninterrupted(budget);
+        assert_eq!(oracle.pool_evictions(), evictions);
+        assert_eq!(oracle.pooled_shards(), 2 - evictions);
+        let want = oracle.snapshot();
+        for kill_at in 0..=events.len() {
+            let got = killed_recovered_and_finished(&graph, &probs, &cfg(budget), &events, kill_at);
+            assert!(
+                got.snapshot().same_allocation(&want),
+                "kill_at={kill_at} budget={budget}"
+            );
+            assert_eq!(got.pool_evictions(), evictions, "kill_at={kill_at}");
+            assert_eq!(got.pooled_shards(), oracle.pooled_shards());
+            assert_eq!(got.memory_bytes(), oracle.memory_bytes());
+        }
+    }
+}
+
+/// A checkpoint is the campaign model and four integers a shard: its
+/// size does not know how many RR sets the shards hold.
+#[test]
+fn checkpoint_size_is_independent_of_theta() {
+    let graph = generators::preferential_attachment(250, 3, 0.3, 13);
+    let probs = genprob::exponential_topic_probs(graph.num_edges(), 2, 8.0, 13 ^ 0x77);
+    let image = |max_theta| {
+        let cfg = OnlineConfig {
+            tirm: TirmOptions {
+                eps: 0.45,
+                seed: 7,
+                max_theta_per_ad: Some(max_theta),
+                ..TirmOptions::default()
+            },
+            kappa: 2,
+            ..OnlineConfig::default()
+        };
+        let mut a = OnlineAllocator::new(&graph, &probs, cfg);
+        for ev in &event_log() {
+            let _ = a.process(ev);
+        }
+        let mut bytes = Vec::new();
+        a.checkpoint(10, &mut bytes).unwrap();
+        let seeds: usize = a.snapshot().ads.iter().map(|ad| ad.seeds.len()).sum();
+        (bytes.len(), a.total_rr_sets(), seeds)
+    };
+    let (small, small_sets, small_seeds) = image(500);
+    let (large, large_sets, large_seeds) = image(5000);
+    assert!(large_sets > 5 * small_sets, "{small_sets} vs {large_sets}");
+    assert!(large < 64 << 10, "{large} bytes");
+    // Standing seeds are model, one word each; nothing else may differ.
+    assert_eq!(small - 4 * small_seeds, large - 4 * large_seeds);
+}
