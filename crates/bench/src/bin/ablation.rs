@@ -1,5 +1,6 @@
-//! Ablation studies beyond the paper's figures, probing the design choices
-//! DESIGN.md calls out:
+//! Ablation studies beyond the paper's figures, probing choices the paper
+//! leaves open or this reproduction makes (the θ cap is argued in
+//! ARCHITECTURE.md "Synthetic data sets"):
 //!
 //! 1. **Selection rule** — Algorithm 3's max-coverage candidate vs the
 //!    exact max-regret-drop candidate (TIRM option `exact_drop_selection`).
@@ -197,11 +198,11 @@ fn main() {
     println!("  membership ratio : {ratio:.1}x (≈ 1/E[CTP]; §5.2 predicts ~50x at 1–3% CTPs)");
     write_json(
         "ablation_rrc",
-        &vec![serde_json::json!({
+        &serde_json::json!([{
             "experiment": "rrc_vs_rr",
             "rr_mean_size": rr_members as f64 / samples as f64,
             "rrc_mean_size": rrc_members as f64 / samples as f64,
             "ratio": ratio,
-        })],
+        }]),
     );
 }

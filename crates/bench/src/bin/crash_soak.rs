@@ -36,6 +36,7 @@
 //! the child's restarts warm-load the dataset instead of regenerating
 //! it — time-to-serving then measures recovery, not generation.
 
+use serde_json::json;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -57,39 +58,6 @@ fn usage(msg: &str) -> ExitCode {
          [--segment-events N] [--min-speedup X] [--ready-timeout-s S] [--keep-state]"
     );
     ExitCode::from(2)
-}
-
-#[derive(serde::Serialize)]
-struct RestartRow {
-    /// Durable frontier last observed before the SIGKILL was sent.
-    killed_at_wal_seq: u64,
-    /// Wall seconds from respawn to the first successful `hello`.
-    ready_s: f64,
-    /// The frontier the restarted server recovered to (its `hello`).
-    recovered_wal_seq: u64,
-}
-
-#[derive(serde::Serialize)]
-struct SoakSummary {
-    dataset: String,
-    scale: f64,
-    events: usize,
-    mutations: u64,
-    kills: usize,
-    checkpoint_interval: u64,
-    segment_events: u64,
-    first_ready_s: f64,
-    restarts: Vec<RestartRow>,
-    offered: u64,
-    accepted: u64,
-    shed: u64,
-    drive_wall_s: f64,
-    final_epoch: u64,
-    bit_identical: bool,
-    warm_recover_s: f64,
-    cold_replay_s: f64,
-    recovery_speedup: f64,
-    min_speedup: f64,
 }
 
 /// Polls until the server at `addr` answers a `hello`, or `deadline`.
@@ -414,11 +382,14 @@ fn main() -> ExitCode {
                  mutations there are to send"
             ));
         }
-        restarts.push(RestartRow {
-            killed_at_wal_seq: killed_at,
-            ready_s,
-            recovered_wal_seq: recovered,
-        });
+        restarts.push(json!({
+            // Durable frontier last observed before the SIGKILL was sent.
+            "killed_at_wal_seq": killed_at,
+            // Wall seconds from respawn to the first successful `hello`.
+            "ready_s": ready_s,
+            // The frontier the restarted server recovered to (its `hello`).
+            "recovered_wal_seq": recovered,
+        }));
     }
 
     let report = match driver.join() {
@@ -525,32 +496,35 @@ fn main() -> ExitCode {
         warm_s,
         cold_s,
         speedup,
-        restarts.iter().map(|r| r.ready_s).collect::<Vec<_>>(),
+        restarts
+            .iter()
+            .filter_map(|r| r.get("ready_s")?.as_f64())
+            .collect::<Vec<_>>(),
     );
 
     write_json(
         "crash_soak",
-        &SoakSummary {
-            dataset: dataset.name().to_string(),
-            scale: cfg.scale,
-            events: log.len(),
-            mutations,
-            kills,
-            checkpoint_interval,
-            segment_events,
-            first_ready_s,
-            restarts,
-            offered: report.offered,
-            accepted: report.accepted,
-            shed: report.shed,
-            drive_wall_s: report.wall_s,
-            final_epoch: report.final_stats.epoch,
-            bit_identical,
-            warm_recover_s: warm_s,
-            cold_replay_s: cold_s,
-            recovery_speedup: speedup,
-            min_speedup,
-        },
+        &json!({
+            "dataset": dataset.name(),
+            "scale": cfg.scale,
+            "events": log.len(),
+            "mutations": mutations,
+            "kills": kills,
+            "checkpoint_interval": checkpoint_interval,
+            "segment_events": segment_events,
+            "first_ready_s": first_ready_s,
+            "restarts": restarts,
+            "offered": report.offered,
+            "accepted": report.accepted,
+            "shed": report.shed,
+            "drive_wall_s": report.wall_s,
+            "final_epoch": report.final_stats.epoch,
+            "bit_identical": bit_identical,
+            "warm_recover_s": warm_s,
+            "cold_replay_s": cold_s,
+            "recovery_speedup": speedup,
+            "min_speedup": min_speedup,
+        }),
     );
 
     if !keep_state {

@@ -42,5 +42,5 @@ fn main() {
             println!("{}", t.render());
         }
     }
-    write_json("fig3", &rows);
+    write_json("fig3", &rows.into());
 }

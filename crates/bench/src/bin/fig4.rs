@@ -41,5 +41,5 @@ fn main() {
             println!("{}", t.render());
         }
     }
-    write_json("fig4", &rows);
+    write_json("fig4", &rows.into());
 }

@@ -52,5 +52,5 @@ fn main() {
             );
         }
     }
-    write_json("fig5", &rows);
+    write_json("fig5", &rows.into());
 }

@@ -53,6 +53,7 @@
 //! shed rate print as a table and land in
 //! `target/experiments/loadgen.json` (schema-v4 field names).
 
+use serde_json::json;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -73,48 +74,6 @@ fn usage(msg: &str) -> ExitCode {
          [--raw-budgets]"
     );
     ExitCode::from(2)
-}
-
-#[derive(serde::Serialize)]
-struct KindRow {
-    kind: String,
-    count: usize,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    max_us: f64,
-}
-
-#[derive(serde::Serialize)]
-struct LoadgenSummary {
-    addr: String,
-    dataset: String,
-    events: usize,
-    readers: usize,
-    rate: Option<f64>,
-    retry: bool,
-    wall_s: f64,
-    offered: u64,
-    accepted: u64,
-    shed: u64,
-    shed_rate: f64,
-    events_per_s: f64,
-    reads: u64,
-    reads_per_s: f64,
-    read_p50_us: f64,
-    read_p99_us: f64,
-    reads_per_reader: Vec<u64>,
-    follower_reads: u64,
-    leader_fallback_reads: u64,
-    follower_lag_p99: u64,
-    leader_queue_p99: u64,
-    leader_shed_total: u64,
-    latency_p50_us: f64,
-    latency_p95_us: f64,
-    latency_p99_us: f64,
-    server_max_queue_depth: usize,
-    server_epoch: u64,
-    latencies: Vec<KindRow>,
 }
 
 fn main() -> ExitCode {
@@ -274,14 +233,14 @@ fn main() -> ExitCode {
             fnum(h.percentile_us(99.0)),
             fnum(h.max_us()),
         ]);
-        rows.push(KindRow {
-            kind: name.to_string(),
-            count: h.count(),
-            p50_us: h.percentile_us(50.0),
-            p95_us: h.percentile_us(95.0),
-            p99_us: h.percentile_us(99.0),
-            max_us: h.max_us(),
-        });
+        rows.push(json!({
+            "kind": name,
+            "count": h.count(),
+            "p50_us": h.percentile_us(50.0),
+            "p95_us": h.percentile_us(95.0),
+            "p99_us": h.percentile_us(99.0),
+            "max_us": h.max_us(),
+        }));
     };
     for (kind, h) in &report.per_kind {
         push(kind.name(), h);
@@ -327,36 +286,36 @@ fn main() -> ExitCode {
 
     write_json(
         "loadgen",
-        &LoadgenSummary {
-            addr,
-            dataset: dataset.name().to_string(),
-            events: log.len(),
-            readers,
-            rate,
-            retry,
-            wall_s: report.wall_s,
-            offered: report.offered,
-            accepted: report.accepted,
-            shed: report.shed,
-            shed_rate: report.shed_rate(),
-            events_per_s: report.events_per_s,
-            reads: report.reads,
-            reads_per_s: report.reads_per_s,
-            read_p50_us: report.read_latency.percentile_us(50.0),
-            read_p99_us: report.read_latency.percentile_us(99.0),
-            reads_per_reader: report.reads_per_reader.clone(),
-            follower_reads: report.follower_reads,
-            leader_fallback_reads: report.leader_fallback_reads,
-            follower_lag_p99: report.follower_lag_p99(),
-            leader_queue_p99: report.leader_queue_p99(),
-            leader_shed_total: report.leader_shed_total,
-            latency_p50_us: report.mutation_latency.percentile_us(50.0),
-            latency_p95_us: report.mutation_latency.percentile_us(95.0),
-            latency_p99_us: report.mutation_latency.percentile_us(99.0),
-            server_max_queue_depth: report.final_stats.max_queue_depth,
-            server_epoch: report.final_stats.epoch,
-            latencies: rows,
-        },
+        &json!({
+            "addr": addr,
+            "dataset": dataset.name(),
+            "events": log.len(),
+            "readers": readers,
+            "rate": rate,
+            "retry": retry,
+            "wall_s": report.wall_s,
+            "offered": report.offered,
+            "accepted": report.accepted,
+            "shed": report.shed,
+            "shed_rate": report.shed_rate(),
+            "events_per_s": report.events_per_s,
+            "reads": report.reads,
+            "reads_per_s": report.reads_per_s,
+            "read_p50_us": report.read_latency.percentile_us(50.0),
+            "read_p99_us": report.read_latency.percentile_us(99.0),
+            "reads_per_reader": report.reads_per_reader.clone(),
+            "follower_reads": report.follower_reads,
+            "leader_fallback_reads": report.leader_fallback_reads,
+            "follower_lag_p99": report.follower_lag_p99(),
+            "leader_queue_p99": report.leader_queue_p99(),
+            "leader_shed_total": report.leader_shed_total,
+            "latency_p50_us": report.mutation_latency.percentile_us(50.0),
+            "latency_p95_us": report.mutation_latency.percentile_us(95.0),
+            "latency_p99_us": report.mutation_latency.percentile_us(99.0),
+            "server_max_queue_depth": report.final_stats.max_queue_depth,
+            "server_epoch": report.final_stats.epoch,
+            "latencies": rows,
+        }),
     );
 
     if shutdown {

@@ -39,6 +39,7 @@
 //! `TIRM_SCALE` / `TIRM_THREADS` scale the run; `TIRM_SNAPSHOT_DIR`
 //! warm-starts the dataset from the binary snapshot cache.
 
+use serde_json::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tirm_bench::{banner, tirm_options, write_json};
@@ -56,37 +57,6 @@ fn usage(msg: &str) -> ExitCode {
          [--dump-final PATH]"
     );
     ExitCode::from(2)
-}
-
-#[derive(serde::Serialize)]
-struct LatencyRow {
-    kind: String,
-    count: usize,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    max_us: f64,
-}
-
-#[derive(serde::Serialize)]
-struct ReplaySummary {
-    dataset: String,
-    model: String,
-    kappa: u32,
-    lambda: f64,
-    events: usize,
-    events_per_s: f64,
-    wall_s: f64,
-    fresh_rr_sets: usize,
-    total_rr_sets: usize,
-    full_reallocations: usize,
-    delta_reallocations: usize,
-    shard_reclaims: usize,
-    final_live_ads: usize,
-    final_total_seeds: usize,
-    final_regret_estimate: f64,
-    memory_bytes: usize,
-    latencies: Vec<LatencyRow>,
 }
 
 fn main() -> ExitCode {
@@ -233,14 +203,14 @@ fn main() -> ExitCode {
             fnum(h.percentile_us(99.0)),
             fnum(h.max_us()),
         ]);
-        rows.push(LatencyRow {
-            kind: kind.name().to_string(),
-            count: h.count(),
-            p50_us: h.percentile_us(50.0),
-            p95_us: h.percentile_us(95.0),
-            p99_us: h.percentile_us(99.0),
-            max_us: h.max_us(),
-        });
+        rows.push(json!({
+            "kind": kind.name(),
+            "count": h.count(),
+            "p50_us": h.percentile_us(50.0),
+            "p95_us": h.percentile_us(95.0),
+            "p99_us": h.percentile_us(99.0),
+            "max_us": h.max_us(),
+        }));
     }
     let stats = report.stats;
     println!(
@@ -286,25 +256,25 @@ fn main() -> ExitCode {
 
     write_json(
         "online_replay",
-        &ReplaySummary {
-            dataset: dataset_kind.name().to_string(),
-            model: model.name().to_string(),
-            kappa,
-            lambda,
-            events: report.events,
-            events_per_s: report.events_per_s,
-            wall_s: report.wall_s,
-            fresh_rr_sets: stats.fresh_rr_sets,
-            total_rr_sets: allocator.total_rr_sets(),
-            full_reallocations: stats.full_reallocations,
-            delta_reallocations: stats.delta_reallocations,
-            shard_reclaims: stats.shard_reclaims,
-            final_live_ads: allocator.num_live(),
-            final_total_seeds: allocator.allocation().total_seeds(),
-            final_regret_estimate: report.final_regret_estimate,
-            memory_bytes: allocator.memory_bytes(),
-            latencies: rows,
-        },
+        &json!({
+            "dataset": dataset_kind.name(),
+            "model": model.name(),
+            "kappa": kappa,
+            "lambda": lambda,
+            "events": report.events,
+            "events_per_s": report.events_per_s,
+            "wall_s": report.wall_s,
+            "fresh_rr_sets": stats.fresh_rr_sets,
+            "total_rr_sets": allocator.total_rr_sets(),
+            "full_reallocations": stats.full_reallocations,
+            "delta_reallocations": stats.delta_reallocations,
+            "shard_reclaims": stats.shard_reclaims,
+            "final_live_ads": allocator.num_live(),
+            "final_total_seeds": allocator.allocation().total_seeds(),
+            "final_regret_estimate": report.final_regret_estimate,
+            "memory_bytes": allocator.memory_bytes(),
+            "latencies": rows,
+        }),
     );
     ExitCode::SUCCESS
 }

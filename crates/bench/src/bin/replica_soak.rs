@@ -42,6 +42,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde_json::json;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -63,53 +64,6 @@ fn usage(msg: &str) -> ExitCode {
          [--keep-state]"
     );
     ExitCode::from(2)
-}
-
-#[derive(serde::Serialize)]
-struct KillRow {
-    /// Replica index that took the SIGKILL.
-    target: usize,
-    /// Its role at the moment of the kill.
-    role: String,
-    /// The leader's durable frontier observed when the kill was sent.
-    killed_at_wal_seq: u64,
-    /// Leader kills only: seconds from the promote request until the
-    /// winner answered a `hello` as leader (post-promotion
-    /// time-to-serving).
-    promote_s: Option<f64>,
-    /// Replica index promoted to leader (leader kills only).
-    promoted: Option<usize>,
-    /// Seconds from respawning the killed replica until it answered a
-    /// `hello` (as a follower of the current leader).
-    ready_s: f64,
-}
-
-#[derive(serde::Serialize)]
-struct ReplicaSoakSummary {
-    dataset: String,
-    scale: f64,
-    events: usize,
-    mutations: u64,
-    kills: usize,
-    followers: usize,
-    checkpoint_interval: u64,
-    segment_events: u64,
-    first_ready_s: f64,
-    kill_rows: Vec<KillRow>,
-    leader_handoffs: usize,
-    offered: u64,
-    accepted: u64,
-    shed: u64,
-    drive_wall_s: f64,
-    follower_reads: u64,
-    leader_fallback_reads: u64,
-    follower_lag_p99: u64,
-    max_lag_p99: u64,
-    final_epoch: u64,
-    final_fencing_epoch: u64,
-    /// Per-replica bit-identity vs the uninterrupted oracle, leader
-    /// first.
-    bit_identical: Vec<bool>,
 }
 
 /// Polls until the server at `addr` answers a `hello`, or `deadline`.
@@ -558,14 +512,20 @@ fn main() -> ExitCode {
             "kill {k}: replica {target} ({}) back as follower in {ready_s:.3}s",
             if was_leader { "was leader" } else { "follower" }
         );
-        kill_rows.push(KillRow {
-            target,
-            role: if was_leader { "leader" } else { "follower" }.to_string(),
-            killed_at_wal_seq: killed_at,
-            promote_s,
-            promoted,
-            ready_s,
-        });
+        kill_rows.push(json!({
+            // Replica index that took the SIGKILL, and its role then.
+            "target": target,
+            "role": if was_leader { "leader" } else { "follower" },
+            // The leader's durable frontier observed when the kill was sent.
+            "killed_at_wal_seq": killed_at,
+            // Leader kills only: seconds from the promote request until
+            // the winner answered a `hello` as leader, and its index.
+            "promote_s": promote_s,
+            "promoted": promoted,
+            // Seconds from respawning the killed replica until it
+            // answered a `hello` (as a follower of the current leader).
+            "ready_s": ready_s,
+        }));
     }
 
     let report = match driver.join() {
@@ -664,36 +624,38 @@ fn main() -> ExitCode {
         lag_p99,
         kill_rows
             .iter()
-            .filter_map(|r| r.promote_s)
+            .filter_map(|r| r.get("promote_s")?.as_f64())
             .collect::<Vec<_>>(),
     );
 
     write_json(
         "replica_soak",
-        &ReplicaSoakSummary {
-            dataset: dataset.name().to_string(),
-            scale: cfg.scale,
-            events: log.len(),
-            mutations,
-            kills,
-            followers,
-            checkpoint_interval,
-            segment_events,
-            first_ready_s,
-            kill_rows,
-            leader_handoffs,
-            offered: report.offered,
-            accepted: report.accepted,
-            shed: report.shed,
-            drive_wall_s: report.wall_s,
-            follower_reads: report.follower_reads,
-            leader_fallback_reads: report.leader_fallback_reads,
-            follower_lag_p99: lag_p99,
-            max_lag_p99,
-            final_epoch: final_stats.epoch,
-            final_fencing_epoch: final_stats.fencing_epoch,
-            bit_identical: bit_identical.clone(),
-        },
+        &json!({
+            "dataset": dataset.name(),
+            "scale": cfg.scale,
+            "events": log.len(),
+            "mutations": mutations,
+            "kills": kills,
+            "followers": followers,
+            "checkpoint_interval": checkpoint_interval,
+            "segment_events": segment_events,
+            "first_ready_s": first_ready_s,
+            "kill_rows": kill_rows,
+            "leader_handoffs": leader_handoffs,
+            "offered": report.offered,
+            "accepted": report.accepted,
+            "shed": report.shed,
+            "drive_wall_s": report.wall_s,
+            "follower_reads": report.follower_reads,
+            "leader_fallback_reads": report.leader_fallback_reads,
+            "follower_lag_p99": lag_p99,
+            "max_lag_p99": max_lag_p99,
+            "final_epoch": final_stats.epoch,
+            "final_fencing_epoch": final_stats.fencing_epoch,
+            // Per-replica bit-identity vs the uninterrupted oracle,
+            // leader first.
+            "bit_identical": bit_identical.clone(),
+        }),
     );
 
     if !keep_state {

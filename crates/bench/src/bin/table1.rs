@@ -61,5 +61,5 @@ fn main() {
         }));
     }
     println!("{}", t.render());
-    write_json("table1", &rows);
+    write_json("table1", &rows.into());
 }

@@ -58,7 +58,7 @@ fn main() {
         }));
     }
     println!("{}", t.render());
-    println!("(budgets are scaled by each dataset's size ratio so the");
-    println!(" seeds-per-node regime matches the paper's; see DESIGN.md)");
-    write_json("table2", &rows);
+    println!("(budgets are scaled by each dataset's size ratio so the seeds-per-node");
+    println!(" regime matches the paper's; see ARCHITECTURE.md \"Synthetic data sets\")");
+    write_json("table2", &rows.into());
 }

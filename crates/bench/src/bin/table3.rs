@@ -44,5 +44,5 @@ fn main() {
         );
         println!("{}", t.render());
     }
-    write_json("table3", &rows);
+    write_json("table3", &rows.into());
 }

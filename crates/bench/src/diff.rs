@@ -10,7 +10,7 @@
 //! a field on purpose commits the regenerated baseline. Wall clock is
 //! compared by the repo benchmark (`benchmark/`).
 
-use crate::schema::{BenchCell, BenchReport};
+use crate::schema::{BenchCell, BenchReport, CELL_FIELDS};
 use tirm_core::report::Table;
 
 /// `(old, new)` as printed when the two values differ. Floats print in
@@ -18,42 +18,6 @@ use tirm_core::report::Table;
 fn moved<T: PartialEq + std::fmt::Display>(old: &T, new: &T) -> Option<(String, String)> {
     (old != new).then(|| (old.to_string(), new.to_string()))
 }
-
-type Compare = fn(&BenchCell, &BenchCell) -> Option<(String, String)>;
-
-/// Every compared field, in schema order: all of [`BenchCell`] except
-/// `wall_s` (pinned against the serialized cell by a test below).
-const FIELDS: &[(&str, Compare)] = &[
-    ("id", |o, n| moved(&o.id, &n.id)),
-    ("dataset", |o, n| moved(&o.dataset, &n.dataset)),
-    ("prob_model", |o, n| moved(&o.prob_model, &n.prob_model)),
-    ("allocator", |o, n| moved(&o.allocator, &n.allocator)),
-    ("threads", |o, n| moved(&o.threads, &n.threads)),
-    ("kappa", |o, n| moved(&o.kappa, &n.kappa)),
-    ("lambda", |o, n| moved(&o.lambda, &n.lambda)),
-    ("seed", |o, n| moved(&o.seed, &n.seed)),
-    ("nodes", |o, n| moved(&o.nodes, &n.nodes)),
-    ("edges", |o, n| moved(&o.edges, &n.edges)),
-    ("ads", |o, n| moved(&o.ads, &n.ads)),
-    ("theta", |o, n| moved(&o.theta, &n.theta)),
-    ("total_seeds", |o, n| moved(&o.total_seeds, &n.total_seeds)),
-    ("distinct_targeted", |o, n| {
-        moved(&o.distinct_targeted, &n.distinct_targeted)
-    }),
-    ("total_regret", |o, n| {
-        moved(&o.total_regret, &n.total_regret)
-    }),
-    ("relative_regret", |o, n| {
-        moved(&o.relative_regret, &n.relative_regret)
-    }),
-    ("revenue", |o, n| moved(&o.revenue, &n.revenue)),
-    ("memory_bytes", |o, n| {
-        moved(&o.memory_bytes, &n.memory_bytes)
-    }),
-    ("bytes_per_posting", |o, n| {
-        moved(&o.bytes_per_posting, &n.bytes_per_posting)
-    }),
-];
 
 /// One difference between two artifacts.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,17 +33,21 @@ pub struct Finding {
     pub new: String,
 }
 
-/// Compares two cells field by field; an empty result means they agree
-/// on everything but `wall_s`.
+/// Compares two cells field by field, as each field is written to the
+/// artifact; an empty result means they agree on everything but `wall_s`.
 pub fn diff_cell(old: &BenchCell, new: &BenchCell) -> Vec<Finding> {
-    FIELDS
+    let text = |v| serde_json::to_string(&v).expect("value serialization is infallible");
+    CELL_FIELDS
         .iter()
-        .filter_map(|(field, compare)| Some((field, compare(old, new)?)))
-        .map(|(field, (was, now))| Finding {
-            id: old.id.clone(),
-            field,
-            old: was,
-            new: now,
+        .filter(|f| f.key != "wall_s")
+        .filter_map(|f| {
+            let (was, now) = ((f.encode)(old), (f.encode)(new));
+            (was != now).then(|| Finding {
+                id: old.id.clone(),
+                field: f.key,
+                old: text(was),
+                new: text(now),
+            })
         })
         .collect()
 }
@@ -203,14 +171,14 @@ mod tests {
             ("memory_bytes", |c| c.memory_bytes += 1),
             ("bytes_per_posting", |c| ulp(&mut c.bytes_per_posting)),
         ];
-        // The nudges, the table and the serialized cell list the same
-        // fields in the same order — all of them but `wall_s`.
+        // Every compared field has a nudge.
+        let compared = CELL_FIELDS.iter().map(|f| f.key).filter(|k| *k != "wall_s");
+        assert_eq!(
+            nudges.map(|(name, _)| name).to_vec(),
+            compared.collect::<Vec<_>>()
+        );
+
         let base = sample_cell("a");
-        let cell = serde_json::to_value(&base);
-        let keys = cell.as_object().unwrap().iter().map(|(k, _)| k.as_str());
-        let serialized: Vec<&str> = keys.filter(|k| *k != "wall_s").collect();
-        assert_eq!(nudges.map(|(name, _)| name).to_vec(), serialized);
-        assert_eq!(FIELDS.iter().map(|f| f.0).collect::<Vec<_>>(), serialized);
 
         for (name, nudge) in nudges {
             let mut moved = base.clone();

@@ -14,7 +14,7 @@ pub mod loadgen;
 pub mod schema;
 pub mod suite;
 
-use serde::Serialize;
+use serde_json::{json, Value};
 use std::path::PathBuf;
 use tirm_core::{
     evaluate, greedy_irie_allocate, myopic_allocate, myopic_plus_allocate, tirm_allocate,
@@ -85,8 +85,8 @@ impl AlgoKind {
 
 /// TIRM options per experiment family: ε = 0.1 for quality runs, 0.2 for
 /// scalability runs (§6), with per-ad sample caps keeping the harness
-/// inside laptop memory (documented in DESIGN.md; the cap only reduces
-/// estimation accuracy, never correctness).
+/// inside laptop memory (ARCHITECTURE.md, "Synthetic data sets"; the cap
+/// only reduces estimation accuracy, never correctness).
 pub fn tirm_options(quality: bool, seed: u64) -> TirmOptions {
     TirmOptions {
         eps: if quality { 0.1 } else { 0.2 },
@@ -156,7 +156,7 @@ impl QualityWorkload {
 }
 
 /// One output row of a quality experiment.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct QualityRow {
     /// Data set name.
     pub dataset: String,
@@ -180,6 +180,24 @@ pub struct QualityRow {
     pub memory_bytes: usize,
     /// Per-ad signed slack `Π_i − B_i` (Fig. 5 metric).
     pub slack_per_ad: Vec<f64>,
+}
+
+impl From<QualityRow> for Value {
+    fn from(r: QualityRow) -> Value {
+        json!({
+            "dataset": r.dataset,
+            "algo": r.algo,
+            "kappa": r.kappa,
+            "lambda": r.lambda,
+            "total_regret": r.total_regret,
+            "relative_regret": r.relative_regret,
+            "distinct_targeted": r.distinct_targeted,
+            "total_seeds": r.total_seeds,
+            "runtime_s": r.runtime_s,
+            "memory_bytes": r.memory_bytes,
+            "slack_per_ad": r.slack_per_ad,
+        })
+    }
 }
 
 /// Runs one (algorithm, κ, λ) cell and evaluates it.
@@ -220,12 +238,12 @@ pub fn experiments_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/experiments"))
 }
 
-/// Writes experiment rows as pretty-printed JSON under
+/// Writes an experiment's JSON as pretty-printed text under
 /// [`experiments_dir()`]`/<name>.json`, creating the directory if missing.
 /// Returns the written path; IO failures are surfaced as errors. Commits
 /// through the atomic temp+rename writer so an interrupted run never
 /// leaves a truncated artifact.
-pub fn try_write_json<T: Serialize>(name: &str, rows: &T) -> std::io::Result<PathBuf> {
+pub fn try_write_json(name: &str, rows: &Value) -> std::io::Result<PathBuf> {
     let path = experiments_dir().join(format!("{name}.json"));
     let s = serde_json::to_string_pretty(rows)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -236,7 +254,7 @@ pub fn try_write_json<T: Serialize>(name: &str, rows: &T) -> std::io::Result<Pat
 /// [`try_write_json`] for the experiment binaries: logs the written path,
 /// or the error with a non-fatal warning (a figure harness should still
 /// print its table when the filesystem is read-only).
-pub fn write_json<T: Serialize>(name: &str, rows: &T) {
+pub fn write_json(name: &str, rows: &Value) {
     match try_write_json(name, rows) {
         Ok(path) => eprintln!("[json] {}", path.display()),
         Err(e) => eprintln!("warn: writing {name}.json failed: {e}"),
@@ -303,29 +321,19 @@ pub fn traces_covering_stages(chrome_json: &str, stages: &[&str]) -> usize {
     let Ok(v) = serde_json::from_str(chrome_json) else {
         return 0;
     };
-    let field = |v: &serde_json::Value, key: &str| {
-        v.as_object().and_then(|o| {
-            o.iter()
-                .find(|(k, _)| k.as_str() == key)
-                .map(|(_, v)| v.clone())
-        })
-    };
-    let Some(events) = field(&v, "traceEvents").and_then(|e| e.as_array().map(<[_]>::to_vec))
-    else {
+    let Some(events) = v.get("traceEvents").and_then(Value::as_array) else {
         return 0;
     };
-    let mut seen: std::collections::HashMap<u64, std::collections::HashSet<String>> =
+    let mut seen: std::collections::HashMap<u64, std::collections::HashSet<&str>> =
         std::collections::HashMap::new();
-    for e in &events {
-        let trace = field(e, "args")
-            .and_then(|a| field(&a, "trace"))
-            .and_then(|t| t.as_u64())
-            .unwrap_or(0);
-        if trace == 0 {
-            continue;
-        }
-        if let Some(name) = field(e, "name").and_then(|n| n.as_str().map(str::to_owned)) {
-            if stages.contains(&name.as_str()) {
+    for e in events {
+        let trace = e
+            .get("args")
+            .and_then(|a| a.get("trace"))
+            .and_then(Value::as_u64);
+        let name = e.get("name").and_then(Value::as_str);
+        if let (Some(trace @ 1..), Some(name)) = (trace, name) {
+            if stages.contains(&name) {
                 seen.entry(trace).or_default().insert(name);
             }
         }
@@ -350,4 +358,25 @@ pub fn banner(name: &str, cfg: &ScaleConfig) {
         "== {name} | scale={} eval_runs={} threads={} ==",
         cfg.scale, cfg.eval_runs, cfg.threads
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::traces_covering_stages;
+
+    #[test]
+    fn a_trace_counts_once_it_covers_every_stage() {
+        let ev =
+            |name: &str, trace: u64| format!(r#"{{"name":"{name}","args":{{"trace":{trace}}}}}"#);
+        let events = [
+            ev("admit", 1),
+            ev("apply", 1),
+            ev("admit", 2),
+            ev("apply", 0),
+        ];
+        let dump = format!(r#"{{"traceEvents":[{}]}}"#, events.join(","));
+        assert_eq!(traces_covering_stages(&dump, &["admit", "apply"]), 1);
+        assert_eq!(traces_covering_stages(&dump, &["admit"]), 2);
+        assert_eq!(traces_covering_stages("not json", &["admit"]), 0);
+    }
 }

@@ -3,13 +3,13 @@
 //! Every experiment in the repo — the scenario-matrix `perf_suite`, the
 //! figure/table binaries, the ablations — reports through [`BenchCell`] /
 //! [`BenchReport`], so any two artifacts can be joined on cell ids and
-//! diffed by `bench_diff`. The vendored `serde` is serialize-only;
-//! decoding goes through the vendored `serde_json` parser's [`Value`] tree
-//! (see [`BenchReport::from_json_str`]), which keeps the schema honest:
-//! a field that doesn't survive the round trip fails the tier-1 tests.
+//! diffed by `bench_diff`. Both directions go through the vendored
+//! `serde_json` [`Value`] tree, and one table, `CELL_FIELDS`, gives each
+//! cell field's key, encoder and decoder once: encoding, decoding and
+//! `bench_diff`'s comparison all walk it, and a field that doesn't survive
+//! the round trip fails the tier-1 tests.
 
-use serde::Serialize;
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::path::Path;
 use tirm_workloads::ScaleConfig;
 
@@ -25,7 +25,7 @@ pub const SCHEMA_VERSION: u64 = 7;
 /// cell's seed and the report's `scale` / `eval_runs`, and `bench_diff`
 /// compares it exactly; timing under controlled conditions is the repo
 /// benchmark's job (`benchmark/`).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchCell {
     /// Stable cell identity (`DATASET/model/ALLOC/t1/k1/l0`, or a
     /// bin-specific id like `FIG6/DBLP/wc/TIRM/h5/B50`).
@@ -45,7 +45,6 @@ pub struct BenchCell {
     /// RNG seed the cell ran with. Stored as a hex *string* in JSON: the
     /// vendored `serde_json` keeps numbers as `f64`, which cannot carry
     /// full-width hash-derived seeds (> 2^53) losslessly.
-    #[serde(serialize_with = "ser_u64_hex")]
     pub seed: u64,
     /// Graph nodes.
     pub nodes: usize,
@@ -79,7 +78,7 @@ pub struct BenchCell {
 /// A full benchmark artifact: versioned cells plus the inputs they share.
 /// Two artifacts are comparable when `tier`, `scale` and `eval_runs`
 /// agree — the cells' deterministic payload is a function of all three.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BenchReport {
     /// Layout version ([`SCHEMA_VERSION`]).
     pub schema_version: u64,
@@ -126,70 +125,130 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-fn ser_u64_hex<S: serde::Serializer>(v: &u64, s: S) -> Result<S::Ok, S::Error> {
-    s.serialize_str(&format!("{v:#018x}"))
+/// How one field type is written to and read back from JSON.
+trait Codec<T> {
+    fn encode(x: &T) -> Value;
+    /// `None` when `v` has the wrong type or does not fit `T`.
+    fn decode(v: &Value) -> Option<T>;
 }
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, SchemaError> {
+struct Text;
+impl Codec<String> for Text {
+    fn encode(x: &String) -> Value {
+        Value::String(x.clone())
+    }
+    fn decode(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+/// A non-negative integer that fits `T` (`as` would wrap κ = 2^32 + 1
+/// to 1).
+struct Int;
+impl<T: Copy + Into<Value> + TryFrom<u64>> Codec<T> for Int {
+    fn encode(x: &T) -> Value {
+        (*x).into()
+    }
+    fn decode(v: &Value) -> Option<T> {
+        v.as_u64().and_then(|n| T::try_from(n).ok())
+    }
+}
+
+struct Real;
+impl Codec<f64> for Real {
+    fn encode(x: &f64) -> Value {
+        Value::Number(*x)
+    }
+    fn decode(v: &Value) -> Option<f64> {
+        v.as_f64()
+    }
+}
+
+/// `0x`-prefixed, zero-padded hex string (see [`BenchCell::seed`]).
+struct Hex;
+impl Codec<u64> for Hex {
+    fn encode(x: &u64) -> Value {
+        Value::String(format!("{x:#018x}"))
+    }
+    fn decode(v: &Value) -> Option<u64> {
+        let digits = v.as_str()?.strip_prefix("0x")?;
+        u64::from_str_radix(digits, 16).ok()
+    }
+}
+
+/// One [`BenchCell`] field: its JSON key, encoder and decoder.
+pub(crate) struct CellField {
+    /// JSON key, the struct field's name.
+    pub(crate) key: &'static str,
+    /// The field's value as written to the artifact.
+    pub(crate) encode: fn(&BenchCell) -> Value,
+    /// Sets the field from its JSON value; `None` if the value is mistyped.
+    decode: fn(&mut BenchCell, &Value) -> Option<()>,
+}
+
+macro_rules! cell_fields {
+    ($($name:ident: $codec:ident),* $(,)?) => {
+        &[$(CellField {
+            key: stringify!($name),
+            encode: |c| $codec::encode(&c.$name),
+            decode: |c, v| {
+                c.$name = $codec::decode(v)?;
+                Some(())
+            },
+        }),*]
+    };
+}
+
+/// Every [`BenchCell`] field once, in artifact order.
+pub(crate) const CELL_FIELDS: &[CellField] = cell_fields![
+    id: Text,
+    dataset: Text,
+    prob_model: Text,
+    allocator: Text,
+    threads: Int,
+    kappa: Int,
+    lambda: Real,
+    seed: Hex,
+    nodes: Int,
+    edges: Int,
+    ads: Int,
+    theta: Int,
+    total_seeds: Int,
+    distinct_targeted: Int,
+    total_regret: Real,
+    relative_regret: Real,
+    revenue: Real,
+    memory_bytes: Int,
+    bytes_per_posting: Real,
+    wall_s: Real,
+];
+
+/// Field `key` of `v` read by `decode`; absent and mistyped alike are
+/// [`SchemaError::Field`].
+fn get<'v, T>(
+    v: &'v Value,
+    key: &str,
+    decode: impl FnOnce(&'v Value) -> Option<T>,
+) -> Result<T, SchemaError> {
     v.get(key)
-        .ok_or_else(|| SchemaError::Field(key.to_string()))
-}
-
-fn u64_hex_field(v: &Value, key: &str) -> Result<u64, SchemaError> {
-    field(v, key)?
-        .as_str()
-        .and_then(|s| s.strip_prefix("0x"))
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| SchemaError::Field(key.to_string()))
-}
-
-fn f64_field(v: &Value, key: &str) -> Result<f64, SchemaError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| SchemaError::Field(key.to_string()))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, SchemaError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| SchemaError::Field(key.to_string()))
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, SchemaError> {
-    Ok(u64_field(v, key)? as usize)
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, SchemaError> {
-    field(v, key)?
-        .as_str()
-        .map(str::to_string)
+        .and_then(decode)
         .ok_or_else(|| SchemaError::Field(key.to_string()))
 }
 
 impl BenchCell {
+    fn to_value(&self) -> Value {
+        let fields = CELL_FIELDS
+            .iter()
+            .map(|f| (f.key.to_string(), (f.encode)(self)));
+        Value::Object(fields.collect())
+    }
+
     fn from_value(v: &Value) -> Result<Self, SchemaError> {
-        Ok(BenchCell {
-            id: str_field(v, "id")?,
-            dataset: str_field(v, "dataset")?,
-            prob_model: str_field(v, "prob_model")?,
-            allocator: str_field(v, "allocator")?,
-            threads: usize_field(v, "threads")?,
-            kappa: u64_field(v, "kappa")? as u32,
-            lambda: f64_field(v, "lambda")?,
-            seed: u64_hex_field(v, "seed")?,
-            nodes: usize_field(v, "nodes")?,
-            edges: usize_field(v, "edges")?,
-            ads: usize_field(v, "ads")?,
-            theta: usize_field(v, "theta")?,
-            total_seeds: usize_field(v, "total_seeds")?,
-            distinct_targeted: usize_field(v, "distinct_targeted")?,
-            total_regret: f64_field(v, "total_regret")?,
-            relative_regret: f64_field(v, "relative_regret")?,
-            revenue: f64_field(v, "revenue")?,
-            memory_bytes: usize_field(v, "memory_bytes")?,
-            bytes_per_posting: f64_field(v, "bytes_per_posting")?,
-            wall_s: f64_field(v, "wall_s")?,
-        })
+        let mut cell = BenchCell::default();
+        for f in CELL_FIELDS {
+            get(v, f.key, |x| (f.decode)(&mut cell, x))?;
+        }
+        Ok(cell)
     }
 }
 
@@ -213,29 +272,36 @@ impl BenchReport {
 
     /// Pretty-printed JSON (what lands on disk).
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serialization is infallible")
+        let report = json!({
+            "schema_version": self.schema_version,
+            "git_sha": self.git_sha.as_str(),
+            "tier": self.tier.as_str(),
+            "created_unix": self.created_unix,
+            "scale": self.scale,
+            "eval_runs": self.eval_runs,
+            "cells": Value::Array(self.cells.iter().map(BenchCell::to_value).collect()),
+        });
+        serde_json::to_string_pretty(&report).expect("report serialization is infallible")
     }
 
     /// Decodes an artifact produced by [`Self::to_json_string`].
     pub fn from_json_str(s: &str) -> Result<Self, SchemaError> {
         let v = serde_json::from_str(s).map_err(|e| SchemaError::Parse(e.to_string()))?;
-        let schema_version = u64_field(&v, "schema_version")?;
+        let schema_version = get(&v, "schema_version", Int::decode)?;
         if schema_version != SCHEMA_VERSION {
             return Err(SchemaError::Version(schema_version));
         }
-        let cells = field(&v, "cells")?
-            .as_array()
-            .ok_or_else(|| SchemaError::Field("cells".to_string()))?
+        let cells = get(&v, "cells", Value::as_array)?
             .iter()
             .map(BenchCell::from_value)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(BenchReport {
             schema_version,
-            git_sha: str_field(&v, "git_sha")?,
-            tier: str_field(&v, "tier")?,
-            created_unix: u64_field(&v, "created_unix")?,
-            scale: f64_field(&v, "scale")?,
-            eval_runs: usize_field(&v, "eval_runs")?,
+            git_sha: get(&v, "git_sha", Text::decode)?,
+            tier: get(&v, "tier", Text::decode)?,
+            created_unix: get(&v, "created_unix", Int::decode)?,
+            scale: get(&v, "scale", Real::decode)?,
+            eval_runs: get(&v, "eval_runs", Int::decode)?,
             cells,
         })
     }
@@ -350,6 +416,15 @@ pub(crate) mod tests {
         assert!(matches!(
             BenchReport::from_json_str(text),
             Err(SchemaError::Field(_))
+        ));
+        // A κ past u32 is refused, not wrapped (2^32 + 1 would read as 1).
+        let one = BenchReport::new("quick", &ScaleConfig::default(), vec![sample_cell("a")]);
+        let text = one.to_json_string();
+        let wide = text.replace("\"kappa\": 1,", "\"kappa\": 4294967297,");
+        assert_ne!(text, wide);
+        assert!(matches!(
+            BenchReport::from_json_str(&wide),
+            Err(SchemaError::Field(k)) if k == "kappa"
         ));
     }
 

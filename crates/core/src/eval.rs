@@ -15,12 +15,11 @@
 use crate::allocation::Allocation;
 use crate::problem::ProblemInstance;
 use crate::regret::RegretReport;
-use serde::Serialize;
 use tirm_diffusion::mc_spread_parallel;
 use tirm_rrset::{ParallelSampler, RrSampler, SamplingConfig, WeightedRrCollection};
 
 /// Result of evaluating an allocation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Evaluation {
     /// MC-estimated expected clicks `σ_i(S_i)` per ad.
     pub spreads: Vec<f64>,

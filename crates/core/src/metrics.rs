@@ -2,14 +2,12 @@
 //! the raw material for the paper's Fig. 6 (running time) and Table 4
 //! (memory usage) reproductions.
 
-use serde::Serialize;
 use std::time::Duration;
 
 /// Statistics reported by every allocation algorithm.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AlgoStats {
     /// Wall-clock time of the allocation phase.
-    #[serde(serialize_with = "ser_duration")]
     pub runtime: Duration,
     /// Seeds chosen per ad.
     pub seeds_per_ad: Vec<usize>,
@@ -30,10 +28,6 @@ pub struct AlgoStats {
     /// Total inverted-posting entries across ads (TIRM only). Dividing
     /// [`Self::postings_bytes`] by this gives bytes-per-posting.
     pub postings_entries: usize,
-}
-
-fn ser_duration<S: serde::Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-    s.serialize_f64(d.as_secs_f64())
 }
 
 impl AlgoStats {

@@ -1,7 +1,5 @@
 //! Regret arithmetic (Eq. 3–4) and per-ad regret reports.
 
-use serde::Serialize;
-
 /// Budget-regret: `|B − Π|` (the first term of Eq. 3).
 #[inline]
 pub fn budget_regret(target_budget: f64, revenue: f64) -> f64 {
@@ -15,7 +13,7 @@ pub fn ad_regret(target_budget: f64, revenue: f64, lambda: f64, num_seeds: usize
 }
 
 /// Regret decomposition for one advertiser.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AdRegret {
     /// The (boosted) target budget `B'_i`.
     pub budget: f64,
@@ -56,7 +54,7 @@ impl AdRegret {
 }
 
 /// Regret report for a whole allocation (Eq. 4 plus diagnostics).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RegretReport {
     /// Per-advertiser decomposition.
     pub per_ad: Vec<AdRegret>,

@@ -3,7 +3,8 @@
 //! All generators take an explicit seed and produce the same graph for the
 //! same `(parameters, seed)` pair on every platform. They are used by
 //! `tirm-workloads` to synthesise networks with the degree structure of the
-//! paper's four data sets (see DESIGN.md §3 for the substitution argument).
+//! paper's four data sets (ARCHITECTURE.md "Synthetic data sets" makes the
+//! substitution argument).
 
 use crate::builder::{build_from_stream, GraphBuilder};
 use crate::csr::{DiGraph, NodeId};

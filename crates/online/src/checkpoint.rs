@@ -54,7 +54,7 @@ pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TIRMCKPT";
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 impl<'g> OnlineAllocator<'g> {
-    /// Serializes the campaign model and every shard's counts to `w`,
+    /// Writes the campaign model and every shard's counts to `w`,
     /// tagged with the WAL sequence number `wal_seq` (the count of
     /// admitted mutations the checkpoint covers; restart replays the log
     /// from there). Nothing is mutated; `&mut self` is the signature the

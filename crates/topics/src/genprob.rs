@@ -63,7 +63,8 @@ pub fn trivalency_probs(m: usize, seed: u64) -> Vec<f32> {
     (0..m).map(|_| LEVELS[rng.gen_range(0..3)]).collect()
 }
 
-/// Topic-concentrated probabilities (the FLIXSTER stand-in, see DESIGN.md):
+/// Topic-concentrated probabilities (the FLIXSTER stand-in, see
+/// ARCHITECTURE.md "Synthetic data sets"):
 /// each arc gets `active_topics` randomly chosen "strong" topics with
 /// `Exp(strong_rate)` magnitudes; the remaining topics receive a small
 /// background probability `Exp(weak_rate)` (weak_rate ≫ strong_rate).

@@ -184,7 +184,8 @@ number_fields!(u32 => int, u64 => int, usize => int, f64 => Value::as_f64);
 
 impl Field for String {
     fn put(&self, out: &mut String) {
-        out.push_str(&serde_json::to_string(self).expect("string serialization is infallible"));
+        let text = serde_json::to_string(&Value::String(self.clone()));
+        out.push_str(&text.expect("string serialization is infallible"));
     }
     fn get(v: &Value, key: &str) -> Result<Self, String> {
         field(v, key, Value::as_str).map(str::to_string)

@@ -313,7 +313,7 @@ pub fn event_json_fields(event: &OnlineEvent) -> String {
     }
 }
 
-/// Serializes a log as JSON-lines (one event object per line; floats in
+/// Writes a log as JSON-lines (one event object per line; floats in
 /// shortest round-trip notation, so replay is bit-exact).
 pub fn log_to_jsonl(log: &[LogEvent]) -> String {
     let mut out = String::new();

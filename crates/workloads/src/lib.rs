@@ -5,8 +5,9 @@
 //! * [`datasets`] — generators for FLIXSTER-, EPINIONS-, DBLP- and
 //!   LIVEJOURNAL-like networks with matching degree structure and the
 //!   §6 probability models (topic-concentrated, exponential, weighted
-//!   cascade). Real data sets are proprietary/remote; DESIGN.md §3
-//!   documents why these stand-ins preserve the experiments' behaviour.
+//!   cascade). Real data sets are proprietary/remote; ARCHITECTURE.md
+//!   "Synthetic data sets" documents why these stand-ins preserve the
+//!   experiments' behaviour.
 //! * [`campaigns`] — advertiser generators matching Table 2 (budgets,
 //!   CPEs) and the §6 topic-skew (`γ_i` = 0.91 own topic, 0.01 others).
 //! * [`toy`] — the Fig. 1 gadget as a ready-made problem instance,

@@ -11,9 +11,22 @@ use tirm_bench::schema::{BenchReport, SCHEMA_VERSION};
 use tirm_bench::suite::{run_suite, SuiteConfig};
 use tirm_workloads::Tier;
 
+fn baseline_path() -> std::path::PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_quick.json")
+}
+
 fn baseline() -> BenchReport {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/BENCH_quick.json");
-    BenchReport::load(&path).expect("the committed baseline decodes at the current schema")
+    BenchReport::load(&baseline_path())
+        .expect("the committed baseline decodes at the current schema")
+}
+
+#[test]
+fn committed_baseline_re_encodes_to_its_exact_bytes() {
+    // The encoder writes what every earlier build wrote: same keys, same
+    // order, same number text, same whitespace.
+    let text = std::fs::read_to_string(baseline_path()).unwrap();
+    let report = BenchReport::from_json_str(&text).unwrap();
+    assert_eq!(report.to_json_string(), text);
 }
 
 #[test]
