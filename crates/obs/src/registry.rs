@@ -88,6 +88,9 @@ pub static SERVER_REJECTED: Counter = Counter::new();
 pub static SERVER_QUEUE_HIGH_WATER: Gauge = Gauge::new();
 /// Allocation snapshots published to the lock-free reader swap.
 pub static SNAPSHOT_PUBLISHES: Counter = Counter::new();
+/// `allocation` response bodies rendered (at most one per published
+/// epoch, by its first `allocation` read).
+pub static SERVER_ALLOCATION_RENDERS: Counter = Counter::new();
 /// Per-frame WAL append (buffered write) latency.
 pub static WAL_APPEND_LATENCY_NS: Histogram = Histogram::new();
 /// WAL group-commit fsync latency.
@@ -242,6 +245,12 @@ pub static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
         None,
         "Allocation snapshots published to the reader swap",
         &SNAPSHOT_PUBLISHES,
+    ),
+    (
+        "tirm_server_allocation_renders_total",
+        None,
+        "Bodies rendered for allocation reads, at most one per published epoch",
+        &SERVER_ALLOCATION_RENDERS,
     ),
     (
         "tirm_repl_frames_shipped_total",

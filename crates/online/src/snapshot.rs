@@ -17,6 +17,7 @@
 
 use crate::allocator::OnlineStats;
 use crate::events::AdId;
+use std::fmt::Write as _;
 use std::sync::Arc;
 use tirm_graph::NodeId;
 
@@ -131,11 +132,19 @@ impl AllocationSnapshot {
 
     /// Renders the snapshot as a single JSON object (floats in shortest
     /// round-trip notation, like the event-log format). This is what
-    /// `online_replay --dump-final` writes and what the wire protocol's
-    /// allocation responses embed.
+    /// `online_replay --dump-final` writes.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.ads.len() * 64);
-        out.push_str(&format!(
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`Self::to_json`]'s text to `out` — what the wire
+    /// protocol's allocation responses embed. Every number is written
+    /// straight into `out`: no string per ad or per seed.
+    pub fn write_json(&self, out: &mut String) {
+        write!(
+            out,
             "{{\"epoch\":{},\"kappa\":{},\"lambda\":{},\"regret_estimate\":{},\
              \"total_rr_sets\":{},\"total_seeds\":{},\"engine_memory_bytes\":{},\"ads\":[",
             self.epoch,
@@ -145,32 +154,37 @@ impl AllocationSnapshot {
             self.total_rr_sets,
             self.total_seeds(),
             self.engine_memory_bytes,
-        ));
+        )
+        .expect("writing to a String is infallible");
         for (i, ad) in self.ads.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&ad.to_json());
+            ad.write_json(out);
         }
         out.push_str("]}");
-        out
     }
 }
 
 impl AdSnapshot {
-    /// One ad's JSON object — the single source of the per-ad wire
-    /// shape (embedded by [`AllocationSnapshot::to_json`] and by the
-    /// server's `ad` query responses, so the two can never drift).
-    pub fn to_json(&self) -> String {
-        let seeds: Vec<String> = self.seeds.iter().map(|s| s.to_string()).collect();
-        format!(
-            "{{\"id\":{},\"budget\":{},\"cpe\":{},\"revenue_est\":{},\"seeds\":[{}]}}",
-            self.id,
-            self.budget,
-            self.cpe,
-            self.revenue_est,
-            seeds.join(",")
+    /// Appends one ad's JSON object to `out` — the single source of the
+    /// per-ad wire shape (embedded by [`AllocationSnapshot::write_json`]
+    /// and by the server's `ad` query responses, so the two can never
+    /// drift).
+    pub fn write_json(&self, out: &mut String) {
+        write!(
+            out,
+            "{{\"id\":{},\"budget\":{},\"cpe\":{},\"revenue_est\":{},\"seeds\":[",
+            self.id, self.budget, self.cpe, self.revenue_est,
         )
+        .expect("writing to a String is infallible");
+        for (i, seed) in self.seeds.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write!(out, "{seed}").expect("writing to a String is infallible");
+        }
+        out.push_str("]}");
     }
 }
 

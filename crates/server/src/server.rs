@@ -740,8 +740,22 @@ fn refuse_connection(mut stream: TcpStream) {
     let _ = stream.flush();
 }
 
+/// What a handler writes back for one request: a typed response encoded
+/// for it, or a body its epoch rendered once for every connection
+/// (`allocation`, `ad`).
+enum Reply<'a> {
+    Typed(Response),
+    Rendered(&'a [u8]),
+}
+
+impl From<Response> for Reply<'_> {
+    fn from(response: Response) -> Self {
+        Reply::Typed(response)
+    }
+}
+
 /// One connection's request loop. Reads answer from the handler's
-/// cached snapshot (no lock unless the writer published); mutations are
+/// cached epoch (no lock unless the writer published); mutations are
 /// `try_send` admission — full queue ⇒ `Overloaded`, never a block.
 pub(crate) fn handle_connection(
     mut stream: TcpStream,
@@ -768,10 +782,10 @@ pub(crate) fn handle_connection(
             // Clean EOF, stop while idle, or a broken peer: close.
             Ok(None) | Err(_) => return,
         };
-        let response = match Request::decode(&frame) {
+        let reply: Reply = match Request::decode(&frame) {
             Err(why) => {
                 shared.bad_requests.fetch_add(1, Ordering::Relaxed);
-                Response::Rejected { why }
+                Response::Rejected { why }.into()
             }
             Ok(Request::Hello { version: _ }) => {
                 // Echo our version and the recovery anchors; version
@@ -779,11 +793,12 @@ pub(crate) fn handle_connection(
                 // can speak), the server answers any hello it decodes.
                 Response::Hello {
                     version: PROTOCOL_VERSION,
-                    epoch: reader.latest().epoch,
+                    epoch: reader.latest().snapshot.epoch,
                     wal_seq: shared.wal_seq.load(Ordering::Acquire),
                     role: ctx.role,
                     fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
                 }
+                .into()
             }
             Ok(Request::Mutate(ev)) => match ctx.role {
                 Role::Leader => admit(&ev, &tx, &mut reader, shared),
@@ -791,25 +806,21 @@ pub(crate) fn handle_connection(
                 // names the leader so a client can fail over in one
                 // hop instead of probing the pool.
                 Role::Follower => not_leader(ctx),
-            },
+            }
+            .into(),
             Ok(Request::RegretQuery) => {
-                let snap = reader.latest();
+                let snap = &reader.latest().snapshot;
                 Response::Regret {
                     epoch: snap.epoch,
                     live_ads: snap.num_ads(),
                     regret_estimate: snap.regret_estimate,
                 }
+                .into()
             }
-            Ok(Request::AllocationQuery) => Response::Allocation((**reader.latest()).clone()),
-            Ok(Request::AdQuery { id }) => {
-                let snap = reader.latest();
-                Response::Ad {
-                    epoch: snap.epoch,
-                    ad: snap.ad(id).cloned(),
-                }
-            }
+            Ok(Request::AllocationQuery) => Reply::Rendered(reader.latest().allocation_body()),
+            Ok(Request::AdQuery { id }) => Reply::Rendered(reader.latest().ad_body(id)),
             Ok(Request::Stats) => {
-                let snap = reader.latest();
+                let snap = &reader.latest().snapshot;
                 let wal_seq = shared.wal_seq.load(Ordering::Acquire);
                 Response::Stats(StatsView {
                     epoch: snap.epoch,
@@ -841,20 +852,23 @@ pub(crate) fn handle_connection(
                     shed_total: tirm_obs::registry::SERVER_SHED.get(),
                     rejected_total: tirm_obs::registry::SERVER_REJECTED.get(),
                 })
+                .into()
             }
             Ok(Request::Metrics) => Response::Metrics {
                 json: tirm_obs::dump_json(),
-            },
+            }
+            .into(),
             Ok(Request::TraceDump) => Response::TraceDump {
                 json: flight::dump_chrome_json(),
-            },
+            }
+            .into(),
             Ok(Request::ReplicatePoll {
                 from_seq,
                 max_frames,
                 wait_ms,
-            }) => replicate_poll(ctx, shared, from_seq, max_frames, wait_ms),
+            }) => replicate_poll(ctx, shared, from_seq, max_frames, wait_ms).into(),
             Ok(Request::ReplicateCheckpoint { offset, max_bytes }) => {
-                replicate_checkpoint_chunk(ctx, offset, max_bytes)
+                replicate_checkpoint_chunk(ctx, offset, max_bytes).into()
             }
             Ok(Request::Promote) => match ctx.role {
                 Role::Leader => Response::Rejected {
@@ -871,13 +885,18 @@ pub(crate) fn handle_connection(
                         fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire) + 1,
                     }
                 }
-            },
+            }
+            .into(),
             Ok(Request::Shutdown) => {
                 shared.request_shutdown();
-                Response::ShuttingDown
+                Response::ShuttingDown.into()
             }
         };
-        if write_frame(&mut stream, response.encode().as_bytes()).is_err() {
+        let written = match reply {
+            Reply::Typed(response) => write_frame(&mut stream, response.encode().as_bytes()),
+            Reply::Rendered(body) => write_frame(&mut stream, body),
+        };
+        if written.is_err() {
             return;
         }
         // Drain-then-close: the in-flight request got its answer; once
@@ -917,7 +936,7 @@ fn admit(
             tirm_obs::registry::SERVER_ACCEPTED.inc();
             tirm_obs::registry::SERVER_QUEUE_HIGH_WATER.set_max(depth as u64);
             Response::Accepted {
-                epoch: reader.latest().epoch,
+                epoch: reader.latest().snapshot.epoch,
                 queue_depth: depth,
             }
         }

@@ -4,12 +4,13 @@
 //! a scraper hammering the registry while the allocator grinds must
 //! not perturb the allocation by a single bit.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, ServerConfig};
+use tirm_server::{serve, Client, Request, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -131,6 +132,10 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
         section_u64(&counters, "tirm_server_shed_total").is_some(),
         "shed counter not covered"
     );
+    assert!(
+        section_u64(&counters, "tirm_server_allocation_renders_total").is_some(),
+        "allocation render counter not covered"
+    );
     let reconciliations = section_u64(&counters, "tirm_online_delta_reconciliations_total")
         .zip(section_u64(
             &counters,
@@ -232,6 +237,71 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
             .values()
             .any(|stages| stages.len() == durable.len()),
         "no mutation has a complete durable lifecycle in /trace.json"
+    );
+}
+
+/// `allocation` bodies are rendered by the first read of an epoch and
+/// shared by every connection after it — and never at publish, so a run
+/// that never asks for the allocation renders none. (No other test in
+/// this binary reads `allocation`, so the process-wide counter moves
+/// only with this one.)
+#[test]
+fn allocation_bodies_render_at_most_once_per_epoch_read() {
+    let renders = &tirm_obs::registry::SERVER_ALLOCATION_RENDERS;
+    let (graph, probs) = setup(250, 31);
+    let events = mutations();
+    let cfg = || ServerConfig {
+        online: config(5),
+        ..ServerConfig::default()
+    };
+    let send = |client: &mut Client, ev: &OnlineEvent| {
+        client
+            .send_event_retrying(ev, Duration::from_micros(500), Duration::from_secs(30))
+            .unwrap();
+    };
+
+    // Every mutation publishes; nobody reads the allocation.
+    let before = renders.get();
+    let ((), _) = serve(&graph, &probs, cfg(), |handle| {
+        let mut client = Client::connect(handle.addr()).unwrap();
+        for ev in &events {
+            send(&mut client, ev);
+            client.regret().unwrap();
+            client.request(&Request::AdQuery { id: 1 }).unwrap();
+        }
+        while client.stats().unwrap().epoch < events.len() as u64 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    })
+    .unwrap();
+    assert_eq!(renders.get(), before, "an unread epoch was rendered");
+
+    // Two connections read the allocation three times after every
+    // mutation, racing the writer's publishes.
+    let before = renders.get();
+    let (epochs_read, _) = serve(&graph, &probs, cfg(), |handle| {
+        let mut writer = Client::connect(handle.addr()).unwrap();
+        let mut readers = [
+            Client::connect(handle.addr()).unwrap(),
+            Client::connect(handle.addr()).unwrap(),
+        ];
+        let mut epochs = BTreeSet::new();
+        for ev in &events {
+            send(&mut writer, ev);
+            for _ in 0..3 {
+                for reader in &mut readers {
+                    epochs.insert(reader.allocation().unwrap().epoch);
+                }
+            }
+        }
+        epochs
+    })
+    .unwrap();
+    let rendered = renders.get() - before;
+    assert!(
+        rendered >= 1 && rendered <= epochs_read.len() as u64,
+        "{rendered} renders for {} distinct epochs read: {epochs_read:?}",
+        epochs_read.len()
     );
 }
 

@@ -315,6 +315,71 @@ fn ad_queries_serve_from_snapshot() {
     .unwrap();
 }
 
+/// The `allocation` and `ad` frames a connection reads off the socket
+/// are, byte for byte, `Response::encode` of the in-process snapshot at
+/// the same epoch — on both connections, on a first and a repeated read
+/// of each epoch, for live ads and misses alike — and once `stats` shows
+/// an epoch, no connection is handed an older epoch's body.
+#[test]
+fn read_frames_are_the_encoding_of_the_epochs_snapshot() {
+    use tirm_server::protocol::{read_frame, write_frame};
+    let (graph, probs) = setup(200, 3);
+    let online = config(9, 4_000);
+    let events = [
+        arrival(7, 8.0, 0),
+        arrival(8, 5.0, 1),
+        OnlineEvent::BudgetTopUp { id: 7, amount: 2.0 },
+        OnlineEvent::AdDeparture { id: 8 },
+    ];
+    // The in-process snapshot at every epoch.
+    let mut local = OnlineAllocator::new(&graph, &probs, online.clone());
+    let mut at_epoch = vec![local.snapshot()];
+    for ev in &events {
+        local.process(ev).unwrap();
+        at_epoch.push(local.snapshot());
+    }
+    let cfg = ServerConfig {
+        online,
+        ..ServerConfig::default()
+    };
+    let ((), _) = serve(&graph, &probs, cfg, |handle| {
+        let mut writer = Client::connect(handle.addr()).unwrap();
+        let mut conns = [
+            std::net::TcpStream::connect(handle.addr()).unwrap(),
+            std::net::TcpStream::connect(handle.addr()).unwrap(),
+        ];
+        let raw = |conn: &mut std::net::TcpStream, req: Request| {
+            write_frame(conn, req.encode().as_bytes()).unwrap();
+            String::from_utf8(read_frame(conn).unwrap().unwrap()).unwrap()
+        };
+        for (ev, snap) in events.iter().zip(&at_epoch[1..]) {
+            let epoch = snap.epoch;
+            writer
+                .send_event_retrying(ev, Duration::from_millis(1), Duration::from_secs(30))
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while writer.stats().unwrap().epoch < epoch {
+                assert!(Instant::now() < deadline, "epoch {epoch} never shown");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let allocation = Response::Allocation((**snap).clone()).encode();
+            for conn in &mut conns {
+                for _ in 0..2 {
+                    assert_eq!(raw(conn, Request::AllocationQuery), allocation);
+                    for id in [7, 8, 99] {
+                        let ad = snap.ad(id).cloned();
+                        let miss = ad.is_none();
+                        let body = raw(conn, Request::AdQuery { id });
+                        assert_eq!(body, Response::Ad { epoch, ad }.encode());
+                        assert_eq!(miss, body.ends_with("\"ad\":null}"), "{body}");
+                    }
+                }
+            }
+        }
+    })
+    .unwrap();
+}
+
 /// A `replicate_poll` parked on an idle durable leader, asking for the
 /// longest hold the codec admits, is released by the stop: `serve`
 /// returns within 1 s, not after the leader's own cap on a hold (5 s) —

@@ -248,7 +248,7 @@ impl Field for Option<AdSnapshot> {
     fn put(&self, out: &mut String) {
         match self {
             None => out.push_str("null"),
-            Some(ad) => out.push_str(&ad.to_json()),
+            Some(ad) => ad.write_json(out),
         }
     }
     fn get(v: &Value, key: &str) -> Result<Self, String> {
@@ -673,13 +673,8 @@ wire! {
     }
     /// Encodes the response as a JSON object (frame body).
     encode(out) {
-        // A tuple variant under the key `snapshot`: one `to_json()` and
-        // one copy of it into the body.
-        Response::Allocation(snapshot) => {
-            out.push_str("{\"type\":\"allocation\",\"snapshot\":");
-            out.push_str(&snapshot.to_json());
-            out.push('}');
-        }
+        // A tuple variant under the key `snapshot`.
+        Response::Allocation(snapshot) => out = allocation_body(snapshot),
         // A tuple variant whose fields sit flattened next to `type`.
         Response::Stats(stats) => {
             out.push_str("{\"type\":\"stats\"");
@@ -693,6 +688,16 @@ wire! {
         "stats" => Ok(Response::Stats(StatsView::get_fields(v)?)),
         other => Err(format!("unknown response type {other:?}")),
     }
+}
+
+/// The frame body of `Response::Allocation(snapshot)`, rendered from a
+/// borrowed snapshot: the arm `encode` runs for that variant, so a
+/// server can answer from a shared snapshot without cloning it.
+pub fn allocation_body(snapshot: &AllocationSnapshot) -> String {
+    let mut out = String::from("{\"type\":\"allocation\",\"snapshot\":");
+    snapshot.write_json(&mut out);
+    out.push('}');
+    out
 }
 
 /// Client-side connection policy, mirrored against the server's
