@@ -1,17 +1,18 @@
 //! Micro-benchmark: coverage-index maintenance (TIRM's seed-commit path:
-//! add_set / cover_node over a realistic RR collection).
+//! add_set / decay_node over a realistic RR collection; `δ = 1` is the
+//! paper's hard cover).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tirm_rrset::{RrCollection, RrSampler, SampleWorkspace};
+use tirm_rrset::{RrSampler, SampleWorkspace, WeightedRrCollection};
 use tirm_workloads::{Dataset, DatasetKind, ScaleConfig};
 
-fn build_collection(d: &Dataset, probs: &[f32], sets: usize) -> RrCollection {
+fn build_collection(d: &Dataset, probs: &[f32], sets: usize) -> WeightedRrCollection {
     let sampler = RrSampler::new(&d.graph, probs);
     let mut ws = SampleWorkspace::new(d.graph.num_nodes());
     let mut rng = SmallRng::seed_from_u64(5);
-    let mut coll = RrCollection::new(d.graph.num_nodes());
+    let mut coll = WeightedRrCollection::new(d.graph.num_nodes());
     for _ in 0..sets {
         coll.add_set(sampler.sample(&mut ws, &mut rng));
     }
@@ -38,11 +39,10 @@ fn bench_coverage(c: &mut Criterion) {
         b.iter_batched(
             || build_collection(&d, &probs, 50_000),
             |mut coll| {
-                let mut covered = 0u64;
+                let mut covered = 0.0;
                 for _ in 0..100 {
-                    if let Some((v, c)) = coll.argmax_cov(|_| true) {
-                        covered += c as u64;
-                        coll.cover_node(v);
+                    if let Some((v, _)) = coll.argmax_score(|_| true) {
+                        covered += coll.decay_node(v, 1.0);
                     }
                 }
                 covered

@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use tirm_rrset::{ParallelSampler, RrCollection, RrSampler, SampleWorkspace, SamplingConfig};
+use tirm_rrset::{
+    ParallelSampler, RrSampler, SampleWorkspace, SamplingConfig, WeightedRrCollection,
+};
 use tirm_workloads::{Dataset, DatasetKind, ScaleConfig};
 
 fn bench_rr_sampling(c: &mut Criterion) {
@@ -71,7 +73,7 @@ fn bench_rr_sampling(c: &mut Criterion) {
                 || {
                     // Fresh engine + collection: measure the full batch cost.
                     let engine = ParallelSampler::new(SamplingConfig::new(threads, 7), n);
-                    (engine, RrCollection::new(n))
+                    (engine, WeightedRrCollection::new(n))
                 },
                 |(mut engine, mut coll)| {
                     engine.sample_into(&sampler, theta, &mut coll);

@@ -75,7 +75,6 @@ impl AlgoKind {
                         alpha: if quality { 0.8 } else { 0.7 },
                         ..IrieConfig::default()
                     },
-                    max_total_seeds: None,
                 },
             ),
             AlgoKind::Tirm => tirm_allocate(problem, tirm_options(quality, seed)),

@@ -757,7 +757,6 @@ fn run_allocator(
                     alpha: if quality { 0.8 } else { 0.7 },
                     ..IrieConfig::default()
                 },
-                max_total_seeds: None,
             },
         ),
         AllocatorKind::Greedy => {
@@ -880,7 +879,6 @@ pub fn run_scalability_cell(
                     alpha: 0.7,
                     ..IrieConfig::default()
                 },
-                max_total_seeds: None,
             },
         ),
         AllocatorKind::Greedy => unreachable!("scalability sweeps exclude Greedy-MC"),

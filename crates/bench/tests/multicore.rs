@@ -29,7 +29,7 @@
 use tirm_bench::schema::BenchReport;
 use tirm_bench::suite::{run_scenario, run_serving_cell, SuiteConfig};
 use tirm_bench::write_report;
-use tirm_rrset::{ParallelSampler, RrCollection, RrSampler, SamplingConfig};
+use tirm_rrset::{ParallelSampler, RrSampler, SamplingConfig, WeightedRrCollection};
 use tirm_workloads::{AllocatorKind, Dataset, ScaleConfig, Tier};
 
 /// True when the machine can honestly measure a 4-thread speedup.
@@ -77,7 +77,7 @@ fn parallel_sampler_scales_on_four_threads() {
     let time_at = |threads: usize| {
         best_of(3, || {
             let mut engine = ParallelSampler::new(SamplingConfig::new(threads, 7), n);
-            let mut coll = RrCollection::new(n);
+            let mut coll = WeightedRrCollection::new(n);
             let drawn = engine.sample_into(&sampler, theta, &mut coll);
             assert_eq!(drawn, theta);
         })

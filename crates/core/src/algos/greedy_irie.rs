@@ -24,8 +24,6 @@ pub struct GreedyIrieOptions {
     /// IRIE iteration parameters (α, iteration counts). The paper tunes
     /// α = 0.8 for quality runs and 0.7 for scalability runs.
     pub irie: IrieConfig,
-    /// Safety cap on total seeds.
-    pub max_total_seeds: Option<usize>,
 }
 
 /// Runs GREEDY-IRIE.
@@ -47,11 +45,6 @@ pub fn greedy_irie_allocate(
     let mut saturated = vec![false; h];
 
     loop {
-        if let Some(cap) = opts.max_total_seeds {
-            if alloc.total_seeds() >= cap {
-                break;
-            }
-        }
         let mut best: Option<(NodeId, usize, f64, f64)> = None;
         for ad in 0..h {
             if saturated[ad] {

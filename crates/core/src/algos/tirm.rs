@@ -61,8 +61,6 @@ pub struct TirmOptions {
     pub threads: usize,
     /// Hard per-ad cap on RR sets (memory guard); `None` = uncapped.
     pub max_theta_per_ad: Option<usize>,
-    /// Safety cap on total seeds; `None` lets regret terminate alone.
-    pub max_total_seeds: Option<usize>,
     /// Ablation: when true, candidate selection maximizes the actual regret
     /// drop (scanning past the max-coverage node when it overshoots) rather
     /// than Algorithm 3's pure max-coverage rule.
@@ -135,7 +133,6 @@ impl Default for TirmOptions {
             seed: 0x7153_11b5,
             threads: 1,
             max_theta_per_ad: Some(4_000_000),
-            max_total_seeds: None,
             exact_drop_selection: false,
             hard_cover: false,
             relabel: RelabelMode::Auto,
@@ -357,8 +354,6 @@ struct AdState<'a> {
     last_mg: f64,
     /// No further regret-reducing candidate exists.
     saturated: bool,
-    /// θ cap was hit (diagnostic).
-    capped: bool,
 }
 
 impl<'a> AdState<'a> {
@@ -383,11 +378,9 @@ impl<'a> AdState<'a> {
         let mut need = theta - have;
         need -= self.coll.activate_next(need);
         if need > 0 {
-            let drawn =
-                self.engine
-                    .sample_into_with(&self.sampler, Some(&self.fast), need, &mut self.coll);
-            debug_assert_eq!(drawn, need, "θ engines run uncapped");
-            *oracle_calls += drawn;
+            self.engine
+                .sample_into_with(&self.sampler, Some(&self.fast), need, &mut self.coll);
+            *oracle_calls += need;
         }
         clock.lap_draw(Phase::ThetaSample, self.fast.build_time() - built);
     }
@@ -560,12 +553,10 @@ fn tirm_run(
             revenue: 0.0,
             last_mg: f64::INFINITY,
             saturated: false,
-            capped: false,
         };
         clock.lap(Phase::Other);
         let kpt1 = st.estimate_kpt(1, &mut clock);
-        let (theta, capped) = bound.theta(1, kpt1);
-        st.capped = capped;
+        let theta = bound.theta(1, kpt1);
         match &st.base {
             // O(n) shortcut past the O(entries) activation walk: the
             // pristine θ₀ scores are integers, so restoring them is
@@ -586,11 +577,6 @@ fn tirm_run(
 
     // Main loop (Algorithm 2, lines 4–19).
     loop {
-        if let Some(cap) = opts.max_total_seeds {
-            if alloc.total_seeds() >= cap {
-                break;
-            }
-        }
         let mut best: Option<(usize, NodeId, f64, f64, f64)> = None; // ad, node, drop, mg, score
         for (i, st) in states.iter_mut().enumerate() {
             if st.saturated {
@@ -830,8 +816,7 @@ fn grow_and_resample(
     let theta_now = st.coll.num_sets();
     let union_est = nf * st.coll.union_coverage() as f64 / theta_now.max(1) as f64;
     let opt_lb = kpt.max(union_est * (1.0 - bound.eps)).max(1.0);
-    let (theta_needed, capped) = bound.theta(st.s_est, opt_lb);
-    st.capped |= capped;
+    let theta_needed = bound.theta(st.s_est, opt_lb);
     if theta_needed > theta_now {
         let first_new_sid = theta_now as u32;
         clock.lap(Phase::Grow);

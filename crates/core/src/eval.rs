@@ -124,11 +124,11 @@ pub fn evaluate_rr(
             n,
         );
         let mut coll = WeightedRrCollection::new(n);
-        let drawn = engine.sample_into(&sampler, theta, &mut coll);
+        engine.sample_into(&sampler, theta, &mut coll);
         for &v in seeds {
             coll.decay_node(v, problem.ctp.get(v, i) as f64);
         }
-        spreads.push(n as f64 * coll.deficit() / drawn.max(1) as f64);
+        spreads.push(n as f64 * coll.deficit() / theta as f64);
     }
     assemble(problem, alloc, spreads)
 }

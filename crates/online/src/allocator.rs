@@ -48,11 +48,10 @@ use tirm_topics::{CtpTable, TopicDist, TopicEdgeProbs};
 /// Configuration of an [`OnlineAllocator`].
 #[derive(Clone, Debug)]
 pub struct OnlineConfig {
-    /// TIRM options (ε, ℓ, base seed, threads, θ caps). The base seed is
-    /// mixed with each ad's id into its per-ad streams. A
-    /// `max_total_seeds` cap couples all trajectories globally, so it
-    /// disables the delta path (every reconciliation runs the full
-    /// interleaved greedy — still warm, still batch-identical).
+    /// TIRM options (ε, ℓ, base seed, threads, per-ad θ cap). The base
+    /// seed is mixed with each ad's id into its per-ad streams. Nothing in
+    /// them couples one ad's greedy trajectory to another's: only κ
+    /// contention does.
     pub tirm: TirmOptions,
     /// Attention bound κ (uniform over users).
     pub kappa: u32,
@@ -286,7 +285,13 @@ impl<'g> OnlineAllocator<'g> {
             )));
         }
         let i = self.index_of(id).ok_or(OnlineError::UnknownAd(id))?;
-        self.live[i].adv.budget += amount;
+        let budget = self.live[i].adv.budget + amount;
+        if !budget.is_finite() {
+            return Err(OnlineError::BadEvent(format!(
+                "top-up of {amount} takes ad {id}'s budget out of domain"
+            )));
+        }
+        self.live[i].adv.budget = budget;
         self.mark_dirty(id);
         self.stale = true;
         Ok(())
@@ -299,22 +304,20 @@ impl<'g> OnlineAllocator<'g> {
         if let Some(state) = ad.warm {
             self.pool.release(id, ad.adv.topics.clone(), state);
         }
-        if self.contended || self.cfg.tirm.max_total_seeds.is_some() {
+        if self.contended {
             // The departed seeds may have been blocking others
-            // (attention contention), or a global `max_total_seeds` cap
-            // may have gained headroom the departed ad was consuming:
-            // either way every remaining ad's regret can potentially
-            // improve, so they all go back through the (full)
-            // re-allocation.
+            // (attention contention): every remaining ad's regret can
+            // potentially improve, so they all go back through the
+            // (full) re-allocation.
             let ids: Vec<AdId> = self.live.iter().map(|a| a.id).collect();
             for id in ids {
                 self.mark_dirty(id);
             }
             self.stale = true;
         }
-        // Contention-free and uncapped: no other ad's trajectory
-        // depended on the departed seeds, so withdrawing them *is* the
-        // re-allocation — `stale` is left exactly as it was.
+        // Contention-free: no other ad's trajectory depended on the
+        // departed seeds, so withdrawing them *is* the re-allocation —
+        // `stale` is left exactly as it was.
         Ok(())
     }
 
@@ -342,11 +345,7 @@ impl<'g> OnlineAllocator<'g> {
             tirm_obs::registry::DELTA_RECONCILIATIONS.inc();
             return (true, true);
         }
-        // `max_total_seeds` is a *global* cap coupling all trajectories
-        // (batch stops at k seeds overall; independent per-ad runs would
-        // cap at k each) — only the full interleaved run reproduces it.
-        let delta_sound = !self.contended && self.cfg.tirm.max_total_seeds.is_none();
-        if delta_sound {
+        if !self.contended {
             // Delta path: recompute only the dirty ads, each against its
             // own shard, keeping every clean trajectory.
             let dirty: Vec<AdId> = std::mem::take(&mut self.dirty);
@@ -783,47 +782,31 @@ mod tests {
     }
 
     #[test]
-    fn global_seed_cap_disables_the_delta_path_and_matches_batch() {
-        // `max_total_seeds` couples trajectories across ads (batch stops
-        // at k seeds overall); the delta path would cap each ad at k
-        // individually, so it must not be taken.
+    fn a_top_up_cannot_make_a_budget_infinite() {
+        // Each amount is finite, the sum is not: refused, and the budget
+        // stays what it was, so the snapshot and a checkpoint still hold
+        // a finite one.
         let (g, probs) = setup();
-        let mut opts = quick_opts(5);
-        opts.max_total_seeds = Some(4);
-        let mut a = OnlineAllocator::new(
-            &g,
-            &probs,
-            OnlineConfig {
-                tirm: opts,
-                kappa: 3,
-                ..OnlineConfig::default()
-            },
-        );
-        let out = a.process(&arrival(1, 9.0, 0)).unwrap();
-        assert!(!out.fast_path, "global cap must force the full path");
-        let out = a.process(&arrival(2, 9.0, 1)).unwrap();
-        assert!(!out.fast_path);
-        let alloc = a.allocation();
-        assert!(alloc.total_seeds() <= 4, "cap respected globally");
-
-        // And the result is the batch allocation under the same cap.
-        use tirm_core::{tirm_allocate_seeded, AdSeeds, ProblemInstance};
-        let n = g.num_nodes();
-        let ads: Vec<Advertiser> = [(1u64, 0usize), (2, 1)]
-            .iter()
-            .map(|&(_, t)| Advertiser::new(9.0, 1.0, TopicDist::single(2, t)))
-            .collect();
-        let eps: Vec<Vec<f32>> = ads.iter().map(|ad| probs.project(&ad.topics)).collect();
-        let ctp = CtpTable::direct(vec![vec![0.5f32; n]; 2]);
-        let problem = ProblemInstance::new(&g, ads, eps, ctp, Attention::Uniform(3), 0.0);
-        let plan: Vec<AdSeeds> = [1u64, 2]
-            .iter()
-            .map(|&id| AdSeeds::for_ad_id(opts.seed, id))
-            .collect();
-        let (batch, _) = tirm_allocate_seeded(&problem, opts, &plan);
-        for i in 0..2 {
-            assert_eq!(alloc.seeds(i), batch.seeds(i), "ad {i}");
-        }
+        let cfg = OnlineConfig {
+            tirm: quick_opts(5),
+            auto_reallocate: false,
+            ..OnlineConfig::default()
+        };
+        let mut a = OnlineAllocator::new(&g, &probs, cfg.clone());
+        a.process(&arrival(1, 1e308, 0)).unwrap();
+        let overflow = OnlineEvent::BudgetTopUp {
+            id: 1,
+            amount: 1e308,
+        };
+        assert!(matches!(
+            a.process(&overflow),
+            Err(OnlineError::BadEvent(_))
+        ));
+        assert_eq!(a.epoch(), 1, "a refused top-up is not applied");
+        assert_eq!(a.snapshot().ad(1).unwrap().budget, 1e308);
+        let mut image = Vec::new();
+        a.checkpoint(1, &mut image).unwrap();
+        assert!(OnlineAllocator::restore(&g, &probs, cfg, &mut image.as_slice()).is_ok());
     }
 
     #[test]
@@ -875,48 +858,6 @@ mod tests {
         assert_eq!(s2.ad(1).unwrap().budget, 12.0);
         assert!(!s1.same_allocation(&s2));
         assert!(s2.same_allocation(&a.snapshot()));
-    }
-
-    #[test]
-    fn global_seed_cap_departure_rematches_batch() {
-        // A departure under a global cap frees headroom the departed ad
-        // was consuming: the remaining ads must be re-allocated (batch
-        // on the live set would give them more seeds), even without
-        // attention contention.
-        let (g, probs) = setup();
-        let mut opts = quick_opts(5);
-        opts.max_total_seeds = Some(4);
-        let mut a = OnlineAllocator::new(
-            &g,
-            &probs,
-            OnlineConfig {
-                tirm: opts,
-                kappa: 3, // plenty of attention: no contention in play
-                ..OnlineConfig::default()
-            },
-        );
-        a.process(&arrival(1, 9.0, 0)).unwrap();
-        a.process(&arrival(2, 9.0, 1)).unwrap();
-        let ad2_shared = a.allocation().seeds(1).to_vec();
-        let out = a.process(&OnlineEvent::AdDeparture { id: 1 }).unwrap();
-        assert!(out.reallocated);
-
-        // Batch ground truth on the live set {ad 2} under the same cap.
-        use tirm_core::{tirm_allocate_seeded, ProblemInstance};
-        let mut opts = quick_opts(5);
-        opts.max_total_seeds = Some(4);
-        let n = g.num_nodes();
-        let ads = vec![Advertiser::new(9.0, 1.0, TopicDist::single(2, 1))];
-        let eps = vec![probs.project(&ads[0].topics)];
-        let ctp = CtpTable::direct(vec![vec![0.5f32; n]]);
-        let problem = ProblemInstance::new(&g, ads, eps, ctp, Attention::Uniform(3), 0.0);
-        let plan = [AdSeeds::for_ad_id(opts.seed, 2)];
-        let (batch, _) = tirm_allocate_seeded(&problem, opts, &plan);
-        assert_eq!(a.allocation().seeds(0), batch.seeds(0));
-        assert!(
-            batch.seeds(0).len() >= ad2_shared.len(),
-            "alone under the cap, ad 2 can only gain seeds"
-        );
     }
 
     #[test]

@@ -48,10 +48,11 @@ use tirm_topics::{TopicDist, TopicEdgeProbs};
 /// Magic prefix of allocator checkpoint streams.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TIRMCKPT";
 /// Version of the checkpoint payload layout. Version 1 carried every
-/// shard's arrays word for word; a file of that version is refused as
+/// shard's arrays word for word; version 2 echoed a global seed cap that
+/// no longer exists. A file of either is refused as
 /// [`SnapshotError::UnsupportedVersion`] and recovery falls back to an
 /// older checkpoint or the log.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 impl<'g> OnlineAllocator<'g> {
     /// Writes the campaign model and every shard's counts to `w`,
@@ -252,7 +253,6 @@ fn encode(a: &OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
     w.f64(a.cfg.tirm.eps);
     w.f64(a.cfg.tirm.ell);
     w.opt_usize(a.cfg.tirm.max_theta_per_ad);
-    w.opt_usize(a.cfg.tirm.max_total_seeds);
     w.bool(a.cfg.tirm.exact_drop_selection);
     w.bool(a.cfg.tirm.hard_cover);
     // Host shape echo.
@@ -337,11 +337,6 @@ fn decode<'g>(
     check(
         "tirm.max_theta_per_ad",
         cfg.tirm.max_theta_per_ad,
-        r.opt_usize()?,
-    )?;
-    check(
-        "tirm.max_total_seeds",
-        cfg.tirm.max_total_seeds,
         r.opt_usize()?,
     )?;
     check(

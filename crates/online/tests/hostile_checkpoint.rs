@@ -25,9 +25,9 @@ use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 const NODES: usize = 120;
 const MAX_THETA: usize = 1_500;
 /// Payload words before the model: the WAL sequence number, the
-/// configuration echo (κ, λ, seed, threads, ε, ℓ, two optional caps, two
+/// configuration echo (κ, λ, seed, threads, ε, ℓ, the optional θ cap, two
 /// flags) and the host shape echo (n, m, K).
-const ECHO_WORDS: usize = 2 + (1 + 2 + 2 + 2 + 2 + 2 + 3 + 3 + 1 + 1) + 6;
+const ECHO_WORDS: usize = 2 + (1 + 2 + 2 + 2 + 2 + 2 + 3 + 1 + 1) + 6;
 
 /// `tirm_rrset_rr_sets_sampled_total` is one counter a process; the tests
 /// of this file read differences of it, so they take turns.
@@ -394,5 +394,14 @@ fn other_host_data_of_the_same_shape_and_old_versions_are_refused() {
     assert!(matches!(
         OnlineAllocator::restore(&fx.graph, &fx.probs, config(), &mut v1.as_slice()),
         Err(SnapshotError::UnsupportedVersion(1))
+    ));
+
+    // The layout whose configuration echo still held a global seed cap:
+    // refused the same way.
+    let mut v2 = Vec::new();
+    write_words_stream(&mut v2, CHECKPOINT_MAGIC, 2, &fx.words).unwrap();
+    assert!(matches!(
+        OnlineAllocator::restore(&fx.graph, &fx.probs, config(), &mut v2.as_slice()),
+        Err(SnapshotError::UnsupportedVersion(2))
     ));
 }

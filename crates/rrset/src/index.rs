@@ -1,8 +1,8 @@
 //! The inverted RR index — flat set storage plus node → set-id postings.
 //!
-//! [`RrIndex`] is the storage substrate shared by the coverage overlays
-//! ([`crate::RrCollection`], [`crate::WeightedRrCollection`]) and, since
-//! the online serving layer, a *persistent* asset in its own right: the
+//! [`RrIndex`] is the storage substrate under the coverage overlay
+//! ([`crate::WeightedRrCollection`]) and, since the online serving
+//! layer, a *persistent* asset in its own right: the
 //! `tirm_online` allocator keeps one `RrIndex` per ad alive across
 //! arbitrarily many re-allocations, so the expensive part of TIRM — the
 //! reverse-reachability sampling that fills the index — is paid once per

@@ -12,7 +12,7 @@
 //!   consecutive batches continue each shard's stream — no cross-thread
 //!   contention, no reseeding between top-ups.
 //! * **Deterministic merge.** Workers write into per-shard arenas
-//!   ([`RrArena`]: one flat node buffer + offsets, no per-set allocation);
+//!   (`RrArena`: one flat node buffer + offsets, no per-set allocation);
 //!   the merge pass drains arenas in shard order, so a fixed
 //!   `(seed, threads)` pair yields an identical collection no matter how
 //!   the OS schedules the workers.
@@ -31,7 +31,6 @@
 //!   reproducibility is per-configuration, matching
 //!   `mc_spread_parallel`'s contract.
 
-use crate::collection::RrCollection;
 use crate::fastpath::FastPath;
 use crate::sampler::{RrSampler, SampleWorkspace};
 use crate::weighted::WeightedRrCollection;
@@ -42,27 +41,19 @@ use tirm_graph::NodeId;
 /// 2^64 / φ — the weyl-sequence constant used to spread shard seeds.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Configuration of a sampling engine: worker count, base RNG seed, and an
-/// optional cumulative cap on drawn samples (a memory guard mirroring
-/// [`crate::SampleBound::max_theta`]).
+/// Configuration of a sampling engine: worker count and base RNG seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplingConfig {
     /// Worker threads (clamped to ≥ 1). `1` reproduces the serial path.
     pub threads: usize,
     /// Base seed; shard `i` derives `seed ⊕ i·γ` (shard 0 gets `seed`).
     pub seed: u64,
-    /// Cumulative cap on samples drawn through one engine; `None` = unlimited.
-    pub max_theta: Option<usize>,
 }
 
 impl SamplingConfig {
-    /// Parallel configuration without a sample cap.
+    /// Parallel configuration.
     pub fn new(threads: usize, seed: u64) -> Self {
-        SamplingConfig {
-            threads,
-            seed,
-            max_theta: None,
-        }
+        SamplingConfig { threads, seed }
     }
 
     /// Single-threaded configuration — bit-identical to the serial path.
@@ -89,13 +80,6 @@ pub trait RrSink {
     fn add_rr_set(&mut self, members: &[NodeId]);
 }
 
-impl RrSink for RrCollection {
-    #[inline]
-    fn add_rr_set(&mut self, members: &[NodeId]) {
-        self.add_set(members);
-    }
-}
-
 impl RrSink for WeightedRrCollection {
     #[inline]
     fn add_rr_set(&mut self, members: &[NodeId]) {
@@ -113,8 +97,7 @@ impl RrSink for Vec<Vec<NodeId>> {
 /// Flat per-shard output buffer: all sets in one node vector plus offsets.
 /// Avoids per-set allocation inside workers; drained in shard order by the
 /// merge pass.
-#[derive(Clone, Debug, Default)]
-pub struct RrArena {
+struct RrArena {
     offsets: Vec<u32>,
     nodes: Vec<NodeId>,
 }
@@ -136,26 +119,9 @@ impl RrArena {
         self.offsets.push(self.nodes.len() as u32);
     }
 
-    /// Number of sets stored.
-    pub fn len(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// True when no sets are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterates the stored sets in draw order.
-    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
-        self.offsets
-            .windows(2)
-            .map(move |w| &self.nodes[w[0] as usize..w[1] as usize])
-    }
-
     /// The `i`-th stored set.
     #[inline]
-    pub fn get(&self, i: usize) -> &[NodeId] {
+    fn get(&self, i: usize) -> &[NodeId] {
         &self.nodes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
@@ -172,7 +138,6 @@ struct Shard {
 /// Deterministic multi-threaded RR-set sampler with persistent per-shard
 /// RNG streams. See the module docs for the determinism contract.
 pub struct ParallelSampler {
-    config: SamplingConfig,
     shards: Vec<Shard>,
     total_sampled: usize,
 }
@@ -187,15 +152,9 @@ impl ParallelSampler {
             })
             .collect();
         ParallelSampler {
-            config,
             shards,
             total_sampled: 0,
         }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &SamplingConfig {
-        &self.config
     }
 
     /// Samples drawn through this engine so far (across all batches).
@@ -213,23 +172,13 @@ impl ParallelSampler {
             .sum()
     }
 
-    /// Caps `count` against the configured cumulative `max_theta`.
-    fn admissible(&self, count: usize) -> usize {
-        match self.config.max_theta {
-            Some(cap) => count.min(cap.saturating_sub(self.total_sampled)),
-            None => count,
-        }
-    }
-
     /// Has `fast` build its threshold table now, on the calling thread,
     /// if a batch of `count` draws anything: the workers then share a
     /// table that lives in the caller's allocator arena instead of in
     /// that of whichever worker drew first.
     fn build_route(&self, fast: Option<&FastPath<'_>>, count: usize) {
-        if let Some(fp) = fast {
-            if self.admissible(count) > 0 {
-                fp.thresholds();
-            }
+        if let Some(fp) = fast.filter(|_| count > 0) {
+            fp.thresholds();
         }
     }
 
@@ -248,9 +197,8 @@ impl ParallelSampler {
             .collect()
     }
 
-    /// Draws `count` classic RR sets into `sink` (θ-batch sampling).
-    /// Returns the number actually drawn (may be below `count` when the
-    /// cumulative `max_theta` cap bites).
+    /// Draws `count` classic RR sets into `sink` (θ-batch sampling) and
+    /// returns how many it drew: all `count` of them.
     pub fn sample_into(
         &mut self,
         sampler: &RrSampler<'_>,
@@ -286,35 +234,11 @@ impl ParallelSampler {
         }
     }
 
-    /// Draws `count` RRC sets (§5.2 node-level CTP coins) into `sink`.
-    pub fn sample_rrc_into(
-        &mut self,
-        sampler: &RrSampler<'_>,
-        ctp: &[f32],
-        count: usize,
-        sink: &mut impl RrSink,
-    ) -> usize {
-        self.run_batch(count, sink, |shard, quota, emit| {
-            for _ in 0..quota {
-                emit(sampler.sample_rrc(ctp, &mut shard.ws, &mut shard.rng));
-            }
-        })
-    }
-
     /// Draws `count` RR sets and maps each through `map`, returning the
     /// results in deterministic stream order (used by KPT width
     /// estimation, where only a per-set statistic is needed and sets are
-    /// discarded).
-    pub fn sample_map<T, F>(&mut self, sampler: &RrSampler<'_>, count: usize, map: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&[NodeId]) -> T + Sync,
-    {
-        self.sample_map_with(sampler, None, count, map)
-    }
-
-    /// [`Self::sample_map`], optionally routed through a precomputed
-    /// [`FastPath`]. Bit-identical stream either way.
+    /// discarded). Optionally routed through a precomputed [`FastPath`];
+    /// bit-identical stream either way.
     pub fn sample_map_with<T, F>(
         &mut self,
         sampler: &RrSampler<'_>,
@@ -327,7 +251,6 @@ impl ParallelSampler {
         F: Fn(&[NodeId]) -> T + Sync,
     {
         self.build_route(fast, count);
-        let count = self.admissible(count);
         let start = self.total_sampled;
         let map = &map;
         let draw = |shard: &mut Shard| match fast {
@@ -385,7 +308,6 @@ impl ParallelSampler {
     where
         W: Fn(&mut Shard, usize, &mut dyn FnMut(&[NodeId])) + Sync,
     {
-        let count = self.admissible(count);
         if count == 0 {
             return 0;
         }
@@ -491,31 +413,15 @@ mod tests {
         let samples = 60_000;
         let hub_estimate = |threads: usize| {
             let mut e = ParallelSampler::new(SamplingConfig::new(threads, 5), n);
-            let mut coll = RrCollection::new(n);
+            let mut coll = WeightedRrCollection::new(n);
             e.sample_into(&sampler, samples, &mut coll);
             assert_eq!(coll.num_sets(), samples);
-            n as f64 * coll.cov(0) as f64 / samples as f64
+            n as f64 * coll.score(0) / samples as f64
         };
         for threads in [1usize, 2, 4] {
             let est = hub_estimate(threads);
             assert!((est - 7.0).abs() < 0.25, "threads={threads}: {est}");
         }
-    }
-
-    #[test]
-    fn max_theta_caps_cumulative_draws() {
-        let g = generators::path(8);
-        let probs = vec![1.0f32; g.num_edges()];
-        let sampler = RrSampler::new(&g, &probs);
-        let mut cfg = SamplingConfig::new(2, 1);
-        cfg.max_theta = Some(150);
-        let mut e = ParallelSampler::new(cfg, 8);
-        let mut coll = RrCollection::new(8);
-        assert_eq!(e.sample_into(&sampler, 100, &mut coll), 100);
-        assert_eq!(e.sample_into(&sampler, 100, &mut coll), 50);
-        assert_eq!(e.sample_into(&sampler, 100, &mut coll), 0);
-        assert_eq!(coll.num_sets(), 150);
-        assert_eq!(e.total_sampled(), 150);
     }
 
     #[test]
@@ -527,30 +433,11 @@ mod tests {
         let mut sets: Vec<Vec<NodeId>> = Vec::new();
         e1.sample_into(&sampler, 333, &mut sets);
         let mut e2 = ParallelSampler::new(SamplingConfig::new(3, 13), g.num_nodes());
-        let sizes = e2.sample_map(&sampler, 333, |set| set.len());
+        let sizes = e2.sample_map_with(&sampler, None, 333, |set| set.len());
         assert_eq!(
             sets.iter().map(Vec::len).collect::<Vec<_>>(),
             sizes,
             "same config ⇒ same draw order for both batch APIs"
-        );
-    }
-
-    #[test]
-    fn rrc_batches_respect_ctp_blocking() {
-        // Path 0→1→2 with p = 1 and δ(1) = 0: node 1 never appears, node 0
-        // appears whenever the root is ≥ 1 one hop away (it relays).
-        let g = generators::path(3);
-        let probs = vec![1.0f32; 2];
-        let ctp = vec![1.0f32, 0.0, 1.0];
-        let sampler = RrSampler::new(&g, &probs);
-        let mut e = ParallelSampler::new(SamplingConfig::new(4, 3), 3);
-        let mut sets: Vec<Vec<NodeId>> = Vec::new();
-        e.sample_rrc_into(&sampler, &ctp, 600, &mut sets);
-        assert_eq!(sets.len(), 600);
-        assert!(sets.iter().all(|s| !s.contains(&1)), "1 is CTP-blocked");
-        assert!(
-            sets.iter().any(|s| s.contains(&0) && s.len() == 2),
-            "0 must relay through blocked 1 to root 2"
         );
     }
 
@@ -595,7 +482,7 @@ mod tests {
             let mut plain_e = ParallelSampler::new(SamplingConfig::new(threads, 23), 150);
             let mut plain: Vec<Vec<NodeId>> = Vec::new();
             plain_e.sample_into(&sampler, 400, &mut plain);
-            let plain_sizes = plain_e.sample_map(&sampler, 111, |s| s.len());
+            let plain_sizes = plain_e.sample_map_with(&sampler, None, 111, |s| s.len());
 
             let mut fast_e = ParallelSampler::new(SamplingConfig::new(threads, 23), 150);
             let mut fast: Vec<Vec<NodeId>> = Vec::new();
@@ -619,15 +506,12 @@ mod tests {
 
     #[test]
     fn arena_round_trips_sets() {
-        let mut a = RrArena::default();
-        assert!(a.is_empty());
+        let mut a = RrArena::with_capacity(3);
         a.push(&[1, 2, 3]);
         a.push(&[]);
         a.push(&[7]);
-        assert_eq!(a.len(), 3);
-        let sets: Vec<&[NodeId]> = a.iter().collect();
-        assert_eq!(sets, vec![&[1u32, 2, 3][..], &[][..], &[7][..]]);
         assert_eq!(a.get(0), &[1, 2, 3]);
+        assert_eq!(a.get(1), &[] as &[NodeId]);
         assert_eq!(a.get(2), &[7]);
     }
 }

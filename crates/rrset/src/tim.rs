@@ -1,5 +1,6 @@
 //! TIM sample-size machinery (Tang et al., SIGMOD 2014 — reviewed in §5.1
-//! of the paper) reimplemented from its defining formulas:
+//! of the paper) reimplemented from its defining formulas. These are the
+//! parts TIRM keeps:
 //!
 //! * **KPT estimation** — a lower bound on `OPT_s` obtained by sampling
 //!   RR sets in geometrically growing batches and testing the statistic
@@ -9,16 +10,15 @@
 //!   `λ(s) = (8 + 2ε)·n·(ℓ·ln n + ln C(n,s) + ln 2)/ε²`, any
 //!   `θ ≥ λ(s)/OPT_s` gives the spread-estimation guarantee of
 //!   Proposition 2 (and Theorem 6 for TIRM's growing collections).
-//! * **`tim_select`** — complete TIM: estimate KPT, sample θ sets, pick
-//!   `s` seeds by greedy max-cover. Used to validate the machinery and as
-//!   the influence-maximization substrate baseline.
+//!
+//! TIM's own seed selection, greedy max-cover over θ sets, is a
+//! [`crate::WeightedRrCollection`] decayed by `δ = 1` after each pick;
+//! the tests here validate the machinery by running it that way.
 
-use crate::collection::RrCollection;
 use crate::fastpath::FastPath;
 use crate::parallel::{ParallelSampler, SamplingConfig};
 use crate::sampler::RrSampler;
 use crate::special::ln_choose;
-use tirm_graph::NodeId;
 
 /// Computes `λ(s)` and `θ(s, opt_lb)` for a fixed graph-size/accuracy
 /// configuration.
@@ -31,8 +31,7 @@ pub struct SampleBound {
     /// Confidence parameter ℓ (failure probability `n^{-ℓ}`).
     pub ell: f64,
     /// Hard cap on θ so adversarial inputs cannot exhaust memory; `None`
-    /// disables the cap. Capping is recorded by [`SampleBound::theta`]'s
-    /// second return component.
+    /// disables the cap.
     pub max_theta: Option<usize>,
 }
 
@@ -59,8 +58,8 @@ impl SampleBound {
     }
 
     /// Required RR-set count `θ = ⌈λ(s)/opt_lb⌉`, clamped to at least 1 and
-    /// to `max_theta` when configured. Returns `(θ, was_capped)`.
-    pub fn theta(&self, s: usize, opt_lb: f64) -> (usize, bool) {
+    /// to `max_theta` when configured.
+    pub fn theta(&self, s: usize, opt_lb: f64) -> usize {
         assert!(opt_lb >= 1.0, "OPT lower bound below 1 is impossible");
         let raw = (self.lambda(s) / opt_lb).ceil();
         let raw = if raw.is_finite() {
@@ -69,8 +68,8 @@ impl SampleBound {
             usize::MAX
         };
         match self.max_theta {
-            Some(cap) if raw > cap => (cap, true),
-            _ => (raw.max(1), false),
+            Some(cap) if raw > cap => cap,
+            _ => raw.max(1),
         }
     }
 }
@@ -153,16 +152,9 @@ impl<'a> KptEstimator<'a> {
     }
 
     /// Creates an estimator drawing its samples through a parallel engine
-    /// with the given configuration. Any `max_theta` cap is ignored: the
-    /// estimator's geometric rounds assume every requested width arrives,
-    /// and a short-fill would corrupt the KPT statistic (θ caps are for
-    /// collection memory, which estimation samples never occupy).
+    /// with the given configuration.
     pub fn with_config(sampler: RrSampler<'a>, ell: f64, config: SamplingConfig) -> Self {
         let g = sampler.graph();
-        let config = SamplingConfig {
-            max_theta: None,
-            ..config
-        };
         KptEstimator {
             sampler,
             m: g.num_edges(),
@@ -351,76 +343,34 @@ impl KptState {
     }
 }
 
-/// Result of a full TIM run.
-#[derive(Clone, Debug)]
-pub struct TimResult {
-    /// Chosen seeds in selection order.
-    pub seeds: Vec<NodeId>,
-    /// Coverage-based spread estimate `n · F_R(S)`.
-    pub spread_estimate: f64,
-    /// RR sets sampled in phase 2.
-    pub theta: usize,
-    /// KPT lower bound used.
-    pub kpt: f64,
-}
-
-/// Complete TIM influence maximization: pick `s` seeds maximizing expected
-/// spread under IC with arc probabilities `probs` (serial sampling).
-pub fn tim_select(sampler: &RrSampler<'_>, s: usize, eps: f64, seed: u64) -> TimResult {
-    tim_select_with(sampler, s, eps, SamplingConfig::serial(seed))
-}
-
-/// [`tim_select`] with an explicit sampling configuration: both the KPT
-/// estimation batches and the θ-sample phase run through a
-/// [`ParallelSampler`]. `threads = 1` reproduces [`tim_select`] exactly.
-pub fn tim_select_with(
-    sampler: &RrSampler<'_>,
-    s: usize,
-    eps: f64,
-    config: SamplingConfig,
-) -> TimResult {
-    let g = sampler.graph();
-    let n = g.num_nodes();
-    let kpt_config = SamplingConfig {
-        seed: config.seed ^ 0x9e37_79b9,
-        ..config
-    };
-    let mut kpt_est = KptEstimator::with_config(*sampler, 1.0, kpt_config);
-    let kpt = kpt_est.estimate(s);
-    let mut bound = SampleBound::new(n, eps);
-    if config.max_theta.is_some() {
-        bound.max_theta = config.max_theta;
-    }
-    let (theta, _capped) = bound.theta(s, kpt);
-
-    let mut coll = RrCollection::new(n);
-    let mut engine = ParallelSampler::new(config, n);
-    engine.sample_into(sampler, theta, &mut coll);
-    let mut seeds = Vec::with_capacity(s);
-    let mut covered_total = 0u64;
-    for _ in 0..s {
-        match coll.argmax_cov(|v| !seeds.contains(&v)) {
-            Some((v, c)) => {
-                covered_total += c as u64;
-                coll.cover_node(v);
-                seeds.push(v);
-            }
-            None => break,
-        }
-    }
-    TimResult {
-        seeds,
-        spread_estimate: n as f64 * covered_total as f64 / theta as f64,
-        theta,
-        kpt,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WeightedRrCollection;
     use tirm_diffusion::mc_spread;
-    use tirm_graph::generators;
+    use tirm_graph::{generators, NodeId};
+
+    /// TIM end to end: KPT sizes θ through [`SampleBound`], θ sets are
+    /// drawn, and greedy max-cover picks `s` seeds, each covering its
+    /// sets outright (`δ = 1`). Returns the seeds and the coverage
+    /// estimate `n · covered / θ` of their spread.
+    fn max_cover(sampler: &RrSampler<'_>, s: usize, eps: f64, seed: u64) -> (Vec<NodeId>, f64) {
+        let n = sampler.graph().num_nodes();
+        let kpt = KptEstimator::new(*sampler, 1.0, seed ^ 0x9e37_79b9).estimate(s);
+        let theta = SampleBound::new(n, eps).theta(s, kpt);
+        let mut coll = WeightedRrCollection::new(n);
+        ParallelSampler::new(SamplingConfig::serial(seed), n)
+            .sample_into(sampler, theta, &mut coll);
+        let mut seeds = Vec::with_capacity(s);
+        while seeds.len() < s {
+            let Some((v, _)) = coll.argmax_score(|v| !seeds.contains(&v)) else {
+                break;
+            };
+            coll.decay_node(v, 1.0);
+            seeds.push(v);
+        }
+        (seeds, n as f64 * coll.deficit() / theta as f64)
+    }
 
     #[test]
     fn lambda_grows_with_s_and_shrinks_with_eps() {
@@ -434,12 +384,9 @@ mod tests {
     fn theta_caps_and_floors() {
         let mut b = SampleBound::new(100, 0.2);
         b.max_theta = Some(500);
-        let (t, capped) = b.theta(5, 1.0);
-        assert_eq!(t, 500);
-        assert!(capped);
-        let (t2, capped2) = b.theta(1, 1e12);
-        assert_eq!(t2, 1);
-        assert!(!capped2);
+        assert!(b.lambda(5) > 500.0);
+        assert_eq!(b.theta(5, 1.0), 500);
+        assert_eq!(b.theta(1, 1e12), 1);
     }
 
     #[test]
@@ -465,8 +412,8 @@ mod tests {
         let sampler = RrSampler::new(&g, &probs);
         let mut est = KptEstimator::new(sampler, 1.0, 4);
         let kpt = est.estimate(10);
-        let r = tim_select(&sampler, 10, 0.2, 8);
-        let opt_proxy = mc_spread(&g, &probs, &r.seeds, None, 5_000, 1);
+        let (seeds, _) = max_cover(&sampler, 10, 0.2, 8);
+        let opt_proxy = mc_spread(&g, &probs, &seeds, None, 5_000, 1);
         assert!(kpt >= 1.0);
         assert!(
             kpt <= opt_proxy * 1.2,
@@ -476,22 +423,6 @@ mod tests {
             kpt >= opt_proxy / 50.0,
             "KPT {kpt} uselessly loose vs {opt_proxy}"
         );
-    }
-
-    #[test]
-    fn kpt_ignores_max_theta_cap() {
-        // A θ cap on the estimator's config must not short-fill the width
-        // cache (that would panic in `estimate`) — caps guard collection
-        // memory, which estimation samples never occupy.
-        let g = generators::erdos_renyi(300, 1200, 2);
-        let probs = vec![0.1f32; g.num_edges()];
-        let sampler = RrSampler::new(&g, &probs);
-        let mut capped = SamplingConfig::new(2, 9);
-        capped.max_theta = Some(10);
-        let mut est = KptEstimator::with_config(sampler, 1.0, capped);
-        let with_cap = est.estimate(5);
-        let mut uncapped = KptEstimator::with_config(sampler, 1.0, SamplingConfig::new(2, 9));
-        assert_eq!(with_cap, uncapped.estimate(5));
     }
 
     #[test]
@@ -652,13 +583,12 @@ mod tests {
         let g = generators::star(60);
         let probs = vec![0.4f32; g.num_edges()];
         let sampler = RrSampler::new(&g, &probs);
-        let r = tim_select(&sampler, 1, 0.2, 7);
-        assert_eq!(r.seeds, vec![0], "hub must be the best single seed");
+        let (seeds, spread_estimate) = max_cover(&sampler, 1, 0.2, 7);
+        assert_eq!(seeds, vec![0], "hub must be the best single seed");
         // σ({0}) = 1 + 59·0.4 = 24.6; the estimate must be within ε·OPT-ish.
         assert!(
-            (r.spread_estimate - 24.6).abs() < 3.0,
-            "estimate {}",
-            r.spread_estimate
+            (spread_estimate - 24.6).abs() < 3.0,
+            "estimate {spread_estimate}"
         );
     }
 
@@ -667,15 +597,13 @@ mod tests {
         let g = generators::preferential_attachment(400, 3, 0.2, 1);
         let probs = vec![0.08f32; g.num_edges()];
         let sampler = RrSampler::new(&g, &probs);
-        let r = tim_select(&sampler, 5, 0.2, 11);
-        assert_eq!(r.seeds.len(), 5);
-        let mc = mc_spread(&g, &probs, &r.seeds, None, 20_000, 5);
-        let rel = (r.spread_estimate - mc).abs() / mc.max(1.0);
+        let (seeds, spread_estimate) = max_cover(&sampler, 5, 0.2, 11);
+        assert_eq!(seeds.len(), 5);
+        let mc = mc_spread(&g, &probs, &seeds, None, 20_000, 5);
+        let rel = (spread_estimate - mc).abs() / mc.max(1.0);
         assert!(
             rel < 0.15,
-            "coverage estimate {} vs MC {} (rel {rel})",
-            r.spread_estimate,
-            mc
+            "coverage estimate {spread_estimate} vs MC {mc} (rel {rel})"
         );
     }
 }

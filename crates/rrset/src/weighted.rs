@@ -16,10 +16,12 @@
 //!   `σ_ctp(S)` without bias (each root clicks iff some seed in its RR
 //!   set clicks: probability `1 − w_R`).
 //!
-//! At `δ = 1` weights drop to 0 and this degenerates to the paper's
-//! hard removal, so the weighted collection strictly generalises
-//! [`crate::RrCollection`]. The difference at small CTPs is measured by
-//! the `ablation` harness binary.
+//! At `δ = 1` weights drop to 0 and this *is* the paper's hard removal:
+//! every score stays an integer count of the uncovered sets holding its
+//! node, and `deficit` counts the covered sets. So one overlay serves
+//! both rules, and greedy max-cover is `decay_node(v, 1.0)` after each
+//! pick. The difference at small CTPs is measured by the `ablation`
+//! harness binary.
 //!
 //! # Warm reuse: the active window
 //!
@@ -90,13 +92,6 @@ impl WeightedRrCollection {
     #[inline]
     pub fn num_sets(&self) -> usize {
         self.weights.len()
-    }
-
-    /// Number of sets stored in the underlying index (≥ [`Self::num_sets`];
-    /// the difference is the dormant cached tail).
-    #[inline]
-    pub fn num_cached(&self) -> usize {
-        self.index.num_sets()
     }
 
     /// Adds one *fresh* RR set with weight 1; returns its id. Only legal
@@ -361,7 +356,6 @@ mod tests {
         let index = c.take_index();
         let mut warm = WeightedRrCollection::from_index(index);
         assert_eq!(warm.num_sets(), 0);
-        assert_eq!(warm.num_cached(), 3);
         assert_eq!(warm.activate_next(2), 2);
         assert_eq!(warm.num_sets(), 2);
         assert_eq!(warm.score(1), 2.0, "third set still dormant");

@@ -7,8 +7,7 @@ use rand::SeedableRng;
 use tirm_graph::{generators, NodeId};
 use tirm_rrset::heap::Verdict;
 use tirm_rrset::{
-    LazyMaxHeap, ParallelSampler, RrCollection, RrSampler, SampleWorkspace, SamplingConfig,
-    WeightedRrCollection,
+    LazyMaxHeap, ParallelSampler, RrSampler, SampleWorkspace, SamplingConfig, WeightedRrCollection,
 };
 
 fn arb_sets(n: u32, max_sets: usize) -> impl Strategy<Value = Vec<Vec<NodeId>>> {
@@ -24,27 +23,26 @@ proptest! {
 
     #[test]
     fn cover_counts_are_conserved(sets in arb_sets(12, 24), picks in proptest::collection::vec(0u32..12, 1..6)) {
-        let mut c = RrCollection::new(12);
+        let mut c = WeightedRrCollection::new(12);
         for s in &sets {
             c.add_set(s);
         }
-        // Invariant: cov(v) == number of uncovered sets containing v.
-        let check = |c: &RrCollection, sets: &[Vec<NodeId>]| {
+        // At δ = 1 a set is covered once it holds any pick; then every
+        // score is the exact count of uncovered sets holding its node,
+        // and the deficit is the exact count of covered sets.
+        let check = |c: &WeightedRrCollection, picked: &[NodeId]| {
+            let covered = |s: &Vec<NodeId>| s.iter().any(|v| picked.contains(v));
             for v in 0..12u32 {
-                let want = sets
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, s)| !c.is_covered(*i as u32) && s.contains(&v))
-                    .count() as u32;
-                assert_eq!(c.cov(v), want, "node {v}");
+                let want = sets.iter().filter(|s| !covered(s) && s.contains(&v)).count();
+                assert_eq!(c.score(v), want as f64, "node {v}");
             }
+            assert_eq!(c.deficit(), sets.iter().filter(|s| covered(s)).count() as f64);
         };
-        check(&c, &sets);
-        for &p in &picks {
-            c.cover_node(p);
-            check(&c, &sets);
+        check(&c, &[]);
+        for (k, &p) in picks.iter().enumerate() {
+            c.decay_node(p, 1.0);
+            check(&c, &picks[..=k]);
         }
-        prop_assert!(c.num_covered() <= c.num_sets());
     }
 
     #[test]
@@ -148,10 +146,10 @@ proptest! {
         let theta = 4000usize;
         let freqs = |threads: usize| -> Vec<f64> {
             let mut e = ParallelSampler::new(SamplingConfig::new(threads, seed ^ 0xf00d), n);
-            let mut coll = RrCollection::new(n);
+            let mut coll = WeightedRrCollection::new(n);
             e.sample_into(&sampler, theta, &mut coll);
             (0..n as NodeId)
-                .map(|v| coll.cov(v) as f64 / theta as f64)
+                .map(|v| coll.score(v) / theta as f64)
                 .collect()
         };
         let base = freqs(1);

@@ -170,7 +170,12 @@ pub fn serve_follower<R>(
 ) -> io::Result<(R, FollowerReport)> {
     // Nothing paces the apply loop but the leader's answers: a poll
     // that asks for no frames is answered at once, forever.
-    assert!(cfg.max_frames_per_poll >= 1, "max_frames_per_poll >= 1");
+    if cfg.max_frames_per_poll < 1 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "max_frames_per_poll must be >= 1 (a poll must ask for a frame)",
+        ));
+    }
     // A follower is a durable single-writer server fed from the
     // leader's log instead of an admission queue. Local start-up
     // recovery is the leader's: a follower restart resumes from its own

@@ -146,6 +146,16 @@ impl ServerConfig {
         if self.read_poll.is_zero() {
             return Err("read_poll must be non-zero (it paces shutdown checks)".into());
         }
+        let online = &self.online;
+        if online.kappa < 1 {
+            return Err("online.kappa must be >= 1 (every user admits one ad)".into());
+        }
+        if !(online.lambda.is_finite() && online.lambda >= 0.0) {
+            return Err("online.lambda must be finite and >= 0".into());
+        }
+        if !(online.tirm.eps > 0.0 && online.tirm.eps < 1.0) {
+            return Err("online.tirm.eps must lie in (0, 1)".into());
+        }
         if let Some(d) = &self.durability {
             if d.state_dir.as_os_str().is_empty() {
                 return Err(

@@ -440,8 +440,9 @@ fn shutdown_releases_a_parked_replicate_poll() {
 
 /// A struct-literal config gets the builder's checks: every bad value
 /// is a typed `InvalidInput` from `serve` before anything binds — not
-/// a panic mid-startup, and not a server that accepts connections it
-/// can never answer (`read_poll: 0`) or checkpoints after every commit
+/// a panic mid-startup (κ = 0, a NaN λ) or at the first arrival (ε ≥ 1),
+/// and not a server that accepts connections it can never answer
+/// (`read_poll: 0`) or checkpoints after every commit
 /// (`checkpoint_interval: 0`).
 #[test]
 fn serve_rejects_an_invalid_config_before_binding() {
@@ -461,7 +462,7 @@ fn serve_rejects_an_invalid_config_before_binding() {
         })
     }
     type Spoil = fn(&mut ServerConfig);
-    let bad: [(&str, Spoil); 6] = [
+    let bad: [(&str, Spoil); 9] = [
         ("queue_depth", |c| c.queue_depth = 0),
         ("max_connections", |c| c.max_connections = 0),
         ("read_poll", |c| c.read_poll = Duration::ZERO),
@@ -470,6 +471,9 @@ fn serve_rejects_an_invalid_config_before_binding() {
         ("state_dir", |c| {
             c.durability = Some(DurabilityConfig::new(""))
         }),
+        ("online.kappa", |c| c.online.kappa = 0),
+        ("online.lambda", |c| c.online.lambda = f64::NAN),
+        ("online.tirm.eps", |c| c.online.tirm.eps = 1.0),
     ];
     for (field, spoil) in bad {
         let mut cfg = ServerConfig {
@@ -488,4 +492,28 @@ fn serve_rejects_an_invalid_config_before_binding() {
             "{field}: something is listening on {addr}"
         );
     }
+}
+
+/// A follower asking for no frames per poll is refused the same way,
+/// before it recovers, binds or dials the leader.
+#[test]
+fn serve_follower_rejects_a_poll_for_no_frames_before_binding() {
+    use tirm_server::{serve_follower, FollowerConfig};
+    let (graph, probs) = setup(50, 3);
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let dir = std::env::temp_dir().join("tirm_invalid_follower_never_created");
+    let cfg = FollowerConfig {
+        online: config(5, 500),
+        bind: addr.to_string(),
+        max_frames_per_poll: 0,
+        ..FollowerConfig::new("127.0.0.1:9", &dir)
+    };
+    let err = serve_follower(&graph, &probs, cfg, |_| panic!("served")).expect_err("accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("max_frames_per_poll"), "{err}");
+    assert!(std::net::TcpStream::connect(addr).is_err());
+    assert!(!dir.exists(), "a refused follower touched its state dir");
 }

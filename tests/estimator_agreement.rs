@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use tirm_diffusion::{exact_spread, mc_spread};
 use tirm_graph::{generators, NodeId};
-use tirm_rrset::{RrCollection, RrSampler, SampleWorkspace};
+use tirm_rrset::{RrSampler, SampleWorkspace, WeightedRrCollection};
 
 /// Coverage-based spread estimate `n · F_R(S)` over a fresh collection.
 fn rr_estimate(
@@ -97,11 +97,11 @@ fn max_cover_greedy_matches_mc_ranking() {
     let sampler = RrSampler::new(&g, &probs);
     let mut ws = SampleWorkspace::new(80);
     let mut rng = SmallRng::seed_from_u64(4);
-    let mut coll = RrCollection::new(80);
+    let mut coll = WeightedRrCollection::new(80);
     for _ in 0..50_000 {
         coll.add_set(sampler.sample(&mut ws, &mut rng));
     }
-    let (best, _) = coll.argmax_cov(|_| true).unwrap();
+    let (best, _) = coll.argmax_score(|_| true).unwrap();
     assert_eq!(best, 0, "the hub must dominate coverage");
     let hub_mc = mc_spread(&g, &probs, &[0], None, 20_000, 1);
     let leaf_mc = mc_spread(&g, &probs, &[1], None, 20_000, 1);
