@@ -521,8 +521,8 @@ impl RegistrySnapshot {
     ///
     /// All values are integers, and consumers that parse-and-re-emit
     /// through the vendored order-preserving `serde_json` reproduce
-    /// these bytes exactly — the property the `metrics` wire request's
-    /// round-trip tests rely on. Histogram buckets are sparse
+    /// these bytes exactly (the `metrics` wire response carries the
+    /// text itself, as it was sent). Histogram buckets are sparse
     /// `[bucket_index, count]` pairs (see
     /// [`crate::metric::bucket_index`] for the layout).
     pub fn to_json(&self) -> String {

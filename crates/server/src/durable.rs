@@ -161,6 +161,9 @@ impl<'g> DurableState<'g> {
         role: Role,
     ) -> io::Result<()> {
         let n = batch.len() as u64;
+        // Trace ids are labels a leader sent, so they wrap rather than
+        // overflow.
+        let traces = (0..n).map(|i| first_trace.wrapping_add(i));
         let append_start = flight::now_ns();
         let frontier = match &mut self.log {
             Some(log) => {
@@ -184,7 +187,7 @@ impl<'g> DurableState<'g> {
             }
             Role::Follower => {
                 let append_end = flight::now_ns();
-                for trace in first_trace..first_trace + n {
+                for trace in traces.clone() {
                     flight::record(trace, Stage::FollowerAppend, append_start, append_end);
                 }
                 let leader_seq = self.shared.leader_seq.load(Ordering::Acquire);
@@ -193,7 +196,7 @@ impl<'g> DurableState<'g> {
             }
         };
 
-        for (trace, ev) in (first_trace..).zip(batch) {
+        for (trace, ev) in traces.zip(batch) {
             flight::set_current_trace(trace);
             let apply_start = flight::now_ns();
             let outcome = self.allocator.process(ev);

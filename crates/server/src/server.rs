@@ -1041,15 +1041,17 @@ fn replicate_poll(
             tirm_obs::registry::REPL_FRAMES_SHIPPED.add(bodies.len() as u64);
             // Each shipped frame's lineage: one replicate_ship span per
             // frame, under the same trace id the follower will extend.
+            // A peer may send any `from_seq`, `u64::MAX` included.
+            let trace_base = from_seq.saturating_add(1);
             let ship_ns = flight::now_ns();
             for i in 0..bodies.len() as u64 {
-                flight::record_since(from_seq + i + 1, Stage::ReplicateShip, ship_ns);
+                flight::record_since(trace_base.saturating_add(i), Stage::ReplicateShip, ship_ns);
             }
             Response::ReplicateFrames {
                 fencing_epoch,
                 start_seq: from_seq,
                 durable_seq: frontier,
-                trace_base: from_seq + 1,
+                trace_base,
                 frames: bodies,
             }
         }

@@ -381,9 +381,10 @@ fn read_frames_are_the_encoding_of_the_epochs_snapshot() {
 }
 
 /// A `replicate_poll` parked on an idle durable leader, asking for the
-/// longest hold the codec admits, is released by the stop: `serve`
-/// returns within 1 s, not after the leader's own cap on a hold (5 s) —
-/// a parked handler must never be the thread the scope join waits on.
+/// longest hold there is (`u64::MAX` ms), is released by the stop:
+/// `serve` returns within 1 s, not after the leader's own cap on a hold
+/// (5 s) — a parked handler must never be the thread the scope join
+/// waits on.
 #[test]
 fn shutdown_releases_a_parked_replicate_poll() {
     let (graph, probs) = setup(120, 5);
@@ -398,19 +399,11 @@ fn shutdown_releases_a_parked_replicate_poll() {
     std::thread::scope(|s| {
         let ((stop_began, parked), _report) = serve(&graph, &probs, cfg, |handle| {
             let addr = handle.addr();
-            // `u64::MAX` never reaches the handler: the codec reads
-            // integers below 9·10¹⁵ and answers the rest typed.
-            let refused = Client::connect(addr)
-                .unwrap()
-                .replicate_poll(0, 1, u64::MAX)
-                .unwrap();
-            assert!(matches!(refused, Response::Rejected { .. }), "{refused:?}");
-
             let before = polls.get();
             let parked = s.spawn(move || {
                 Client::connect(addr)
                     .unwrap()
-                    .replicate_poll(0, 1, 8_999_999_999_999_999)
+                    .replicate_poll(0, 1, u64::MAX)
             });
             // The handler counts the poll before it parks: from here on
             // it is either parked or about to be.
@@ -435,6 +428,41 @@ fn shutdown_releases_a_parked_replicate_poll() {
             other => panic!("{other:?}"),
         }
     });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `replicate_poll` anchored at `u64::MAX` — a value the codec reads
+/// exactly — gets a typed empty page instead of overflowing the
+/// leader's trace-id arithmetic, and the leader keeps serving.
+#[test]
+fn a_poll_from_the_last_sequence_number_is_answered() {
+    let (graph, probs) = setup(120, 5);
+    let dir = std::env::temp_dir().join(format!("tirm_max_poll_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = ServerConfig::builder()
+        .online(config(5, 2_000))
+        .state_dir(&dir)
+        .build()
+        .unwrap();
+    let ((), _report) = serve(&graph, &probs, cfg, |handle| {
+        let mut client = Client::connect(handle.addr()).unwrap();
+        match client.replicate_poll(u64::MAX, 16, 0).unwrap() {
+            Response::ReplicateFrames {
+                start_seq,
+                trace_base,
+                frames,
+                ..
+            } => {
+                assert_eq!(start_seq, u64::MAX);
+                assert_eq!(trace_base, u64::MAX, "saturates");
+                assert!(frames.is_empty());
+            }
+            other => panic!("{other:?}"),
+        }
+        client.send_event(&arrival(1, 5.0, 0)).unwrap();
+        assert_eq!(client.stats().unwrap().accepted, 1, "still serving");
+    })
+    .unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 

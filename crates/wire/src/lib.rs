@@ -11,9 +11,16 @@
 //! whose rows (`field: Type => "key"`, in wire order, under the
 //! message's `"tag"`) produce the type, its `encode` and its `decode`
 //! together, so the two directions cannot drift either. A field is one
-//! row, a wire type one private `Field` codec; only `Request::Mutate`,
-//! `Response::Allocation` and `Response::Stats` keep hand-written arms,
-//! next to their table.
+//! row, a wire type one private `Field` codec (`put` writes it, `read`
+//! reads it); only `Request::Mutate`, `Response::Allocation` and
+//! `Response::Stats` keep hand-written arms, next to their table.
+//!
+//! Decoding builds no JSON tree: a strict pull reader finds the `type`
+//! tag, then walks the frame's object once, and each row's codec reads
+//! its value in place. Keys may come in any order, the first occurrence
+//! wins, and a row that is absent or mistyped is ``missing `key` ``.
+//! Integers are exact up to `u64::MAX` (`5.0` is not one); `Object` rows
+//! come back as the text that was sent.
 //!
 //! Every message is one **frame**: a 4-byte little-endian length prefix
 //! followed by exactly that many bytes of UTF-8 JSON. Frames are capped
@@ -30,10 +37,10 @@
 //! Requests reuse the event-log vocabulary verbatim: a mutation request
 //! is exactly the JSON object [`tirm_workloads::events::event_json_fields`]
 //! produces for the same event, so any log line (minus its `at` pacing
-//! field) is a valid request body and the server and the log reader
-//! reject exactly the same malformed payloads. Read requests use `type`
-//! tags outside the event vocabulary (`allocation`, `ad`, `stats`,
-//! `shutdown`, `hello`).
+//! field) is a valid request body, and its fields pass the same
+//! [`EventFields::into_event`] checks as the log reader's. Read requests
+//! use `type` tags outside the event vocabulary (`allocation`, `ad`,
+//! `stats`, `shutdown`, `hello`).
 //!
 //! Responses are typed: the admission-control outcomes (`accepted` /
 //! `overloaded` / `shutting_down`), the read-path payloads (`regret` /
@@ -63,12 +70,15 @@
 //! follower to stop tailing, bump the fencing epoch, and take over
 //! writes ([`Response::Promoting`]).
 
-use serde_json::Value;
+use json::Reader;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
 use tirm_online::{AdId, AdSnapshot, AllocationSnapshot, OnlineEvent};
-use tirm_workloads::events::{event_from_value, event_json_fields};
+use tirm_workloads::events::{event_json_fields, EventFields};
+
+mod json;
 
 /// Version of the request/response vocabulary. Bumped on any change a
 /// peer cannot ignore; the `hello` exchange surfaces skew as a typed
@@ -128,8 +138,9 @@ impl Role {
 trait Field<As = ()>: Sized {
     /// Appends the value as JSON text.
     fn put(&self, out: &mut String);
-    /// Reads field `key` of the object `v`.
-    fn get(v: &Value, key: &str) -> Result<Self, String>;
+    /// Reads the next value. `None`: it is well formed but not this
+    /// type (and has been skipped).
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String>;
 }
 
 /// Row marker: a string of hex digits, written between quotes as it is
@@ -137,33 +148,15 @@ trait Field<As = ()>: Sized {
 enum Hex {}
 
 /// Row marker: JSON objects carried as their own text (the metrics and
-/// trace dumps, WAL frame bodies) — embedded verbatim, read back by
-/// re-serialising the parsed object. The codec preserves key order, so
-/// what was embedded comes back byte for byte.
+/// trace dumps, WAL frame bodies) — embedded verbatim and read back as
+/// the text that was sent.
 enum Object {}
-
-/// The one accessor under every [`Field::get`]: field `key` of `v` seen
-/// through `as_t`. Absent and mistyped alike are ``missing `key` ``.
-fn field<'v, T>(
-    v: &'v Value,
-    key: &str,
-    as_t: impl FnOnce(&'v Value) -> Option<T>,
-) -> Result<T, String> {
-    v.get(key)
-        .and_then(as_t)
-        .ok_or_else(|| format!("missing `{key}`"))
-}
 
 /// A non-negative integer that fits `T`: the one narrowing on the
 /// decode side (`as` would wrap seed `4294967301` to `5`).
-fn int<T: TryFrom<u64>>(x: &Value) -> Option<T> {
-    x.as_u64().and_then(|n| T::try_from(n).ok())
-}
-
-/// The text of `x` if it is a JSON object.
-fn object_text(x: &Value) -> Option<String> {
-    x.as_object()?;
-    serde_json::to_string(x).ok()
+#[inline(always)]
+fn narrow<T: TryFrom<u64>>(r: &mut Reader<'_>) -> Result<Option<T>, String> {
+    Ok(r.u64()?.and_then(|n| T::try_from(n).ok()))
 }
 
 /// Numbers print by `Display`: integers as digits, floats in shortest
@@ -174,21 +167,35 @@ macro_rules! number_fields {
             fn put(&self, out: &mut String) {
                 write!(out, "{self}").expect("writing to a String is infallible");
             }
-            fn get(v: &Value, key: &str) -> Result<Self, String> {
-                field(v, key, $read)
+            #[inline(always)]
+            fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+                $read(r)
             }
         }
     )*};
 }
-number_fields!(u32 => int, u64 => int, usize => int, f64 => Value::as_f64);
+number_fields!(u32 => narrow, u64 => narrow, usize => narrow, f64 => Reader::f64);
 
 impl Field for String {
     fn put(&self, out: &mut String) {
-        let text = serde_json::to_string(&Value::String(self.clone()));
-        out.push_str(&text.expect("string serialization is infallible"));
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if c < ' ' => {
+                    write!(out, "\\u{:04x}", c as u32).expect("writing to a String is infallible")
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
     }
-    fn get(v: &Value, key: &str) -> Result<Self, String> {
-        field(v, key, Value::as_str).map(str::to_string)
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        Ok(r.str()?.map(Cow::into_owned))
     }
 }
 
@@ -198,8 +205,8 @@ impl Field<Hex> for String {
         out.push_str(self);
         out.push('"');
     }
-    fn get(v: &Value, key: &str) -> Result<Self, String> {
-        <String as Field>::get(v, key)
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        <String as Field>::read(r)
     }
 }
 
@@ -207,28 +214,49 @@ impl Field<Object> for String {
     fn put(&self, out: &mut String) {
         out.push_str(self);
     }
-    fn get(v: &Value, key: &str) -> Result<Self, String> {
-        field(v, key, object_text)
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        Ok(r.raw_object()?.map(str::to_string))
     }
 }
 
-impl Field<Object> for Vec<String> {
+/// An array; one item of another type makes the whole of it mistyped.
+impl<T: Field<As>, As> Field<As> for Vec<T> {
     fn put(&self, out: &mut String) {
         out.push('[');
-        for (i, object) in self.iter().enumerate() {
+        for (i, item) in self.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(object);
+            item.put(out);
         }
         out.push(']');
     }
-    fn get(v: &Value, key: &str) -> Result<Self, String> {
-        field(v, key, Value::as_array)?
-            .iter()
-            .map(object_text)
-            .collect::<Option<_>>()
-            .ok_or_else(|| format!("`{key}` holds a non-object"))
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        let (mut items, mut mistyped) = (Vec::new(), false);
+        let array = r.array(|r| {
+            match T::read(r)? {
+                Some(item) => items.push(item),
+                None => mistyped = true,
+            }
+            Ok(())
+        })?;
+        Ok((array && !mistyped).then_some(items))
+    }
+}
+
+/// `null`, or the value.
+impl<T: Field<As>, As> Field<As> for Option<T> {
+    fn put(&self, out: &mut String) {
+        match self {
+            None => out.push_str("null"),
+            Some(value) => value.put(out),
+        }
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        if r.peek() == Some(b'n') {
+            return r.skip().map(|()| Some(None));
+        }
+        Ok(T::read(r)?.map(Some))
     }
 }
 
@@ -238,36 +266,42 @@ impl Field for Role {
         out.push_str(self.name());
         out.push('"');
     }
-    fn get(v: &Value, key: &str) -> Result<Self, String> {
-        let name = field(v, key, Value::as_str)?;
-        Role::parse(name).ok_or_else(|| format!("unknown role {name:?}"))
-    }
-}
-
-impl Field for Option<AdSnapshot> {
-    fn put(&self, out: &mut String) {
-        match self {
-            None => out.push_str("null"),
-            Some(ad) => ad.write_json(out),
-        }
-    }
-    fn get(v: &Value, key: &str) -> Result<Self, String> {
-        match field(v, key, Some)? {
-            ad if ad.is_null() => Ok(None),
-            ad => ad_from_value(ad).map(Some),
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        match r.str()? {
+            None => Ok(None),
+            Some(name) => Role::parse(&name)
+                .map(Some)
+                .ok_or_else(|| format!("unknown role {name:?}")),
         }
     }
 }
 
-/// The one way into a frame body: bytes → UTF-8 → JSON object → its
-/// `type` tag, handed to `arms` together with the object.
-fn typed_object<T>(
-    bytes: &[u8],
-    arms: impl FnOnce(&str, &Value) -> Result<T, String>,
-) -> Result<T, String> {
-    let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-    let v = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    arms(field(&v, "type", Value::as_str)?, &v)
+/// Reads the object at `$r` into `$build`, an expression over its rows'
+/// fields. Each key goes to the row that names it, whose codec reads the
+/// value: the first occurrence of a key wins, and later ones and keys no
+/// row names are skipped. A row left absent or mistyped is
+/// ``missing `key` ``. `None` if the value is not an object.
+macro_rules! read_object {
+    (
+        $r:expr,
+        { $($field:ident: $ty:ty => $key:literal $(: $as:ty)?),* $(,)? } => $build:expr
+    ) => {{
+        $(let mut $field: Option<$ty> = None;)*
+        let object = $r.object(|r, key| match &*key {
+            $($key if $field.is_none() => {
+                let value = <$ty as Field<$($as)?>>::read(r)?;
+                $field = Some(value.ok_or(concat!("missing `", $key, "`"))?);
+                Ok(())
+            })*
+            _ => r.skip(),
+        })?;
+        if object {
+            $(let $field = $field.ok_or(concat!("missing `", $key, "`"))?;)*
+            Some($build)
+        } else {
+            None
+        }
+    }};
 }
 
 /// The declaration every wire shape is produced from. A row
@@ -276,12 +310,14 @@ fn typed_object<T>(
 /// key and its codec are written; rows are in wire order.
 ///
 /// * `pub enum`: one `"tag" => Variant { rows }` per message. Produces
-///   the enum, `encode` (`{"type":"tag","key":value,…}`) and `decode`.
+///   the enum, `encode` (`{"type":"tag","key":value,…}`) and `decode`,
+///   which reads the frame's `type` tag and then its object, row by row.
 ///   Messages that do not fit a row are listed under `irregular`, and
 ///   their hand-written `encode` / `decode` arms are spliced into the
-///   same two `match`es.
+///   same two `match`es; a decode arm yields `Option<Self>` (`None`: the
+///   frame is not an object) and may use the reader and the tag.
 /// * `pub struct`: a flattened field list. Produces the struct,
-///   `put_fields` (`,"key":value` per row) and `get_fields`.
+///   `put_fields` (`,"key":value` per row) and `read_fields`.
 macro_rules! wire {
     (
         $(#[$meta:meta])*
@@ -300,7 +336,7 @@ macro_rules! wire {
         $(#[$emeta:meta])*
         encode($out:ident) { $($earms:tt)* }
         $(#[$dmeta:meta])*
-        decode($tag_in:ident, $v:ident) { $($darms:tt)* }
+        decode($tag_in:ident, $r:ident) { $($darms:tt)* }
     ) => {
         $(#[$meta])*
         pub enum $name {
@@ -333,14 +369,19 @@ macro_rules! wire {
 
             $(#[$dmeta])*
             pub fn decode(bytes: &[u8]) -> Result<Self, String> {
-                typed_object(bytes, |$tag_in, $v| match $tag_in {
+                let mut reader = Reader::new(bytes)?;
+                let $r = &mut reader;
+                let $tag_in = $r.tag()?;
+                let decoded = match &*$tag_in {
                     $(
-                        $tag => Ok(Self::$variant $({
-                            $( $field: <$ty as Field<$($as)?>>::get($v, $key)? ),+
-                        })?),
+                        $tag => read_object!($r, {
+                            $($( $field: $ty => $key $(: $as)? ),+)?
+                        } => Self::$variant $({ $($field),+ })?),
                     )+
                     $($darms)*
-                })
+                };
+                reader.end()?;
+                decoded.ok_or_else(|| "frame is not an object".to_string())
             }
         }
     };
@@ -367,9 +408,9 @@ macro_rules! wire {
                 )+
             }
 
-            /// Reads every field out of the object `v`.
-            fn get_fields(v: &Value) -> Result<Self, String> {
-                Ok($name { $( $field: <$ty as Field<$($as)?>>::get(v, $key)? ),+ })
+            /// Reads every field out of the object at `r`.
+            fn read_fields(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+                Ok(read_object!(r, { $($field: $ty => $key $(: $as)?),+ } => $name { $($field),+ }))
             }
         }
     };
@@ -452,14 +493,52 @@ wire! {
         }
     }
     /// Decodes a frame body. Mutating events go through the shared
-    /// event codec; `RegretQuery` — an event kind that mutates nothing —
+    /// event checks; `RegretQuery` — an event kind that mutates nothing —
     /// is routed to the read path.
-    decode(tag, v) {
-        _ => match event_from_value(v)? {
-            OnlineEvent::RegretQuery => Ok(Request::RegretQuery),
-            ev => Ok(Request::Mutate(ev)),
-        },
+    decode(tag, r) {
+        _ => Some(match read_event(r, &tag)? {
+            OnlineEvent::RegretQuery => Request::RegretQuery,
+            ev => Request::Mutate(ev),
+        }),
     }
+}
+
+/// Reads a mutation's frame body (an event-log line without its `at`)
+/// into the [`EventFields`] its checks run on. The first occurrence of a
+/// key fills its field, mistyped or not; later ones are skipped like
+/// unknown keys.
+fn read_event(r: &mut Reader<'_>, ty: &str) -> Result<OnlineEvent, String> {
+    let mut f = EventFields {
+        ty: Some(ty),
+        ..EventFields::default()
+    };
+    let mut seen = Vec::new();
+    r.object(|r, key| {
+        if seen.contains(&key) {
+            return r.skip();
+        }
+        match &*key {
+            "id" => f.id = r.u64()?,
+            "budget" => f.budget = r.f64()?,
+            "cpe" => f.cpe = r.f64()?,
+            "ctp" => f.ctp = r.f64()?,
+            "k" => f.k = r.u64()?,
+            "topic" => f.topic = r.u64()?,
+            "mass" => f.mass = r.f64()?,
+            "weights" => {
+                let mut items = Vec::new();
+                f.weights = Some(
+                    r.array(|r| r.f64().map(|w| items.push(w)))?
+                        .then_some(items),
+                );
+            }
+            "amount" => f.amount = r.f64()?,
+            _ => return r.skip(),
+        }
+        seen.push(key);
+        Ok(())
+    })?;
+    f.into_event()
 }
 
 wire! {
@@ -683,10 +762,12 @@ wire! {
         }
     }
     /// Decodes a frame body.
-    decode(tag, v) {
-        "allocation" => snapshot_from_value(field(v, "snapshot", Some)?).map(Response::Allocation),
-        "stats" => Ok(Response::Stats(StatsView::get_fields(v)?)),
-        other => Err(format!("unknown response type {other:?}")),
+    decode(tag, r) {
+        "allocation" => read_object!(r, {
+            snapshot: AllocationSnapshot => "snapshot",
+        } => Response::Allocation(snapshot)),
+        "stats" => StatsView::read_fields(r)?.map(Response::Stats),
+        other => return Err(format!("unknown response type {other:?}")),
     }
 }
 
@@ -820,38 +901,43 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// Decodes one ad object of an allocation payload.
-fn ad_from_value(v: &Value) -> Result<AdSnapshot, String> {
-    Ok(AdSnapshot {
-        id: Field::get(v, "id")?,
-        budget: Field::get(v, "budget")?,
-        cpe: Field::get(v, "cpe")?,
-        seeds: field(v, "seeds", Value::as_array)?
-            .iter()
-            .map(int)
-            .collect::<Option<_>>()
-            .ok_or_else(|| "seed out of range".to_string())?,
-        revenue_est: Field::get(v, "revenue_est")?,
-    })
+/// One ad object of an allocation payload ([`AdSnapshot::write_json`]).
+impl Field for AdSnapshot {
+    fn put(&self, out: &mut String) {
+        self.write_json(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        Ok(read_object!(r, {
+            id: AdId => "id",
+            budget: f64 => "budget",
+            cpe: f64 => "cpe",
+            revenue_est: f64 => "revenue_est",
+            seeds: Vec<u32> => "seeds",
+        } => AdSnapshot { id, budget, cpe, seeds, revenue_est }))
+    }
 }
 
-/// Decodes an [`AllocationSnapshot::to_json`] payload. Lifetime counters
-/// are not on the wire ([`AllocationSnapshot::same_allocation`] ignores
-/// them), so `stats` decodes to zeros.
-pub fn snapshot_from_value(v: &Value) -> Result<AllocationSnapshot, String> {
-    Ok(AllocationSnapshot {
-        epoch: Field::get(v, "epoch")?,
-        kappa: Field::get(v, "kappa")?,
-        lambda: Field::get(v, "lambda")?,
-        ads: field(v, "ads", Value::as_array)?
-            .iter()
-            .map(ad_from_value)
-            .collect::<Result<_, _>>()?,
-        regret_estimate: Field::get(v, "regret_estimate")?,
-        total_rr_sets: Field::get(v, "total_rr_sets")?,
-        engine_memory_bytes: Field::get(v, "engine_memory_bytes")?,
-        stats: Default::default(),
-    })
+/// An [`AllocationSnapshot::write_json`] payload. Lifetime counters are
+/// not on the wire ([`AllocationSnapshot::same_allocation`] ignores
+/// them), so `stats` decodes to zeros; `total_seeds` is skipped.
+impl Field for AllocationSnapshot {
+    fn put(&self, out: &mut String) {
+        self.write_json(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
+        Ok(read_object!(r, {
+            epoch: u64 => "epoch",
+            kappa: u32 => "kappa",
+            lambda: f64 => "lambda",
+            regret_estimate: f64 => "regret_estimate",
+            total_rr_sets: usize => "total_rr_sets",
+            engine_memory_bytes: usize => "engine_memory_bytes",
+            ads: Vec<AdSnapshot> => "ads",
+        } => AllocationSnapshot {
+            epoch, kappa, lambda, ads, regret_estimate, total_rr_sets, engine_memory_bytes,
+            stats: Default::default(),
+        }))
+    }
 }
 
 /// Writes one frame (length prefix + body).
@@ -1217,9 +1303,10 @@ mod tests {
             )
         };
         assert!(Response::decode(ad("4294967295").as_bytes()).is_ok());
+        // One item that is not a `u32` makes the whole array mistyped.
         assert_eq!(
             Response::decode(ad("7,4294967301").as_bytes()).unwrap_err(),
-            "seed out of range"
+            "missing `seeds`"
         );
     }
 

@@ -62,8 +62,7 @@ pub fn requests() -> Vec<(Request, &'static str)> {
             },
             r#"{"type":"replicate_poll","from_seq":42,"max_frames":256,"wait_ms":10}"#,
         ),
-        // The longest hold a peer can ask for (the codec reads integers
-        // below 9·10¹⁵, and refuses `u64::MAX`); the leader clamps it.
+        // A hold past 2⁵³ ms; the leader clamps it.
         (
             Request::ReplicatePoll {
                 from_seq: 0,
@@ -72,12 +71,31 @@ pub fn requests() -> Vec<(Request, &'static str)> {
             },
             r#"{"type":"replicate_poll","from_seq":0,"max_frames":1,"wait_ms":8999999999999999}"#,
         ),
+        // Integers are exact up to `u64::MAX`.
+        (
+            Request::ReplicatePoll {
+                from_seq: u64::MAX,
+                max_frames: 1,
+                wait_ms: u64::MAX,
+            },
+            concat!(
+                r#"{"type":"replicate_poll","from_seq":18446744073709551615,"max_frames":1,"#,
+                r#""wait_ms":18446744073709551615}"#,
+            ),
+        ),
         (
             Request::ReplicateCheckpoint {
                 offset: 1 << 20,
                 max_bytes: 65536,
             },
             r#"{"type":"replicate_checkpoint","offset":1048576,"max_bytes":65536}"#,
+        ),
+        (
+            Request::ReplicateCheckpoint {
+                offset: u64::MAX,
+                max_bytes: 65536,
+            },
+            r#"{"type":"replicate_checkpoint","offset":18446744073709551615,"max_bytes":65536}"#,
         ),
         (Request::Promote, r#"{"type":"promote"}"#),
     ]

@@ -17,6 +17,7 @@
 use crate::datasets::DatasetKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde_json::Value;
 use std::path::Path;
 use tirm_online::{AdId, OnlineEvent};
 use tirm_topics::TopicDist;
@@ -356,91 +357,132 @@ impl std::error::Error for LogError {}
 /// (the server's log holds the re-encoding).
 const MAX_TOPICS: usize = 1 << 16;
 
+/// The keys of one event object, each holding the value of its key's
+/// first occurrence — `None` if the key is absent or holds another JSON
+/// type. The log reader fills one from a parsed `Value`
+/// ([`event_from_value`]) and the `tirm_wire` decoder straight from the
+/// frame; [`EventFields::into_event`] makes every check, so both reject
+/// exactly the same malformed payloads.
+#[derive(Debug, Default)]
+pub struct EventFields<'a> {
+    /// `type`: the event kind.
+    pub ty: Option<&'a str>,
+    /// `id`: the advertiser.
+    pub id: Option<u64>,
+    /// `budget` of an arrival.
+    pub budget: Option<f64>,
+    /// `cpe` of an arrival.
+    pub cpe: Option<f64>,
+    /// `ctp` of an arrival.
+    pub ctp: Option<f64>,
+    /// `k`, the topic count of an arrival's compact topic form.
+    pub k: Option<u64>,
+    /// `topic`, the dominant topic of the compact form.
+    pub topic: Option<u64>,
+    /// `mass`, the dominant topic's weight in the compact form.
+    pub mass: Option<f64>,
+    /// `weights`, an arrival's explicit topic vector if present: `None`
+    /// when it is not an array, else each item (`None` where it is not a
+    /// number).
+    pub weights: Option<Option<Vec<Option<f64>>>>,
+    /// `amount` of a top-up.
+    pub amount: Option<f64>,
+}
+
+fn need<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing `{key}`"))
+}
+
+impl EventFields<'_> {
+    /// The event these fields spell, after every check an event must
+    /// pass to be admitted.
+    pub fn into_event(self) -> Result<OnlineEvent, String> {
+        let event = match need(self.ty, "type")? {
+            "arrival" => {
+                let topics = if let Some(ws) = self.weights {
+                    // Explicit weight vector (non-single/concentrated).
+                    let ws = ws.ok_or_else(|| "`weights` must be an array".to_string())?;
+                    if ws.len() > MAX_TOPICS {
+                        return Err("inconsistent topic distribution".to_string());
+                    }
+                    let weights: Vec<f32> = ws
+                        .into_iter()
+                        .map(|w| w.map(|x| x as f32))
+                        .collect::<Option<_>>()
+                        .ok_or_else(|| "non-numeric topic weight".to_string())?;
+                    TopicDist::new(weights).map_err(|e| format!("bad topic weights: {e}"))?
+                } else {
+                    let k = need(self.k, "k")? as usize;
+                    let topic = need(self.topic, "topic")? as usize;
+                    let mass = need(self.mass, "mass")? as f32;
+                    if !(1..=MAX_TOPICS).contains(&k) || topic >= k || !(0.0..=1.0).contains(&mass)
+                    {
+                        return Err("inconsistent topic distribution".to_string());
+                    }
+                    let dist = if k == 1 || mass >= 1.0 {
+                        TopicDist::single(k, topic)
+                    } else {
+                        TopicDist::concentrated(k, topic, mass)
+                    };
+                    // Held to what the `weights` form is held to, because the
+                    // writer falls back to that form when `topic` is not the
+                    // heaviest: summed in `f32`, a few thousand equal shares
+                    // of the remainder miss 1 by more than the tolerance.
+                    TopicDist::new(dist.weights().to_vec())
+                        .map_err(|_| "inconsistent topic distribution".to_string())?
+                };
+                // Narrowing can overflow to infinity, which has no JSON form
+                // to be written back in.
+                let ctp = need(self.ctp, "ctp")? as f32;
+                if !ctp.is_finite() {
+                    return Err("`ctp` out of range".to_string());
+                }
+                OnlineEvent::AdArrival {
+                    id: need(self.id, "id")?,
+                    budget: need(self.budget, "budget")?,
+                    cpe: need(self.cpe, "cpe")?,
+                    topics,
+                    ctp,
+                }
+            }
+            "topup" => OnlineEvent::BudgetTopUp {
+                id: need(self.id, "id")?,
+                amount: need(self.amount, "amount")?,
+            },
+            "departure" => OnlineEvent::AdDeparture {
+                id: need(self.id, "id")?,
+            },
+            "reallocate" => OnlineEvent::Reallocate,
+            "regret_query" => OnlineEvent::RegretQuery,
+            other => return Err(format!("unknown event type {other:?}")),
+        };
+        Ok(event)
+    }
+}
+
 /// Decodes one event object — the `type` + payload fields produced by
 /// [`event_json_fields`]; any surrounding fields (like a log line's
-/// `at`) are ignored. Shared by the JSONL log reader and the
-/// `tirm_server` wire protocol, so both reject exactly the same
-/// malformed payloads.
-pub fn event_from_value(v: &serde_json::Value) -> Result<OnlineEvent, String> {
-    let ty = v
-        .get("type")
-        .and_then(|x| x.as_str())
-        .ok_or_else(|| "missing `type`".to_string())?;
-    let id = || {
-        v.get("id")
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| "missing `id`".to_string())
-    };
-    let f64_of = |key: &str| {
-        v.get(key)
-            .and_then(|x| x.as_f64())
-            .ok_or_else(|| format!("missing `{key}`"))
-    };
-    let event = match ty {
-        "arrival" => {
-            let topics = if let Some(ws) = v.get("weights") {
-                // Explicit weight vector (non-single/concentrated).
-                let ws = ws
-                    .as_array()
-                    .ok_or_else(|| "`weights` must be an array".to_string())?;
-                if ws.len() > MAX_TOPICS {
-                    return Err("inconsistent topic distribution".to_string());
-                }
-                let weights: Vec<f32> = ws
-                    .iter()
-                    .map(|w| w.as_f64().map(|x| x as f32))
-                    .collect::<Option<_>>()
-                    .ok_or_else(|| "non-numeric topic weight".to_string())?;
-                TopicDist::new(weights).map_err(|e| format!("bad topic weights: {e}"))?
-            } else {
-                let k = v
-                    .get("k")
-                    .and_then(|x| x.as_u64())
-                    .ok_or_else(|| "missing `k`".to_string())? as usize;
-                let topic =
-                    v.get("topic")
-                        .and_then(|x| x.as_u64())
-                        .ok_or_else(|| "missing `topic`".to_string())? as usize;
-                let mass = f64_of("mass")? as f32;
-                if !(1..=MAX_TOPICS).contains(&k) || topic >= k || !(0.0..=1.0).contains(&mass) {
-                    return Err("inconsistent topic distribution".to_string());
-                }
-                let dist = if k == 1 || mass >= 1.0 {
-                    TopicDist::single(k, topic)
-                } else {
-                    TopicDist::concentrated(k, topic, mass)
-                };
-                // Held to what the `weights` form is held to, because the
-                // writer falls back to that form when `topic` is not the
-                // heaviest: summed in `f32`, a few thousand equal shares
-                // of the remainder miss 1 by more than the tolerance.
-                TopicDist::new(dist.weights().to_vec())
-                    .map_err(|_| "inconsistent topic distribution".to_string())?
-            };
-            // Narrowing can overflow to infinity, which has no JSON form
-            // to be written back in.
-            let ctp = f64_of("ctp")? as f32;
-            if !ctp.is_finite() {
-                return Err("`ctp` out of range".to_string());
-            }
-            OnlineEvent::AdArrival {
-                id: id()?,
-                budget: f64_of("budget")?,
-                cpe: f64_of("cpe")?,
-                topics,
-                ctp,
-            }
-        }
-        "topup" => OnlineEvent::BudgetTopUp {
-            id: id()?,
-            amount: f64_of("amount")?,
-        },
-        "departure" => OnlineEvent::AdDeparture { id: id()? },
-        "reallocate" => OnlineEvent::Reallocate,
-        "regret_query" => OnlineEvent::RegretQuery,
-        other => return Err(format!("unknown event type {other:?}")),
-    };
-    Ok(event)
+/// `at`) are ignored. Integers are read through `Value`, so below
+/// 9·10¹⁵.
+pub fn event_from_value(v: &Value) -> Result<OnlineEvent, String> {
+    let u64_of = |key: &str| v.get(key).and_then(Value::as_u64);
+    let f64_of = |key: &str| v.get(key).and_then(Value::as_f64);
+    EventFields {
+        ty: v.get("type").and_then(Value::as_str),
+        id: u64_of("id"),
+        budget: f64_of("budget"),
+        cpe: f64_of("cpe"),
+        ctp: f64_of("ctp"),
+        k: u64_of("k"),
+        topic: u64_of("topic"),
+        mass: f64_of("mass"),
+        weights: v.get("weights").map(|ws| {
+            ws.as_array()
+                .map(|ws| ws.iter().map(Value::as_f64).collect())
+        }),
+        amount: f64_of("amount"),
+    }
+    .into_event()
 }
 
 /// Parses a JSON-lines log produced by [`log_to_jsonl`] (empty lines are
