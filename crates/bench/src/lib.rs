@@ -6,8 +6,8 @@
 //! versioned `BENCH_*.json` artifact every experiment emits), [`suite`]
 //! (the deterministic scenario-matrix runner behind `perf_suite`),
 //! [`diff`] (the exact field-equality drift gate behind `bench_diff`)
-//! and [`loadgen`] (the open-loop wire-protocol driver behind the
-//! `loadgen` bin and the `SERVING/…` cells).
+//! and [`loadgen`] (the closed-loop wire-protocol load generator behind the
+//! `SERVING/…` cells and the `soak` bin).
 
 pub mod diff;
 pub mod loadgen;

@@ -10,20 +10,21 @@
 use crate::loadgen::{drive, LoadgenConfig};
 use crate::schema::{BenchCell, BenchReport};
 use crate::tirm_options;
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 use tirm_core::{
     evaluate, greedy_allocate, greedy_irie_allocate, tirm_allocate, Advertiser, AlgoStats,
     Allocation, Attention, Evaluation, GreedyIrieOptions, GreedyOptions, ProblemInstance,
-    TirmOptions,
 };
 use tirm_diffusion::McOracle;
 use tirm_irie::IrieConfig;
-use tirm_online::{OnlineAllocator, OnlineConfig};
+use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig};
+use tirm_server::{Client, DurabilityConfig, FollowerConfig, ServerConfig};
 use tirm_topics::CtpTable;
 use tirm_workloads::replay::replay;
 use tirm_workloads::{
-    campaigns, final_population, AllocatorKind, Dataset, DatasetKind, EventStreamSpec, ProbModel,
-    ScaleConfig, ScenarioSpec, Tier,
+    campaigns, final_population, AllocatorKind, Dataset, DatasetKind, EventStreamSpec, LogEvent,
+    ProbModel, ScaleConfig, ScenarioSpec, Tier,
 };
 
 /// How the suite runs: tier grid + fidelity + optional cell filter.
@@ -101,15 +102,7 @@ pub fn run_suite(cfg: &SuiteConfig) -> BenchReport {
                 slot.insert(dataset)
             }
         };
-        let cell = if spec.serving_repl {
-            run_replicated_cell(dataset, spec, &cfg.scale, cfg.base_seed)
-        } else if spec.serving {
-            run_serving_cell(dataset, spec, &cfg.scale, cfg.base_seed)
-        } else if spec.online {
-            run_online_cell(dataset, spec, &cfg.scale, cfg.base_seed)
-        } else {
-            run_scenario_on(dataset, spec, &cfg.scale, cfg.base_seed)
-        };
+        let cell = run_scenario_on(dataset, spec, &cfg.scale, cfg.base_seed);
         eprintln!(
             "        {:.2}s, θ={}, seeds={}, regret={:.2}, mem={:.1} MB",
             cell.wall_s,
@@ -133,14 +126,24 @@ pub fn run_scenario(spec: &ScenarioSpec, scale: &ScaleConfig, base_seed: u64) ->
         scale,
         spec.problem_seed(base_seed),
     );
-    if spec.serving_repl {
-        run_replicated_cell(&dataset, spec, scale, base_seed)
-    } else if spec.serving {
-        run_serving_cell(&dataset, spec, scale, base_seed)
+    run_scenario_on(&dataset, spec, scale, base_seed)
+}
+
+/// [`run_scenario`] on a pre-generated dataset — the suite loop caches
+/// instances per `(dataset, model)`. The caller must pass the dataset
+/// generated with `spec.problem_seed(base_seed)` at the same scale.
+fn run_scenario_on(
+    dataset: &Dataset,
+    spec: &ScenarioSpec,
+    scale: &ScaleConfig,
+    base_seed: u64,
+) -> BenchCell {
+    if spec.serving || spec.serving_repl {
+        run_serving_cell(dataset, spec, scale, base_seed)
     } else if spec.online {
-        run_online_cell(&dataset, spec, scale, base_seed)
+        run_online_cell(dataset, spec, scale, base_seed)
     } else {
-        run_scenario_on(&dataset, spec, scale, base_seed)
+        run_batch_cell(dataset, spec, scale, base_seed)
     }
 }
 
@@ -161,56 +164,24 @@ pub fn run_online_cell(
     assert!(spec.online, "not an online cell: {}", spec.id());
     let aseed = spec.seed(base_seed);
     let log = serving_stream(dataset, spec, scale, base_seed, 0xeb57);
-    let opts = serving_tirm_options(spec, scale, aseed);
     let mut allocator = OnlineAllocator::new(
         &dataset.graph,
         &dataset.topic_probs,
-        OnlineConfig {
-            tirm: opts,
-            kappa: spec.kappa,
-            lambda: spec.lambda,
-            ..OnlineConfig::default()
-        },
+        serving_online_config(spec, scale, aseed),
     );
     let t0 = Instant::now();
     let report = replay(&mut allocator, &log);
     let wall_s = t0.elapsed().as_secs_f64();
     assert_eq!(report.rejected, 0, "generated streams are always valid");
-
-    // Evaluate the final allocation against the final ad population —
-    // exactly the batch problem the replay is bit-equivalent to.
-    let alloc = allocator.allocation();
-    let theta = allocator.total_rr_sets();
-    let memory_bytes = allocator.memory_bytes();
-    let (finals, ev) = eval_final_allocation(dataset, spec, scale, &log, &alloc);
-
-    BenchCell {
-        id: spec.id(),
-        dataset: dataset.kind.name().to_string(),
-        prob_model: spec.model.name().to_string(),
-        allocator: "ONLINE".to_string(),
-        threads: spec.threads,
-        kappa: spec.kappa,
-        lambda: spec.lambda,
-        seed: aseed,
-        nodes: dataset.graph.num_nodes(),
-        edges: dataset.graph.num_edges(),
-        ads: finals,
-        theta,
-        total_seeds: alloc.total_seeds(),
-        distinct_targeted: alloc.distinct_targeted(),
-        total_regret: ev.as_ref().map(|e| e.regret.total()).unwrap_or(0.0),
-        relative_regret: ev
-            .as_ref()
-            .map(|e| e.regret.relative_regret())
-            .unwrap_or(0.0),
-        revenue: ev.as_ref().map(|e| e.regret.total_revenue()).unwrap_or(0.0),
-        memory_bytes,
-        // The online allocator folds postings accounting into its own
-        // memory story; the layout ratio is a batch-cell metric.
-        bytes_per_posting: 0.0,
+    served_cell(
+        dataset,
+        spec,
+        scale,
+        aseed,
+        &log,
+        &allocator.snapshot(),
         wall_s,
-    }
+    )
 }
 
 /// Reader connections every `SERVING/…` cell drives concurrently with
@@ -228,7 +199,7 @@ pub const SERVING_READERS: usize = 4;
 /// probe's own wall cost never shows up in the reported `wall_s`.
 fn probe_metrics_exposition() {
     let srv = tirm_obs::http::serve("127.0.0.1:0").expect("metrics endpoint bind failed");
-    let text = tirm_obs::http::fetch(srv.addr(), "/metrics", std::time::Duration::from_secs(5))
+    let text = tirm_obs::http::fetch(srv.addr(), "/metrics", Duration::from_secs(5))
         .expect("metrics scrape failed");
     let samples = tirm_obs::prom::parse(&text).expect("exposition must parse");
     for name in [
@@ -249,8 +220,8 @@ fn probe_metrics_exposition() {
     // one mutation with a complete lifecycle. The serving cell is
     // memory-only, so the lifecycle is the non-durable core (admit →
     // queue → apply → publish); the durable stages are gated by the
-    // server crate's own tests and the soaks.
-    let trace = tirm_obs::http::fetch(srv.addr(), "/trace.json", std::time::Duration::from_secs(5))
+    // server crate's own tests and the soak.
+    let trace = tirm_obs::http::fetch(srv.addr(), "/trace.json", Duration::from_secs(5))
         .expect("trace scrape failed");
     let complete = crate::traces_covering_stages(&trace, &["admit", "queue", "apply", "publish"]);
     assert!(
@@ -259,239 +230,163 @@ fn probe_metrics_exposition() {
     );
 }
 
+/// Lag-routing threshold (events) for the replicated cell's reader
+/// pool — a reader whose follower falls further behind re-routes to
+/// the leader until it catches back up.
+const REPL_MAX_LAG: u64 = 64;
+
+/// A `SERVING-REPL` cell's state dirs, `leader/` and `follower/` under
+/// one root. The root is unique per call — the pid plus a process-wide
+/// counter, because two cells of one spec may run at once in one test
+/// process — and dropping it removes the tree, on every exit path.
+struct StateDirs(std::path::PathBuf);
+
+impl StateDirs {
+    fn new() -> StateDirs {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let root = std::env::temp_dir().join(format!(
+            "tirm_repl_cell_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        for role in ["leader", "follower"] {
+            std::fs::create_dir_all(root.join(role)).expect("creating a state dir");
+        }
+        StateDirs(root)
+    }
+}
+
+impl Drop for StateDirs {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Runs one network serving cell: boot a real `tirm_server` on a
-/// loopback port over the shared dataset, drive it with the load
-/// generator (mutation stream in deterministic-delivery mode — every
-/// event is retried until admitted, so the drained final snapshot is a
-/// pure function of the log — plus [`SERVING_READERS`] concurrent
-/// reader connections), then MC-evaluate the drained allocation exactly
-/// like the online cells.
+/// loopback port over the shared dataset, drive it with
+/// [`drive`] (every event is retried until admitted, so the drained
+/// final snapshot is a pure function of the log, plus
+/// [`SERVING_READERS`] concurrent reader connections), then MC-evaluate
+/// the drained allocation exactly like the online cells.
+///
+/// A `SERVING-REPL` cell makes the leader durable, adds an in-process
+/// WAL-shipping follower, and splits the reader pool across both with
+/// lag-aware routing. After the leader drains, the follower must
+/// converge to the bit-identical snapshot before the cell evaluates it
+/// — so the cell is the PR gate's replication-correctness probe.
 pub fn run_serving_cell(
     dataset: &Dataset,
     spec: &ScenarioSpec,
     scale: &ScaleConfig,
     base_seed: u64,
 ) -> BenchCell {
-    assert!(spec.serving, "not a serving cell: {}", spec.id());
-    let aseed = spec.seed(base_seed);
-    // A distinct stream salt: the serving cell measures the same grid
-    // point as its ONLINE sibling but must not share its exact event
-    // stream, or one cell's regression hides in the other's noise.
-    let log = serving_stream(dataset, spec, scale, base_seed, 0x5e11);
-    let opts = serving_tirm_options(spec, scale, aseed);
-    let server_cfg = tirm_server::ServerConfig {
-        online: OnlineConfig {
-            tirm: opts,
-            kappa: spec.kappa,
-            lambda: spec.lambda,
-            ..OnlineConfig::default()
-        },
-        queue_depth: 32,
-        ..tirm_server::ServerConfig::default()
-    };
-
-    let t0 = Instant::now();
-    let (load, served) =
-        tirm_server::serve(&dataset.graph, &dataset.topic_probs, server_cfg, |handle| {
-            drive(
-                handle.addr(),
-                &log,
-                &LoadgenConfig {
-                    readers: SERVING_READERS,
-                    rate: None,
-                    retry: true,
-                    seed: aseed,
-                    drain: true,
-                    // Paced readers: still thousands of concurrent reads
-                    // per cell without starving the writer on 1 CPU.
-                    read_pause: std::time::Duration::from_micros(500),
-                    ..LoadgenConfig::default()
-                },
-            )
-            .expect("load generator failed")
-        })
-        .expect("serving cell server failed");
-    let wall_s = t0.elapsed().as_secs_f64();
-    probe_metrics_exposition();
-    assert_eq!(
-        served.rejected, 0,
-        "generated streams are always valid once fully delivered"
-    );
     assert!(
-        load.reads_per_reader.iter().all(|&c| c > 0),
-        "every reader connection must make progress while the writer grinds"
-    );
-
-    // The drained snapshot is the allocation the cell evaluates —
-    // deterministic because delivery was deterministic.
-    let snap = &served.final_snapshot;
-    let mut alloc = Allocation::empty(snap.num_ads(), dataset.graph.num_nodes());
-    for (i, ad) in snap.ads.iter().enumerate() {
-        for &v in &ad.seeds {
-            alloc.assign(v, i);
-        }
-    }
-    let (finals, ev) = eval_final_allocation(dataset, spec, scale, &log, &alloc);
-    assert_eq!(finals, snap.num_ads(), "snapshot ≡ folded final population");
-
-    BenchCell {
-        id: spec.id(),
-        dataset: dataset.kind.name().to_string(),
-        prob_model: spec.model.name().to_string(),
-        allocator: "SERVING".to_string(),
-        threads: spec.threads,
-        kappa: spec.kappa,
-        lambda: spec.lambda,
-        seed: aseed,
-        nodes: dataset.graph.num_nodes(),
-        edges: dataset.graph.num_edges(),
-        ads: finals,
-        theta: snap.total_rr_sets,
-        total_seeds: alloc.total_seeds(),
-        distinct_targeted: alloc.distinct_targeted(),
-        total_regret: ev.as_ref().map(|e| e.regret.total()).unwrap_or(0.0),
-        relative_regret: ev
-            .as_ref()
-            .map(|e| e.regret.relative_regret())
-            .unwrap_or(0.0),
-        revenue: ev.as_ref().map(|e| e.regret.total_revenue()).unwrap_or(0.0),
-        memory_bytes: snap.engine_memory_bytes,
-        bytes_per_posting: 0.0,
-        wall_s,
-    }
-}
-
-/// Lag-routing threshold (events) for the replicated cell's reader
-/// pool — a reader whose follower falls further behind re-routes to
-/// the leader until it catches back up.
-const REPL_MAX_LAG: u64 = 64;
-
-/// Runs one replicated network serving cell: boot a durable leader
-/// *plus* an in-process WAL-shipping follower over the shared dataset,
-/// split the reader pool across both with lag-aware routing, and drive
-/// the same deterministic-delivery mutation stream as a `SERVING/…`
-/// cell. After the leader drains, the follower must converge to the
-/// bit-identical snapshot before the cell evaluates it — so the cell
-/// is the PR-gate's replication-correctness probe.
-pub fn run_replicated_cell(
-    dataset: &Dataset,
-    spec: &ScenarioSpec,
-    scale: &ScaleConfig,
-    base_seed: u64,
-) -> BenchCell {
-    assert!(
-        spec.serving_repl,
-        "not a replicated serving cell: {}",
+        spec.serving || spec.serving_repl,
+        "not a serving cell: {}",
         spec.id()
     );
     let aseed = spec.seed(base_seed);
-    // Distinct stream salt, same reasoning as the SERVING cells: this
-    // grid point must not share an event stream with its siblings.
-    let log = serving_stream(dataset, spec, scale, base_seed, 0x4ef0);
-    let opts = serving_tirm_options(spec, scale, aseed);
-    let online = OnlineConfig {
-        tirm: opts,
-        kappa: spec.kappa,
-        lambda: spec.lambda,
-        ..OnlineConfig::default()
-    };
-
-    // Replication requires durable state on both sides. Scratch dirs,
-    // removed when the cell finishes; the pid + seed in the name keeps
-    // concurrent suite runs on one machine from colliding.
-    let scratch = std::env::temp_dir().join(format!(
-        "tirm_repl_cell_{}_{:016x}",
-        std::process::id(),
-        aseed
-    ));
-    let leader_dir = scratch.join("leader");
-    let follower_dir = scratch.join("follower");
-    std::fs::create_dir_all(&leader_dir).expect("creating leader state dir");
-    std::fs::create_dir_all(&follower_dir).expect("creating follower state dir");
-
-    let server_cfg = tirm_server::ServerConfig {
+    // A distinct stream salt per family: a served cell measures the same
+    // grid point as its siblings but must not share their exact event
+    // stream, or one cell's regression hides in the other's noise.
+    let salt = if spec.serving_repl { 0x4ef0 } else { 0x5e11 };
+    let log = serving_stream(dataset, spec, scale, base_seed, salt);
+    let online = serving_online_config(spec, scale, aseed);
+    // Replication requires durable state on both sides. Tight cadence
+    // relative to the 48-event stream, so the cell exercises
+    // checkpointing and multi-segment shipping, not just a single open
+    // segment.
+    let dirs = spec.serving_repl.then(StateDirs::new);
+    let (checkpoint_interval, segment_events) = (16, 64);
+    let server_cfg = ServerConfig {
         online: online.clone(),
         queue_depth: 32,
-        durability: Some(tirm_server::DurabilityConfig {
-            // Tight cadence relative to the 48-event stream so the
-            // cell exercises checkpointing and multi-segment shipping,
-            // not just a single open segment.
-            checkpoint_interval: 16,
-            segment_events: 64,
-            ..tirm_server::DurabilityConfig::new(&leader_dir)
+        durability: dirs.as_ref().map(|d| DurabilityConfig {
+            checkpoint_interval,
+            segment_events,
+            ..DurabilityConfig::new(d.0.join("leader"))
         }),
-        ..tirm_server::ServerConfig::default()
+        ..ServerConfig::default()
     };
 
     let t0 = Instant::now();
     let ((load, follower), served) =
         tirm_server::serve(&dataset.graph, &dataset.topic_probs, server_cfg, |handle| {
-            let leader_addr = handle.addr();
+            let leader = handle.addr();
             std::thread::scope(|s| {
-                let fcfg = tirm_server::FollowerConfig {
-                    online: online.clone(),
-                    checkpoint_interval: 16,
-                    segment_events: 64,
-                    ..tirm_server::FollowerConfig::new(leader_addr.to_string(), &follower_dir)
-                };
-                let (tx, rx) = std::sync::mpsc::channel();
-                let fjoin = s.spawn(move || {
-                    tirm_server::serve_follower(&dataset.graph, &dataset.topic_probs, fcfg, |fh| {
-                        tx.send(fh.addr()).expect("reporting follower addr");
-                        fh.wait_shutdown();
-                    })
+                let follower = dirs.as_ref().map(|d| {
+                    let fcfg = FollowerConfig {
+                        online: online.clone(),
+                        checkpoint_interval,
+                        segment_events,
+                        ..FollowerConfig::new(leader.to_string(), d.0.join("follower"))
+                    };
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    let join = s.spawn(move || {
+                        tirm_server::serve_follower(
+                            &dataset.graph,
+                            &dataset.topic_probs,
+                            fcfg,
+                            |fh| {
+                                tx.send(fh.addr()).expect("reporting follower addr");
+                                fh.wait_shutdown();
+                            },
+                        )
+                    });
+                    (join, rx.recv().expect("follower never came up"))
                 });
-                let faddr = rx.recv().expect("follower never came up");
 
                 let load = drive(
-                    leader_addr,
+                    leader,
                     &log,
                     &LoadgenConfig {
                         readers: SERVING_READERS,
-                        rate: None,
-                        retry: true,
                         seed: aseed,
-                        drain: true,
-                        read_pause: std::time::Duration::from_micros(500),
-                        follower_addrs: vec![faddr],
+                        // Paced readers: still thousands of concurrent reads
+                        // per cell without starving the writer on 1 CPU.
+                        read_pause: Duration::from_micros(500),
+                        follower_addrs: follower.iter().map(|(_, faddr)| *faddr).collect(),
                         max_lag: REPL_MAX_LAG,
                         ..LoadgenConfig::default()
                     },
                 )
                 .expect("load generator failed");
 
-                // The leader drained (`drain: true`), so its applied
-                // epoch is final; wait for the follower's *published*
-                // epoch — not its durable `wal_seq`, which runs ahead
-                // of the applied state by up to one page — to reach
-                // it, then wind the follower down for its report.
-                let target = tirm_server::Client::connect(leader_addr)
-                    .and_then(|mut c| c.stats())
-                    .expect("leader stats")
-                    .epoch;
-                let deadline = Instant::now() + std::time::Duration::from_secs(120);
-                loop {
-                    match tirm_server::Client::connect(faddr).and_then(|mut c| c.stats()) {
-                        Ok(st) if st.epoch >= target => break,
-                        _ if Instant::now() >= deadline => {
-                            panic!("follower never converged to epoch {target}")
+                // The leader drained, so its applied epoch is final; wait
+                // for the follower's *published* epoch — not its durable
+                // `wal_seq`, which runs ahead of the applied state by up
+                // to one page — to reach it, then wind the follower down
+                // for its report.
+                let follower = follower.map(|(join, faddr)| {
+                    let stats = |addr| Client::connect(addr).and_then(|mut c| c.stats());
+                    let target = stats(leader).expect("leader stats").epoch;
+                    let deadline = Instant::now() + Duration::from_secs(120);
+                    loop {
+                        match stats(faddr) {
+                            Ok(st) if st.epoch >= target => break,
+                            _ if Instant::now() >= deadline => {
+                                panic!("follower never converged to epoch {target}")
+                            }
+                            _ => std::thread::sleep(Duration::from_millis(5)),
                         }
-                        _ => std::thread::sleep(std::time::Duration::from_millis(5)),
                     }
-                }
-                tirm_server::Client::connect(faddr)
-                    .and_then(|mut c| c.shutdown_server())
-                    .expect("follower shutdown");
-                let ((), follower) = fjoin
-                    .join()
-                    .expect("follower thread panicked")
-                    .expect("follower failed");
+                    Client::connect(faddr)
+                        .and_then(|mut c| c.shutdown_server())
+                        .expect("follower shutdown");
+                    let ((), report) = join
+                        .join()
+                        .expect("follower thread panicked")
+                        .expect("follower failed");
+                    report
+                });
                 (load, follower)
             })
         })
-        .expect("replicated cell server failed");
+        .expect("serving cell server failed");
     let wall_s = t0.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir_all(&scratch);
+    if !spec.serving_repl {
+        probe_metrics_exposition();
+    }
 
     assert_eq!(
         served.rejected, 0,
@@ -501,57 +396,34 @@ pub fn run_replicated_cell(
         load.reads_per_reader.iter().all(|&c| c > 0),
         "every reader connection must make progress while the writer grinds"
     );
-    assert!(
-        load.follower_reads > 0,
-        "the reader pool must actually exercise the follower"
-    );
-    // The correctness anchor: the follower's last published snapshot is
-    // payload-identical to the leader's drained one.
-    assert!(
-        follower
-            .final_snapshot
-            .same_allocation(&served.final_snapshot),
-        "follower diverged from the leader's drained snapshot \
-         (follower epoch {}, leader epoch {})",
-        follower.final_snapshot.epoch,
-        served.final_snapshot.epoch
-    );
-
-    let snap = &served.final_snapshot;
-    let mut alloc = Allocation::empty(snap.num_ads(), dataset.graph.num_nodes());
-    for (i, ad) in snap.ads.iter().enumerate() {
-        for &v in &ad.seeds {
-            alloc.assign(v, i);
-        }
+    if let Some(follower) = follower {
+        assert!(
+            load.follower_reads > 0,
+            "the reader pool must actually exercise the follower"
+        );
+        // The correctness anchor: the follower's last published snapshot
+        // is payload-identical to the leader's drained one.
+        assert!(
+            follower
+                .final_snapshot
+                .same_allocation(&served.final_snapshot),
+            "follower diverged from the leader's drained snapshot \
+             (follower epoch {}, leader epoch {})",
+            follower.final_snapshot.epoch,
+            served.final_snapshot.epoch
+        );
     }
-    let (finals, ev) = eval_final_allocation(dataset, spec, scale, &log, &alloc);
-    assert_eq!(finals, snap.num_ads(), "snapshot ≡ folded final population");
-
-    BenchCell {
-        id: spec.id(),
-        dataset: dataset.kind.name().to_string(),
-        prob_model: spec.model.name().to_string(),
-        allocator: "SERVING-REPL".to_string(),
-        threads: spec.threads,
-        kappa: spec.kappa,
-        lambda: spec.lambda,
-        seed: aseed,
-        nodes: dataset.graph.num_nodes(),
-        edges: dataset.graph.num_edges(),
-        ads: finals,
-        theta: snap.total_rr_sets,
-        total_seeds: alloc.total_seeds(),
-        distinct_targeted: alloc.distinct_targeted(),
-        total_regret: ev.as_ref().map(|e| e.regret.total()).unwrap_or(0.0),
-        relative_regret: ev
-            .as_ref()
-            .map(|e| e.regret.relative_regret())
-            .unwrap_or(0.0),
-        revenue: ev.as_ref().map(|e| e.regret.total_revenue()).unwrap_or(0.0),
-        memory_bytes: snap.engine_memory_bytes,
-        bytes_per_posting: 0.0,
+    // The drained snapshot is the allocation the cell evaluates —
+    // deterministic because delivery was deterministic.
+    served_cell(
+        dataset,
+        spec,
+        scale,
+        aseed,
+        &log,
+        &served.final_snapshot,
         wall_s,
-    }
+    )
 }
 
 /// The event stream of a serving-type cell (online or network): same
@@ -564,7 +436,7 @@ fn serving_stream(
     scale: &ScaleConfig,
     base_seed: u64,
     salt: u64,
-) -> Vec<tirm_workloads::LogEvent> {
+) -> Vec<LogEvent> {
     let boost = if spec.is_quality() {
         1.0
     } else {
@@ -578,60 +450,108 @@ fn serving_stream(
     stream.generate(dataset.size_ratio * boost)
 }
 
-/// TIRM options of a serving-type cell (the per-ad θ cap scaled with
-/// the tier's graph scale, like every other cell family).
-fn serving_tirm_options(spec: &ScenarioSpec, scale: &ScaleConfig, aseed: u64) -> TirmOptions {
-    let mut opts = tirm_options(spec.is_quality(), aseed);
-    opts.threads = spec.threads;
-    opts.scale_theta_cap(scale.scale);
-    opts
+/// The allocator configuration of a serving-type cell: the cell's κ and
+/// λ, and TIRM with the per-ad θ cap scaled with the tier's graph scale,
+/// like every other cell family.
+fn serving_online_config(spec: &ScenarioSpec, scale: &ScaleConfig, aseed: u64) -> OnlineConfig {
+    let mut tirm = tirm_options(spec.is_quality(), aseed);
+    tirm.threads = spec.threads;
+    tirm.scale_theta_cap(scale.scale);
+    OnlineConfig {
+        tirm,
+        kappa: spec.kappa,
+        lambda: spec.lambda,
+        ..OnlineConfig::default()
+    }
 }
 
-/// MC-evaluates a serving-type cell's final allocation against the ad
-/// population left live by the log — exactly the batch problem the
-/// replay is bit-equivalent to. Returns (final ads, evaluation);
-/// evaluation is `None` when the population is empty or the tier skips
-/// MC.
-fn eval_final_allocation(
+/// Packs a serving-type cell (`ONLINE`, `SERVING` or `SERVING-REPL`)
+/// from its final snapshot: MC-evaluates the snapshot's allocation
+/// against the ad population the log leaves live — exactly the batch
+/// problem the replay is bit-equivalent to. Regret and revenue stay 0
+/// when the population is empty or the tier skips MC.
+fn served_cell(
     dataset: &Dataset,
     spec: &ScenarioSpec,
     scale: &ScaleConfig,
-    log: &[tirm_workloads::LogEvent],
-    alloc: &Allocation,
-) -> (usize, Option<Evaluation>) {
-    let finals = final_population(log);
+    seed: u64,
+    log: &[LogEvent],
+    snap: &AllocationSnapshot,
+    wall_s: f64,
+) -> BenchCell {
     let n = dataset.graph.num_nodes();
-    if finals.is_empty() || scale.eval_runs == 0 {
-        return (finals.len(), None);
+    let mut alloc = Allocation::empty(snap.num_ads(), n);
+    for (i, ad) in snap.ads.iter().enumerate() {
+        for &v in &ad.seeds {
+            alloc.assign(v, i);
+        }
     }
-    let ads: Vec<Advertiser> = finals
-        .iter()
-        .map(|f| Advertiser::new(f.budget, f.cpe, f.topics.clone()))
-        .collect();
-    let probs: Vec<Vec<f32>> = finals
-        .iter()
-        .map(|f| dataset.topic_probs.project(&f.topics))
-        .collect();
-    let ctp = CtpTable::direct(finals.iter().map(|f| vec![f.ctp; n]).collect());
-    let problem = ProblemInstance::new(
-        &dataset.graph,
-        ads,
-        probs,
-        ctp,
-        Attention::Uniform(spec.kappa),
-        spec.lambda,
+    let finals = final_population(log);
+    assert_eq!(
+        finals.len(),
+        snap.num_ads(),
+        "snapshot ≡ folded final population"
     );
-    alloc
-        .validate(&problem)
-        .expect("serving layer produced an invalid allocation");
-    let ev = evaluate(&problem, alloc, scale.eval_runs, 0xe7a1, spec.threads);
-    (finals.len(), Some(ev))
+    let ev = (!finals.is_empty() && scale.eval_runs > 0).then(|| {
+        let ads: Vec<Advertiser> = finals
+            .iter()
+            .map(|f| Advertiser::new(f.budget, f.cpe, f.topics.clone()))
+            .collect();
+        let probs: Vec<Vec<f32>> = finals
+            .iter()
+            .map(|f| dataset.topic_probs.project(&f.topics))
+            .collect();
+        let ctp = CtpTable::direct(finals.iter().map(|f| vec![f.ctp; n]).collect());
+        let problem = ProblemInstance::new(
+            &dataset.graph,
+            ads,
+            probs,
+            ctp,
+            Attention::Uniform(spec.kappa),
+            spec.lambda,
+        );
+        alloc
+            .validate(&problem)
+            .expect("serving layer produced an invalid allocation");
+        evaluate(&problem, &alloc, scale.eval_runs, 0xe7a1, spec.threads)
+    });
+    let ev = ev.as_ref();
+    let allocator = if spec.serving_repl {
+        "SERVING-REPL"
+    } else if spec.serving {
+        "SERVING"
+    } else {
+        "ONLINE"
+    };
+    BenchCell {
+        id: spec.id(),
+        dataset: dataset.kind.name().to_string(),
+        prob_model: spec.model.name().to_string(),
+        allocator: allocator.to_string(),
+        threads: spec.threads,
+        kappa: spec.kappa,
+        lambda: spec.lambda,
+        seed,
+        nodes: n,
+        edges: dataset.graph.num_edges(),
+        ads: finals.len(),
+        theta: snap.total_rr_sets,
+        total_seeds: alloc.total_seeds(),
+        distinct_targeted: alloc.distinct_targeted(),
+        total_regret: ev.map_or(0.0, |e| e.regret.total()),
+        relative_regret: ev.map_or(0.0, |e| e.regret.relative_regret()),
+        revenue: ev.map_or(0.0, |e| e.regret.total_revenue()),
+        memory_bytes: snap.engine_memory_bytes,
+        // The serving layers fold postings accounting into their own
+        // memory story; the layout ratio is a batch-cell metric.
+        bytes_per_posting: 0.0,
+        wall_s,
+    }
 }
 
-/// [`run_scenario`] on a pre-generated dataset — the suite loop caches
-/// instances per `(dataset, model)`. The caller must pass the dataset
-/// generated with `spec.problem_seed(base_seed)` at the same scale.
-fn run_scenario_on(
+/// Runs one batch cell on a pre-generated dataset: build the §6.1
+/// quality or §6.2 scalability instance, allocate, MC-evaluate.
+fn run_batch_cell(
     dataset: &Dataset,
     spec: &ScenarioSpec,
     scale: &ScaleConfig,

@@ -364,6 +364,22 @@ fn replicated_cell_converges() {
 }
 
 #[test]
+fn two_replicated_cells_of_one_spec_run_at_once() {
+    // Same spec, same base seed, same process, at the same time: each
+    // cell's leader and follower need state dirs of their own, or one
+    // cell's WAL lands in the other's and the first to finish deletes
+    // the other's dirs mid-run. The runner asserts convergence.
+    let s = replicated_spec(DatasetKind::Epinions, ProbModel::Exponential, 2);
+    let scale = tiny_scale();
+    let [a, b] = std::thread::scope(|sc| {
+        [(); 2]
+            .map(|()| sc.spawn(|| run_scenario(&s, &scale, 0x71a6_5eed)))
+            .map(|h| h.join().expect("replicated cell panicked"))
+    });
+    assert_eq!(diff_cell(&a, &b), [], "both runs serve the same log");
+}
+
+#[test]
 fn serving_and_online_cells_agree_on_the_engine() {
     // Same grid point, same seeds: the network cell's drained
     // allocation quality must match what the in-process cell computes —

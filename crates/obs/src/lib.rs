@@ -1,10 +1,9 @@
 //! `tirm_obs`: zero-perturbation observability for the tirm stack.
 //!
 //! A process-wide metrics registry (sharded atomic [`Counter`]s,
-//! [`Gauge`]s, fixed-bucket log2 [`Histogram`]s), a span-timing macro
-//! ([`time!`]), and two exposition renderers (Prometheus text in
-//! [`prom`], a deterministic JSON dump in [`registry`]) served over std
-//! TCP by [`http`].
+//! [`Gauge`]s, fixed-bucket log2 [`Histogram`]s) and two exposition
+//! renderers (Prometheus text in [`prom`], a deterministic JSON dump in
+//! [`registry`]) served over std TCP by [`http`].
 //!
 //! # Out-of-band by construction
 //!

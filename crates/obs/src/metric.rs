@@ -314,26 +314,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Times a block against a [`Histogram`] (nanosecond resolution) and
-/// yields the block's value:
-///
-/// ```
-/// use tirm_obs::Histogram;
-/// static H: Histogram = Histogram::new();
-/// let x = tirm_obs::time!(&H, { 2 + 2 });
-/// assert_eq!(x, 4);
-/// assert_eq!(H.count(), 1);
-/// ```
-#[macro_export]
-macro_rules! time {
-    ($hist:expr, $body:expr) => {{
-        let __obs_t0 = ::std::time::Instant::now();
-        let __obs_out = $body;
-        ($hist).record_duration(__obs_t0.elapsed());
-        __obs_out
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,19 +440,5 @@ mod tests {
         let mut n = other.snapshot();
         n.merge(&s);
         assert_eq!(n.exemplar_trace, 42);
-    }
-
-    #[test]
-    fn time_macro_yields_value_and_records() {
-        static H: Histogram = Histogram::new();
-        let out = crate::time!(&H, {
-            std::thread::sleep(Duration::from_millis(1));
-            42
-        });
-        assert_eq!(out, 42);
-        assert_eq!(H.count(), 1);
-        let s = H.snapshot();
-        // 1ms sleep lands at or above bucket_index(1_000_000) = 20.
-        assert!(s.max_bucket().unwrap() >= 20);
     }
 }

@@ -1,4 +1,4 @@
-//! Exact-sample latency store, used by drivers (replay, loadgen) whose
+//! Exact-sample latency store, used by the event-log replay, whose
 //! sample populations are small enough to keep verbatim.
 //!
 //! This is deliberately distinct from the registry's bucketed

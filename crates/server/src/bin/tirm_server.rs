@@ -3,14 +3,15 @@
 //! `shutdown` request.
 //!
 //! ```text
-//! # terminal 1 — serve an EPINIONS-like network on port 7401
+//! # serve an EPINIONS-like network on port 7401
 //! cargo run -p tirm_server --bin tirm_server --release -- \
 //!     --dataset EPINIONS --bind 127.0.0.1:7401
-//!
-//! # terminal 2 — drive it (see `loadgen` in tirm_bench)
-//! cargo run -p tirm_bench --bin loadgen --release -- \
-//!     --addr 127.0.0.1:7401 --events 200 --readers 4 --shutdown
 //! ```
+//!
+//! Any wire client (`tirm_server::Client`) can then drive it. The
+//! `soak` bin in tirm_bench spawns this binary itself, drives an event
+//! log through it and SIGKILLs it mid-stream (`--followers N` adds
+//! replicas).
 //!
 //! Flags:
 //! * `--dataset NAME`   — FLIXSTER | EPINIONS | DBLP | LIVEJOURNAL

@@ -14,7 +14,7 @@ use tirm_online::{EventKind, OnlineAllocator, OnlineStats};
 
 /// Exact-sample latency store, now shared workspace-wide from
 /// [`tirm_obs`]. Re-exported under its historical name so report fields
-/// and downstream callers (loadgen, the bench suite) are unchanged; its
+/// and downstream callers (`online_replay`, the bench suite) are unchanged; its
 /// nearest-rank percentile semantics are pinned by tests in `tirm_obs`.
 pub use tirm_obs::SampleHistogram as LatencyHistogram;
 
