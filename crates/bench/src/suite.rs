@@ -523,6 +523,14 @@ fn served_cell(
     } else {
         "ONLINE"
     };
+    // A served engine's RR capital depends on where its writer cut the
+    // batches, which is timing: only the payload is pinned there. The
+    // ONLINE cell of the same grid point pins θ and memory.
+    let (theta, memory_bytes) = if spec.serving || spec.serving_repl {
+        (0, 0)
+    } else {
+        (snap.total_rr_sets, snap.engine_memory_bytes)
+    };
     BenchCell {
         id: spec.id(),
         dataset: dataset.kind.name().to_string(),
@@ -535,13 +543,13 @@ fn served_cell(
         nodes: n,
         edges: dataset.graph.num_edges(),
         ads: finals.len(),
-        theta: snap.total_rr_sets,
+        theta,
         total_seeds: alloc.total_seeds(),
         distinct_targeted: alloc.distinct_targeted(),
         total_regret: ev.map_or(0.0, |e| e.regret.total()),
         relative_regret: ev.map_or(0.0, |e| e.regret.relative_regret()),
         revenue: ev.map_or(0.0, |e| e.regret.total_revenue()),
-        memory_bytes: snap.engine_memory_bytes,
+        memory_bytes,
         // The serving layers fold postings accounting into their own
         // memory story; the layout ratio is a batch-cell metric.
         bytes_per_posting: 0.0,

@@ -316,8 +316,12 @@ fn serving_cell_reports_the_network_frontend() {
     );
     assert!(cell.id.starts_with("SERVING/"));
     assert_eq!(cell.allocator, "SERVING");
-    assert!(cell.theta > 0, "drained snapshot carries the RR capital");
-    assert!(cell.memory_bytes > 0);
+    // The payload is pinned; the capital behind it depends on batch cuts.
+    assert!(
+        cell.ads > 0 && cell.distinct_targeted > 0,
+        "drained snapshot carries an allocation"
+    );
+    assert_eq!((cell.theta, cell.memory_bytes), (0, 0));
     assert!(cell.total_seeds > 0 && cell.wall_s > 0.0);
 }
 
@@ -359,7 +363,12 @@ fn replicated_cell_converges() {
     );
     assert!(cell.id.starts_with("SERVING-REPL/"));
     assert_eq!(cell.allocator, "SERVING-REPL");
-    assert!(cell.theta > 0, "drained snapshot carries the RR capital");
+    // The payload is pinned; the capital behind it depends on batch cuts.
+    assert!(
+        cell.ads > 0 && cell.distinct_targeted > 0,
+        "drained snapshot carries an allocation"
+    );
+    assert_eq!((cell.theta, cell.memory_bytes), (0, 0));
     assert!(cell.total_seeds > 0 && cell.wall_s > 0.0);
 }
 

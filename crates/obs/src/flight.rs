@@ -186,7 +186,7 @@ pub fn now_ns() -> u64 {
 
 /// Sets this thread's current trace id — the id downstream write-side
 /// code that doesn't carry one explicitly (the allocator's exemplar
-/// hook, the snapshot swap's publish stage) attributes its work to.
+/// hooks) attributes its work to.
 /// 0 clears it.
 pub fn set_current_trace(trace: u64) {
     CURRENT_TRACE.with(|c| c.set(trace));

@@ -38,6 +38,7 @@ use crate::events::{AdId, EventKind, EventOutcome, OnlineError, OnlineEvent};
 use crate::pool::RetainedPool;
 use crate::snapshot::{AdSnapshot, AllocationSnapshot};
 use std::sync::Arc;
+use std::time::Instant;
 use tirm_core::{
     ad_regret, tirm_allocate_warm, AdSeeds, AdWarmState, Advertiser, Allocation, Attention,
     ProblemInstance, TirmOptions,
@@ -57,8 +58,9 @@ pub struct OnlineConfig {
     pub kappa: u32,
     /// Seed-set size penalty λ.
     pub lambda: f64,
-    /// Reconcile after every mutating event (default). When off, events
-    /// only update the campaign model and an explicit
+    /// Reconcile after every applied batch of events (default; see
+    /// [`OnlineAllocator::apply`] — a single event is a batch of one).
+    /// When off, events only update the campaign model and an explicit
     /// [`OnlineEvent::Reallocate`] batches the work.
     pub auto_reallocate: bool,
     /// Byte budget of the retained pool: departed ads' index shards are
@@ -168,67 +170,117 @@ impl<'g> OnlineAllocator<'g> {
         }
     }
 
-    /// Processes one event. Mutating events update the campaign model
-    /// and (unless [`OnlineConfig::auto_reallocate`] is off) reconcile
-    /// the allocation before returning.
+    /// Processes one event: [`Self::apply`] on a batch of one.
     pub fn process(&mut self, event: &OnlineEvent) -> Result<EventOutcome, OnlineError> {
-        // Observability wrapper: time the whole apply (including
-        // reconciliation) into the per-kind registry histogram.
-        // Write-only — the outcome is untouched.
-        let t0 = std::time::Instant::now();
-        let out = self.process_impl(event);
-        let nanos = t0.elapsed().as_nanos() as u64;
-        let kind_name = event.kind().name();
-        if let Some(h) = tirm_obs::registry::apply_latency_for(kind_name) {
-            // Exemplar: link the slowest apply to its lineage trace
-            // (0 outside a serving writer — recorded plainly).
-            h.record_traced(nanos, tirm_obs::flight::current_trace());
+        self.apply(std::slice::from_ref(event))
+            .pop()
+            .expect("apply answers every event")
+    }
+
+    /// Applies `events` in order and reconciles once for the whole
+    /// batch. Each event is validated, rejected or applied to the
+    /// campaign model, and bumps the epoch, exactly as it would alone;
+    /// only the reconciliation is shared. (With
+    /// [`OnlineConfig::auto_reallocate`] off nothing reconciles but a
+    /// `Reallocate`, so a batch is the events one by one.)
+    ///
+    /// The allocation is a pure function of the campaign model, so the
+    /// state after the batch is bit-identical to processing its events
+    /// one at a time; only the RR capital held along the way (θ, pool
+    /// contents, `memory_bytes`) depends on where batches were cut. A
+    /// `Reallocate` or `RegretQuery` inside the batch reconciles what
+    /// came before it first, so it answers what per-event processing
+    /// would. An applied event's outcome reports the reconciliation
+    /// that covered it; that run's fresh RR sets are counted on the last
+    /// event it covered.
+    pub fn apply(&mut self, events: &[OnlineEvent]) -> Vec<Result<EventOutcome, OnlineError>> {
+        let mut out = Vec::with_capacity(events.len());
+        // Applied events the next reconciliation covers: their place in
+        // `out` and when each started.
+        let mut pending: Vec<(usize, Instant)> = Vec::new();
+        for event in events {
+            let t0 = Instant::now();
+            self.stats.events += 1;
+            let kind = event.kind();
+            let mutated = match event {
+                OnlineEvent::AdArrival {
+                    id,
+                    budget,
+                    cpe,
+                    topics,
+                    ctp,
+                } => self.arrive(*id, *budget, *cpe, topics, *ctp),
+                OnlineEvent::BudgetTopUp { id, amount } => self.top_up(*id, *amount),
+                OnlineEvent::AdDeparture { id } => self.depart(*id),
+                OnlineEvent::Reallocate => Ok(()),
+                OnlineEvent::RegretQuery => {
+                    self.settle(&mut out, &mut pending, self.cfg.auto_reallocate);
+                    out.push(Ok(EventOutcome {
+                        kind,
+                        reallocated: false,
+                        fast_path: true,
+                        regret: Some(self.regret_estimate()),
+                        fresh_rr_sets: 0,
+                    }));
+                    record_apply_latency(kind, t0);
+                    continue;
+                }
+            };
+            if let Err(e) = mutated {
+                out.push(Err(e));
+                record_apply_latency(kind, t0);
+                continue;
+            }
+            self.epoch += 1;
+            out.push(Ok(EventOutcome {
+                kind,
+                // A departure withdraws its seeds at once, so the
+                // standing allocation changed even when nothing needs
+                // recomputing.
+                reallocated: kind == EventKind::Departure,
+                fast_path: true,
+                regret: None,
+                fresh_rr_sets: 0,
+            }));
+            pending.push((out.len() - 1, t0));
+            let force = kind == EventKind::Reallocate;
+            if force || !self.cfg.auto_reallocate {
+                self.settle(&mut out, &mut pending, force);
+            }
         }
+        self.settle(&mut out, &mut pending, self.cfg.auto_reallocate);
         out
     }
 
-    fn process_impl(&mut self, event: &OnlineEvent) -> Result<EventOutcome, OnlineError> {
-        self.stats.events += 1;
-        let kind = event.kind();
+    /// Reconciles (when `reconcile`) on behalf of the `pending` events,
+    /// reports the run on their outcomes and records their apply
+    /// latency: from each event's start to the end of the run that
+    /// covered it.
+    fn settle(
+        &mut self,
+        out: &mut [Result<EventOutcome, OnlineError>],
+        pending: &mut Vec<(usize, Instant)>,
+        reconcile: bool,
+    ) {
+        let Some(&(last, _)) = pending.last() else {
+            return;
+        };
         let fresh_before = self.stats.fresh_rr_sets;
-        match event {
-            OnlineEvent::AdArrival {
-                id,
-                budget,
-                cpe,
-                topics,
-                ctp,
-            } => self.arrive(*id, *budget, *cpe, topics, *ctp)?,
-            OnlineEvent::BudgetTopUp { id, amount } => self.top_up(*id, *amount)?,
-            OnlineEvent::AdDeparture { id } => self.depart(*id)?,
-            OnlineEvent::Reallocate => {}
-            OnlineEvent::RegretQuery => {
-                return Ok(EventOutcome {
-                    kind,
-                    reallocated: false,
-                    fast_path: true,
-                    regret: Some(self.regret_estimate()),
-                    fresh_rr_sets: 0,
-                });
-            }
-        }
-        let force = kind == EventKind::Reallocate;
-        let (reconciled, fast_path) = if self.cfg.auto_reallocate || force {
+        let (reconciled, fast_path) = if reconcile {
             self.reconcile()
         } else {
             (false, true)
         };
-        // A departure withdraws its seeds immediately, so the standing
-        // allocation changed even when no recomputation was needed.
-        let reallocated = reconciled || kind == EventKind::Departure;
-        self.epoch += 1;
-        Ok(EventOutcome {
-            kind,
-            reallocated,
-            fast_path,
-            regret: None,
-            fresh_rr_sets: self.stats.fresh_rr_sets - fresh_before,
-        })
+        for &(i, t0) in pending.iter() {
+            let outcome = out[i].as_mut().expect("only applied events are pending");
+            outcome.reallocated |= reconciled;
+            outcome.fast_path = fast_path;
+            if i == last {
+                outcome.fresh_rr_sets = self.stats.fresh_rr_sets - fresh_before;
+            }
+            record_apply_latency(outcome.kind, t0);
+        }
+        pending.clear();
     }
 
     fn arrive(
@@ -479,7 +531,7 @@ impl<'g> OnlineAllocator<'g> {
     /// O(live ads + Σ|S_i|) — no RR capital is copied — and the result
     /// owns all its data, so it can cross threads behind the `Arc` while
     /// the allocator keeps mutating. This is what the serving frontend
-    /// publishes after every applied event and what
+    /// publishes after every applied batch and what
     /// `online_replay --dump-final` writes.
     pub fn snapshot(&self) -> Arc<AllocationSnapshot> {
         Arc::new(AllocationSnapshot {
@@ -575,6 +627,19 @@ impl<'g> OnlineAllocator<'g> {
     /// The configuration the allocator runs under.
     pub fn config(&self) -> &OnlineConfig {
         &self.cfg
+    }
+}
+
+/// Times one event's apply into the per-kind registry histogram.
+/// Write-only: no outcome depends on it. The exemplar links the slowest
+/// apply to the writer's current lineage trace (0 outside a serving
+/// writer, recorded plainly).
+fn record_apply_latency(kind: EventKind, t0: Instant) {
+    if let Some(h) = tirm_obs::registry::apply_latency_for(kind.name()) {
+        h.record_traced(
+            t0.elapsed().as_nanos() as u64,
+            tirm_obs::flight::current_trace(),
+        );
     }
 }
 

@@ -24,7 +24,7 @@
 //!   replica stands relative to its leader (lag, apply backlog,
 //!   fencing epoch).
 //! * [`snapshot`] — [`AllocationSnapshot`], the immutable read-model a
-//!   serving frontend publishes after every applied event
+//!   serving frontend publishes after every applied batch
 //!   ([`OnlineAllocator::snapshot`] extracts one in O(live ads + seeds));
 //!   readers answer queries from it without ever touching the allocator.
 //!

@@ -2,7 +2,7 @@
 //!
 //! An [`AllocationSnapshot`] is the read-model of the serving layer: the
 //! writer that owns the [`crate::OnlineAllocator`] extracts one after
-//! every applied mutating event and publishes it; any number of readers
+//! every applied batch of events and publishes it; any number of readers
 //! then answer allocation/regret/stats queries from the snapshot without
 //! ever touching the allocator. Snapshots are plain owned data (no
 //! borrows into the allocator, no interior mutability), so sharing them
@@ -96,7 +96,7 @@ impl AllocationSnapshot {
 
     /// Exact bytes this snapshot itself occupies — the struct, the ad
     /// table, and every seed vector. This is the publication cost a
-    /// snapshot-swapped read path pays per mutating event, and what a
+    /// snapshot-swapped read path pays per published batch, and what a
     /// bounded snapshot history would budget on.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()

@@ -6,19 +6,23 @@
 //! open:    recover (checkpoint + log tail) → Wal::open at the frontier
 //!          → announce epoch and frontiers
 //! commit:  append × n → fsync (once) → advance the frontier and wake
-//!          the parked replication polls → apply → publish per applied
-//!          event → checkpoint + prune
+//!          the parked replication polls → apply (one reconciliation)
+//!          → publish (once) → checkpoint + prune
 //! finish:  wind-down checkpoint
 //! ```
 //!
-//! A leader's writer thread feeds [`DurableState::commit`] from its
-//! admission queue, a follower's apply loop feeds it the pages it
-//! polls from the leader, and a restart is `open` over what either
-//! left on disk. The feeders differ in where a batch comes from and
-//! how large it is; what happens to a batch does not, so one argument
-//! covers leader ≡ follower ≡ recovered: every copy applies the same
-//! frames in the same order to the same starting image, and nothing it
-//! applies is ever ahead of its own log.
+//! A leader's writer thread feeds [`DurableState::commit`] with
+//! everything its admission queue holds, a follower's apply loop feeds
+//! it the pages it polls from the leader, and a restart is `open` over
+//! what either left on disk, replaying the tail one event at a time.
+//! The feeders differ in where a batch comes from and how large it is;
+//! what happens to a batch does not, so one argument covers leader ≡
+//! follower ≡ recovered: every copy applies the same frames in the same
+//! order to the same starting image, the allocation after any prefix of
+//! them is a pure function of that prefix, and nothing a copy applies
+//! is ever ahead of its own log. Copies cut different batches, so they
+//! publish different *subsets* of the epochs, but every epoch any copy
+//! publishes carries the same bits on all of them.
 
 use crate::protocol::Role;
 use crate::server::{DurabilityConfig, Shared};
@@ -144,12 +148,17 @@ impl<'g> DurableState<'g> {
     /// trace id of `batch[0]`; a follower passes the leader's, so its
     /// stages extend the leader's timeline for the same mutation.
     ///
-    /// Each event is applied and published on its own, so every copy
-    /// of the state publishes the same sequence of snapshots. A rejected
-    /// event changed nothing (and didn't bump the epoch), so it skips
-    /// the O(ads + seeds) snapshot copy and the reader refresh it would
-    /// force; rejection is deterministic, so every copy of the state
-    /// counts the same ones.
+    /// The batch is applied with **one** [`OnlineAllocator::apply`] —
+    /// every event validated and counted on its own, one reconciliation
+    /// for all of them — and published as **one** snapshot, at the
+    /// batch's last epoch. The allocation is a pure function of the
+    /// events applied, so whatever batches a copy of the state cut, the
+    /// snapshot it publishes at an epoch is the same bits as every other
+    /// copy's at that epoch. Each event's timeline gets the shared
+    /// apply and publish spans, as each frame gets the shared fsync. A
+    /// rejected event changed nothing (and didn't bump the epoch); a
+    /// batch that applied nothing publishes nothing. Rejection is
+    /// deterministic, so every copy of the state counts the same ones.
     ///
     /// An `Err` is a log or checkpoint I/O failure: the state on disk is
     /// still a consistent prefix, but this process can no longer vouch
@@ -196,17 +205,29 @@ impl<'g> DurableState<'g> {
             }
         };
 
-        for (trace, ev) in traces.zip(batch) {
-            flight::set_current_trace(trace);
-            let apply_start = flight::now_ns();
-            let outcome = self.allocator.process(ev);
-            flight::record_since(trace, apply_stage, apply_start);
+        // Work done on behalf of the whole batch (the allocator's
+        // exemplars) is pinned to its newest trace, like the fsync's.
+        flight::set_current_trace(first_trace.wrapping_add(n.saturating_sub(1)));
+        let epoch = self.allocator.epoch();
+        let apply_start = flight::now_ns();
+        let outcomes = self.allocator.apply(batch);
+        let apply_end = flight::now_ns();
+        let published = self.allocator.epoch() != epoch;
+        if published {
+            self.swap.publish(self.allocator.snapshot());
+        }
+        let publish_end = flight::now_ns();
+        flight::set_current_trace(0);
+        for (trace, outcome) in traces.zip(&outcomes) {
+            flight::record(trace, apply_stage, apply_start, apply_end);
             match outcome {
-                Ok(_) => self.swap.publish(self.allocator.snapshot()),
+                Ok(_) if published => {
+                    flight::record(trace, Stage::Publish, apply_end, publish_end);
+                }
+                Ok(_) => {}
                 Err(_) => self.count_rejected(),
             }
         }
-        flight::set_current_trace(0);
         if role == Role::Leader {
             // The batch came off the admission queue: it is no longer
             // in flight once applied, whatever the checkpoint below

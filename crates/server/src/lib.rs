@@ -24,7 +24,7 @@
 //!   loop and a restart all go through.
 //! * [`swap`] — the snapshot-swap cell: the writer publishes an
 //!   immutable [`tirm_online::AllocationSnapshot`] after every applied
-//!   event; readers serve queries from a cached `Arc` without ever
+//!   batch; readers serve queries from a cached `Arc` without ever
 //!   blocking on allocator work.
 //! * [`server`] — [`serve`]: one writer thread owns the allocator and
 //!   drains a **bounded** MPSC queue; admission control sheds mutations

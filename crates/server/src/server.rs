@@ -16,8 +16,8 @@
 //!                      │                          full ⇒ typed Overloaded,
 //!                      ▼                          never a blocked accept
 //!             writer thread (owns the DurableState)
-//!                      │ commit: log → fsync → apply, and after
-//!                      ▼ each applied event
+//!                      │ commit everything queued: log → fsync →
+//!                      ▼ apply, then once per batch
 //!             SnapshotSwap::publish(Arc<AllocationSnapshot>)
 //! ```
 //!
@@ -94,8 +94,9 @@ pub struct ServerConfig {
     pub online: OnlineConfig,
     /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
     pub bind: String,
-    /// Write-queue bound: mutations beyond this many queued + in-flight
-    /// are shed with [`Response::Overloaded`]. Must be ≥ 1.
+    /// Write-queue bound: a mutation that would put more than
+    /// `queue_depth + 1` queued or in the writer's batch is shed with
+    /// [`Response::Overloaded`]. Must be ≥ 1.
     pub queue_depth: usize,
     /// Connection admission bound: connections beyond this many open at
     /// once are answered with one `Overloaded` frame and closed.
@@ -635,6 +636,7 @@ pub(crate) fn run_server<'g, R, T: Send>(
     })?;
     let (swap, shared) = (state.swap.clone(), state.shared.clone());
     let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(cfg.queue_depth);
+    let (read_poll, queue_depth) = (cfg.read_poll, cfg.queue_depth);
     let handle = ServerHandle {
         addr,
         swap: swap.clone(),
@@ -670,7 +672,7 @@ pub(crate) fn run_server<'g, R, T: Send>(
                 shared.connections_total.fetch_add(1, Ordering::Relaxed);
                 let (tx, swap) = (tx.clone(), swap.clone());
                 s.spawn(move || {
-                    handle_connection(stream, tx, swap, shared, ctx, cfg.read_poll);
+                    handle_connection(stream, tx, swap, shared, ctx, read_poll, queue_depth);
                     shared.connections_open.fetch_sub(1, Ordering::Relaxed);
                 });
             }
@@ -714,24 +716,35 @@ pub(crate) struct Admitted {
     pub(crate) enqueue_ns: u64,
 }
 
-/// The leader's feeder: takes admitted mutations off the queue and
-/// commits them one at a time, until every sender has hung up and the
-/// queue is empty.
+/// The leader's feeder: blocks for the next admitted mutation, takes
+/// everything else already queued behind it, and commits the lot as
+/// one batch — one fsync, one reconciliation, one publish — until every
+/// sender has hung up and the queue is empty. A lone mutation is a
+/// batch of one; a backlog is drained in as many commits as it takes
+/// the writer to catch up, instead of one per event.
 ///
 /// A commit failure is fatal by design: continuing would hand out
 /// `Accepted` responses for mutations that can never be recovered. The
 /// panic propagates through the scope join, tearing the server down
 /// loudly instead of serving silently non-durable writes.
 fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>) {
-    while let Ok(a) = rx.recv() {
+    while let Ok(first) = rx.recv() {
+        let admitted: Vec<Admitted> = std::iter::once(first).chain(rx.try_iter()).collect();
         let dequeue_ns = flight::now_ns();
-        // The event lands at log position `seq`, which names its trace:
-        // record the admission-side stages now that it is known.
-        let trace = state.seq() + 1;
-        flight::record(trace, Stage::Admit, a.admit_ns, a.enqueue_ns);
-        flight::record(trace, Stage::Queue, a.enqueue_ns, dequeue_ns);
+        // The batch lands at log positions `seq..`, which name its
+        // traces: record the admission-side stages now that they are
+        // known.
+        let first_trace = state.seq() + 1;
+        let events: Vec<OnlineEvent> = (first_trace..)
+            .zip(admitted)
+            .map(|(trace, a)| {
+                flight::record(trace, Stage::Admit, a.admit_ns, a.enqueue_ns);
+                flight::record(trace, Stage::Queue, a.enqueue_ns, dequeue_ns);
+                a.ev
+            })
+            .collect();
         state
-            .commit(&[a.ev], trace, Role::Leader)
+            .commit(&events, first_trace, Role::Leader)
             .expect("durable commit failed");
     }
 }
@@ -774,6 +787,7 @@ pub(crate) fn handle_connection(
     shared: &Shared,
     ctx: &ReplicaCtx,
     read_poll: Duration,
+    queue_depth: usize,
 ) {
     // The write timeout bounds a peer that stops *reading*: without it,
     // a full kernel send buffer would block the handler in `write_all`
@@ -811,7 +825,7 @@ pub(crate) fn handle_connection(
                 .into()
             }
             Ok(Request::Mutate(ev)) => match ctx.role {
-                Role::Leader => admit(&ev, &tx, &mut reader, shared),
+                Role::Leader => admit(&ev, &tx, &mut reader, shared, queue_depth),
                 // A follower never admits writes — the typed redirect
                 // names the leader so a client can fail over in one
                 // hop instead of probing the pool.
@@ -922,18 +936,25 @@ pub(crate) fn handle_connection(
 
 /// Admission control for one mutation: count it into the queue depth
 /// first (so the writer's decrement can never race below zero), then
-/// try to enqueue; a full queue rolls the count back and sheds.
+/// try to enqueue; a count past `queue_depth + 1` or a full queue rolls
+/// the count back and sheds. The count is the bound that matters: the
+/// writer holds its drained batch outside the channel until applied,
+/// so the channel alone would let another `queue_depth` in behind it.
 fn admit(
     ev: &OnlineEvent,
     tx: &SyncSender<Admitted>,
     reader: &mut SnapshotReader,
     shared: &Shared,
+    queue_depth: usize,
 ) -> Response {
     // Stamp the flight clock on entry; the writer records the admit and
     // queue stages retroactively once the WAL append assigns this
     // mutation's position (= its trace id).
     let admit_ns = flight::now_ns();
     let depth = shared.queue_len.fetch_add(1, Ordering::Relaxed) + 1;
+    if depth > queue_depth + 1 {
+        return shed(shared, depth);
+    }
     let enqueue_ns = flight::now_ns();
     match tx.try_send(Admitted {
         ev: ev.clone(),
@@ -950,18 +971,21 @@ fn admit(
                 queue_depth: depth,
             }
         }
-        Err(TrySendError::Full(_)) => {
-            shared.queue_len.fetch_sub(1, Ordering::Relaxed);
-            shared.shed.fetch_add(1, Ordering::Relaxed);
-            tirm_obs::registry::SERVER_SHED.inc();
-            Response::Overloaded {
-                queue_depth: depth - 1,
-            }
-        }
+        Err(TrySendError::Full(_)) => shed(shared, depth),
         Err(TrySendError::Disconnected(_)) => {
             shared.queue_len.fetch_sub(1, Ordering::Relaxed);
             Response::ShuttingDown
         }
+    }
+}
+
+/// Refuses a mutation [`admit`] had counted in at `depth`.
+fn shed(shared: &Shared, depth: usize) -> Response {
+    shared.queue_len.fetch_sub(1, Ordering::Relaxed);
+    shared.shed.fetch_add(1, Ordering::Relaxed);
+    tirm_obs::registry::SERVER_SHED.inc();
+    Response::Overloaded {
+        queue_depth: depth - 1,
     }
 }
 

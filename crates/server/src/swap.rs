@@ -127,16 +127,9 @@ impl SnapshotSwap {
     /// reader's `Acquire` — a reader that sees version `v` and then
     /// loads the slot gets a snapshot at least as new as `v`).
     pub fn publish(&self, snapshot: Arc<AllocationSnapshot>) {
-        let start_ns = tirm_obs::flight::now_ns();
         *self.slot.lock().expect("snapshot slot poisoned") = (snapshot, None);
         self.version.fetch_add(1, Ordering::Release);
         tirm_obs::registry::SNAPSHOT_PUBLISHES.inc();
-        // Attribute the publication to whatever mutation the calling
-        // writer is applying (0 outside an apply — recorded as no-op).
-        let trace = tirm_obs::flight::current_trace();
-        if trace != 0 {
-            tirm_obs::flight::record_since(trace, tirm_obs::flight::Stage::Publish, start_ns);
-        }
     }
 
     /// Publications so far.
