@@ -187,7 +187,11 @@ fn main() -> ExitCode {
             ..OnlineConfig::default()
         },
     );
+    // Resumed runs are full runs to `OnlineStats`; the registry tells
+    // them apart.
+    let resumed_before = tirm_obs::registry::RESUMED_RECONCILIATIONS.get();
     let report = replay(&mut allocator, &log);
+    let resumed = tirm_obs::registry::RESUMED_RECONCILIATIONS.get() - resumed_before;
 
     let mut t = Table::new(&["event", "count", "p50 µs", "p95 µs", "p99 µs", "max µs"]);
     let mut rows = Vec::new();
@@ -222,9 +226,10 @@ fn main() -> ExitCode {
     );
     println!("{}", t.render());
     println!(
-        "throughput {:.1} events/s | reallocations {} full / {} delta | {} fresh RR sets ({} cached) | {} shard reclaims",
+        "throughput {:.1} events/s | reallocations {} full ({} resumed) / {} delta | {} fresh RR sets ({} cached) | {} shard reclaims",
         report.events_per_s,
         stats.full_reallocations,
+        resumed,
         stats.delta_reallocations,
         stats.fresh_rr_sets,
         allocator.total_rr_sets(),
@@ -267,6 +272,7 @@ fn main() -> ExitCode {
             "fresh_rr_sets": stats.fresh_rr_sets,
             "total_rr_sets": allocator.total_rr_sets(),
             "full_reallocations": stats.full_reallocations,
+            "resumed_reallocations": resumed,
             "delta_reallocations": stats.delta_reallocations,
             "shard_reclaims": stats.shard_reclaims,
             "final_live_ads": allocator.num_live(),

@@ -19,8 +19,8 @@ pub use greedy_irie::{greedy_irie_allocate, GreedyIrieOptions};
 pub use myopic::myopic_allocate;
 pub use myopic_plus::myopic_plus_allocate;
 pub use tirm::{
-    tirm_allocate, tirm_allocate_seeded, tirm_allocate_warm, AdSeeds, AdWarmState, RelabelMode,
-    TirmOptions, WarmCounts,
+    tirm_allocate, tirm_allocate_resumable, tirm_allocate_seeded, tirm_allocate_warm, AdSeeds,
+    AdWarmState, RelabelMode, ResumableRun, RunRecord, TirmOptions, WarmCounts,
 };
 
 /// Numerical tolerance for "strictly decreasing regret" tests: guards

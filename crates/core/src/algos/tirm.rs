@@ -28,6 +28,10 @@
 //! samples (Eq. 5) and refreshes existing seeds' coverage credit
 //! (Algorithm 4 `UpdateEstimates`).
 
+mod resume;
+
+pub use resume::RunRecord;
+
 use crate::algos::DROP_TOL;
 use crate::allocation::Allocation;
 use crate::metrics::AlgoStats;
@@ -457,8 +461,8 @@ pub fn tirm_allocate_seeded(
     ad_seeds: &[AdSeeds],
 ) -> (Allocation, AlgoStats) {
     let warm = (0..problem.num_ads()).map(|_| None).collect();
-    let (alloc, stats, _) = tirm_run(problem, opts, ad_seeds, warm, false);
-    (alloc, stats)
+    let run = tirm_run(problem, opts, ad_seeds, warm, false, None);
+    (run.alloc, run.stats)
 }
 
 /// The warm-start entry point behind the online serving layer: per-ad
@@ -475,19 +479,60 @@ pub fn tirm_allocate_warm(
     ad_seeds: &[AdSeeds],
     warm: Vec<Option<AdWarmState>>,
 ) -> (Allocation, AlgoStats, Vec<AdWarmState>) {
-    tirm_run(problem, opts, ad_seeds, warm, true)
+    let run = tirm_run(problem, opts, ad_seeds, warm, true, None);
+    (run.alloc, run.stats, run.warm)
 }
 
-/// Shared driver behind the three entry points. `want_warm` gates the
-/// θ₀-score base snapshot (an O(n) copy per ad that only pays off when
-/// the caller keeps the warm states).
+/// What [`tirm_allocate_resumable`] hands back.
+pub struct ResumableRun {
+    /// Bit-identical to a cold [`tirm_allocate_seeded`] run.
+    pub alloc: Allocation,
+    /// The run's statistics; `oracle_calls` counts the selections this
+    /// run made, not those it took over from the record.
+    pub stats: AlgoStats,
+    /// The updated per-ad capital, as [`tirm_allocate_warm`] returns it.
+    pub warm: Vec<AdWarmState>,
+    /// The record a later run over the same ads can resume from; `None`
+    /// under [`TirmOptions::exact_drop_selection`], which never records.
+    pub record: Option<RunRecord>,
+    /// Recorded steps this run took over without re-running them, when
+    /// it resumed the record it was handed.
+    pub skipped_steps: Option<usize>,
+}
+
+/// [`tirm_allocate_warm`] that also records its greedy steps, and resumes
+/// from `resume`, the record of an earlier run, when it was taken over
+/// the same ads in the same order — same seed plans, cpe, CTPs and
+/// projected probabilities, same options — with only budgets or λ
+/// changed. Resuming re-runs only the steps from the first one the change
+/// can alter. The result is bit-identical to a cold
+/// [`tirm_allocate_seeded`] run either way, and so is the warm capital
+/// handed back: the KPT estimators are asked what a full run asks them.
+///
+/// Seed plans, cpe, θ₀ and the options are checked; a record that does
+/// not match them is dropped and the run starts from step 0.
+pub fn tirm_allocate_resumable(
+    problem: &ProblemInstance<'_>,
+    opts: TirmOptions,
+    ad_seeds: &[AdSeeds],
+    warm: Vec<Option<AdWarmState>>,
+    resume: Option<RunRecord>,
+) -> ResumableRun {
+    tirm_run(problem, opts, ad_seeds, warm, true, Some(resume))
+}
+
+/// Shared driver behind the entry points. `want_warm` gates the θ₀-score
+/// base snapshot (an O(n) copy per ad that only pays off when the caller
+/// keeps the warm states). `record` is `None` for a run that keeps no
+/// record, else the record to resume from, if any.
 fn tirm_run(
     problem: &ProblemInstance<'_>,
     opts: TirmOptions,
     ad_seeds: &[AdSeeds],
     warm: Vec<Option<AdWarmState>>,
     want_warm: bool,
-) -> (Allocation, AlgoStats, Vec<AdWarmState>) {
+    record: Option<Option<RunRecord>>,
+) -> ResumableRun {
     let start = Instant::now();
     let mut clock = PhaseClock::start();
     let h = problem.num_ads();
@@ -570,9 +615,45 @@ fn tirm_run(
                 st.base = want_warm.then(|| (theta, st.coll.scores().to_vec()));
             }
         }
-        rebuild_heap(&mut st);
-        clock.lap(Phase::HeapBuild);
         states.push(st);
+    }
+
+    // The exact-drop ablation keeps no record: its candidates are not a
+    // pure function of the heap's contents.
+    let fresh = (record.is_some() && !opts.exact_drop_selection)
+        .then(|| RunRecord::new(problem, &opts, ad_seeds, &states));
+    let resume = record
+        .flatten()
+        .filter(|rec| fresh.as_ref().is_some_and(|f| rec.fits(f)));
+    let mut skipped_steps = None;
+    let mut pending = None;
+    let mut record = match resume {
+        Some(mut rec) => {
+            let (skipped, grow) =
+                rec.resume(problem, &mut states, &mut alloc, &bound, nf, &mut clock);
+            skipped_steps = Some(skipped);
+            pending = grow;
+            Some(rec)
+        }
+        None => {
+            for st in &mut states {
+                rebuild_heap(st);
+            }
+            clock.lap(Phase::HeapBuild);
+            fresh
+        }
+    };
+
+    // The grow a resumed run departed from its record at.
+    if let Some((i, grow)) = pending {
+        let st = &mut states[i];
+        if let Some(theta) = grow {
+            grow_theta(problem, st, i, theta, nf, &mut oracle_calls, &mut clock);
+        }
+        if let Some(rec) = &mut record {
+            rec.after_step(i, alloc.seeds(i).len(), grow, st.coll.scores());
+        }
+        clock.lap(Phase::Grow);
     }
 
     // Main loop (Algorithm 2, lines 4–19).
@@ -594,23 +675,29 @@ fn tirm_run(
                 Some(c) => c,
                 None => {
                     st.saturated = true;
+                    if let Some(rec) = &mut record {
+                        rec.evaluated(i, st.revenue, None, true);
+                    }
                     continue;
                 }
             };
-            let budget = problem.target_budget(i);
-            let seeds_len = alloc.seeds(i).len();
-            let current = ad_regret(budget, st.revenue, problem.lambda, seeds_len);
-            let next = ad_regret(budget, st.revenue + mg, problem.lambda, seeds_len + 1);
-            let drop = current - next;
-            if drop <= DROP_TOL {
-                // The best candidate for this ad no longer reduces regret —
-                // the ad is saturated (Algorithm 1's per-pair constraint).
+            let drop = regret_drop(problem, i, st.revenue, mg, alloc.seeds(i).len());
+            // The best candidate for this ad no longer reduces regret —
+            // the ad is saturated (Algorithm 1's per-pair constraint).
+            let saturated = drop <= DROP_TOL;
+            if let Some(rec) = &mut record {
+                rec.evaluated(i, st.revenue, Some(mg), saturated);
+            }
+            if saturated {
                 st.saturated = true;
                 continue;
             }
             if best.is_none_or(|(_, _, d, _, _)| drop > d) {
                 best = Some((i, v, drop, mg, score));
             }
+        }
+        if let Some(rec) = &mut record {
+            rec.step_done(best.map(|b| b.0));
         }
         clock.lap(Phase::Select);
         let (i, v, _drop, mg, _score) = match best {
@@ -628,12 +715,41 @@ fn tirm_run(
         st.revenue += mg;
         st.last_mg = mg;
         st.seeds.push((v, decay, credited));
+        if let Some(rec) = &mut record {
+            rec.committed(i, v, decay, mg, st.coll.union_coverage());
+        }
         clock.lap(Phase::Commit);
 
         // Seed-count growth + sample top-up (lines 14–19).
-        if alloc.seeds(i).len() == st.s_est {
-            grow_and_resample(problem, st, i, &bound, nf, &mut oracle_calls, &mut clock);
+        let k = alloc.seeds(i).len();
+        let mut grow = None;
+        if k == st.s_est {
+            let budget = problem.target_budget(i);
+            let (touched, theta_now) = (st.coll.union_coverage(), st.coll.num_sets());
+            let (s_est, target) = grow_target(
+                budget,
+                st.revenue,
+                st.last_mg,
+                st.s_est,
+                touched,
+                theta_now,
+                &bound,
+                nf,
+                |s| {
+                    clock.lap(Phase::Grow);
+                    st.estimate_kpt(s, &mut clock)
+                },
+            );
+            st.s_est = s_est;
+            grow = target;
+            if let Some(theta) = grow {
+                grow_theta(problem, st, i, theta, nf, &mut oracle_calls, &mut clock);
+            }
             clock.lap(Phase::Grow);
+        }
+        if let Some(rec) = &mut record {
+            rec.after_step(i, k, grow, st.coll.scores());
+            clock.lap(Phase::Commit);
         }
     }
 
@@ -667,7 +783,29 @@ fn tirm_run(
         .collect();
     clock.lap(Phase::Other);
     clock.record();
-    (alloc, stats, warm_out)
+    ResumableRun {
+        alloc,
+        stats,
+        warm: warm_out,
+        record,
+        skipped_steps,
+    }
+}
+
+/// How much ad `ad`'s regret falls when a seed of marginal revenue `mg`
+/// joins its `seeds_len` seeds at revenue `revenue`. The loop and a
+/// resume's scan both decide with it.
+fn regret_drop(
+    problem: &ProblemInstance<'_>,
+    ad: usize,
+    revenue: f64,
+    mg: f64,
+    seeds_len: usize,
+) -> f64 {
+    let budget = problem.target_budget(ad);
+    let current = ad_regret(budget, revenue, problem.lambda, seeds_len);
+    let next = ad_regret(budget, revenue + mg, problem.lambda, seeds_len + 1);
+    current - next
 }
 
 /// `MG_i(v) = cpe(i) · n · δ(v,i) · score / θ`.
@@ -782,73 +920,107 @@ fn select_best_drop(
     best.map(|(v, score, mg, _)| (v, score, mg))
 }
 
-/// Lines 14–19 of Algorithm 2 plus Algorithm 4 (`UpdateEstimates`). The
-/// caller charges what is left on `clock` to `Grow`; the laps in here
-/// only close a stretch of it before a nested phase begins.
-fn grow_and_resample(
-    problem: &ProblemInstance<'_>,
-    st: &mut AdState<'_>,
-    ad: usize,
+/// Lines 15–16 of Algorithm 2 for an ad whose seed count just reached its
+/// estimate `s_est`: the revised estimate, and the θ to grow to when the
+/// revision asks for more sets than the `theta_now` held. `kpt` answers
+/// `KPT(s)`; it is asked only when the estimate grows. A pure function of
+/// its arguments, so a resume can replay it from recorded values.
+#[allow(clippy::too_many_arguments)]
+fn grow_target(
+    budget: f64,
+    revenue: f64,
+    last_mg: f64,
+    s_est: usize,
+    touched: usize,
+    theta_now: usize,
     bound: &SampleBound,
     nf: f64,
-    oracle_calls: &mut usize,
-    clock: &mut PhaseClock,
-) {
-    let budget = problem.target_budget(ad);
-    let budget_regret = (budget - st.revenue).abs();
+    kpt: impl FnOnce(usize) -> f64,
+) -> (usize, Option<usize>) {
+    let budget_regret = (budget - revenue).abs();
     // s_i ← s_i + ⌊R_i(S_i)/MG_last⌋ (line 15). MG_last > 0 by construction.
-    let growth = if st.last_mg > 0.0 && st.revenue < budget {
-        (budget_regret / st.last_mg).floor() as usize
+    let growth = if last_mg > 0.0 && revenue < budget {
+        (budget_regret / last_mg).floor() as usize
     } else {
         0
     };
     if growth == 0 {
-        return;
+        return (s_est, None);
     }
-    st.s_est += growth;
+    let s_est = s_est + growth;
 
     // θ_i ← max(L(s_i, ε), θ_i) (line 16) with the TIM+-style OPT lower
     // bound: the larger of KPT(s_i) and the (1−ε)-discounted CTP-free
     // union-coverage estimate of the current seed set (both are
     // high-probability lower bounds on OPT_{s_i}).
-    clock.lap(Phase::Grow);
-    let kpt = st.estimate_kpt(st.s_est, clock);
-    let theta_now = st.coll.num_sets();
-    let union_est = nf * st.coll.union_coverage() as f64 / theta_now.max(1) as f64;
+    let kpt = kpt(s_est);
+    let union_est = nf * touched as f64 / theta_now.max(1) as f64;
     let opt_lb = kpt.max(union_est * (1.0 - bound.eps)).max(1.0);
-    let theta_needed = bound.theta(st.s_est, opt_lb);
-    if theta_needed > theta_now {
-        let first_new_sid = theta_now as u32;
-        clock.lap(Phase::Grow);
-        st.ensure_theta(theta_needed, oracle_calls, clock);
-        // Algorithm 4: apply existing seeds (in selection order) to the
-        // fresh sets so future marginals stay marginal, crediting the
-        // extra coverage to each seed.
-        for k in 0..st.seeds.len() {
-            let (v, decay, credited) = st.seeds[k];
-            let extra = st.coll.decay_node_from(v, decay, first_new_sid);
-            st.seeds[k] = (v, decay, credited + extra);
-        }
-        // Π_i(S_i) recomputed against the enlarged collection (line 18).
-        let theta_new = st.coll.num_sets() as f64;
-        st.revenue = if decayed_estimates_exact(st) {
-            // Weighted mode: n/θ·Σ_R (1 − w_R) is the unbiased σ_ctp.
-            problem.ads[ad].cpe * nf * st.coll.deficit() / theta_new
+    let theta_needed = bound.theta(s_est, opt_lb);
+    (s_est, (theta_needed > theta_now).then_some(theta_needed))
+}
+
+/// Lines 17–19 of Algorithm 2 plus Algorithm 4 (`UpdateEstimates`): grow
+/// the ad's collection to `theta` sets and bring the seeds, the revenue
+/// estimate and the heap up to date. The caller charges what is left on
+/// `clock` to `Grow`; the laps in here only close a stretch of it before
+/// a nested phase begins.
+fn grow_theta(
+    problem: &ProblemInstance<'_>,
+    st: &mut AdState<'_>,
+    ad: usize,
+    theta: usize,
+    nf: f64,
+    oracle_calls: &mut usize,
+    clock: &mut PhaseClock,
+) {
+    let first_new_sid = st.coll.num_sets() as u32;
+    clock.lap(Phase::Grow);
+    st.ensure_theta(theta, oracle_calls, clock);
+    credit_new_sets(problem, st, ad, first_new_sid, true, nf);
+    // Scores grew for everyone → lazy invalidation is unsound until
+    // the heap is rebuilt.
+    clock.lap(Phase::Grow);
+    rebuild_heap(st);
+    clock.lap(Phase::HeapBuild);
+}
+
+/// Algorithm 4 over the sets from `first_new_sid` on, which a θ growth
+/// just activated: apply the existing seeds to them in selection order so
+/// future marginals stay marginal, credit the extra coverage to each
+/// seed, and recompute `Π_i(S_i)` against the enlarged collection (line
+/// 18). `full = false` does the weight half (see
+/// [`WeightedRrCollection::decay_weights_from`]).
+fn credit_new_sets(
+    problem: &ProblemInstance<'_>,
+    st: &mut AdState<'_>,
+    ad: usize,
+    first_new_sid: u32,
+    full: bool,
+    nf: f64,
+) {
+    for k in 0..st.seeds.len() {
+        let (v, decay, credited) = st.seeds[k];
+        let extra = if full {
+            st.coll.decay_node_from(v, decay, first_new_sid)
         } else {
-            // Hard-removal mode: the paper's Σ δ(v)·cov(v) bookkeeping.
-            st.seeds
-                .iter()
-                .map(|&(v, _, credited)| {
-                    problem.ads[ad].cpe * nf * problem.ctp.get(v, ad) as f64 * credited / theta_new
-                })
-                .sum()
+            st.coll.decay_weights_from(v, decay, first_new_sid)
         };
-        // Scores grew for everyone → lazy invalidation is unsound until
-        // the heap is rebuilt.
-        clock.lap(Phase::Grow);
-        rebuild_heap(st);
-        clock.lap(Phase::HeapBuild);
+        st.seeds[k] = (v, decay, credited + extra);
     }
+    let theta_new = st.coll.num_sets() as f64;
+    st.revenue = if decayed_estimates_exact(st) {
+        // Weighted mode: n/θ·Σ_R (1 − w_R) is the unbiased σ_ctp.
+        problem.ads[ad].cpe * nf * st.coll.deficit() / theta_new
+    } else {
+        // Hard-removal mode: the paper's Σ δ(v)·cov(v) bookkeeping.
+        st.seeds
+            .iter()
+            .map(|&(v, _, credited)| {
+                problem.ads[ad].cpe * nf * problem.ctp.get(v, ad) as f64 * credited / theta_new
+            })
+            .sum()
+    };
 }
 
 /// True when the collection's decay deltas equal the seeds' CTPs (weighted

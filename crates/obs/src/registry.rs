@@ -65,6 +65,13 @@ pub static APPLY_LATENCY_REGRET_QUERY: Histogram = Histogram::new();
 pub static DELTA_RECONCILIATIONS: Counter = Counter::new();
 /// Reconciliations that fell back to a full interleaved re-run.
 pub static FULL_RECONCILIATIONS: Counter = Counter::new();
+/// Full reconciliations that resumed the previous run's record instead
+/// of re-running the greedy from its first step (a subset of
+/// [`FULL_RECONCILIATIONS`]).
+pub static RESUMED_RECONCILIATIONS: Counter = Counter::new();
+/// Greedy steps each resumed reconciliation took over from the record
+/// without re-running them.
+pub static RESUME_SKIPPED_STEPS: Histogram = Histogram::new();
 /// Departed-ad shards evicted from the retained pool.
 pub static POOL_EVICTIONS: Counter = Counter::new();
 /// Departed-ad shards reclaimed warm on re-arrival.
@@ -203,6 +210,12 @@ pub static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
         None,
         "Reconciliations that fell back to a full interleaved re-run",
         &FULL_RECONCILIATIONS,
+    ),
+    (
+        "tirm_online_resumed_reconciliations_total",
+        None,
+        "Full reconciliations that resumed the previous run's record",
+        &RESUMED_RECONCILIATIONS,
     ),
     (
         "tirm_online_pool_evictions_total",
@@ -379,6 +392,12 @@ pub static HISTOGRAMS: &[(&str, Option<(&str, &str)>, &str, &Histogram)] = &[
         Some(("kind", "regret_query")),
         "Allocator process() latency by event kind (ns)",
         &APPLY_LATENCY_REGRET_QUERY,
+    ),
+    (
+        "tirm_online_resume_skipped_steps",
+        None,
+        "Greedy steps a resumed reconciliation took over without re-running them",
+        &RESUME_SKIPPED_STEPS,
     ),
     (
         "tirm_online_restore_regenerate_ns",

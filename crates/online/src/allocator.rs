@@ -20,7 +20,10 @@
 //! * **Full path** — the interleaved batch greedy over all live ads,
 //!   still warm: every ad re-activates its cached RR prefix (O(postings)
 //!   instead of graph walks, or O(n) via the θ₀ base snapshot) and only
-//!   samples fresh sets past the cached tail.
+//!   samples fresh sets past the cached tail. When nothing but budgets
+//!   changed since the last full run, it resumes that run's
+//!   [`RunRecord`] and re-runs only the greedy steps from the first one
+//!   the new budgets alter.
 //!
 //! # Correctness anchor
 //!
@@ -40,8 +43,8 @@ use crate::snapshot::{AdSnapshot, AllocationSnapshot};
 use std::sync::Arc;
 use std::time::Instant;
 use tirm_core::{
-    ad_regret, tirm_allocate_warm, AdSeeds, AdWarmState, Advertiser, Allocation, Attention,
-    ProblemInstance, TirmOptions,
+    ad_regret, tirm_allocate_resumable, tirm_allocate_warm, AdSeeds, AdWarmState, Advertiser,
+    Allocation, Attention, ProblemInstance, RunRecord, TirmOptions,
 };
 use tirm_graph::{DiGraph, NodeId};
 use tirm_topics::{CtpTable, TopicDist, TopicEdgeProbs};
@@ -134,6 +137,14 @@ pub struct OnlineAllocator<'g> {
     /// per-ad trajectories may be coupled, so the delta path is unsound
     /// until a full re-run lands contention-free.
     contended: bool,
+    /// The greedy steps of the last full run, kept while the live ads
+    /// are the ones it ran over and only their budgets have changed since
+    /// (top-ups). Arrivals, departures and delta runs drop it, and a
+    /// restored allocator starts without one; none of that changes an
+    /// allocation bit, only how much of the next full run is re-run. Not
+    /// counted in [`Self::memory_bytes`], which is a function of the
+    /// standing state alone.
+    record: Option<RunRecord>,
     /// Mutating events applied (arrivals, top-ups, departures and
     /// reallocates that returned `Ok`; queries and rejected events never
     /// bump it). Snapshots carry it as their lineage stamp.
@@ -165,6 +176,7 @@ impl<'g> OnlineAllocator<'g> {
             dirty: Vec::new(),
             stale: false,
             contended: false,
+            record: None,
             epoch: 0,
             stats: OnlineStats::default(),
         }
@@ -315,6 +327,7 @@ impl<'g> OnlineAllocator<'g> {
             self.stats.shard_reclaims += 1;
             tirm_obs::registry::POOL_RECLAIMS.inc();
         }
+        self.record = None;
         self.live.push(LiveAd {
             id,
             adv: Advertiser::new(budget, cpe, topics.clone()),
@@ -352,6 +365,7 @@ impl<'g> OnlineAllocator<'g> {
     fn depart(&mut self, id: AdId) -> Result<(), OnlineError> {
         let i = self.index_of(id).ok_or(OnlineError::UnknownAd(id))?;
         let ad = self.live.remove(i);
+        self.record = None;
         self.dirty.retain(|&d| d != id);
         if let Some(state) = ad.warm {
             self.pool.release(id, ad.adv.topics.clone(), state);
@@ -403,7 +417,7 @@ impl<'g> OnlineAllocator<'g> {
             let dirty: Vec<AdId> = std::mem::take(&mut self.dirty);
             for &id in &dirty {
                 if let Some(i) = self.index_of(id) {
-                    self.run_ads(&[i]);
+                    self.run_ads(&[i], false);
                 }
             }
             let sat = self.saturated();
@@ -450,8 +464,10 @@ impl<'g> OnlineAllocator<'g> {
     /// Warm TIRM over the live ads at `indices` (problem ad order ==
     /// `indices` order), writing seeds/revenue estimates back. A single
     /// index is the delta path's independent per-ad run (sound while
-    /// contention-free); all indices is the exact interleaved batch run.
-    fn run_ads(&mut self, indices: &[usize]) {
+    /// contention-free); all indices (`full`) is the exact interleaved
+    /// batch run, which resumes the last full run's record if there is
+    /// one and leaves its own.
+    fn run_ads(&mut self, indices: &[usize], full: bool) {
         let mut ads = Vec::with_capacity(indices.len());
         let mut probs = Vec::with_capacity(indices.len());
         let mut ctp_cols = Vec::with_capacity(indices.len());
@@ -474,7 +490,19 @@ impl<'g> OnlineAllocator<'g> {
             Attention::Uniform(self.cfg.kappa),
             self.cfg.lambda,
         );
-        let (alloc, stats, warm_out) = tirm_allocate_warm(&problem, self.cfg.tirm, &plan, warm);
+        let (alloc, stats, warm_out) = if full {
+            let run =
+                tirm_allocate_resumable(&problem, self.cfg.tirm, &plan, warm, self.record.take());
+            if let Some(skipped) = run.skipped_steps {
+                tirm_obs::registry::RESUMED_RECONCILIATIONS.inc();
+                tirm_obs::registry::RESUME_SKIPPED_STEPS.record(skipped as u64);
+            }
+            self.record = run.record;
+            (run.alloc, run.stats, run.warm)
+        } else {
+            self.record = None;
+            tirm_allocate_warm(&problem, self.cfg.tirm, &plan, warm)
+        };
         self.restitute(problem, warm_out, indices);
         let mut fresh_after = 0usize;
         for (pos, &i) in indices.iter().enumerate() {
@@ -489,7 +517,7 @@ impl<'g> OnlineAllocator<'g> {
     /// The exact interleaved batch greedy over all live ads, warm.
     fn full_run(&mut self) {
         let indices: Vec<usize> = (0..self.live.len()).collect();
-        self.run_ads(&indices);
+        self.run_ads(&indices, true);
         self.contended = self.saturated();
     }
 

@@ -2,12 +2,21 @@
 //! summed (`tirm_kpt_estimates_total{result="miss"}`) and `FastPath`
 //! threshold tables gathered (`tirm_fastpath_builds_total`) per event.
 //!
+//! A full run that resumes the previous run's record
+//! (`tirm_online_resumed_reconciliations_total`) must sum and draw
+//! exactly what a full run from step 0 would, so `misses` and `builds`
+//! are held exactly. `hits` may only drop under a resume (a scan could
+//! skip re-asking unchanged ads); this one's scan asks every estimator
+//! what the skipped steps asked, so here they are held exactly too.
+//!
 //! One test in its own binary: the counters are process-wide, so nothing
 //! else may run TIRM beside it.
 
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
-use tirm_obs::registry::{FASTPATH_BUILDS, KPT_ESTIMATE_HITS, KPT_ESTIMATE_MISSES};
+use tirm_obs::registry::{
+    FASTPATH_BUILDS, KPT_ESTIMATE_HITS, KPT_ESTIMATE_MISSES, RESUMED_RECONCILIATIONS,
+};
 use tirm_online::{AdId, OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_topics::{genprob, TopicDist};
 
@@ -20,6 +29,8 @@ struct Cost {
     misses: u64,
     /// Threshold tables gathered.
     builds: u64,
+    /// Full runs that resumed a record.
+    resumed: u64,
 }
 
 fn counts() -> Cost {
@@ -27,6 +38,7 @@ fn counts() -> Cost {
         hits: KPT_ESTIMATE_HITS.get(),
         misses: KPT_ESTIMATE_MISSES.get(),
         builds: FASTPATH_BUILDS.get(),
+        resumed: RESUMED_RECONCILIATIONS.get(),
     }
 }
 
@@ -41,6 +53,7 @@ fn full_rerun(online: &mut OnlineAllocator<'_>, event: OnlineEvent) -> Cost {
         hits: after.hits - before.hits,
         misses: after.misses - before.misses,
         builds: after.builds - before.builds,
+        resumed: after.resumed - before.resumed,
     }
 }
 
@@ -91,6 +104,7 @@ fn a_warm_rerun_sums_and_builds_only_what_the_event_changed() {
         assert_eq!(c.builds, 1, "only the arriving ad draws: {c:?}");
         assert!(c.misses >= 1, "the arriving ad sums its own KPT(1): {c:?}");
         assert!(c.hits >= live_before, "standing ads remember theirs: {c:?}");
+        assert_eq!(c.resumed, 0, "an arrival runs from step 0: {c:?}");
         asked = c.hits + c.misses;
     }
     assert!(
@@ -99,29 +113,32 @@ fn a_warm_rerun_sums_and_builds_only_what_the_event_changed() {
     );
 
     // Nothing changed: every answer of the last run is asked again and
-    // remembered, and nothing is drawn.
+    // remembered, and nothing is drawn. The run resumes the last one's
+    // record.
     let c = full_rerun(&mut online, rerun_unchanged(2));
     assert_eq!((c.hits, c.misses, c.builds), (asked, 0, 0));
+    assert_eq!(c.resumed, 1, "{c:?}");
 
     // A larger budget revises ad 2's seed count to values it has not
     // asked before. Those are summed, once: the same state again finds
     // them remembered.
     let c = full_rerun(&mut online, OnlineEvent::BudgetTopUp { id: 2, amount: 9.0 });
     assert!(c.misses >= 1 && c.hits >= 4, "{c:?}");
-    assert_eq!(c.builds, 0, "{c:?}");
+    assert_eq!((c.builds, c.resumed), (0, 1), "{c:?}");
     let asked = c.hits + c.misses;
     let c = full_rerun(&mut online, rerun_unchanged(3));
     assert_eq!((c.hits, c.misses, c.builds), (asked, 0, 0));
+    assert_eq!(c.resumed, 1, "{c:?}");
 
     // A departure hands the others the users it held, which can revise
     // their seed counts; it never draws.
     let c = full_rerun(&mut online, OnlineEvent::AdDeparture { id: 1 });
     assert!(c.hits >= 3, "{c:?}");
-    assert_eq!(c.builds, 0, "{c:?}");
+    assert_eq!((c.builds, c.resumed), (0, 0), "{c:?}");
 
     // Back from the retained pool, ad 1 brings its answers with its
     // width cache: a re-arrival is as warm as a standing ad.
     let c = full_rerun(&mut online, arrival(1, 5.0));
     assert!(c.hits >= 4, "{c:?}");
-    assert_eq!(c.builds, 0, "{c:?}");
+    assert_eq!((c.builds, c.resumed), (0, 0), "{c:?}");
 }

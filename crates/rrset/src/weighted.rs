@@ -116,13 +116,26 @@ impl WeightedRrCollection {
     /// just sampled them. Returns how many were activated (less than
     /// `count` when the cache runs out).
     pub fn activate_next(&mut self, count: usize) -> usize {
+        self.activate::<true>(count)
+    }
+
+    /// The weight half of [`Self::activate_next`]: the same sets become
+    /// active with weight 1, and the scores are left alone. See
+    /// [`Self::decay_weights_from`] for what that is for.
+    pub fn activate_weights(&mut self, count: usize) -> usize {
+        self.activate::<false>(count)
+    }
+
+    fn activate<const SCORES: bool>(&mut self, count: usize) -> usize {
         let avail = self.index.num_sets() - self.weights.len();
         let take = count.min(avail);
         for _ in 0..take {
             let sid = self.weights.len() as u32;
             self.weights.push(1.0);
-            for &v in self.index.set(sid) {
-                self.score[v as usize] += 1.0;
+            if SCORES {
+                for &v in self.index.set(sid) {
+                    self.score[v as usize] += 1.0;
+                }
             }
         }
         take
@@ -145,10 +158,20 @@ impl WeightedRrCollection {
     }
 
     /// Current scores (weighted marginal coverage per node) — capture
-    /// right after activation to feed [`Self::restore_prefix`] later.
+    /// right after activation to feed [`Self::restore_prefix`] later, or
+    /// at any point to feed [`Self::restore_scores`].
     #[inline]
     pub fn scores(&self) -> &[f64] {
         &self.score
+    }
+
+    /// Overwrites the scores with `scores`, captured from an overlay over
+    /// the same index that had the weights this one has now. The scores
+    /// are a function of the weights, so the overlay is then the captured
+    /// one, bit for bit, as long as both reached their weights through
+    /// the same operations in the same order.
+    pub fn restore_scores(&mut self, scores: &[f64]) {
+        self.score.copy_from_slice(scores);
     }
 
     /// Current score of `v` (weighted marginal coverage).
@@ -184,6 +207,21 @@ impl WeightedRrCollection {
     /// weighted score restricted to the touched id range, *before* decay.
     /// Dormant cached sets (id ≥ active window) are never touched.
     pub fn decay_node_from(&mut self, v: NodeId, delta: f64, from_sid: u32) -> f64 {
+        self.decay::<true>(v, delta, from_sid)
+    }
+
+    /// The weight half of [`Self::decay_node_from`]: the same weights,
+    /// `deficit`, touched count and return value, with the scores left
+    /// alone. Replaying a run's decays this way and then
+    /// [`Self::restore_scores`] with the scores that run captured at the
+    /// same point rebuilds its overlay without the per-member score
+    /// updates, which are most of a decay's cost.
+    pub fn decay_weights_from(&mut self, v: NodeId, delta: f64, from_sid: u32) -> f64 {
+        self.decay::<false>(v, delta, from_sid)
+    }
+
+    #[inline]
+    fn decay<const SCORES: bool>(&mut self, v: NodeId, delta: f64, from_sid: u32) -> f64 {
         debug_assert!((0.0..=1.0).contains(&delta));
         let keep = 1.0 - delta;
         let active = self.weights.len() as u32;
@@ -207,8 +245,10 @@ impl WeightedRrCollection {
                 }
                 self.weights[sid as usize] = w * keep;
                 self.deficit += dw;
-                for &u in self.index.set(sid) {
-                    self.score[u as usize] -= dw;
+                if SCORES {
+                    for &u in self.index.set(sid) {
+                        self.score[u as usize] -= dw;
+                    }
                 }
             }
         }
@@ -265,6 +305,7 @@ pub fn score_key(score: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::Strategy as _;
 
     fn sample() -> WeightedRrCollection {
         let mut c = WeightedRrCollection::new(4);
@@ -396,6 +437,119 @@ mod tests {
         assert_eq!(warm.union_coverage(), 0);
         // Behaves exactly like the pristine original.
         assert_eq!(warm.decay_node(1, 1.0), 3.0);
+    }
+
+    /// One step of a TIRM-like run over an overlay.
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Commit a seed: `decay_node(v, δ)`.
+        Decay(NodeId, f64),
+        /// A θ growth: activate `count` cached sets, then apply every
+        /// earlier seed to them (Algorithm 4).
+        Grow(usize),
+    }
+
+    /// Applies `ops` to `c`, in full or (`full = false`) their weight
+    /// half only.
+    fn run(c: &mut WeightedRrCollection, ops: &[Op], seeds: &mut Vec<(NodeId, f64)>, full: bool) {
+        let decay = if full {
+            WeightedRrCollection::decay_node_from
+        } else {
+            WeightedRrCollection::decay_weights_from
+        };
+        for op in ops {
+            match *op {
+                Op::Decay(v, delta) => {
+                    decay(c, v, delta, 0);
+                    seeds.push((v, delta));
+                }
+                Op::Grow(count) => {
+                    let first_new = c.num_sets() as u32;
+                    if full {
+                        c.activate_next(count);
+                    } else {
+                        c.activate_weights(count);
+                    }
+                    for &(v, delta) in seeds.iter() {
+                        decay(c, v, delta, first_new);
+                    }
+                }
+            }
+        }
+    }
+
+    fn same_bits(a: &WeightedRrCollection, b: &WeightedRrCollection) -> Result<(), String> {
+        let bits = |x: &[f64]| x.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        if bits(&a.weights) != bits(&b.weights) {
+            return Err("weights differ".into());
+        }
+        if bits(&a.score) != bits(&b.score) {
+            return Err("scores differ".into());
+        }
+        if a.deficit.to_bits() != b.deficit.to_bits() || a.touched != b.touched {
+            return Err(format!(
+                "deficit/touched {}/{} vs {}/{}",
+                a.deficit, a.touched, b.deficit, b.touched
+            ));
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Rebuilding an overlay at any prefix `c` of a run — pristine
+        /// base, the weight half of the first `k` steps, the scores
+        /// captured after step `k`, then steps `k..c` in full — gives the
+        /// overlay that ran the first `c` steps, bit for bit, for every
+        /// `k ≤ c`. Covers `δ = 1` (weights reach 0), fractional `δ`, and
+        /// θ growths between decays.
+        #[test]
+        fn rebuilt_overlay_is_the_one_that_ran(
+            sets in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..24, 1..6), 30..70),
+            theta0_share in 0.3f64..0.9,
+            ops in proptest::collection::vec(
+                ((0u8..5, 0u32..24), (0u8..2, 0.01f64..0.99), 1usize..12).prop_map(
+                    |((kind, v), (hard, d), count)| match (kind, hard) {
+                        (0, _) => Op::Grow(count),
+                        (_, 0) => Op::Decay(v, 1.0),
+                        _ => Op::Decay(v, d),
+                    },
+                ),
+                1..24),
+        ) {
+            let mut all = WeightedRrCollection::new(24);
+            for s in &sets {
+                all.add_set(&s.iter().copied().collect::<Vec<_>>());
+            }
+            let theta0 = ((sets.len() as f64 * theta0_share) as usize).max(1);
+            let mut base = WeightedRrCollection::from_index(all.take_index());
+            base.activate_next(theta0);
+            let base_scores = base.scores().to_vec();
+
+            // The overlay after each prefix, and the scores it held.
+            let mut ran = vec![base.clone()];
+            let mut seeds = Vec::new();
+            for op in &ops {
+                let mut next = ran.last().unwrap().clone();
+                run(&mut next, std::slice::from_ref(op), &mut seeds, true);
+                ran.push(next);
+            }
+            for c in 0..=ops.len() {
+                for k in 0..=c {
+                    let mut rebuilt = base.clone();
+                    rebuilt.restore_prefix(theta0, &base_scores);
+                    let mut seeds = Vec::new();
+                    run(&mut rebuilt, &ops[..k], &mut seeds, false);
+                    rebuilt.restore_scores(ran[k].scores());
+                    run(&mut rebuilt, &ops[k..c], &mut seeds, true);
+                    if let Err(e) = same_bits(&rebuilt, &ran[c]) {
+                        proptest::prop_assert!(false, "prefix {c}, checkpoint {k}: {e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

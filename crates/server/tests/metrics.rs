@@ -147,6 +147,10 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
         "six mutations must reconcile at least once: {reconciliations:?}"
     );
     assert!(
+        section_u64(&counters, "tirm_online_resumed_reconciliations_total").is_some(),
+        "resumed reconciliation count not covered"
+    );
+    assert!(
         section_u64(&gauges, "tirm_repl_follower_lag_frames").is_some(),
         "follower lag gauge not covered"
     );
@@ -173,6 +177,10 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     assert!(
         hist_count("tirm_online_restore_regenerate_ns").is_some(),
         "restore's regeneration time not covered"
+    );
+    assert!(
+        hist_count("tirm_online_resume_skipped_steps").is_some(),
+        "steps skipped by resumed reconciliations not covered"
     );
     assert!(
         hist_count("tirm_online_apply_latency_ns{kind=\"arrival\"}").is_some_and(|c| c > 0),
