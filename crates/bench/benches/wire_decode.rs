@@ -4,7 +4,9 @@
 //!   `allocation` read every `serve-reads` client pays to decode;
 //! * **stats** — the flattened 18-field `stats` body behind every poll;
 //! * **arrival** — the largest mutation, as the server and the WAL
-//!   recovery read it.
+//!   recovery read it;
+//! * **log_line** — the same arrival as one JSONL event-log line, read by
+//!   `log_from_jsonl` with the wire's own event reader.
 //!
 //! `cargo bench -p tirm_bench --bench wire_decode` gives a local number
 //! for wire work that needs no benchmark run.
@@ -13,6 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use tirm_online::{AdSnapshot, AllocationSnapshot, OnlineEvent};
 use tirm_server::protocol::{Request, Response, Role, StatsView};
 use tirm_topics::TopicDist;
+use tirm_workloads::events::{log_from_jsonl, log_to_jsonl, LogEvent};
 
 const ADS: u32 = 16;
 const SEEDS_PER_AD: u32 = 720;
@@ -75,15 +78,14 @@ fn stats_body() -> String {
     .encode()
 }
 
-fn arrival_body() -> String {
-    Request::Mutate(OnlineEvent::AdArrival {
+fn arrival() -> OnlineEvent {
+    OnlineEvent::AdArrival {
         id: 17,
         budget: 412.817_363_281_25,
         cpe: 4.0 / 3.0,
         topics: TopicDist::concentrated(10, 3, 0.91),
         ctp: 0.021_7,
-    })
-    .encode()
+    }
 }
 
 fn bench_wire_decode(c: &mut Criterion) {
@@ -101,10 +103,18 @@ fn bench_wire_decode(c: &mut Criterion) {
     g.bench_function("stats", |b| {
         b.iter(|| Response::decode(black_box(stats.as_bytes())).is_ok())
     });
-    let arrival = arrival_body();
-    g.throughput(Throughput::Bytes(arrival.len() as u64));
+    let body = Request::Mutate(arrival()).encode();
+    g.throughput(Throughput::Bytes(body.len() as u64));
     g.bench_function("arrival", |b| {
-        b.iter(|| Request::decode(black_box(arrival.as_bytes())).is_ok())
+        b.iter(|| Request::decode(black_box(body.as_bytes())).is_ok())
+    });
+    let line = log_to_jsonl(&[LogEvent {
+        at: 1_234.567_8,
+        event: arrival(),
+    }]);
+    g.throughput(Throughput::Bytes(line.len() as u64));
+    g.bench_function("log_line", |b| {
+        b.iter(|| log_from_jsonl(black_box(&line)).is_ok())
     });
     g.finish();
 }

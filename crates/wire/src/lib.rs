@@ -15,10 +15,11 @@
 //! reads it); only `Request::Mutate`, `Response::Allocation` and
 //! `Response::Stats` keep hand-written arms, next to their table.
 //!
-//! Decoding builds no JSON tree: a strict pull reader finds the `type`
-//! tag, then walks the frame's object once, and each row's codec reads
-//! its value in place. Keys may come in any order, the first occurrence
-//! wins, and a row that is absent or mistyped is ``missing `key` ``.
+//! Decoding builds no JSON tree: the strict pull reader of the vendored
+//! `serde_json` ([`serde_json::Reader`]) finds the `type` tag, then
+//! walks the frame's object once, and each row's codec reads its value
+//! in place. Keys may come in any order, the first occurrence wins, and
+//! a row that is absent or mistyped is ``missing `key` ``.
 //! Integers are exact up to `u64::MAX` (`5.0` is not one); `Object` rows
 //! come back as the text that was sent.
 //!
@@ -37,10 +38,10 @@
 //! Requests reuse the event-log vocabulary verbatim: a mutation request
 //! is exactly the JSON object [`tirm_workloads::events::event_json_fields`]
 //! produces for the same event, so any log line (minus its `at` pacing
-//! field) is a valid request body, and its fields pass the same
-//! [`EventFields::into_event`] checks as the log reader's. Read requests
-//! use `type` tags outside the event vocabulary (`allocation`, `ad`,
-//! `stats`, `shutdown`, `hello`).
+//! field) is a valid request body. The log reader reads a line with the
+//! same function ([`read_event`]), so a line is admitted exactly when its
+//! body is. Read requests use `type` tags outside the event vocabulary
+//! (`allocation`, `ad`, `stats`, `shutdown`, `hello`).
 //!
 //! Responses are typed: the admission-control outcomes (`accepted` /
 //! `overloaded` / `shutting_down`), the read-path payloads (`regret` /
@@ -70,15 +71,13 @@
 //! follower to stop tailing, bump the fencing epoch, and take over
 //! writes ([`Response::Promoting`]).
 
-use json::Reader;
+use serde_json::Reader;
 use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
 use tirm_online::{AdId, AdSnapshot, AllocationSnapshot, OnlineEvent};
-use tirm_workloads::events::{event_json_fields, EventFields};
-
-mod json;
+use tirm_workloads::events::{event_json_fields, read_event};
 
 /// Version of the request/response vocabulary. Bumped on any change a
 /// peer cannot ignore; the `hello` exchange surfaces skew as a typed
@@ -215,7 +214,7 @@ impl Field<Object> for String {
         out.push_str(self);
     }
     fn read(r: &mut Reader<'_>) -> Result<Option<Self>, String> {
-        Ok(r.raw_object()?.map(str::to_string))
+        Ok(r.object_text()?.map(str::to_string))
     }
 }
 
@@ -371,7 +370,7 @@ macro_rules! wire {
             pub fn decode(bytes: &[u8]) -> Result<Self, String> {
                 let mut reader = Reader::new(bytes)?;
                 let $r = &mut reader;
-                let $tag_in = $r.tag()?;
+                let $tag_in = $r.peek_type()?;
                 let decoded = match &*$tag_in {
                     $(
                         $tag => read_object!($r, {
@@ -492,53 +491,15 @@ wire! {
             out.push('}');
         }
     }
-    /// Decodes a frame body. Mutating events go through the shared
-    /// event checks; `RegretQuery` — an event kind that mutates nothing —
-    /// is routed to the read path.
+    /// Decodes a frame body. Mutating events are read by [`read_event`],
+    /// the event log's reader too; `RegretQuery` — an event kind that
+    /// mutates nothing — is routed to the read path.
     decode(tag, r) {
         _ => Some(match read_event(r, &tag)? {
             OnlineEvent::RegretQuery => Request::RegretQuery,
             ev => Request::Mutate(ev),
         }),
     }
-}
-
-/// Reads a mutation's frame body (an event-log line without its `at`)
-/// into the [`EventFields`] its checks run on. The first occurrence of a
-/// key fills its field, mistyped or not; later ones are skipped like
-/// unknown keys.
-fn read_event(r: &mut Reader<'_>, ty: &str) -> Result<OnlineEvent, String> {
-    let mut f = EventFields {
-        ty: Some(ty),
-        ..EventFields::default()
-    };
-    let mut seen = Vec::new();
-    r.object(|r, key| {
-        if seen.contains(&key) {
-            return r.skip();
-        }
-        match &*key {
-            "id" => f.id = r.u64()?,
-            "budget" => f.budget = r.f64()?,
-            "cpe" => f.cpe = r.f64()?,
-            "ctp" => f.ctp = r.f64()?,
-            "k" => f.k = r.u64()?,
-            "topic" => f.topic = r.u64()?,
-            "mass" => f.mass = r.f64()?,
-            "weights" => {
-                let mut items = Vec::new();
-                f.weights = Some(
-                    r.array(|r| r.f64().map(|w| items.push(w)))?
-                        .then_some(items),
-                );
-            }
-            "amount" => f.amount = r.f64()?,
-            _ => return r.skip(),
-        }
-        seen.push(key);
-        Ok(())
-    })?;
-    f.into_event()
 }
 
 wire! {

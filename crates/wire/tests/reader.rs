@@ -1,29 +1,168 @@
-//! The frame reader against its grammar oracle and its own contract.
+//! The frame reader against an independent grammar and its own contract.
 //!
-//! The decoders read frames with their own strict pull reader, not with
-//! the vendored `serde_json`; here `serde_json::from_str` serves only as
-//! the oracle for the grammar. Whatever it refuses (on arbitrary bytes
-//! and on the valid frames of `corpus` with one to four bytes replaced,
-//! inserted or deleted — the generators of `hostile_input.rs`), both
-//! decoders refuse too. The fixed cases pin the object rules (keys in
-//! any order, the first occurrence wins, the nesting cap holds in
-//! skipped values) and the integer rules (`u64::MAX` decodes; `5.0` is
-//! no integer). The round-trip property covers the values an allocation
-//! carries that an `f64` tree cannot: ids and epochs above 2⁵³, next to
-//! subnormals and `-0.0`.
+//! Frames, event-log lines and `serde_json::from_str` are all read by one
+//! strict pull reader, the vendored `serde_json::Reader`. The oracle for
+//! its grammar is therefore not a parser of the workspace but `grammar`
+//! below: an accept/refuse recognizer written from RFC 8259, with the
+//! reader's three documented limits. On arbitrary bytes and on the valid
+//! frames of `corpus` with one to four bytes replaced, inserted or deleted
+//! (as `hostile_input.rs` edits them, but with half the new bytes drawn
+//! from those JSON numbers and structure are made of), `from_str` admits
+//! exactly what the recognizer admits, and both decoders refuse whatever
+//! it refuses. On arbitrary bytes and the event bodies of `corpus`, edited
+//! the same way, a log line is its frame body: the log reader admits
+//! `{"at":0,` + body exactly when `Request::decode` admits the body as an
+//! event, and reads the same event. The fixed cases pin the object rules (keys in any order, the
+//! first occurrence wins, the nesting cap holds in skipped values) and the
+//! integer rules (`u64::MAX` decodes; `5.0` is no integer). The round-trip
+//! property covers the values an allocation carries that an `f64` tree
+//! cannot: ids and epochs above 2⁵³, next to subnormals and `-0.0`.
 
 use proptest::prelude::*;
 use tirm_online::{AdSnapshot, AllocationSnapshot, OnlineEvent};
 use tirm_topics::TopicDist;
 use tirm_wire::{write_frame, Request, Response, Role, StatsView};
+use tirm_workloads::events::log_from_jsonl;
 
 mod corpus;
 
-/// Both decoders refuse whatever the oracle refuses.
-fn refuses_what_the_oracle_refuses(bytes: &[u8]) {
-    let oracle = std::str::from_utf8(bytes).map(serde_json::from_str);
-    if !matches!(oracle, Ok(Ok(_))) {
-        let text = String::from_utf8_lossy(bytes);
+/// JSON texts as RFC 8259 (sections 2–8) defines them, plus the reader's
+/// limits: arrays and objects nest at most 128 deep, a number must name a
+/// finite `f64`, and a `\u` escape must name a scalar value on its own
+/// (so no surrogate, paired or not). Each number is matched by the
+/// grammar rules and then handed to `str::parse`: no fast path.
+mod grammar {
+    /// `ws = *( %x20 / %x09 / %x0A / %x0D )`.
+    const WS: &[u8] = b" \t\n\r";
+    const DIGIT: &[u8] = b"0123456789";
+    const WORDS: [&str; 3] = ["true", "false", "null"];
+
+    /// Whether `bytes` is one JSON text (`ws value ws`), in UTF-8.
+    pub fn accepts(bytes: &[u8]) -> bool {
+        std::str::from_utf8(bytes).is_ok_and(|text| {
+            let mut g = Grammar(text, 0);
+            g.value(0) && g.1 == text.len()
+        })
+    }
+
+    /// The text and the position in it.
+    struct Grammar<'a>(&'a str, usize);
+
+    impl Grammar<'_> {
+        fn next(&self) -> Option<&u8> {
+            self.0.as_bytes().get(self.1)
+        }
+
+        /// Consumes the longest run of bytes in `set`; whether it is one.
+        fn many(&mut self, set: &[u8]) -> bool {
+            let start = self.1;
+            while self.next().is_some_and(|b| set.contains(b)) {
+                self.1 += 1;
+            }
+            self.1 > start
+        }
+
+        /// Consumes `b` if it is next.
+        fn eat(&mut self, b: u8) -> bool {
+            let hit = self.next() == Some(&b);
+            self.1 += usize::from(hit);
+            hit
+        }
+
+        /// `ws`, then `b` if it is next.
+        fn token(&mut self, b: u8) -> bool {
+            self.many(WS);
+            self.eat(b)
+        }
+
+        /// `ws value ws`, inside `depth` arrays and objects.
+        fn value(&mut self, depth: usize) -> bool {
+            let member =
+                |g: &mut Self| g.token(b'"') && g.chars() && g.token(b':') && g.value(depth + 1);
+            let value = if self.token(b'{') {
+                depth < 128 && self.items(b'}', member)
+            } else if self.token(b'[') {
+                depth < 128 && self.items(b']', |g| g.value(depth + 1))
+            } else if self.eat(b'"') {
+                self.chars()
+            } else if matches!(self.next(), Some(b'-' | b'0'..=b'9')) {
+                self.number()
+            } else {
+                let rest = &self.0[self.1..];
+                let word = WORDS.into_iter().find(|word| rest.starts_with(word));
+                self.1 += word.map_or(0, str::len);
+                word.is_some()
+            };
+            self.many(WS);
+            value
+        }
+
+        /// `[ item *( value-separator item ) ] end`, past the begin byte.
+        fn items(&mut self, end: u8, mut item: impl FnMut(&mut Self) -> bool) -> bool {
+            let mut first = true;
+            while !self.token(end) {
+                if !(std::mem::take(&mut first) || self.token(b',')) || !item(self) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// `*char quotation-mark`: a string past its opening quote.
+        fn chars(&mut self) -> bool {
+            while let Some(&b) = self.next() {
+                self.1 += 1;
+                match b {
+                    b'"' => return true,
+                    b'\\' if self.eat(b'u') => {
+                        let hex = self.0.get(self.1..self.1 + 4);
+                        let hex = hex.filter(|hex| hex.bytes().all(|d| d.is_ascii_hexdigit()));
+                        let unit = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                        if unit.and_then(char::from_u32).is_none() {
+                            return false;
+                        }
+                        self.1 += 4;
+                    }
+                    b'\\' if self.next().is_some_and(|e| b"\"\\/bfnrt".contains(e)) => self.1 += 1,
+                    b'\\' | 0..=0x1f => return false,
+                    _ => {}
+                }
+            }
+            false
+        }
+
+        /// `number = [ minus ] int [ frac ] [ exp ]`, naming a finite `f64`.
+        fn number(&mut self) -> bool {
+            let start = self.1;
+            self.eat(b'-');
+            // `int = zero / ( digit1-9 *DIGIT )`
+            let int = self.eat(b'0') || self.many(DIGIT);
+            // `frac = decimal-point 1*DIGIT`
+            let frac = !self.eat(b'.') || self.many(DIGIT);
+            // `exp = e [ minus / plus ] 1*DIGIT`
+            let exp = !(self.eat(b'e') || self.eat(b'E')) || {
+                let _sign = self.eat(b'+') || self.eat(b'-');
+                self.many(DIGIT)
+            };
+            let token = &self.0[start..self.1];
+            int && frac && exp && token.parse::<f64>().is_ok_and(f64::is_finite)
+        }
+    }
+}
+
+/// `from_str` admits exactly what the grammar admits, and both decoders
+/// refuse whatever it refuses.
+fn holds_to_the_grammar(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    let accepted = grammar::accepts(bytes);
+    if let Ok(utf8) = std::str::from_utf8(bytes) {
+        assert_eq!(
+            serde_json::from_str(utf8).is_ok(),
+            accepted,
+            "from_str on {text:.200}"
+        );
+    }
+    if !accepted {
         assert!(
             Request::decode(bytes).is_err(),
             "request admitted {text:.200}"
@@ -35,6 +174,59 @@ fn refuses_what_the_oracle_refuses(bytes: &[u8]) {
     }
 }
 
+/// The log reader admits `{"at":0,` + the body past its `{` exactly when
+/// `Request::decode` admits the body as an event (`regret_query` is
+/// routed to the read path, as the wire does), and reads the same event.
+/// A body that does not open with `{`, or spans lines, is no log line.
+fn a_log_line_is_its_frame_body(body: &[u8]) {
+    let Some(rest) = body.strip_prefix(b"{") else {
+        return;
+    };
+    if body.contains(&b'\n') {
+        return;
+    }
+    let frame = match Request::decode(body) {
+        Ok(Request::Mutate(event)) => Some(event),
+        Ok(Request::RegretQuery) => Some(OnlineEvent::RegretQuery),
+        _ => None,
+    };
+    let line = [b"{\"at\":0,", rest].concat();
+    let logged = match std::str::from_utf8(&line).map(log_from_jsonl) {
+        Ok(Ok(log)) => {
+            assert_eq!(log.len(), 1);
+            assert_eq!(log[0].at, 0.0);
+            Some(log[0].event.clone())
+        }
+        _ => None,
+    };
+    assert_eq!(logged, frame, "{:.200}", String::from_utf8_lossy(&line));
+}
+
+/// One to four bytes of `body` replaced, inserted or deleted. Half the
+/// new bytes are the ones numbers and structure are made of, so edits
+/// like `01`, `1.`, `-0` and `1e` are common.
+fn edit(mut body: Vec<u8>, edits: Vec<(u8, usize, u16)>) -> Vec<u8> {
+    const JSON_BYTES: &[u8] = b"0123456789.-+eE\",:{}[] ";
+    for (edit, at, byte) in edits {
+        let byte = match usize::from(byte).checked_sub(256) {
+            Some(i) => JSON_BYTES[i % JSON_BYTES.len()],
+            None => byte as u8,
+        };
+        let len = body.len();
+        match edit {
+            0 if len > 0 => body[at % len] = byte,
+            1 => body.insert(at % (len + 1), byte),
+            2 if len > 0 => drop(body.remove(at % len)),
+            _ => {}
+        }
+    }
+    body
+}
+
+fn edits() -> impl Strategy<Value = Vec<(u8, usize, u16)>> {
+    proptest::collection::vec((0u8..3, 0usize..1 << 16, 0u16..512), 1..=4)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
@@ -42,13 +234,14 @@ proptest! {
     fn arbitrary_bytes_the_oracle_refuses_are_refused(
         bytes in proptest::collection::vec(0u8..=255, 0..300),
     ) {
-        refuses_what_the_oracle_refuses(&bytes);
+        holds_to_the_grammar(&bytes);
+        a_log_line_is_its_frame_body(&[b"{".as_slice(), &bytes].concat());
     }
 
     #[test]
     fn edited_frames_the_oracle_refuses_are_refused(
         pick in 0usize..1 << 16,
-        edits in proptest::collection::vec((0u8..3, 0usize..1 << 16, 0u8..=255), 1..=4),
+        edits in edits(),
     ) {
         let (requests, responses) = (corpus::requests(), corpus::responses());
         let pick = pick % (requests.len() + responses.len());
@@ -58,17 +251,23 @@ proptest! {
         };
         let mut frame = Vec::new();
         write_frame(&mut frame, body.as_bytes()).expect("writing to a Vec");
-        for (edit, at, byte) in edits {
-            let len = frame.len();
-            match edit {
-                0 if len > 0 => frame[at % len] = byte,
-                1 => frame.insert(at % (len + 1), byte),
-                2 if len > 0 => drop(frame.remove(at % len)),
-                _ => {}
-            }
-        }
-        refuses_what_the_oracle_refuses(&frame);
-        refuses_what_the_oracle_refuses(frame.get(4..).unwrap_or_default());
+        let frame = edit(frame, edits);
+        holds_to_the_grammar(&frame);
+        holds_to_the_grammar(frame.get(4..).unwrap_or_default());
+    }
+
+    #[test]
+    fn a_log_line_reads_as_its_mutation_frame(
+        pick in 0usize..1 << 16,
+        edits in edits(),
+    ) {
+        let events: Vec<_> = corpus::requests()
+            .into_iter()
+            .filter(|(request, _)| matches!(request, Request::Mutate(_) | Request::RegretQuery))
+            .collect();
+        let body = events[pick % events.len()].1.as_bytes().to_vec();
+        a_log_line_is_its_frame_body(&body);
+        a_log_line_is_its_frame_body(&edit(body, edits));
     }
 }
 
@@ -144,9 +343,14 @@ fn unknown_keys_are_checked_up_to_the_nesting_cap() {
     for (depth, admitted) in [(127, true), (128, false), (129, false)] {
         let body = stats(depth);
         assert_eq!(
+            grammar::accepts(body.as_bytes()),
+            admitted,
+            "grammar, depth {depth}"
+        );
+        assert_eq!(
             serde_json::from_str(&body).is_ok(),
             admitted,
-            "oracle, depth {depth}"
+            "from_str, depth {depth}"
         );
         assert_eq!(
             Request::decode(body.as_bytes()).is_ok(),

@@ -17,7 +17,7 @@
 use crate::datasets::DatasetKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde_json::Value;
+use serde_json::{Reader, Value};
 use std::path::Path;
 use tirm_online::{AdId, OnlineEvent};
 use tirm_topics::TopicDist;
@@ -359,34 +359,35 @@ const MAX_TOPICS: usize = 1 << 16;
 
 /// The keys of one event object, each holding the value of its key's
 /// first occurrence — `None` if the key is absent or holds another JSON
-/// type. The log reader fills one from a parsed `Value`
-/// ([`event_from_value`]) and the `tirm_wire` decoder straight from the
-/// frame; [`EventFields::into_event`] makes every check, so both reject
-/// exactly the same malformed payloads.
+/// type. [`read_fields`] fills one straight from the text, for the log
+/// reader and the `tirm_wire` decoder alike; [`EventFields::into_event`]
+/// makes every check.
 #[derive(Debug, Default)]
-pub struct EventFields<'a> {
+struct EventFields<'a> {
     /// `type`: the event kind.
-    pub ty: Option<&'a str>,
+    ty: Option<&'a str>,
+    /// `at`: a log line's virtual time (no event check reads it).
+    at: Option<f64>,
     /// `id`: the advertiser.
-    pub id: Option<u64>,
+    id: Option<u64>,
     /// `budget` of an arrival.
-    pub budget: Option<f64>,
+    budget: Option<f64>,
     /// `cpe` of an arrival.
-    pub cpe: Option<f64>,
+    cpe: Option<f64>,
     /// `ctp` of an arrival.
-    pub ctp: Option<f64>,
+    ctp: Option<f64>,
     /// `k`, the topic count of an arrival's compact topic form.
-    pub k: Option<u64>,
+    k: Option<u64>,
     /// `topic`, the dominant topic of the compact form.
-    pub topic: Option<u64>,
+    topic: Option<u64>,
     /// `mass`, the dominant topic's weight in the compact form.
-    pub mass: Option<f64>,
+    mass: Option<f64>,
     /// `weights`, an arrival's explicit topic vector if present: `None`
     /// when it is not an array, else each item (`None` where it is not a
     /// number).
-    pub weights: Option<Option<Vec<Option<f64>>>>,
+    weights: Option<Option<Vec<Option<f64>>>>,
     /// `amount` of a top-up.
-    pub amount: Option<f64>,
+    amount: Option<f64>,
 }
 
 fn need<T>(value: Option<T>, key: &str) -> Result<T, String> {
@@ -396,7 +397,7 @@ fn need<T>(value: Option<T>, key: &str) -> Result<T, String> {
 impl EventFields<'_> {
     /// The event these fields spell, after every check an event must
     /// pass to be admitted.
-    pub fn into_event(self) -> Result<OnlineEvent, String> {
+    fn into_event(self) -> Result<OnlineEvent, String> {
         let event = match need(self.ty, "type")? {
             "arrival" => {
                 let topics = if let Some(ws) = self.weights {
@@ -469,6 +470,7 @@ pub fn event_from_value(v: &Value) -> Result<OnlineEvent, String> {
     let f64_of = |key: &str| v.get(key).and_then(Value::as_f64);
     EventFields {
         ty: v.get("type").and_then(Value::as_str),
+        at: None,
         id: u64_of("id"),
         budget: f64_of("budget"),
         cpe: f64_of("cpe"),
@@ -485,25 +487,70 @@ pub fn event_from_value(v: &Value) -> Result<OnlineEvent, String> {
     .into_event()
 }
 
-/// Parses a JSON-lines log produced by [`log_to_jsonl`] (empty lines are
-/// skipped).
-pub fn log_from_jsonl(text: &str) -> Result<Vec<LogEvent>, LogError> {
-    let mut log = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+/// Reads the event object at `r`, whose `type` is `ty`, into its
+/// [`EventFields`]. The first occurrence of a key fills its field,
+/// mistyped or not; later ones are skipped like unknown keys.
+fn read_fields<'a>(r: &mut Reader<'_>, ty: &'a str) -> Result<EventFields<'a>, String> {
+    let mut f = EventFields {
+        ty: Some(ty),
+        ..EventFields::default()
+    };
+    let mut seen = Vec::new();
+    r.object(|r, key| {
+        if seen.contains(&key) {
+            return r.skip();
         }
-        let bad = |why: String| LogError::Malformed { line: no + 1, why };
-        let v = serde_json::from_str(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        let at = v
-            .get("at")
-            .and_then(|x| x.as_f64())
-            .ok_or_else(|| bad("missing `at`".to_string()))?;
-        let event = event_from_value(&v).map_err(bad)?;
-        log.push(LogEvent { at, event });
-    }
-    Ok(log)
+        match &*key {
+            "at" => f.at = r.f64()?,
+            "id" => f.id = r.u64()?,
+            "budget" => f.budget = r.f64()?,
+            "cpe" => f.cpe = r.f64()?,
+            "ctp" => f.ctp = r.f64()?,
+            "k" => f.k = r.u64()?,
+            "topic" => f.topic = r.u64()?,
+            "mass" => f.mass = r.f64()?,
+            "weights" => {
+                let mut items = Vec::new();
+                f.weights = Some(
+                    r.array(|r| r.f64().map(|w| items.push(w)))?
+                        .then_some(items),
+                );
+            }
+            "amount" => f.amount = r.f64()?,
+            _ => return r.skip(),
+        }
+        seen.push(key);
+        Ok(())
+    })?;
+    Ok(f)
+}
+
+/// Reads the event object at `r`, whose `type` is `ty` — a mutation's
+/// frame body, or an event-log line — and makes every check on it.
+pub fn read_event(r: &mut Reader<'_>, ty: &str) -> Result<OnlineEvent, String> {
+    read_fields(r, ty)?.into_event()
+}
+
+/// One log line: a mutation's frame body with `at` as one more key.
+fn read_line(line: &str) -> Result<LogEvent, String> {
+    let mut r = Reader::new(line.as_bytes())?;
+    let ty = r.peek_type()?;
+    let fields = read_fields(&mut r, &ty)?;
+    r.end()?;
+    Ok(LogEvent {
+        at: need(fields.at, "at")?,
+        event: fields.into_event()?,
+    })
+}
+
+/// Parses a JSON-lines log produced by [`log_to_jsonl`] (blank lines are
+/// skipped). A line is read like a frame body ([`read_event`]), so it is
+/// admitted exactly when its body without `at` is.
+pub fn log_from_jsonl(text: &str) -> Result<Vec<LogEvent>, LogError> {
+    (text.lines().enumerate())
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(no, line)| read_line(line).map_err(|why| LogError::Malformed { line: no + 1, why }))
+        .collect()
 }
 
 /// Writes a log file ([`log_to_jsonl`] format), creating parent
@@ -647,7 +694,18 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_bit_exactly() {
-        let log = spec(21).generate(0.05);
+        let mut log = spec(21).generate(0.05);
+        // Ids past 2⁵³ too: the log reads integers exactly, like the wire.
+        log.extend(
+            [
+                OnlineEvent::BudgetTopUp {
+                    id: u64::MAX,
+                    amount: 2.5,
+                },
+                OnlineEvent::AdDeparture { id: u64::MAX },
+            ]
+            .map(|event| LogEvent { at: 1e3, event }),
+        );
         let text = log_to_jsonl(&log);
         let back = log_from_jsonl(&text).unwrap();
         assert_eq!(log, back);
@@ -722,6 +780,20 @@ mod tests {
             Err(LogError::Malformed { .. })
         ));
         assert!(log_from_jsonl("\n\n").unwrap().is_empty());
+        // Numbers `str::parse` takes and JSON does not: the wire refuses
+        // them, so a log line does too.
+        for number in ["01", "1.", "-01", "1.e3"] {
+            for line in [
+                format!("{{\"at\":1,\"type\":\"departure\",\"id\":{number}}}"),
+                format!("{{\"at\":1,\"type\":\"topup\",\"id\":1,\"amount\":{number}}}"),
+                format!("{{\"at\":{number},\"type\":\"reallocate\"}}"),
+            ] {
+                assert!(
+                    matches!(log_from_jsonl(&line), Err(LogError::Malformed { .. })),
+                    "{line}"
+                );
+            }
+        }
     }
 
     #[test]
