@@ -235,6 +235,13 @@ fn main() -> ExitCode {
         allocator.total_rr_sets(),
         stats.shard_reclaims,
     );
+    let shares: Vec<String> = report
+        .replayed_commits
+        .iter()
+        .filter(|r| r.2 > 0)
+        .map(|(kind, replayed, commits)| format!("{} {replayed}/{commits}", kind.name()))
+        .collect();
+    println!("commits replayed from the record: {}", shares.join(" | "));
     println!(
         "final: {} live ads, {} seeds, regret estimate {:.3}, engine memory {:.1} MB",
         allocator.num_live(),
@@ -274,6 +281,15 @@ fn main() -> ExitCode {
             "full_reallocations": stats.full_reallocations,
             "resumed_reallocations": resumed,
             "delta_reallocations": stats.delta_reallocations,
+            "replayed_commits": report
+                .replayed_commits
+                .iter()
+                .map(|&(kind, replayed, commits)| json!({
+                    "kind": kind.name(),
+                    "replayed": replayed,
+                    "commits": commits,
+                }))
+                .collect::<Vec<_>>(),
             "shard_reclaims": stats.shard_reclaims,
             "final_live_ads": allocator.num_live(),
             "final_total_seeds": allocator.allocation().total_seeds(),

@@ -30,6 +30,7 @@
 
 mod resume;
 
+use resume::AdRecord;
 pub use resume::RunRecord;
 
 use crate::algos::DROP_TOL;
@@ -348,6 +349,10 @@ struct AdState<'a> {
     /// Base snapshot carried through for the warm-state hand-back.
     base: Option<(usize, Vec<f64>)>,
     ad_seeds: AdSeeds,
+    /// θ₀ = L(1, ε), the sets active before the ad's first commit, once
+    /// asked of `KPT(1)`: where the ad's record is matched, else at its
+    /// activation.
+    theta0: Option<usize>,
     /// Current seed-count estimate `s_i`.
     s_est: usize,
     /// Seeds in selection order: (node, decay δ applied, credited score).
@@ -356,11 +361,68 @@ struct AdState<'a> {
     revenue: f64,
     /// Marginal revenue of the most recent seed.
     last_mg: f64,
+    /// The candidate (node, marginal revenue, regret drop) of the ad's
+    /// latest evaluation. The heap is pure, so it stays the candidate
+    /// until the ad commits again or the node fills its attention bound.
+    /// Never kept under the exact-drop ablation, whose scan depends on
+    /// more nodes than the one it returns.
+    cand: Option<(NodeId, f64, f64)>,
     /// No further regret-reducing candidate exists.
     saturated: bool,
+    /// Set when the ad saturates and its overlay is released: its
+    /// compacted index, its θ and the bytes the overlay held.
+    released: Option<(RrIndex, usize, usize)>,
 }
 
 impl<'a> AdState<'a> {
+    /// θ₀ = L(1, ε), asking `KPT(1)` the first time.
+    fn theta0(&mut self, bound: &SampleBound, clock: &mut PhaseClock) -> usize {
+        if self.theta0.is_none() {
+            let kpt1 = self.estimate_kpt(1, clock);
+            self.theta0 = Some(bound.theta(1, kpt1));
+        }
+        self.theta0.unwrap_or_default()
+    }
+
+    /// Activates the θ₀ prefix of the ad's overlay and builds its heap
+    /// (Algorithm 2, lines 1–3), at its first live evaluation.
+    fn activate(
+        &mut self,
+        want_warm: bool,
+        bound: &SampleBound,
+        oracle_calls: &mut usize,
+        clock: &mut PhaseClock,
+    ) {
+        let theta = self.theta0(bound, clock);
+        match &self.base {
+            // O(n) shortcut past the O(entries) activation walk: the
+            // pristine θ₀ scores are integers, so restoring them is
+            // bit-identical to re-activating set by set.
+            Some((t0, scores)) if *t0 == theta => {
+                self.coll.restore_prefix(theta, scores);
+                clock.lap(Phase::ThetaSample);
+            }
+            _ => {
+                self.ensure_theta(theta, oracle_calls, clock);
+                self.base = want_warm.then(|| (theta, self.coll.scores().to_vec()));
+            }
+        }
+        rebuild_heap(self);
+        clock.lap(Phase::HeapBuild);
+    }
+
+    /// Releases the saturated ad's overlay and heap at θ `theta` and
+    /// settles its postings, so the run reports the exact-fit frozen tier,
+    /// not the hot arena's slack, and no later ad holds that slack.
+    fn release(&mut self, theta: usize) {
+        let overlay = self.coll.overlay_bytes();
+        self.heap = LazyMaxHeap::new();
+        let coll = std::mem::replace(&mut self.coll, WeightedRrCollection::new(0));
+        let mut index = coll.take_index();
+        index.compact();
+        self.released = Some((index, theta, overlay));
+    }
+
     /// `KPT(s)` through the ad's fast route, timed as `KptEstimate`.
     fn estimate_kpt(&mut self, s: usize, clock: &mut PhaseClock) -> f64 {
         let built = self.fast.build_time();
@@ -492,25 +554,30 @@ pub struct ResumableRun {
     pub stats: AlgoStats,
     /// The updated per-ad capital, as [`tirm_allocate_warm`] returns it.
     pub warm: Vec<AdWarmState>,
-    /// The record a later run over the same ads can resume from; `None`
-    /// under [`TirmOptions::exact_drop_selection`], which never records.
+    /// The record a later run over these ads, or some of them and others,
+    /// can replay; `None` under [`TirmOptions::exact_drop_selection`],
+    /// which never records.
     pub record: Option<RunRecord>,
-    /// Recorded steps this run took over without re-running them, when
-    /// it resumed the record it was handed.
-    pub skipped_steps: Option<usize>,
+    /// Commits this run took from the record it was handed; `None` when
+    /// that record held no ad of this run.
+    pub replayed: Option<usize>,
 }
 
-/// [`tirm_allocate_warm`] that also records its greedy steps, and resumes
-/// from `resume`, the record of an earlier run, when it was taken over
-/// the same ads in the same order — same seed plans, cpe, CTPs and
-/// projected probabilities, same options — with only budgets or λ
-/// changed. Resuming re-runs only the steps from the first one the change
-/// can alter. The result is bit-identical to a cold
+/// [`tirm_allocate_warm`] that also records every ad's trajectory, and
+/// replays each ad that `resume`, the record of an earlier run, holds.
+/// An ad is matched by its seed plan and cpe, is replayed only if its
+/// warm state keeps the base scores of its θ₀, and must have the same
+/// projected probabilities and CTPs as then; the options must be the
+/// same. Budgets, λ and the other ads may differ: arrivals, departures
+/// and top-ups. Each ad replays its record until the first evaluation
+/// at which another ad's change or its own budget can alter it, and runs
+/// live from there. The result is bit-identical to a cold
 /// [`tirm_allocate_seeded`] run either way, and so is the warm capital
 /// handed back: the KPT estimators are asked what a full run asks them.
 ///
-/// Seed plans, cpe, θ₀ and the options are checked; a record that does
-/// not match them is dropped and the run starts from step 0.
+/// A departing ad's trajectory must be dropped with
+/// [`RunRecord::forget`] before an ad with its seed plan but other data
+/// arrives.
 pub fn tirm_allocate_resumable(
     problem: &ProblemInstance<'_>,
     opts: TirmOptions,
@@ -524,7 +591,7 @@ pub fn tirm_allocate_resumable(
 /// Shared driver behind the entry points. `want_warm` gates the θ₀-score
 /// base snapshot (an O(n) copy per ad that only pays off when the caller
 /// keeps the warm states). `record` is `None` for a run that keeps no
-/// record, else the record to resume from, if any.
+/// record, else the record to replay, if any.
 fn tirm_run(
     problem: &ProblemInstance<'_>,
     opts: TirmOptions,
@@ -552,8 +619,8 @@ fn tirm_run(
     // O(n log n + m) once — noise against the sampling volume.
     let layout = Arc::new(sampling_layout(problem.graph, &opts));
 
-    // Initialise per-ad state: s_i = 1, θ_i = L(1, ε), sample (or
-    // re-activate the cached prefix), build heap (Algorithm 2, lines 1–3).
+    // Initialise per-ad state: s_i = 1. θ₀ and the overlay wait for the
+    // ad's first evaluation (`AdState::activate`).
     let mut states: Vec<AdState<'_>> = Vec::with_capacity(h);
     for (i, slot) in warm.into_iter().enumerate() {
         let sampler = RrSampler::new(problem.graph, &problem.edge_probs[i]);
@@ -584,7 +651,7 @@ fn tirm_run(
                 None,
             ),
         };
-        let mut st = AdState {
+        states.push(AdState {
             sampler,
             fast,
             coll: WeightedRrCollection::from_index(index),
@@ -593,139 +660,121 @@ fn tirm_run(
             engine,
             base,
             ad_seeds: seeds,
+            theta0: None,
             s_est: 1,
             seeds: Vec::new(),
             revenue: 0.0,
             last_mg: f64::INFINITY,
+            cand: None,
             saturated: false,
-        };
-        clock.lap(Phase::Other);
-        let kpt1 = st.estimate_kpt(1, &mut clock);
-        let theta = bound.theta(1, kpt1);
-        match &st.base {
-            // O(n) shortcut past the O(entries) activation walk: the
-            // pristine θ₀ scores are integers, so restoring them is
-            // bit-identical to re-activating set by set.
-            Some((t0, scores)) if *t0 == theta => {
-                st.coll.restore_prefix(theta, scores);
-                clock.lap(Phase::ThetaSample);
-            }
-            _ => {
-                st.ensure_theta(theta, &mut oracle_calls, &mut clock);
-                st.base = want_warm.then(|| (theta, st.coll.scores().to_vec()));
-            }
-        }
-        states.push(st);
+            released: None,
+        });
     }
+    clock.lap(Phase::Other);
 
     // The exact-drop ablation keeps no record: its candidates are not a
     // pure function of the heap's contents.
-    let fresh = (record.is_some() && !opts.exact_drop_selection)
-        .then(|| RunRecord::new(problem, &opts, ad_seeds, &states));
-    let resume = record
-        .flatten()
-        .filter(|rec| fresh.as_ref().is_some_and(|f| rec.fits(f)));
-    let mut skipped_steps = None;
-    let mut pending = None;
-    let mut record = match resume {
-        Some(mut rec) => {
-            let (skipped, grow) =
-                rec.resume(problem, &mut states, &mut alloc, &bound, nf, &mut clock);
-            skipped_steps = Some(skipped);
-            pending = grow;
-            Some(rec)
-        }
-        None => {
-            for st in &mut states {
-                rebuild_heap(st);
-            }
-            clock.lap(Phase::HeapBuild);
-            fresh
-        }
-    };
-
-    // The grow a resumed run departed from its record at.
-    if let Some((i, grow)) = pending {
-        let st = &mut states[i];
-        if let Some(theta) = grow {
-            grow_theta(problem, st, i, theta, nf, &mut oracle_calls, &mut clock);
-        }
-        if let Some(rec) = &mut record {
-            rec.after_step(i, alloc.seeds(i).len(), grow, st.coll.scores());
-        }
-        clock.lap(Phase::Grow);
-    }
+    let mut record = record
+        .filter(|_| !opts.exact_drop_selection)
+        .map(|old| RunRecord::start(problem, &opts, &mut states, old, &bound, &mut clock));
+    // When every user's attention covers all h ads, no ad's choice can
+    // block another's and the order of commits does not matter: the ads
+    // run one after another, and only one overlay is held at a time.
+    let one_by_one = (0..n as NodeId).all(|u| problem.attention.of(u) as usize >= h);
 
     // Main loop (Algorithm 2, lines 4–19).
     loop {
-        let mut best: Option<(usize, NodeId, f64, f64, f64)> = None; // ad, node, drop, mg, score
+        let mut best: Option<(usize, NodeId, f64, f64)> = None; // ad, node, drop, mg
         for (i, st) in states.iter_mut().enumerate() {
             if st.saturated {
                 continue;
             }
-            let cand = if opts.exact_drop_selection {
-                select_best_drop(problem, &alloc, st, i, nf, &mut oracle_calls)
-            } else {
-                select_best_node(problem, &alloc, st, i, &mut oracle_calls).map(|(v, score)| {
-                    let mg = marginal_revenue(problem, i, v, score, st.coll.num_sets(), nf);
-                    (v, score, mg)
-                })
-            };
-            let (v, score, mg) = match cand {
-                Some(c) => c,
+            let (v, mg, drop) = match st.cand.filter(|c| open(problem, &alloc, c.0)) {
+                Some(cand) => cand,
                 None => {
-                    st.saturated = true;
-                    if let Some(rec) = &mut record {
-                        rec.evaluated(i, st.revenue, None, true);
+                    let replayed = record
+                        .as_mut()
+                        .and_then(|r| r.replayed_candidate(i, problem, &alloc, st, nf, &mut clock));
+                    // A replaying ad's overlay stays empty until it goes
+                    // live; a live one's is activated here, at its first
+                    // evaluation.
+                    if replayed.is_none() && st.coll.num_sets() == 0 {
+                        st.activate(want_warm, &bound, &mut oracle_calls, &mut clock);
                     }
-                    continue;
+                    let cand = match replayed {
+                        Some(cand) => cand,
+                        None if opts.exact_drop_selection => {
+                            select_best_drop(problem, &alloc, st, i, nf, &mut oracle_calls)
+                        }
+                        None => {
+                            let rec = record.as_mut().map(|r| r.ad_mut(i));
+                            select_best_node(problem, &alloc, st, i, &mut oracle_calls, rec).map(
+                                |(v, score)| {
+                                    let theta = st.coll.num_sets();
+                                    (v, marginal_revenue(problem, i, v, score, theta, nf))
+                                },
+                            )
+                        }
+                    };
+                    // No candidate, or the best one no longer reduces
+                    // regret: the ad is saturated (Algorithm 1's per-pair
+                    // constraint).
+                    let seeds = alloc.seeds(i).len();
+                    let drop = cand.map(|(_, mg)| regret_drop(problem, i, st.revenue, mg, seeds));
+                    match (cand, drop) {
+                        (Some((v, mg)), Some(drop)) if drop > DROP_TOL => (v, mg, drop),
+                        _ => {
+                            st.saturated = true;
+                            let replayed = record.as_mut().and_then(|r| r.saturated(i, cand));
+                            st.release(replayed.unwrap_or(st.coll.num_sets()));
+                            continue;
+                        }
+                    }
                 }
             };
-            let drop = regret_drop(problem, i, st.revenue, mg, alloc.seeds(i).len());
-            // The best candidate for this ad no longer reduces regret —
-            // the ad is saturated (Algorithm 1's per-pair constraint).
-            let saturated = drop <= DROP_TOL;
-            if let Some(rec) = &mut record {
-                rec.evaluated(i, st.revenue, Some(mg), saturated);
+            st.cand = (!opts.exact_drop_selection).then_some((v, mg, drop));
+            if best.is_none_or(|(_, _, d, _)| drop > d) {
+                best = Some((i, v, drop, mg));
             }
-            if saturated {
-                st.saturated = true;
-                continue;
+            if one_by_one {
+                break;
             }
-            if best.is_none_or(|(_, _, d, _, _)| drop > d) {
-                best = Some((i, v, drop, mg, score));
-            }
-        }
-        if let Some(rec) = &mut record {
-            rec.step_done(best.map(|b| b.0));
         }
         clock.lap(Phase::Select);
-        let (i, v, _drop, mg, _score) = match best {
-            Some(b) => b,
-            None => break,
+        let Some((i, v, _drop, mg)) = best else {
+            break;
         };
 
         // Commit (lines 10–12): assign, credit coverage, decay covered
-        // sets (hard removal when the ablation flag asks for it).
-        alloc.assign(v, i);
+        // sets (hard removal when the ablation flag asks for it). A
+        // replaying ad takes it from its record and leaves its overlay be;
+        // its step is charged to the next lap.
         let st = &mut states[i];
-        let delta = problem.ctp.get(v, i) as f64;
-        let decay = if opts.hard_cover { 1.0 } else { delta };
-        let credited = st.coll.decay_node(v, decay);
+        let replayed = record
+            .as_mut()
+            .and_then(|r| r.replayed_commit(i, v, problem, st, nf, &mut clock));
+        alloc.assign(v, i);
         st.revenue += mg;
         st.last_mg = mg;
-        st.seeds.push((v, decay, credited));
-        if let Some(rec) = &mut record {
-            rec.committed(i, v, decay, mg, st.coll.union_coverage());
+        st.cand = None;
+        if replayed.is_none() {
+            let delta = problem.ctp.get(v, i) as f64;
+            let decay = if opts.hard_cover { 1.0 } else { delta };
+            let credited = st.coll.decay_node(v, decay);
+            st.seeds.push((v, decay, credited));
+            if let Some(rec) = &mut record {
+                rec.committed(i, v, decay, mg, st.coll.union_coverage());
+            }
+            clock.lap(Phase::Commit);
         }
-        clock.lap(Phase::Commit);
 
         // Seed-count growth + sample top-up (lines 14–19).
         let k = alloc.seeds(i).len();
         let mut grow = None;
         if k == st.s_est {
             let budget = problem.target_budget(i);
-            let (touched, theta_now) = (st.coll.union_coverage(), st.coll.num_sets());
+            let (touched, theta_now) =
+                replayed.unwrap_or((st.coll.union_coverage(), st.coll.num_sets()));
             let (s_est, target) = grow_target(
                 budget,
                 st.revenue,
@@ -742,59 +791,60 @@ fn tirm_run(
             );
             st.s_est = s_est;
             grow = target;
-            if let Some(theta) = grow {
-                grow_theta(problem, st, i, theta, nf, &mut oracle_calls, &mut clock);
-            }
-            clock.lap(Phase::Grow);
         }
+        // Compared at every replayed commit: the recorded run may have
+        // grown θ where this one has no grow at all.
+        if let (Some(rec), Some(_)) = (&mut record, replayed) {
+            if rec.replayed_grow(i, grow, problem, st, nf, &mut clock) {
+                continue;
+            }
+        }
+        if let Some(theta) = grow {
+            grow_theta(problem, st, i, theta, nf, &mut oracle_calls, &mut clock);
+        }
+        clock.lap(Phase::Grow);
         if let Some(rec) = &mut record {
-            rec.after_step(i, k, grow, st.coll.scores());
+            rec.after_step(i, k, grow, st);
             clock.lap(Phase::Commit);
         }
     }
 
-    // Settle the postings layout before measuring so artifacts report the
-    // exact-fit frozen tier, not the transient hot-arena slack. (Inside
-    // `start.elapsed()` on purpose: compaction is part of the work the
-    // allocation pays for.)
-    for st in &mut states {
-        st.coll.compact_postings();
-    }
-    let stats = AlgoStats {
-        runtime: start.elapsed(),
+    let mut stats = AlgoStats {
         seeds_per_ad: (0..h).map(|i| alloc.seeds(i).len()).collect(),
         estimated_revenue: states.iter().map(|s| s.revenue).collect(),
-        memory_bytes: states.iter().map(|s| s.coll.memory_bytes()).sum(),
-        rr_sets_per_ad: states.iter().map(|s| s.coll.num_sets()).collect(),
         oracle_calls,
-        postings_bytes: states.iter().map(|s| s.coll.postings_bytes()).sum(),
-        postings_entries: states.iter().map(|s| s.coll.total_entries()).sum(),
+        ..AlgoStats::default()
     };
-    let warm_out = states
-        .into_iter()
-        .map(|st| AdWarmState {
-            index: st.coll.take_index(),
+    let mut warm_out = Vec::with_capacity(h);
+    for mut st in states {
+        let (index, theta, overlay) = st.released.take().expect("every ad saturates");
+        stats.rr_sets_per_ad.push(theta);
+        stats.memory_bytes += index.memory_bytes() + overlay;
+        stats.postings_bytes += index.postings_bytes();
+        stats.postings_entries += index.total_entries();
+        warm_out.push(AdWarmState {
+            index,
             engine: st.engine,
             kpt: st.kpt.into_state(),
             base: st.base,
             seeds: st.ad_seeds,
             threads: opts.threads,
-        })
-        .collect();
+        });
+    }
+    stats.runtime = start.elapsed();
     clock.lap(Phase::Other);
     clock.record();
     ResumableRun {
         alloc,
         stats,
         warm: warm_out,
+        replayed: record.as_ref().and_then(|r| r.replayed()),
         record,
-        skipped_steps,
     }
 }
 
 /// How much ad `ad`'s regret falls when a seed of marginal revenue `mg`
-/// joins its `seeds_len` seeds at revenue `revenue`. The loop and a
-/// resume's scan both decide with it.
+/// joins its `seeds_len` seeds at revenue `revenue`.
 fn regret_drop(
     problem: &ProblemInstance<'_>,
     ad: usize,
@@ -806,6 +856,11 @@ fn regret_drop(
     let current = ad_regret(budget, revenue, problem.lambda, seeds_len);
     let next = ad_regret(budget, revenue + mg, problem.lambda, seeds_len + 1);
     current - next
+}
+
+/// Whether user `v` can take one more ad under its attention bound.
+fn open(problem: &ProblemInstance<'_>, alloc: &Allocation, v: NodeId) -> bool {
+    alloc.assigned_count(v) < problem.attention.of(v)
 }
 
 /// `MG_i(v) = cpe(i) · n · δ(v,i) · score / θ`.
@@ -823,18 +878,22 @@ fn marginal_revenue(
 
 /// Algorithm 3 — `SelectBestNode`: the eligible node with maximum weighted
 /// coverage, via the lazy heap. The winner is *peeked*: it is re-pushed so
-/// the heap stays consistent if another ad wins this round.
+/// the heap stays consistent if another ad wins this round. Nodes dropped
+/// as ineligible are noted in `rec`; to note them in the ad's order, a
+/// recording heap drops a node only at its current key.
 fn select_best_node(
     problem: &ProblemInstance<'_>,
     alloc: &Allocation,
     st: &mut AdState<'_>,
     ad: usize,
     oracle_calls: &mut usize,
+    mut rec: Option<&mut AdRecord>,
 ) -> Option<(NodeId, f64)> {
     *oracle_calls += 1;
     let coll = &st.coll;
     let got = st.heap.pop_best(|v, key| {
-        if !alloc.can_assign(problem, v, ad) {
+        let eligible = || alloc.can_assign(problem, v, ad);
+        if rec.is_none() && !eligible() {
             return Verdict::Drop;
         }
         let cur = coll.score(v);
@@ -843,10 +902,13 @@ fn select_best_node(
         }
         let cur_key = score_key(cur);
         if cur_key != key {
-            Verdict::Refresh(cur_key)
-        } else {
-            Verdict::Take
+            return Verdict::Refresh(cur_key);
         }
+        if let Some(rec) = rec.as_deref_mut().filter(|_| !eligible()) {
+            rec.dropped(v, cur, alloc.seeds(ad));
+            return Verdict::Drop;
+        }
+        Verdict::Take
     });
     if let Some((v, key)) = got {
         st.heap.push(v, key); // peek semantics
@@ -866,7 +928,7 @@ fn select_best_drop(
     ad: usize,
     nf: f64,
     oracle_calls: &mut usize,
-) -> Option<(NodeId, f64, f64)> {
+) -> Option<(NodeId, f64)> {
     let budget = problem.target_budget(ad);
     let seeds_len = alloc.seeds(ad).len();
     let current = ad_regret(budget, st.revenue, problem.lambda, seeds_len);
@@ -917,14 +979,14 @@ fn select_best_drop(
     for &(v, key) in &popped {
         st.heap.push(v, key);
     }
-    best.map(|(v, score, mg, _)| (v, score, mg))
+    best.map(|(v, _, mg, _)| (v, mg))
 }
 
 /// Lines 15–16 of Algorithm 2 for an ad whose seed count just reached its
 /// estimate `s_est`: the revised estimate, and the θ to grow to when the
 /// revision asks for more sets than the `theta_now` held. `kpt` answers
 /// `KPT(s)`; it is asked only when the estimate grows. A pure function of
-/// its arguments, so a resume can replay it from recorded values.
+/// its arguments, so a replay can recompute it from recorded values.
 #[allow(clippy::too_many_arguments)]
 fn grow_target(
     budget: f64,

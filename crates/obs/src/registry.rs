@@ -61,16 +61,16 @@ pub static APPLY_LATENCY_DEPARTURE: Histogram = Histogram::new();
 pub static APPLY_LATENCY_REALLOCATE: Histogram = Histogram::new();
 /// `process()` latency for `RegretQuery` events.
 pub static APPLY_LATENCY_REGRET_QUERY: Histogram = Histogram::new();
-/// Reconciliations served by the incremental delta path.
+/// Reconciliations whose allocation leaves every user below κ (see
+/// `OnlineStats::delta_reallocations`).
 pub static DELTA_RECONCILIATIONS: Counter = Counter::new();
-/// Reconciliations that fell back to a full interleaved re-run.
+/// Reconciliations whose allocation leaves some user at κ.
 pub static FULL_RECONCILIATIONS: Counter = Counter::new();
-/// Full reconciliations that resumed the previous run's record instead
-/// of re-running the greedy from its first step (a subset of
-/// [`FULL_RECONCILIATIONS`]).
+/// Reconciliations whose run replayed some ad from the previous run's
+/// record.
 pub static RESUMED_RECONCILIATIONS: Counter = Counter::new();
-/// Greedy steps each resumed reconciliation took over from the record
-/// without re-running them.
+/// Commits each reconciliation took from the record instead of
+/// re-running them.
 pub static RESUME_SKIPPED_STEPS: Histogram = Histogram::new();
 /// Departed-ad shards evicted from the retained pool.
 pub static POOL_EVICTIONS: Counter = Counter::new();
@@ -202,19 +202,19 @@ pub static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
     (
         "tirm_online_delta_reconciliations_total",
         None,
-        "Reconciliations served by the incremental delta path",
+        "Reconciliations leaving every user below the attention bound",
         &DELTA_RECONCILIATIONS,
     ),
     (
         "tirm_online_full_reconciliations_total",
         None,
-        "Reconciliations that fell back to a full interleaved re-run",
+        "Reconciliations leaving some user at the attention bound",
         &FULL_RECONCILIATIONS,
     ),
     (
         "tirm_online_resumed_reconciliations_total",
         None,
-        "Full reconciliations that resumed the previous run's record",
+        "Reconciliations that replayed some ad from the previous run's record",
         &RESUMED_RECONCILIATIONS,
     ),
     (
@@ -396,7 +396,7 @@ pub static HISTOGRAMS: &[(&str, Option<(&str, &str)>, &str, &Histogram)] = &[
     (
         "tirm_online_resume_skipped_steps",
         None,
-        "Greedy steps a resumed reconciliation took over without re-running them",
+        "Commits a reconciliation took from the previous run's record",
         &RESUME_SKIPPED_STEPS,
     ),
     (

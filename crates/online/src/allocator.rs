@@ -6,24 +6,22 @@
 //! [`tirm_rrset::RrIndex`] shard per ad (exactly TIRM's per-ad collections
 //! `R_i`), each mapping node → RR-set postings, kept alive across events
 //! inside the ad's [`AdWarmState`]. Events mutate the *campaign model*
-//! (who is live, with what budget); reconciliation turns the model back
-//! into an allocation:
+//! (who is live, with what budget); every reconciliation turns the model
+//! back into an allocation with one warm run of the interleaved greedy
+//! over all live ads ([`tirm_core::tirm_allocate_resumable`]):
 //!
-//! * **Fast (delta) path** — when the last allocation was contention-free
-//!   (no user saturated their attention bound κ), each ad's greedy
-//!   trajectory is provably independent of the others, so an arrival or
-//!   top-up re-runs *only the affected ad* against its own postings lists
-//!   and lazy-greedy heap, and a departure is pure bookkeeping (withdraw
-//!   seeds, release the shard to the retained pool — no other ad's regret
-//!   can improve). The composed result is validated (no user at κ) and
-//!   falls back to the full path if composition saturated anyone.
-//! * **Full path** — the interleaved batch greedy over all live ads,
-//!   still warm: every ad re-activates its cached RR prefix (O(postings)
-//!   instead of graph walks, or O(n) via the θ₀ base snapshot) and only
-//!   samples fresh sets past the cached tail. When nothing but budgets
-//!   changed since the last full run, it resumes that run's
-//!   [`RunRecord`] and re-runs only the greedy steps from the first one
-//!   the new budgets alter.
+//! * every ad the last run's [`RunRecord`] holds replays its own
+//!   recorded trajectory, never touching its overlay, until the first
+//!   evaluation that another ad's change (a node it dropped freed, its
+//!   pick taken) or its own budget can alter, and runs live from there;
+//! * an ad the record does not hold (an arrival; every ad after a
+//!   restore) runs live from step 0, re-activating its cached RR prefix
+//!   (O(n) via the θ₀ base snapshot) and sampling only past the cached
+//!   tail.
+//!
+//! κ is the only coupling between ads: while no user sits at κ only the
+//! ads a batch changed go live, and a departure sends none live —
+//! withdrawing its seeds is the re-allocation.
 //!
 //! # Correctness anchor
 //!
@@ -43,8 +41,8 @@ use crate::snapshot::{AdSnapshot, AllocationSnapshot};
 use std::sync::Arc;
 use std::time::Instant;
 use tirm_core::{
-    ad_regret, tirm_allocate_resumable, tirm_allocate_warm, AdSeeds, AdWarmState, Advertiser,
-    Allocation, Attention, ProblemInstance, RunRecord, TirmOptions,
+    ad_regret, tirm_allocate_resumable, AdSeeds, AdWarmState, Advertiser, Allocation, Attention,
+    ProblemInstance, RunRecord, TirmOptions,
 };
 use tirm_graph::{DiGraph, NodeId};
 use tirm_topics::{CtpTable, TopicDist, TopicEdgeProbs};
@@ -55,7 +53,7 @@ pub struct OnlineConfig {
     /// TIRM options (ε, ℓ, base seed, threads, per-ad θ cap). The base
     /// seed is mixed with each ad's id into its per-ad streams. Nothing in
     /// them couples one ad's greedy trajectory to another's: only κ
-    /// contention does.
+    /// does.
     pub tirm: TirmOptions,
     /// Attention bound κ (uniform over users).
     pub kappa: u32,
@@ -108,10 +106,14 @@ struct LiveAd {
 pub struct OnlineStats {
     /// Events processed (including rejected ones).
     pub events: usize,
-    /// Reconciliations that re-ran the full interleaved greedy.
+    /// Reconciliations whose allocation leaves some user at their
+    /// attention bound κ.
     pub full_reallocations: usize,
-    /// Reconciliations served by the delta path (affected ads only, or
-    /// pure bookkeeping).
+    /// Reconciliations whose allocation leaves every user below κ: no
+    /// ad's choice was blocked by another's, so when the allocation
+    /// before was contention-free too, no ad went live but the ones the
+    /// batch changed. A function of the allocations, so a restored copy
+    /// counts what the original did.
     pub delta_reallocations: usize,
     /// Fresh RR sets sampled (graph walks actually paid).
     pub fresh_rr_sets: usize,
@@ -128,22 +130,14 @@ pub struct OnlineAllocator<'g> {
     /// sees.
     live: Vec<LiveAd>,
     pool: RetainedPool,
-    /// Ads whose trajectories must be recomputed (arrival order is
-    /// preserved by construction).
-    dirty: Vec<AdId>,
     /// Campaign model changed since the standing allocation was computed.
     stale: bool,
-    /// The standing allocation saturated some user's attention bound —
-    /// per-ad trajectories may be coupled, so the delta path is unsound
-    /// until a full re-run lands contention-free.
-    contended: bool,
-    /// The greedy steps of the last full run, kept while the live ads
-    /// are the ones it ran over and only their budgets have changed since
-    /// (top-ups). Arrivals, departures and delta runs drop it, and a
-    /// restored allocator starts without one; none of that changes an
-    /// allocation bit, only how much of the next full run is re-run. Not
-    /// counted in [`Self::memory_bytes`], which is a function of the
-    /// standing state alone.
+    /// Every live ad's trajectory in the last run, minus the ads that
+    /// have departed since; the next run replays it. A restored allocator
+    /// starts without one. It never changes an allocation bit, only how
+    /// much of the next run is live, so it is not counted in
+    /// [`Self::memory_bytes`], which is a function of the standing state
+    /// alone.
     record: Option<RunRecord>,
     /// Mutating events applied (arrivals, top-ups, departures and
     /// reallocates that returned `Ok`; queries and rejected events never
@@ -173,9 +167,7 @@ impl<'g> OnlineAllocator<'g> {
             cfg,
             live: Vec::new(),
             pool: RetainedPool::new(max_retained),
-            dirty: Vec::new(),
             stale: false,
-            contended: false,
             record: None,
             epoch: 0,
             stats: OnlineStats::default(),
@@ -327,7 +319,6 @@ impl<'g> OnlineAllocator<'g> {
             self.stats.shard_reclaims += 1;
             tirm_obs::registry::POOL_RECLAIMS.inc();
         }
-        self.record = None;
         self.live.push(LiveAd {
             id,
             adv: Advertiser::new(budget, cpe, topics.clone()),
@@ -338,7 +329,6 @@ impl<'g> OnlineAllocator<'g> {
             seeds: Vec::new(),
             revenue_est: 0.0,
         });
-        self.mark_dirty(id);
         self.stale = true;
         Ok(())
     }
@@ -357,7 +347,6 @@ impl<'g> OnlineAllocator<'g> {
             )));
         }
         self.live[i].adv.budget = budget;
-        self.mark_dirty(id);
         self.stale = true;
         Ok(())
     }
@@ -365,32 +354,14 @@ impl<'g> OnlineAllocator<'g> {
     fn depart(&mut self, id: AdId) -> Result<(), OnlineError> {
         let i = self.index_of(id).ok_or(OnlineError::UnknownAd(id))?;
         let ad = self.live.remove(i);
-        self.record = None;
-        self.dirty.retain(|&d| d != id);
+        if let Some(record) = &mut self.record {
+            record.forget(ad.plan);
+        }
         if let Some(state) = ad.warm {
             self.pool.release(id, ad.adv.topics.clone(), state);
         }
-        if self.contended {
-            // The departed seeds may have been blocking others
-            // (attention contention): every remaining ad's regret can
-            // potentially improve, so they all go back through the
-            // (full) re-allocation.
-            let ids: Vec<AdId> = self.live.iter().map(|a| a.id).collect();
-            for id in ids {
-                self.mark_dirty(id);
-            }
-            self.stale = true;
-        }
-        // Contention-free: no other ad's trajectory depended on the
-        // departed seeds, so withdrawing them *is* the re-allocation —
-        // `stale` is left exactly as it was.
+        self.stale = true;
         Ok(())
-    }
-
-    fn mark_dirty(&mut self, id: AdId) {
-        if !self.dirty.contains(&id) {
-            self.dirty.push(id);
-        }
     }
 
     fn index_of(&self, id: AdId) -> Option<usize> {
@@ -403,78 +374,29 @@ impl<'g> OnlineAllocator<'g> {
         if !self.stale {
             return (false, true);
         }
-        if self.live.is_empty() {
-            self.dirty.clear();
-            self.stale = false;
-            self.contended = false;
+        let fast_path = self.live.is_empty() || self.run();
+        self.stale = false;
+        if fast_path {
             self.stats.delta_reallocations += 1;
             tirm_obs::registry::DELTA_RECONCILIATIONS.inc();
-            return (true, true);
+        } else {
+            self.stats.full_reallocations += 1;
+            tirm_obs::registry::FULL_RECONCILIATIONS.inc();
         }
-        if !self.contended {
-            // Delta path: recompute only the dirty ads, each against its
-            // own shard, keeping every clean trajectory.
-            let dirty: Vec<AdId> = std::mem::take(&mut self.dirty);
-            for &id in &dirty {
-                if let Some(i) = self.index_of(id) {
-                    self.run_ads(&[i], false);
-                }
-            }
-            let sat = self.saturated();
-            // A saturation-free composition is provably the batch result;
-            // with a single live ad the "composition" *is* the batch run,
-            // saturated or not.
-            if !sat || self.live.len() == 1 {
-                self.contended = sat;
-                self.stale = false;
-                self.stats.delta_reallocations += 1;
-                tirm_obs::registry::DELTA_RECONCILIATIONS.inc();
-                return (true, true);
-            }
-            // Composition saturated someone: per-ad independence no
-            // longer holds (and the composition may even overshoot κ) —
-            // fall through to the exact interleaved run.
-        }
-        self.full_run();
-        self.dirty.clear();
-        self.stale = false;
-        self.stats.full_reallocations += 1;
-        tirm_obs::registry::FULL_RECONCILIATIONS.inc();
-        (true, false)
+        (true, fast_path)
     }
 
-    /// Any user at (or beyond — possible only in unvalidated delta
-    /// compositions) their attention bound? O(Σ|S_i|), not O(n): this
-    /// sits on the per-event fast path and seed sets are tiny next to
-    /// the graph.
-    fn saturated(&self) -> bool {
-        let mut counts: std::collections::HashMap<NodeId, u32> = std::collections::HashMap::new();
-        for ad in &self.live {
-            for &v in &ad.seeds {
-                let c = counts.entry(v).or_insert(0);
-                *c += 1;
-                if *c >= self.cfg.kappa {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Warm TIRM over the live ads at `indices` (problem ad order ==
-    /// `indices` order), writing seeds/revenue estimates back. A single
-    /// index is the delta path's independent per-ad run (sound while
-    /// contention-free); all indices (`full`) is the exact interleaved
-    /// batch run, which resumes the last full run's record if there is
-    /// one and leaves its own.
-    fn run_ads(&mut self, indices: &[usize], full: bool) {
-        let mut ads = Vec::with_capacity(indices.len());
-        let mut probs = Vec::with_capacity(indices.len());
-        let mut ctp_cols = Vec::with_capacity(indices.len());
-        let mut plan = Vec::with_capacity(indices.len());
-        let mut warm = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let ad = &mut self.live[i];
+    /// Warm TIRM over all live ads, replaying the last run's record and
+    /// leaving its own, with seeds and revenue estimates written back.
+    /// Returns whether the allocation leaves every user below κ.
+    fn run(&mut self) -> bool {
+        let h = self.live.len();
+        let mut ads = Vec::with_capacity(h);
+        let mut probs = Vec::with_capacity(h);
+        let mut ctp_cols = Vec::with_capacity(h);
+        let mut plan = Vec::with_capacity(h);
+        let mut warm = Vec::with_capacity(h);
+        for ad in &mut self.live {
             ads.push(ad.adv.clone());
             probs.push(std::mem::take(&mut ad.probs));
             ctp_cols.push(std::mem::take(&mut ad.ctp_col));
@@ -490,51 +412,42 @@ impl<'g> OnlineAllocator<'g> {
             Attention::Uniform(self.cfg.kappa),
             self.cfg.lambda,
         );
-        let (alloc, stats, warm_out) = if full {
-            let run =
-                tirm_allocate_resumable(&problem, self.cfg.tirm, &plan, warm, self.record.take());
-            if let Some(skipped) = run.skipped_steps {
-                tirm_obs::registry::RESUMED_RECONCILIATIONS.inc();
-                tirm_obs::registry::RESUME_SKIPPED_STEPS.record(skipped as u64);
-            }
-            self.record = run.record;
-            (run.alloc, run.stats, run.warm)
-        } else {
-            self.record = None;
-            tirm_allocate_warm(&problem, self.cfg.tirm, &plan, warm)
-        };
-        self.restitute(problem, warm_out, indices);
+        let run = tirm_allocate_resumable(&problem, self.cfg.tirm, &plan, warm, self.record.take());
+        if let Some(replayed) = run.replayed {
+            tirm_obs::registry::RESUMED_RECONCILIATIONS.inc();
+            tirm_obs::registry::RESUME_SKIPPED_STEPS.record(replayed as u64);
+        }
+        self.record = run.record;
+        self.restitute(problem, run.warm);
         let mut fresh_after = 0usize;
-        for (pos, &i) in indices.iter().enumerate() {
-            let ad = &mut self.live[i];
-            ad.seeds = alloc.seeds(pos).to_vec();
-            ad.revenue_est = stats.estimated_revenue[pos];
+        for (i, ad) in self.live.iter_mut().enumerate() {
+            ad.seeds = run.alloc.seeds(i).to_vec();
+            ad.revenue_est = run.stats.estimated_revenue[i];
             fresh_after += ad.warm.as_ref().map(|w| w.num_sets()).unwrap_or(0);
         }
         self.stats.fresh_rr_sets += fresh_after - fresh_before;
-    }
-
-    /// The exact interleaved batch greedy over all live ads, warm.
-    fn full_run(&mut self) {
-        let indices: Vec<usize> = (0..self.live.len()).collect();
-        self.run_ads(&indices, true);
-        self.contended = self.saturated();
+        let kappa = self.cfg.kappa;
+        let alloc = &run.alloc;
+        !alloc
+            .seed_sets()
+            .iter()
+            .flatten()
+            .any(|&v| alloc.assigned_count(v) >= kappa)
     }
 
     /// Hands a transient problem's borrowed capital (projected probs, CTP
-    /// columns) and the updated warm states back to the live ads at
-    /// `indices` (problem ad order == `indices` order).
-    fn restitute(
-        &mut self,
-        problem: ProblemInstance<'g>,
-        warm_out: Vec<AdWarmState>,
-        indices: &[usize],
-    ) {
+    /// columns) and the updated warm states back to the live ads
+    /// (problem ad order == live order).
+    fn restitute(&mut self, problem: ProblemInstance<'g>, warm_out: Vec<AdWarmState>) {
         let edge_probs = problem.edge_probs;
         let ctp_cols = problem.ctp.into_columns();
-        for (((&i, probs), col), warm) in indices.iter().zip(edge_probs).zip(ctp_cols).zip(warm_out)
+        for (((ad, probs), col), warm) in self
+            .live
+            .iter_mut()
+            .zip(edge_probs)
+            .zip(ctp_cols)
+            .zip(warm_out)
         {
-            let ad = &mut self.live[i];
             ad.probs = probs;
             ad.ctp_col = col;
             ad.warm = Some(warm);
@@ -841,13 +754,11 @@ mod tests {
             .process(&OnlineEvent::BudgetTopUp { id: 2, amount: 4.0 })
             .unwrap();
         assert!(out.reallocated);
-        if out.fast_path {
-            assert_eq!(
-                a.allocation().seeds(0),
-                &before_1[..],
-                "clean top-up must not disturb the other ad"
-            );
-        }
+        assert_eq!(
+            a.allocation().seeds(0),
+            &before_1[..],
+            "clean top-up must not disturb the other ad"
+        );
     }
 
     #[test]

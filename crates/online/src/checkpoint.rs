@@ -49,10 +49,11 @@ use tirm_topics::{TopicDist, TopicEdgeProbs};
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TIRMCKPT";
 /// Version of the checkpoint payload layout. Version 1 carried every
 /// shard's arrays word for word; version 2 echoed a global seed cap that
-/// no longer exists. A file of either is refused as
-/// [`SnapshotError::UnsupportedVersion`] and recovery falls back to an
-/// older checkpoint or the log.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// no longer exists; version 3 carried a contention flag and the ads
+/// still to recompute, which one reconcile path no longer keeps. A file
+/// of any of them is refused as [`SnapshotError::UnsupportedVersion`] and
+/// recovery falls back to an older checkpoint or the log.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 impl<'g> OnlineAllocator<'g> {
     /// Writes the campaign model and every shard's counts to `w`,
@@ -121,12 +122,6 @@ impl WordWriter {
     fn u32s(&mut self, v: &[u32]) {
         self.usize(v.len());
         self.words.extend_from_slice(v);
-    }
-    fn u64s(&mut self, v: &[u64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.u64(x);
-        }
     }
     fn f32s(&mut self, v: &[f32]) {
         self.usize(v.len());
@@ -206,10 +201,6 @@ impl<'a> WordReader<'a> {
         self.pos += n;
         Ok(out)
     }
-    fn u64s(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.len(2)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
     fn f32s(&mut self) -> Result<Vec<f32>, SnapshotError> {
         let n = self.len(1)?;
         (0..n).map(|_| self.f32()).collect()
@@ -262,13 +253,11 @@ fn encode(a: &OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
     // Dynamic state.
     w.u64(a.epoch);
     w.bool(a.stale);
-    w.bool(a.contended);
     w.usize(a.stats.events);
     w.usize(a.stats.full_reallocations);
     w.usize(a.stats.delta_reallocations);
     w.usize(a.stats.fresh_rr_sets);
     w.usize(a.stats.shard_reclaims);
-    w.u64s(&a.dirty);
     // Live campaigns, arrival order.
     w.usize(a.live.len());
     for ad in &a.live {
@@ -353,7 +342,6 @@ fn decode<'g>(
     let mut a = OnlineAllocator::new(graph, topic_probs, cfg);
     a.epoch = r.u64()?;
     a.stale = r.bool()?;
-    a.contended = r.bool()?;
     a.stats = OnlineStats {
         events: r.usize()?,
         full_reallocations: r.usize()?,
@@ -361,7 +349,6 @@ fn decode<'g>(
         fresh_rr_sets: r.usize()?,
         shard_reclaims: r.usize()?,
     };
-    a.dirty = r.u64s()?;
 
     // First the whole payload is read and the model checked; shards are
     // only noted. Drawing starts once nothing is left to refuse.

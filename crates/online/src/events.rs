@@ -129,9 +129,10 @@ pub struct EventOutcome {
     pub kind: EventKind,
     /// The standing allocation changed (or was rebuilt).
     pub reallocated: bool,
-    /// The change was served incrementally (delta re-allocation of the
-    /// affected ads only, or pure bookkeeping) rather than a full
-    /// interleaved re-run.
+    /// The reconciliation that covered this event left every user below
+    /// their attention bound κ ([`crate::OnlineStats::delta_reallocations`]):
+    /// with a contention-free allocation before it too, no ad went live
+    /// but the ones its batch changed. True when nothing reconciled.
     pub fast_path: bool,
     /// The regret estimate, for `RegretQuery` events.
     pub regret: Option<f64>,

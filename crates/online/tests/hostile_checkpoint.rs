@@ -161,9 +161,8 @@ struct Layout {
 
 fn layout(words: &[u32]) -> Layout {
     let u64_at = |at: usize| u64::from(words[at]) | u64::from(words[at + 1]) << 32;
-    // Past the echoes: epoch, stale, contended, five counters.
-    let mut at = ECHO_WORDS + (2 + 1 + 1 + 10);
-    at += 2 + 2 * u64_at(at) as usize; // dirty ids
+    // Past the echoes: epoch, stale, five counters.
+    let mut at = ECHO_WORDS + (2 + 1 + 10);
     let num_live = at;
     at += 2;
     let mut live = Vec::new();

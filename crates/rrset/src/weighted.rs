@@ -273,7 +273,12 @@ impl WeightedRrCollection {
 
     /// Exact bytes held (Table 4 metric): index storage plus the overlay.
     pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes() + self.weights.capacity() * 8 + self.score.capacity() * 8
+        self.index.memory_bytes() + self.overlay_bytes()
+    }
+
+    /// Bytes of the overlay alone: weights and scores.
+    pub fn overlay_bytes(&self) -> usize {
+        self.weights.capacity() * 8 + self.score.capacity() * 8
     }
 
     /// Sum of stored set sizes.

@@ -14,7 +14,7 @@
 //! A leader's writer thread feeds [`DurableState::commit`] with
 //! everything its admission queue holds, a follower's apply loop feeds
 //! it the pages it polls from the leader, and a restart is `open` over
-//! what either left on disk, replaying the tail one event at a time.
+//! what either left on disk, replaying the tail one segment per batch.
 //! The feeders differ in where a batch comes from and how large it is;
 //! what happens to a batch does not, so one argument covers leader ≡
 //! follower ≡ recovered: every copy applies the same frames in the same

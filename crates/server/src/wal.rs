@@ -749,28 +749,26 @@ pub fn recover<'g>(
         // A torn or corrupt tail ends this segment; a successor is only
         // consistent if it starts exactly at the cursor (the
         // restart-after-crash shape) — the gap check above enforces that
-        // on the next iteration.
+        // on the next iteration. The frames before the end are applied as
+        // one batch, as the writer applies what it drains.
         let mut scan = SegmentScan::open(path, *start)?;
+        let mut batch = Vec::new();
         loop {
             match scan.next_frame()? {
-                Scan::Frame { seq, body } if seq >= cursor => {
-                    let ev = match decode_frame(&body) {
-                        Ok(ev) => ev,
-                        Err(why) => {
-                            report.warnings.push(RecoveryWarning::CorruptFrame {
-                                segment: path.clone(),
-                                seq,
-                                why,
-                            });
-                            break;
-                        }
-                    };
-                    if allocator.process(&ev).is_err() {
-                        report.rejected_on_replay += 1;
+                Scan::Frame { seq, body } if seq >= cursor => match decode_frame(&body) {
+                    Ok(ev) => {
+                        batch.push(ev);
+                        cursor = seq + 1;
                     }
-                    report.replayed += 1;
-                    cursor = seq + 1;
-                }
+                    Err(why) => {
+                        report.warnings.push(RecoveryWarning::CorruptFrame {
+                            segment: path.clone(),
+                            seq,
+                            why,
+                        });
+                        break;
+                    }
+                },
                 // Covered by the checkpoint.
                 Scan::Frame { .. } => {}
                 Scan::End(warning) => {
@@ -779,6 +777,9 @@ pub fn recover<'g>(
                 }
             }
         }
+        let outcomes = allocator.apply(&batch);
+        report.rejected_on_replay += outcomes.iter().filter(|o| o.is_err()).count() as u64;
+        report.replayed += batch.len() as u64;
     }
 
     report.wal_seq = cursor;

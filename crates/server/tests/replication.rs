@@ -534,7 +534,17 @@ fn a_followers_rejections_reach_both_ledgers() {
                     client.send_event(ev).unwrap();
                 }
                 wait_applied(fh.addr(), events.len() as u64, epochs[events.len()]);
-                Client::connect(fh.addr()).unwrap().stats().unwrap()
+                // The follower's `wal_seq` moves at fsync, before the
+                // apply, and the rejected duplicate moves no epoch: the
+                // waits above can return before it is counted.
+                let deadline = Instant::now() + Duration::from_secs(60);
+                loop {
+                    let stats = Client::connect(fh.addr()).unwrap().stats().unwrap();
+                    if stats.rejected >= 1 || Instant::now() >= deadline {
+                        break stats;
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
             })
             .unwrap();
             stats

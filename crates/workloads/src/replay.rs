@@ -10,6 +10,7 @@
 
 use crate::events::LogEvent;
 use std::time::Instant;
+use tirm_obs::registry::RESUME_SKIPPED_STEPS;
 use tirm_online::{EventKind, OnlineAllocator, OnlineStats};
 
 /// Exact-sample latency store, now shared workspace-wide from
@@ -36,6 +37,10 @@ pub struct ReplayReport {
     pub per_kind: Vec<(EventKind, LatencyHistogram)>,
     /// Engine regret estimate after the final event.
     pub final_regret_estimate: f64,
+    /// Per kind, [`EventKind::ALL`] order: the commits the runs its
+    /// events triggered took from the last run's record, and the commits
+    /// those runs made.
+    pub replayed_commits: Vec<(EventKind, u64, u64)>,
     /// Engine lifetime counters after the replay.
     pub stats: OnlineStats,
 }
@@ -61,15 +66,24 @@ pub fn replay(allocator: &mut OnlineAllocator<'_>, log: &[LogEvent]) -> ReplayRe
         .into_iter()
         .map(|k| (k, LatencyHistogram::default()))
         .collect();
+    let mut replayed_commits: Vec<(EventKind, u64, u64)> =
+        EventKind::ALL.into_iter().map(|k| (k, 0, 0)).collect();
     let mut rejected = 0usize;
     let t0 = Instant::now();
     for e in log {
         let kind = e.event.kind();
+        let replayed = RESUME_SKIPPED_STEPS.snapshot().sum;
         let t = Instant::now();
         let outcome = allocator.process(&e.event);
         let nanos = t.elapsed().as_nanos() as u64;
         match outcome {
-            Ok(_) => {
+            Ok(outcome) => {
+                if outcome.reallocated {
+                    let r = replayed_commits.iter_mut().find(|r| r.0 == kind);
+                    let r = r.expect("all kinds present");
+                    r.1 += RESUME_SKIPPED_STEPS.snapshot().sum - replayed;
+                    r.2 += allocator.snapshot().total_seeds() as u64;
+                }
                 overall.record(nanos);
                 per_kind
                     .iter_mut()
@@ -95,6 +109,7 @@ pub fn replay(allocator: &mut OnlineAllocator<'_>, log: &[LogEvent]) -> ReplayRe
         overall,
         per_kind,
         final_regret_estimate: allocator.regret_estimate(),
+        replayed_commits,
         stats: allocator.stats(),
     }
 }
