@@ -333,12 +333,19 @@ fn sampling_layout(graph: &DiGraph, opts: &TirmOptions) -> SamplingLayout {
     }
 }
 
+/// Whether two probability vectors hold the same bits, so that one
+/// threshold table serves both.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Per-ad sampling and coverage state.
 struct AdState<'a> {
     sampler: RrSampler<'a>,
     /// Fast sampling route (thresholds + shared mark layout);
     /// bit-identical to the plain route, used for every draw. Its
-    /// threshold table is built by the ad's first draw of the run.
+    /// threshold table is built by the ad's first draw of the run, or by
+    /// that of a cold ad it shares the table with.
     fast: FastPath<'a>,
     coll: WeightedRrCollection,
     heap: LazyMaxHeap,
@@ -620,11 +627,30 @@ fn tirm_run(
     let layout = Arc::new(sampling_layout(problem.graph, &opts));
 
     // Initialise per-ad state: s_i = 1. θ₀ and the overlay wait for the
-    // ad's first evaluation (`AdState::activate`).
+    // ad's first evaluation (`AdState::activate`). Cold ads over
+    // bit-identical probabilities draw through clones of one route, and
+    // so build one threshold table; `cold` holds the first cold ad of
+    // each distinct vector. Warm ads are not compared: they draw only
+    // past their cached sets, if at all.
     let mut states: Vec<AdState<'_>> = Vec::with_capacity(h);
+    let mut cold: Vec<usize> = Vec::new();
     for (i, slot) in warm.into_iter().enumerate() {
-        let sampler = RrSampler::new(problem.graph, &problem.edge_probs[i]);
-        let fast = FastPath::new(layout.clone(), problem.graph, &problem.edge_probs[i]);
+        let probs = &problem.edge_probs[i];
+        let sampler = RrSampler::new(problem.graph, probs);
+        let twin = match slot {
+            None => cold
+                .iter()
+                .copied()
+                .find(|&j| same_bits(&problem.edge_probs[j], probs)),
+            Some(_) => None,
+        };
+        let fast = match twin {
+            Some(j) => states[j].fast.clone(),
+            None => FastPath::new(layout.clone(), problem.graph, probs),
+        };
+        if slot.is_none() && twin.is_none() {
+            cold.push(i);
+        }
         let seeds = ad_seeds[i];
         let (kpt, engine, index, base) = match slot {
             Some(w) => {

@@ -108,18 +108,20 @@ impl SamplingLayout {
 /// Per-ad fast sampling state: position-ordered coin thresholds plus a
 /// shared [`SamplingLayout`]. Creating one is free; the threshold table
 /// (an O(m) gather) is built by the first draw that reads it, so a run
-/// that only re-activates cached sets never pays for it. Read-only and
-/// `Sync` — workers of the parallel engine share one per batch, table
-/// included.
+/// that only re-activates cached sets never pays for it. A clone shares
+/// the table, built or not, so ads whose probabilities are bit-identical
+/// can draw through clones of one route and build one table between
+/// them. Read-only and `Sync` — workers of the parallel engine share one
+/// per batch, table included.
 #[derive(Clone, Debug)]
 pub struct FastPath<'a> {
     layout: Arc<SamplingLayout>,
     g: &'a DiGraph,
     probs: &'a [f32],
-    table: OnceLock<ThresholdTable>,
+    table: Arc<OnceLock<ThresholdTable>>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ThresholdTable {
     /// `th[pos] = coin_threshold(probs[in_edge_ids[pos]])`.
     th: Vec<u32>,
@@ -136,7 +138,7 @@ impl<'a> FastPath<'a> {
             layout,
             g,
             probs,
-            table: OnceLock::new(),
+            table: Arc::default(),
         }
     }
 
@@ -190,7 +192,8 @@ impl<'a> FastPath<'a> {
     }
 
     /// Bytes held by the threshold table, once built (the layout is
-    /// shared and counted once by its owner).
+    /// shared and counted once by its owner, and so is a table shared by
+    /// clones).
     pub fn memory_bytes(&self) -> usize {
         self.table.get().map_or(0, |t| t.th.capacity() * 4)
     }
@@ -237,6 +240,22 @@ mod tests {
                 assert_eq!(f < p, x < t, "p={p} x={x}");
             }
         }
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let g = tirm_graph::generators::erdos_renyi(50, 200, 3);
+        let probs = vec![0.3f32; g.num_edges()];
+        let fp = FastPath::new(Arc::new(SamplingLayout::identity()), &g, &probs);
+        let twin = fp.clone();
+        assert_eq!(twin.memory_bytes(), 0, "nothing built yet");
+        let th = twin.thresholds().as_ptr();
+        assert_eq!(fp.thresholds().as_ptr(), th, "built once, seen by both");
+        assert_eq!(fp.memory_bytes(), 4 * g.num_edges());
+        // A route built on its own gathers its own table.
+        let other = FastPath::new(Arc::new(SamplingLayout::identity()), &g, &probs);
+        assert_ne!(other.thresholds().as_ptr(), th);
+        assert_eq!(other.thresholds(), fp.thresholds());
     }
 
     #[test]

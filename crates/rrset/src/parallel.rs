@@ -234,19 +234,21 @@ impl ParallelSampler {
         }
     }
 
-    /// Draws `count` RR sets and maps each through `map`, returning the
-    /// results in deterministic stream order (used by KPT width
-    /// estimation, where only a per-set statistic is needed and sets are
-    /// discarded). Optionally routed through a precomputed [`FastPath`];
-    /// bit-identical stream either way.
+    /// Draws `count` RR sets and appends `map` of each to `out`, in
+    /// deterministic stream order (used by KPT width estimation, where
+    /// only a per-set statistic is needed and sets are discarded). `out`
+    /// grows once, by `count`, before anything is drawn, and one shard
+    /// writes into it directly; several shards each fill a chunk of their
+    /// quota, merged into `out` in draw order. Optionally routed through a
+    /// precomputed [`FastPath`]; bit-identical stream either way.
     pub fn sample_map_with<T, F>(
         &mut self,
         sampler: &RrSampler<'_>,
         fast: Option<&FastPath<'_>>,
         count: usize,
+        out: &mut Vec<T>,
         map: F,
-    ) -> Vec<T>
-    where
+    ) where
         T: Send,
         F: Fn(&[NodeId]) -> T + Sync,
     {
@@ -258,12 +260,10 @@ impl ParallelSampler {
             None => map(sampler.sample(&mut shard.ws, &mut shard.rng)),
         };
         let draw = &draw;
-        let mut out = Vec::with_capacity(count);
+        out.reserve(count);
         if self.shards.len() == 1 {
             let shard = &mut self.shards[0];
-            for _ in 0..count {
-                out.push(draw(shard));
-            }
+            out.extend((0..count).map(|_| draw(shard)));
         } else {
             let t = self.shards.len();
             let quotas = self.quotas(start, count);
@@ -273,13 +273,7 @@ impl ParallelSampler {
                     .iter_mut()
                     .zip(&quotas)
                     .map(|(shard, &quota)| {
-                        scope.spawn(move || {
-                            let mut chunk = Vec::with_capacity(quota);
-                            for _ in 0..quota {
-                                chunk.push(draw(shard));
-                            }
-                            chunk
-                        })
+                        scope.spawn(move || (0..quota).map(|_| draw(shard)).collect())
                     })
                     .collect();
                 handles
@@ -288,13 +282,13 @@ impl ParallelSampler {
                     .collect()
             });
             let mut iters: Vec<_> = chunks.into_iter().map(Vec::into_iter).collect();
-            for g in start..start + count {
-                out.push(iters[g % t].next().expect("quota covers the window"));
-            }
+            out.extend(
+                (start..start + count)
+                    .map(|g| iters[g % t].next().expect("quota covers the window")),
+            );
         }
         self.total_sampled += count;
         tirm_obs::registry::RR_SETS_SAMPLED.add(count as u64);
-        out
     }
 
     /// Shared batch driver. `work` draws one shard's quota, handing each
@@ -433,7 +427,12 @@ mod tests {
         let mut sets: Vec<Vec<NodeId>> = Vec::new();
         e1.sample_into(&sampler, 333, &mut sets);
         let mut e2 = ParallelSampler::new(SamplingConfig::new(3, 13), g.num_nodes());
-        let sizes = e2.sample_map_with(&sampler, None, 333, |set| set.len());
+        // Appended after what the vector already holds, split over two
+        // batches.
+        let mut sizes = vec![usize::MAX];
+        e2.sample_map_with(&sampler, None, 100, &mut sizes, |set| set.len());
+        e2.sample_map_with(&sampler, None, 233, &mut sizes, |set| set.len());
+        assert_eq!(sizes.remove(0), usize::MAX);
         assert_eq!(
             sets.iter().map(Vec::len).collect::<Vec<_>>(),
             sizes,
@@ -482,12 +481,14 @@ mod tests {
             let mut plain_e = ParallelSampler::new(SamplingConfig::new(threads, 23), 150);
             let mut plain: Vec<Vec<NodeId>> = Vec::new();
             plain_e.sample_into(&sampler, 400, &mut plain);
-            let plain_sizes = plain_e.sample_map_with(&sampler, None, 111, |s| s.len());
+            let mut plain_sizes = Vec::new();
+            plain_e.sample_map_with(&sampler, None, 111, &mut plain_sizes, |s| s.len());
 
             let mut fast_e = ParallelSampler::new(SamplingConfig::new(threads, 23), 150);
             let mut fast: Vec<Vec<NodeId>> = Vec::new();
             fast_e.sample_into_with(&sampler, Some(&fp), 400, &mut fast);
-            let fast_sizes = fast_e.sample_map_with(&sampler, Some(&fp), 111, |s| s.len());
+            let mut fast_sizes = Vec::new();
+            fast_e.sample_map_with(&sampler, Some(&fp), 111, &mut fast_sizes, |s| s.len());
 
             assert_eq!(plain, fast, "threads={threads}");
             assert_eq!(plain_sizes, fast_sizes, "threads={threads}");

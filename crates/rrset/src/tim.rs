@@ -96,8 +96,10 @@ pub struct KptEstimator<'a> {
     sampler: RrSampler<'a>,
     m: usize,
     ell: f64,
-    /// `w(R)` of every estimation sample drawn so far.
-    widths: Vec<u64>,
+    /// `w(R)` of every estimation sample drawn so far. Four bytes each
+    /// hold it exactly: `w(R) ≤ m`, and the constructors check that `m`
+    /// fits a `u32`, as the CSR's edge ids already make it.
+    widths: Vec<u32>,
     engine: ParallelSampler,
     memo: EstimateMemo,
 }
@@ -157,7 +159,7 @@ impl<'a> KptEstimator<'a> {
         let g = sampler.graph();
         KptEstimator {
             sampler,
-            m: g.num_edges(),
+            m: width_bound(&sampler),
             ell,
             widths: Vec::new(),
             engine: ParallelSampler::new(config, g.num_nodes()),
@@ -165,19 +167,19 @@ impl<'a> KptEstimator<'a> {
         }
     }
 
-    /// Tops the width cache up to `target` samples (one engine batch).
+    /// Tops the width cache up to `target` samples: one engine batch,
+    /// appended to the cache in place.
     fn fill_widths(&mut self, target: usize, fast: Option<&FastPath<'_>>) {
         if self.widths.len() >= target {
             return;
         }
         let need = target - self.widths.len();
         let g = self.sampler.graph();
-        let batch = self
-            .engine
-            .sample_map_with(&self.sampler, fast, need, |set| {
-                set.iter().map(|&v| g.in_degree(v) as u64).sum::<u64>()
+        self.engine
+            .sample_map_with(&self.sampler, fast, need, &mut self.widths, |set| {
+                let w: u64 = set.iter().map(|&v| g.in_degree(v) as u64).sum();
+                u32::try_from(w).expect("w(R) ≤ m, which fits a u32")
             });
-        self.widths.extend(batch);
     }
 
     /// KPT lower bound on `OPT_s` (Tang et al. Algorithm 2). Always ≥ 1.
@@ -228,7 +230,7 @@ impl<'a> KptEstimator<'a> {
         for (i, ci) in (1..).zip(round_sizes(n, self.ell)) {
             self.fill_widths(ci, fast);
             for &w in &self.widths[summed..ci] {
-                let frac = (w as f64 / self.m as f64).min(1.0);
+                let frac = (f64::from(w) / self.m as f64).min(1.0);
                 sum += 1.0 - (1.0 - frac).powi(exponent);
             }
             summed = ci;
@@ -276,7 +278,7 @@ impl<'a> KptEstimator<'a> {
             self.fill_widths(ci, fast);
             let mut sum = 0.0f64;
             for &w in &self.widths[..ci] {
-                let frac = (w as f64 / self.m as f64).min(1.0);
+                let frac = (f64::from(w) / self.m as f64).min(1.0);
                 sum += 1.0 - (1.0 - frac).powi(s as i32);
             }
             if sum / ci as f64 > 1.0 / 2f64.powi(i) {
@@ -309,7 +311,7 @@ impl<'a> KptEstimator<'a> {
     pub fn from_state(sampler: RrSampler<'a>, ell: f64, state: KptState) -> Self {
         KptEstimator {
             sampler,
-            m: sampler.graph().num_edges(),
+            m: width_bound(&sampler),
             ell,
             widths: state.widths,
             engine: state.engine,
@@ -318,21 +320,32 @@ impl<'a> KptEstimator<'a> {
     }
 }
 
+/// `m`, the bound on every width `w(R)`, checked to fit the `u32` the
+/// width cache stores.
+fn width_bound(sampler: &RrSampler<'_>) -> usize {
+    let m = sampler.graph().num_edges();
+    assert!(
+        u32::try_from(m).is_ok(),
+        "{m} arcs overflow the u32 width cache"
+    );
+    m
+}
+
 /// Detached [`KptEstimator`] capital: the cached sample widths, the
 /// answers summed from them, and the estimation engine's stream position.
 /// Owning this (instead of the estimator itself) avoids tying a
 /// long-lived structure to the graph borrow inside `RrSampler`.
 pub struct KptState {
-    widths: Vec<u64>,
+    widths: Vec<u32>,
     engine: ParallelSampler,
     memo: EstimateMemo,
 }
 
 impl KptState {
-    /// Bytes held: the width cache plus the estimation engine's O(n)
-    /// per-shard workspaces.
+    /// Bytes held: the width cache at four bytes a width, plus the
+    /// estimation engine's O(n) per-shard workspaces.
     pub fn memory_bytes(&self) -> usize {
-        self.widths.capacity() * 8 + self.engine.memory_bytes()
+        self.widths.capacity() * 4 + self.engine.memory_bytes()
     }
 
     /// Estimation samples drawn so far — with the estimator's
@@ -441,7 +454,10 @@ mod tests {
         // never redraws cached widths.
         let used = warmed.samples_used();
         let state = warmed.into_state();
-        assert!(state.memory_bytes() >= used * 8);
+        assert_eq!(
+            state.memory_bytes(),
+            4 * state.widths.capacity() + state.engine.memory_bytes()
+        );
         let mut back = KptEstimator::from_state(sampler, 1.0, state);
         assert_eq!(back.samples_used(), used);
         assert_eq!(back.estimate(5), via_history);
@@ -509,13 +525,66 @@ mod tests {
         assert_eq!(memo.get(MEMO_CAPACITY), Some(MEMO_CAPACITY as f64));
     }
 
+    /// The restart-per-round loop is the oracle: whatever was asked
+    /// before, whichever route draws, and wherever the state has been in
+    /// between, every answer has its bits and the width cache is as long
+    /// as its own.
+    fn check_against_reference(
+        seed: u64,
+        n: usize,
+        p: f32,
+        threads: usize,
+        pool: &[usize],
+        asks: &[(usize, u8)],
+    ) {
+        let g = generators::erdos_renyi(n, 4 * n, seed);
+        let probs: Vec<f32> = (0..g.num_edges())
+            .map(|e| {
+                if e % 7 == 0 {
+                    0.0
+                } else {
+                    p * (1 + e % 3) as f32 / 3.0
+                }
+            })
+            .collect();
+        let sampler = RrSampler::new(&g, &probs);
+        let layout = std::sync::Arc::new(if seed % 2 == 0 {
+            crate::SamplingLayout::identity()
+        } else {
+            crate::SamplingLayout::degree_ordered(&g)
+        });
+        let fast = FastPath::new(layout, &g, &probs);
+        let config = SamplingConfig::new(threads, seed ^ 0x5eed);
+        let mut est = KptEstimator::with_config(sampler, 1.0, config);
+        let mut oracle = KptEstimator::with_config(sampler, 1.0, config);
+        for (k, &(which, through_fast)) in asks.iter().enumerate() {
+            if k == asks.len() / 3 {
+                est = KptEstimator::from_state(sampler, 1.0, est.into_state());
+            }
+            if k == 2 * asks.len() / 3 {
+                // Rebuilt from its sample count alone: same widths, same
+                // engine position, same bytes.
+                let held = est.into_state();
+                est = KptEstimator::with_config(sampler, 1.0, config);
+                est.refill(held.samples_used(), Some(&fast)).unwrap();
+                assert_eq!(&est.widths, &held.widths);
+                let redrawn = est.into_state();
+                assert_eq!(redrawn.memory_bytes(), held.memory_bytes());
+                est = KptEstimator::from_state(sampler, 1.0, redrawn);
+            }
+            // Bit-identity is claimed for every s ≤ n.
+            let s = 1 + (pool[which] - 1) % n;
+            let route = (through_fast == 1).then_some(&fast);
+            let got = est.estimate_with(s, route);
+            let want = oracle.estimate_reference(s, route);
+            assert_eq!(got.to_bits(), want.to_bits(), "ask {k} s = {s}");
+            assert_eq!(est.samples_used(), oracle.samples_used());
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The restart-per-round loop is the oracle: whatever was asked
-        /// before, whichever route draws, and wherever the state has
-        /// been in between, every answer has its bits and the width
-        /// cache is as long as its own.
         #[test]
         fn estimate_matches_the_reference_loop(
             seed in 0u64..1000,
@@ -525,42 +594,59 @@ mod tests {
             pool in proptest::collection::vec(1usize..400, MEMO_CAPACITY + 4),
             asks in proptest::collection::vec((0..MEMO_CAPACITY + 4, 0u8..2), 12..40),
         ) {
-            let g = generators::erdos_renyi(n, 4 * n, seed);
-            let probs: Vec<f32> = (0..g.num_edges())
-                .map(|e| if e % 7 == 0 { 0.0 } else { p * (1 + e % 3) as f32 / 3.0 })
-                .collect();
-            let sampler = RrSampler::new(&g, &probs);
-            let layout = std::sync::Arc::new(if seed % 2 == 0 {
-                crate::SamplingLayout::identity()
-            } else {
-                crate::SamplingLayout::degree_ordered(&g)
-            });
-            let fast = FastPath::new(layout, &g, &probs);
-            let config = SamplingConfig::new(threads, seed ^ 0x5eed);
-            let mut est = KptEstimator::with_config(sampler, 1.0, config);
-            let mut oracle = KptEstimator::with_config(sampler, 1.0, config);
-            for (k, &(which, through_fast)) in asks.iter().enumerate() {
-                if k == asks.len() / 3 {
-                    est = KptEstimator::from_state(sampler, 1.0, est.into_state());
-                }
-                if k == 2 * asks.len() / 3 {
-                    // Rebuilt from its sample count alone: same widths,
-                    // same engine position, same bytes.
-                    let held = est.into_state();
-                    est = KptEstimator::with_config(sampler, 1.0, config);
-                    est.refill(held.samples_used(), Some(&fast)).unwrap();
-                    proptest::prop_assert_eq!(&est.widths, &held.widths);
-                    let redrawn = est.into_state();
-                    proptest::prop_assert_eq!(redrawn.memory_bytes(), held.memory_bytes());
-                    est = KptEstimator::from_state(sampler, 1.0, redrawn);
-                }
-                // Bit-identity is claimed for every s ≤ n.
-                let s = 1 + (pool[which] - 1) % n;
-                let route = (through_fast == 1).then_some(&fast);
-                let got = est.estimate_with(s, route);
-                let want = oracle.estimate_reference(s, route);
-                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "ask {} s = {}", k, s);
-                proptest::prop_assert_eq!(est.samples_used(), oracle.samples_used());
+            check_against_reference(seed, n, p, threads, &pool, &asks);
+        }
+    }
+
+    /// The same property over 1 000 cases, for the nightly run:
+    /// `cargo test --release -p tirm_rrset --lib -- --ignored estimate_matches_the_reference_loop_soak`.
+    #[test]
+    #[ignore]
+    fn estimate_matches_the_reference_loop_soak() {
+        proptest::proptest! {
+            #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+            fn soak(
+                seed in 0u64..100_000,
+                n in 16usize..200,
+                p in 0.01f32..0.6,
+                threads in 1usize..=3,
+                pool in proptest::collection::vec(1usize..400, MEMO_CAPACITY + 4),
+                asks in proptest::collection::vec((0..MEMO_CAPACITY + 4, 0u8..2), 12..40),
+            ) {
+                check_against_reference(seed, n, p, threads, &pool, &asks);
+            }
+        }
+        soak();
+    }
+
+    #[test]
+    fn widths_are_the_per_set_sums_of_the_stream() {
+        // The u32 cache against the u64 sums of the same sets, drawn
+        // again by a fresh engine under the estimator's configuration.
+        let g = generators::erdos_renyi(300, 1500, 5);
+        let probs = vec![0.02f32; g.num_edges()];
+        let sampler = RrSampler::new(&g, &probs);
+        let layout = std::sync::Arc::new(crate::SamplingLayout::degree_ordered(&g));
+        let fast = FastPath::new(layout, &g, &probs);
+        for threads in 1..=3 {
+            for route in [None, Some(&fast)] {
+                let config = SamplingConfig::new(threads, 9);
+                let mut est = KptEstimator::with_config(sampler, 1.0, config);
+                est.estimate_with(1, route);
+                let used = est.samples_used();
+                assert!(
+                    used > round_sizes(300, 1.0).next().unwrap(),
+                    "several rounds"
+                );
+                let mut sets: Vec<Vec<NodeId>> = Vec::new();
+                ParallelSampler::new(config, g.num_nodes()).sample_into(&sampler, used, &mut sets);
+                let want: Vec<u64> = sets
+                    .iter()
+                    .map(|set| set.iter().map(|&v| g.in_degree(v) as u64).sum())
+                    .collect();
+                let got: Vec<u64> = est.widths.iter().map(|&w| u64::from(w)).collect();
+                assert_eq!(got, want, "threads = {threads}, fast = {}", route.is_some());
             }
         }
     }
