@@ -4,10 +4,10 @@
 //! re-run of the same instance (`-- tirm` shows the three TIRM cases).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tirm_bench::{tirm_options, AlgoKind, QualityWorkload};
-use tirm_core::{tirm_allocate, tirm_allocate_warm, AdSeeds};
+use tirm_bench::{allocate, tirm_options, QualityWorkload};
+use tirm_core::{tirm_allocate_warm, AdSeeds};
 use tirm_topics::CtpTable;
-use tirm_workloads::DatasetKind;
+use tirm_workloads::{AllocatorKind, DatasetKind};
 
 fn bench_allocation(c: &mut Criterion) {
     std::env::set_var("TIRM_SCALE", "0.15");
@@ -17,22 +17,22 @@ fn bench_allocation(c: &mut Criterion) {
     let mut group = c.benchmark_group("allocation");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(5));
-    group.bench_function("myopic", |b| {
-        let p = w.problem(1, 0.0);
-        b.iter(|| AlgoKind::Myopic.run(&p, true, 1).0.total_seeds())
-    });
-    group.bench_function("myopic_plus", |b| {
-        let p = w.problem(1, 0.0);
-        b.iter(|| AlgoKind::MyopicPlus.run(&p, true, 1).0.total_seeds())
-    });
-    group.bench_function("tirm", |b| {
-        let p = w.problem(1, 0.0);
-        b.iter(|| tirm_allocate(&p, tirm_options(true, 1)).0.total_seeds())
-    });
-    group.bench_function("greedy_irie", |b| {
-        let p = w.problem(1, 0.0);
-        b.iter(|| AlgoKind::GreedyIrie.run(&p, true, 1).0.total_seeds())
-    });
+    for (name, kind) in [
+        ("myopic", AllocatorKind::Myopic),
+        ("myopic_plus", AllocatorKind::MyopicPlus),
+        ("tirm", AllocatorKind::Tirm),
+        ("greedy_irie", AllocatorKind::GreedyIrie),
+    ] {
+        group.bench_function(name, |b| {
+            let p = w.problem(1, 0.0);
+            let tirm = tirm_options(true, 1);
+            b.iter(|| {
+                allocate(kind, &p, true, tirm, w.cfg.eval_runs, None)
+                    .0
+                    .total_seeds()
+            })
+        });
+    }
     group.finish();
 }
 

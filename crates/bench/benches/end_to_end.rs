@@ -2,8 +2,8 @@
 //! allocation and MC evaluation (what one Fig. 3 data point costs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tirm_bench::{run_quality_cell, AlgoKind, QualityWorkload};
-use tirm_workloads::DatasetKind;
+use tirm_bench::{run_quality_cell, QualityWorkload};
+use tirm_workloads::{AllocatorKind, DatasetKind};
 
 fn bench_end_to_end(c: &mut Criterion) {
     std::env::set_var("TIRM_SCALE", "0.1");
@@ -16,10 +16,10 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(5));
     group.bench_function("quality_cell_tirm", |b| {
-        b.iter(|| run_quality_cell(&w, AlgoKind::Tirm, 1, 0.0, 7).total_regret)
+        b.iter(|| run_quality_cell(&w, AllocatorKind::Tirm, 1, 0.0, 7).total_regret)
     });
     group.bench_function("quality_cell_myopic_plus", |b| {
-        b.iter(|| run_quality_cell(&w, AlgoKind::MyopicPlus, 1, 0.0, 7).total_regret)
+        b.iter(|| run_quality_cell(&w, AllocatorKind::MyopicPlus, 1, 0.0, 7).total_regret)
     });
     group.finish();
 

@@ -1,6 +1,8 @@
-//! Shared plumbing for the experiment binaries: algorithm registry,
-//! problem construction from workloads, and result output (aligned text
-//! tables on stdout + JSON rows under `target/experiments/`).
+//! Shared plumbing for the experiment binaries: the one allocator
+//! dispatcher ([`allocate`]), problem construction from workloads, and
+//! result output (aligned text tables on stdout + JSON rows under
+//! `target/experiments/`). The paper's §6 figures and tables are
+//! subcommands of the `repro` bin (`repro fig3 table4 …`).
 //!
 //! The measurement backbone lives in four submodules: [`schema`] (the
 //! versioned `BENCH_*.json` artifact every experiment emits), [`suite`]
@@ -17,68 +19,62 @@ pub mod suite;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use tirm_core::{
-    evaluate, greedy_irie_allocate, myopic_allocate, myopic_plus_allocate, tirm_allocate,
-    AlgoStats, Allocation, Attention, Evaluation, GreedyIrieOptions, ProblemInstance, TirmOptions,
+    evaluate, greedy_allocate, greedy_irie_allocate, myopic_allocate, myopic_plus_allocate,
+    tirm_allocate, AlgoStats, Allocation, Attention, Evaluation, GreedyIrieOptions, GreedyOptions,
+    ProblemInstance, TirmOptions,
 };
+use tirm_diffusion::McOracle;
 use tirm_irie::IrieConfig;
 use tirm_topics::CtpTable;
-use tirm_workloads::{campaigns, Dataset, DatasetKind, ScaleConfig};
+use tirm_workloads::scale::parse_budget_factor;
+use tirm_workloads::{campaigns, AllocatorKind, Dataset, DatasetKind, ScaleConfig};
 
-/// The four algorithms compared throughout §6.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AlgoKind {
-    /// MYOPIC baseline.
-    Myopic,
-    /// MYOPIC+ baseline.
-    MyopicPlus,
-    /// GREEDY-IRIE (the paper labels it "IRIE" in figures).
-    GreedyIrie,
-    /// TIRM (Algorithm 2).
-    Tirm,
-}
-
-impl AlgoKind {
-    /// All four, in the paper's legend order.
-    pub const ALL: [AlgoKind; 4] = [
-        AlgoKind::Myopic,
-        AlgoKind::MyopicPlus,
-        AlgoKind::GreedyIrie,
-        AlgoKind::Tirm,
-    ];
-
-    /// Figure-legend name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgoKind::Myopic => "Myopic",
-            AlgoKind::MyopicPlus => "Myopic+",
-            AlgoKind::GreedyIrie => "IRIE",
-            AlgoKind::Tirm => "TIRM",
-        }
-    }
-
-    /// Runs the algorithm on `problem`.
-    pub fn run(
-        self,
-        problem: &ProblemInstance<'_>,
-        quality: bool,
-        seed: u64,
-    ) -> (Allocation, AlgoStats) {
-        match self {
-            AlgoKind::Myopic => myopic_allocate(problem),
-            AlgoKind::MyopicPlus => myopic_plus_allocate(problem),
-            AlgoKind::GreedyIrie => greedy_irie_allocate(
-                problem,
-                GreedyIrieOptions {
-                    irie: IrieConfig {
-                        // §6: α = 0.8 gave the best spread estimates on the
-                        // quality data sets; 0.7 on the scalability ones.
-                        alpha: if quality { 0.8 } else { 0.7 },
-                        ..IrieConfig::default()
-                    },
+/// Runs `kind` on `problem` — the one dispatcher behind every harness.
+/// Callers pass in what differs between them: `tirm` (seed, threads, θ
+/// cap; its seed also seeds Greedy-MC's oracle), `quality` for the §6
+/// IRIE α (0.8 on the quality data sets, 0.7 on the scalability ones),
+/// and Greedy-MC's fidelity `eval_runs` and total-seed cap.
+pub fn allocate(
+    kind: AllocatorKind,
+    problem: &ProblemInstance<'_>,
+    quality: bool,
+    tirm: TirmOptions,
+    eval_runs: usize,
+    seed_cap: Option<usize>,
+) -> (Allocation, AlgoStats) {
+    match kind {
+        AllocatorKind::Tirm => tirm_allocate(problem, tirm),
+        AllocatorKind::GreedyIrie => greedy_irie_allocate(
+            problem,
+            GreedyIrieOptions {
+                irie: IrieConfig {
+                    alpha: if quality { 0.8 } else { 0.7 },
+                    ..IrieConfig::default()
                 },
-            ),
-            AlgoKind::Tirm => tirm_allocate(problem, tirm_options(quality, seed)),
+            },
+        ),
+        AllocatorKind::Greedy => {
+            // Algorithm 1 with MC estimates. Every candidate scan costs
+            // n·h oracle queries, so the run count stays low and the cap
+            // bounds total seeds — a capped run measures per-seed cost
+            // and early-allocation quality (the paper already concedes
+            // Greedy-MC does not scale).
+            let runs = (eval_runs / 20).clamp(10, 200);
+            let ctps: Vec<Option<&[f32]>> = (0..problem.num_ads())
+                .map(|i| Some(problem.ctp.ad(i)))
+                .collect();
+            let mut oracle =
+                McOracle::new(problem.graph, &problem.edge_probs, ctps, runs, tirm.seed);
+            greedy_allocate(
+                problem,
+                &mut oracle,
+                GreedyOptions {
+                    max_total_seeds: seed_cap,
+                },
+            )
         }
+        AllocatorKind::Myopic => myopic_allocate(problem),
+        AllocatorKind::MyopicPlus => myopic_plus_allocate(problem),
     }
 }
 
@@ -93,6 +89,29 @@ pub fn tirm_options(quality: bool, seed: u64) -> TirmOptions {
         max_theta_per_ad: Some(if quality { 1_000_000 } else { 400_000 }),
         ..TirmOptions::default()
     }
+}
+
+/// The §6.2 scalability instance: `h` identical ads at `budget` in full
+/// competition (CPE = CTP = 1), every ad on the dataset's one probability
+/// vector (Weighted-Cascade).
+pub fn scalability_problem(
+    dataset: &Dataset,
+    h: usize,
+    budget: f64,
+    kappa: u32,
+    lambda: f64,
+) -> ProblemInstance<'_> {
+    let flat: Vec<f32> = (0..dataset.graph.num_edges() as u32)
+        .map(|e| dataset.topic_probs.get(e, 0))
+        .collect();
+    ProblemInstance::new(
+        &dataset.graph,
+        campaigns::uniform_campaign(h, budget),
+        vec![flat; h],
+        CtpTable::constant(dataset.graph.num_nodes(), h, 1.0),
+        Attention::Uniform(kappa),
+        lambda,
+    )
 }
 
 /// Owns everything a quality-experiment problem instance borrows.
@@ -116,10 +135,11 @@ impl QualityWorkload {
         // Budgets scale with graph size; `TIRM_BUDGET_FACTOR` applies an
         // extra multiplier so the §4.1 working assumptions (p_i < 1 and
         // seeds ≪ n) can be kept when running far below paper scale.
-        let factor: f64 = std::env::var("TIRM_BUDGET_FACTOR")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
+        let raw = std::env::var("TIRM_BUDGET_FACTOR").ok();
+        let (factor, warning) = parse_budget_factor(raw.as_deref(), 1.0);
+        if let Some(w) = warning {
+            eprintln!("warn: {w}");
+        }
         let ads = campaigns::campaign(&spec, dataset.size_ratio * factor, seed ^ 0xada);
         let ctp = CtpTable::uniform_random(
             dataset.graph.num_nodes(),
@@ -202,13 +222,14 @@ impl From<QualityRow> for Value {
 /// Runs one (algorithm, κ, λ) cell and evaluates it.
 pub fn run_quality_cell(
     w: &QualityWorkload,
-    algo: AlgoKind,
+    algo: AllocatorKind,
     kappa: u32,
     lambda: f64,
     seed: u64,
 ) -> QualityRow {
     let problem = w.problem(kappa, lambda);
-    let (alloc, stats) = algo.run(&problem, true, seed);
+    let tirm = tirm_options(true, seed);
+    let (alloc, stats) = allocate(algo, &problem, true, tirm, w.cfg.eval_runs, None);
     alloc
         .validate(&problem)
         .expect("algorithm produced an invalid allocation");
@@ -237,36 +258,37 @@ pub fn experiments_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/experiments"))
 }
 
-/// Writes an experiment's JSON as pretty-printed text under
-/// [`experiments_dir()`]`/<name>.json`, creating the directory if missing.
-/// Returns the written path; IO failures are surfaced as errors. Commits
-/// through the atomic temp+rename writer so an interrupted run never
-/// leaves a truncated artifact.
-pub fn try_write_json(name: &str, rows: &Value) -> std::io::Result<PathBuf> {
-    let path = experiments_dir().join(format!("{name}.json"));
-    let s = serde_json::to_string_pretty(rows)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    tirm_graph::snapshot::write_atomic(&path, s.as_bytes())?;
-    Ok(path)
-}
-
-/// [`try_write_json`] for the experiment binaries: logs the written path,
-/// or the error with a non-fatal warning (a figure harness should still
-/// print its table when the filesystem is read-only).
-pub fn write_json(name: &str, rows: &Value) {
-    match try_write_json(name, rows) {
-        Ok(path) => eprintln!("[json] {}", path.display()),
-        Err(e) => eprintln!("warn: writing {name}.json failed: {e}"),
+/// Writes `text` to [`experiments_dir()`]`/<file>`, creating the
+/// directory if missing, through the atomic temp+rename writer so an
+/// interrupted run never leaves a truncated artifact. Logs `[tag] path`,
+/// or the error as a non-fatal warning: a figure harness should still
+/// print its table when the filesystem is read-only, and a soak mid-crash
+/// must not fail on a telemetry hiccup.
+fn write_artifact(tag: &str, file: &str, text: &str) {
+    let path = experiments_dir().join(file);
+    match tirm_graph::snapshot::write_atomic(&path, text.as_bytes()) {
+        Ok(()) => eprintln!("[{tag}] {}", path.display()),
+        Err(e) => eprintln!("warn: writing {file} failed: {e}"),
     }
 }
 
+/// Writes an experiment's JSON rows, pretty-printed, as `<name>.json`.
+pub fn write_json(name: &str, rows: &Value) {
+    let text = serde_json::to_string_pretty(rows).expect("a Value always serializes");
+    write_artifact("json", &format!("{name}.json"), &text);
+}
+
+/// Writes a [`schema::BenchReport`] as `<name>.json` — the standard sink
+/// for every experiment binary's artifact.
+pub fn write_report(name: &str, report: &schema::BenchReport) {
+    write_artifact("json", &format!("{name}.json"), &report.to_json_string());
+}
+
 /// Scrapes a server's `--metrics-addr` endpoint and preserves the
-/// Prometheus text under [`experiments_dir()`]`/<name>.prom` — how the
-/// soak harnesses capture a child's registry right before a SIGKILL
-/// erases it. Best-effort and non-fatal: the scrape is evidence, not a
-/// gate, and a soak mid-crash must not fail on a telemetry hiccup; the
-/// text is still parse-checked so a malformed exposition is surfaced
-/// loudly in the log.
+/// Prometheus text as `<name>.prom` — how the soak harnesses capture a
+/// child's registry right before a SIGKILL erases it. Best-effort and
+/// non-fatal: the scrape is evidence, not a gate; the text is still
+/// parse-checked so a malformed exposition is surfaced loudly in the log.
 pub fn scrape_metrics(addr: std::net::SocketAddr, name: &str) {
     let text = match tirm_obs::http::fetch(addr, "/metrics", std::time::Duration::from_secs(5)) {
         Ok(t) => t,
@@ -278,20 +300,16 @@ pub fn scrape_metrics(addr: std::net::SocketAddr, name: &str) {
     if let Err(e) = tirm_obs::prom::parse(&text) {
         eprintln!("warn: metrics scrape from {addr} does not parse: {e}");
     }
-    let path = experiments_dir().join(format!("{name}.prom"));
-    match tirm_graph::snapshot::write_atomic(&path, text.as_bytes()) {
-        Ok(()) => eprintln!("[prom] {}", path.display()),
-        Err(e) => eprintln!("warn: writing {name}.prom failed: {e}"),
-    }
+    write_artifact("prom", &format!("{name}.prom"), &text);
 }
 
 /// Scrapes a server's `/trace.json` flight-recorder dump and preserves
-/// it under [`experiments_dir()`]`/<name>.trace.json` — the soak
-/// harnesses' last-breath lineage capture right before a SIGKILL (which
-/// leaves no `--trace-json` dump behind). Best-effort and non-fatal
-/// like [`scrape_metrics`], but the JSON is still parse-checked so a
-/// malformed dump is loud in the log. Returns the dump when it was
-/// fetched and parsed, so callers can assert kill-window coverage.
+/// it as `<name>.trace.json` — the soak harnesses' last-breath lineage
+/// capture right before a SIGKILL (which leaves no `--trace-json` dump
+/// behind). Best-effort and non-fatal like [`scrape_metrics`], but the
+/// JSON is still parse-checked so a malformed dump is loud in the log.
+/// Returns the dump when it was fetched and parsed, so callers can
+/// assert kill-window coverage.
 pub fn scrape_trace(addr: std::net::SocketAddr, name: &str) -> Option<String> {
     let json = match tirm_obs::http::fetch(addr, "/trace.json", std::time::Duration::from_secs(5)) {
         Ok(t) => t,
@@ -304,11 +322,7 @@ pub fn scrape_trace(addr: std::net::SocketAddr, name: &str) -> Option<String> {
         eprintln!("warn: trace scrape from {addr} does not parse: {e}");
         return None;
     }
-    let path = experiments_dir().join(format!("{name}.trace.json"));
-    match tirm_graph::snapshot::write_atomic(&path, json.as_bytes()) {
-        Ok(()) => eprintln!("[trace] {}", path.display()),
-        Err(e) => eprintln!("warn: writing {name}.trace.json failed: {e}"),
-    }
+    write_artifact("trace", &format!("{name}.trace.json"), &json);
     Some(json)
 }
 
@@ -338,17 +352,6 @@ pub fn traces_covering_stages(chrome_json: &str, stages: &[&str]) -> usize {
         }
     }
     seen.values().filter(|s| s.len() == stages.len()).count()
-}
-
-/// Writes a [`schema::BenchReport`] under [`experiments_dir()`]`/<name>.json`
-/// with the same log-or-warn behaviour as [`write_json`] — the standard
-/// sink for every experiment binary's artifact.
-pub fn write_report(name: &str, report: &schema::BenchReport) {
-    let path = experiments_dir().join(format!("{name}.json"));
-    match report.save(&path) {
-        Ok(()) => eprintln!("[json] {}", path.display()),
-        Err(e) => eprintln!("warn: writing {name}.json failed: {e}"),
-    }
 }
 
 /// Standard run header so logs are self-describing.

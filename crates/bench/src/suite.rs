@@ -3,28 +3,26 @@
 //! [`tirm_workloads::scenarios`] declares *what* to run (the grid of
 //! [`ScenarioSpec`]s per tier); this module owns *how*: problem
 //! construction per cell, fixed seed derivation, measurement, and packing
-//! results into the [`crate::schema`] artifact. The figure/table binaries
-//! reuse the same layer ([`cell_from_run`], [`run_scalability_cell`]) so
-//! every experiment in the repo emits comparable `BENCH_*.json` cells.
+//! results into the [`crate::schema`] artifact. The `repro` bin's figures
+//! and tables reuse the same layer ([`cell_from_run`]) so every
+//! experiment in the repo emits comparable `BENCH_*.json` cells.
 
 use crate::loadgen::{drive, LoadgenConfig};
 use crate::schema::{BenchCell, BenchReport};
-use crate::tirm_options;
+use crate::{allocate, scalability_problem, tirm_options};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tirm_core::{
-    evaluate, greedy_allocate, greedy_irie_allocate, tirm_allocate, Advertiser, AlgoStats,
-    Allocation, Attention, Evaluation, GreedyIrieOptions, GreedyOptions, ProblemInstance,
+    evaluate, Advertiser, AlgoStats, Allocation, Attention, Evaluation, ProblemInstance,
+    TirmOptions,
 };
-use tirm_diffusion::McOracle;
-use tirm_irie::IrieConfig;
 use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig};
 use tirm_server::{Client, DurabilityConfig, FollowerConfig, ServerConfig};
 use tirm_topics::CtpTable;
 use tirm_workloads::replay::replay;
 use tirm_workloads::{
-    campaigns, final_population, AllocatorKind, Dataset, DatasetKind, EventStreamSpec, LogEvent,
-    ProbModel, ScaleConfig, ScenarioSpec, Tier,
+    campaigns, final_population, Dataset, DatasetKind, EventStreamSpec, LogEvent, Mode, ProbModel,
+    ScaleConfig, ScenarioSpec, Tier,
 };
 
 /// How the suite runs: tier grid + fidelity + optional cell filter.
@@ -138,12 +136,10 @@ fn run_scenario_on(
     scale: &ScaleConfig,
     base_seed: u64,
 ) -> BenchCell {
-    if spec.serving || spec.serving_repl {
-        run_serving_cell(dataset, spec, scale, base_seed)
-    } else if spec.online {
-        run_online_cell(dataset, spec, scale, base_seed)
-    } else {
-        run_batch_cell(dataset, spec, scale, base_seed)
+    match spec.mode {
+        Mode::Batch => run_batch_cell(dataset, spec, scale, base_seed),
+        Mode::Online => run_online_cell(dataset, spec, scale, base_seed),
+        Mode::Serving | Mode::ServingRepl => run_serving_cell(dataset, spec, scale, base_seed),
     }
 }
 
@@ -155,13 +151,12 @@ const ONLINE_EVENTS_PER_CELL: usize = 48;
 /// through a fresh [`OnlineAllocator`], then MC-evaluate the *final*
 /// allocation on the final ad population (deterministic payload for the
 /// drift gate).
-pub fn run_online_cell(
+fn run_online_cell(
     dataset: &Dataset,
     spec: &ScenarioSpec,
     scale: &ScaleConfig,
     base_seed: u64,
 ) -> BenchCell {
-    assert!(spec.online, "not an online cell: {}", spec.id());
     let aseed = spec.seed(base_seed);
     let log = serving_stream(dataset, spec, scale, base_seed, 0xeb57);
     let mut allocator = OnlineAllocator::new(
@@ -187,7 +182,7 @@ pub fn run_online_cell(
 /// Reader connections every `SERVING/…` cell drives concurrently with
 /// its mutation stream — the acceptance floor for "readers served
 /// lock-free while the writer grinds".
-pub const SERVING_READERS: usize = 4;
+const SERVING_READERS: usize = 4;
 
 /// The PR-gate's exposition probe, run right after the serving cell
 /// while its traffic is still in the process-global registry: boot the
@@ -266,7 +261,7 @@ impl Drop for StateDirs {
 /// loopback port over the shared dataset, drive it with
 /// [`drive`] (every event is retried until admitted, so the drained
 /// final snapshot is a pure function of the log, plus
-/// [`SERVING_READERS`] concurrent reader connections), then MC-evaluate
+/// `SERVING_READERS` concurrent reader connections), then MC-evaluate
 /// the drained allocation exactly like the online cells.
 ///
 /// A `SERVING-REPL` cell makes the leader durable, adds an in-process
@@ -280,23 +275,23 @@ pub fn run_serving_cell(
     scale: &ScaleConfig,
     base_seed: u64,
 ) -> BenchCell {
-    assert!(
-        spec.serving || spec.serving_repl,
-        "not a serving cell: {}",
-        spec.id()
-    );
+    let replicated = match spec.mode {
+        Mode::Serving => false,
+        Mode::ServingRepl => true,
+        Mode::Batch | Mode::Online => panic!("not a serving cell: {}", spec.id()),
+    };
     let aseed = spec.seed(base_seed);
     // A distinct stream salt per family: a served cell measures the same
     // grid point as its siblings but must not share their exact event
     // stream, or one cell's regression hides in the other's noise.
-    let salt = if spec.serving_repl { 0x4ef0 } else { 0x5e11 };
+    let salt = if replicated { 0x4ef0 } else { 0x5e11 };
     let log = serving_stream(dataset, spec, scale, base_seed, salt);
     let online = serving_online_config(spec, scale, aseed);
     // Replication requires durable state on both sides. Tight cadence
     // relative to the 48-event stream, so the cell exercises
     // checkpointing and multi-segment shipping, not just a single open
     // segment.
-    let dirs = spec.serving_repl.then(StateDirs::new);
+    let dirs = replicated.then(StateDirs::new);
     let (checkpoint_interval, segment_events) = (16, 64);
     let server_cfg = ServerConfig {
         online: online.clone(),
@@ -384,7 +379,7 @@ pub fn run_serving_cell(
         })
         .expect("serving cell server failed");
     let wall_s = t0.elapsed().as_secs_f64();
-    if !spec.serving_repl {
+    if !replicated {
         probe_metrics_exposition();
     }
 
@@ -450,15 +445,21 @@ fn serving_stream(
     stream.generate(dataset.size_ratio * boost)
 }
 
-/// The allocator configuration of a serving-type cell: the cell's κ and
-/// λ, and TIRM with the per-ad θ cap scaled with the tier's graph scale,
-/// like every other cell family.
-fn serving_online_config(spec: &ScenarioSpec, scale: &ScaleConfig, aseed: u64) -> OnlineConfig {
-    let mut tirm = tirm_options(spec.is_quality(), aseed);
+/// TIRM's options in a suite cell: the family's ε, the cell's threads,
+/// and the family's per-ad θ cap — tuned for scale-1 graphs — shrunk with
+/// the tier's graph scale so quick-tier cells stay CI-sized.
+fn cell_tirm_options(spec: &ScenarioSpec, scale: &ScaleConfig, seed: u64) -> TirmOptions {
+    let mut tirm = tirm_options(spec.is_quality(), seed);
     tirm.threads = spec.threads;
     tirm.scale_theta_cap(scale.scale);
+    tirm
+}
+
+/// The allocator configuration of a serving-type cell: the cell's κ, λ
+/// and TIRM options.
+fn serving_online_config(spec: &ScenarioSpec, scale: &ScaleConfig, aseed: u64) -> OnlineConfig {
     OnlineConfig {
-        tirm,
+        tirm: cell_tirm_options(spec, scale, aseed),
         kappa: spec.kappa,
         lambda: spec.lambda,
         ..OnlineConfig::default()
@@ -516,26 +517,18 @@ fn served_cell(
         evaluate(&problem, &alloc, scale.eval_runs, 0xe7a1, spec.threads)
     });
     let ev = ev.as_ref();
-    let allocator = if spec.serving_repl {
-        "SERVING-REPL"
-    } else if spec.serving {
-        "SERVING"
-    } else {
-        "ONLINE"
-    };
     // A served engine's RR capital depends on where its writer cut the
     // batches, which is timing: only the payload is pinned there. The
     // ONLINE cell of the same grid point pins θ and memory.
-    let (theta, memory_bytes) = if spec.serving || spec.serving_repl {
-        (0, 0)
-    } else {
-        (snap.total_rr_sets, snap.engine_memory_bytes)
+    let (theta, memory_bytes) = match spec.mode {
+        Mode::Online => (snap.total_rr_sets, snap.engine_memory_bytes),
+        Mode::Batch | Mode::Serving | Mode::ServingRepl => (0, 0),
     };
     BenchCell {
         id: spec.id(),
         dataset: dataset.kind.name().to_string(),
         prob_model: spec.model.name().to_string(),
-        allocator: allocator.to_string(),
+        allocator: spec.mode.name().to_string(),
         threads: spec.threads,
         kappa: spec.kappa,
         lambda: spec.lambda,
@@ -588,10 +581,9 @@ fn run_batch_cell(
             Attention::Uniform(spec.kappa),
             spec.lambda,
         );
-        measure_cell(spec, scale, dataset, &problem, aseed, true)
+        measure_cell(spec, scale, dataset, &problem, aseed)
     } else {
         // §6.2 setup: uniform fully-competitive campaign, CPE = CTP = 1.
-        let h = 5;
         let paper_budget = match spec.dataset {
             DatasetKind::Dblp => 5_000.0,
             _ => 80_000.0,
@@ -602,21 +594,9 @@ fn run_batch_cell(
         // whole budget (0 seeds allocated, nothing measured). The √-boost
         // restores budget ≫ single-seed-spread; no-op at scale ≥ 1.
         let boost = (1.0 / scale.scale.min(1.0)).sqrt();
-        let ads = campaigns::uniform_campaign(h, paper_budget * dataset.size_ratio * boost);
-        let flat: Vec<f32> = (0..dataset.graph.num_edges() as u32)
-            .map(|e| dataset.topic_probs.get(e, 0))
-            .collect();
-        let edge_probs = vec![flat; h];
-        let ctp = CtpTable::constant(dataset.graph.num_nodes(), h, 1.0);
-        let problem = ProblemInstance::new(
-            &dataset.graph,
-            ads,
-            edge_probs,
-            ctp,
-            Attention::Uniform(spec.kappa),
-            spec.lambda,
-        );
-        measure_cell(spec, scale, dataset, &problem, aseed, false)
+        let budget = paper_budget * dataset.size_ratio * boost;
+        let problem = scalability_problem(dataset, 5, budget, spec.kappa, spec.lambda);
+        measure_cell(spec, scale, dataset, &problem, aseed)
     }
 }
 
@@ -627,10 +607,17 @@ fn measure_cell(
     dataset: &Dataset,
     problem: &ProblemInstance<'_>,
     seed: u64,
-    quality: bool,
 ) -> BenchCell {
     let t0 = Instant::now();
-    let (alloc, stats) = run_allocator(spec, scale, problem, seed, quality);
+    let tirm = cell_tirm_options(spec, scale, seed);
+    let (alloc, stats) = allocate(
+        spec.allocator,
+        problem,
+        spec.is_quality(),
+        tirm,
+        scale.eval_runs,
+        spec.seed_cap,
+    );
     let wall_s = t0.elapsed().as_secs_f64();
     alloc
         .validate(problem)
@@ -658,55 +645,6 @@ fn measure_cell(
         ev.as_ref(),
         wall_s,
     )
-}
-
-/// Dispatches the spec's allocator with tier-appropriate options.
-fn run_allocator(
-    spec: &ScenarioSpec,
-    scale: &ScaleConfig,
-    problem: &ProblemInstance<'_>,
-    seed: u64,
-    quality: bool,
-) -> (Allocation, AlgoStats) {
-    match spec.allocator {
-        AllocatorKind::Tirm => {
-            let mut opts = tirm_options(quality, seed);
-            opts.threads = spec.threads;
-            // The per-ad θ cap is tuned for scale-1 graphs; shrink it with
-            // the tier's graph scale so quick-tier cells stay CI-sized.
-            opts.scale_theta_cap(scale.scale);
-            tirm_allocate(problem, opts)
-        }
-        AllocatorKind::GreedyIrie => greedy_irie_allocate(
-            problem,
-            GreedyIrieOptions {
-                irie: IrieConfig {
-                    // §6: α = 0.8 on the quality data sets, 0.7 elsewhere.
-                    alpha: if quality { 0.8 } else { 0.7 },
-                    ..IrieConfig::default()
-                },
-            },
-        ),
-        AllocatorKind::Greedy => {
-            // Algorithm 1 with MC estimates. Every candidate scan costs
-            // n·h oracle queries, so the run count stays low and the spec
-            // caps total seeds — the cell measures per-seed cost and
-            // early-allocation quality, not a full run (the paper already
-            // concedes Greedy-MC does not scale).
-            let runs = (scale.eval_runs / 20).clamp(10, 200);
-            let ctps: Vec<Option<&[f32]>> = (0..problem.num_ads())
-                .map(|i| Some(problem.ctp.ad(i)))
-                .collect();
-            let mut oracle = McOracle::new(problem.graph, &problem.edge_probs, ctps, runs, seed);
-            greedy_allocate(
-                problem,
-                &mut oracle,
-                GreedyOptions {
-                    max_total_seeds: spec.seed_cap,
-                },
-            )
-        }
-    }
 }
 
 /// Identity labels for one measured cell — what [`cell_from_run`] copies
@@ -772,69 +710,10 @@ pub fn cell_from_run(
     }
 }
 
-/// Runs one §6.2-style scalability cell (uniform campaign, CPE = CTP = 1,
-/// κ = 1, λ = 0) at an explicit `(h, budget)` — the Fig. 6 / Table 4
-/// sweep axes — and packs it under the given id.
-pub fn run_scalability_cell(
-    id: String,
-    dataset: &Dataset,
-    allocator: AllocatorKind,
-    h: usize,
-    budget: f64,
-    seed: u64,
-) -> BenchCell {
-    let ads = campaigns::uniform_campaign(h, budget);
-    let flat: Vec<f32> = (0..dataset.graph.num_edges() as u32)
-        .map(|e| dataset.topic_probs.get(e, 0))
-        .collect();
-    let edge_probs = vec![flat; h];
-    let ctp = CtpTable::constant(dataset.graph.num_nodes(), h, 1.0);
-    let problem = ProblemInstance::new(
-        &dataset.graph,
-        ads,
-        edge_probs,
-        ctp,
-        Attention::Uniform(1),
-        0.0,
-    );
-    let t0 = Instant::now();
-    let (alloc, stats) = match allocator {
-        AllocatorKind::Tirm => tirm_allocate(&problem, tirm_options(false, seed)),
-        AllocatorKind::GreedyIrie => greedy_irie_allocate(
-            &problem,
-            GreedyIrieOptions {
-                irie: IrieConfig {
-                    alpha: 0.7,
-                    ..IrieConfig::default()
-                },
-            },
-        ),
-        AllocatorKind::Greedy => unreachable!("scalability sweeps exclude Greedy-MC"),
-    };
-    let wall_s = t0.elapsed().as_secs_f64();
-    alloc.validate(&problem).expect("valid allocation");
-    cell_from_run(
-        CellLabels {
-            id,
-            dataset: dataset.kind.name(),
-            prob_model: "wc",
-            allocator: allocator.name(),
-            threads: 1,
-            kappa: 1,
-            lambda: 0.0,
-            seed,
-        },
-        &problem,
-        &alloc,
-        &stats,
-        None,
-        wall_s,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tirm_workloads::AllocatorKind;
 
     #[test]
     fn tirm_quick_cell_carries_postings_layout_ratios() {
@@ -844,7 +723,7 @@ mod tests {
         let spec = Tier::Quick
             .matrix()
             .into_iter()
-            .find(|s| s.allocator == AllocatorKind::Tirm && !s.online && !s.serving)
+            .find(|s| s.allocator == AllocatorKind::Tirm && s.mode == Mode::Batch)
             .expect("quick tier has a batch TIRM cell");
         let scale = ScaleConfig {
             scale: 0.02,

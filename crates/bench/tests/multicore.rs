@@ -30,7 +30,7 @@ use tirm_bench::schema::BenchReport;
 use tirm_bench::suite::{run_scenario, run_serving_cell, SuiteConfig};
 use tirm_bench::write_report;
 use tirm_rrset::{ParallelSampler, RrSampler, SamplingConfig, WeightedRrCollection};
-use tirm_workloads::{AllocatorKind, Dataset, ScaleConfig, Tier};
+use tirm_workloads::{AllocatorKind, Dataset, Mode, ScaleConfig, Tier};
 
 /// True when the machine can honestly measure a 4-thread speedup.
 fn multicore() -> bool {
@@ -103,7 +103,7 @@ fn tirm_cells_speed_up_with_threads() {
     let spec = Tier::Quick
         .matrix()
         .into_iter()
-        .find(|s| s.allocator == AllocatorKind::Tirm && !s.online && !s.serving)
+        .find(|s| s.allocator == AllocatorKind::Tirm && s.mode == Mode::Batch)
         .expect("quick tier has a batch TIRM cell");
 
     let mut cells = Vec::new();
@@ -147,7 +147,7 @@ fn server_keeps_reading_under_a_grinding_writer() {
     let mut spec = Tier::Quick
         .matrix()
         .into_iter()
-        .find(|s| s.serving)
+        .find(|s| s.mode == Mode::Serving)
         .expect("quick tier has a serving cell");
     spec.threads = 4;
     let dataset = Dataset::generate_with_model(

@@ -4,7 +4,7 @@
 use tirm_bench::diff::{diff_cell, diff_reports};
 use tirm_bench::schema::{BenchReport, SCHEMA_VERSION};
 use tirm_bench::suite::{run_scenario, run_suite, SuiteConfig};
-use tirm_workloads::scenarios::{AllocatorKind, ScenarioSpec, Tier};
+use tirm_workloads::scenarios::{AllocatorKind, Mode, ScenarioSpec, Tier};
 use tirm_workloads::{DatasetKind, ProbModel, ScaleConfig};
 
 /// Small enough for debug-build test runs, big enough to exercise the
@@ -26,16 +26,14 @@ fn spec(dataset: DatasetKind, model: ProbModel, allocator: AllocatorKind) -> Sce
         kappa: 1,
         lambda: 0.0,
         seed_cap: None,
-        online: false,
-        serving: false,
-        serving_repl: false,
+        mode: Mode::Batch,
     }
 }
 
 fn online_spec(dataset: DatasetKind, model: ProbModel, kappa: u32) -> ScenarioSpec {
     ScenarioSpec {
         kappa,
-        online: true,
+        mode: Mode::Online,
         ..spec(dataset, model, AllocatorKind::Tirm)
     }
 }
@@ -43,7 +41,7 @@ fn online_spec(dataset: DatasetKind, model: ProbModel, kappa: u32) -> ScenarioSp
 fn serving_spec(dataset: DatasetKind, model: ProbModel, kappa: u32) -> ScenarioSpec {
     ScenarioSpec {
         kappa,
-        serving: true,
+        mode: Mode::Serving,
         ..spec(dataset, model, AllocatorKind::Tirm)
     }
 }
@@ -344,7 +342,7 @@ fn serving_cell_payload_is_deterministic() {
 fn replicated_spec(dataset: DatasetKind, model: ProbModel, kappa: u32) -> ScenarioSpec {
     ScenarioSpec {
         kappa,
-        serving_repl: true,
+        mode: Mode::ServingRepl,
         ..spec(dataset, model, AllocatorKind::Tirm)
     }
 }

@@ -42,4 +42,4 @@ pub use events::{final_population, EventStreamSpec, FinalAd, LogEvent};
 // and a module sharing the name `replay` breaks rustdoc.)
 pub use replay::{LatencyHistogram, ReplayReport};
 pub use scale::ScaleConfig;
-pub use scenarios::{AllocatorKind, ScenarioSpec, Tier};
+pub use scenarios::{AllocatorKind, Mode, ScenarioSpec, Tier};

@@ -81,6 +81,14 @@ pub fn parse_scale(raw: Option<&str>, default: f64) -> (f64, Option<String>) {
     })
 }
 
+/// Parses `TIRM_BUDGET_FACTOR`, the quality harness's extra budget
+/// multiplier: positive and finite, else the default plus a warning.
+pub fn parse_budget_factor(raw: Option<&str>, default: f64) -> (f64, Option<String>) {
+    parse_with(raw, default, "TIRM_BUDGET_FACTOR", |v: f64| {
+        (v.is_finite() && v > 0.0).then_some(v)
+    })
+}
+
 /// Parses `TIRM_EVAL_RUNS`: positive integer, clamped to ≥ 10.
 pub fn parse_eval_runs(raw: Option<&str>, default: usize) -> (usize, Option<String>) {
     parse_with(raw, default, "TIRM_EVAL_RUNS", |v: usize| {
@@ -193,6 +201,19 @@ mod tests {
         assert!(parse_eval_runs(Some("0"), 100).1.is_some());
         assert!(parse_eval_runs(Some("-5"), 100).1.is_some());
         assert!(parse_threads(Some("0"), 1).1.is_some());
+    }
+
+    #[test]
+    fn budget_factor_must_be_positive_and_finite() {
+        assert_eq!(parse_budget_factor(None, 1.0), (1.0, None));
+        assert_eq!(parse_budget_factor(Some("0.5"), 1.0), (0.5, None));
+        assert_eq!(parse_budget_factor(Some("3"), 1.0), (3.0, None));
+        for bad in ["0,5", "0", "-2", "NaN", "inf", ""] {
+            let (v, warn) = parse_budget_factor(Some(bad), 1.0);
+            assert_eq!(v, 1.0, "{bad:?}");
+            let warn = warn.unwrap_or_else(|| panic!("{bad:?} must warn"));
+            assert!(warn.contains("TIRM_BUDGET_FACTOR"), "{warn}");
+        }
     }
 
     #[test]

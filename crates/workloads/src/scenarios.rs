@@ -11,7 +11,8 @@
 use crate::datasets::{DatasetKind, ProbModel};
 use crate::scale::{default_threads, ScaleConfig};
 
-/// Which allocation algorithm a scenario exercises.
+/// Which allocation algorithm a cell runs: the scenario grid's three
+/// and the §6 figures' two myopic baselines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AllocatorKind {
     /// TIRM (Algorithm 2) — the paper's scalable RR-set allocator.
@@ -21,15 +22,63 @@ pub enum AllocatorKind {
     Greedy,
     /// GREEDY-IRIE — Algorithm 1 with the IRIE heuristic oracle.
     GreedyIrie,
+    /// MYOPIC baseline.
+    Myopic,
+    /// MYOPIC+ baseline.
+    MyopicPlus,
 }
 
 impl AllocatorKind {
+    /// The four algorithms §6 compares, in the paper's legend order.
+    pub const LEGEND: [AllocatorKind; 4] = [
+        AllocatorKind::Myopic,
+        AllocatorKind::MyopicPlus,
+        AllocatorKind::GreedyIrie,
+        AllocatorKind::Tirm,
+    ];
+
     /// Name used in scenario ids and figure legends.
     pub fn name(self) -> &'static str {
         match self {
             AllocatorKind::Tirm => "TIRM",
             AllocatorKind::Greedy => "GREEDY",
             AllocatorKind::GreedyIrie => "IRIE",
+            AllocatorKind::Myopic => "Myopic",
+            AllocatorKind::MyopicPlus => "Myopic+",
+        }
+    }
+}
+
+/// How a cell runs its allocator: one batch allocation, or a generated
+/// event stream served by the `tirm_online` engine — in process, behind
+/// a real `tirm_server`, or behind a durable leader plus a WAL-shipping
+/// follower. A served cell's allocator is TIRM (the engine *is* TIRM
+/// under the hood), and its id lives in the mode's own namespace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Mode {
+    /// One batch allocation of the cell's instance.
+    Batch,
+    /// The stream replayed through an in-process `OnlineAllocator`;
+    /// latency percentiles and events/s.
+    Online,
+    /// The stream driven through a real `tirm_server` on a loopback port
+    /// by the load generator, with a concurrent reader pool; wire
+    /// latencies, read-path percentiles and the shed rate.
+    Serving,
+    /// Like `Serving`, with a durable leader plus a WAL-shipping follower
+    /// taking part of the reader pool; follower reads and replication
+    /// lag too.
+    ServingRepl,
+}
+
+impl Mode {
+    /// The id namespace of a served cell (and its allocator label).
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Batch => "BATCH",
+            Mode::Online => "ONLINE",
+            Mode::Serving => "SERVING",
+            Mode::ServingRepl => "SERVING-REPL",
         }
     }
 }
@@ -58,24 +107,8 @@ pub struct ScenarioSpec {
     /// paper calls Greedy "prohibitively slow"; the cap keeps its cells
     /// bounded while still measuring per-seed cost and early quality.
     pub seed_cap: Option<usize>,
-    /// Online serving cell: instead of one batch allocation, the runner
-    /// replays a generated event stream through the `tirm_online` engine
-    /// and stamps latency percentiles + events/s. `allocator` is `Tirm`
-    /// (the engine *is* TIRM under the hood) and the cell id lives in its
-    /// own `ONLINE/...` namespace.
-    pub online: bool,
-    /// Network serving cell: the runner boots a real `tirm_server` on a
-    /// loopback port, drives it with the load generator (mutation stream
-    /// in deterministic-delivery mode + a concurrent reader pool), and
-    /// stamps wire latencies, read-path percentiles and the shed rate.
-    /// Ids live in the `SERVING/...` namespace.
-    pub serving: bool,
-    /// Replicated network-serving cell: like `serving`, but the runner
-    /// boots a durable leader *plus* a WAL-shipping follower and routes
-    /// part of the reader pool at the follower — stamping follower read
-    /// throughput and replication lag alongside the serving metrics.
-    /// Ids live in the `SERVING-REPL/...` namespace.
-    pub serving_repl: bool,
+    /// Batch allocation or one of the three served layers.
+    pub mode: Mode,
 }
 
 impl ScenarioSpec {
@@ -89,38 +122,16 @@ impl ScenarioSpec {
             kappa: 1,
             lambda: 0.0,
             seed_cap: None,
-            online: false,
-            serving: false,
-            serving_repl: false,
+            mode: Mode::Batch,
         }
     }
 
-    /// An online-serving cell over the dataset's canonical model.
-    fn online(dataset: DatasetKind, kappa: u32) -> ScenarioSpec {
-        ScenarioSpec {
-            kappa,
-            online: true,
-            ..ScenarioSpec::base(dataset)
-        }
-    }
-
-    /// A network-serving cell (real TCP server + load generator) over
-    /// the dataset's canonical model.
-    fn serving(dataset: DatasetKind, kappa: u32) -> ScenarioSpec {
-        ScenarioSpec {
-            kappa,
-            serving: true,
-            ..ScenarioSpec::base(dataset)
-        }
-    }
-
-    /// A replicated network-serving cell (leader + WAL-shipping
-    /// follower, reader pool split across both) over the dataset's
+    /// A served cell (`mode` is not `Batch`) over the dataset's
     /// canonical model.
-    fn serving_repl(dataset: DatasetKind, kappa: u32) -> ScenarioSpec {
+    fn served(mode: Mode, dataset: DatasetKind, kappa: u32) -> ScenarioSpec {
         ScenarioSpec {
             kappa,
-            serving_repl: true,
+            mode,
             ..ScenarioSpec::base(dataset)
         }
     }
@@ -131,32 +142,12 @@ impl ScenarioSpec {
     /// `SERVING/DATASET/model/t…/k…/l…` for network serving cells, or
     /// `SERVING-REPL/DATASET/model/t…/k…/l…` for replicated ones.
     pub fn id(&self) -> String {
-        if self.online || self.serving || self.serving_repl {
-            return format!(
-                "{}/{}/{}/t{}/k{}/l{}",
-                if self.serving_repl {
-                    "SERVING-REPL"
-                } else if self.serving {
-                    "SERVING"
-                } else {
-                    "ONLINE"
-                },
-                self.dataset.name(),
-                self.model.name(),
-                self.threads,
-                self.kappa,
-                self.lambda
-            );
+        let (dataset, model) = (self.dataset.name(), self.model.name());
+        let (t, k, l) = (self.threads, self.kappa, self.lambda);
+        match self.mode {
+            Mode::Batch => format!("{dataset}/{model}/{}/t{t}/k{k}/l{l}", self.allocator.name()),
+            mode => format!("{}/{dataset}/{model}/t{t}/k{k}/l{l}", mode.name()),
         }
-        format!(
-            "{}/{}/{}/t{}/k{}/l{}",
-            self.dataset.name(),
-            self.model.name(),
-            self.allocator.name(),
-            self.threads,
-            self.kappa,
-            self.lambda
-        )
     }
 
     /// Deterministic per-cell RNG seed: a stable FNV-1a hash of the id
@@ -297,14 +288,14 @@ impl Tier {
     /// and a threads axis.
     fn online_matrix() -> Vec<ScenarioSpec> {
         vec![
-            ScenarioSpec::online(DatasetKind::Flixster, 2),
-            ScenarioSpec::online(DatasetKind::Epinions, 2),
-            ScenarioSpec::online(DatasetKind::Epinions, 1),
+            ScenarioSpec::served(Mode::Online, DatasetKind::Flixster, 2),
+            ScenarioSpec::served(Mode::Online, DatasetKind::Epinions, 2),
+            ScenarioSpec::served(Mode::Online, DatasetKind::Epinions, 1),
             ScenarioSpec {
                 threads: 2,
-                ..ScenarioSpec::online(DatasetKind::Epinions, 2)
+                ..ScenarioSpec::served(Mode::Online, DatasetKind::Epinions, 2)
             },
-            ScenarioSpec::online(DatasetKind::Dblp, 1),
+            ScenarioSpec::served(Mode::Online, DatasetKind::Dblp, 1),
         ]
     }
 
@@ -314,12 +305,12 @@ impl Tier {
     /// server + load generator on loopback.
     fn serving_matrix() -> Vec<ScenarioSpec> {
         vec![
-            ScenarioSpec::serving(DatasetKind::Epinions, 2),
-            ScenarioSpec::serving(DatasetKind::Flixster, 2),
-            ScenarioSpec::serving(DatasetKind::Epinions, 1),
-            ScenarioSpec::serving(DatasetKind::Dblp, 1),
-            ScenarioSpec::serving_repl(DatasetKind::Epinions, 2),
-            ScenarioSpec::serving_repl(DatasetKind::Dblp, 1),
+            ScenarioSpec::served(Mode::Serving, DatasetKind::Epinions, 2),
+            ScenarioSpec::served(Mode::Serving, DatasetKind::Flixster, 2),
+            ScenarioSpec::served(Mode::Serving, DatasetKind::Epinions, 1),
+            ScenarioSpec::served(Mode::Serving, DatasetKind::Dblp, 1),
+            ScenarioSpec::served(Mode::ServingRepl, DatasetKind::Epinions, 2),
+            ScenarioSpec::served(Mode::ServingRepl, DatasetKind::Dblp, 1),
         ]
     }
 
@@ -436,15 +427,31 @@ impl Tier {
         // batch cells, so the suite reuses the materialised instance.
         match self {
             Tier::Quick => {
-                specs.push(ScenarioSpec::online(DatasetKind::Epinions, 2));
-                specs.push(ScenarioSpec::serving(DatasetKind::Epinions, 2));
-                specs.push(ScenarioSpec::serving_repl(DatasetKind::Epinions, 2));
+                specs.push(ScenarioSpec::served(Mode::Online, DatasetKind::Epinions, 2));
+                specs.push(ScenarioSpec::served(
+                    Mode::Serving,
+                    DatasetKind::Epinions,
+                    2,
+                ));
+                specs.push(ScenarioSpec::served(
+                    Mode::ServingRepl,
+                    DatasetKind::Epinions,
+                    2,
+                ));
             }
             Tier::Full => {
-                specs.push(ScenarioSpec::online(DatasetKind::Epinions, 2));
-                specs.push(ScenarioSpec::online(DatasetKind::Dblp, 1));
-                specs.push(ScenarioSpec::serving(DatasetKind::Epinions, 2));
-                specs.push(ScenarioSpec::serving_repl(DatasetKind::Epinions, 2));
+                specs.push(ScenarioSpec::served(Mode::Online, DatasetKind::Epinions, 2));
+                specs.push(ScenarioSpec::served(Mode::Online, DatasetKind::Dblp, 1));
+                specs.push(ScenarioSpec::served(
+                    Mode::Serving,
+                    DatasetKind::Epinions,
+                    2,
+                ));
+                specs.push(ScenarioSpec::served(
+                    Mode::ServingRepl,
+                    DatasetKind::Epinions,
+                    2,
+                ));
             }
             Tier::Paper | Tier::Online | Tier::Serving => {}
         }
@@ -503,7 +510,10 @@ mod tests {
     fn online_grid_shape() {
         let specs = Tier::Online.matrix();
         assert!(specs.len() >= 4);
-        assert!(specs.iter().all(|s| s.online), "a pure serving grid");
+        assert!(
+            specs.iter().all(|s| s.mode == Mode::Online),
+            "a pure serving grid"
+        );
         assert!(
             specs.iter().all(|s| s.id().starts_with("ONLINE/")),
             "serving cells live in their own id namespace"
@@ -526,23 +536,22 @@ mod tests {
         for tier in [Tier::Quick, Tier::Full] {
             let specs = tier.matrix();
             assert!(
-                specs.iter().any(|s| s.online),
+                specs.iter().any(|s| s.mode == Mode::Online),
                 "{tier:?} must watch the serving layer"
             );
             assert!(
-                specs.iter().any(|s| s.serving),
+                specs.iter().any(|s| s.mode == Mode::Serving),
                 "{tier:?} must watch the network frontend"
             );
             // Serving cells share (dataset, model) with batch cells, so
             // the suite reuses the materialised dataset.
-            for s in specs.iter().filter(|s| s.online || s.serving) {
-                assert!(specs.iter().any(|b| !b.online
-                    && !b.serving
+            for s in specs.iter().filter(|s| s.mode != Mode::Batch) {
+                assert!(specs.iter().any(|b| b.mode == Mode::Batch
                     && b.dataset == s.dataset
                     && b.model == s.model));
             }
         }
-        assert!(!Tier::Paper.matrix().iter().any(|s| s.online || s.serving));
+        assert!(Tier::Paper.matrix().iter().all(|s| s.mode == Mode::Batch));
     }
 
     #[test]
@@ -551,12 +560,12 @@ mod tests {
         assert!(specs.len() >= 4);
         assert!(specs
             .iter()
-            .all(|s| (s.serving ^ s.serving_repl) && !s.online));
+            .all(|s| matches!(s.mode, Mode::Serving | Mode::ServingRepl)));
         assert!(specs
             .iter()
             .all(|s| s.id().starts_with("SERVING/") || s.id().starts_with("SERVING-REPL/")));
         assert!(
-            specs.iter().any(|s| s.serving_repl),
+            specs.iter().any(|s| s.mode == Mode::ServingRepl),
             "the serving tier must watch replication"
         );
         assert!(
@@ -566,8 +575,8 @@ mod tests {
         let cfg = Tier::Serving.scale_defaults();
         assert!(cfg.scale <= 0.2 && cfg.eval_runs <= 1000, "CI-sized");
         // The namespaces never collide even at equal parameters.
-        let online = ScenarioSpec::online(DatasetKind::Epinions, 2);
-        let serving = ScenarioSpec::serving(DatasetKind::Epinions, 2);
+        let online = ScenarioSpec::served(Mode::Online, DatasetKind::Epinions, 2);
+        let serving = ScenarioSpec::served(Mode::Serving, DatasetKind::Epinions, 2);
         assert_ne!(online.id(), serving.id());
         assert_ne!(online.seed(7), serving.seed(7));
     }

@@ -2,8 +2,8 @@
 //! workload: TIRM beats GREEDY-IRIE beats the myopic baselines on regret;
 //! the myopic baselines overshoot; TIRM targets far fewer distinct users.
 
-use tirm_bench::{run_quality_cell, AlgoKind, QualityWorkload};
-use tirm_workloads::DatasetKind;
+use tirm_bench::{run_quality_cell, QualityWorkload};
+use tirm_workloads::{AllocatorKind, DatasetKind};
 
 fn workload() -> QualityWorkload {
     // Small + fast: fix scale/eval via env for this process only. (At this
@@ -20,10 +20,10 @@ fn workload() -> QualityWorkload {
 #[test]
 fn tirm_dominates_baselines_and_targets_fewer_users() {
     let w = workload();
-    let tirm = run_quality_cell(&w, AlgoKind::Tirm, 1, 0.0, 1);
-    let irie = run_quality_cell(&w, AlgoKind::GreedyIrie, 1, 0.0, 1);
-    let myo = run_quality_cell(&w, AlgoKind::Myopic, 1, 0.0, 1);
-    let myop = run_quality_cell(&w, AlgoKind::MyopicPlus, 1, 0.0, 1);
+    let tirm = run_quality_cell(&w, AllocatorKind::Tirm, 1, 0.0, 1);
+    let irie = run_quality_cell(&w, AllocatorKind::GreedyIrie, 1, 0.0, 1);
+    let myo = run_quality_cell(&w, AllocatorKind::Myopic, 1, 0.0, 1);
+    let myop = run_quality_cell(&w, AllocatorKind::MyopicPlus, 1, 0.0, 1);
 
     // Fig. 3 ordering: TIRM lowest, myopic baselines far above.
     assert!(
@@ -67,8 +67,8 @@ fn tirm_dominates_baselines_and_targets_fewer_users() {
 #[test]
 fn tirm_regret_stays_low_across_attention_bounds() {
     let w = workload();
-    let k1 = run_quality_cell(&w, AlgoKind::Tirm, 1, 0.0, 2);
-    let k5 = run_quality_cell(&w, AlgoKind::Tirm, 5, 0.0, 2);
+    let k1 = run_quality_cell(&w, AllocatorKind::Tirm, 1, 0.0, 2);
+    let k5 = run_quality_cell(&w, AllocatorKind::Tirm, 5, 0.0, 2);
     // Fig. 3's robust claim: TIRM's relative regret is a small fraction of
     // the total budget at every κ (the paper reports 2.5% at κ=1 on
     // FLIXSTER; MC noise at miniature scale warrants slack). Strict
@@ -94,8 +94,8 @@ fn tirm_regret_stays_low_across_attention_bounds() {
 #[test]
 fn regret_rises_with_lambda() {
     let w = workload();
-    let l0 = run_quality_cell(&w, AlgoKind::Tirm, 1, 0.0, 3);
-    let l1 = run_quality_cell(&w, AlgoKind::Tirm, 1, 1.0, 3);
+    let l0 = run_quality_cell(&w, AllocatorKind::Tirm, 1, 0.0, 3);
+    let l1 = run_quality_cell(&w, AllocatorKind::Tirm, 1, 1.0, 3);
     // Fig. 4: total regret (including the λ penalty) grows with λ.
     assert!(
         l1.total_regret >= l0.total_regret,
@@ -108,8 +108,8 @@ fn regret_rises_with_lambda() {
 #[test]
 fn myopic_plus_targets_fewer_with_more_attention() {
     let w = workload();
-    let k1 = run_quality_cell(&w, AlgoKind::MyopicPlus, 1, 0.0, 4);
-    let k5 = run_quality_cell(&w, AlgoKind::MyopicPlus, 5, 0.0, 4);
+    let k1 = run_quality_cell(&w, AllocatorKind::MyopicPlus, 1, 0.0, 4);
+    let k5 = run_quality_cell(&w, AllocatorKind::MyopicPlus, 5, 0.0, 4);
     // Table 3 trend: higher κ ⇒ fewer distinct nodes needed.
     assert!(
         k5.distinct_targeted <= k1.distinct_targeted,
