@@ -237,16 +237,17 @@ impl ParallelSampler {
     /// Draws `count` RR sets and appends `map` of each to `out`, in
     /// deterministic stream order (used by KPT width estimation, where
     /// only a per-set statistic is needed and sets are discarded). `out`
-    /// grows once, by `count`, before anything is drawn, and one shard
-    /// writes into it directly; several shards each fill a chunk of their
-    /// quota, merged into `out` in draw order. Optionally routed through a
-    /// precomputed [`FastPath`]; bit-identical stream either way.
+    /// is extended once, by an iterator of exactly `count` items: one
+    /// shard's draws stream straight into it; several shards each fill a
+    /// chunk of their quota, merged into `out` in draw order. Optionally
+    /// routed through a precomputed [`FastPath`]; bit-identical stream
+    /// either way.
     pub fn sample_map_with<T, F>(
         &mut self,
         sampler: &RrSampler<'_>,
         fast: Option<&FastPath<'_>>,
         count: usize,
-        out: &mut Vec<T>,
+        out: &mut impl Extend<T>,
         map: F,
     ) where
         T: Send,
@@ -260,7 +261,6 @@ impl ParallelSampler {
             None => map(sampler.sample(&mut shard.ws, &mut shard.rng)),
         };
         let draw = &draw;
-        out.reserve(count);
         if self.shards.len() == 1 {
             let shard = &mut self.shards[0];
             out.extend((0..count).map(|_| draw(shard)));

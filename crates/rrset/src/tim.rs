@@ -96,12 +96,94 @@ pub struct KptEstimator<'a> {
     sampler: RrSampler<'a>,
     m: usize,
     ell: f64,
-    /// `w(R)` of every estimation sample drawn so far. Four bytes each
-    /// hold it exactly: `w(R) ≤ m`, and the constructors check that `m`
-    /// fits a `u32`, as the CSR's edge ids already make it.
-    widths: Vec<u32>,
+    /// `w(R)` of every estimation sample drawn so far, byte-coded. A
+    /// `u32` holds each exactly: `w(R) ≤ m`, and the constructors check
+    /// that `m` fits one, as the CSR's edge ids already make it.
+    widths: WidthCache,
     engine: ParallelSampler,
     memo: EstimateMemo,
+}
+
+/// The estimation widths as one LEB128 byte stream: seven bits a byte,
+/// low group first, the top bit set on every byte but a code's last.
+/// Most widths are small (a set's summed in-degree), so most take one
+/// byte; `u32::MAX` takes five. The stream is only ever appended to and
+/// read front to back, which is all KPT estimation does with it.
+#[derive(Debug, Default, PartialEq)]
+struct WidthCache {
+    bytes: Vec<u8>,
+    /// Widths coded in `bytes`.
+    len: usize,
+}
+
+impl WidthCache {
+    /// Number of widths held.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Bytes allocated for the stream.
+    fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+
+    /// Appends one width. A code that does not fit grows the buffer by a
+    /// sixteenth of its length plus the code, exactly. With one byte a
+    /// width reserved up front by [`Extend::extend`], the capacity after
+    /// any batch stays within 17/16 of the bytes used, where `Vec`'s own
+    /// doubling would end near 2×.
+    fn push(&mut self, mut w: u32) {
+        let k = code_len(w);
+        if self.bytes.capacity() - self.bytes.len() < k {
+            self.bytes.reserve_exact(self.bytes.len() / 16 + k);
+        }
+        while w >= 0x80 {
+            self.bytes.push(w as u8 | 0x80);
+            w >>= 7;
+        }
+        self.bytes.push(w as u8);
+        self.len += 1;
+    }
+
+    /// Decodes the width whose code starts at byte `*at` and moves `*at`
+    /// to the next code.
+    fn read(&self, at: &mut usize) -> u32 {
+        let mut w = 0u32;
+        let mut shift = 0;
+        loop {
+            let byte = self.bytes[*at];
+            *at += 1;
+            w |= u32::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return w;
+            }
+            shift += 7;
+        }
+    }
+
+    /// Every width held, decoded from byte 0.
+    #[cfg(test)]
+    fn decode_all(&self) -> Vec<u32> {
+        let mut at = 0;
+        (0..self.len).map(|_| self.read(&mut at)).collect()
+    }
+}
+
+/// Bytes the code of `w` takes: one per started group of seven bits.
+fn code_len(w: u32) -> usize {
+    (38 - (w | 1).leading_zeros() as usize) / 7
+}
+
+impl Extend<u32> for WidthCache {
+    /// Appends a batch, reserving one byte per width it promises first:
+    /// every code takes at least that.
+    fn extend<I: IntoIterator<Item = u32>>(&mut self, widths: I) {
+        let widths = widths.into_iter();
+        self.bytes.reserve_exact(widths.size_hint().0);
+        for w in widths {
+            self.push(w);
+        }
+    }
 }
 
 /// Answers kept per estimator. TIRM asks one ad for `s = 1` plus one `s`
@@ -161,14 +243,14 @@ impl<'a> KptEstimator<'a> {
             sampler,
             m: width_bound(&sampler),
             ell,
-            widths: Vec::new(),
+            widths: WidthCache::default(),
             engine: ParallelSampler::new(config, g.num_nodes()),
             memo: EstimateMemo::default(),
         }
     }
 
     /// Tops the width cache up to `target` samples: one engine batch,
-    /// appended to the cache in place.
+    /// coded into the cache as it is drawn.
     fn fill_widths(&mut self, target: usize, fast: Option<&FastPath<'_>>) {
         if self.widths.len() >= target {
             return;
@@ -218,18 +300,22 @@ impl<'a> KptEstimator<'a> {
     }
 
     /// The geometric rounds of [`Self::estimate`]. Round `i` extends the
-    /// running sum of round `i − 1` over `widths[c_{i−1}..c_i]`: the
-    /// additions happen in index order from 0 whichever round they
-    /// belong to, so every partial sum is the one a fresh pass over
-    /// `widths[..c_i]` would reach, to the bit.
+    /// running sum of round `i − 1` over widths `c_{i−1}..c_i`, decoded
+    /// from where the last round stopped: the additions happen in index
+    /// order from 0 whichever round they belong to, so every partial sum
+    /// is the one a fresh pass over widths `..c_i` would reach, to the
+    /// bit.
     fn sum_rounds(&mut self, s: usize, fast: Option<&FastPath<'_>>) -> f64 {
         let n = self.sampler.graph().num_nodes();
         let exponent = i32::try_from(s).unwrap_or(i32::MAX);
         let mut sum = 0.0f64;
         let mut summed = 0;
+        // Byte offset of width `summed`.
+        let mut at = 0;
         for (i, ci) in (1..).zip(round_sizes(n, self.ell)) {
             self.fill_widths(ci, fast);
-            for &w in &self.widths[summed..ci] {
+            for _ in summed..ci {
+                let w = self.widths.read(&mut at);
                 let frac = (f64::from(w) / self.m as f64).min(1.0);
                 sum += 1.0 - (1.0 - frac).powi(exponent);
             }
@@ -277,7 +363,7 @@ impl<'a> KptEstimator<'a> {
             let ci = (base * 2f64.powi(i)).ceil() as usize;
             self.fill_widths(ci, fast);
             let mut sum = 0.0f64;
-            for &w in &self.widths[..ci] {
+            for &w in &self.widths.decode_all()[..ci] {
                 let frac = (f64::from(w) / self.m as f64).min(1.0);
                 sum += 1.0 - (1.0 - frac).powi(s as i32);
             }
@@ -321,7 +407,7 @@ impl<'a> KptEstimator<'a> {
 }
 
 /// `m`, the bound on every width `w(R)`, checked to fit the `u32` the
-/// width cache stores.
+/// width cache codes.
 fn width_bound(sampler: &RrSampler<'_>) -> usize {
     let m = sampler.graph().num_edges();
     assert!(
@@ -336,16 +422,16 @@ fn width_bound(sampler: &RrSampler<'_>) -> usize {
 /// Owning this (instead of the estimator itself) avoids tying a
 /// long-lived structure to the graph borrow inside `RrSampler`.
 pub struct KptState {
-    widths: Vec<u32>,
+    widths: WidthCache,
     engine: ParallelSampler,
     memo: EstimateMemo,
 }
 
 impl KptState {
-    /// Bytes held: the width cache at four bytes a width, plus the
-    /// estimation engine's O(n) per-shard workspaces.
+    /// Bytes held: the width cache's byte capacity, plus the estimation
+    /// engine's O(n) per-shard workspaces.
     pub fn memory_bytes(&self) -> usize {
-        self.widths.capacity() * 4 + self.engine.memory_bytes()
+        self.widths.capacity() + self.engine.memory_bytes()
     }
 
     /// Estimation samples drawn so far — with the estimator's
@@ -360,6 +446,7 @@ impl KptState {
 mod tests {
     use super::*;
     use crate::WeightedRrCollection;
+    use proptest::Strategy;
     use tirm_diffusion::mc_spread;
     use tirm_graph::{generators, NodeId};
 
@@ -456,7 +543,7 @@ mod tests {
         let state = warmed.into_state();
         assert_eq!(
             state.memory_bytes(),
-            4 * state.widths.capacity() + state.engine.memory_bytes()
+            state.widths.capacity() + state.engine.memory_bytes()
         );
         let mut back = KptEstimator::from_state(sampler, 1.0, state);
         assert_eq!(back.samples_used(), used);
@@ -495,6 +582,22 @@ mod tests {
     }
 
     #[test]
+    fn width_cache_capacity_stays_within_a_tenth_of_its_bytes() {
+        // Mean in-degree 30: many widths take two bytes, so each round
+        // overflows the byte a width it reserved up front.
+        let g = generators::erdos_renyi(300, 9000, 5);
+        let probs = vec![0.02f32; g.num_edges()];
+        let sampler = RrSampler::new(&g, &probs);
+        let mut est = KptEstimator::new(sampler, 1.0, 9);
+        for ci in round_sizes(300, 1.0) {
+            est.refill(ci, None).unwrap();
+            let (cap, coded) = (est.widths.capacity(), est.widths.bytes.len());
+            assert!(coded > ci, "{coded} bytes for {ci} widths");
+            assert!(10 * cap <= 11 * coded, "{cap} bytes for {coded} at {ci}");
+        }
+    }
+
+    #[test]
     fn exponent_beyond_the_graph_reads_as_n() {
         // `powi(s as i32)` used to wrap: negative for 2³¹ (every term ≤ 0,
         // all rounds sampled, answer 1.0), a smaller `s` for 2³² + 5.
@@ -506,6 +609,64 @@ mod tests {
         for s in [usize::MAX, 1 << 31, (1 << 32) + 5, 301] {
             let mut est = KptEstimator::new(sampler, 1.0, 9);
             assert_eq!(est.estimate(s).to_bits(), at_n.to_bits(), "s = {s}");
+        }
+    }
+
+    #[test]
+    fn width_codes_round_trip_at_their_boundaries() {
+        let widths = [
+            0,
+            127,
+            128,
+            16_383,
+            16_384,
+            (1 << 21) - 1,
+            1 << 21,
+            1 << 28,
+            u32::MAX,
+        ];
+        let lens = [1, 1, 2, 2, 3, 3, 4, 5, 5];
+        for (&w, &len) in widths.iter().zip(&lens) {
+            let mut cache = WidthCache::default();
+            cache.push(w);
+            assert_eq!((cache.bytes.len(), code_len(w)), (len, len), "{w}");
+            assert_eq!(cache.decode_all(), [w]);
+        }
+        let mut cache = WidthCache::default();
+        cache.extend(widths);
+        assert_eq!(cache.len(), widths.len());
+        assert_eq!(cache.bytes.len(), lens.iter().sum::<usize>());
+        assert_eq!(cache.decode_all(), widths);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn width_stream_decodes_to_itself_in_any_batch_split(
+            // Uniform over code lengths, not over values (where almost
+            // every width would take five bytes).
+            widths in proptest::collection::vec(
+                (0u32..=32, 0u32..=u32::MAX)
+                    .prop_map(|(bits, raw)| raw.checked_shr(32 - bits).unwrap_or(0)),
+                0..600,
+            ),
+            cuts in proptest::collection::vec(0usize..600, 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(widths.len())).collect();
+            cuts.push(0);
+            cuts.push(widths.len());
+            cuts.sort_unstable();
+            let mut cache = WidthCache::default();
+            for batch in cuts.windows(2) {
+                cache.extend(widths[batch[0]..batch[1]].iter().copied());
+                let coded = cache.bytes.len();
+                let cap = cache.capacity();
+                proptest::prop_assert!(16 * cap <= 17 * coded, "{cap} bytes for {coded}");
+            }
+            proptest::prop_assert_eq!(cache.len(), widths.len());
+            // One byte per started group of seven bits.
+            let coded: usize = widths.iter().map(|&w| w.max(1).ilog2() as usize / 7 + 1).sum();
+            proptest::prop_assert_eq!(cache.bytes.len(), coded);
+            proptest::prop_assert_eq!(cache.decode_all(), widths);
         }
     }
 
@@ -528,7 +689,7 @@ mod tests {
     /// The restart-per-round loop is the oracle: whatever was asked
     /// before, whichever route draws, and wherever the state has been in
     /// between, every answer has its bits and the width cache is as long
-    /// as its own.
+    /// as its own. Returns the largest width cached.
     fn check_against_reference(
         seed: u64,
         n: usize,
@@ -536,7 +697,7 @@ mod tests {
         threads: usize,
         pool: &[usize],
         asks: &[(usize, u8)],
-    ) {
+    ) -> u32 {
         let g = generators::erdos_renyi(n, 4 * n, seed);
         let probs: Vec<f32> = (0..g.num_edges())
             .map(|e| {
@@ -580,6 +741,7 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "ask {k} s = {s}");
             assert_eq!(est.samples_used(), oracle.samples_used());
         }
+        est.widths.decode_all().into_iter().max().unwrap_or(0)
     }
 
     proptest::proptest! {
@@ -600,53 +762,73 @@ mod tests {
 
     /// The same property over 1 000 cases, for the nightly run:
     /// `cargo test --release -p tirm_rrset --lib -- --ignored estimate_matches_the_reference_loop_soak`.
+    /// Its graphs and probabilities reach widths of 128 and more, whose
+    /// codes take two bytes, and it fails if no case cached one.
     #[test]
     #[ignore]
     fn estimate_matches_the_reference_loop_soak() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static MULTI_BYTE_CASES: AtomicUsize = AtomicUsize::new(0);
         proptest::proptest! {
             #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
 
             fn soak(
                 seed in 0u64..100_000,
-                n in 16usize..200,
-                p in 0.01f32..0.6,
+                n in 16usize..600,
+                p in 0.01f32..0.9,
                 threads in 1usize..=3,
                 pool in proptest::collection::vec(1usize..400, MEMO_CAPACITY + 4),
                 asks in proptest::collection::vec((0..MEMO_CAPACITY + 4, 0u8..2), 12..40),
             ) {
-                check_against_reference(seed, n, p, threads, &pool, &asks);
+                if check_against_reference(seed, n, p, threads, &pool, &asks) >= 0x80 {
+                    MULTI_BYTE_CASES.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
         soak();
+        let cases = MULTI_BYTE_CASES.load(Ordering::Relaxed);
+        assert!(cases > 0, "no case cached a width of two bytes or more");
+        println!("{cases} cases cached a multi-byte width");
     }
 
     #[test]
     fn widths_are_the_per_set_sums_of_the_stream() {
-        // The u32 cache against the u64 sums of the same sets, drawn
+        // The decoded cache against the u64 sums of the same sets, drawn
         // again by a fresh engine under the estimator's configuration.
-        let g = generators::erdos_renyi(300, 1500, 5);
-        let probs = vec![0.02f32; g.num_edges()];
-        let sampler = RrSampler::new(&g, &probs);
-        let layout = std::sync::Arc::new(crate::SamplingLayout::degree_ordered(&g));
-        let fast = FastPath::new(layout, &g, &probs);
-        for threads in 1..=3 {
-            for route in [None, Some(&fast)] {
-                let config = SamplingConfig::new(threads, 9);
-                let mut est = KptEstimator::with_config(sampler, 1.0, config);
-                est.estimate_with(1, route);
-                let used = est.samples_used();
-                assert!(
-                    used > round_sizes(300, 1.0).next().unwrap(),
-                    "several rounds"
-                );
-                let mut sets: Vec<Vec<NodeId>> = Vec::new();
-                ParallelSampler::new(config, g.num_nodes()).sample_into(&sampler, used, &mut sets);
-                let want: Vec<u64> = sets
-                    .iter()
-                    .map(|set| set.iter().map(|&v| g.in_degree(v) as u64).sum())
-                    .collect();
-                let got: Vec<u64> = est.widths.iter().map(|&w| u64::from(w)).collect();
-                assert_eq!(got, want, "threads = {threads}, fast = {}", route.is_some());
+        // The denser graph's widths run past 127, into two-byte codes.
+        for arcs in [1500, 9000] {
+            let g = generators::erdos_renyi(300, arcs, 5);
+            let probs = vec![0.02f32; g.num_edges()];
+            let sampler = RrSampler::new(&g, &probs);
+            let layout = std::sync::Arc::new(crate::SamplingLayout::degree_ordered(&g));
+            let fast = FastPath::new(layout, &g, &probs);
+            for threads in 1..=3 {
+                for route in [None, Some(&fast)] {
+                    let config = SamplingConfig::new(threads, 9);
+                    let mut est = KptEstimator::with_config(sampler, 1.0, config);
+                    est.estimate_with(1, route);
+                    let used = est.samples_used();
+                    assert!(
+                        used > round_sizes(300, 1.0).next().unwrap(),
+                        "several rounds"
+                    );
+                    let mut sets: Vec<Vec<NodeId>> = Vec::new();
+                    ParallelSampler::new(config, g.num_nodes())
+                        .sample_into(&sampler, used, &mut sets);
+                    let want: Vec<u64> = sets
+                        .iter()
+                        .map(|set| set.iter().map(|&v| g.in_degree(v) as u64).sum())
+                        .collect();
+                    let got: Vec<u64> =
+                        est.widths.decode_all().into_iter().map(u64::from).collect();
+                    assert_eq!(arcs > 1500, got.iter().any(|&w| w >= 0x80));
+                    assert_eq!(
+                        got,
+                        want,
+                        "arcs = {arcs}, threads = {threads}, fast = {}",
+                        route.is_some()
+                    );
+                }
             }
         }
     }
