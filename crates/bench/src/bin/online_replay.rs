@@ -22,17 +22,18 @@
 //! * `--kappa N` / `--lambda F` / `--seed N` — serving parameters
 //!   (defaults 2 / 0 / fixed).
 //! * `--gen N --out PATH` — generate an N-event stream for the dataset
-//!   and write it instead of replaying.
+//!   and write it instead of replaying. Each needs the other.
 //! * `--raw-budgets`  — replay log budgets verbatim. By default budgets
 //!   are treated as *paper-scale* and multiplied by the generated
 //!   graph's size ratio, so one committed log serves every `TIRM_SCALE`.
-//! * `--deferred`     — disable per-event reallocation; the engine
-//!   batches until each explicit `reallocate` event.
 //! * `--dump-final PATH` — also write the final [`AllocationSnapshot`]
 //!   as JSON (atomic temp+rename write; an interrupted run never leaves
 //!   a truncated file). The same payload a `tirm_server` allocation
 //!   query returns — diff two dumps to compare a wire replay against an
-//!   in-process one.
+//!   in-process one. A replay-only flag: usage error with `--gen`.
+//!
+//! Each event is applied as a batch of one and reconciled at once; a
+//! `reallocate` line in the log is a no-op batch cut.
 //!
 //! [`AllocationSnapshot`]: tirm_online::AllocationSnapshot
 //!
@@ -53,7 +54,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: online_replay [--log PATH] [--dataset NAME] [--model topic|exp|wc] \
-         [--kappa N] [--lambda F] [--seed N] [--gen N --out PATH] [--raw-budgets] [--deferred] \
+         [--kappa N] [--lambda F] [--seed N] [--gen N --out PATH] [--raw-budgets] \
          [--dump-final PATH]"
     );
     ExitCode::from(2)
@@ -69,7 +70,6 @@ fn main() -> ExitCode {
     let mut gen: Option<usize> = None;
     let mut out: Option<PathBuf> = None;
     let mut raw_budgets = false;
-    let mut deferred = false;
     let mut dump_final: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -108,7 +108,6 @@ fn main() -> ExitCode {
                 None => return usage("--out expects a path"),
             },
             "--raw-budgets" => raw_budgets = true,
-            "--deferred" => deferred = true,
             "--dump-final" => match args.next() {
                 Some(p) => dump_final = Some(PathBuf::from(p)),
                 None => return usage("--dump-final expects a path"),
@@ -116,13 +115,18 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
+    match (gen, &out) {
+        (Some(_), None) => return usage("--gen needs --out PATH"),
+        (None, Some(_)) => return usage("--out needs --gen N"),
+        (Some(_), Some(_)) if dump_final.is_some() => {
+            return usage("--dump-final replays a log; it does not combine with --gen")
+        }
+        _ => {}
+    }
     let model = model.unwrap_or_else(|| ProbModel::canonical(dataset_kind));
     let cfg = ScaleConfig::from_env();
 
-    if let Some(n) = gen {
-        let Some(out) = out else {
-            return usage("--gen needs --out PATH");
-        };
+    if let (Some(n), Some(out)) = (gen, out) {
         // Logs carry paper-scale budgets; replay scales them onto the
         // generated graph, so the log is TIRM_SCALE-independent.
         let log = EventStreamSpec::for_dataset(dataset_kind, n, seed).generate(1.0);
@@ -183,7 +187,6 @@ fn main() -> ExitCode {
             tirm: opts,
             kappa,
             lambda,
-            auto_reallocate: !deferred,
             ..OnlineConfig::default()
         },
     );

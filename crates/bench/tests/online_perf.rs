@@ -37,10 +37,10 @@ fn ad_params(i: u64, size_ratio: f64) -> (f64, f64, TopicDist, f32) {
 #[ignore = "perf acceptance: run in release, takes ~a minute"]
 fn online_warm_arrival_is_10x_faster_than_cold_batch() {
     // κ above the ad count: the attention bound genuinely cannot bind,
-    // which is the regime where the delta path is provably exact — the
-    // scenario this acceptance criterion measures. (Contended streams
-    // take the warm *full* path instead; the `online` bench tier's κ = 1
-    // cells track that cost.)
+    // so no other ad's trajectory can move and the warm run replays
+    // every one of them from the record — the scenario this acceptance
+    // criterion measures. (Under contention the replay stops earlier;
+    // the `online` bench tier's κ = 1 cells track that cost.)
     const KAPPA: u32 = 24;
     const EXISTING: u64 = 16;
     let scale = ScaleConfig {
@@ -97,7 +97,7 @@ fn online_warm_arrival_is_10x_faster_than_cold_batch() {
     let warm_s = t0.elapsed().as_secs_f64();
     assert!(
         outcome.fast_path,
-        "the measured arrival must ride the delta path (stats: {:?})",
+        "the measured arrival must leave the allocation contention-free (stats: {:?})",
         online.stats()
     );
 

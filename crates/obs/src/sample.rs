@@ -64,9 +64,8 @@ impl SampleHistogram {
 mod tests {
     use super::*;
 
-    /// Pinned behavior carried over from the pre-extraction
-    /// `tirm_workloads::LatencyHistogram`: report fields derived from
-    /// these views must not move.
+    /// Nearest-rank percentiles: the latency fields of the replay
+    /// reports are derived from these views and must not move.
     #[test]
     fn percentiles_are_nearest_rank() {
         let mut h = SampleHistogram::default();

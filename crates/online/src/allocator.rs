@@ -59,11 +59,6 @@ pub struct OnlineConfig {
     pub kappa: u32,
     /// Seed-set size penalty λ.
     pub lambda: f64,
-    /// Reconcile after every applied batch of events (default; see
-    /// [`OnlineAllocator::apply`] — a single event is a batch of one).
-    /// When off, events only update the campaign model and an explicit
-    /// [`OnlineEvent::Reallocate`] batches the work.
-    pub auto_reallocate: bool,
     /// Byte budget of the retained pool: departed ads' index shards are
     /// kept for re-arrival, oldest evicted beyond it (0 keeps none).
     pub max_retained_bytes: usize,
@@ -75,7 +70,6 @@ impl Default for OnlineConfig {
             tirm: TirmOptions::default(),
             kappa: 1,
             lambda: 0.0,
-            auto_reallocate: true,
             max_retained_bytes: 256 << 20,
         }
     }
@@ -184,9 +178,7 @@ impl<'g> OnlineAllocator<'g> {
     /// Applies `events` in order and reconciles once for the whole
     /// batch. Each event is validated, rejected or applied to the
     /// campaign model, and bumps the epoch, exactly as it would alone;
-    /// only the reconciliation is shared. (With
-    /// [`OnlineConfig::auto_reallocate`] off nothing reconciles but a
-    /// `Reallocate`, so a batch is the events one by one.)
+    /// only the reconciliation is shared.
     ///
     /// The allocation is a pure function of the campaign model, so the
     /// state after the batch is bit-identical to processing its events
@@ -218,7 +210,7 @@ impl<'g> OnlineAllocator<'g> {
                 OnlineEvent::AdDeparture { id } => self.depart(*id),
                 OnlineEvent::Reallocate => Ok(()),
                 OnlineEvent::RegretQuery => {
-                    self.settle(&mut out, &mut pending, self.cfg.auto_reallocate);
+                    self.settle(&mut out, &mut pending);
                     out.push(Ok(EventOutcome {
                         kind,
                         reallocated: false,
@@ -247,34 +239,27 @@ impl<'g> OnlineAllocator<'g> {
                 fresh_rr_sets: 0,
             }));
             pending.push((out.len() - 1, t0));
-            let force = kind == EventKind::Reallocate;
-            if force || !self.cfg.auto_reallocate {
-                self.settle(&mut out, &mut pending, force);
+            if kind == EventKind::Reallocate {
+                self.settle(&mut out, &mut pending);
             }
         }
-        self.settle(&mut out, &mut pending, self.cfg.auto_reallocate);
+        self.settle(&mut out, &mut pending);
         out
     }
 
-    /// Reconciles (when `reconcile`) on behalf of the `pending` events,
-    /// reports the run on their outcomes and records their apply
-    /// latency: from each event's start to the end of the run that
-    /// covered it.
+    /// Reconciles on behalf of the `pending` events, reports the run on
+    /// their outcomes and records their apply latency: from each event's
+    /// start to the end of the run that covered it.
     fn settle(
         &mut self,
         out: &mut [Result<EventOutcome, OnlineError>],
         pending: &mut Vec<(usize, Instant)>,
-        reconcile: bool,
     ) {
         let Some(&(last, _)) = pending.last() else {
             return;
         };
         let fresh_before = self.stats.fresh_rr_sets;
-        let (reconciled, fast_path) = if reconcile {
-            self.reconcile()
-        } else {
-            (false, true)
-        };
+        let (reconciled, fast_path) = self.reconcile();
         for &(i, t0) in pending.iter() {
             let outcome = out[i].as_mut().expect("only applied events are pending");
             outcome.reallocated |= reconciled;
@@ -762,30 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn deferred_mode_batches_until_reallocate() {
-        let (g, probs) = setup();
-        let mut a = OnlineAllocator::new(
-            &g,
-            &probs,
-            OnlineConfig {
-                tirm: quick_opts(5),
-                kappa: 2,
-                auto_reallocate: false,
-                ..OnlineConfig::default()
-            },
-        );
-        let out = a.process(&arrival(1, 6.0, 0)).unwrap();
-        assert!(!out.reallocated);
-        assert_eq!(a.allocation().total_seeds(), 0, "work deferred");
-        let out = a.process(&OnlineEvent::Reallocate).unwrap();
-        assert!(out.reallocated);
-        assert!(a.allocation().total_seeds() > 0);
-        // Nothing stale: a second Reallocate is a no-op.
-        let out = a.process(&OnlineEvent::Reallocate).unwrap();
-        assert!(!out.reallocated);
-    }
-
-    #[test]
     fn a_top_up_cannot_make_a_budget_infinite() {
         // Each amount is finite, the sum is not: refused, and the budget
         // stays what it was, so the snapshot and a checkpoint still hold
@@ -793,7 +754,6 @@ mod tests {
         let (g, probs) = setup();
         let cfg = OnlineConfig {
             tirm: quick_opts(5),
-            auto_reallocate: false,
             ..OnlineConfig::default()
         };
         let mut a = OnlineAllocator::new(&g, &probs, cfg.clone());

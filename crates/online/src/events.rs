@@ -46,8 +46,8 @@ pub enum OnlineEvent {
         /// Live advertiser id.
         id: AdId,
     },
-    /// Forces reconciliation now (the batching hook when
-    /// [`crate::OnlineConfig::auto_reallocate`] is off).
+    /// Cuts the batch: reconciles everything applied before it now,
+    /// rather than at the end of the batch. Changes no allocation bit.
     Reallocate,
     /// Reports the allocator's current regret estimate; changes nothing.
     RegretQuery,

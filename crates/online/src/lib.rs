@@ -12,10 +12,10 @@
 //!   `Reallocate`, `RegretQuery`) and outcomes.
 //! * [`allocator`] — [`OnlineAllocator`], owning a **sharded inverted RR
 //!   index** (one [`tirm_rrset::RrIndex`] shard per ad: node → RR-set
-//!   postings) with incremental coverage maintenance: arrivals/top-ups
-//!   re-run only the affected ad through the postings lists and the
-//!   lazy-greedy heap when the standing allocation is contention-free,
-//!   and fall back to an exact warm interleaved re-run otherwise.
+//!   postings). Each reconciliation is one warm TIRM run over every live
+//!   ad: it reuses the ads' postings, and each ad replays its greedy
+//!   trajectory from the last run up to the first step that another
+//!   ad's change or its own budget can alter.
 //! * [`pool`] — the [`RetainedPool`] departed shards are released into
 //!   (bounded bytes, oldest-first eviction, topic-fingerprint
 //!   invalidation).

@@ -42,7 +42,7 @@ fn setup(seed: u64) -> (tirm_graph::DiGraph, TopicEdgeProbs) {
     (graph, probs)
 }
 
-fn config(seed: u64, kappa: u32, auto_reallocate: bool) -> OnlineConfig {
+fn config(seed: u64, kappa: u32) -> OnlineConfig {
     OnlineConfig {
         tirm: TirmOptions {
             eps: 0.3,
@@ -52,7 +52,6 @@ fn config(seed: u64, kappa: u32, auto_reallocate: bool) -> OnlineConfig {
         },
         kappa,
         lambda: 0.05,
-        auto_reallocate,
         ..OnlineConfig::default()
     }
 }
@@ -64,9 +63,9 @@ fn answer(r: &Result<tirm_online::EventOutcome, tirm_online::OnlineError>) -> Op
 
 /// Replays `log` per event and in batches of `sizes` (cycled), checking
 /// the batched allocator against the per-event one at every batch end.
-fn check_split(log: &[OnlineEvent], sizes: &[usize], seed: u64, kappa: u32, auto: bool) {
+fn check_split(log: &[OnlineEvent], sizes: &[usize], seed: u64, kappa: u32) {
     let (graph, probs) = setup(seed);
-    let cfg = config(seed, kappa, auto);
+    let cfg = config(seed, kappa);
 
     let mut single = OnlineAllocator::new(&graph, &probs, cfg.clone());
     let mut answers = Vec::new();
@@ -113,17 +112,7 @@ proptest! {
         seed in 0u64..200,
         kappa in 1u32..=2,
     ) {
-        check_split(&log, &sizes, seed, kappa, true);
-    }
-
-    /// With reconciliation deferred, a batch is its events one by one.
-    #[test]
-    fn deferred_batches_are_their_events(
-        log in proptest::collection::vec(arb_event(), 1..14),
-        sizes in proptest::collection::vec(1usize..6, 1..5),
-        seed in 0u64..200,
-    ) {
-        check_split(&log, &sizes, seed, 2, false);
+        check_split(&log, &sizes, seed, kappa);
     }
 }
 
@@ -153,6 +142,6 @@ fn contended_log_under_fixed_splits() {
         arrive(2, 5.0, 1),
     ];
     for sizes in [&[log.len()][..], &[1], &[2], &[3, 1], &[4, 2, 5]] {
-        check_split(&log, sizes, 42, 1, true);
+        check_split(&log, sizes, 42, 1);
     }
 }

@@ -101,7 +101,7 @@ fn batch_allocation(
 }
 
 /// Replays `ops`, checking online ≡ batch after every mutating event
-/// (`check_each`) or only at the end after a final `Reallocate`.
+/// (`check_each`), or applies them as one batch and checks only the end.
 fn replay_and_check(ops: &[Op], seed: u64, kappa: u32, lambda: f64, check_each: bool) {
     let graph = generators::preferential_attachment(120, 3, 0.3, seed ^ 0x9a9a);
     let topic_probs = genprob::exponential_topic_probs(graph.num_edges(), 2, 8.0, seed ^ 0x77);
@@ -113,12 +113,12 @@ fn replay_and_check(ops: &[Op], seed: u64, kappa: u32, lambda: f64, check_each: 
             tirm: opts,
             kappa,
             lambda,
-            auto_reallocate: check_each,
             ..OnlineConfig::default()
         },
     );
 
     let mut model: Vec<ModelAd> = Vec::new();
+    let mut log: Vec<OnlineEvent> = Vec::new();
     let mut next_id: AdId = 1;
     for op in ops {
         let event = match op {
@@ -163,16 +163,18 @@ fn replay_and_check(ops: &[Op], seed: u64, kappa: u32, lambda: f64, check_each: 
             }
             Op::Query => OnlineEvent::RegretQuery,
         };
+        if !check_each {
+            log.push(event);
+            continue;
+        }
         online
             .process(&event)
             .expect("harness only emits valid events");
 
-        if check_each {
-            assert_allocations_match(&online, &graph, &topic_probs, &model, opts, kappa, lambda);
-        }
+        assert_allocations_match(&online, &graph, &topic_probs, &model, opts, kappa, lambda);
     }
-    if !check_each {
-        online.process(&OnlineEvent::Reallocate).unwrap();
+    for outcome in online.apply(&log) {
+        outcome.expect("harness only emits valid events");
     }
     assert_allocations_match(&online, &graph, &topic_probs, &model, opts, kappa, lambda);
 }
@@ -228,10 +230,11 @@ proptest! {
         replay_and_check(&ops, seed, kappa, 0.0, true);
     }
 
-    /// Deferred mode: events batch up, a final `Reallocate` reconciles —
-    /// the end state must equal batch on the final ad set.
+    /// The whole log as one batch: a single `apply` reconciles once at
+    /// its end (queries inside it reconcile what precedes them), and the
+    /// end state must equal batch on the final ad set.
     #[test]
-    fn deferred_replay_equals_batch_at_the_end(
+    fn whole_log_replay_equals_batch_at_the_end(
         ops in arb_ops(),
         seed in 0u64..200,
     ) {
@@ -240,8 +243,8 @@ proptest! {
 }
 
 /// Deterministic interleaving exercising every event type with κ = 1
-/// (guaranteed attention contention: the full-path fallback) — a
-/// debuggable anchor next to the property tests.
+/// (guaranteed attention contention between the ads) — a debuggable
+/// anchor next to the property tests.
 #[test]
 fn fixed_contended_interleaving_matches_batch() {
     let ops = [

@@ -57,7 +57,7 @@
 //! warm-starts the dataset from the binary snapshot cache.
 
 use std::process::ExitCode;
-use tirm_server::{serve, serve_follower, wal, FollowerConfig, ServerConfig};
+use tirm_server::{serve, serve_follower, wal, DurabilityConfig, FollowerConfig, ServerConfig};
 use tirm_workloads::{Dataset, DatasetKind, ProbModel, ScaleConfig};
 
 fn usage(msg: &str) -> ExitCode {
@@ -160,6 +160,22 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
+    let needs_state_dir = [
+        ("--checkpoint-interval", checkpoint_interval.is_some()),
+        ("--segment-events", segment_events.is_some()),
+        ("--follow", follow.is_some()),
+    ];
+    if let Some((flag, _)) = needs_state_dir.iter().find(|f| f.1 && state_dir.is_none()) {
+        return usage(&format!("{flag} needs --state-dir DIR"));
+    }
+    let durability = state_dir.map(|dir| {
+        let d = DurabilityConfig::new(dir);
+        DurabilityConfig {
+            checkpoint_interval: checkpoint_interval.unwrap_or(d.checkpoint_interval),
+            segment_events: segment_events.unwrap_or(d.segment_events),
+            ..d
+        }
+    });
     let model = model.unwrap_or_else(|| ProbModel::canonical(dataset_kind));
     let cfg = ScaleConfig::from_env();
     eprintln!(
@@ -248,28 +264,26 @@ fn main() -> ExitCode {
 
     // Follower mode: tail the leader until shutdown or promotion; a
     // promotion falls through into the leader path below over the same
-    // state dir and bind address.
-    if let Some(leader_addr) = follow {
-        let Some(dir) = state_dir.clone() else {
-            return usage("--follow requires --state-dir (a follower keeps its own WAL)");
+    // state dir and bind address (`--follow` without `--state-dir` was
+    // refused at parse time).
+    if let (Some(leader_addr), Some(d)) = (follow, &durability) {
+        let dir = &d.state_dir;
+        let fcfg = FollowerConfig {
+            online: online.clone(),
+            bind: bind.clone(),
+            peer_addrs: peers,
+            checkpoint_interval: d.checkpoint_interval,
+            segment_events: d.segment_events,
+            max_connections,
+            ..FollowerConfig::new(leader_addr.clone(), dir)
         };
-        let mut fcfg = FollowerConfig::new(leader_addr.clone(), &dir);
-        fcfg.online = online.clone();
-        fcfg.bind = bind.clone();
-        fcfg.peer_addrs = peers.clone();
-        fcfg.max_connections = max_connections;
-        if let Some(n) = checkpoint_interval {
-            fcfg.checkpoint_interval = n;
-        }
-        if let Some(n) = segment_events {
-            fcfg.segment_events = n;
-        }
         let followed = serve_follower(&dataset.graph, &dataset.topic_probs, fcfg, |handle| {
             eprintln!(
-                "following {leader_addr} — serving reads on {} (state dir [{dir}], wal_seq {}, \
+                "following {leader_addr} — serving reads on {} (state dir [{}], wal_seq {}, \
                  fencing epoch {}); send {{\"type\":\"promote\"}} to take over, \
                  {{\"type\":\"shutdown\"}} to stop",
                 handle.addr(),
+                dir.display(),
                 handle.wal_seq(),
                 handle.fencing_epoch(),
             );
@@ -296,7 +310,7 @@ fn main() -> ExitCode {
                         trace_rc
                     };
                 }
-                match wal::bump_fencing_epoch(std::path::Path::new(&dir)) {
+                match wal::bump_fencing_epoch(dir) {
                     Ok(epoch) => {
                         eprintln!("promoted — taking over as leader under fencing epoch {epoch}")
                     }
@@ -313,23 +327,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut builder = ServerConfig::builder()
-        .online(online)
-        .bind(bind)
-        .queue_depth(queue_depth)
-        .max_connections(max_connections);
-    if let Some(dir) = &state_dir {
-        builder = builder.state_dir(dir);
-    }
-    if let Some(n) = checkpoint_interval {
-        builder = builder.checkpoint_interval(n);
-    }
-    if let Some(n) = segment_events {
-        builder = builder.segment_events(n);
-    }
-    let server_cfg = match builder.build() {
-        Ok(cfg) => cfg,
-        Err(why) => return usage(&why),
+    let server_cfg = ServerConfig {
+        online,
+        bind,
+        queue_depth,
+        max_connections,
+        durability,
+        ..ServerConfig::default()
     };
     // A promoted follower re-binds the port its own listener just
     // closed; lingering TIME_WAIT connections can hold it briefly, so
@@ -347,9 +351,10 @@ fn main() -> ExitCode {
                      durability {}); \
                      send {{\"type\":\"shutdown\"}} to stop",
                     handle.addr(),
-                    match &state_dir {
+                    match &server_cfg.durability {
                         Some(d) => format!(
-                            "on [{d}], wal_seq {}, fencing epoch {}",
+                            "on [{}], wal_seq {}, fencing epoch {}",
+                            d.state_dir.display(),
                             handle.wal_seq(),
                             handle.fencing_epoch()
                         ),

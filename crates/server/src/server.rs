@@ -56,9 +56,8 @@ use tirm_online::{AllocationSnapshot, OnlineConfig, OnlineEvent, OnlineStats};
 use tirm_topics::TopicEdgeProbs;
 
 /// Durability knobs: where the write-ahead log and checkpoints live and
-/// how often state is checkpointed. Attached to a [`ServerConfig`] via
-/// [`ServerConfigBuilder::state_dir`]; a server without one serves from
-/// memory only (the pre-durability behavior).
+/// how often state is checkpointed: [`ServerConfig::durability`]. A
+/// server without one serves from memory only.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
     /// Directory holding WAL segments and checkpoint files. Created on
@@ -85,9 +84,9 @@ impl DurabilityConfig {
     }
 }
 
-/// Configuration of a [`serve`] run. Construct via
-/// [`ServerConfig::builder`] (validated), struct literal update syntax
-/// off [`Default`], or field-by-field.
+/// Configuration of a [`serve`] run: a struct literal over
+/// [`Default`], checked by [`ServerConfig::validate`] when [`serve`]
+/// starts.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Allocator configuration (TIRM options, κ, λ, pool budget).
@@ -126,17 +125,8 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// A validated, fluent way to assemble a config — the mirror of the
-    /// client-side [`crate::protocol::ClientOptions`].
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            cfg: ServerConfig::default(),
-        }
-    }
-
     /// Checks every value a server run relies on; `Err` names the first
-    /// bad field. [`ServerConfigBuilder::build`] and [`serve`] both call
-    /// it, so a struct-literal config is held to the same rules.
+    /// bad field. [`serve`] calls it before binding.
     pub fn validate(&self) -> Result<(), String> {
         if self.queue_depth < 1 {
             return Err("queue_depth must be >= 1 (the queue must admit something)".into());
@@ -159,11 +149,7 @@ impl ServerConfig {
         }
         if let Some(d) = &self.durability {
             if d.state_dir.as_os_str().is_empty() {
-                return Err(
-                    "durability needs a state_dir (checkpoint_interval/segment_events \
-                     were set without one)"
-                        .into(),
-                );
+                return Err("durability needs a non-empty state_dir".into());
             }
             if d.checkpoint_interval < 1 {
                 return Err("checkpoint_interval must be >= 1 event".into());
@@ -173,99 +159,6 @@ impl ServerConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// Fluent constructor for [`ServerConfig`]; [`build`](Self::build)
-/// rejects nonsensical values ([`ServerConfig::validate`]) before a
-/// server is started with them.
-#[derive(Clone, Debug)]
-pub struct ServerConfigBuilder {
-    cfg: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    /// Allocator configuration (TIRM options, κ, λ, pool budget).
-    pub fn online(mut self, online: OnlineConfig) -> Self {
-        self.cfg.online = online;
-        self
-    }
-
-    /// Bind address (`127.0.0.1:0` picks an ephemeral port).
-    pub fn bind(mut self, bind: impl Into<String>) -> Self {
-        self.cfg.bind = bind.into();
-        self
-    }
-
-    /// Write-queue admission bound (mutations beyond it shed).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.cfg.queue_depth = depth;
-        self
-    }
-
-    /// Connection admission bound.
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.cfg.max_connections = n;
-        self
-    }
-
-    /// Handler read-poll interval (shutdown latency on idle sockets).
-    pub fn read_poll(mut self, interval: Duration) -> Self {
-        self.cfg.read_poll = interval;
-        self
-    }
-
-    /// Enables durability: WAL + checkpoints under `dir` with the
-    /// default cadence (tune with
-    /// [`checkpoint_interval`](Self::checkpoint_interval) /
-    /// [`segment_events`](Self::segment_events) after this).
-    pub fn state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        let interval = self.cfg.durability.as_ref().map(|d| d.checkpoint_interval);
-        let segment = self.cfg.durability.as_ref().map(|d| d.segment_events);
-        let mut d = DurabilityConfig::new(dir);
-        if let Some(i) = interval {
-            d.checkpoint_interval = i;
-        }
-        if let Some(s) = segment {
-            d.segment_events = s;
-        }
-        self.cfg.durability = Some(d);
-        self
-    }
-
-    /// Applied mutations between checkpoints (requires
-    /// [`state_dir`](Self::state_dir), in either order).
-    pub fn checkpoint_interval(mut self, events: u64) -> Self {
-        match &mut self.cfg.durability {
-            Some(d) => d.checkpoint_interval = events,
-            None => {
-                let mut d = DurabilityConfig::new("");
-                d.checkpoint_interval = events;
-                self.cfg.durability = Some(d);
-            }
-        }
-        self
-    }
-
-    /// Frames per WAL segment (requires [`state_dir`](Self::state_dir),
-    /// in either order).
-    pub fn segment_events(mut self, frames: u64) -> Self {
-        match &mut self.cfg.durability {
-            Some(d) => d.segment_events = frames,
-            None => {
-                let mut d = DurabilityConfig::new("");
-                d.segment_events = frames;
-                self.cfg.durability = Some(d);
-            }
-        }
-        self
-    }
-
-    /// Validates and returns the config. `Err` names the first bad
-    /// field.
-    pub fn build(self) -> Result<ServerConfig, String> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -1154,64 +1047,4 @@ fn read_file_range(
         f.take(max).read_to_end(&mut data)?;
     }
     Ok((total, data))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_defaults_match_default_and_validate() {
-        let built = ServerConfig::builder().build().unwrap();
-        let default = ServerConfig::default();
-        assert_eq!(built.bind, default.bind);
-        assert_eq!(built.queue_depth, default.queue_depth);
-        assert_eq!(built.max_connections, default.max_connections);
-        assert_eq!(built.read_poll, default.read_poll);
-        assert!(built.durability.is_none());
-    }
-
-    #[test]
-    fn builder_assembles_durability_in_any_field_order() {
-        let cfg = ServerConfig::builder()
-            .checkpoint_interval(16)
-            .segment_events(64)
-            .state_dir("/tmp/tirm-state")
-            .queue_depth(8)
-            .build()
-            .unwrap();
-        let d = cfg.durability.unwrap();
-        assert_eq!(d.state_dir, PathBuf::from("/tmp/tirm-state"));
-        assert_eq!(d.checkpoint_interval, 16);
-        assert_eq!(d.segment_events, 64);
-        assert_eq!(cfg.queue_depth, 8);
-    }
-
-    #[test]
-    fn builder_rejects_nonsense_with_the_offending_field_named() {
-        let err = ServerConfig::builder().queue_depth(0).build().unwrap_err();
-        assert!(err.contains("queue_depth"), "{err}");
-        let err = ServerConfig::builder()
-            .checkpoint_interval(8)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("state_dir"), "{err}");
-        let err = ServerConfig::builder()
-            .state_dir("/tmp/x")
-            .checkpoint_interval(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("checkpoint_interval"), "{err}");
-        let err = ServerConfig::builder()
-            .state_dir("/tmp/x")
-            .segment_events(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("segment_events"), "{err}");
-        let err = ServerConfig::builder()
-            .read_poll(Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("read_poll"), "{err}");
-    }
 }

@@ -10,7 +10,7 @@ use std::time::Duration;
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, Request, ServerConfig};
+use tirm_server::{serve, Client, DurabilityConfig, Request, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -73,11 +73,11 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     let (graph, probs) = setup(300, 11);
     let dir = std::env::temp_dir().join(format!("tirm_metrics_test_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let cfg = ServerConfig::builder()
-        .online(config(7))
-        .state_dir(&dir)
-        .build()
-        .unwrap();
+    let cfg = ServerConfig {
+        online: config(7),
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
     let events = mutations();
     let (dump, _report) = serve(&graph, &probs, cfg, |handle| {
         let mut client = Client::connect(handle.addr()).unwrap();

@@ -12,7 +12,7 @@ use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::wal::RecoveryWarning;
-use tirm_server::{serve, Client, ServerConfig};
+use tirm_server::{serve, Client, DurabilityConfig, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -81,14 +81,16 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
     let split = 6;
     let dir = fresh_dir("server_restart");
 
-    let server_cfg = ServerConfig::builder()
-        .online(config(7))
-        .queue_depth(16)
-        .checkpoint_interval(3)
-        .segment_events(4)
-        .state_dir(&dir)
-        .build()
-        .unwrap();
+    let server_cfg = ServerConfig {
+        online: config(7),
+        queue_depth: 16,
+        durability: Some(DurabilityConfig {
+            checkpoint_interval: 3,
+            segment_events: 4,
+            ..DurabilityConfig::new(&dir)
+        }),
+        ..ServerConfig::default()
+    };
 
     // First life: the log's head.
     let ((), report1) = serve(&graph, &probs, server_cfg.clone(), |handle| {

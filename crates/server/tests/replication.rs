@@ -15,7 +15,9 @@ use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::wal::{bump_fencing_epoch, read_fencing_epoch};
-use tirm_server::{serve, serve_follower, Client, FollowerConfig, Response, ServerConfig};
+use tirm_server::{
+    serve, serve_follower, Client, DurabilityConfig, FollowerConfig, Response, ServerConfig,
+};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -73,16 +75,17 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// Tight durability cadence so a ten-event stream spans several
 /// segments and at least one checkpoint+prune.
 fn leader_cfg(cfg: &OnlineConfig, dir: &Path, bind: Option<String>) -> ServerConfig {
-    let mut b = ServerConfig::builder()
-        .online(cfg.clone())
-        .queue_depth(16)
-        .checkpoint_interval(3)
-        .segment_events(4)
-        .state_dir(dir);
-    if let Some(bind) = bind {
-        b = b.bind(bind);
+    ServerConfig {
+        online: cfg.clone(),
+        bind: bind.unwrap_or_else(|| ServerConfig::default().bind),
+        queue_depth: 16,
+        durability: Some(DurabilityConfig {
+            checkpoint_interval: 3,
+            segment_events: 4,
+            ..DurabilityConfig::new(dir)
+        }),
+        ..ServerConfig::default()
     }
-    b.build().unwrap()
 }
 
 fn follower_cfg(cfg: &OnlineConfig, leader: String, dir: &Path) -> FollowerConfig {

@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::OnlineConfig;
-use tirm_server::{serve, serve_follower, Client, FollowerConfig, Role, ServerConfig};
+use tirm_server::{
+    serve, serve_follower, Client, DurabilityConfig, FollowerConfig, Role, ServerConfig,
+};
 use tirm_topics::genprob;
 
 #[test]
@@ -36,11 +38,11 @@ fn an_idle_follower_polls_once_per_interval_and_a_parked_poll_does_not_delay_pro
         dir
     };
     let (leader_dir, follower_dir) = (dir("leader"), dir("follower"));
-    let leader_cfg = ServerConfig::builder()
-        .online(online.clone())
-        .state_dir(&leader_dir)
-        .build()
-        .unwrap();
+    let leader_cfg = ServerConfig {
+        online: online.clone(),
+        durability: Some(DurabilityConfig::new(&leader_dir)),
+        ..ServerConfig::default()
+    };
     let polls = &tirm_obs::registry::REPL_POLLS;
 
     serve(&graph, &probs, leader_cfg, |leader| {

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, Request, Response, ServerConfig};
+use tirm_server::{serve, Client, DurabilityConfig, Request, Response, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -390,11 +390,11 @@ fn shutdown_releases_a_parked_replicate_poll() {
     let (graph, probs) = setup(120, 5);
     let dir = std::env::temp_dir().join(format!("tirm_parked_poll_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let cfg = ServerConfig::builder()
-        .online(config(5, 2_000))
-        .state_dir(&dir)
-        .build()
-        .unwrap();
+    let cfg = ServerConfig {
+        online: config(5, 2_000),
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
     let polls = &tirm_obs::registry::REPL_POLLS;
     std::thread::scope(|s| {
         let ((stop_began, parked), _report) = serve(&graph, &probs, cfg, |handle| {
@@ -439,11 +439,11 @@ fn a_poll_from_the_last_sequence_number_is_answered() {
     let (graph, probs) = setup(120, 5);
     let dir = std::env::temp_dir().join(format!("tirm_max_poll_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let cfg = ServerConfig::builder()
-        .online(config(5, 2_000))
-        .state_dir(&dir)
-        .build()
-        .unwrap();
+    let cfg = ServerConfig {
+        online: config(5, 2_000),
+        durability: Some(DurabilityConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
     let ((), _report) = serve(&graph, &probs, cfg, |handle| {
         let mut client = Client::connect(handle.addr()).unwrap();
         match client.replicate_poll(u64::MAX, 16, 0).unwrap() {
@@ -474,7 +474,6 @@ fn a_poll_from_the_last_sequence_number_is_answered() {
 /// (`checkpoint_interval: 0`).
 #[test]
 fn serve_rejects_an_invalid_config_before_binding() {
-    use tirm_server::DurabilityConfig;
     let (graph, probs) = setup(50, 3);
     // A port that was free a moment ago: nothing may be bound to it
     // after `serve` refused the config.

@@ -40,6 +40,6 @@ pub use datasets::{
 pub use events::{final_population, EventStreamSpec, FinalAd, LogEvent};
 // (`replay::replay` itself is not re-exported at the root: a function
 // and a module sharing the name `replay` breaks rustdoc.)
-pub use replay::{LatencyHistogram, ReplayReport};
+pub use replay::ReplayReport;
 pub use scale::ScaleConfig;
 pub use scenarios::{AllocatorKind, Mode, ScenarioSpec, Tier};

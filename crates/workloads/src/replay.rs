@@ -11,13 +11,8 @@
 use crate::events::LogEvent;
 use std::time::Instant;
 use tirm_obs::registry::RESUME_SKIPPED_STEPS;
+use tirm_obs::SampleHistogram;
 use tirm_online::{EventKind, OnlineAllocator, OnlineStats};
-
-/// Exact-sample latency store, now shared workspace-wide from
-/// [`tirm_obs`]. Re-exported under its historical name so report fields
-/// and downstream callers (`online_replay`, the bench suite) are unchanged; its
-/// nearest-rank percentile semantics are pinned by tests in `tirm_obs`.
-pub use tirm_obs::SampleHistogram as LatencyHistogram;
 
 /// What a replay measured.
 #[derive(Clone, Debug)]
@@ -31,10 +26,10 @@ pub struct ReplayReport {
     /// Accepted events per wall-clock second.
     pub events_per_s: f64,
     /// Latency histogram over all accepted events.
-    pub overall: LatencyHistogram,
+    pub overall: SampleHistogram,
     /// Per-kind histograms, [`EventKind::ALL`] order, kinds never seen
     /// included (empty histograms).
-    pub per_kind: Vec<(EventKind, LatencyHistogram)>,
+    pub per_kind: Vec<(EventKind, SampleHistogram)>,
     /// Engine regret estimate after the final event.
     pub final_regret_estimate: f64,
     /// Per kind, [`EventKind::ALL`] order: the commits the runs its
@@ -47,7 +42,7 @@ pub struct ReplayReport {
 
 impl ReplayReport {
     /// The histogram of one kind.
-    pub fn kind(&self, kind: EventKind) -> &LatencyHistogram {
+    pub fn kind(&self, kind: EventKind) -> &SampleHistogram {
         &self
             .per_kind
             .iter()
@@ -61,10 +56,10 @@ impl ReplayReport {
 /// Rejected events are counted and skipped (a serving layer logs and
 /// moves on).
 pub fn replay(allocator: &mut OnlineAllocator<'_>, log: &[LogEvent]) -> ReplayReport {
-    let mut overall = LatencyHistogram::default();
-    let mut per_kind: Vec<(EventKind, LatencyHistogram)> = EventKind::ALL
+    let mut overall = SampleHistogram::default();
+    let mut per_kind: Vec<(EventKind, SampleHistogram)> = EventKind::ALL
         .into_iter()
-        .map(|k| (k, LatencyHistogram::default()))
+        .map(|k| (k, SampleHistogram::default()))
         .collect();
     let mut replayed_commits: Vec<(EventKind, u64, u64)> =
         EventKind::ALL.into_iter().map(|k| (k, 0, 0)).collect();
@@ -123,17 +118,6 @@ mod tests {
     use tirm_graph::generators;
     use tirm_online::{OnlineConfig, OnlineEvent};
     use tirm_topics::genprob;
-
-    #[test]
-    fn histogram_reexport_keeps_pinned_percentiles() {
-        // The real behavior pin lives in tirm_obs; this guards the
-        // re-export path reports are built against.
-        let mut h = LatencyHistogram::default();
-        for ns in [1_000u64, 2_000, 3_000, 4_000, 100_000] {
-            h.record(ns);
-        }
-        assert_eq!(h.percentile_us(50.0), 3.0);
-    }
 
     #[test]
     fn replay_measures_and_counts() {

@@ -282,10 +282,10 @@ impl Tier {
         }
     }
 
-    /// The dedicated online-serving grid: quality datasets at κ where the
-    /// delta path gets room (κ ≥ 2, distinct topics) plus the §6.2
-    /// full-competition setups at κ = 1 (every event a warm full re-run)
-    /// and a threads axis.
+    /// The dedicated online-serving grid: quality datasets at κ where
+    /// allocations can stay contention-free (κ ≥ 2, distinct topics) plus
+    /// the §6.2 full-competition setups at κ = 1 (every reconciliation
+    /// contended) and a threads axis.
     fn online_matrix() -> Vec<ScenarioSpec> {
         vec![
             ScenarioSpec::served(Mode::Online, DatasetKind::Flixster, 2),
@@ -300,9 +300,9 @@ impl Tier {
     }
 
     /// The dedicated network-serving grid: the quality serving pair
-    /// (delta-path room at κ = 2) plus a fully-contended EPINIONS cell
-    /// and the §6.2 full-competition DBLP setup — each cell a real
-    /// server + load generator on loopback.
+    /// (room to stay contention-free at κ = 2) plus a fully-contended
+    /// EPINIONS cell and the §6.2 full-competition DBLP setup — each cell
+    /// a real server + load generator on loopback.
     fn serving_matrix() -> Vec<ScenarioSpec> {
         vec![
             ScenarioSpec::served(Mode::Serving, DatasetKind::Epinions, 2),
@@ -520,12 +520,9 @@ mod tests {
         );
         assert!(
             specs.iter().any(|s| s.kappa >= 2),
-            "a cell where the delta path has room"
+            "a cell where allocations can stay contention-free"
         );
-        assert!(
-            specs.iter().any(|s| s.kappa == 1),
-            "a fully-contended cell (warm full re-runs)"
-        );
+        assert!(specs.iter().any(|s| s.kappa == 1), "a fully-contended cell");
         assert!(specs.iter().any(|s| s.threads > 1), "a threads axis");
         let cfg = Tier::Online.scale_defaults();
         assert!(cfg.scale <= 0.2 && cfg.eval_runs <= 1000, "CI-sized");
@@ -570,7 +567,7 @@ mod tests {
         );
         assert!(
             specs.iter().any(|s| s.kappa >= 2) && specs.iter().any(|s| s.kappa == 1),
-            "both delta-path room and full contention"
+            "both contention-free room and full contention"
         );
         let cfg = Tier::Serving.scale_defaults();
         assert!(cfg.scale <= 0.2 && cfg.eval_runs <= 1000, "CI-sized");

@@ -13,7 +13,9 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, serve_follower, wal, Client, FollowerConfig, Response, ServerConfig};
+use tirm_server::{
+    serve, serve_follower, wal, Client, DurabilityConfig, FollowerConfig, Response, ServerConfig,
+};
 use tirm_topics::{genprob, TopicDist};
 
 fn arrival(id: u64, budget: f64, topic: usize) -> OnlineEvent {
@@ -104,13 +106,15 @@ fn leader_follower_and_recovery_agree_with_an_in_process_replay() {
         fresh_dir("follower"),
         fresh_dir("image"),
     );
-    let leader_cfg = ServerConfig::builder()
-        .online(online.clone())
-        .state_dir(&leader_dir)
-        .checkpoint_interval(4)
-        .segment_events(3)
-        .build()
-        .unwrap();
+    let leader_cfg = ServerConfig {
+        online: online.clone(),
+        durability: Some(DurabilityConfig {
+            checkpoint_interval: 4,
+            segment_events: 3,
+            ..DurabilityConfig::new(&leader_dir)
+        }),
+        ..ServerConfig::default()
+    };
 
     let ((follower_report, follower_stats), leader_report) =
         serve(&graph, &probs, leader_cfg, |leader| {

@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::{OnlineConfig, OnlineEvent};
-use tirm_server::{serve, serve_follower, Client, FollowerConfig, Response, ServerConfig};
+use tirm_server::{
+    serve, serve_follower, Client, DurabilityConfig, FollowerConfig, Response, ServerConfig,
+};
 use tirm_topics::{genprob, TopicDist};
 
 #[test]
@@ -38,11 +40,11 @@ fn a_mutation_reaches_an_idle_follower_without_waiting_for_its_poll_interval() {
         dir
     };
     let (leader_dir, follower_dir) = (dir("leader"), dir("follower"));
-    let leader_cfg = ServerConfig::builder()
-        .online(online.clone())
-        .state_dir(&leader_dir)
-        .build()
-        .unwrap();
+    let leader_cfg = ServerConfig {
+        online: online.clone(),
+        durability: Some(DurabilityConfig::new(&leader_dir)),
+        ..ServerConfig::default()
+    };
     let arrival = OnlineEvent::AdArrival {
         id: 1,
         budget: 5.0,
