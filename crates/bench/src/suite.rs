@@ -17,7 +17,7 @@ use tirm_core::{
     TirmOptions,
 };
 use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig};
-use tirm_server::{Client, DurabilityConfig, FollowerConfig, ServerConfig};
+use tirm_server::{Client, DurabilityConfig, FollowConfig, ServerConfig};
 use tirm_topics::CtpTable;
 use tirm_workloads::replay::replay;
 use tirm_workloads::{
@@ -293,40 +293,38 @@ pub fn run_serving_cell(
     // segment.
     let dirs = replicated.then(StateDirs::new);
     let (checkpoint_interval, segment_events) = (16, 64);
+    let durable = |dir| DurabilityConfig {
+        checkpoint_interval,
+        segment_events,
+        ..DurabilityConfig::new(dir)
+    };
     let server_cfg = ServerConfig {
-        online: online.clone(),
+        online,
         queue_depth: 32,
-        durability: dirs.as_ref().map(|d| DurabilityConfig {
-            checkpoint_interval,
-            segment_events,
-            ..DurabilityConfig::new(d.0.join("leader"))
-        }),
+        durability: dirs.as_ref().map(|d| durable(d.0.join("leader"))),
         ..ServerConfig::default()
     };
 
     let t0 = Instant::now();
-    let ((load, follower), served) =
-        tirm_server::serve(&dataset.graph, &dataset.topic_probs, server_cfg, |handle| {
+    let ((load, follower), served) = tirm_server::serve(
+        &dataset.graph,
+        &dataset.topic_probs,
+        server_cfg.clone(),
+        |handle| {
             let leader = handle.addr();
             std::thread::scope(|s| {
                 let follower = dirs.as_ref().map(|d| {
-                    let fcfg = FollowerConfig {
-                        online: online.clone(),
-                        checkpoint_interval,
-                        segment_events,
-                        ..FollowerConfig::new(leader.to_string(), d.0.join("follower"))
+                    let fcfg = ServerConfig {
+                        durability: Some(durable(d.0.join("follower"))),
+                        follow: Some(FollowConfig::new(leader.to_string())),
+                        ..server_cfg.clone()
                     };
                     let (tx, rx) = std::sync::mpsc::channel();
                     let join = s.spawn(move || {
-                        tirm_server::serve_follower(
-                            &dataset.graph,
-                            &dataset.topic_probs,
-                            fcfg,
-                            |fh| {
-                                tx.send(fh.addr()).expect("reporting follower addr");
-                                fh.wait_shutdown();
-                            },
-                        )
+                        tirm_server::serve(&dataset.graph, &dataset.topic_probs, fcfg, |fh| {
+                            tx.send(fh.addr()).expect("reporting follower addr");
+                            fh.wait_shutdown();
+                        })
                     });
                     (join, rx.recv().expect("follower never came up"))
                 });
@@ -376,8 +374,9 @@ pub fn run_serving_cell(
                 });
                 (load, follower)
             })
-        })
-        .expect("serving cell server failed");
+        },
+    )
+    .expect("serving cell server failed");
     let wall_s = t0.elapsed().as_secs_f64();
     if !replicated {
         probe_metrics_exposition();

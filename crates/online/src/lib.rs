@@ -19,10 +19,6 @@
 //! * [`pool`] — the [`RetainedPool`] departed shards are released into
 //!   (bounded bytes, oldest-first eviction, topic-fingerprint
 //!   invalidation).
-//! * [`frontier`] — [`ReplicationFrontier`], the sequence-number
-//!   vocabulary a replicated serving frontend uses to describe where a
-//!   replica stands relative to its leader (lag, apply backlog,
-//!   fencing epoch).
 //! * [`snapshot`] — [`AllocationSnapshot`], the immutable read-model a
 //!   serving frontend publishes after every applied batch
 //!   ([`OnlineAllocator::snapshot`] extracts one in O(live ads + seeds));
@@ -36,13 +32,11 @@
 
 pub mod allocator;
 pub mod events;
-pub mod frontier;
 pub mod pool;
 pub mod snapshot;
 
 pub use allocator::checkpoint::{CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use allocator::{OnlineAllocator, OnlineConfig, OnlineStats};
 pub use events::{AdId, EventKind, EventOutcome, OnlineError, OnlineEvent};
-pub use frontier::ReplicationFrontier;
 pub use pool::RetainedPool;
 pub use snapshot::{AdSnapshot, AllocationSnapshot};

@@ -35,11 +35,11 @@
 //!   `--bind`, answer mutations with a typed `not_leader` redirect.
 //!   Requires `--state-dir` (the follower keeps its own WAL +
 //!   checkpoints). A wire `promote` request turns this process into
-//!   the leader in place: fencing epoch bumped, same state dir, same
-//!   bind address.
-//! * `--peer ADDR` — (repeatable, follower mode) other replicas to try
-//!   when the leader stops answering — how a follower finds the new
-//!   leader after a hand-off.
+//!   the leader in place: fencing epoch bumped, same allocator, same
+//!   open log, same listener.
+//! * `--peer ADDR` — (repeatable, needs `--follow`) other replicas to
+//!   try when the leader stops answering — how a follower finds the
+//!   new leader after a hand-off.
 //! * `--metrics-addr ADDR` — serve the observability registry over
 //!   HTTP: `GET /metrics` (Prometheus text) and `GET /metrics.json`
 //!   (structured dump). Out-of-band — reads the registry, never the
@@ -57,7 +57,7 @@
 //! warm-starts the dataset from the binary snapshot cache.
 
 use std::process::ExitCode;
-use tirm_server::{serve, serve_follower, wal, DurabilityConfig, FollowerConfig, ServerConfig};
+use tirm_server::{serve, DurabilityConfig, FollowConfig, ServerConfig};
 use tirm_workloads::{Dataset, DatasetKind, ProbModel, ScaleConfig};
 
 fn usage(msg: &str) -> ExitCode {
@@ -168,6 +168,9 @@ fn main() -> ExitCode {
     if let Some((flag, _)) = needs_state_dir.iter().find(|f| f.1 && state_dir.is_none()) {
         return usage(&format!("{flag} needs --state-dir DIR"));
     }
+    if !peers.is_empty() && follow.is_none() {
+        return usage("--peer needs --follow LEADER_ADDR (only a follower re-homes to a peer)");
+    }
     let durability = state_dir.map(|dir| {
         let d = DurabilityConfig::new(dir);
         DurabilityConfig {
@@ -197,9 +200,8 @@ fn main() -> ExitCode {
     // shared with out-of-process oracles via the library.
     let online = tirm_server::serving_online_config(dataset_kind, &cfg, kappa, lambda, seed);
 
-    // The metrics endpoint outlives role changes: one HTTP server for
-    // the whole process, spanning follower tailing and a post-promotion
-    // leader run alike (the registry is process-global).
+    // One HTTP server for the whole process (the registry is
+    // process-global).
     let _metrics_server = match &metrics_addr {
         Some(addr) => match tirm_obs::http::serve(addr) {
             Ok(srv) => {
@@ -262,117 +264,55 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     };
 
-    // Follower mode: tail the leader until shutdown or promotion; a
-    // promotion falls through into the leader path below over the same
-    // state dir and bind address (`--follow` without `--state-dir` was
-    // refused at parse time).
-    if let (Some(leader_addr), Some(d)) = (follow, &durability) {
-        let dir = &d.state_dir;
-        let fcfg = FollowerConfig {
-            online: online.clone(),
-            bind: bind.clone(),
-            peer_addrs: peers,
-            checkpoint_interval: d.checkpoint_interval,
-            segment_events: d.segment_events,
-            max_connections,
-            ..FollowerConfig::new(leader_addr.clone(), dir)
-        };
-        let followed = serve_follower(&dataset.graph, &dataset.topic_probs, fcfg, |handle| {
-            eprintln!(
-                "following {leader_addr} — serving reads on {} (state dir [{}], wal_seq {}, \
-                 fencing epoch {}); send {{\"type\":\"promote\"}} to take over, \
-                 {{\"type\":\"shutdown\"}} to stop",
-                handle.addr(),
-                dir.display(),
-                handle.wal_seq(),
-                handle.fencing_epoch(),
-            );
-            handle.wait_shutdown();
-        });
-        match followed {
-            Ok(((), report)) => {
-                eprintln!(
-                    "follower wound down at seq {} (lag {}): {} applied ({} re-rejected), \
-                     {} bootstrap(s), {} fenced reject(s)",
-                    report.frontier.durable_seq,
-                    report.frontier.lag(),
-                    report.applied,
-                    report.rejected_on_apply,
-                    report.bootstraps,
-                    report.fenced_rejects,
-                );
-                if !report.promoted {
-                    let trace_rc = dump_trace_json(&trace_json);
-                    let metrics_rc = dump_metrics_json(&metrics_json);
-                    return if metrics_rc != ExitCode::SUCCESS {
-                        metrics_rc
-                    } else {
-                        trace_rc
-                    };
-                }
-                match wal::bump_fencing_epoch(dir) {
-                    Ok(epoch) => {
-                        eprintln!("promoted — taking over as leader under fencing epoch {epoch}")
-                    }
-                    Err(e) => {
-                        eprintln!("error: fencing epoch bump failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     let server_cfg = ServerConfig {
         online,
         bind,
         queue_depth,
         max_connections,
         durability,
+        follow: follow.map(|leader_addr| FollowConfig {
+            peer_addrs: peers,
+            ..FollowConfig::new(leader_addr)
+        }),
         ..ServerConfig::default()
     };
-    // A promoted follower re-binds the port its own listener just
-    // closed; lingering TIME_WAIT connections can hold it briefly, so
-    // retry AddrInUse for a bounded window instead of dying mid
-    // hand-off.
-    let mut bind_attempts = 0u32;
-    let served = loop {
-        let served = serve(
-            &dataset.graph,
-            &dataset.topic_probs,
-            server_cfg.clone(),
-            |handle| {
-                eprintln!(
-                    "listening on {} (queue depth {queue_depth}, ≤ {max_connections} connections, \
-                     durability {}); \
-                     send {{\"type\":\"shutdown\"}} to stop",
+    let served = serve(
+        &dataset.graph,
+        &dataset.topic_probs,
+        server_cfg.clone(),
+        |handle| {
+            let dir = server_cfg
+                .durability
+                .as_ref()
+                .map(|d| d.state_dir.display());
+            match (&server_cfg.follow, dir) {
+                (Some(f), Some(dir)) => eprintln!(
+                    "following {} — serving reads on {} (state dir [{dir}], wal_seq {}, \
+                     fencing epoch {}); send {{\"type\":\"promote\"}} to take over, \
+                     {{\"type\":\"shutdown\"}} to stop",
+                    f.leader_addr,
                     handle.addr(),
-                    match &server_cfg.durability {
-                        Some(d) => format!(
-                            "on [{}], wal_seq {}, fencing epoch {}",
-                            d.state_dir.display(),
+                    handle.wal_seq(),
+                    handle.fencing_epoch(),
+                ),
+                (_, dir) => eprintln!(
+                    "listening on {} (queue depth {queue_depth}, ≤ {max_connections} connections, \
+                     durability {}); send {{\"type\":\"shutdown\"}} to stop",
+                    handle.addr(),
+                    match dir {
+                        Some(dir) => format!(
+                            "on [{dir}], wal_seq {}, fencing epoch {}",
                             handle.wal_seq(),
                             handle.fencing_epoch()
                         ),
                         None => "off".to_string(),
                     },
-                );
-                handle.wait_shutdown();
-                eprintln!("shutdown requested — draining the write queue");
-            },
-        );
-        match &served {
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && bind_attempts < 50 => {
-                bind_attempts += 1;
-                std::thread::sleep(std::time::Duration::from_millis(100));
+                ),
             }
-            _ => break served,
-        }
-    };
+            handle.wait_shutdown();
+            eprintln!("shutdown requested — draining the write queue");
+        },
+    );
     match served {
         Ok(((), report)) => {
             if let Some(rec) = &report.recovery {
@@ -383,6 +323,18 @@ fn main() -> ExitCode {
                 for w in &rec.warnings {
                     eprintln!("recovery warning: {w}");
                 }
+            }
+            if server_cfg.follow.is_some() {
+                eprintln!(
+                    "followed: {} replicated, {} bootstrap(s), {} fenced reject(s); ended as {} \
+                     at seq {} (lag {})",
+                    report.replicated,
+                    report.bootstraps,
+                    report.fenced_rejects,
+                    report.role.name(),
+                    report.wal_seq,
+                    report.leader_seq.saturating_sub(report.wal_seq),
+                );
             }
             eprintln!(
                 "drained. epoch {} | {} accepted / {} shed ({:.1}% shed) / {} rejected / {} bad \

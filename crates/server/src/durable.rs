@@ -15,6 +15,9 @@
 //! everything its admission queue holds, a follower's apply loop feeds
 //! it the pages it polls from the leader, and a restart is `open` over
 //! what either left on disk, replaying the tail one segment per batch.
+//! A promotion hands the same state, open log segment included, from
+//! the apply loop to the queue on the same thread: it is a fencing
+//! epoch bump, not a rebuild.
 //! The feeders differ in where a batch comes from and how large it is;
 //! what happens to a batch does not, so one argument covers leader ≡
 //! follower ≡ recovered: every copy applies the same frames in the same
@@ -262,7 +265,7 @@ impl<'g> DurableState<'g> {
         Ok(())
     }
 
-    /// Winds the state down: a clean stop (or a promotion) checkpoints
+    /// Winds the state down: a clean stop checkpoints
     /// whatever the cadence has not covered yet, so the next `open`
     /// warm-loads it instead of replaying the tail — only a crash
     /// leaves replay work behind. Returns the final snapshot and the

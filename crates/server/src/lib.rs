@@ -90,7 +90,7 @@ pub use client::{CheckpointChunk, Client, HelloInfo};
 pub use protocol::{
     ClientOptions, Request, Response, Role, StatsView, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-pub use replica::{serve_follower, FollowerConfig, FollowerReport};
+pub use replica::FollowConfig;
 pub use server::{serve, DurabilityConfig, ServeReport, ServerConfig, ServerHandle};
 pub use swap::{SnapshotReader, SnapshotSwap};
 pub use wal::{RecoveryReport, RecoveryWarning, ReplicaBatch, Wal};

@@ -1,6 +1,7 @@
-//! Follower mode: a process that tails a leader's write-ahead log over
-//! the wire and serves the same snapshot-swapped reads the leader
-//! does — continuous recovery, published as it happens.
+//! Follower mode: a [`crate::serve`] run with a [`FollowConfig`] tails
+//! a leader's write-ahead log over the wire and serves the same
+//! snapshot-swapped reads the leader does — continuous recovery,
+//! published as it happens.
 //!
 //! # Apply loop
 //!
@@ -34,37 +35,38 @@
 //!
 //! # Promotion
 //!
-//! A wire `promote` request makes [`serve_follower`] wind down and
-//! report `promoted = true`; the host process then bumps the fencing
-//! epoch ([`crate::wal::bump_fencing_epoch`]) and runs [`crate::serve`]
-//! over the same state dir — recovery replays the follower's durable
-//! frontier, and the new epoch fences the old leader off.
+//! A wire `promote` makes the apply loop return, and the run takes
+//! over as leader in place: it bumps and persists the fencing epoch,
+//! sets the leader frontier to its own, and flips the role the
+//! connection handlers read. The same writer thread then drains the
+//! admission queue like any leader's writer — with the same allocator,
+//! the same open WAL segment and the same listener, so a promotion
+//! writes no checkpoint, runs no recovery and binds nothing. A
+//! `promote` that arrives while the run is stopping does not promote.
 
 use crate::durable::DurableState;
 use crate::protocol::{ClientOptions, Response, Role};
-use crate::server::{run_server, DurabilityConfig, ReplicaCtx, ServerConfig, ServerHandle, Shared};
-use crate::wal::{self, RecoveryReport};
+use crate::server::{ReplicaCtx, Shared};
+use crate::wal;
 use crate::Client;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tirm_graph::DiGraph;
-use tirm_online::{
-    AllocationSnapshot, OnlineConfig, OnlineEvent, OnlineStats, ReplicationFrontier,
-};
-use tirm_topics::TopicEdgeProbs;
+use tirm_online::OnlineEvent;
 
-/// Configuration of a [`serve_follower`] run.
+/// Frames asked for per poll (the leader clamps its own cap on top).
+const MAX_FRAMES_PER_POLL: u64 = 512;
+
+/// What makes a [`crate::serve`] run a follower
+/// ([`crate::ServerConfig::follow`]). A follower needs durability: it
+/// keeps its own WAL and checkpoints, never shared with the leader's.
+/// Its `online` config must equal the leader's for the bit-identical
+/// read guarantee (checkpoints embed enough to catch gross mismatches
+/// on restore).
 #[derive(Clone, Debug)]
-pub struct FollowerConfig {
-    /// Allocator configuration — must equal the leader's for the
-    /// bit-identical read guarantee (checkpoints embed enough to catch
-    /// gross mismatches on restore).
-    pub online: OnlineConfig,
-    /// Address to bind for read traffic (`127.0.0.1:0` ⇒ ephemeral).
-    pub bind: String,
+pub struct FollowConfig {
     /// The leader to tail.
     pub leader_addr: String,
     /// Other replicas to try when the leader stops answering — how a
@@ -72,17 +74,6 @@ pub struct FollowerConfig {
     /// that is itself a follower answers `NotLeader` naming its
     /// leader).
     pub peer_addrs: Vec<String>,
-    /// The follower's own durable state dir (its WAL + checkpoints —
-    /// never shared with the leader's dir).
-    pub state_dir: PathBuf,
-    /// Applied mutations between local checkpoints.
-    pub checkpoint_interval: u64,
-    /// Frames per local WAL segment.
-    pub segment_events: u64,
-    /// Connection admission bound for read traffic.
-    pub max_connections: usize,
-    /// Handler read-poll interval (shutdown latency on idle sockets).
-    pub read_poll: Duration,
     /// How long the leader may hold a caught-up replication poll before
     /// answering it empty (sent as the poll's `wait_ms`, rounded up to
     /// a whole millisecond; a frame that becomes durable ends the hold
@@ -91,154 +82,66 @@ pub struct FollowerConfig {
     /// it is not a floor on replication lag. Also the pause before
     /// retrying an endpoint that failed.
     pub poll_interval: Duration,
-    /// Frames requested per poll (the leader clamps its own cap on
-    /// top).
-    pub max_frames_per_poll: u64,
-    /// Reconnect policy toward the leader (attempts, backoff, jitter).
-    pub leader_client: ClientOptions,
 }
 
-impl FollowerConfig {
-    /// A follower of `leader_addr` with durable state under
-    /// `state_dir` and default cadence/limits.
-    pub fn new(leader_addr: impl Into<String>, state_dir: impl Into<PathBuf>) -> FollowerConfig {
-        FollowerConfig {
-            online: OnlineConfig::default(),
-            bind: "127.0.0.1:0".to_string(),
+impl FollowConfig {
+    /// A follower of `leader_addr` with no peers and the default
+    /// 10 ms poll interval.
+    pub fn new(leader_addr: impl Into<String>) -> FollowConfig {
+        FollowConfig {
             leader_addr: leader_addr.into(),
             peer_addrs: Vec::new(),
-            state_dir: state_dir.into(),
-            checkpoint_interval: 256,
-            segment_events: 1024,
-            max_connections: 64,
-            read_poll: Duration::from_millis(25),
             poll_interval: Duration::from_millis(10),
-            max_frames_per_poll: 512,
-            leader_client: ClientOptions::reconnecting_jittered(4, 0x7e11_0f01),
         }
     }
 }
 
-/// What a completed [`serve_follower`] run did.
-#[derive(Clone, Debug)]
-pub struct FollowerReport {
-    /// The snapshot after the last applied frame — bit-identical to
-    /// the leader's snapshot at the same frontier.
-    pub final_snapshot: Arc<AllocationSnapshot>,
-    /// Allocator lifetime counters.
-    pub stats: OnlineStats,
-    /// What local startup recovery found (before any streaming).
-    pub recovery: RecoveryReport,
-    /// Frames applied from the stream this run.
-    pub applied: u64,
-    /// Streamed frames the allocator rejected (logged and
-    /// deterministically re-rejected, exactly as on the leader).
-    pub rejected_on_apply: u64,
-    /// Checkpoint bootstraps performed (pruned anchor or fencing
-    /// wipe).
-    pub bootstraps: u64,
-    /// Responses dropped because they announced a stale fencing epoch
-    /// (a deposed leader's frames).
-    pub fenced_rejects: u64,
-    /// Connections handled over the run.
-    pub connections: u64,
-    /// Where the replica stood at exit.
-    pub frontier: ReplicationFrontier,
-    /// `true` ⇒ the run ended because a wire `promote` arrived: bump
-    /// the fencing epoch and re-serve this state dir as leader.
-    pub promoted: bool,
-}
-
-/// What the apply loop counted over its run.
+/// What the apply loop counted over its run (reported as
+/// [`crate::ServeReport`]'s `replicated`, `bootstraps` and
+/// `fenced_rejects`).
 #[derive(Default)]
-struct Tail {
-    applied: u64,
-    bootstraps: u64,
-    fenced_rejects: u64,
+pub(crate) struct Tail {
+    pub(crate) applied: u64,
+    pub(crate) bootstraps: u64,
+    pub(crate) fenced_rejects: u64,
 }
 
-/// Runs a follower over `graph`/`topic_probs`: recovers the local
-/// state dir, serves reads exactly like [`crate::serve`] (mutations
-/// answered with a typed `NotLeader` redirect), and tails
-/// `cfg.leader_addr`'s WAL until `f` returns, shutdown is requested,
-/// or a `promote` request arrives.
-pub fn serve_follower<R>(
-    graph: &DiGraph,
-    topic_probs: &TopicEdgeProbs,
-    cfg: FollowerConfig,
-    f: impl FnOnce(&ServerHandle) -> R,
-) -> io::Result<(R, FollowerReport)> {
-    // Nothing paces the apply loop but the leader's answers: a poll
-    // that asks for no frames is answered at once, forever.
-    if cfg.max_frames_per_poll < 1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "max_frames_per_poll must be >= 1 (a poll must ask for a frame)",
-        ));
-    }
-    // A follower is a durable single-writer server fed from the
-    // leader's log instead of an admission queue. Local start-up
-    // recovery is the leader's: a follower restart resumes from its own
-    // durable frontier and only the missing suffix is re-streamed.
-    let server_cfg = ServerConfig {
-        online: cfg.online.clone(),
-        bind: cfg.bind.clone(),
-        // Handlers hold a queue sender for their signature, but a
-        // follower's `Mutate` arm answers `NotLeader` before ever
-        // admitting — the queue stays empty by construction.
-        queue_depth: 1,
-        max_connections: cfg.max_connections,
-        read_poll: cfg.read_poll,
-        durability: Some(DurabilityConfig {
-            state_dir: cfg.state_dir.clone(),
-            checkpoint_interval: cfg.checkpoint_interval,
-            segment_events: cfg.segment_events,
-        }),
-    };
-    let run = run_server(
-        graph,
-        topic_probs,
-        server_cfg,
-        Role::Follower,
-        cfg.leader_addr.clone(),
-        |state, _queue, ctx| apply_loop(&cfg, state, ctx),
-        f,
-    )?;
-
-    let shared = &run.shared;
-    let report = FollowerReport {
-        final_snapshot: run.final_snapshot,
-        stats: run.stats,
-        recovery: run.recovery.expect("a follower is always durable"),
-        applied: run.fed.applied,
-        // This run's `Shared` counts nothing but apply-time rejections:
-        // a follower admits no mutation of its own.
-        rejected_on_apply: shared.rejected.load(Ordering::Relaxed),
-        bootstraps: run.fed.bootstraps,
-        fenced_rejects: run.fed.fenced_rejects,
-        connections: shared.connections_total.load(Ordering::Relaxed),
-        frontier: ReplicationFrontier {
-            applied_seq: shared.wal_seq.load(Ordering::Acquire),
-            durable_seq: shared.wal_seq.load(Ordering::Acquire),
-            leader_seq: shared.leader_seq.load(Ordering::Acquire),
-            fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
-        },
-        promoted: shared.promote_requested.load(Ordering::Acquire),
-    };
-    Ok((run.result, report))
-}
-
-/// The follower's feeder: connect → fence → poll → decode, committing
-/// each page of frames through the same [`DurableState::commit`] the
-/// leader's writer uses, with pruned-anchor bootstrap and leader
-/// re-targeting around it. Owns the state for the whole run (the
-/// handlers only ever read published snapshots).
-fn apply_loop(
-    cfg: &FollowerConfig,
+/// The follower's part of a run's writer: tails the leader until the
+/// run stops or a `promote` arrives, and on a promotion that is not a
+/// stop takes over as leader in place (see the module docs). `dir` is
+/// the run's state dir.
+pub(crate) fn follow(
+    cfg: &FollowConfig,
+    dir: &Path,
     state: &mut DurableState<'_>,
     ctx: &ReplicaCtx,
 ) -> io::Result<Tail> {
-    let dir = &cfg.state_dir;
+    let tail = apply_loop(cfg, dir, state, ctx)?;
+    let shared = &state.shared;
+    if shared.promote_requested.load(Ordering::Acquire) && !shared.stop.load(Ordering::Acquire) {
+        // The new epoch is on disk before the role flips: no write is
+        // admitted, and no frame shipped, under the old one.
+        let epoch = wal::bump_fencing_epoch(dir)?;
+        shared.fencing_epoch.store(epoch, Ordering::Release);
+        shared.leader_seq.store(state.seq(), Ordering::Release);
+        shared.leading.store(true, Ordering::Release);
+        eprintln!("promoted — taking over as leader under fencing epoch {epoch}");
+    }
+    Ok(tail)
+}
+
+/// The apply loop: connect → fence → poll → decode, committing
+/// each page of frames through the same [`DurableState::commit`] the
+/// leader's writer uses, with pruned-anchor bootstrap and leader
+/// re-targeting around it. Owns the state until it returns (the
+/// handlers only ever read published snapshots).
+fn apply_loop(
+    cfg: &FollowConfig,
+    dir: &Path,
+    state: &mut DurableState<'_>,
+    ctx: &ReplicaCtx,
+) -> io::Result<Tail> {
+    let leader_client = ClientOptions::reconnecting_jittered(4, 0x7e11_0f01);
     let shared = Arc::clone(&state.shared);
     let mut out = Tail::default();
     // Endpoints to try, current first; rotated on failure so a dead
@@ -254,7 +157,7 @@ fn apply_loop(
 
     'reconnect: while !stopping(&shared) {
         let target = endpoints[0].clone();
-        let mut client = match Client::connect_with(target.as_str(), &cfg.leader_client) {
+        let mut client = match Client::connect_with(target.as_str(), &leader_client) {
             Ok(c) => c,
             Err(_) => {
                 endpoints.rotate_left(1);
@@ -281,7 +184,7 @@ fn apply_loop(
             if stopping(&shared) {
                 break 'reconnect;
             }
-            match client.replicate_poll(state.seq(), cfg.max_frames_per_poll, wait_ms) {
+            match client.replicate_poll(state.seq(), MAX_FRAMES_PER_POLL, wait_ms) {
                 Ok(Response::ReplicateFrames {
                     fencing_epoch,
                     durable_seq,
@@ -397,12 +300,13 @@ fn apply_loop(
     Ok(out)
 }
 
-/// Whether the run should wind down (stop flag or promotion).
+/// Whether the apply loop should return (stop flag or promotion).
 fn stopping(shared: &Shared) -> bool {
     shared.stop.load(Ordering::Acquire) || shared.promote_requested.load(Ordering::Acquire)
 }
 
-/// Sleeps up to `total`, returning early when the run winds down.
+/// Sleeps up to `total`, returning early when the apply loop should
+/// return.
 fn sleep_checked(shared: &Shared, total: Duration) {
     let t0 = Instant::now();
     let tick = Duration::from_millis(5).min(total);

@@ -34,12 +34,22 @@
 //! before exit — applied if valid, counted into `rejected` if the
 //! allocator refuses it (exactly as an in-process replay would); a
 //! shed (`Overloaded`) one never was admitted in the first place.
+//!
+//! # Roles
+//!
+//! A run whose config has [`ServerConfig::follow`] starts as a
+//! follower: the writer thread tails the leader's log instead of the
+//! queue (see [`crate::replica`]) and handlers answer mutations with a
+//! `NotLeader` redirect. A wire `promote` flips the role in place: the
+//! writer persists the next fencing epoch, the handlers start
+//! admitting, and the writer drains the queue from then on.
 
 use crate::durable::{DurableState, Origin};
 use crate::protocol::{
     hex_encode, read_frame_polling, write_frame, Request, Response, Role, StatsView,
     PROTOCOL_VERSION,
 };
+use crate::replica::{self, FollowConfig, Tail};
 use crate::swap::{SnapshotReader, SnapshotSwap};
 use crate::wal::{self, RecoveryReport, ReplicaBatch};
 use std::fs::File;
@@ -109,6 +119,9 @@ pub struct ServerConfig {
     /// on the configured cadence, and startup recovers checkpoint +
     /// log tail. `None` ⇒ memory-only.
     pub durability: Option<DurabilityConfig>,
+    /// `Some` ⇒ the run starts as a follower of another server and
+    /// serves as leader once promoted. Needs `durability`.
+    pub follow: Option<FollowConfig>,
 }
 
 impl Default for ServerConfig {
@@ -120,6 +133,7 @@ impl Default for ServerConfig {
             max_connections: 64,
             read_poll: Duration::from_millis(25),
             durability: None,
+            follow: None,
         }
     }
 }
@@ -158,6 +172,9 @@ impl ServerConfig {
                 return Err("segment_events must be >= 1 frame".into());
             }
         }
+        if self.follow.is_some() && self.durability.is_none() {
+            return Err("follow needs durability (a follower keeps its own WAL)".into());
+        }
         Ok(())
     }
 }
@@ -188,9 +205,13 @@ pub(crate) struct Shared {
     /// `wal_seq` on a leader, updated by the apply loop on a follower.
     /// `leader_seq - wal_seq` is the follower's replication lag.
     pub(crate) leader_seq: AtomicU64,
+    /// Whether this process serves as the leader. Flipped once, by a
+    /// promotion, after the new fencing epoch is stored (Release; every
+    /// reader loads it with Acquire and so sees that epoch).
+    pub(crate) leading: AtomicBool,
     /// Set by a wire `promote` request on a follower: the apply loop
-    /// winds down and [`crate::replica::serve_follower`] reports
-    /// `promoted = true` so the host process can take over as leader.
+    /// returns and the writer takes over as leader in place, unless the
+    /// run is stopping.
     pub(crate) promote_requested: AtomicBool,
     /// Set by a wire `shutdown` request (or [`ServerHandle::request_shutdown`]);
     /// [`ServerHandle::wait_shutdown`] blocks on it.
@@ -221,12 +242,21 @@ impl Shared {
             wal_seq: AtomicU64::new(0),
             fencing_epoch: AtomicU64::new(0),
             leader_seq: AtomicU64::new(0),
+            leading: AtomicBool::new(true),
             promote_requested: AtomicBool::new(false),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             frontier_lock: Mutex::new(()),
             frontier_cv: Condvar::new(),
         })
+    }
+
+    pub(crate) fn role(&self) -> Role {
+        if self.leading.load(Ordering::Acquire) {
+            Role::Leader
+        } else {
+            Role::Follower
+        }
     }
 
     pub(crate) fn request_shutdown(&self) {
@@ -357,7 +387,8 @@ pub struct ServeReport {
     pub accepted: u64,
     /// Mutations shed with `Overloaded`.
     pub shed: u64,
-    /// Admitted mutations the allocator rejected (unknown ids etc.).
+    /// Mutations the allocator rejected at apply (unknown ids etc.),
+    /// whether admitted here or replicated from a leader.
     pub rejected: u64,
     /// Frames that failed to decode.
     pub bad_requests: u64,
@@ -375,6 +406,20 @@ pub struct ServeReport {
     /// The fencing epoch the run served under (0 when no promotion ever
     /// happened in this state dir's lineage, or durability is off).
     pub fencing_epoch: u64,
+    /// The role the run ended in: a follower that was promoted ends as
+    /// the leader.
+    pub role: Role,
+    /// The leader's durable frontier as last observed (`wal_seq` on a
+    /// leader).
+    pub leader_seq: u64,
+    /// Frames applied from a leader's log while following.
+    pub replicated: u64,
+    /// Checkpoint bootstraps performed while following (pruned anchor
+    /// or fencing wipe).
+    pub bootstraps: u64,
+    /// Replication responses dropped because they announced a stale
+    /// fencing epoch (a deposed leader's frames).
+    pub fenced_rejects: u64,
 }
 
 impl ServeReport {
@@ -398,8 +443,12 @@ impl ServeReport {
 /// drain-then-close shutdown when `f` returns. Returns `f`'s result and
 /// the [`ServeReport`] with the final (fully drained) snapshot.
 ///
-/// The allocator borrows the graph, so the whole server runs inside a
-/// `std::thread::scope` — no `'static` bounds, no graph cloning; the
+/// Three kinds of thread run inside one scope: the writer (the only
+/// thread that ever touches the allocator: it owns the durable state,
+/// following a leader first when `cfg.follow` says so, then draining
+/// the queue), the acceptor (one handler thread per
+/// admitted connection) and the caller's closure `f`. The allocator
+/// borrows the graph, so no `'static` bounds and no graph cloning; the
 /// caller keeps ownership of the multi-GB dataset.
 pub fn serve<R>(
     graph: &DiGraph,
@@ -407,105 +456,6 @@ pub fn serve<R>(
     cfg: ServerConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> std::io::Result<(R, ServeReport)> {
-    let feeder = |state: &mut DurableState<'_>, rx: Receiver<Admitted>, _: &ReplicaCtx| {
-        feed_from_queue(state, &rx);
-        Ok(())
-    };
-    let run = run_server(
-        graph,
-        topic_probs,
-        cfg,
-        Role::Leader,
-        String::new(),
-        feeder,
-        f,
-    )?;
-    let shared = &run.shared;
-    let report = ServeReport {
-        final_snapshot: run.final_snapshot,
-        stats: run.stats,
-        accepted: shared.accepted.load(Ordering::Relaxed),
-        shed: shared.shed.load(Ordering::Relaxed),
-        rejected: shared.rejected.load(Ordering::Relaxed),
-        bad_requests: shared.bad_requests.load(Ordering::Relaxed),
-        max_queue_depth: shared.max_queue_len.load(Ordering::Relaxed),
-        connections: shared.connections_total.load(Ordering::Relaxed),
-        connections_refused: shared.connections_refused.load(Ordering::Relaxed),
-        recovery: run.recovery,
-        wal_seq: shared.wal_seq.load(Ordering::Acquire),
-        fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
-    };
-    Ok((run.result, report))
-}
-
-/// What a connection handler needs to know about the process's role in
-/// a replica group: whether it is the leader (mutations admitted,
-/// replication served) or a follower (mutations redirected), and where
-/// WAL segments live for replication reads.
-pub(crate) struct ReplicaCtx {
-    /// This process's role — fixed for the lifetime of one
-    /// [`serve`]/[`crate::replica::serve_follower`] run (promotion
-    /// starts a new run).
-    pub(crate) role: Role,
-    /// The state dir replication reads stream segments from (`None` ⇒
-    /// memory-only, replication refused with a typed error).
-    pub(crate) state_dir: Option<PathBuf>,
-    /// Where a follower redirects mutations (the leader it is
-    /// tailing); updated by the apply loop when the leader moves.
-    pub(crate) leader_addr: Mutex<String>,
-}
-
-/// Flips the stop flag and unparks the acceptor on BOTH exits from the
-/// caller's closure: a clean return and an unwind. A panicking closure
-/// (a failed harness expectation) would otherwise leave the acceptor
-/// parked in `accept()` forever — the scope joins all threads before
-/// re-raising, so the panic would hang instead of propagating.
-struct StopGuard<'a> {
-    shared: &'a Shared,
-    addr: SocketAddr,
-}
-
-impl Drop for StopGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        // No handler outlives the stop by a hold: wake the parked polls.
-        self.shared.notify_frontier();
-        self.shared.request_shutdown();
-        // Wake the blocked accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
-/// What one [`run_server`] run leaves behind.
-pub(crate) struct Run<R, T> {
-    /// What the caller's closure returned.
-    pub(crate) result: R,
-    /// What the feeder returned.
-    pub(crate) fed: T,
-    pub(crate) final_snapshot: Arc<AllocationSnapshot>,
-    pub(crate) stats: OnlineStats,
-    pub(crate) recovery: Option<RecoveryReport>,
-    pub(crate) shared: Arc<Shared>,
-}
-
-/// The scaffold a leader and a follower share: bind, open the durable
-/// state, then run three kinds of thread inside one scope — the
-/// `feeder` (the only thread that ever touches the allocator: it owns
-/// the [`DurableState`] and decides what to commit next), the acceptor
-/// (one handler thread per admitted connection; the read path is
-/// identical on both roles) and the caller's closure `f` — and stop
-/// them in the drain-then-close order. `cfg` is the leader's shape; a
-/// follower maps its own config onto it.
-pub(crate) fn run_server<'g, R, T: Send>(
-    graph: &'g DiGraph,
-    topic_probs: &'g TopicEdgeProbs,
-    cfg: ServerConfig,
-    role: Role,
-    leader_addr: String,
-    feeder: impl FnOnce(&mut DurableState<'g>, Receiver<Admitted>, &ReplicaCtx) -> std::io::Result<T>
-        + Send,
-    f: impl FnOnce(&ServerHandle) -> R,
-) -> std::io::Result<Run<R, T>> {
     cfg.validate()
         .map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
     let listener = TcpListener::bind(&cfg.bind)?;
@@ -517,10 +467,15 @@ pub(crate) fn run_server<'g, R, T: Send>(
     flight::now_ns();
 
     let ctx = ReplicaCtx {
-        role,
         state_dir: cfg.durability.as_ref().map(|d| d.state_dir.clone()),
-        leader_addr: Mutex::new(leader_addr),
+        leader_addr: Mutex::new(
+            cfg.follow
+                .as_ref()
+                .map_or_else(String::new, |f| f.leader_addr.clone()),
+        ),
     };
+    // `validate` refused `follow` without durability.
+    let follow = cfg.follow.zip(ctx.state_dir.clone());
     let (mut state, recovery) = DurableState::open(Origin {
         graph,
         topic_probs,
@@ -528,6 +483,7 @@ pub(crate) fn run_server<'g, R, T: Send>(
         durability: cfg.durability,
     })?;
     let (swap, shared) = (state.swap.clone(), state.shared.clone());
+    shared.leading.store(follow.is_none(), Ordering::Release);
     let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(cfg.queue_depth);
     let (read_poll, queue_depth) = (cfg.read_poll, cfg.queue_depth);
     let handle = ServerHandle {
@@ -538,13 +494,16 @@ pub(crate) fn run_server<'g, R, T: Send>(
 
     let (result, fed) = std::thread::scope(|s| {
         let (ctx, shared) = (&ctx, &*shared);
-        let feeder = s.spawn(move || -> std::io::Result<_> {
-            let fed = feeder(&mut state, rx, ctx)?;
-            // The feeder returned ⇒ everything it took in was applied
-            // (on a leader: all senders dropped and the queue drained —
-            // the drain guarantee).
+        let writer = s.spawn(move || -> std::io::Result<_> {
+            let tail = match &follow {
+                Some((follow, dir)) => replica::follow(follow, dir, &mut state, ctx)?,
+                None => Tail::default(),
+            };
+            feed_from_queue(&mut state, &rx);
+            // The queue disconnected ⇒ every sender is gone and
+            // everything admitted was applied (the drain guarantee).
             let (final_snapshot, stats) = state.finish()?;
-            Ok((fed, final_snapshot, stats))
+            Ok((tail, final_snapshot, stats))
         });
 
         // The acceptor owns the queue's original sender and hands each
@@ -578,22 +537,68 @@ pub(crate) fn run_server<'g, R, T: Send>(
 
         // Drain-then-close (the guard above already flipped stop and
         // woke the acceptor). Handlers exit via their read-poll stop
-        // checks, dropping their queue senders; the feeder then takes
+        // checks, dropping their queue senders; the writer then takes
         // in whatever is left, winds the state down and returns the
         // final snapshot. The explicit join order just makes the
         // sequence readable — the scope would join everything anyway.
         acceptor.join().expect("acceptor panicked");
-        (result, feeder.join().expect("feeder panicked"))
+        (result, writer.join().expect("writer panicked"))
     });
-    let (fed, final_snapshot, stats) = fed?;
-    Ok(Run {
-        result,
-        fed,
+    let (tail, final_snapshot, stats) = fed?;
+    let report = ServeReport {
         final_snapshot,
         stats,
+        accepted: shared.accepted.load(Ordering::Relaxed),
+        shed: shared.shed.load(Ordering::Relaxed),
+        rejected: shared.rejected.load(Ordering::Relaxed),
+        bad_requests: shared.bad_requests.load(Ordering::Relaxed),
+        max_queue_depth: shared.max_queue_len.load(Ordering::Relaxed),
+        connections: shared.connections_total.load(Ordering::Relaxed),
+        connections_refused: shared.connections_refused.load(Ordering::Relaxed),
         recovery,
-        shared,
-    })
+        wal_seq: shared.wal_seq.load(Ordering::Acquire),
+        fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
+        role: shared.role(),
+        leader_seq: shared.leader_seq.load(Ordering::Acquire),
+        replicated: tail.applied,
+        bootstraps: tail.bootstraps,
+        fenced_rejects: tail.fenced_rejects,
+    };
+    Ok((result, report))
+}
+
+/// What a connection handler needs to know about the process's place
+/// in a replica group besides its role ([`Shared::role`]): where WAL
+/// segments live for replication reads, and where a follower redirects
+/// mutations.
+pub(crate) struct ReplicaCtx {
+    /// The state dir replication reads stream segments from (`None` ⇒
+    /// memory-only, replication refused with a typed error).
+    pub(crate) state_dir: Option<PathBuf>,
+    /// Where a follower redirects mutations (the leader it is
+    /// tailing); updated by the apply loop when the leader moves.
+    pub(crate) leader_addr: Mutex<String>,
+}
+
+/// Flips the stop flag and unparks the acceptor on BOTH exits from the
+/// caller's closure: a clean return and an unwind. A panicking closure
+/// (a failed harness expectation) would otherwise leave the acceptor
+/// parked in `accept()` forever — the scope joins all threads before
+/// re-raising, so the panic would hang instead of propagating.
+struct StopGuard<'a> {
+    shared: &'a Shared,
+    addr: SocketAddr,
+}
+
+impl Drop for StopGuard<'_> {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+        // No handler outlives the stop by a hold: wake the parked polls.
+        self.shared.notify_frontier();
+        self.shared.request_shutdown();
+        // Wake the blocked accept with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 /// A mutation travelling from admission to the writer, carrying the
@@ -609,7 +614,7 @@ pub(crate) struct Admitted {
     pub(crate) enqueue_ns: u64,
 }
 
-/// The leader's feeder: blocks for the next admitted mutation, takes
+/// The leader's writer: blocks for the next admitted mutation, takes
 /// everything else already queued behind it, and commits the lot as
 /// one batch — one fsync, one reconciliation, one publish — until every
 /// sender has hung up and the queue is empty. A lone mutation is a
@@ -712,12 +717,12 @@ pub(crate) fn handle_connection(
                     version: PROTOCOL_VERSION,
                     epoch: reader.latest().snapshot.epoch,
                     wal_seq: shared.wal_seq.load(Ordering::Acquire),
-                    role: ctx.role,
+                    role: shared.role(),
                     fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
                 }
                 .into()
             }
-            Ok(Request::Mutate(ev)) => match ctx.role {
+            Ok(Request::Mutate(ev)) => match shared.role() {
                 Role::Leader => admit(&ev, &tx, &mut reader, shared, queue_depth),
                 // A follower never admits writes — the typed redirect
                 // names the leader so a client can fail over in one
@@ -739,15 +744,16 @@ pub(crate) fn handle_connection(
             Ok(Request::Stats) => {
                 let snap = &reader.latest().snapshot;
                 let wal_seq = shared.wal_seq.load(Ordering::Acquire);
+                let role = shared.role();
                 Response::Stats(StatsView {
                     epoch: snap.epoch,
                     wal_seq,
-                    role: ctx.role,
+                    role,
                     fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
                     // A leader *is* the frontier; a follower reports
                     // where it last saw the leader, so `lag()` is
                     // leader_seq - wal_seq.
-                    leader_seq: match ctx.role {
+                    leader_seq: match role {
                         Role::Leader => wal_seq,
                         Role::Follower => shared.leader_seq.load(Ordering::Acquire),
                     },
@@ -763,9 +769,8 @@ pub(crate) fn handle_connection(
                     bad_requests: shared.bad_requests.load(Ordering::Relaxed),
                     connections: shared.connections_open.load(Ordering::Relaxed),
                     // Registry-backed process-lifetime totals: these
-                    // survive follower→leader promotion within the
-                    // process, unlike the per-serve-run `Shared`
-                    // counters above.
+                    // span every `serve` run in the process, unlike the
+                    // per-run `Shared` counters above.
                     shed_total: tirm_obs::registry::SERVER_SHED.get(),
                     rejected_total: tirm_obs::registry::SERVER_REJECTED.get(),
                 })
@@ -785,19 +790,19 @@ pub(crate) fn handle_connection(
                 wait_ms,
             }) => replicate_poll(ctx, shared, from_seq, max_frames, wait_ms).into(),
             Ok(Request::ReplicateCheckpoint { offset, max_bytes }) => {
-                replicate_checkpoint_chunk(ctx, offset, max_bytes).into()
+                replicate_checkpoint_chunk(ctx, shared, offset, max_bytes).into()
             }
-            Ok(Request::Promote) => match ctx.role {
+            Ok(Request::Promote) => match shared.role() {
                 Role::Leader => Response::Rejected {
                     why: "already the leader".to_string(),
                 },
+                // A stopping run does not promote.
+                Role::Follower if shared.stop.load(Ordering::Acquire) => Response::ShuttingDown,
                 Role::Follower => {
-                    // Acknowledge with the epoch the promoted process
-                    // will serve under, then wind the follower down;
-                    // the host process bumps the fencing epoch and
-                    // re-serves the same state dir as leader.
+                    // Acknowledge with the epoch the writer will bump
+                    // to once its apply loop sees the request; the run
+                    // goes on, as leader.
                     shared.promote_requested.store(true, Ordering::Release);
-                    shared.request_shutdown();
                     Response::Promoting {
                         fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire) + 1,
                     }
@@ -920,7 +925,7 @@ fn replicate_poll(
     max_frames: u64,
     wait_ms: u64,
 ) -> Response {
-    if ctx.role == Role::Follower {
+    if shared.role() == Role::Follower {
         return not_leader(ctx);
     }
     let Some(dir) = &ctx.state_dir else {
@@ -999,8 +1004,13 @@ fn replicate_poll(
 /// checkpoint file, hex-encoded. The chunk carries the checkpoint's
 /// `wal_seq` identity so a follower detects a checkpoint that rotated
 /// mid-download (mismatched seq ⇒ restart the bootstrap).
-fn replicate_checkpoint_chunk(ctx: &ReplicaCtx, offset: u64, max_bytes: u64) -> Response {
-    if ctx.role == Role::Follower {
+fn replicate_checkpoint_chunk(
+    ctx: &ReplicaCtx,
+    shared: &Shared,
+    offset: u64,
+    max_bytes: u64,
+) -> Response {
+    if shared.role() == Role::Follower {
         return not_leader(ctx);
     }
     let Some(dir) = &ctx.state_dir else {

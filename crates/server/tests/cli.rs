@@ -1,5 +1,6 @@
 //! The `tirm_server` bin's argument checks: a flag that only means
-//! something with a state directory is refused before any dataset loads.
+//! something with a state directory, or only to a follower, is refused
+//! before any dataset loads.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -52,4 +53,22 @@ fn durability_flags_without_a_state_dir_exit_2_before_loading() {
             "{args:?} loaded: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_peer_without_follow_exits_2_before_loading() {
+    let dir = std::env::temp_dir().join(format!("tirm_cli_peer_{}", std::process::id()));
+    let args = [
+        "--state-dir",
+        dir.to_str().unwrap(),
+        "--peer",
+        "127.0.0.1:1",
+    ];
+    let (code, stderr) = tirm_server(&args);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--peer needs --follow"), "{stderr}");
+    assert!(stderr.contains("usage: tirm_server"), "{stderr}");
+    assert!(!stderr.contains("== tirm_server"), "started: {stderr}");
+    assert!(!stderr.contains("dataset generated"), "loaded: {stderr}");
+    assert!(!dir.exists(), "a refused run touched its state dir");
 }

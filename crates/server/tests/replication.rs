@@ -16,7 +16,8 @@ use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::wal::{bump_fencing_epoch, read_fencing_epoch};
 use tirm_server::{
-    serve, serve_follower, Client, DurabilityConfig, FollowerConfig, Response, ServerConfig,
+    serve, Client, ClientOptions, DurabilityConfig, FollowConfig, Response, Role, ServerConfig,
+    StatsView,
 };
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
@@ -88,13 +89,13 @@ fn leader_cfg(cfg: &OnlineConfig, dir: &Path, bind: Option<String>) -> ServerCon
     }
 }
 
-fn follower_cfg(cfg: &OnlineConfig, leader: String, dir: &Path) -> FollowerConfig {
-    FollowerConfig {
-        online: cfg.clone(),
-        checkpoint_interval: 3,
-        segment_events: 4,
-        poll_interval: Duration::from_millis(1),
-        ..FollowerConfig::new(leader, dir)
+fn follower_cfg(cfg: &OnlineConfig, leader: String, dir: &Path) -> ServerConfig {
+    ServerConfig {
+        follow: Some(FollowConfig {
+            poll_interval: Duration::from_millis(1),
+            ..FollowConfig::new(leader)
+        }),
+        ..leader_cfg(cfg, dir, None)
     }
 }
 
@@ -138,32 +139,23 @@ fn epoch_per_prefix(
     epochs
 }
 
-/// Binds a new leader over a just-promoted follower's state dir on the
-/// address the follower's read listener used to own — surviving
-/// followers and clients keep their endpoint. The old listener closes
-/// a moment before the hand-off, so retry `AddrInUse` briefly, exactly
-/// like the production binary does.
-fn serve_on_vacated_addr<R>(
-    graph: &DiGraph,
-    probs: &TopicEdgeProbs,
-    cfg: ServerConfig,
-    f: impl Fn(&tirm_server::ServerHandle) -> R,
-) -> std::io::Result<(R, tirm_server::ServeReport)> {
-    let mut attempts = 0u32;
+/// Polls a promoted replica's stats until it answers as the leader.
+fn wait_leader(addr: std::net::SocketAddr) -> StatsView {
+    let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        match serve(graph, probs, cfg.clone(), &f) {
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && attempts < 100 => {
-                attempts += 1;
-                std::thread::sleep(Duration::from_millis(20));
+        if let Ok(stats) = Client::connect(addr).and_then(|mut c| c.stats()) {
+            if stats.role == Role::Leader {
+                return stats;
             }
-            other => return other,
         }
+        assert!(Instant::now() < deadline, "{addr} never took over");
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
 /// Kill the **leader** after `kill_at` events with `n_followers`
 /// replicas tailing it, promote follower 0 onto the leader's duties
-/// (fencing epoch bumped, new leader re-binds the promoted follower's
+/// (fencing epoch bumped, in place on the promoted follower's
 /// address), let any remaining follower re-home via its peer list,
 /// finish the stream, and demand every replica lands bit-identical to
 /// the uninterrupted oracle.
@@ -202,19 +194,19 @@ fn leader_handoff_case(kill_at: usize, n_followers: usize) {
 
         // Followers tail it live. Every follower lists follower 0's
         // read address as a peer: after the hand-off the new leader
-        // re-binds exactly that address, so survivors find it by
+        // serves on exactly that address, so survivors find it by
         // rotating to their peer list — no reconfiguration.
         let mut fjoins = Vec::new();
         let mut faddrs: Vec<std::net::SocketAddr> = Vec::new();
         for (i, fdir) in fdirs.iter().enumerate().take(n_followers) {
             let (tx, rx) = mpsc::channel();
             let mut fcfg = follower_cfg(&cfg, laddr.to_string(), fdir);
-            if i > 0 {
-                fcfg.peer_addrs = vec![faddrs[0].to_string()];
+            if let (true, Some(follow)) = (i > 0, &mut fcfg.follow) {
+                follow.peer_addrs = vec![faddrs[0].to_string()];
             }
             let (graph, probs) = (&graph, &probs);
             fjoins.push(s.spawn(move || {
-                serve_follower(graph, probs, fcfg, move |fh| {
+                serve(graph, probs, fcfg, move |fh| {
                     tx.send(fh.addr()).unwrap();
                     fh.wait_shutdown();
                 })
@@ -241,39 +233,21 @@ fn leader_handoff_case(kill_at: usize, n_followers: usize) {
         assert_eq!(lreport.wal_seq, kill_at as u64, "leader died at the split");
 
         let promoted_epoch = Client::connect(faddrs[0]).unwrap().promote().unwrap();
-        let ((), frep0) = fjoins.remove(0).join().unwrap().unwrap();
-        assert!(frep0.promoted, "promote must wind the follower down");
+        let promotee = fjoins.remove(0);
+        let stats = wait_leader(faddrs[0]);
         assert_eq!(
-            frep0.frontier.durable_seq, kill_at as u64,
+            stats.wal_seq, kill_at as u64,
             "promotee had replicated the full head"
         );
-        let epoch = bump_fencing_epoch(&fdirs[0]).unwrap();
-        assert_eq!(epoch, promoted_epoch, "wire promise matches the bump");
-
-        // Leader, life 2 — over the promotee's dir, on its address.
-        let (addr_tx2, addr_rx2) = mpsc::channel();
-        let (stop_tx2, stop_rx2) = mpsc::channel::<()>();
-        let l2 = {
-            let (graph, probs, cfg) = (&graph, &probs, &cfg);
-            let dir = &fdirs[0];
-            let bind = faddrs[0].to_string();
-            let addr_tx2 = std::sync::Mutex::new(Some(addr_tx2));
-            let stop_rx2 = std::sync::Mutex::new(Some(stop_rx2));
-            let notify = move |h: &tirm_server::ServerHandle| {
-                if let Some(tx) = addr_tx2.lock().unwrap().take() {
-                    tx.send(h.addr()).unwrap();
-                }
-                if let Some(rx) = stop_rx2.lock().unwrap().take() {
-                    rx.recv().ok();
-                }
-            };
-            s.spawn(move || {
-                serve_on_vacated_addr(graph, probs, leader_cfg(cfg, dir, Some(bind)), notify)
-            })
-        };
-        let laddr2 = addr_rx2.recv().unwrap();
-        assert_eq!(laddr2, faddrs[0], "hand-off keeps the endpoint");
-        assert_eq!(read_fencing_epoch(&fdirs[0]).unwrap(), epoch);
+        assert_eq!(
+            (stats.fencing_epoch, read_fencing_epoch(&fdirs[0]).unwrap()),
+            (promoted_epoch, promoted_epoch),
+            "wire promise matches the bump"
+        );
+        let laddr2 = faddrs[0];
+        let handshake = Client::connect_with(laddr2, &ClientOptions::default()).unwrap();
+        let role = handshake.hello().map(|h| h.role);
+        assert_eq!(role, Some(Role::Leader), "hand-off keeps the endpoint");
 
         // Tail of the log onto the new leader; fleet converges.
         let mut client = Client::connect(laddr2).unwrap();
@@ -305,8 +279,11 @@ fn leader_handoff_case(kill_at: usize, n_followers: usize) {
                 want.epoch
             );
         }
-        stop_tx2.send(()).unwrap();
-        let ((), lreport2) = l2.join().unwrap().unwrap();
+        Client::connect(laddr2)
+            .and_then(|mut c| c.shutdown_server())
+            .unwrap();
+        let ((), lreport2) = promotee.join().unwrap().unwrap();
+        assert_eq!(lreport2.role, Role::Leader);
         assert!(
             lreport2.final_snapshot.same_allocation(&want),
             "kill_at={kill_at} followers={n_followers}: promoted leader diverged \
@@ -363,7 +340,7 @@ fn follower_restart_case(kill_at: usize, n_followers: usize) {
             let fcfg = follower_cfg(&cfg, laddr.to_string(), &fdirs[i]);
             let (graph, probs) = (&graph, &probs);
             let join = s.spawn(move || {
-                serve_follower(graph, probs, fcfg, move |fh| {
+                serve(graph, probs, fcfg, move |fh| {
                     tx.send(fh.addr()).unwrap();
                     fh.wait_shutdown();
                 })
@@ -389,7 +366,7 @@ fn follower_restart_case(kill_at: usize, n_followers: usize) {
             .and_then(|mut c| c.shutdown_server())
             .unwrap();
         let ((), downed) = join0.join().unwrap().unwrap();
-        assert_eq!(downed.frontier.durable_seq, kill_at as u64);
+        assert_eq!(downed.wal_seq, kill_at as u64);
 
         for ev in &events[kill_at..] {
             client
@@ -480,7 +457,7 @@ fn follower_redirects_mutations_to_the_leader() {
         let fjoin = {
             let (graph, probs) = (&graph, &probs);
             s.spawn(move || {
-                serve_follower(graph, probs, fcfg, move |fh| {
+                serve(graph, probs, fcfg, move |fh| {
                     tx.send(fh.addr()).unwrap();
                     fh.wait_shutdown();
                 })
@@ -531,7 +508,7 @@ fn a_followers_rejections_reach_both_ledgers() {
     let (follower_stats, leader_report) =
         serve(&graph, &probs, leader_cfg(&cfg, &ldir, None), |h| {
             let fcfg = follower_cfg(&cfg, h.addr().to_string(), &fdir);
-            let (stats, _) = serve_follower(&graph, &probs, fcfg, |fh| {
+            let (stats, _) = serve(&graph, &probs, fcfg, |fh| {
                 let mut client = Client::connect(h.addr()).unwrap();
                 for ev in events {
                     client.send_event(ev).unwrap();
@@ -614,7 +591,7 @@ fn late_follower_bootstraps_from_a_pruned_anchor() {
         let fjoin = {
             let (graph, probs) = (&graph, &probs);
             s.spawn(move || {
-                serve_follower(graph, probs, fcfg, move |fh| {
+                serve(graph, probs, fcfg, move |fh| {
                     tx.send(fh.addr()).unwrap();
                     fh.wait_shutdown();
                 })
@@ -691,7 +668,7 @@ fn deposed_leaders_frames_are_fenced_off() {
         let fjoin = {
             let (graph, probs) = (&graph, &probs);
             s.spawn(move || {
-                serve_follower(graph, probs, fcfg, move |fh| {
+                serve(graph, probs, fcfg, move |fh| {
                     tx.send(fh.addr()).unwrap();
                     fh.wait_shutdown();
                 })
@@ -720,7 +697,7 @@ fn deposed_leaders_frames_are_fenced_off() {
             .and_then(|mut c| c.shutdown_server())
             .unwrap();
         let ((), frep) = fjoin.join().unwrap().unwrap();
-        assert_eq!(frep.applied, 0, "stale stream fully rejected");
+        assert_eq!(frep.replicated, 0, "stale stream fully rejected");
         assert!(
             frep.fenced_rejects >= 1,
             "rejections must be visible in the report"

@@ -1,7 +1,7 @@
 //! What parking a caught-up `replicate_poll` at the leader must not
 //! cost: an idle follower still asks once per `poll_interval`, not in a
 //! spin, and a promotion that finds the follower's poll parked still
-//! winds it down within the interval's bound.
+//! takes over within the interval's bound.
 //!
 //! A file of its own, with one test: the poll count is read off the
 //! process-wide registry and the bounds are wall-clock, so nothing else
@@ -12,9 +12,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::OnlineConfig;
-use tirm_server::{
-    serve, serve_follower, Client, DurabilityConfig, FollowerConfig, Role, ServerConfig,
-};
+use tirm_server::{serve, Client, DurabilityConfig, FollowConfig, Role, ServerConfig};
 use tirm_topics::genprob;
 
 #[test]
@@ -46,17 +44,21 @@ fn an_idle_follower_polls_once_per_interval_and_a_parked_poll_does_not_delay_pro
     let polls = &tirm_obs::registry::REPL_POLLS;
 
     serve(&graph, &probs, leader_cfg, |leader| {
-        let follower_cfg = FollowerConfig {
+        let follower_cfg = ServerConfig {
             online: online.clone(),
-            poll_interval: POLL_INTERVAL,
             read_poll: Duration::from_millis(5),
-            ..FollowerConfig::new(leader.addr().to_string(), &follower_dir)
+            durability: Some(DurabilityConfig::new(&follower_dir)),
+            follow: Some(FollowConfig {
+                poll_interval: POLL_INTERVAL,
+                ..FollowConfig::new(leader.addr().to_string())
+            }),
+            ..ServerConfig::default()
         };
         std::thread::scope(|s| {
             let (addr_tx, addr_rx) = mpsc::channel();
             let (graph, probs) = (&graph, &probs);
             let follower = s.spawn(move || {
-                serve_follower(graph, probs, follower_cfg, move |handle| {
+                serve(graph, probs, follower_cfg, move |handle| {
                     addr_tx.send(handle.addr()).unwrap();
                     handle.wait_shutdown();
                 })
@@ -84,13 +86,18 @@ fn an_idle_follower_polls_once_per_interval_and_a_parked_poll_does_not_delay_pro
             assert_eq!(client.stats().unwrap().role, Role::Follower);
             client.promote().unwrap();
             let acked = Instant::now();
+            while client.stats().unwrap().role != Role::Leader {
+                assert!(acked.elapsed() < 100 * POLL_INTERVAL, "never took over");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let took_over = acked.elapsed();
+            client.shutdown_server().unwrap();
             let ((), report) = follower.join().unwrap().unwrap();
-            let wound_down = acked.elapsed();
-            assert!(report.promoted);
-            assert_eq!(report.applied, 0, "nothing to checkpoint on the way out");
+            assert_eq!(report.role, Role::Leader);
+            assert_eq!(report.replicated, 0, "nothing was streamed");
             assert!(
-                wound_down <= 2 * POLL_INTERVAL,
-                "promotion took {wound_down:?} with poll_interval {POLL_INTERVAL:?}"
+                took_over <= 2 * POLL_INTERVAL,
+                "promotion took {took_over:?} with poll_interval {POLL_INTERVAL:?}"
             );
         });
     })

@@ -543,9 +543,8 @@ wire! {
         /// newest replication response it applied.
         leader_seq: u64 => "leader_seq",
         /// Mutations shed over the *process* lifetime (registry-backed):
-        /// unlike `shed`, this survives a follower's promotion to leader
-        /// within the same process, so lag-aware routers see accumulated
-        /// leader pressure across hand-offs.
+        /// unlike `shed`, which counts one `serve` run, this spans every
+        /// run in the process.
         shed_total: u64 => "shed_total",
         /// Allocator rejections over the process lifetime
         /// (registry-backed).
@@ -698,8 +697,9 @@ wire! {
             /// may itself be stale during a hand-off).
             leader: String => "leader",
         },
-        /// A follower acknowledging [`Request::Promote`]: it is tearing
-        /// down the tail loop and will re-serve as leader.
+        /// A follower acknowledging [`Request::Promote`]: it leaves its
+        /// tail loop and takes over as leader in place, on the same
+        /// address.
         "promoting" => Promoting {
             /// The fencing epoch the promoted leader will serve at.
             fencing_epoch: u64 => "fencing_epoch",

@@ -14,7 +14,7 @@ use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::{
-    serve, serve_follower, wal, Client, DurabilityConfig, FollowerConfig, Response, ServerConfig,
+    serve, wal, Client, DurabilityConfig, FollowConfig, Response, Role, ServerConfig,
 };
 use tirm_topics::{genprob, TopicDist};
 
@@ -62,6 +62,30 @@ fn crash_image(live: &Path, image: &Path) {
     }
 }
 
+/// Cadence tight enough that ten events span several segments and
+/// two checkpoints, with a tail past the last one.
+fn durable_cfg(online: &OnlineConfig, dir: &Path) -> ServerConfig {
+    ServerConfig {
+        online: online.clone(),
+        durability: Some(DurabilityConfig {
+            checkpoint_interval: 4,
+            segment_events: 3,
+            ..DurabilityConfig::new(dir)
+        }),
+        ..ServerConfig::default()
+    }
+}
+
+fn follower_cfg(online: &OnlineConfig, leader: std::net::SocketAddr, dir: &Path) -> ServerConfig {
+    ServerConfig {
+        follow: Some(FollowConfig {
+            poll_interval: Duration::from_millis(1),
+            ..FollowConfig::new(leader.to_string())
+        }),
+        ..durable_cfg(online, dir)
+    }
+}
+
 fn wait_for(addr: std::net::SocketAddr, wal_seq: u64, epoch: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -99,33 +123,17 @@ fn leader_follower_and_recovery_agree_with_an_in_process_replay() {
     let want = oracle.snapshot();
     assert_eq!(rejected, 1, "the log holds one duplicate arrival");
 
-    // Cadence tight enough that ten events span several segments and
-    // two checkpoints, with a tail past the last one.
     let (leader_dir, follower_dir, image_dir) = (
         fresh_dir("leader"),
         fresh_dir("follower"),
         fresh_dir("image"),
     );
-    let leader_cfg = ServerConfig {
-        online: online.clone(),
-        durability: Some(DurabilityConfig {
-            checkpoint_interval: 4,
-            segment_events: 3,
-            ..DurabilityConfig::new(&leader_dir)
-        }),
-        ..ServerConfig::default()
-    };
+    let leader_cfg = durable_cfg(&online, &leader_dir);
 
     let ((follower_report, follower_stats), leader_report) =
         serve(&graph, &probs, leader_cfg, |leader| {
-            let follower_cfg = FollowerConfig {
-                online: online.clone(),
-                checkpoint_interval: 4,
-                segment_events: 3,
-                poll_interval: Duration::from_millis(1),
-                ..FollowerConfig::new(leader.addr().to_string(), &follower_dir)
-            };
-            let (stats, report) = serve_follower(&graph, &probs, follower_cfg, |follower| {
+            let follower_cfg = follower_cfg(&online, leader.addr(), &follower_dir);
+            let (stats, report) = serve(&graph, &probs, follower_cfg, |follower| {
                 let mut client = Client::connect(leader.addr()).unwrap();
                 for (i, ev) in log.iter().enumerate() {
                     let answer = client.send_event(ev).unwrap();
@@ -148,16 +156,16 @@ fn leader_follower_and_recovery_agree_with_an_in_process_replay() {
     assert!(leader_report.final_snapshot.same_allocation(&want));
     assert!(follower_report.final_snapshot.same_allocation(&want));
     assert_eq!(leader_report.wal_seq, log.len() as u64);
-    assert_eq!(follower_report.frontier.durable_seq, log.len() as u64);
+    assert_eq!(follower_report.wal_seq, log.len() as u64);
     assert_eq!(follower_report.bootstraps, 0);
-    assert_eq!(follower_report.applied, log.len() as u64);
+    assert_eq!(follower_report.replicated, log.len() as u64);
     // One commit path ⇒ one rejection ledger on both roles.
     assert_eq!(leader_report.rejected, rejected);
-    assert_eq!(follower_report.rejected_on_apply, rejected);
+    assert_eq!(follower_report.rejected, rejected);
     assert_eq!(follower_stats.rejected, rejected);
     // ... and the process-lifetime registry behind `rejected_total`
-    // moves with it: no other test in this process runs a server, so
-    // the total is the leader's count plus the follower's.
+    // moves with it: no other server in this process rejects anything,
+    // so the total is the leader's count plus the follower's.
     assert_eq!(follower_stats.rejected_total, 2 * rejected);
 
     // The kill image: a checkpoint plus a log tail to replay.
@@ -173,6 +181,110 @@ fn leader_follower_and_recovery_agree_with_an_in_process_replay() {
     assert!(warm.snapshot().same_allocation(&want));
 
     for dir in [leader_dir, follower_dir, image_dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A promotion keeps the follower's open log: one segment holds frames
+/// the promotee appended as a follower and then as the leader. A kill
+/// while it leads recovers through that segment to the same allocation,
+/// and the promotion itself wrote no checkpoint.
+#[test]
+fn a_promoted_followers_log_recovers_after_a_kill() {
+    let graph = generators::preferential_attachment(300, 3, 0.3, 11);
+    let probs = genprob::exponential_topic_probs(graph.num_edges(), 2, 8.0, 11 ^ 0x77);
+    let online = OnlineConfig {
+        tirm: TirmOptions {
+            eps: 0.45,
+            seed: 3,
+            threads: 1,
+            max_theta_per_ad: Some(500),
+            ..TirmOptions::default()
+        },
+        kappa: 2,
+        ..OnlineConfig::default()
+    };
+    // Without the duplicate arrival: the first test counts the
+    // process-wide rejections.
+    let mut log = event_log();
+    log.remove(4);
+    // Five frames through the follower (a checkpoint at 4, the open
+    // segment [3, 6) holding 3 and 4), two through the promotee: the
+    // kill image replays from inside that segment.
+    let (head, tail) = (&log[..5], &log[5..7]);
+    let mut oracle = OnlineAllocator::new(&graph, &probs, online.clone());
+    for ev in &log[..7] {
+        oracle.process(ev).unwrap();
+    }
+    let want = oracle.snapshot();
+
+    let (leader_dir, promotee_dir, image_dir) = (
+        fresh_dir("promote_leader"),
+        fresh_dir("promotee"),
+        fresh_dir("promotee_image"),
+    );
+    let ((), promotee_report) = std::thread::scope(|s| {
+        let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+        let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
+        let leader = s.spawn(|| {
+            serve(
+                &graph,
+                &probs,
+                durable_cfg(&online, &leader_dir),
+                move |h| {
+                    addr_tx.send(h.addr()).unwrap();
+                    stop_rx.recv().ok();
+                },
+            )
+        });
+        let laddr = addr_rx.recv().unwrap();
+        let promotee_cfg = follower_cfg(&online, laddr, &promotee_dir);
+        serve(&graph, &probs, promotee_cfg, |promotee| {
+            let mut client = Client::connect(laddr).unwrap();
+            for (i, ev) in head.iter().enumerate() {
+                let answer = client.send_event(ev).unwrap();
+                assert!(matches!(answer, Response::Accepted { .. }), "{answer:?}");
+                wait_for(promotee.addr(), i as u64 + 1, 0);
+            }
+            drop(client);
+            stop_tx.send(()).unwrap();
+            let ((), leader_report) = leader.join().unwrap().unwrap();
+            assert_eq!(leader_report.wal_seq, head.len() as u64);
+
+            let checkpoints = wal::list_checkpoints(&promotee_dir).unwrap();
+            let mut client = Client::connect(promotee.addr()).unwrap();
+            let epoch = client.promote().unwrap();
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while client.stats().unwrap().role != Role::Leader {
+                assert!(Instant::now() < deadline, "the promotee never took over");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(
+                wal::list_checkpoints(&promotee_dir).unwrap(),
+                checkpoints,
+                "a promotion writes no checkpoint"
+            );
+            for ev in tail {
+                let answer = client.send_event(ev).unwrap();
+                assert!(matches!(answer, Response::Accepted { .. }), "{answer:?}");
+            }
+            wait_for(promotee.addr(), 7, want.epoch);
+            crash_image(&promotee_dir, &image_dir);
+            assert_eq!(client.stats().unwrap().fencing_epoch, epoch);
+        })
+        .unwrap()
+    });
+    assert_eq!(promotee_report.role, Role::Leader);
+    assert!(promotee_report.final_snapshot.same_allocation(&want));
+
+    let (recovered, report) = wal::recover(&image_dir, &graph, &probs, &online).unwrap();
+    assert_eq!(report.wal_seq, 7);
+    assert_eq!(report.checkpoint_seq, Some(4));
+    assert_eq!(report.replayed, 3);
+    assert!(recovered.snapshot().same_allocation(&want));
+    assert_eq!(wal::read_fencing_epoch(&image_dir).unwrap(), 1);
+
+    for dir in [leader_dir, promotee_dir, image_dir] {
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -12,9 +12,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::{OnlineConfig, OnlineEvent};
-use tirm_server::{
-    serve, serve_follower, Client, DurabilityConfig, FollowerConfig, Response, ServerConfig,
-};
+use tirm_server::{serve, Client, DurabilityConfig, FollowConfig, Response, ServerConfig};
 use tirm_topics::{genprob, TopicDist};
 
 #[test]
@@ -55,12 +53,16 @@ fn a_mutation_reaches_an_idle_follower_without_waiting_for_its_poll_interval() {
     let top_ups = (0..5).map(|_| OnlineEvent::BudgetTopUp { id: 1, amount: 0.5 });
 
     let (slowest, _) = serve(&graph, &probs, leader_cfg, |leader| {
-        let follower_cfg = FollowerConfig {
+        let follower_cfg = ServerConfig {
             online: online.clone(),
-            poll_interval: POLL_INTERVAL,
-            ..FollowerConfig::new(leader.addr().to_string(), &follower_dir)
+            durability: Some(DurabilityConfig::new(&follower_dir)),
+            follow: Some(FollowConfig {
+                poll_interval: POLL_INTERVAL,
+                ..FollowConfig::new(leader.addr().to_string())
+            }),
+            ..ServerConfig::default()
         };
-        let (slowest, _) = serve_follower(&graph, &probs, follower_cfg, |follower| {
+        let (slowest, _) = serve(&graph, &probs, follower_cfg, |follower| {
             let mut to_leader = Client::connect(leader.addr()).unwrap();
             let mut to_follower = Client::connect(follower.addr()).unwrap();
             let mut slowest = Duration::ZERO;
