@@ -213,9 +213,10 @@ impl AdWarmState {
         self.index.num_sets()
     }
 
-    /// Exact bytes of reusable capital — index, θ-engine workspaces, KPT
-    /// width cache + estimation workspaces, and the base score snapshot —
-    /// the online pool's eviction currency.
+    /// Exact bytes of reusable capital — index, the θ and KPT engines'
+    /// RNG states, KPT width cache, and the base score snapshot — the
+    /// online pool's eviction currency. Sampling workspaces are lent to
+    /// the drawing thread per batch and charged to no ad.
     pub fn memory_bytes(&self) -> usize {
         self.index.memory_bytes()
             + self.engine.memory_bytes()

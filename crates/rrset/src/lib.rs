@@ -15,10 +15,11 @@
 //!   it by `δ = 1` is the paper's hard cover (Algorithm 2, line 12), with
 //!   scores that stay integer counts of uncovered sets.
 //! * [`parallel`] — the deterministic multi-threaded sampling engine
-//!   ([`ParallelSampler`]): θ samples sharded over persistent per-thread
-//!   RNG/workspace pairs, merged contention-free in shard order. Same
-//!   `(seed, threads)` ⇒ identical collections; `threads = 1` is
-//!   bit-identical to the serial path.
+//!   ([`ParallelSampler`]): θ samples sharded over persistent per-shard
+//!   RNG streams, drawn through workspaces lent to the drawing thread —
+//!   on the calling thread when the process has one CPU — and merged in
+//!   draw order. Same `(seed, threads)` ⇒ identical collections on any
+//!   host; `threads = 1` is bit-identical to the serial path.
 //! * [`heap`] — lazy max-heaps for CELF-style best-node selection.
 //! * [`tim`] — the TIM sample-size machinery TIRM keeps: KPT estimation
 //!   and the `λ(s, ε)` / `L(s, ε)` bounds (Eq. 5).

@@ -4,24 +4,35 @@
 //! single `SmallRng` + [`SampleWorkspace`] pair — the hot path of TIM's θ
 //! sampling, TIRM's per-ad growing collections and RR-based evaluation,
 //! using exactly one core. [`ParallelSampler`] shards a batch of θ samples
-//! over `threads` workers:
+//! over `threads` RNG streams:
 //!
-//! * **Per-shard state.** Every shard owns a persistent `SmallRng` (seeded
-//!   `seed ⊕ shard_id·γ`, where γ is the 64-bit golden-ratio constant; shard
-//!   0's seed is exactly `seed`) and its own [`SampleWorkspace`], so
-//!   consecutive batches continue each shard's stream — no cross-thread
-//!   contention, no reseeding between top-ups.
-//! * **Deterministic merge.** Workers write into per-shard arenas
-//!   (`RrArena`: one flat node buffer + offsets, no per-set allocation);
-//!   the merge pass drains arenas in shard order, so a fixed
-//!   `(seed, threads)` pair yields an identical collection no matter how
-//!   the OS schedules the workers.
+//! * **The RNG stream is the shard's.** Every shard owns a persistent
+//!   `SmallRng` (seeded `seed ⊕ shard_id·γ`, where γ is the 64-bit
+//!   golden-ratio constant; shard 0's seed is exactly `seed`), so
+//!   consecutive batches continue each shard's stream — no reseeding
+//!   between top-ups.
+//! * **The scratch is the drawing thread's.** A [`SampleWorkspace`]
+//!   (epoch-stamped marks, queue, out buffer) carries nothing from one
+//!   draw to the next, so it belongs to whichever thread draws, not to a
+//!   shard or an engine. A drawing thread borrows one from a process-wide
+//!   idle list for the batch, grown to the engine's node count, and puts
+//!   it back at the end: the process holds as many workspaces as threads
+//!   ever drew at once, not one per shard per engine per ad.
+//! * **Two ways to draw a batch.** With one shard, or when the process
+//!   can run on only one CPU (`available_parallelism() == 1`, read once),
+//!   the calling thread draws every set itself, straight into the sink,
+//!   taking draw `g` from shard `g mod threads` through one workspace —
+//!   no worker threads that could only take turns. Otherwise one worker
+//!   per shard draws its quota into a private arena (`RrArena`: one flat
+//!   node buffer + offsets, no per-set allocation) and the merge pass
+//!   drains the arenas in draw order. Both give the same sets in the same
+//!   order, so the stream never depends on the host.
 //! * **Serial compatibility.** With `threads = 1` the engine *is* the old
 //!   serial loop: one shard, seeded `seed`, samples appended in draw order —
 //!   bit-identical to `SmallRng::seed_from_u64(seed)` + a `for` loop.
 //! * **Batch-split invariance.** Global draw `g` (counted across the
-//!   engine's lifetime) is assigned to shard `g mod threads` and the merge
-//!   pass interleaves arenas in that same round-robin order, so
+//!   engine's lifetime) is assigned to shard `g mod threads`, and both
+//!   ways of drawing emit in that same round-robin order, so
 //!   `sample_into(a); sample_into(b)` produces *exactly* the sequence of
 //!   `sample_into(a + b)`. The engine's output is a single deterministic
 //!   stream of which every batch reads the next window — the property the
@@ -36,6 +47,7 @@ use crate::sampler::{RrSampler, SampleWorkspace};
 use crate::weighted::WeightedRrCollection;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use tirm_graph::NodeId;
 
 /// 2^64 / φ — the weyl-sequence constant used to spread shard seeds.
@@ -126,33 +138,94 @@ impl RrArena {
     }
 }
 
-/// One worker's persistent state. The RNG is the bare generator: a
-/// block-buffered wrapper measured ~2× slower than xoshiro state the
-/// compiler keeps in registers across the BFS loop (ARCHITECTURE, "RR
-/// hot path").
-struct Shard {
-    rng: SmallRng,
-    ws: SampleWorkspace,
+/// Workspaces no thread is drawing through right now.
+static IDLE_WORKSPACES: Mutex<Vec<SampleWorkspace>> = Mutex::new(Vec::new());
+
+/// Runs `f` on a workspace lent to the calling thread, covering at least
+/// `n` nodes, and puts it back on the idle list afterwards. A workspace
+/// carries nothing between draws (its marks are epoch-stamped), so which
+/// one a thread gets never shows in the sets.
+fn with_workspace<R>(n: usize, f: impl FnOnce(&mut SampleWorkspace) -> R) -> R {
+    let idle = || {
+        IDLE_WORKSPACES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    };
+    let mut ws = idle().pop().unwrap_or_else(|| SampleWorkspace::new(n));
+    ws.grow_to(n);
+    let out = f(&mut ws);
+    idle().push(ws);
+    out
+}
+
+/// Whether the process can run on only one CPU (its affinity mask or CPU
+/// quota), read once. Worker threads there could only take turns.
+fn one_cpu() -> bool {
+    static ONE_CPU: OnceLock<bool> = OnceLock::new();
+    *ONE_CPU.get_or_init(|| std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() == 1))
+}
+
+/// The shard of every draw from global draw `start` on — `g mod t` for
+/// `g = start, start + 1, …`, without a division per draw.
+fn shard_order(start: usize, t: usize) -> impl Iterator<Item = usize> {
+    (0..t).cycle().skip(start % t)
+}
+
+/// How each set of a batch is drawn: the plain walk, or through a
+/// [`FastPath`] whose threshold table is built on the calling thread —
+/// workers then share a table that lives in the caller's allocator arena
+/// instead of in that of whichever worker drew first.
+#[derive(Clone, Copy)]
+struct Route<'a, 'g, 'f> {
+    sampler: &'a RrSampler<'g>,
+    fast: Option<&'a FastPath<'f>>,
+}
+
+impl<'a, 'g, 'f> Route<'a, 'g, 'f> {
+    fn new(sampler: &'a RrSampler<'g>, fast: Option<&'a FastPath<'f>>) -> Self {
+        if let Some(fp) = fast {
+            fp.thresholds();
+        }
+        Route { sampler, fast }
+    }
+
+    #[inline]
+    fn draw<'w>(&self, ws: &'w mut SampleWorkspace, rng: &mut SmallRng) -> &'w [NodeId] {
+        match self.fast {
+            Some(fp) => self.sampler.sample_with(fp, ws, rng),
+            None => self.sampler.sample(ws, rng),
+        }
+    }
+}
+
+/// Where a batch is drawn: on the calling thread through the given
+/// workspace, or on one worker thread per shard.
+enum Drawing<'w> {
+    Inline(&'w mut SampleWorkspace),
+    Threaded,
 }
 
 /// Deterministic multi-threaded RR-set sampler with persistent per-shard
 /// RNG streams. See the module docs for the determinism contract.
 pub struct ParallelSampler {
-    shards: Vec<Shard>,
+    /// Shard `i`'s stream. The RNG is the bare generator: a
+    /// block-buffered wrapper measured ~2× slower than xoshiro state the
+    /// compiler keeps in registers across the BFS loop (ARCHITECTURE,
+    /// "RR hot path").
+    rngs: Vec<SmallRng>,
+    num_nodes: usize,
     total_sampled: usize,
 }
 
 impl ParallelSampler {
     /// Engine over a graph with `num_nodes` nodes.
     pub fn new(config: SamplingConfig, num_nodes: usize) -> Self {
-        let shards = (0..config.effective_threads())
-            .map(|i| Shard {
-                rng: SmallRng::seed_from_u64(config.shard_seed(i)),
-                ws: SampleWorkspace::new(num_nodes),
-            })
+        let rngs = (0..config.effective_threads())
+            .map(|i| SmallRng::seed_from_u64(config.shard_seed(i)))
             .collect();
         ParallelSampler {
-            shards,
+            rngs,
+            num_nodes,
             total_sampled: 0,
         }
     }
@@ -162,24 +235,12 @@ impl ParallelSampler {
         self.total_sampled
     }
 
-    /// Bytes held by the engine's persistent per-shard workspaces
-    /// (O(n · threads) mark arrays) — counted by long-lived owners like
-    /// the online serving layer's warm states.
+    /// Bytes held by the engine: its per-shard RNG states. Workspaces
+    /// are lent to the drawing thread for one batch and charged to no
+    /// engine, so this depends on the configuration alone, never on the
+    /// host's CPU count.
     pub fn memory_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.ws.memory_bytes() + std::mem::size_of::<SmallRng>())
-            .sum()
-    }
-
-    /// Has `fast` build its threshold table now, on the calling thread,
-    /// if a batch of `count` draws anything: the workers then share a
-    /// table that lives in the caller's allocator arena instead of in
-    /// that of whichever worker drew first.
-    fn build_route(&self, fast: Option<&FastPath<'_>>, count: usize) {
-        if let Some(fp) = fast.filter(|_| count > 0) {
-            fp.thresholds();
-        }
+        self.rngs.len() * std::mem::size_of::<SmallRng>()
     }
 
     /// Per-shard quotas for the batch of `count` samples starting at
@@ -189,12 +250,56 @@ impl ParallelSampler {
     /// on how earlier requests were chunked — is what makes the engine's
     /// output batch-split invariant.
     fn quotas(&self, start: usize, count: usize) -> Vec<usize> {
-        let t = self.shards.len();
+        let t = self.rngs.len();
         // Draws of shard i in [0, x).
         let upto = |x: usize, i: usize| x / t + usize::from(x % t > i);
         (0..t)
             .map(|i| upto(start + count, i) - upto(start, i))
             .collect()
+    }
+
+    /// Runs `batch` the way this process draws: inline through a lent
+    /// workspace with one shard or one CPU, threaded otherwise.
+    fn run_batch(&mut self, batch: impl FnOnce(&mut Self, Drawing<'_>)) {
+        if self.rngs.len() == 1 || one_cpu() {
+            with_workspace(self.num_nodes, |ws| batch(self, Drawing::Inline(ws)));
+        } else {
+            batch(self, Drawing::Threaded);
+        }
+    }
+
+    /// Runs `work(rng, quota, ws)` for every shard on a worker thread of
+    /// its own, through a workspace lent to that thread, for the batch of
+    /// `count` draws from `start` on; returns the results in shard order.
+    fn on_workers<T: Send>(
+        &mut self,
+        start: usize,
+        count: usize,
+        work: impl Fn(&mut SmallRng, usize, &mut SampleWorkspace) -> T + Sync,
+    ) -> Vec<T> {
+        let (quotas, n, work) = (self.quotas(start, count), self.num_nodes, &work);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .rngs
+                .iter_mut()
+                .zip(quotas)
+                .map(|(rng, quota)| {
+                    scope.spawn(move || with_workspace(n, |ws| work(rng, quota, ws)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sampling worker panicked"))
+                .collect()
+        })
+    }
+
+    /// Counts a finished batch of `count` draws.
+    fn advance(&mut self, count: usize) {
+        self.total_sampled += count;
+        // Batch-granular observability: one sharded counter add per call,
+        // nothing per set.
+        tirm_obs::registry::RR_SETS_SAMPLED.add(count as u64);
     }
 
     /// Draws `count` classic RR sets into `sink` (θ-batch sampling) and
@@ -219,29 +324,21 @@ impl ParallelSampler {
         count: usize,
         sink: &mut impl RrSink,
     ) -> usize {
-        self.build_route(fast, count);
-        match fast {
-            Some(fp) => self.run_batch(count, sink, |shard, quota, emit| {
-                for _ in 0..quota {
-                    emit(sampler.sample_with(fp, &mut shard.ws, &mut shard.rng));
-                }
-            }),
-            None => self.run_batch(count, sink, |shard, quota, emit| {
-                for _ in 0..quota {
-                    emit(sampler.sample(&mut shard.ws, &mut shard.rng));
-                }
-            }),
+        if count > 0 {
+            let route = Route::new(sampler, fast);
+            self.run_batch(|engine, how| engine.sets_into(how, route, count, sink));
         }
+        count
     }
 
     /// Draws `count` RR sets and appends `map` of each to `out`, in
     /// deterministic stream order (used by KPT width estimation, where
     /// only a per-set statistic is needed and sets are discarded). `out`
-    /// is extended once, by an iterator of exactly `count` items: one
-    /// shard's draws stream straight into it; several shards each fill a
-    /// chunk of their quota, merged into `out` in draw order. Optionally
-    /// routed through a precomputed [`FastPath`]; bit-identical stream
-    /// either way.
+    /// is extended once, by an iterator of exactly `count` items: inline
+    /// draws stream straight into it; threaded shards each fill a chunk
+    /// of their quota, merged into `out` in draw order. Optionally routed
+    /// through a precomputed [`FastPath`]; bit-identical stream either
+    /// way.
     pub fn sample_map_with<T, F>(
         &mut self,
         sampler: &RrSampler<'_>,
@@ -253,95 +350,75 @@ impl ParallelSampler {
         T: Send,
         F: Fn(&[NodeId]) -> T + Sync,
     {
-        self.build_route(fast, count);
-        let start = self.total_sampled;
-        let map = &map;
-        let draw = |shard: &mut Shard| match fast {
-            Some(fp) => map(sampler.sample_with(fp, &mut shard.ws, &mut shard.rng)),
-            None => map(sampler.sample(&mut shard.ws, &mut shard.rng)),
-        };
-        let draw = &draw;
-        if self.shards.len() == 1 {
-            let shard = &mut self.shards[0];
-            out.extend((0..count).map(|_| draw(shard)));
-        } else {
-            let t = self.shards.len();
-            let quotas = self.quotas(start, count);
-            let chunks: Vec<Vec<T>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&quotas)
-                    .map(|(shard, &quota)| {
-                        scope.spawn(move || (0..quota).map(|_| draw(shard)).collect())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sampling worker panicked"))
-                    .collect()
-            });
-            let mut iters: Vec<_> = chunks.into_iter().map(Vec::into_iter).collect();
-            out.extend(
-                (start..start + count)
-                    .map(|g| iters[g % t].next().expect("quota covers the window")),
-            );
+        if count > 0 {
+            let route = Route::new(sampler, fast);
+            self.run_batch(|engine, how| engine.map_into(how, route, count, out, &map));
         }
-        self.total_sampled += count;
-        tirm_obs::registry::RR_SETS_SAMPLED.add(count as u64);
     }
 
-    /// Shared batch driver. `work` draws one shard's quota, handing each
-    /// sampled set to an `emit` callback. With one shard the emitter *is*
-    /// the sink (sets stream straight into the collection, like the old
-    /// serial loop); with several, each worker emits into a private
-    /// [`RrArena`] and the arenas are merged into `sink` in round-robin
-    /// draw order (`g mod threads`) — byte-identical sink contents for a
-    /// fixed configuration no matter how requests are chunked.
-    fn run_batch<W>(&mut self, count: usize, sink: &mut impl RrSink, work: W) -> usize
-    where
-        W: Fn(&mut Shard, usize, &mut dyn FnMut(&[NodeId])) + Sync,
-    {
-        if count == 0 {
-            return 0;
-        }
-        let start = self.total_sampled;
-        if self.shards.len() == 1 {
-            work(&mut self.shards[0], count, &mut |set| sink.add_rr_set(set));
-        } else {
-            let t = self.shards.len();
-            let quotas = self.quotas(start, count);
-            let work = &work;
-            let arenas: Vec<RrArena> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(&quotas)
-                    .map(|(shard, &quota)| {
-                        scope.spawn(move || {
-                            let mut arena = RrArena::with_capacity(quota);
-                            work(shard, quota, &mut |set| arena.push(set));
-                            arena
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sampling worker panicked"))
-                    .collect()
-            });
-            let mut cursors = vec![0usize; t];
-            for g in start..start + count {
-                let s = g % t;
-                sink.add_rr_set(arenas[s].get(cursors[s]));
-                cursors[s] += 1;
+    /// Draws the next `count` sets of the stream into `sink`, in draw
+    /// order. Inline, every set streams straight into the sink; threaded,
+    /// each worker emits into a private [`RrArena`] and the arenas are
+    /// merged into `sink` in round-robin draw order (`g mod threads`).
+    fn sets_into(&mut self, how: Drawing<'_>, route: Route, count: usize, sink: &mut impl RrSink) {
+        let (start, t) = (self.total_sampled, self.rngs.len());
+        match how {
+            Drawing::Inline(ws) => {
+                for s in shard_order(start, t).take(count) {
+                    sink.add_rr_set(route.draw(ws, &mut self.rngs[s]));
+                }
+            }
+            Drawing::Threaded => {
+                let arenas = self.on_workers(start, count, |rng, quota, ws| {
+                    let mut arena = RrArena::with_capacity(quota);
+                    for _ in 0..quota {
+                        arena.push(route.draw(ws, rng));
+                    }
+                    arena
+                });
+                let mut cursors = vec![0usize; t];
+                for s in shard_order(start, t).take(count) {
+                    sink.add_rr_set(arenas[s].get(cursors[s]));
+                    cursors[s] += 1;
+                }
             }
         }
-        self.total_sampled += count;
-        // Batch-granular observability: one sharded counter add per call,
-        // nothing per set.
-        tirm_obs::registry::RR_SETS_SAMPLED.add(count as u64);
-        count
+        self.advance(count);
+    }
+
+    /// [`Self::sets_into`] for a per-set statistic: extends `out` once,
+    /// by `map` of each of the next `count` sets in draw order.
+    fn map_into<T: Send>(
+        &mut self,
+        how: Drawing<'_>,
+        route: Route,
+        count: usize,
+        out: &mut impl Extend<T>,
+        map: &(impl Fn(&[NodeId]) -> T + Sync),
+    ) {
+        let (start, t) = (self.total_sampled, self.rngs.len());
+        match how {
+            Drawing::Inline(ws) => {
+                let rngs = &mut self.rngs;
+                out.extend(
+                    shard_order(start, t)
+                        .take(count)
+                        .map(|s| map(route.draw(ws, &mut rngs[s]))),
+                );
+            }
+            Drawing::Threaded => {
+                let chunks: Vec<Vec<T>> = self.on_workers(start, count, |rng, quota, ws| {
+                    (0..quota).map(|_| map(route.draw(ws, rng))).collect()
+                });
+                let mut iters: Vec<_> = chunks.into_iter().map(Vec::into_iter).collect();
+                out.extend(
+                    shard_order(start, t)
+                        .take(count)
+                        .map(|s| iters[s].next().expect("quota covers the window")),
+                );
+            }
+        }
+        self.advance(count);
     }
 }
 
@@ -492,6 +569,106 @@ mod tests {
 
             assert_eq!(plain, fast, "threads={threads}");
             assert_eq!(plain_sizes, fast_sizes, "threads={threads}");
+        }
+    }
+
+    /// Drawing through `ws` on the calling thread, or on worker threads.
+    fn drawing(inline: bool, ws: &mut SampleWorkspace) -> Drawing<'_> {
+        if inline {
+            Drawing::Inline(ws)
+        } else {
+            Drawing::Threaded
+        }
+    }
+
+    #[test]
+    fn inline_and_threaded_drawing_give_the_same_stream() {
+        // Which way a batch is drawn is the host's choice (one CPU ⇒ on
+        // the calling thread); neither the sets nor the widths may show
+        // it, for any shard count, batch split or route.
+        use crate::fastpath::{FastPath, SamplingLayout};
+        use std::sync::Arc;
+
+        let g = generators::preferential_attachment(150, 3, 0.2, 8);
+        let probs = probs_for(&g);
+        let sampler = RrSampler::new(&g, &probs);
+        let fp = FastPath::new(Arc::new(SamplingLayout::degree_ordered(&g)), &g, &probs);
+        for threads in [2usize, 3, 4] {
+            for splits in [&[700][..], &[1, 699], &[233, 233, 234]] {
+                for fast in [None, Some(&fp)] {
+                    let run = |inline: bool| {
+                        let mut e = ParallelSampler::new(SamplingConfig::new(threads, 29), 150);
+                        let mut ws = SampleWorkspace::new(150);
+                        let mut sets: Vec<Vec<NodeId>> = Vec::new();
+                        let mut widths = Vec::new();
+                        for &count in splits {
+                            let route = Route::new(&sampler, fast);
+                            e.sets_into(drawing(inline, &mut ws), route, count, &mut sets);
+                            e.map_into(drawing(inline, &mut ws), route, count, &mut widths, &|s| {
+                                s.len()
+                            });
+                        }
+                        assert_eq!(e.total_sampled(), 1400);
+                        (sets, widths)
+                    };
+                    let fast = fast.is_some();
+                    assert_eq!(run(true), run(false), "{threads} {splits:?} fast={fast}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_lent_workspace_serves_engines_over_different_graphs() {
+        // Two engines over graphs of different n draw interleaved through
+        // one workspace, whose epoch wraps to 0 mid-stream: each gets the
+        // sets it gets alone.
+        let small = generators::erdos_renyi(60, 240, 3);
+        let big = generators::preferential_attachment(400, 3, 0.2, 5);
+        let (small_probs, big_probs) = (probs_for(&small), probs_for(&big));
+        let small_s = RrSampler::new(&small, &small_probs);
+        let big_s = RrSampler::new(&big, &big_probs);
+        let engine = |s: &RrSampler<'_>, threads| {
+            ParallelSampler::new(SamplingConfig::new(threads, 41), s.graph().num_nodes())
+        };
+        let alone = |s: &RrSampler<'_>, threads| {
+            let mut ws = SampleWorkspace::new(s.graph().num_nodes());
+            let mut sets: Vec<Vec<NodeId>> = Vec::new();
+            engine(s, threads).sets_into(
+                Drawing::Inline(&mut ws),
+                Route::new(s, None),
+                300,
+                &mut sets,
+            );
+            sets
+        };
+
+        // Made for the small graph, drawn on, then grown each time the big
+        // one borrows it, as the idle list lends.
+        let mut ws = SampleWorkspace::near_wrap(60, 250);
+        let (mut small_e, mut big_e) = (engine(&small_s, 3), engine(&big_s, 2));
+        let (mut small_sets, mut big_sets) = (Vec::new(), Vec::new());
+        for _ in 0..10 {
+            let (s, b) = (Route::new(&small_s, None), Route::new(&big_s, None));
+            small_e.sets_into(Drawing::Inline(&mut ws), s, 30, &mut small_sets);
+            ws.grow_to(400);
+            big_e.sets_into(Drawing::Inline(&mut ws), b, 30, &mut big_sets);
+        }
+        assert_eq!(small_sets, alone(&small_s, 3));
+        assert_eq!(big_sets, alone(&big_s, 2));
+    }
+
+    #[test]
+    fn memory_bytes_charges_no_workspace() {
+        let g = generators::erdos_renyi(500, 2000, 1);
+        let probs = probs_for(&g);
+        let sampler = RrSampler::new(&g, &probs);
+        for threads in [1usize, 3] {
+            let mut e = ParallelSampler::new(SamplingConfig::new(threads, 3), 500);
+            let before = e.memory_bytes();
+            e.sample_into(&sampler, 100, &mut Vec::new());
+            assert_eq!(e.memory_bytes(), before);
+            assert_eq!(before, threads * std::mem::size_of::<SmallRng>());
         }
     }
 

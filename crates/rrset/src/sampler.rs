@@ -46,6 +46,25 @@ impl SampleWorkspace {
         self.last_root
     }
 
+    /// Grows the mark array to cover `n` nodes; never shrinks. A
+    /// workspace lent from engine to engine serves the largest graph it
+    /// has drawn on. New marks are 0, an epoch no draw stamps with.
+    pub(crate) fn grow_to(&mut self, n: usize) {
+        if self.mark.len() < n {
+            self.mark.resize(n, 0);
+        }
+    }
+
+    /// A fresh workspace whose epoch wraps to 0 on its `draws_left`-th
+    /// draw after this one.
+    #[cfg(test)]
+    pub(crate) fn near_wrap(n: usize, draws_left: u32) -> Self {
+        SampleWorkspace {
+            epoch: u32::MAX - draws_left,
+            ..SampleWorkspace::new(n)
+        }
+    }
+
     /// Bytes held by the workspace (the O(n) mark array dominates) —
     /// feeds the long-lived owners' memory accounting.
     pub fn memory_bytes(&self) -> usize {

@@ -429,7 +429,7 @@ pub struct KptState {
 
 impl KptState {
     /// Bytes held: the width cache's byte capacity, plus the estimation
-    /// engine's O(n) per-shard workspaces.
+    /// engine's RNG states.
     pub fn memory_bytes(&self) -> usize {
         self.widths.capacity() + self.engine.memory_bytes()
     }

@@ -309,13 +309,7 @@ fn main() -> ExitCode {
                     },
                 ),
             }
-            handle.wait_shutdown();
-            eprintln!("shutdown requested — draining the write queue");
-        },
-    );
-    match served {
-        Ok(((), report)) => {
-            if let Some(rec) = &report.recovery {
+            if let Some(rec) = handle.recovery() {
                 eprintln!(
                     "recovery: checkpoint {:?}, {} replayed ({} re-rejected), resumed at wal_seq {}",
                     rec.checkpoint_seq, rec.replayed, rec.rejected_on_replay, rec.wal_seq
@@ -324,6 +318,12 @@ fn main() -> ExitCode {
                     eprintln!("recovery warning: {w}");
                 }
             }
+            handle.wait_shutdown();
+            eprintln!("shutdown requested — draining the write queue");
+        },
+    );
+    match served {
+        Ok(((), report)) => {
             if server_cfg.follow.is_some() {
                 eprintln!(
                     "followed: {} replicated, {} bootstrap(s), {} fenced reject(s); ended as {} \

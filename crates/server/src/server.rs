@@ -299,6 +299,7 @@ pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) swap: Arc<SnapshotSwap>,
     pub(crate) shared: Arc<Shared>,
+    recovery: Option<RecoveryReport>,
 }
 
 impl ServerHandle {
@@ -306,6 +307,13 @@ impl ServerHandle {
     /// the config bound port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// What start-up recovery found (`None` when durability is off) —
+    /// known before the first request is served, and the same report
+    /// [`ServeReport::recovery`] carries at the end.
+    pub fn recovery(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
     }
 
     /// An in-process reader over the same snapshot cell the connection
@@ -490,6 +498,7 @@ pub fn serve<R>(
         addr,
         swap: swap.clone(),
         shared: shared.clone(),
+        recovery,
     };
 
     let (result, fed) = std::thread::scope(|s| {
@@ -555,7 +564,7 @@ pub fn serve<R>(
         max_queue_depth: shared.max_queue_len.load(Ordering::Relaxed),
         connections: shared.connections_total.load(Ordering::Relaxed),
         connections_refused: shared.connections_refused.load(Ordering::Relaxed),
-        recovery,
+        recovery: handle.recovery,
         wal_seq: shared.wal_seq.load(Ordering::Acquire),
         fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire),
         role: shared.role(),

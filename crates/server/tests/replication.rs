@@ -8,13 +8,14 @@
 //! sweep: the typed `NotLeader` redirect, checkpoint bootstrap over a
 //! pruned anchor, and fencing rejection of a deposed leader's frames.
 
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::wal::{bump_fencing_epoch, read_fencing_epoch};
+use tirm_server::wal::{bump_fencing_epoch, list_segments, read_fencing_epoch};
 use tirm_server::{
     serve, Client, ClientOptions, DurabilityConfig, FollowConfig, Response, Role, ServerConfig,
     StatsView,
@@ -99,12 +100,38 @@ fn follower_cfg(cfg: &OnlineConfig, leader: String, dir: &Path) -> ServerConfig 
     }
 }
 
+/// Sends `shutdown` to every follower a case started if the case
+/// unwinds. A failed assertion would otherwise leave the followers parked
+/// in `wait_shutdown`, and the enclosing `thread::scope` would join them
+/// forever instead of failing the test. A clean exit sends nothing.
+#[derive(Default)]
+struct ShutdownOnUnwind(Mutex<Vec<SocketAddr>>);
+
+impl ShutdownOnUnwind {
+    /// Notes `addr` for the unwind and returns it.
+    fn watch(&self, addr: SocketAddr) -> SocketAddr {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(addr);
+        addr
+    }
+}
+
+impl Drop for ShutdownOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let addrs = self.0.get_mut().unwrap_or_else(|e| e.into_inner());
+            for &addr in addrs.iter() {
+                let _ = Client::connect(addr).and_then(|mut c| c.shutdown_server());
+            }
+        }
+    }
+}
+
 /// Polls a replica's stats until both frontiers arrive: the durable
 /// `wal_seq` (counts every logged frame, rejected ones included) and
 /// the *published* epoch (the applied, snapshot-visible frontier —
 /// rejected frames never bump it, and it trails `wal_seq` by up to one
 /// fsync page even on accepted ones).
-fn wait_applied(addr: std::net::SocketAddr, wal_target: u64, epoch_target: u64) {
+fn wait_applied(addr: SocketAddr, wal_target: u64, epoch_target: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Ok(stats) = Client::connect(addr).and_then(|mut c| c.stats()) {
@@ -140,7 +167,7 @@ fn epoch_per_prefix(
 }
 
 /// Polls a promoted replica's stats until it answers as the leader.
-fn wait_leader(addr: std::net::SocketAddr) -> StatsView {
+fn wait_leader(addr: SocketAddr) -> StatsView {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Ok(stats) = Client::connect(addr).and_then(|mut c| c.stats()) {
@@ -178,6 +205,7 @@ fn leader_handoff_case(kill_at: usize, n_followers: usize) {
         .collect();
 
     std::thread::scope(|s| {
+        let followers_down = ShutdownOnUnwind::default();
         // Leader, life 1.
         let (addr_tx, addr_rx) = mpsc::channel();
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
@@ -197,7 +225,7 @@ fn leader_handoff_case(kill_at: usize, n_followers: usize) {
         // serves on exactly that address, so survivors find it by
         // rotating to their peer list — no reconfiguration.
         let mut fjoins = Vec::new();
-        let mut faddrs: Vec<std::net::SocketAddr> = Vec::new();
+        let mut faddrs: Vec<SocketAddr> = Vec::new();
         for (i, fdir) in fdirs.iter().enumerate().take(n_followers) {
             let (tx, rx) = mpsc::channel();
             let mut fcfg = follower_cfg(&cfg, laddr.to_string(), fdir);
@@ -211,7 +239,7 @@ fn leader_handoff_case(kill_at: usize, n_followers: usize) {
                     fh.wait_shutdown();
                 })
             }));
-            faddrs.push(rx.recv().unwrap());
+            faddrs.push(followers_down.watch(rx.recv().unwrap()));
         }
 
         // Head of the log, then wait until the whole fleet applied it.
@@ -322,6 +350,7 @@ fn follower_restart_case(kill_at: usize, n_followers: usize) {
         .collect();
 
     std::thread::scope(|s| {
+        let followers_down = ShutdownOnUnwind::default();
         let (addr_tx, addr_rx) = mpsc::channel();
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let leader = {
@@ -345,7 +374,7 @@ fn follower_restart_case(kill_at: usize, n_followers: usize) {
                     fh.wait_shutdown();
                 })
             });
-            (join, rx.recv().unwrap())
+            (join, followers_down.watch(rx.recv().unwrap()))
         };
         let mut followers: Vec<_> = (0..n_followers).map(spawn_follower).collect();
 
@@ -439,6 +468,7 @@ fn follower_redirects_mutations_to_the_leader() {
     let fdir = fresh_dir("redirect_f");
 
     std::thread::scope(|s| {
+        let followers_down = ShutdownOnUnwind::default();
         let (addr_tx, addr_rx) = mpsc::channel();
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let leader = {
@@ -463,7 +493,7 @@ fn follower_redirects_mutations_to_the_leader() {
                 })
             })
         };
-        let faddr = rx.recv().unwrap();
+        let faddr = followers_down.watch(rx.recv().unwrap());
 
         let mut fclient = Client::connect(faddr).unwrap();
         match fclient.send_event(&arrival(9, 1.0, 0)).unwrap() {
@@ -562,6 +592,7 @@ fn late_follower_bootstraps_from_a_pruned_anchor() {
     let epochs = epoch_per_prefix(&graph, &probs, &cfg, &events);
 
     std::thread::scope(|s| {
+        let followers_down = ShutdownOnUnwind::default();
         let (addr_tx, addr_rx) = mpsc::channel();
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let leader = {
@@ -585,6 +616,19 @@ fn late_follower_bootstraps_from_a_pruned_anchor() {
         }
         wait_applied(laddr, events.len() as u64, epochs[events.len()]);
         drop(client);
+        // The writer publishes a batch and frees its queue slots before
+        // the checkpoint that prunes, so the wait above can return with
+        // seq 0 still on disk: wait for the prune itself.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while list_segments(&ldir)
+            .unwrap()
+            .first()
+            .map(|(start, _)| *start)
+            == Some(0)
+        {
+            assert!(Instant::now() < deadline, "the leader never pruned seq 0");
+            std::thread::sleep(Duration::from_millis(2));
+        }
 
         let (tx, rx) = mpsc::channel();
         let fcfg = follower_cfg(&cfg, laddr.to_string(), &fdir);
@@ -597,7 +641,7 @@ fn late_follower_bootstraps_from_a_pruned_anchor() {
                 })
             })
         };
-        let faddr = rx.recv().unwrap();
+        let faddr = followers_down.watch(rx.recv().unwrap());
         wait_applied(faddr, events.len() as u64, epochs[events.len()]);
 
         Client::connect(faddr)
@@ -641,6 +685,7 @@ fn deposed_leaders_frames_are_fenced_off() {
     assert_eq!(read_fencing_epoch(&fdir).unwrap(), 1);
 
     std::thread::scope(|s| {
+        let followers_down = ShutdownOnUnwind::default();
         let (addr_tx, addr_rx) = mpsc::channel();
         let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let leader = {
@@ -674,7 +719,7 @@ fn deposed_leaders_frames_are_fenced_off() {
                 })
             })
         };
-        let faddr = rx.recv().unwrap();
+        let faddr = followers_down.watch(rx.recv().unwrap());
 
         // Give the apply loop a generous window of poll cycles (1 ms
         // cadence) to (not) ingest the stale stream, then wind it down.
