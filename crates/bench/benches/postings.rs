@@ -1,5 +1,10 @@
-//! Micro-benchmarks for the RR hot path's two storage/compute layers:
+//! Micro-benchmarks for the RR hot path's storage/compute layers:
 //!
+//! * **Forward store** — [`RrIndex::push_set`] of 100 k sets shaped
+//!   like the `serve-churn` workload's (1 200 nodes, 1.44 members a set
+//!   on average), and 300 k random [`RrIndex::set`] reads over them:
+//!   the write cost a shard redraw pays per set and the read cost the
+//!   coverage overlay pays per activated or decayed set.
 //! * **Postings scan** — traversing every node's posting list through
 //!   the two-tier arena [`RrIndex`] vs the legacy one-`Vec`-per-node
 //!   layout it replaced. The coverage overlays spend their time exactly
@@ -14,7 +19,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::sync::Arc;
+use tirm_graph::NodeId;
 use tirm_rrset::{FastPath, RrIndex, RrSampler, SampleWorkspace, SamplingLayout};
 use tirm_workloads::{Dataset, DatasetKind, ScaleConfig};
 
@@ -46,6 +53,82 @@ fn build_layouts() -> (RrIndex, Vec<Vec<u32>>) {
     }
     idx.compact();
     (idx, legacy)
+}
+
+const STORE_NODES: u32 = 1200;
+const STORE_SETS: usize = 100_000;
+const STORE_READS: usize = 300_000;
+
+/// 100 k duplicate-free sets over [`STORE_NODES`] nodes with
+/// `1 + Geometric(0.3056)` members (mean 1.44), flattened, plus the
+/// random set ids the read benchmark visits.
+fn store_stream() -> (Vec<u32>, Vec<NodeId>, Vec<u32>) {
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut offsets = vec![0u32];
+    let mut nodes: Vec<NodeId> = Vec::new();
+    for _ in 0..STORE_SETS {
+        let start = nodes.len();
+        loop {
+            let v = (next() % STORE_NODES as u64) as NodeId;
+            if !nodes[start..].contains(&v) {
+                nodes.push(v);
+            }
+            // Continue with probability 1 − 1/1.44.
+            if next() % 10_000 >= 3056 {
+                break;
+            }
+        }
+        offsets.push(nodes.len() as u32);
+    }
+    let reads = (0..STORE_READS)
+        .map(|_| (next() % STORE_SETS as u64) as u32)
+        .collect();
+    (offsets, nodes, reads)
+}
+
+fn bench_forward_store(c: &mut Criterion) {
+    let (offsets, nodes, reads) = store_stream();
+    let sets: Vec<&[NodeId]> = offsets
+        .windows(2)
+        .map(|w| &nodes[w[0] as usize..w[1] as usize])
+        .collect();
+
+    let mut g = c.benchmark_group("forward_store");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(4));
+    g.throughput(criterion::Throughput::Elements(STORE_SETS as u64));
+    g.bench_function("push_set_100k", |b| {
+        b.iter(|| {
+            let mut idx = RrIndex::new(STORE_NODES as usize);
+            for s in &sets {
+                idx.push_set(black_box(s));
+            }
+            idx
+        })
+    });
+    let mut idx = RrIndex::new(STORE_NODES as usize);
+    for s in &sets {
+        idx.push_set(s);
+    }
+    g.throughput(criterion::Throughput::Elements(STORE_READS as u64));
+    g.bench_function("random_set_reads_300k", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            for &sid in &reads {
+                for v in idx.set(black_box(sid)) {
+                    acc = acc.wrapping_add(u64::from(v));
+                }
+            }
+            acc
+        })
+    });
+    g.finish();
 }
 
 fn bench_postings_scan(c: &mut Criterion) {
@@ -149,5 +232,10 @@ fn bench_sampler_inner_loop(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_postings_scan, bench_sampler_inner_loop);
+criterion_group!(
+    benches,
+    bench_forward_store,
+    bench_postings_scan,
+    bench_sampler_inner_loop
+);
 criterion_main!(benches);

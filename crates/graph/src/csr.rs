@@ -257,14 +257,6 @@ impl DiGraph {
         &self.out_targets[lo..hi]
     }
 
-    /// In-neighbour slice of `v` (sources only).
-    #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let lo = self.in_offsets[v as usize] as usize;
-        let hi = self.in_offsets[v as usize + 1] as usize;
-        &self.in_sources[lo..hi]
-    }
-
     /// Returns the canonical id of arc `(u, v)` if present (binary search on
     /// the sorted out-adjacency of `u`).
     pub fn edge_id(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {

@@ -4,7 +4,6 @@
 use crate::builder::GraphBuilder;
 use crate::csr::{DiGraph, NodeId};
 use std::io::{self, BufRead, Write};
-use std::path::Path;
 
 /// Errors raised while parsing an edge list.
 #[derive(Debug)]
@@ -87,15 +86,6 @@ pub fn read_edge_list<R: BufRead>(
         b.add_edge(u, v);
     }
     Ok((b.build(), original))
-}
-
-/// Reads an edge list from a file path.
-pub fn read_edge_list_file<P: AsRef<Path>>(
-    path: P,
-    undirected: bool,
-) -> Result<(DiGraph, Vec<u64>), ParseError> {
-    let f = std::fs::File::open(path)?;
-    read_edge_list(io::BufReader::new(f), undirected)
 }
 
 /// Writes the graph as a `u v` edge list with a stats header comment.

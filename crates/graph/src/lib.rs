@@ -49,7 +49,3 @@ pub use snapshot::{
     write_snapshot, write_words_file, write_words_stream, Snapshot, SnapshotError,
 };
 pub use stats::GraphStats;
-
-/// Convenience alias used across the workspace: a list of `(source, target)`
-/// arcs with `u32` node ids.
-pub type EdgeList = Vec<(NodeId, NodeId)>;

@@ -1,4 +1,5 @@
-//! The inverted RR index — flat set storage plus node → set-id postings.
+//! The inverted RR index — bit-packed set storage plus node → set-id
+//! postings.
 //!
 //! [`RrIndex`] is the storage substrate under the coverage overlay
 //! ([`crate::WeightedRrCollection`]) and, since the online serving
@@ -8,6 +9,19 @@
 //! reverse-reachability sampling that fills the index — is paid once per
 //! `(ad, θ)` and the cheap part (coverage overlays, lazy-greedy selection)
 //! is rebuilt from the postings lists on demand.
+//!
+//! # Forward store
+//!
+//! The sets themselves (set → members, in sampled order) are two
+//! bit-packed arrays (`crate::packed`): the members of all sets
+//! back to back, at ⌈log₂ n⌉ bits each — fixed at [`RrIndex::new`] —
+//! and the `num_sets() + 1` set offsets into them, at the width of the
+//! current entry count. When the count crosses a power of two the
+//! offsets are repacked wider, in place; that happens at most 32 times,
+//! so appends stay amortized O(1). Both widths follow from `n` and the
+//! contents, so the same appends give the same bytes on any host. A read
+//! ([`RrIndex::set`]) is an exact-size iterator that decodes each member
+//! from one 8-byte window.
 //!
 //! # Postings layout
 //!
@@ -37,12 +51,13 @@
 //! * Sets are append-only and identified by dense ids `0..num_sets()` in
 //!   insertion order.
 //! * Postings lists are strictly ascending in set id across both tiers.
-//! * Memory accounting ([`RrIndex::memory_bytes`]) is exact over the flat
-//!   arrays, both postings tiers and the head table — the Table 4 metric
+//! * Memory accounting ([`RrIndex::memory_bytes`]) is exact over the
+//!   packed streams, both postings tiers and the head table — the Table 4 metric
 //!   and the online pool's eviction currency — and is O(1): capacities
 //!   are read off the backing vectors, never recomputed by walking `n`
 //!   lists.
 
+use crate::packed::{width_for, PackedVec};
 use tirm_graph::NodeId;
 
 /// Sentinel for "no block" in the per-class free lists.
@@ -131,10 +146,12 @@ impl<'a> IntoIterator for Postings<'a> {
 #[derive(Clone, Debug)]
 pub struct RrIndex {
     n: usize,
-    /// `offsets[i]..offsets[i+1]` delimits set `i` in `nodes`.
-    offsets: Vec<u32>,
-    /// Flattened membership lists, in set-id order.
-    nodes: Vec<NodeId>,
+    /// `offsets[i]..offsets[i+1]` delimits set `i` in `nodes`; packed at
+    /// the width of the entry count, widened as it grows.
+    offsets: PackedVec,
+    /// Flattened membership lists, in set-id order; packed at the width
+    /// of the largest node id.
+    nodes: PackedVec,
     /// Frozen tier: `frozen_offsets[v]..frozen_offsets[v+1]` delimits
     /// node `v`'s frozen postings in `frozen_data`.
     frozen_offsets: Vec<u32>,
@@ -151,10 +168,13 @@ pub struct RrIndex {
 impl RrIndex {
     /// Empty index over `n` nodes.
     pub fn new(n: usize) -> Self {
+        let mut offsets = PackedVec::new(1);
+        offsets.push(0);
+        let max_id = u32::try_from(n.saturating_sub(1)).expect("node ids are u32");
         RrIndex {
             n,
-            offsets: vec![0],
-            nodes: Vec::new(),
+            offsets,
+            nodes: PackedVec::new(width_for(max_id)),
             frozen_offsets: vec![0; n + 1],
             frozen_data: Vec::new(),
             data: Vec::new(),
@@ -279,7 +299,11 @@ impl RrIndex {
     pub fn push_set(&mut self, members: &[NodeId]) -> u32 {
         let sid = self.num_sets() as u32;
         self.nodes.extend_from_slice(members);
-        self.offsets.push(self.nodes.len() as u32);
+        let end = u32::try_from(self.nodes.len()).expect("entry count fits u32");
+        if width_for(end) > self.offsets.width() {
+            self.offsets.widen(width_for(end));
+        }
+        self.offsets.push(end);
         for &v in members {
             self.append_posting(v as usize, sid);
         }
@@ -291,12 +315,12 @@ impl RrIndex {
         sid
     }
 
-    /// Members of set `sid`, in sampled order.
+    /// Members of set `sid`, in sampled order, decoded from the packed
+    /// store as they are visited.
     #[inline]
-    pub fn set(&self, sid: u32) -> &[NodeId] {
-        let lo = self.offsets[sid as usize] as usize;
-        let hi = self.offsets[sid as usize + 1] as usize;
-        &self.nodes[lo..hi]
+    pub fn set(&self, sid: u32) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        let (lo, hi) = self.offsets.pair(sid as usize);
+        self.nodes.range(lo as usize, hi as usize)
     }
 
     /// Ids of the sets containing `v`, ascending.
@@ -317,12 +341,13 @@ impl RrIndex {
         self.nodes.len()
     }
 
-    /// Exact bytes held: flat arrays, both postings tiers and the head
-    /// table. This is the reusable-capital size the online pool budgets
+    /// Exact bytes held: the packed forward store, both postings tiers
+    /// and the head table. This is the reusable-capital size the online pool budgets
     /// against, and the storage share of the Table 4 metric. O(1): pure
     /// capacity reads, no per-node walk.
     pub fn memory_bytes(&self) -> usize {
-        let bytes = self.nodes.capacity() * 4 + self.offsets.capacity() * 4 + self.postings_bytes();
+        let bytes =
+            self.nodes.capacity_bytes() + self.offsets.capacity_bytes() + self.postings_bytes();
         // Budget accounting polls this on every pool/online decision, so
         // it doubles as the arena high-water observation point.
         tirm_obs::registry::RR_ARENA_BYTES.set_max(bytes as u64);
@@ -363,6 +388,7 @@ impl RrIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::strategy::Strategy;
 
     fn collected(ix: &RrIndex, v: NodeId) -> Vec<u32> {
         ix.postings(v).into_iter().collect()
@@ -376,7 +402,8 @@ mod tests {
         assert_eq!(ix.push_set(&[2, 4]), 1);
         assert_eq!(ix.push_set(&[1]), 2);
         assert_eq!(ix.num_sets(), 3);
-        assert_eq!(ix.set(1), &[2, 4]);
+        assert_eq!(ix.set(1).collect::<Vec<_>>(), [2, 4]);
+        assert_eq!(ix.set(1).len(), 2);
         assert_eq!(collected(&ix, 2), vec![0, 1]);
         assert!(ix.postings(3).is_empty());
         assert_eq!(ix.postings(2).len(), 2);
@@ -498,8 +525,18 @@ mod tests {
         assert_eq!(frozen_total, ix.frozen_data.len());
         let hot_total: usize = ix.heads.iter().map(|h| h.len as usize).sum();
         assert_eq!(frozen_total + hot_total, ix.total_entries());
-        let exact = ix.nodes.capacity() * 4
-            + ix.offsets.capacity() * 4
+        // Forward store: member ids at 9 bits (ids < 300), offsets at
+        // the entry count's width, each stream its packed bits plus 8
+        // spare bytes.
+        let entries = ix.total_entries();
+        assert_eq!(ix.nodes.width(), 9);
+        assert_eq!(ix.offsets.width(), usize::BITS - entries.leading_zeros());
+        for (packed, len) in [(&ix.nodes, entries), (&ix.offsets, ix.num_sets() + 1)] {
+            assert_eq!(packed.len(), len);
+            assert!(packed.capacity_bytes() >= ((len * packed.width() as usize) >> 3) + 8);
+        }
+        let exact = ix.nodes.capacity_bytes()
+            + ix.offsets.capacity_bytes()
             + ix.frozen_offsets.capacity() * 4
             + ix.frozen_data.capacity() * 4
             + ix.data.capacity() * 4
@@ -507,6 +544,141 @@ mod tests {
             + ix.free.capacity() * 4;
         assert_eq!(ix.memory_bytes(), exact);
         assert!(ix.postings_bytes() <= ix.memory_bytes());
+    }
+
+    /// `n` on and around the member width's boundaries: 1, 2, `2^k` and
+    /// `2^k + 1` for `k` in `ks`, or any `n` in between.
+    fn boundary_n(ks: std::ops::RangeInclusive<u32>) -> impl Strategy<Value = usize> {
+        (0u32..5, ks, 0.0f64..1.0).prop_map(|(kind, k, f)| match kind {
+            0 => 1,
+            1 => 2,
+            2 => 1 << k,
+            3 => (1 << k) + 1,
+            _ => 2 + (f * ((1usize << k) - 1) as f64) as usize,
+        })
+    }
+
+    /// Smallest width holding every id below `n`: ⌈log₂ n⌉, at least 1.
+    fn ceil_log2(n: usize) -> u32 {
+        let mut w = 1;
+        while (1usize << w) < n {
+            w += 1;
+        }
+        w
+    }
+
+    /// Drives an index and a plain reference — the sets as
+    /// `Vec<Vec<NodeId>>` in sampled order and one posting `Vec` per node
+    /// — through the same appends, compacting where `ops` says, and
+    /// compares them after every compaction and at the end. Each op is
+    /// `(draw, compact)`: the draw seeds the set's size (1 to
+    /// `max_size`, capped by `n`) and its duplicate-free members.
+    fn check_against_reference(n: usize, max_size: u32, ops: &[(u64, bool)]) {
+        let mut ix = RrIndex::new(n);
+        let mut sets: Vec<Vec<NodeId>> = Vec::new();
+        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut widenings = 0;
+        let check = |ix: &RrIndex, sets: &[Vec<NodeId>], postings: &[Vec<u32>]| {
+            assert_eq!(ix.num_sets(), sets.len());
+            let entries: usize = sets.iter().map(Vec::len).sum();
+            assert_eq!(ix.total_entries(), entries);
+            for (sid, want) in sets.iter().enumerate() {
+                let got = ix.set(sid as u32);
+                assert_eq!(got.len(), want.len(), "n {n}, set {sid}");
+                assert!(got.eq(want.iter().copied()), "n {n}, set {sid}");
+            }
+            for (v, want) in postings.iter().enumerate() {
+                let got = ix.postings(v as NodeId);
+                assert_eq!(got.len(), want.len(), "n {n}, node {v}");
+                assert!(got.into_iter().eq(want.iter().copied()), "n {n}, node {v}");
+            }
+            // The forward store is packed at the widths `n` and the entry
+            // count need, and `memory_bytes` counts its capacities.
+            assert_eq!(ix.nodes.width(), ceil_log2(n), "n {n}");
+            assert_eq!(
+                ix.offsets.width(),
+                ceil_log2(entries + 1),
+                "entries {entries}"
+            );
+            for (packed, len) in [(&ix.nodes, entries), (&ix.offsets, sets.len() + 1)] {
+                assert_eq!(packed.len(), len);
+                let need = ((len * packed.width() as usize) >> 3) + 8;
+                let cap = packed.capacity_bytes();
+                assert!(
+                    need <= cap && cap <= 2 * (need + 64),
+                    "{need} bytes in {cap}"
+                );
+            }
+            assert_eq!(
+                ix.memory_bytes(),
+                ix.nodes.capacity_bytes() + ix.offsets.capacity_bytes() + ix.postings_bytes()
+            );
+        };
+        for &(draw, compact) in ops {
+            let mut x = draw;
+            let mut next = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 33
+            };
+            let size = 1 + next() as usize % (max_size as usize).min(n);
+            let mut members: Vec<NodeId> = Vec::with_capacity(size);
+            while members.len() < size {
+                let v = (next() % n as u64) as NodeId;
+                if !members.contains(&v) {
+                    members.push(v);
+                }
+            }
+            let width = ix.offsets.width();
+            let sid = ix.push_set(&members);
+            widenings += usize::from(ix.offsets.width() > width);
+            assert_eq!(sid as usize, sets.len());
+            for &v in &members {
+                postings[v as usize].push(sid);
+            }
+            sets.push(members);
+            assert!(ix.set(sid).eq(sets[sid as usize].iter().copied()));
+            if compact {
+                ix.compact();
+                check(&ix, &sets, &postings);
+            }
+        }
+        check(&ix, &sets, &postings);
+        assert!(widenings >= 3, "offsets widened {widenings} times");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn index_matches_the_reference(
+            n in boundary_n(1..=12),
+            max_size in 1u32..12,
+            ops in proptest::collection::vec((0u64..u64::MAX, (0u32..40).prop_map(|c| c == 0)), 8..300),
+        ) {
+            check_against_reference(n, max_size, &ops);
+        }
+    }
+
+    /// The same property over 400 cases at up to 2²⁰ + 1 nodes and up to
+    /// ~150 k entries, for the nightly run:
+    /// `cargo test --release -p tirm_rrset --lib -- --ignored index_matches_the_reference_soak`.
+    #[test]
+    #[ignore]
+    fn index_matches_the_reference_soak() {
+        proptest::proptest! {
+            #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+            fn soak(
+                n in boundary_n(12..=20),
+                max_size in 1u32..40,
+                ops in proptest::collection::vec((0u64..u64::MAX, (0u32..2000).prop_map(|c| c == 0)), 2000..8000),
+            ) {
+                check_against_reference(n, max_size, &ops);
+            }
+        }
+        soak();
     }
 
     #[test]

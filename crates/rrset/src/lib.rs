@@ -5,10 +5,11 @@
 //! * [`sampler`] — random RR-set generation by reverse BFS with per-arc
 //!   coin flips, plus the CTP-aware **RRC** variant of §5.2 (node-level
 //!   acceptance coins; blocked nodes still propagate).
-//! * [`index`] — [`RrIndex`], the flat RR-set storage + inverted
-//!   node→set-id postings under the coverage overlay, with exact memory
-//!   accounting. Persistent: the online serving layer keeps one per ad
-//!   alive across re-allocations.
+//! * [`index`] — [`RrIndex`], the RR-set storage (member ids and set
+//!   offsets bit-packed at the widths `n` and the entry count need) +
+//!   inverted node→set-id postings under the coverage overlay, with
+//!   exact memory accounting. Persistent: the online serving layer
+//!   keeps one per ad alive across re-allocations.
 //! * [`weighted`] — [`WeightedRrCollection`], the one coverage overlay:
 //!   per-set survival weights and per-node scores over an [`RrIndex`]
 //!   prefix. Decaying a seed by its CTP is TIRM's weighted rule; decaying
@@ -28,6 +29,7 @@
 pub mod fastpath;
 pub mod heap;
 pub mod index;
+mod packed;
 pub mod parallel;
 pub mod sampler;
 pub mod special;

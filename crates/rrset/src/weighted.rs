@@ -133,7 +133,7 @@ impl WeightedRrCollection {
             let sid = self.weights.len() as u32;
             self.weights.push(1.0);
             if SCORES {
-                for &v in self.index.set(sid) {
+                for v in self.index.set(sid) {
                     self.score[v as usize] += 1.0;
                 }
             }
@@ -246,7 +246,7 @@ impl WeightedRrCollection {
                 self.weights[sid as usize] = w * keep;
                 self.deficit += dw;
                 if SCORES {
-                    for &u in self.index.set(sid) {
+                    for u in self.index.set(sid) {
                         self.score[u as usize] -= dw;
                     }
                 }

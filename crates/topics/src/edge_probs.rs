@@ -110,11 +110,6 @@ impl TopicEdgeProbs {
         out
     }
 
-    /// Projects every ad at once; returns one probability vector per ad.
-    pub fn project_all(&self, ads: &[TopicDist]) -> Vec<Vec<f32>> {
-        ads.iter().map(|a| self.project(a)).collect()
-    }
-
     /// Bytes held by the table.
     pub fn memory_bytes(&self) -> usize {
         self.probs.len() * 4
