@@ -4,9 +4,10 @@
 //! re-run of the same instance (`-- tirm` shows the three TIRM cases).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tirm_bench::{allocate, tirm_options, QualityWorkload};
+use tirm_bench::{allocate, QualityWorkload};
 use tirm_core::{tirm_allocate_warm, AdSeeds};
 use tirm_topics::CtpTable;
+use tirm_workloads::tirm_options;
 use tirm_workloads::{AllocatorKind, DatasetKind};
 
 fn bench_allocation(c: &mut Criterion) {

@@ -31,7 +31,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_function(format!("epinions_q_{threads}t").as_str(), |b| {
             let problem = w.problem(1, 0.0);
-            let mut opts = tirm_bench::tirm_options(true, 7);
+            let mut opts = tirm_workloads::tirm_options(true, 7);
             opts.threads = threads;
             b.iter(|| tirm_core::tirm_allocate(&problem, opts).1.total_seeds())
         });

@@ -43,9 +43,10 @@
 use serde_json::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tirm_bench::{banner, tirm_options, write_json};
+use tirm_bench::{banner, write_json};
 use tirm_core::report::{fnum, Table};
-use tirm_online::{OnlineAllocator, OnlineConfig};
+use tirm_online::OnlineAllocator;
+use tirm_server::serving_online_config;
 use tirm_workloads::events::{read_log, scale_budgets, write_log};
 use tirm_workloads::replay::replay;
 use tirm_workloads::{Dataset, DatasetKind, EventStreamSpec, ProbModel, ScaleConfig};
@@ -172,23 +173,12 @@ fn main() -> ExitCode {
         );
     }
 
-    let mut opts = tirm_options(
-        matches!(dataset_kind, DatasetKind::Flixster | DatasetKind::Epinions),
-        seed,
-    );
-    opts.threads = cfg.threads;
-    // Scale the per-ad θ cap with the graph scale (the perf suite's
-    // convention) so sub-scale replays stay laptop-sized.
-    opts.scale_theta_cap(cfg.scale);
+    // The served allocator's configuration, θ cap scaled with the graph
+    // so sub-scale replays stay laptop-sized.
     let mut allocator = OnlineAllocator::new(
         &dataset.graph,
         &dataset.topic_probs,
-        OnlineConfig {
-            tirm: opts,
-            kappa,
-            lambda,
-            ..OnlineConfig::default()
-        },
+        serving_online_config(dataset_kind, &cfg, kappa, lambda, seed),
     );
     // Resumed runs are full runs to `OnlineStats`; the registry tells
     // them apart.

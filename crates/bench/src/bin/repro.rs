@@ -24,15 +24,17 @@ use std::time::Instant;
 use tirm_bench::schema::{BenchCell, BenchReport};
 use tirm_bench::suite::{cell_from_run, CellLabels};
 use tirm_bench::{
-    allocate, banner, run_quality_cell, scalability_problem, tirm_options, write_json,
-    write_report, QualityRow, QualityWorkload,
+    allocate, banner, run_quality_cell, scalability_problem, write_json, write_report, QualityRow,
+    QualityWorkload,
 };
 use tirm_core::report::{fnum, Table};
 use tirm_core::{evaluate, tirm_allocate, RegretReport, TirmOptions};
 use tirm_diffusion::exact_activation_probs;
 use tirm_rrset::{RrSampler, SampleWorkspace};
 use tirm_workloads::toy::Fig1;
-use tirm_workloads::{campaigns, AllocatorKind, Dataset, DatasetKind, ProbModel, ScaleConfig};
+use tirm_workloads::{
+    campaigns, tirm_options, AllocatorKind, Dataset, DatasetKind, ProbModel, ScaleConfig,
+};
 
 /// Every artifact, in the paper's order.
 const ARTIFACTS: [(&str, fn()); 10] = [

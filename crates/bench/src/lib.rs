@@ -27,7 +27,7 @@ use tirm_diffusion::McOracle;
 use tirm_irie::IrieConfig;
 use tirm_topics::CtpTable;
 use tirm_workloads::scale::parse_budget_factor;
-use tirm_workloads::{campaigns, AllocatorKind, Dataset, DatasetKind, ScaleConfig};
+use tirm_workloads::{campaigns, tirm_options, AllocatorKind, Dataset, DatasetKind, ScaleConfig};
 
 /// Runs `kind` on `problem` — the one dispatcher behind every harness.
 /// Callers pass in what differs between them: `tirm` (seed, threads, θ
@@ -75,19 +75,6 @@ pub fn allocate(
         }
         AllocatorKind::Myopic => myopic_allocate(problem),
         AllocatorKind::MyopicPlus => myopic_plus_allocate(problem),
-    }
-}
-
-/// TIRM options per experiment family: ε = 0.1 for quality runs, 0.2 for
-/// scalability runs (§6), with per-ad sample caps keeping the harness
-/// inside laptop memory (ARCHITECTURE.md, "Synthetic data sets"; the cap
-/// only reduces estimation accuracy, never correctness).
-pub fn tirm_options(quality: bool, seed: u64) -> TirmOptions {
-    TirmOptions {
-        eps: if quality { 0.1 } else { 0.2 },
-        seed,
-        max_theta_per_ad: Some(if quality { 1_000_000 } else { 400_000 }),
-        ..TirmOptions::default()
     }
 }
 

@@ -46,7 +46,7 @@ pub struct LoadgenConfig {
     /// Connection behavior. `reconnect_attempts == 0` (the default)
     /// keeps a lost connection fatal; a positive budget turns resets
     /// into bounded reconnect-with-backoff plus resume-from-`wal_seq`
-    /// (requires `handshake`, enforced by [`drive`]). Each concurrent
+    /// (the `hello` handshake's anchor). Each concurrent
     /// client derives its own deterministic backoff jitter from its
     /// seed (unless the caller pinned one here), so a fleet that lost
     /// the same server re-dials spread out instead of in lockstep.
@@ -112,12 +112,6 @@ impl LoadReport {
 /// Drives `log` against the server at `addr`. Returns when the log is
 /// sent and applied and the readers have stopped.
 pub fn drive(addr: SocketAddr, log: &[LogEvent], cfg: &LoadgenConfig) -> io::Result<LoadReport> {
-    if cfg.reconnect.reconnect_attempts > 0 && !cfg.reconnect.handshake {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "reconnect needs the hello handshake: wal_seq is the resume anchor",
-        ));
-    }
     let stop = AtomicBool::new(false);
     let t0 = Instant::now();
     let ((offered, accepted, shed), sides) = std::thread::scope(|s| -> io::Result<_> {
@@ -184,9 +178,9 @@ fn resume_index(log: &[LogEvent], wal_seq: u64) -> usize {
     log.len()
 }
 
-/// Reconnects after a lost connection (bounded attempts with capped
-/// exponential backoff inside [`Client::connect_with`]) and returns
-/// the resume index the server's `hello` dictates.
+/// Connects, or reconnects after a lost connection (bounded attempts
+/// with capped exponential backoff inside [`Client::connect_with`]),
+/// and returns the resume index the server's `hello` dictates.
 fn reconnect(
     addr: SocketAddr,
     log: &[LogEvent],
@@ -212,18 +206,10 @@ fn mutation_loop(
 ) -> io::Result<(u64, u64, u64)> {
     let opts = &jittered(&cfg.reconnect, cfg.seed);
     let resumable = opts.reconnect_attempts > 0;
-    let mut i = 0usize;
-    let mut client = if resumable || opts.handshake {
-        let c = Client::connect_with(addr, opts)?;
-        if resumable {
-            // The server may already hold a durable prefix of this log
-            // (a previous partial run); don't send it twice.
-            i = resume_index(log, c.hello().expect("handshake enforced").wal_seq);
-        }
-        c
-    } else {
-        Client::connect(addr)?
-    };
+    let (mut client, resume_at) = reconnect(addr, log, opts)?;
+    // The server may already hold a durable prefix of this log (a
+    // previous partial run); don't send it twice.
+    let mut i = if resumable { resume_at } else { 0 };
     let (mut offered, mut accepted, mut shed) = (0u64, 0u64, 0u64);
     let total_mutations = log.iter().filter(|e| e.event.is_mutation()).count() as u64;
     let mut resend_passes = 0u32;

@@ -9,7 +9,7 @@
 
 use crate::loadgen::{drive, LoadgenConfig};
 use crate::schema::{BenchCell, BenchReport};
-use crate::{allocate, scalability_problem, tirm_options};
+use crate::{allocate, scalability_problem};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tirm_core::{
@@ -21,8 +21,8 @@ use tirm_server::{Client, DurabilityConfig, FollowConfig, ServerConfig};
 use tirm_topics::CtpTable;
 use tirm_workloads::replay::replay;
 use tirm_workloads::{
-    campaigns, final_population, Dataset, DatasetKind, EventStreamSpec, LogEvent, Mode, ProbModel,
-    ScaleConfig, ScenarioSpec, Tier,
+    campaigns, final_population, tirm_options, Dataset, DatasetKind, EventStreamSpec, LogEvent,
+    Mode, ProbModel, ScaleConfig, ScenarioSpec, Tier,
 };
 
 /// How the suite runs: tier grid + fidelity + optional cell filter.

@@ -133,20 +133,6 @@ pub fn evaluate_rr(
     assemble(problem, alloc, spreads)
 }
 
-/// Number of worker threads to use for evaluation: respects the
-/// `TIRM_THREADS` environment variable, defaulting to the machine's
-/// available parallelism.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("TIRM_THREADS") {
-        if let Ok(t) = v.parse::<usize>() {
-            return t.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,7 @@ pub use algos::{
     WarmCounts,
 };
 pub use allocation::Allocation;
-pub use eval::{default_threads, evaluate, evaluate_rr, Evaluation, DEFAULT_EVAL_RUNS};
+pub use eval::{evaluate, evaluate_rr, Evaluation, DEFAULT_EVAL_RUNS};
 pub use metrics::AlgoStats;
 pub use problem::{Advertiser, Attention, ProblemInstance};
 pub use regret::{ad_regret, budget_regret, AdRegret, RegretReport};

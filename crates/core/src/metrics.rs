@@ -41,24 +41,6 @@ impl AlgoStats {
     pub fn rr_sets_total(&self) -> usize {
         self.rr_sets_per_ad.iter().sum()
     }
-
-    /// Memory in GB (Table 4 prints GB).
-    pub fn memory_gb(&self) -> f64 {
-        self.memory_bytes as f64 / 1e9
-    }
-}
-
-/// Optional resident-set-size probe (`/proc/self/status`, Linux only) used
-/// to corroborate the precise accounting in [`AlgoStats::memory_bytes`].
-pub fn rss_bytes() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: usize = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -77,15 +59,6 @@ mod tests {
             ..AlgoStats::default()
         };
         assert_eq!(s.total_seeds(), 12);
-        assert!((s.memory_gb() - 2.5).abs() < 1e-9);
         assert_eq!(s.rr_sets_total(), 0);
-    }
-
-    #[test]
-    fn rss_probe_runs_on_linux() {
-        // Smoke test: on Linux this should return something > 1 MB.
-        if let Some(rss) = rss_bytes() {
-            assert!(rss > 1 << 20);
-        }
     }
 }

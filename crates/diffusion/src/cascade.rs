@@ -43,26 +43,6 @@ impl CascadeWorkspace {
     fn mark(&mut self, u: NodeId) {
         self.mark[u as usize] = self.epoch;
     }
-
-    /// Starts a fresh run — public hook for other diffusion models (LT)
-    /// built on the same epoch-stamped scratch space.
-    #[inline]
-    pub fn begin_public(&mut self) {
-        self.begin();
-        self.queue.clear();
-    }
-
-    /// Whether `u` was marked in the current run.
-    #[inline]
-    pub fn is_marked_public(&self, u: NodeId) -> bool {
-        self.is_marked(u)
-    }
-
-    /// Marks `u` in the current run.
-    #[inline]
-    pub fn mark_public(&mut self, u: NodeId) {
-        self.mark(u);
-    }
 }
 
 /// Runs one independent cascade from `seeds` and returns the number of

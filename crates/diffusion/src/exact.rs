@@ -13,12 +13,12 @@
 use tirm_graph::{DiGraph, NodeId};
 
 /// Maximum number of arcs we are willing to enumerate (2^20 worlds).
-pub const MAX_EXACT_EDGES: usize = 20;
+const MAX_EXACT_EDGES: usize = 20;
 
 /// Exact expected spread `σ(S)` of `seeds` under IC (optionally IC-CTP).
 ///
 /// # Panics
-/// If the graph has more than [`MAX_EXACT_EDGES`] arcs.
+/// If the graph has more than 20 arcs.
 pub fn exact_spread(g: &DiGraph, probs: &[f32], seeds: &[NodeId], ctp: Option<&[f32]>) -> f64 {
     exact_activation_probs(g, probs, seeds, ctp).iter().sum()
 }

@@ -7,7 +7,7 @@
 //!   a seed `u` accepts, i.e. clicks, with probability `δ(u,i)`; every
 //!   influence attempt across arc `(u,v)` succeeds with `p^i_{u,v}`).
 //! * [`montecarlo`] — buffered Monte-Carlo spread estimation
-//!   `σ_i(S) ≈ mean(#activations)`, sequential and crossbeam-parallel.
+//!   `σ_i(S) ≈ mean(#activations)`, sequential and parallel over `std::thread::scope`.
 //! * [`exact`] — exact spread by possible-world enumeration for small
 //!   graphs (used to validate estimators, Lemma 1, and Fig. 1 numbers).
 //! * [`oracle`] — the `SpreadOracle` abstraction that lets the greedy
@@ -16,12 +16,10 @@
 
 pub mod cascade;
 pub mod exact;
-pub mod linear_threshold;
 pub mod montecarlo;
 pub mod oracle;
 
 pub use cascade::{simulate_once, simulate_once_collect, CascadeWorkspace};
 pub use exact::{exact_activation_probs, exact_spread};
-pub use linear_threshold::{mc_lt_spread, sample_lt_rr_set, simulate_lt_once, validate_lt_weights};
 pub use montecarlo::{mc_activation_probs, mc_spread, mc_spread_parallel};
 pub use oracle::{ExactOracle, McOracle, SpreadOracle};

@@ -251,7 +251,7 @@ impl DiGraph {
 
     /// Out-neighbour slice of `u` (targets only).
     #[inline]
-    pub fn out_neighbors(&self, u: NodeId) -> &[NodeId] {
+    fn out_neighbors(&self, u: NodeId) -> &[NodeId] {
         let lo = self.out_offsets[u as usize] as usize;
         let hi = self.out_offsets[u as usize + 1] as usize;
         &self.out_targets[lo..hi]

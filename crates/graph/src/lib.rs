@@ -2,13 +2,13 @@
 //!
 //! Directed social-graph substrate for the `tirm` workspace: a compact
 //! compressed-sparse-row (CSR) digraph with both forward and reverse
-//! adjacency, deterministic random-graph generators shaped like the four
-//! networks used in the paper's evaluation (FLIXSTER, EPINIONS, DBLP,
-//! LIVEJOURNAL), edge-list IO, a versioned binary [`snapshot`] format that
-//! loads a finished CSR (plus per-topic arc probabilities) without
-//! re-sorting, summary statistics, and the small hand-constructed gadgets
-//! used by the paper (the Fig. 1 toy network and the 3-PARTITION reduction
-//! of Theorem 1).
+//! adjacency, deterministic random-graph [`generators`] shaped like the
+//! four networks used in the paper's evaluation (FLIXSTER, EPINIONS, DBLP,
+//! LIVEJOURNAL), an edge-list reader ([`io`]), a versioned binary
+//! [`snapshot`] format that loads a finished CSR (plus per-topic arc
+//! probabilities) without re-sorting, summary [`stats`], and the small
+//! hand-constructed [`gadgets`] used by the paper (the Fig. 1 toy network
+//! and the 3-PARTITION reduction of Theorem 1).
 //!
 //! Graphs are built either by buffering arcs in a [`GraphBuilder`] or — for
 //! paper-scale inputs — by streaming them twice through
@@ -37,13 +37,11 @@ mod csr;
 pub mod gadgets;
 pub mod generators;
 pub mod io;
-pub mod relabel;
 pub mod snapshot;
 pub mod stats;
 
 pub use builder::{build_from_stream, GraphBuilder};
 pub use csr::{CsrParts, DiGraph, EdgeId, NodeId};
-pub use relabel::Relabeling;
 pub use snapshot::{
     read_snapshot, read_words_file, read_words_stream, write_atomic, write_atomic_with,
     write_snapshot, write_words_file, write_words_stream, Snapshot, SnapshotError,

@@ -34,7 +34,7 @@ use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
 
 /// First eight bytes of every snapshot file.
-pub const MAGIC: [u8; 8] = *b"TIRMSNAP";
+const MAGIC: [u8; 8] = *b"TIRMSNAP";
 
 /// Version stamp of the file layout. Bump on any layout change; the
 /// loader refuses other versions (CI cache keys embed this constant so a
@@ -66,7 +66,7 @@ pub struct Snapshot {
 pub enum SnapshotError {
     /// Filesystem failure.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`] — not a snapshot at all.
+    /// The file does not start with `TIRMSNAP` — not a snapshot at all.
     BadMagic,
     /// The file was written by a different [`FORMAT_VERSION`].
     UnsupportedVersion(u32),
@@ -87,6 +87,18 @@ pub enum SnapshotError {
     /// Header or arrays are structurally inconsistent (id out of range,
     /// non-monotone offsets, absurd K, …).
     Malformed(String),
+    /// A sound payload written under another configuration than the
+    /// reader's (an allocator checkpoint's echoed `kappa`, say): loading
+    /// it would diverge from the log it anchors, and an older file
+    /// would not fix that.
+    ConfigMismatch {
+        /// The echoed field that differs.
+        field: &'static str,
+        /// Its value in the file.
+        theirs: String,
+        /// The reader's value.
+        ours: String,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -106,6 +118,14 @@ impl std::fmt::Display for SnapshotError {
                 "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
             ),
             SnapshotError::Malformed(why) => write!(f, "malformed snapshot: {why}"),
+            SnapshotError::ConfigMismatch {
+                field,
+                theirs,
+                ours,
+            } => write!(
+                f,
+                "written under a different configuration: {field} is {theirs}, this process runs {ours}"
+            ),
         }
     }
 }

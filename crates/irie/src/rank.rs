@@ -67,12 +67,6 @@ impl<'a> Irie<'a> {
         &self.rank
     }
 
-    /// Estimated probability that `u` is already activated by current seeds.
-    #[inline]
-    pub fn activation_prob(&self, u: NodeId) -> f64 {
-        self.ap[u as usize]
-    }
-
     /// Registers `u` as a seed with click-through probability `ctp`, then
     /// refreshes the activation probabilities and ranks.
     pub fn add_seed(&mut self, u: NodeId, ctp: f32) {
@@ -198,7 +192,7 @@ mod tests {
         );
         // Leaves are half-activated; their ranks shrink too.
         for v in 1..30 {
-            assert!(irie.activation_prob(v) > 0.49);
+            assert!(irie.ap[v as usize] > 0.49);
             assert!(irie.rank(v) < 0.51);
         }
         assert!(before > 1.0);
@@ -213,7 +207,7 @@ mod tests {
         let mut high = Irie::new(&g, &probs, IrieConfig::default());
         low.add_seed(0, 0.1);
         high.add_seed(0, 0.9);
-        assert!(low.activation_prob(1) < high.activation_prob(1));
+        assert!(low.ap[1] < high.ap[1]);
         assert!(low.rank(1) > high.rank(1), "weak seed leaves more to gain");
         // Marginal helper gates by CTP.
         let fresh = Irie::new(&g, &probs, IrieConfig::default());

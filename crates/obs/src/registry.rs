@@ -52,15 +52,15 @@ pub const CORE_PHASES: [&str; 8] = [
 // ---------------------------------------------------------------------
 
 /// `process()` latency for `AdArrival` events.
-pub static APPLY_LATENCY_ARRIVAL: Histogram = Histogram::new();
+static APPLY_LATENCY_ARRIVAL: Histogram = Histogram::new();
 /// `process()` latency for `BudgetTopUp` events.
-pub static APPLY_LATENCY_TOPUP: Histogram = Histogram::new();
+static APPLY_LATENCY_TOPUP: Histogram = Histogram::new();
 /// `process()` latency for `AdDeparture` events.
-pub static APPLY_LATENCY_DEPARTURE: Histogram = Histogram::new();
+static APPLY_LATENCY_DEPARTURE: Histogram = Histogram::new();
 /// `process()` latency for `Reallocate` events.
-pub static APPLY_LATENCY_REALLOCATE: Histogram = Histogram::new();
+static APPLY_LATENCY_REALLOCATE: Histogram = Histogram::new();
 /// `process()` latency for `RegretQuery` events.
-pub static APPLY_LATENCY_REGRET_QUERY: Histogram = Histogram::new();
+static APPLY_LATENCY_REGRET_QUERY: Histogram = Histogram::new();
 /// Reconciliations whose allocation leaves every user below κ (see
 /// `OnlineStats::delta_reallocations`).
 pub static DELTA_RECONCILIATIONS: Counter = Counter::new();
@@ -146,7 +146,7 @@ pub static FLIGHT_DROPPED: Counter = Counter::new();
 
 /// Seconds since the flight-recorder epoch (first instrumented event or
 /// explicit [`crate::flight::now_ns`] touch); refreshed at snapshot time.
-pub static PROCESS_UPTIME_SECONDS: Gauge = Gauge::new();
+static PROCESS_UPTIME_SECONDS: Gauge = Gauge::new();
 /// Wire protocol version label of `tirm_build_info`; set by the serving
 /// layer at startup (the obs crate cannot depend on `tirm_wire`).
 pub static BUILD_PROTOCOL_VERSION: Gauge = Gauge::new();
@@ -156,13 +156,13 @@ pub static BUILD_SCHEMA_VERSION: Gauge = Gauge::new();
 
 /// Git commit this binary was built from (captured by the obs build
 /// script; `"unknown"` outside a git checkout).
-pub const GIT_SHA: &str = env!("TIRM_GIT_SHA");
+const GIT_SHA: &str = env!("TIRM_GIT_SHA");
 
 /// Counter inventory: `(family, label `(key, value)` or None, help,
 /// counter)`. Rows sharing a family must be contiguous, as for
 /// [`HISTOGRAMS`].
 #[allow(clippy::type_complexity)]
-pub static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
+static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
     (
         "tirm_rrset_rr_sets_sampled_total",
         None,
@@ -310,7 +310,7 @@ pub static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
 ];
 
 /// Gauge inventory: `(name, help, gauge)`.
-pub static GAUGES: &[(&str, &str, &Gauge)] = &[
+static GAUGES: &[(&str, &str, &Gauge)] = &[
     (
         "tirm_rrset_arena_bytes_high_water",
         "High-water mark of resident RR index arena bytes",
@@ -354,7 +354,7 @@ macro_rules! phase_row {
 /// histogram)`. Rows sharing a family must be contiguous — the
 /// Prometheus renderer emits one HELP/TYPE header per family run.
 #[allow(clippy::type_complexity)]
-pub static HISTOGRAMS: &[(&str, Option<(&str, &str)>, &str, &Histogram)] = &[
+static HISTOGRAMS: &[(&str, Option<(&str, &str)>, &str, &Histogram)] = &[
     phase_row!(0),
     phase_row!(1),
     phase_row!(2),
@@ -528,7 +528,7 @@ fn json_escape(s: &str, out: &mut String) {
 /// Display name of one counter or histogram row: the family, plus the
 /// label in Prometheus selector form when present
 /// (`tirm_online_apply_latency_ns{kind="arrival"}`).
-pub fn series_display_name(family: &str, label: Option<(&str, &str)>) -> String {
+fn series_display_name(family: &str, label: Option<(&str, &str)>) -> String {
     match label {
         Some((k, v)) => format!("{family}{{{k}=\"{v}\"}}"),
         None => family.to_string(),

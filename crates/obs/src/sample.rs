@@ -46,14 +46,6 @@ impl SampleHistogram {
         sorted[idx] as f64 / 1_000.0
     }
 
-    /// Mean latency in microseconds; 0.0 when empty.
-    pub fn mean_us(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64 / 1_000.0
-    }
-
     /// Maximum latency in microseconds; 0.0 when empty.
     pub fn max_us(&self) -> f64 {
         self.samples.iter().max().copied().unwrap_or(0) as f64 / 1_000.0
@@ -78,6 +70,5 @@ mod tests {
         assert_eq!(h.percentile_us(99.0), 100.0);
         assert_eq!(h.percentile_us(0.0), 1.0);
         assert_eq!(h.max_us(), 100.0);
-        assert!((h.mean_us() - 22.0).abs() < 1e-9);
     }
 }

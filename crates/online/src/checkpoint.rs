@@ -23,9 +23,10 @@
 //! payload and re-validated on restore — a checkpoint restored into an
 //! allocator with a different seed, thread count, ε/ℓ schedule or
 //! attention bound would silently diverge from the log it is supposed to
-//! anchor, so it errors instead ([`SnapshotError::Malformed`]). The host
-//! data is echoed by shape and, per shard, by the set-size sum, which
-//! sets redrawn over another graph or other probabilities do not reach.
+//! anchor, so it errors instead ([`SnapshotError::ConfigMismatch`], naming
+//! the field). The host data is echoed by shape (a mismatch there is the
+//! same error) and, per shard, by the set-size sum, which sets redrawn
+//! over another graph or other probabilities of that shape do not reach.
 //!
 //! A payload's counts buy CPU and memory, so nothing is drawn before the
 //! whole payload has been read and its model validated, and no shard
@@ -289,14 +290,16 @@ fn encode(a: &OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
 /// Compares a restore-side configuration value against the checkpoint's
 /// echo, bitwise for floats.
 fn check<T: PartialEq + std::fmt::Debug>(
-    field: &str,
+    field: &'static str,
     ours: T,
     theirs: T,
 ) -> Result<(), SnapshotError> {
     if ours != theirs {
-        return Err(malformed(format!(
-            "checkpoint written under a different configuration: {field} is {theirs:?}, this allocator runs {ours:?}"
-        )));
+        return Err(SnapshotError::ConfigMismatch {
+            field,
+            theirs: format!("{theirs:?}"),
+            ours: format!("{ours:?}"),
+        });
     }
     Ok(())
 }
@@ -305,7 +308,12 @@ fn check<T: PartialEq + std::fmt::Debug>(
 fn get_topics(r: &mut WordReader<'_>, id: AdId, k: usize) -> Result<TopicDist, SnapshotError> {
     let topics = TopicDist::new(r.f32s()?)
         .map_err(|e| malformed(format!("ad {id} topic distribution: {e}")))?;
-    check("an ad's topic count", k, topics.k())?;
+    if topics.k() != k {
+        return Err(malformed(format!(
+            "ad {id} has {} topics, the payload's host has {k}",
+            topics.k()
+        )));
+    }
     Ok(topics)
 }
 
@@ -548,7 +556,7 @@ mod tests {
         let mut other = cfg();
         other.tirm.seed = 8;
         match OnlineAllocator::restore(&g, &probs, other, &mut buf.as_slice()) {
-            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("tirm.seed"), "{msg}"),
+            Err(SnapshotError::ConfigMismatch { field, .. }) => assert_eq!(field, "tirm.seed"),
             Err(e) => panic!("wrong error kind: {e}"),
             Ok(_) => panic!("seed mismatch must not restore"),
         }

@@ -19,7 +19,7 @@
 //!   `p > 0.0 &&` short-circuit: dead arcs skip the coin *without*
 //!   consuming RNG state in both paths.
 //! * **Relabeled marks.** [`SamplingLayout::degree_ordered`] carries a
-//!   degree-ordered permutation (via [`tirm_graph::Relabeling`]): the BFS
+//!   degree-ordered permutation (descending in-degree, ties by id): the BFS
 //!   still walks the *original* CSR in original arc order — same RNG
 //!   stream, same emitted (original) node ids — but indexes its mark
 //!   array through precomputed new ids (`in_sources_new[pos]`), so the
@@ -29,7 +29,7 @@
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use tirm_graph::{DiGraph, NodeId, Relabeling};
+use tirm_graph::{DiGraph, NodeId};
 
 /// `⌈p·2²⁴⌉` clamped to `[0, 2²⁴]` — the integer coin threshold with
 /// `x < t ⇔ x·2⁻²⁴ < p` for every 24-bit `x` (see module docs for why
@@ -76,8 +76,15 @@ impl SamplingLayout {
     /// first). O(n log n + m) to build; sampling output is bit-identical
     /// to the identity layout by construction.
     pub fn degree_ordered(g: &DiGraph) -> Self {
-        let r = Relabeling::by_in_degree(g);
-        let new_of_old = r.new_of_old().to_vec();
+        // Descending in-degree, ties by ascending id: a deterministic
+        // function of the graph.
+        let n = g.num_nodes();
+        let mut old_of_new: Vec<NodeId> = (0..n as NodeId).collect();
+        old_of_new.sort_by_key(|&v| (std::cmp::Reverse(g.in_degree(v)), v));
+        let mut new_of_old = vec![0 as NodeId; n];
+        for (new, &old) in old_of_new.iter().enumerate() {
+            new_of_old[old as usize] = new as NodeId;
+        }
         let in_sources_new = g
             .in_sources_raw()
             .iter()
@@ -89,11 +96,6 @@ impl SamplingLayout {
                 in_sources_new,
             }),
         }
-    }
-
-    /// True when this layout permutes mark indices.
-    pub fn is_relabeled(&self) -> bool {
-        self.relabel.is_some()
     }
 
     /// Bytes held by the permutation tables.
@@ -273,8 +275,17 @@ mod tests {
         for (pos, &src) in g.in_sources_raw().iter().enumerate() {
             assert_eq!(r.in_sources_new[pos], r.new_of_old[src as usize]);
         }
-        assert!(layout.is_relabeled());
-        assert!(!SamplingLayout::identity().is_relabeled());
         assert!(layout.memory_bytes() > 0);
+        assert_eq!(SamplingLayout::identity().memory_bytes(), 0);
+    }
+
+    #[test]
+    fn in_degree_order_puts_hubs_first() {
+        // Star: node 0 has in-degree 0 and every leaf has in-degree 1
+        // (hub → leaf arcs), so leaves come first, ties by old id.
+        let g = tirm_graph::generators::star(5);
+        let layout = SamplingLayout::degree_ordered(&g);
+        let r = layout.relabel.as_ref().unwrap();
+        assert_eq!(r.new_of_old, [4, 0, 1, 2, 3]);
     }
 }

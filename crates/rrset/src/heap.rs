@@ -85,11 +85,6 @@ impl LazyMaxHeap {
         }
         None
     }
-
-    /// Peeks at the maximum stored key (possibly stale).
-    pub fn peek_key(&self) -> Option<u64> {
-        self.heap.peek().map(|&(k, _)| k)
-    }
 }
 
 #[cfg(test)]
@@ -149,6 +144,6 @@ mod tests {
         let mut h = LazyMaxHeap::build(vec![(0, 1)]);
         h.rebuild(vec![(5, 7), (6, 2)]);
         assert_eq!(h.len(), 2);
-        assert_eq!(h.peek_key(), Some(7));
+        assert_eq!(h.pop_best(|_, _| Verdict::Take), Some((5, 7)));
     }
 }

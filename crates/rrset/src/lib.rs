@@ -5,6 +5,9 @@
 //! * [`sampler`] — random RR-set generation by reverse BFS with per-arc
 //!   coin flips, plus the CTP-aware **RRC** variant of §5.2 (node-level
 //!   acceptance coins; blocked nodes still propagate).
+//! * [`fastpath`] — [`FastPath`], the sampler's integer coin thresholds,
+//!   and [`SamplingLayout`], the optional degree-ordered mark layout; both
+//!   draw exactly the sets the plain walk draws.
 //! * [`index`] — [`RrIndex`], the RR-set storage (member ids and set
 //!   offsets bit-packed at the widths `n` and the entry count need) +
 //!   inverted node→set-id postings under the coverage overlay, with

@@ -75,13 +75,13 @@ impl SamplingConfig {
 
     /// Worker count clamped to at least one.
     #[inline]
-    pub fn effective_threads(&self) -> usize {
+    fn effective_threads(&self) -> usize {
         self.threads.max(1)
     }
 
     /// Deterministic seed of shard `shard`.
     #[inline]
-    pub fn shard_seed(&self, shard: usize) -> u64 {
+    fn shard_seed(&self, shard: usize) -> u64 {
         self.seed ^ (shard as u64).wrapping_mul(GOLDEN_GAMMA)
     }
 }

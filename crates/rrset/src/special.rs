@@ -19,7 +19,7 @@ const LANCZOS: [f64; 9] = [
 ///
 /// Accuracy ~1e-12 relative across the range used here (arguments up to
 /// ~1e9, i.e. `ln n!` for the largest graphs we generate).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma domain error: {x}");
     if x < 0.5 {
         // Reflection formula keeps precision for tiny x.
@@ -36,7 +36,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// `ln n!`.
-pub fn ln_factorial(n: u64) -> f64 {
+fn ln_factorial(n: u64) -> f64 {
     ln_gamma(n as f64 + 1.0)
 }
 

@@ -250,10 +250,12 @@ impl<'g> DurableState<'g> {
     }
 
     /// An applied event the allocator refused, in both ledgers: this
-    /// run's [`Shared`] and the process-lifetime registry.
+    /// run's [`Shared`] and the process-lifetime registry. The registry
+    /// goes first, so a reader who sees this run's count sees the
+    /// registry's too.
     fn count_rejected(&self) {
-        self.shared.rejected.fetch_add(1, Ordering::Relaxed);
         tirm_obs::registry::SERVER_REJECTED.inc();
+        self.shared.rejected.fetch_add(1, Ordering::Release);
     }
 
     fn checkpoint(&mut self) -> io::Result<()> {

@@ -48,9 +48,8 @@ pub mod server;
 pub mod swap;
 pub mod wal;
 
-use tirm_core::TirmOptions;
 use tirm_online::OnlineConfig;
-use tirm_workloads::{DatasetKind, ScaleConfig};
+use tirm_workloads::{tirm_options, DatasetKind, ScaleConfig};
 
 /// The serving stack's canonical allocator configuration for a dataset
 /// at a scale — the exact derivation the `tirm_server` binary uses
@@ -65,13 +64,7 @@ pub fn serving_online_config(
     lambda: f64,
     seed: u64,
 ) -> OnlineConfig {
-    let quality = matches!(dataset, DatasetKind::Flixster | DatasetKind::Epinions);
-    let mut tirm = TirmOptions {
-        eps: if quality { 0.1 } else { 0.2 },
-        seed,
-        max_theta_per_ad: Some(if quality { 1_000_000 } else { 400_000 }),
-        ..TirmOptions::default()
-    };
+    let mut tirm = tirm_options(dataset.is_quality(), seed);
     tirm.threads = scale.threads;
     tirm.scale_theta_cap(scale.scale);
     OnlineConfig {

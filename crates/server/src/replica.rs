@@ -20,7 +20,8 @@
 //! An anchor that falls inside a segment the leader has pruned comes
 //! back as a typed `ReplicateBootstrap`, and the follower downloads
 //! the leader's newest checkpoint instead of demanding history that no
-//! longer exists.
+//! longer exists. A download cut short is retried; a checkpoint written
+//! under another configuration than the follower's ends the run.
 //!
 //! # Fencing
 //!
@@ -251,8 +252,15 @@ fn apply_loop(
                     if fencing_epoch > local_epoch {
                         persist_epoch(dir, &shared, fencing_epoch)?;
                     }
-                    match bootstrap(&mut client, checkpoint_seq, dir, state) {
-                        Ok(()) => out.bootstraps += 1,
+                    match download_checkpoint(&mut client, checkpoint_seq) {
+                        // Installing is local: a disk failure, or a
+                        // checkpoint written under another configuration
+                        // than this run's, ends the run like a failed
+                        // commit does.
+                        Ok((seq, bytes)) => {
+                            install_checkpoint(dir, seq, &bytes, state)?;
+                            out.bootstraps += 1;
+                        }
                         // A download cut short (leader died or was
                         // deposed mid-stream, chunk decode failure) is
                         // a stream error like any other: the local
@@ -345,21 +353,13 @@ fn advance_epoch(
     Ok(())
 }
 
-/// Downloads the leader's newest checkpoint into the local state dir
-/// (replacing all local segments and checkpoints — they predate the
-/// leader's retained history) and restarts the allocator from it. The
-/// next poll resumes at the checkpoint's cover point.
-fn bootstrap(
-    client: &mut Client,
-    announced_seq: u64,
-    dir: &Path,
-    state: &mut DurableState<'_>,
-) -> io::Result<()> {
+/// Downloads the leader's newest checkpoint: its cover point and bytes.
+fn download_checkpoint(client: &mut Client, announced_seq: u64) -> io::Result<(u64, Vec<u8>)> {
     const CHUNK: u64 = 1 << 20;
     const MAX_RESTARTS: u32 = 5;
     let mut restarts = 0;
     let mut ident = announced_seq;
-    let (seq, bytes) = 'download: loop {
+    'download: loop {
         let mut buf: Vec<u8> = Vec::new();
         loop {
             let chunk = client.replicate_checkpoint(buf.len() as u64, CHUNK)?;
@@ -384,15 +384,24 @@ fn bootstrap(
             }
             buf.extend_from_slice(&chunk.data);
             if chunk.data.is_empty() || buf.len() as u64 >= chunk.total_bytes {
-                break 'download (ident, buf);
+                return Ok((ident, buf));
             }
         }
-    };
+    }
+}
 
-    // Local history predates everything the leader retains — replace,
-    // don't merge.
+/// Installs a downloaded checkpoint as the local state dir's only one
+/// (replacing all local segments and checkpoints — they predate the
+/// leader's retained history: replace, don't merge) and restarts the
+/// allocator from it. The next poll resumes at its cover point.
+fn install_checkpoint(
+    dir: &Path,
+    seq: u64,
+    bytes: &[u8],
+    state: &mut DurableState<'_>,
+) -> io::Result<()> {
     clear_durable_state(dir)?;
-    wal::install_checkpoint(dir, seq, &bytes)?;
+    wal::install_checkpoint(dir, seq, bytes)?;
     state.reopen()
 }
 

@@ -213,8 +213,8 @@ pub(crate) struct Shared {
     /// returns and the writer takes over as leader in place, unless the
     /// run is stopping.
     pub(crate) promote_requested: AtomicBool,
-    /// Set by a wire `shutdown` request (or [`ServerHandle::request_shutdown`]);
-    /// [`ServerHandle::wait_shutdown`] blocks on it.
+    /// Set by a wire `shutdown` request; [`ServerHandle::wait_shutdown`]
+    /// blocks on it.
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
     /// Raised whenever `wal_seq` advances or the run starts to stop:
@@ -356,16 +356,7 @@ impl ServerHandle {
         self.shared.leader_seq.load(Ordering::Acquire)
     }
 
-    /// Flags the server for shutdown (same as a wire `shutdown`
-    /// request): [`wait_shutdown`](Self::wait_shutdown) unblocks, and
-    /// [`serve`] begins the drain-then-close sequence when its closure
-    /// returns.
-    pub fn request_shutdown(&self) {
-        self.shared.request_shutdown();
-    }
-
-    /// Blocks until some client sends a `shutdown` request (or
-    /// [`request_shutdown`](Self::request_shutdown) is called) — how the
+    /// Blocks until some client sends a `shutdown` request — how the
     /// `tirm_server` binary's main thread parks itself.
     pub fn wait_shutdown(&self) {
         let mut requested = self
@@ -774,7 +765,7 @@ pub(crate) fn handle_connection(
                     max_queue_depth: shared.max_queue_len.load(Ordering::Relaxed),
                     accepted: shared.accepted.load(Ordering::Relaxed),
                     shed: shared.shed.load(Ordering::Relaxed),
-                    rejected: shared.rejected.load(Ordering::Relaxed),
+                    rejected: shared.rejected.load(Ordering::Acquire),
                     bad_requests: shared.bad_requests.load(Ordering::Relaxed),
                     connections: shared.connections_open.load(Ordering::Relaxed),
                     // Registry-backed process-lifetime totals: these

@@ -42,8 +42,9 @@
 //! [`recover`] picks the newest checkpoint that passes its checksum
 //! (falling back to the previous one — two are retained — with a typed
 //! [`RecoveryWarning::BadCheckpoint`], and to a cold allocator when
-//! none is usable), then replays every frame with sequence number at
-//! or past the checkpoint's cover point. A torn final frame — the
+//! none is usable; a checkpoint written under another configuration is
+//! an error, not a fallback), then replays every frame with sequence
+//! number at or past the checkpoint's cover point. A torn final frame — the
 //! signature of a crash mid-append — ends the log with a
 //! [`RecoveryWarning::TornFrame`], never a panic; the restarted server
 //! opens a fresh segment at the recovered sequence number, so the torn
@@ -71,7 +72,7 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
-use tirm_graph::DiGraph;
+use tirm_graph::{snapshot::SnapshotError, DiGraph};
 use tirm_obs::flight::{self, Stage};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_topics::TopicEdgeProbs;
@@ -79,7 +80,7 @@ use tirm_wire::Request;
 use tirm_workloads::events::event_json_fields;
 
 /// First 8 bytes of every WAL segment.
-pub const WAL_MAGIC: &[u8; 8] = b"TIRMWAL0";
+const WAL_MAGIC: &[u8; 8] = b"TIRMWAL0";
 /// Segment format version (bumped on any layout change).
 pub const WAL_VERSION: u32 = 1;
 /// Segment header: magic (8) + version (4) + start sequence number (8).
@@ -90,7 +91,7 @@ const MAX_WAL_FRAME_BYTES: u32 = 16 << 20;
 /// Checkpoints retained on disk: the newest plus one fallback, so a
 /// checkpoint that fails its checksum on restart costs a longer replay,
 /// not the state.
-pub const KEEP_CHECKPOINTS: usize = 2;
+const KEEP_CHECKPOINTS: usize = 2;
 
 fn segment_path(dir: &Path, start_seq: u64) -> PathBuf {
     dir.join(format!("wal-{start_seq:020}.seg"))
@@ -460,7 +461,7 @@ pub fn read_frames(
 }
 
 /// Writes a checkpoint covering sequence numbers `< wal_seq` and
-/// retires all but the newest [`KEEP_CHECKPOINTS`] checkpoint files.
+/// retires all but the newest two checkpoint files.
 /// The image is written to a temp file, fsynced, and renamed into
 /// place — a crash mid-checkpoint leaves the previous one intact.
 pub fn write_checkpoint(
@@ -508,9 +509,9 @@ pub enum RecoveryWarning {
         seq: u64,
         why: String,
     },
-    /// A checkpoint failed to load (checksum mismatch, truncation,
-    /// config skew); recovery fell back to an older checkpoint or a
-    /// cold start, at the cost of a longer replay.
+    /// A checkpoint failed to load (checksum mismatch, truncation);
+    /// recovery fell back to an older checkpoint or a cold start, at the
+    /// cost of a longer replay.
     BadCheckpoint { path: PathBuf, why: String },
     /// No checkpoint and no segments: a first boot, served cold.
     NothingToRecover,
@@ -691,8 +692,10 @@ impl<'a> SegmentScan<'a> {
 /// past its cover point. Infallible against the crash artifacts the
 /// write path can produce (torn tails, a half-written checkpoint) —
 /// those become [`RecoveryWarning`]s; an `Err` means the directory
-/// itself is unreadable or the log has a *gap* (a segment missing from
-/// the middle), which no replay can paper over.
+/// itself is unreadable, the log has a *gap* (a segment missing from
+/// the middle), which no replay can paper over, or a checkpoint was
+/// written under another configuration than `cfg` and host data
+/// (`InvalidInput`, naming the field).
 pub fn recover<'g>(
     dir: &Path,
     graph: &'g DiGraph,
@@ -711,6 +714,15 @@ pub fn recover<'g>(
                 report.checkpoint_seq = Some(ckpt_seq);
                 allocator = Some(a);
                 break;
+            }
+            // Another configuration is the operator's error, not the
+            // disk's: an older checkpoint or a cold replay would serve
+            // the log under the wrong problem.
+            Err(e @ SnapshotError::ConfigMismatch { .. }) => {
+                return Err(io::Error::new(
+                    ErrorKind::InvalidInput,
+                    format!("checkpoint {}: {e}", path.display()),
+                ))
             }
             Err(e) => report.warnings.push(RecoveryWarning::BadCheckpoint {
                 path,
@@ -1023,6 +1035,35 @@ mod tests {
         );
         let want = oracle(&graph, &probs, &cfg, &evs);
         assert!(recovered.snapshot().same_allocation(&want.snapshot()));
+    }
+
+    #[test]
+    fn a_checkpoint_under_another_configuration_is_an_error_not_a_fallback() {
+        let (graph, probs) = setup(300, 11);
+        let cfg = config(3);
+        let dir = fresh_dir("ckptskew");
+        let evs = events();
+
+        let mut wal = Wal::open(&dir, 0, 1_000).unwrap();
+        let mut live = OnlineAllocator::new(&graph, &probs, cfg.clone());
+        for ev in &evs {
+            wal.append(ev).unwrap();
+            wal.sync().unwrap();
+            let _ = live.process(ev);
+        }
+        drop(wal);
+        write_checkpoint(&dir, &mut live, evs.len() as u64).unwrap();
+
+        // Written at κ = 2, recovered at κ = 5: replaying the log under
+        // κ = 5 would serve another problem, so nothing is recovered.
+        let skewed = OnlineConfig { kappa: 5, ..cfg };
+        let err = recover(&dir, &graph, &probs, &skewed)
+            .err()
+            .expect("refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        let why = err.to_string();
+        assert!(why.contains("kappa is 2, this process runs 5"), "{why}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -154,3 +154,53 @@ fn a_cold_follower_reports_its_recovery_before_anything_is_sent() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_checkpoint_under_another_kappa_stops_the_restart_before_it_listens() {
+    let dir = std::env::temp_dir().join(format!("tirm_cli_kappa_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_tirm_server"))
+            .args(["--bind", "127.0.0.1:0", "--kappa", "2"])
+            .arg("--state-dir")
+            .arg(&dir)
+            .env("TIRM_SCALE", "0.02")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("tirm_server starts"),
+    );
+    let (tx, lines) = mpsc::channel();
+    let stderr = BufReader::new(server.0.stderr.take().unwrap());
+    // Drained to the end: a closed pipe would fail the server's later
+    // stderr lines.
+    std::thread::spawn(move || {
+        for line in stderr.lines().map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    let addr = lines
+        .iter()
+        .find_map(|l| {
+            l.split_once("listening on ")
+                .and_then(|(_, rest)| rest.split_whitespace().next().map(str::to_string))
+        })
+        .expect("the κ = 2 run listens");
+    // One logged mutation (rejected: no such ad), so the clean stop
+    // writes a checkpoint at κ = 2.
+    let mut client = tirm_server::Client::connect(addr.as_str()).unwrap();
+    client
+        .send_event(&tirm_online::OnlineEvent::AdDeparture { id: 7 })
+        .unwrap();
+    client.shutdown_server().unwrap();
+    assert!(server.0.wait().unwrap().success());
+
+    let (code, stderr) = tirm_server(&["--state-dir", dir.to_str().unwrap(), "--kappa", "5"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("kappa is 2, this process runs 5"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("listening on"), "served anyway: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

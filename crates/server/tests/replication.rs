@@ -546,11 +546,17 @@ fn a_followers_rejections_reach_both_ledgers() {
                 wait_applied(fh.addr(), events.len() as u64, epochs[events.len()]);
                 // The follower's `wal_seq` moves at fsync, before the
                 // apply, and the rejected duplicate moves no epoch: the
-                // waits above can return before it is counted.
+                // waits above can return before it is counted. The
+                // leader ships a batch once it is fsynced, before its
+                // own apply, so the follower may count the rejection
+                // first: wait for the leader's count too before reading
+                // the shared registry.
                 let deadline = Instant::now() + Duration::from_secs(60);
                 loop {
+                    let leader = Client::connect(h.addr()).unwrap().stats().unwrap();
                     let stats = Client::connect(fh.addr()).unwrap().stats().unwrap();
-                    if stats.rejected >= 1 || Instant::now() >= deadline {
+                    let counted = leader.rejected >= 1 && stats.rejected >= 1;
+                    if counted || Instant::now() >= deadline {
                         break stats;
                     }
                     std::thread::sleep(Duration::from_millis(2));

@@ -104,26 +104,6 @@ impl TopicDist {
             .map(|(z, _)| z)
             .unwrap()
     }
-
-    /// Cosine similarity between two distributions — used by workloads to
-    /// reason about ad competition in topic space (§1: "ads which are close
-    /// in a topic space will naturally compete").
-    pub fn cosine_similarity(&self, other: &TopicDist) -> f32 {
-        assert_eq!(self.k(), other.k(), "topic spaces must match");
-        let dot: f32 = self
-            .weights
-            .iter()
-            .zip(&other.weights)
-            .map(|(a, b)| a * b)
-            .sum();
-        let na: f32 = self.weights.iter().map(|a| a * a).sum::<f32>().sqrt();
-        let nb: f32 = other.weights.iter().map(|b| b * b).sum::<f32>().sqrt();
-        if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            dot / (na * nb)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,15 +145,5 @@ mod tests {
         assert_eq!(s.weight(4), 1.0);
         assert_eq!(s.weight(0), 0.0);
         assert_eq!(s.dominant_topic(), 4);
-    }
-
-    #[test]
-    fn cosine_similarity_basics() {
-        let a = TopicDist::single(3, 0);
-        let b = TopicDist::single(3, 1);
-        assert!(a.cosine_similarity(&b).abs() < 1e-7);
-        assert!((a.cosine_similarity(&a) - 1.0).abs() < 1e-6);
-        let c = TopicDist::concentrated(3, 0, 0.9);
-        assert!(a.cosine_similarity(&c) > 0.9);
     }
 }

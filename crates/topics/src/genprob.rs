@@ -36,7 +36,7 @@ pub fn weighted_cascade(g: &DiGraph) -> Vec<f32> {
 
 /// Single draw from `Exp(rate)` by inverse transform, clamped to `[0, 1]`.
 #[inline]
-pub fn exp_inverse_transform(uniform: f64, rate: f64) -> f32 {
+fn exp_inverse_transform(uniform: f64, rate: f64) -> f32 {
     debug_assert!((0.0..1.0).contains(&uniform));
     ((-(1.0 - uniform).ln()) / rate).min(1.0) as f32
 }

@@ -742,25 +742,22 @@ pub fn allocation_body(snapshot: &AllocationSnapshot) -> String {
     out
 }
 
-/// Client-side connection policy, mirrored against the server's
-/// `ServerConfig`: handshake behavior and the bounded
-/// reconnect-with-backoff schedule a client applies when the server
-/// restarts underneath it (the crash-recovery bench mode).
-#[derive(Clone, Debug)]
+/// Backoff before the first reconnect attempt; doubles per attempt.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Cap on the per-attempt backoff.
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
+
+/// Client-side connection policy: the bounded reconnect-with-backoff
+/// schedule a client applies when the server restarts underneath it
+/// (the crash-recovery bench mode). Every connection disables Nagle's
+/// algorithm and opens with a `hello` exchange that fails fast on
+/// protocol-version skew.
+#[derive(Clone, Debug, Default)]
 pub struct ClientOptions {
-    /// Disable Nagle's algorithm (request/response pipelining).
-    pub nodelay: bool,
-    /// Open each connection with a `hello` exchange and fail fast on
-    /// protocol-version skew.
-    pub handshake: bool,
     /// Bounded reconnect attempts after a lost connection. `0` fails
     /// fast (the pre-recovery behavior); kill/restart bench modes use a
     /// budget that covers the server's recovery time.
     pub reconnect_attempts: u32,
-    /// Backoff before the first reconnect attempt; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Cap on the per-attempt backoff.
-    pub backoff_max: Duration,
     /// Deterministic backoff jitter, keyed by a per-client seed:
     /// `Some(seed)` scales each attempt's backoff by a factor in
     /// `[0.5, 1.0)` derived from `(seed, attempt)`, so a fleet of
@@ -771,26 +768,13 @@ pub struct ClientOptions {
     pub jitter: Option<u64>,
 }
 
-impl Default for ClientOptions {
-    fn default() -> Self {
-        ClientOptions {
-            nodelay: true,
-            handshake: true,
-            reconnect_attempts: 0,
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-            jitter: None,
-        }
-    }
-}
-
 impl ClientOptions {
     /// Options with a reconnect budget of `attempts` (exponential
-    /// backoff, default base/cap).
+    /// backoff from 50 ms, capped at 2 s).
     pub fn reconnecting(attempts: u32) -> Self {
         ClientOptions {
             reconnect_attempts: attempts,
-            ..ClientOptions::default()
+            jitter: None,
         }
     }
 
@@ -801,7 +785,6 @@ impl ClientOptions {
         ClientOptions {
             reconnect_attempts: attempts,
             jitter: Some(seed),
-            ..ClientOptions::default()
         }
     }
 
@@ -811,10 +794,7 @@ impl ClientOptions {
     /// [`jitter`](Self::jitter) is set.
     pub fn backoff(&self, attempt: u32) -> Duration {
         let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
-        let full = self
-            .backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_max);
+        let full = BACKOFF_BASE.saturating_mul(factor).min(BACKOFF_MAX);
         match self.jitter {
             None => full,
             Some(seed) => {
@@ -1321,8 +1301,8 @@ mod tests {
         assert_eq!(opts.backoff(0), Duration::from_millis(50));
         assert_eq!(opts.backoff(1), Duration::from_millis(100));
         assert_eq!(opts.backoff(2), Duration::from_millis(200));
-        assert_eq!(opts.backoff(10), opts.backoff_max, "capped");
-        assert_eq!(opts.backoff(40), opts.backoff_max, "no shift overflow");
+        assert_eq!(opts.backoff(10), BACKOFF_MAX, "capped");
+        assert_eq!(opts.backoff(40), BACKOFF_MAX, "no shift overflow");
     }
 
     #[test]

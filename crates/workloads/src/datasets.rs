@@ -46,8 +46,16 @@ impl DatasetKind {
         }
     }
 
+    /// True for the §6.1 quality networks (FLIXSTER, EPINIONS: Table 2
+    /// campaigns, sampled CTPs, ε = 0.1); false for the §6.2
+    /// scalability networks (DBLP, LIVEJOURNAL: full competition,
+    /// CPE = CTP = 1, ε = 0.2).
+    pub fn is_quality(self) -> bool {
+        matches!(self, DatasetKind::Flixster | DatasetKind::Epinions)
+    }
+
     /// Node count of the real data set (Table 1).
-    pub fn paper_nodes(self) -> usize {
+    fn paper_nodes(self) -> usize {
         match self {
             DatasetKind::Flixster => 30_000,
             DatasetKind::Epinions => 76_000,
@@ -241,7 +249,7 @@ impl Dataset {
     /// that determines the generator's output — kind, probability model,
     /// resolved node count, seed, [`GENERATOR_VERSION`] and (for the
     /// topic-concentrated model only) the `TIRM_FLIX_RATE` override.
-    pub fn snapshot_key(kind: DatasetKind, model: ProbModel, cfg: &ScaleConfig, seed: u64) -> u64 {
+    fn snapshot_key(kind: DatasetKind, model: ProbModel, cfg: &ScaleConfig, seed: u64) -> u64 {
         let mut id = format!(
             "{}/{}/n{}/s{:016x}/g{}",
             kind.name(),
@@ -262,7 +270,7 @@ impl Dataset {
     }
 
     /// Cache file path for a dataset under `dir`.
-    pub fn snapshot_path(
+    fn snapshot_path(
         dir: &Path,
         kind: DatasetKind,
         model: ProbModel,
@@ -397,7 +405,7 @@ pub fn snapshot_dir() -> Option<PathBuf> {
 /// own-topic cascades sizeable but subcritical, so the §4.1 working
 /// assumption `p_i < 1` holds at harness scale; override with
 /// `TIRM_FLIX_RATE` for sensitivity studies.
-pub fn flixster_strong_rate() -> f64 {
+fn flixster_strong_rate() -> f64 {
     std::env::var("TIRM_FLIX_RATE")
         .ok()
         .and_then(|v| v.parse().ok())

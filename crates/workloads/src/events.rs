@@ -74,7 +74,6 @@ impl EventStreamSpec {
     /// Table-2 budget/CPE ranges and realistic 1–3% CTPs; scalability
     /// networks get the §6.2 full-competition setup (CPE = CTP = 1).
     pub fn for_dataset(kind: DatasetKind, events: usize, seed: u64) -> EventStreamSpec {
-        let quality = matches!(kind, DatasetKind::Flixster | DatasetKind::Epinions);
         let (budget_range, cpe_range, ctp_range) = match kind {
             DatasetKind::Flixster => ((200.0, 1200.0), (5.0, 6.0), (0.01, 0.03)),
             DatasetKind::Epinions => ((100.0, 700.0), (2.5, 6.0), (0.01, 0.03)),
@@ -84,7 +83,7 @@ impl EventStreamSpec {
         EventStreamSpec {
             events,
             max_live: 8,
-            topics_k: if quality { 10 } else { 1 },
+            topics_k: if kind.is_quality() { 10 } else { 1 },
             budget_range,
             pareto_alpha: 1.2,
             cpe_range,

@@ -42,4 +42,4 @@ pub use events::{final_population, EventStreamSpec, FinalAd, LogEvent};
 // and a module sharing the name `replay` breaks rustdoc.)
 pub use replay::ReplayReport;
 pub use scale::ScaleConfig;
-pub use scenarios::{AllocatorKind, Mode, ScenarioSpec, Tier};
+pub use scenarios::{tirm_options, AllocatorKind, Mode, ScenarioSpec, Tier};

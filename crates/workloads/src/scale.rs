@@ -71,7 +71,7 @@ pub fn default_threads() -> usize {
 
 /// Parses `TIRM_SCALE`: positive float, clamped to ≥ 0.001. Returns the
 /// resolved value plus a warning when the raw value is set but unusable.
-pub fn parse_scale(raw: Option<&str>, default: f64) -> (f64, Option<String>) {
+fn parse_scale(raw: Option<&str>, default: f64) -> (f64, Option<String>) {
     parse_with(raw, default, "TIRM_SCALE", |v: f64| {
         if v.is_finite() && v > 0.0 {
             Some(v.max(0.001))
@@ -90,7 +90,7 @@ pub fn parse_budget_factor(raw: Option<&str>, default: f64) -> (f64, Option<Stri
 }
 
 /// Parses `TIRM_EVAL_RUNS`: positive integer, clamped to ≥ 10.
-pub fn parse_eval_runs(raw: Option<&str>, default: usize) -> (usize, Option<String>) {
+fn parse_eval_runs(raw: Option<&str>, default: usize) -> (usize, Option<String>) {
     parse_with(raw, default, "TIRM_EVAL_RUNS", |v: usize| {
         if v > 0 {
             Some(v.max(10))
@@ -101,7 +101,7 @@ pub fn parse_eval_runs(raw: Option<&str>, default: usize) -> (usize, Option<Stri
 }
 
 /// Parses `TIRM_THREADS`: positive integer.
-pub fn parse_threads(raw: Option<&str>, default: usize) -> (usize, Option<String>) {
+fn parse_threads(raw: Option<&str>, default: usize) -> (usize, Option<String>) {
     parse_with(raw, default, "TIRM_THREADS", |v: usize| {
         if v > 0 {
             Some(v)

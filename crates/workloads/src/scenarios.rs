@@ -10,6 +10,21 @@
 
 use crate::datasets::{DatasetKind, ProbModel};
 use crate::scale::{default_threads, ScaleConfig};
+use tirm_core::TirmOptions;
+
+/// TIRM options per experiment family ([`DatasetKind::is_quality`]):
+/// ε = 0.1 for quality runs, 0.2 for scalability runs (§6), with per-ad
+/// sample caps keeping the harness inside laptop memory (ARCHITECTURE.md,
+/// "Synthetic data sets"; the cap only reduces estimation accuracy, never
+/// correctness).
+pub fn tirm_options(quality: bool, seed: u64) -> TirmOptions {
+    TirmOptions {
+        eps: if quality { 0.1 } else { 0.2 },
+        seed,
+        max_theta_per_ad: Some(if quality { 1_000_000 } else { 400_000 }),
+        ..TirmOptions::default()
+    }
+}
 
 /// Which allocation algorithm a cell runs: the scenario grid's three
 /// and the §6 figures' two myopic baselines.
@@ -169,7 +184,7 @@ impl ScenarioSpec {
     /// CTPs); false for the §6.2 scalability setup (uniform competition,
     /// CPE = CTP = 1).
     pub fn is_quality(&self) -> bool {
-        matches!(self.dataset, DatasetKind::Flixster | DatasetKind::Epinions)
+        self.dataset.is_quality()
     }
 }
 
