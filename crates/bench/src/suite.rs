@@ -17,7 +17,7 @@ use tirm_core::{
     TirmOptions,
 };
 use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig};
-use tirm_server::{Client, DurabilityConfig, FollowConfig, ServerConfig};
+use tirm_server::{Client, FollowConfig, ServerConfig};
 use tirm_topics::CtpTable;
 use tirm_workloads::replay::replay;
 use tirm_workloads::{
@@ -212,13 +212,14 @@ fn probe_metrics_exposition() {
         );
     }
     // The flight recorder's gate: /trace.json parses and holds at least
-    // one mutation with a complete lifecycle. The serving cell is
-    // memory-only, so the lifecycle is the non-durable core (admit →
-    // queue → apply → publish); the durable stages are gated by the
-    // server crate's own tests and the soak.
+    // one mutation with a complete lifecycle, log append and fsync
+    // included.
     let trace = tirm_obs::http::fetch(srv.addr(), "/trace.json", Duration::from_secs(5))
         .expect("trace scrape failed");
-    let complete = crate::traces_covering_stages(&trace, &["admit", "queue", "apply", "publish"]);
+    let complete = crate::traces_covering_stages(
+        &trace,
+        &["admit", "queue", "wal_append", "fsync", "apply", "publish"],
+    );
     assert!(
         complete >= 1,
         "no complete mutation lifecycle in /trace.json after the serving cell"
@@ -230,8 +231,8 @@ fn probe_metrics_exposition() {
 /// the leader until it catches back up.
 const REPL_MAX_LAG: u64 = 64;
 
-/// A `SERVING-REPL` cell's state dirs, `leader/` and `follower/` under
-/// one root. The root is unique per call — the pid plus a process-wide
+/// A serving cell's state dirs, `leader/` and (used by `SERVING-REPL`
+/// only) `follower/` under one root. The root is unique per call — the pid plus a process-wide
 /// counter, because two cells of one spec may run at once in one test
 /// process — and dropping it removes the tree, on every exit path.
 struct StateDirs(std::path::PathBuf);
@@ -240,7 +241,7 @@ impl StateDirs {
     fn new() -> StateDirs {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let root = std::env::temp_dir().join(format!(
-            "tirm_repl_cell_{}_{}",
+            "tirm_serving_cell_{}_{}",
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
@@ -264,8 +265,7 @@ impl Drop for StateDirs {
 /// `SERVING_READERS` concurrent reader connections), then MC-evaluate
 /// the drained allocation exactly like the online cells.
 ///
-/// A `SERVING-REPL` cell makes the leader durable, adds an in-process
-/// WAL-shipping follower, and splits the reader pool across both with
+/// A `SERVING-REPL` cell adds an in-process WAL-shipping follower, and splits the reader pool across both with
 /// lag-aware routing. After the leader drains, the follower must
 /// converge to the bit-identical snapshot before the cell evaluates it
 /// — so the cell is the PR gate's replication-correctness probe.
@@ -287,22 +287,16 @@ pub fn run_serving_cell(
     let salt = if replicated { 0x4ef0 } else { 0x5e11 };
     let log = serving_stream(dataset, spec, scale, base_seed, salt);
     let online = serving_online_config(spec, scale, aseed);
-    // Replication requires durable state on both sides. Tight cadence
-    // relative to the 48-event stream, so the cell exercises
-    // checkpointing and multi-segment shipping, not just a single open
-    // segment.
-    let dirs = replicated.then(StateDirs::new);
-    let (checkpoint_interval, segment_events) = (16, 64);
-    let durable = |dir| DurabilityConfig {
-        checkpoint_interval,
-        segment_events,
-        ..DurabilityConfig::new(dir)
-    };
+    // Every server keeps a state dir. Tight cadence relative to the
+    // 48-event stream, so the cell exercises checkpointing and
+    // multi-segment shipping, not just a single open segment.
+    let dirs = StateDirs::new();
     let server_cfg = ServerConfig {
         online,
         queue_depth: 32,
-        durability: dirs.as_ref().map(|d| durable(d.0.join("leader"))),
-        ..ServerConfig::default()
+        checkpoint_interval: 16,
+        segment_events: 64,
+        ..ServerConfig::new(dirs.0.join("leader"))
     };
 
     let t0 = Instant::now();
@@ -313,9 +307,9 @@ pub fn run_serving_cell(
         |handle| {
             let leader = handle.addr();
             std::thread::scope(|s| {
-                let follower = dirs.as_ref().map(|d| {
+                let follower = replicated.then(|| {
                     let fcfg = ServerConfig {
-                        durability: Some(durable(d.0.join("follower"))),
+                        state_dir: dirs.0.join("follower"),
                         follow: Some(FollowConfig::new(leader.to_string())),
                         ..server_cfg.clone()
                     };

@@ -95,47 +95,10 @@ impl DiGraph {
     /// and that every out-adjacency run is strictly increasing (sorted,
     /// duplicate- and self-loop-consistent — `edge_id`/`has_edge` binary
     /// search those runs). Full forward/reverse mirror consistency is the
-    /// responsibility of the producer. The snapshot loader uses the
-    /// crate-internal trusted variant instead, where the file checksum
-    /// already proves the arrays are what a valid graph wrote.
+    /// responsibility of the producer. The snapshot loader goes through
+    /// here too: a checksum proves the bytes are what the writer wrote,
+    /// not that the writer was honest.
     pub fn from_csr_parts(
-        out_offsets: Vec<u32>,
-        out_targets: Vec<NodeId>,
-        in_offsets: Vec<u32>,
-        in_sources: Vec<NodeId>,
-        in_edge_ids: Vec<EdgeId>,
-    ) -> Result<Self, String> {
-        let g = Self::from_csr_parts_trusted(
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-            in_edge_ids,
-        )?;
-        let n = g.num_nodes();
-        let m = g.num_edges();
-        if g.out_targets.iter().any(|&v| v as usize >= n)
-            || g.in_sources.iter().any(|&u| u as usize >= n)
-        {
-            return Err("node id out of range".into());
-        }
-        if g.in_edge_ids.iter().any(|&e| e as usize >= m) {
-            return Err("edge id out of range".into());
-        }
-        for u in 0..n {
-            let run = g.out_neighbors(u as NodeId);
-            if run.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("out-adjacency of node {u} not strictly increasing"));
-            }
-        }
-        Ok(g)
-    }
-
-    /// [`Self::from_csr_parts`] minus the `O(m)` id-range scans — for
-    /// callers whose arrays carry their own integrity proof (the snapshot
-    /// loader verifies a whole-file checksum first). Cheap `O(n)` checks
-    /// (lengths, offset monotonicity, tail sums) still run.
-    pub(crate) fn from_csr_parts_trusted(
         out_offsets: Vec<u32>,
         out_targets: Vec<NodeId>,
         in_offsets: Vec<u32>,
@@ -160,13 +123,29 @@ impl DiGraph {
                 return Err("offsets tail does not match edge count".into());
             }
         }
-        Ok(DiGraph {
+        let g = DiGraph {
             out_offsets,
             out_targets,
             in_offsets,
             in_sources,
             in_edge_ids,
-        })
+        };
+        let n = g.num_nodes();
+        if g.out_targets.iter().any(|&v| v as usize >= n)
+            || g.in_sources.iter().any(|&u| u as usize >= n)
+        {
+            return Err("node id out of range".into());
+        }
+        if g.in_edge_ids.iter().any(|&e| e as usize >= m) {
+            return Err("edge id out of range".into());
+        }
+        for u in 0..n {
+            let run = g.out_neighbors(u as NodeId);
+            if run.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("out-adjacency of node {u} not strictly increasing"));
+            }
+        }
+        Ok(g)
     }
 
     /// The five raw CSR arrays, in snapshot serialization order:

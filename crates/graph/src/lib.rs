@@ -43,7 +43,7 @@ pub mod stats;
 pub use builder::{build_from_stream, GraphBuilder};
 pub use csr::{CsrParts, DiGraph, EdgeId, NodeId};
 pub use snapshot::{
-    read_snapshot, read_words_file, read_words_stream, write_atomic, write_atomic_with,
-    write_snapshot, write_words_file, write_words_stream, Snapshot, SnapshotError,
+    read_snapshot, read_words_stream, write_atomic, write_atomic_with, write_snapshot,
+    write_words_stream, Snapshot, SnapshotError,
 };
 pub use stats::GraphStats;

@@ -23,7 +23,9 @@
 //!
 //! The loader rejects wrong magic, unknown versions, truncated files
 //! (length is pre-checked against the header before anything is
-//! allocated) and checksum mismatches with a typed [`SnapshotError`] —
+//! allocated), checksum mismatches and arrays that do not form a graph
+//! (an id out of range, an unsorted adjacency run — what a forged file
+//! with a recomputed checksum holds) with a typed [`SnapshotError`] —
 //! never a panic — so callers can fall back to regeneration when a cache
 //! file is stale or damaged. Floats travel as raw bits, so a loaded
 //! snapshot is bit-identical to what was saved.
@@ -431,27 +433,6 @@ fn truncation_of(e: SnapshotError, count: usize) -> SnapshotError {
     }
 }
 
-/// [`write_words_stream`] committed atomically to `path` (temp file +
-/// rename via [`write_atomic_with`]).
-pub fn write_words_file(
-    path: &Path,
-    magic: &[u8; 8],
-    version: u32,
-    payload: &[u32],
-) -> io::Result<()> {
-    write_atomic_with(path, |w| write_words_stream(w, magic, version, payload))
-}
-
-/// Reads a payload file written by [`write_words_file`].
-pub fn read_words_file(
-    path: &Path,
-    magic: &[u8; 8],
-    version: u32,
-) -> Result<Vec<u32>, SnapshotError> {
-    let mut r = std::io::BufReader::with_capacity(1 << 20, File::open(path)?);
-    read_words_stream(&mut r, magic, version)
-}
-
 /// Writes `graph` and its `num_topics × m` edge-major probability matrix
 /// to `path` through a buffered writer. The file appears atomically via
 /// [`write_atomic_with`], so a crashed writer can never leave a
@@ -572,9 +553,10 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, SnapshotError> {
         return Err(SnapshotError::ChecksumMismatch { stored, computed });
     }
 
-    // Checksum verified above ⇒ the arrays are byte-exact what a valid
-    // graph wrote; skip the O(m) id-range rescans, keep the O(n) ones.
-    let graph = DiGraph::from_csr_parts_trusted(
+    // The checksum proves the arrays are what the writer wrote, not that
+    // they form a graph: every id is range-checked before anything can
+    // index with it.
+    let graph = DiGraph::from_csr_parts(
         out_offsets,
         out_targets,
         in_offsets,

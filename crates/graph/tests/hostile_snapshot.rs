@@ -3,16 +3,17 @@
 //! or m header field rewritten loads as a typed [`SnapshotError`] or as
 //! the original graph. It never panics, and while it loads it never
 //! holds more heap than the file is long, plus the reader's fixed chunk
-//! buffer, whatever the header claims.
+//! buffer, whatever the header claims. A forged file whose checksum was
+//! recomputed after an id was put out of range is `Malformed`.
 //!
-//! One test in its own binary: the allocation high-water mark is
-//! process-wide.
+//! Its own binary, and its tests take turns ([`SERIAL`]): the
+//! allocation high-water mark is process-wide.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use tirm_graph::generators;
 use tirm_graph::snapshot::{read_snapshot, write_snapshot, Snapshot, SnapshotError};
 
@@ -47,6 +48,10 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
+
+/// Held for the whole of each case, so no other test's allocations land
+/// in the high-water mark a case reads.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// The loader's one scratch buffer (`4 · CHUNK_ELEMS` bytes), plus room
 /// for the path and the file handle.
@@ -134,6 +139,7 @@ proptest! {
         at in 0usize..1 << 20,
         value in 0u64..u64::MAX,
     ) {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let fx = fixture();
         let bytes = hostile(&fx.valid, what, at, value);
         std::fs::write(&fx.path, &bytes).unwrap();
@@ -149,5 +155,56 @@ proptest! {
             "held {peak} bytes loading a {}-byte file (edit {what} at {at})",
             bytes.len()
         );
+    }
+}
+
+/// The snapshot trailer computed the plain way: word `i` of everything
+/// before it feeds FNV-1a-64 lane `i mod 4`, and one more FNV-1a pass
+/// folds the four lanes' bytes.
+fn checksum(body: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut lanes = [OFFSET; 4];
+    for (i, w) in body.chunks_exact(4).enumerate() {
+        let w = u32::from_le_bytes(w.try_into().unwrap());
+        lanes[i % 4] = (lanes[i % 4] ^ u64::from(w)).wrapping_mul(PRIME);
+    }
+    let mut h = OFFSET;
+    for b in lanes.iter().flat_map(|l| l.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// The checksum proves the bytes are what the writer wrote, not that
+/// the writer was honest: an `in_sources` id one past the last node,
+/// with the trailer recomputed to match, is refused as `Malformed`.
+#[test]
+fn a_forged_out_of_range_id_with_a_recomputed_checksum_is_malformed() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fx = fixture();
+    let mut bytes = fx.valid.clone();
+    let body = bytes.len() - 8;
+    assert_eq!(
+        checksum(&bytes[..body]).to_le_bytes(),
+        bytes[body..],
+        "the plain checksum reproduces the writer's"
+    );
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let (n, m) = (word(16), word(24));
+    // Header, out_offsets, out_targets, in_offsets: then in_sources.
+    let in_sources = 32 + 4 * (n + 1) + 4 * m + 4 * (n + 1);
+    bytes[in_sources..in_sources + 4].copy_from_slice(&(n as u32).to_le_bytes());
+    let forged = checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&forged.to_le_bytes());
+
+    let path = fx.path.with_extension("forged");
+    std::fs::write(&path, &bytes).unwrap();
+    let got = read_snapshot(&path);
+    std::fs::remove_file(&path).unwrap();
+    match got {
+        Err(SnapshotError::Malformed(why)) => assert!(why.contains("out of range"), "{why}"),
+        Err(e) => panic!("a forged id must be Malformed, got {e}"),
+        Ok(_) => panic!("a snapshot with an out-of-range in_sources id loaded"),
     }
 }

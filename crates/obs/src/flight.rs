@@ -82,10 +82,10 @@ impl Stage {
         Stage::FollowerApply,
     ];
 
-    /// The stages every mutation passes through on any server —
-    /// durable or memory-only, leader or not. A trace covering all of
-    /// these is a *complete lifecycle* (WAL and replication stages are
-    /// topology-dependent extras).
+    /// The stages every mutation passes through on the leader that
+    /// admits it, besides its WAL append and fsync. A trace covering
+    /// all of these is a *complete lifecycle* (the log and replication
+    /// stages are checked where they apply).
     pub const CORE_LIFECYCLE: [Stage; 4] =
         [Stage::Admit, Stage::Queue, Stage::Apply, Stage::Publish];
 

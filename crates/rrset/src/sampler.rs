@@ -22,7 +22,6 @@ pub struct SampleWorkspace {
     mark: Vec<u32>,
     queue: Vec<NodeId>,
     out: Vec<NodeId>,
-    last_root: Option<NodeId>,
 }
 
 impl SampleWorkspace {
@@ -33,17 +32,7 @@ impl SampleWorkspace {
             mark: vec![0; n],
             queue: Vec::with_capacity(256),
             out: Vec::with_capacity(64),
-            last_root: None,
         }
-    }
-
-    /// Root node of the most recent sample drawn through this workspace,
-    /// or `None` before the first draw. This is the supported way to
-    /// observe the sampled root — for RRC sets the root may be CTP-blocked
-    /// and therefore absent from the returned set.
-    #[inline]
-    pub fn last_root(&self) -> Option<NodeId> {
-        self.last_root
     }
 
     /// Grows the mark array to cover `n` nodes; never shrinks. A
@@ -80,7 +69,6 @@ impl SampleWorkspace {
         }
         self.queue.clear();
         self.out.clear();
-        self.last_root = None;
     }
 }
 
@@ -119,7 +107,6 @@ impl<'a> RrSampler<'a> {
         let n = self.g.num_nodes();
         ws.begin();
         let root = rng.gen_range(0..n) as NodeId;
-        ws.last_root = Some(root);
         ws.mark[root as usize] = ws.epoch;
         ws.queue.push(root);
         let mut head = 0;
@@ -158,7 +145,6 @@ impl<'a> RrSampler<'a> {
         debug_assert_eq!(fp.thresholds().len(), self.g.in_sources_raw().len());
         ws.begin();
         let root = rng.gen_range(0..n) as NodeId;
-        ws.last_root = Some(root);
         ws.queue.push(root);
         let th = fp.thresholds();
         let sources = self.g.in_sources_raw();
@@ -228,7 +214,6 @@ impl<'a> RrSampler<'a> {
         debug_assert_eq!(ctp.len(), n);
         ws.begin();
         let root = rng.gen_range(0..n) as NodeId;
-        ws.last_root = Some(root);
         ws.mark[root as usize] = ws.epoch;
         ws.queue.push(root);
         if rng.gen::<f32>() < ctp[root as usize] {
@@ -271,6 +256,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use tirm_graph::generators;
+
+    /// The root the next draw from `rng` on an `n`-node graph starts at:
+    /// the first word every walk consumes.
+    fn next_root<R: Rng + Clone>(rng: &R, n: usize) -> NodeId {
+        rng.clone().gen_range(0..n) as NodeId
+    }
 
     #[test]
     fn rr_set_always_contains_root_and_respects_reachability() {
@@ -348,6 +339,7 @@ mod tests {
 
     /// RNG wrapper counting consumed words — for pinning draw-count
     /// invariants.
+    #[derive(Clone)]
     struct CountingRng {
         inner: SmallRng,
         draws: u64,
@@ -383,8 +375,8 @@ mod tests {
             };
             for _ in 0..40 {
                 let before = rng.draws;
+                let root = next_root(&rng, 6) as u64;
                 s.sample_rrc(&ctps, &mut ws, &mut rng);
-                let root = ws.last_root().unwrap() as u64;
                 assert_eq!(rng.draws - before, 2 * root + 2, "ctp={:?}", ctps[0]);
             }
         }
@@ -421,10 +413,10 @@ mod tests {
             let mut rng_a = SmallRng::seed_from_u64(5);
             let mut rng_b = SmallRng::seed_from_u64(5);
             for i in 0..300 {
+                assert_eq!(next_root(&rng_a, 400), next_root(&rng_b, 400));
                 let a = s.sample(&mut ws_a, &mut rng_a).to_vec();
                 let b = s.sample_with(&fp, &mut ws_b, &mut rng_b).to_vec();
                 assert_eq!(a, b, "sample {i}");
-                assert_eq!(ws_a.last_root(), ws_b.last_root());
             }
         }
     }
@@ -441,11 +433,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut saw_root2 = false;
         for _ in 0..200 {
+            // The RRC root may be CTP-blocked and absent from the set:
+            // read it off the RNG stream instead.
+            let root = next_root(&rng, 3);
             let set = s.sample_rrc(&ctp, &mut ws, &mut rng).to_vec();
-            // Detect the root through the public API — the RRC root may be
-            // CTP-blocked and absent from the set, so peeking at private
-            // scratch state would be both fragile and wrong.
-            if ws.last_root() == Some(2) {
+            if root == 2 {
                 saw_root2 = true;
                 assert!(set.contains(&0), "0 must relay through blocked 1");
                 assert!(!set.contains(&1), "1 is CTP-blocked");

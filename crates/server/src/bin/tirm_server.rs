@@ -5,7 +5,7 @@
 //! ```text
 //! # serve an EPINIONS-like network on port 7401
 //! cargo run -p tirm_server --bin tirm_server --release -- \
-//!     --dataset EPINIONS --bind 127.0.0.1:7401
+//!     --dataset EPINIONS --bind 127.0.0.1:7401 --state-dir /tmp/tirm-leader
 //! ```
 //!
 //! Any wire client (`tirm_server::Client`) can then drive it. The
@@ -23,20 +23,18 @@
 //! * `--queue-depth N`  — write-queue bound (admission control; default
 //!   64).
 //! * `--max-connections N` — connection admission bound (default 64).
-//! * `--state-dir DIR`  — enable durability: recover from DIR on boot,
-//!   then WAL every admitted mutation (group-commit fsync) and
-//!   checkpoint on a cadence. Without it the server is memory-only.
+//! * `--state-dir DIR`  — **required**: recover from DIR on boot, then
+//!   WAL every admitted mutation (group-commit fsync) and checkpoint on
+//!   a cadence. Without it the bin exits 2 before loading anything.
 //! * `--checkpoint-interval N` — applied events between checkpoints
-//!   (default 256; needs `--state-dir`).
-//! * `--segment-events N` — WAL frames per segment file (default 1024;
-//!   needs `--state-dir`).
+//!   (default 256).
+//! * `--segment-events N` — WAL frames per segment file (default 1024).
 //! * `--follow ADDR` — run as a **follower** of the leader at ADDR:
-//!   tail its WAL over the wire, serve snapshot-swapped reads at
-//!   `--bind`, answer mutations with a typed `not_leader` redirect.
-//!   Requires `--state-dir` (the follower keeps its own WAL +
-//!   checkpoints). A wire `promote` request turns this process into
-//!   the leader in place: fencing epoch bumped, same allocator, same
-//!   open log, same listener.
+//!   tail its WAL over the wire into its own state dir, serve
+//!   snapshot-swapped reads at `--bind`, answer mutations with a typed
+//!   `not_leader` redirect. A wire `promote` request turns this process
+//!   into the leader in place: fencing epoch bumped, same allocator,
+//!   same open log, same listener.
 //! * `--peer ADDR` — (repeatable, needs `--follow`) other replicas to
 //!   try when the leader stops answering — how a follower finds the
 //!   new leader after a hand-off.
@@ -57,15 +55,15 @@
 //! warm-starts the dataset from the binary snapshot cache.
 
 use std::process::ExitCode;
-use tirm_server::{serve, DurabilityConfig, FollowConfig, ServerConfig};
+use tirm_server::{serve, FollowConfig, ServerConfig};
 use tirm_workloads::{Dataset, DatasetKind, ProbModel, ScaleConfig};
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: tirm_server [--dataset NAME] [--model topic|exp|wc] [--bind ADDR] \
-         [--kappa N] [--lambda F] [--seed N] [--queue-depth N] [--max-connections N] \
-         [--state-dir DIR] [--checkpoint-interval N] [--segment-events N] \
+        "usage: tirm_server --state-dir DIR [--dataset NAME] [--model topic|exp|wc] \
+         [--bind ADDR] [--kappa N] [--lambda F] [--seed N] [--queue-depth N] \
+         [--max-connections N] [--checkpoint-interval N] [--segment-events N] \
          [--follow LEADER_ADDR [--peer ADDR]...] [--metrics-addr ADDR] [--metrics-json PATH] \
          [--trace-json PATH]"
     );
@@ -160,25 +158,12 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument {other:?}")),
         }
     }
-    let needs_state_dir = [
-        ("--checkpoint-interval", checkpoint_interval.is_some()),
-        ("--segment-events", segment_events.is_some()),
-        ("--follow", follow.is_some()),
-    ];
-    if let Some((flag, _)) = needs_state_dir.iter().find(|f| f.1 && state_dir.is_none()) {
-        return usage(&format!("{flag} needs --state-dir DIR"));
-    }
+    let Some(state_dir) = state_dir else {
+        return usage("--state-dir DIR is required (every admitted mutation is logged there)");
+    };
     if !peers.is_empty() && follow.is_none() {
         return usage("--peer needs --follow LEADER_ADDR (only a follower re-homes to a peer)");
     }
-    let durability = state_dir.map(|dir| {
-        let d = DurabilityConfig::new(dir);
-        DurabilityConfig {
-            checkpoint_interval: checkpoint_interval.unwrap_or(d.checkpoint_interval),
-            segment_events: segment_events.unwrap_or(d.segment_events),
-            ..d
-        }
-    });
     let model = model.unwrap_or_else(|| ProbModel::canonical(dataset_kind));
     let cfg = ScaleConfig::from_env();
     eprintln!(
@@ -264,29 +249,28 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     };
 
+    let defaults = ServerConfig::new(state_dir);
     let server_cfg = ServerConfig {
         online,
         bind,
         queue_depth,
         max_connections,
-        durability,
+        checkpoint_interval: checkpoint_interval.unwrap_or(defaults.checkpoint_interval),
+        segment_events: segment_events.unwrap_or(defaults.segment_events),
         follow: follow.map(|leader_addr| FollowConfig {
             peer_addrs: peers,
             ..FollowConfig::new(leader_addr)
         }),
-        ..ServerConfig::default()
+        ..defaults
     };
     let served = serve(
         &dataset.graph,
         &dataset.topic_probs,
         server_cfg.clone(),
         |handle| {
-            let dir = server_cfg
-                .durability
-                .as_ref()
-                .map(|d| d.state_dir.display());
-            match (&server_cfg.follow, dir) {
-                (Some(f), Some(dir)) => eprintln!(
+            let dir = server_cfg.state_dir.display();
+            match &server_cfg.follow {
+                Some(f) => eprintln!(
                     "following {} — serving reads on {} (state dir [{dir}], wal_seq {}, \
                      fencing epoch {}); send {{\"type\":\"promote\"}} to take over, \
                      {{\"type\":\"shutdown\"}} to stop",
@@ -295,28 +279,22 @@ fn main() -> ExitCode {
                     handle.wal_seq(),
                     handle.fencing_epoch(),
                 ),
-                (_, dir) => eprintln!(
+                None => eprintln!(
                     "listening on {} (queue depth {queue_depth}, ≤ {max_connections} connections, \
-                     durability {}); send {{\"type\":\"shutdown\"}} to stop",
+                     durability on [{dir}], wal_seq {}, fencing epoch {}); \
+                     send {{\"type\":\"shutdown\"}} to stop",
                     handle.addr(),
-                    match dir {
-                        Some(dir) => format!(
-                            "on [{dir}], wal_seq {}, fencing epoch {}",
-                            handle.wal_seq(),
-                            handle.fencing_epoch()
-                        ),
-                        None => "off".to_string(),
-                    },
+                    handle.wal_seq(),
+                    handle.fencing_epoch(),
                 ),
             }
-            if let Some(rec) = handle.recovery() {
-                eprintln!(
-                    "recovery: checkpoint {:?}, {} replayed ({} re-rejected), resumed at wal_seq {}",
-                    rec.checkpoint_seq, rec.replayed, rec.rejected_on_replay, rec.wal_seq
-                );
-                for w in &rec.warnings {
-                    eprintln!("recovery warning: {w}");
-                }
+            let rec = handle.recovery();
+            eprintln!(
+                "recovery: checkpoint {:?}, {} replayed ({} re-rejected), resumed at wal_seq {}",
+                rec.checkpoint_seq, rec.replayed, rec.rejected_on_replay, rec.wal_seq
+            );
+            for w in &rec.warnings {
+                eprintln!("recovery warning: {w}");
             }
             handle.wait_shutdown();
             eprintln!("shutdown requested — draining the write queue");

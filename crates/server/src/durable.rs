@@ -28,11 +28,11 @@
 //! publishes carries the same bits on all of them.
 
 use crate::protocol::Role;
-use crate::server::{DurabilityConfig, Shared};
+use crate::server::Shared;
 use crate::swap::SnapshotSwap;
 use crate::wal::{self, RecoveryReport, Wal};
 use std::io;
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tirm_graph::DiGraph;
@@ -41,19 +41,20 @@ use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig, OnlineEvent
 use tirm_topics::TopicEdgeProbs;
 
 /// What it takes to (re)build the allocator: the borrowed dataset, the
-/// allocator configuration and, when durable, where and how to log.
+/// allocator configuration, and where and how to log.
 pub(crate) struct Origin<'g> {
     pub(crate) graph: &'g DiGraph,
     pub(crate) topic_probs: &'g TopicEdgeProbs,
     pub(crate) online: OnlineConfig,
-    /// `None` ⇒ memory-only: the same path minus the disk.
-    pub(crate) durability: Option<DurabilityConfig>,
+    pub(crate) state_dir: PathBuf,
+    pub(crate) checkpoint_interval: u64,
+    pub(crate) segment_events: u64,
 }
 
 pub(crate) struct DurableState<'g> {
     origin: Origin<'g>,
     allocator: OnlineAllocator<'g>,
-    log: Option<Wal>,
+    log: Wal,
     /// Events committed since the last checkpoint.
     since_checkpoint: u64,
     pub(crate) swap: Arc<SnapshotSwap>,
@@ -63,8 +64,8 @@ pub(crate) struct DurableState<'g> {
 impl<'g> DurableState<'g> {
     /// Rebuilds the state from `origin`'s state dir and starts a fresh
     /// run's [`Shared`] counters and snapshot cell around it. Also
-    /// returns what recovery found (`None` when memory-only).
-    pub(crate) fn open(origin: Origin<'g>) -> io::Result<(Self, Option<RecoveryReport>)> {
+    /// returns what recovery found.
+    pub(crate) fn open(origin: Origin<'g>) -> io::Result<(Self, RecoveryReport)> {
         let (allocator, log, recovery) = Self::load(&origin)?;
         let state = DurableState {
             swap: SnapshotSwap::new(allocator.snapshot()),
@@ -92,31 +93,23 @@ impl<'g> DurableState<'g> {
     }
 
     /// Newest usable checkpoint + log tail, then a fresh segment at the
-    /// recovered frontier. Memory-only start-up is the recovery of an
-    /// empty state dir, minus the disk.
-    fn load(
-        origin: &Origin<'g>,
-    ) -> io::Result<(OnlineAllocator<'g>, Option<Wal>, Option<RecoveryReport>)> {
-        let (graph, topic_probs) = (origin.graph, origin.topic_probs);
-        let Some(d) = &origin.durability else {
-            let cold = OnlineAllocator::new(graph, topic_probs, origin.online.clone());
-            return Ok((cold, None, None));
-        };
-        let (allocator, report) = wal::recover(&d.state_dir, graph, topic_probs, &origin.online)?;
-        let log = Wal::open(&d.state_dir, report.wal_seq, d.segment_events)?;
-        Ok((allocator, Some(log), Some(report)))
+    /// recovered frontier.
+    fn load(origin: &Origin<'g>) -> io::Result<(OnlineAllocator<'g>, Wal, RecoveryReport)> {
+        let dir = &origin.state_dir;
+        let (allocator, report) =
+            wal::recover(dir, origin.graph, origin.topic_probs, &origin.online)?;
+        let log = Wal::open(dir, report.wal_seq, origin.segment_events)?;
+        Ok((allocator, log, report))
     }
 
     /// Stores what the readers announce about the loaded state: the
     /// persisted fencing epoch and both frontiers.
     fn announce(&self) -> io::Result<()> {
-        if let Some(dir) = self.dir() {
-            // The fencing epoch survives in the state dir: a leader that
-            // was ever promoted keeps announcing its earned epoch across
-            // plain restarts.
-            let epoch = wal::read_fencing_epoch(dir)?;
-            self.shared.fencing_epoch.store(epoch, Ordering::Release);
-        }
+        // The fencing epoch survives in the state dir: a leader that was
+        // ever promoted keeps announcing its earned epoch across plain
+        // restarts.
+        let epoch = wal::read_fencing_epoch(&self.origin.state_dir)?;
+        self.shared.fencing_epoch.store(epoch, Ordering::Release);
         let frontier = self.seq();
         self.shared.wal_seq.store(frontier, Ordering::Release);
         // The leader's frontier is at least our own; what a follower
@@ -125,23 +118,11 @@ impl<'g> DurableState<'g> {
         Ok(())
     }
 
-    /// The state dir (`None` ⇒ memory-only).
-    fn dir(&self) -> Option<&Path> {
-        self.origin
-            .durability
-            .as_ref()
-            .map(|d| d.state_dir.as_path())
-    }
-
     /// The durable frontier: the position the next committed event
     /// lands at. Its flight trace id is this `+ 1` (0 is the no-trace
-    /// sentinel); memory-only state keeps the same positional numbering
-    /// so lineage works without a log.
+    /// sentinel).
     pub(crate) fn seq(&self) -> u64 {
-        match &self.log {
-            Some(log) => log.seq(),
-            None => self.shared.wal_seq.load(Ordering::Acquire),
-        }
+        self.log.seq()
     }
 
     /// Makes `batch` durable, then applies it: log every frame, fsync
@@ -177,16 +158,11 @@ impl<'g> DurableState<'g> {
         // overflow.
         let traces = (0..n).map(|i| first_trace.wrapping_add(i));
         let append_start = flight::now_ns();
-        let frontier = match &mut self.log {
-            Some(log) => {
-                for ev in batch {
-                    log.append(ev)?;
-                }
-                log.sync()?;
-                log.seq()
-            }
-            None => self.shared.wal_seq.load(Ordering::Acquire) + n,
-        };
+        for ev in batch {
+            self.log.append(ev)?;
+        }
+        self.log.sync()?;
+        let frontier = self.log.seq();
         self.shared.wal_seq.store(frontier, Ordering::Release);
         // Release the parked replication polls now, before the apply:
         // the batch is fsynced, which is all shipping a frame requires,
@@ -243,10 +219,10 @@ impl<'g> DurableState<'g> {
         // Each checkpoint bounds the replay a restart pays and lets the
         // covered segments go.
         self.since_checkpoint += n;
-        match &self.origin.durability {
-            Some(d) if self.since_checkpoint >= d.checkpoint_interval => self.checkpoint(),
-            _ => Ok(()),
+        if self.since_checkpoint >= self.origin.checkpoint_interval {
+            self.checkpoint()?;
         }
+        Ok(())
     }
 
     /// An applied event the allocator refused, in both ledgers: this
@@ -259,10 +235,9 @@ impl<'g> DurableState<'g> {
     }
 
     fn checkpoint(&mut self) -> io::Result<()> {
-        if let (Some(log), Some(d)) = (&mut self.log, &self.origin.durability) {
-            wal::write_checkpoint(&d.state_dir, &mut self.allocator, log.seq())?;
-            log.prune(log.seq())?;
-        }
+        let seq = self.log.seq();
+        wal::write_checkpoint(&self.origin.state_dir, &mut self.allocator, seq)?;
+        self.log.prune(seq)?;
         self.since_checkpoint = 0;
         Ok(())
     }

@@ -84,6 +84,6 @@ pub use protocol::{
     ClientOptions, Request, Response, Role, StatsView, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use replica::FollowConfig;
-pub use server::{serve, DurabilityConfig, ServeReport, ServerConfig, ServerHandle};
+pub use server::{serve, ServeReport, ServerConfig, ServerHandle};
 pub use swap::{SnapshotReader, SnapshotSwap};
 pub use wal::{RecoveryReport, RecoveryWarning, ReplicaBatch, Wal};

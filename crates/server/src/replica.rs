@@ -61,8 +61,8 @@ use tirm_online::OnlineEvent;
 const MAX_FRAMES_PER_POLL: u64 = 512;
 
 /// What makes a [`crate::serve`] run a follower
-/// ([`crate::ServerConfig::follow`]). A follower needs durability: it
-/// keeps its own WAL and checkpoints, never shared with the leader's.
+/// ([`crate::ServerConfig::follow`]). A follower keeps its own WAL and
+/// checkpoints in its own state dir, never shared with the leader's.
 /// Its `online` config must equal the leader's for the bit-identical
 /// read guarantee (checkpoints embed enough to catch gross mismatches
 /// on restore).
@@ -109,15 +109,14 @@ pub(crate) struct Tail {
 
 /// The follower's part of a run's writer: tails the leader until the
 /// run stops or a `promote` arrives, and on a promotion that is not a
-/// stop takes over as leader in place (see the module docs). `dir` is
-/// the run's state dir.
+/// stop takes over as leader in place (see the module docs).
 pub(crate) fn follow(
     cfg: &FollowConfig,
-    dir: &Path,
     state: &mut DurableState<'_>,
     ctx: &ReplicaCtx,
 ) -> io::Result<Tail> {
-    let tail = apply_loop(cfg, dir, state, ctx)?;
+    let tail = apply_loop(cfg, state, ctx)?;
+    let dir = &ctx.state_dir;
     let shared = &state.shared;
     if shared.promote_requested.load(Ordering::Acquire) && !shared.stop.load(Ordering::Acquire) {
         // The new epoch is on disk before the role flips: no write is
@@ -138,10 +137,10 @@ pub(crate) fn follow(
 /// handlers only ever read published snapshots).
 fn apply_loop(
     cfg: &FollowConfig,
-    dir: &Path,
     state: &mut DurableState<'_>,
     ctx: &ReplicaCtx,
 ) -> io::Result<Tail> {
+    let dir = &ctx.state_dir;
     let leader_client = ClientOptions::reconnecting_jittered(4, 0x7e11_0f01);
     let shared = Arc::clone(&state.shared);
     let mut out = Tail::default();
@@ -287,10 +286,10 @@ fn apply_loop(
                     }
                     continue 'reconnect;
                 }
-                // A typed refusal (e.g. a memory-only server), an
-                // unexpected response, a dead leader or a broken
-                // stream: keep serving reads at the current frontier
-                // and try the next endpoint.
+                // A typed refusal (e.g. a leader with no checkpoint to
+                // offer), an unexpected response, a dead leader or a
+                // broken stream: keep serving reads at the current
+                // frontier and try the next endpoint.
                 Ok(_) | Err(_) => {
                     endpoints.rotate_left(1);
                     sleep_checked(&shared, cfg.poll_interval);

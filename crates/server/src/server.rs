@@ -65,38 +65,9 @@ use tirm_obs::flight::{self, Stage};
 use tirm_online::{AllocationSnapshot, OnlineConfig, OnlineEvent, OnlineStats};
 use tirm_topics::TopicEdgeProbs;
 
-/// Durability knobs: where the write-ahead log and checkpoints live and
-/// how often state is checkpointed: [`ServerConfig::durability`]. A
-/// server without one serves from memory only.
-#[derive(Clone, Debug)]
-pub struct DurabilityConfig {
-    /// Directory holding WAL segments and checkpoint files. Created on
-    /// startup if missing; recovery scans it first.
-    pub state_dir: PathBuf,
-    /// Applied mutations between checkpoints. Each checkpoint bounds
-    /// the replay a restart pays to at most this many events (plus the
-    /// in-flight batch) and lets the covered WAL segments be deleted.
-    pub checkpoint_interval: u64,
-    /// Frames per WAL segment before rotating to a new file. Smaller
-    /// segments reclaim disk sooner; larger ones make fewer files.
-    pub segment_events: u64,
-}
-
-impl DurabilityConfig {
-    /// Durability under `state_dir` with the default cadence
-    /// (checkpoint every 256 events, 1024-frame segments).
-    pub fn new(state_dir: impl Into<PathBuf>) -> DurabilityConfig {
-        DurabilityConfig {
-            state_dir: state_dir.into(),
-            checkpoint_interval: 256,
-            segment_events: 1024,
-        }
-    }
-}
-
 /// Configuration of a [`serve`] run: a struct literal over
-/// [`Default`], checked by [`ServerConfig::validate`] when [`serve`]
-/// starts.
+/// [`ServerConfig::new`], checked by [`ServerConfig::validate`] when
+/// [`serve`] starts.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Allocator configuration (TIRM options, κ, λ, pool budget).
@@ -114,31 +85,41 @@ pub struct ServerConfig {
     /// connections notice shutdown. Also bounds how long an exiting
     /// handler can block on an idle socket.
     pub read_poll: Duration,
-    /// Durability: `Some` ⇒ every admitted mutation is WAL-logged
-    /// (group-commit fsync) before it is applied, state is checkpointed
-    /// on the configured cadence, and startup recovers checkpoint +
-    /// log tail. `None` ⇒ memory-only.
-    pub durability: Option<DurabilityConfig>,
+    /// Directory holding WAL segments and checkpoint files. Created on
+    /// startup if missing; recovery scans it first. Every admitted
+    /// mutation is logged here (group-commit fsync) before it is
+    /// applied.
+    pub state_dir: PathBuf,
+    /// Applied mutations between checkpoints. Each checkpoint bounds
+    /// the replay a restart pays to at most this many events (plus the
+    /// in-flight batch) and lets the covered WAL segments be deleted.
+    pub checkpoint_interval: u64,
+    /// Frames per WAL segment before rotating to a new file. Smaller
+    /// segments reclaim disk sooner; larger ones make fewer files.
+    pub segment_events: u64,
     /// `Some` ⇒ the run starts as a follower of another server and
-    /// serves as leader once promoted. Needs `durability`.
+    /// serves as leader once promoted.
     pub follow: Option<FollowConfig>,
 }
 
-impl Default for ServerConfig {
-    fn default() -> Self {
+impl ServerConfig {
+    /// A leader on an ephemeral loopback port keeping its state under
+    /// `state_dir`: checkpoint every 256 events, 1024-frame segments,
+    /// queue and connection bounds of 64.
+    pub fn new(state_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             online: OnlineConfig::default(),
             bind: "127.0.0.1:0".to_string(),
             queue_depth: 64,
             max_connections: 64,
             read_poll: Duration::from_millis(25),
-            durability: None,
+            state_dir: state_dir.into(),
+            checkpoint_interval: 256,
+            segment_events: 1024,
             follow: None,
         }
     }
-}
 
-impl ServerConfig {
     /// Checks every value a server run relies on; `Err` names the first
     /// bad field. [`serve`] calls it before binding.
     pub fn validate(&self) -> Result<(), String> {
@@ -161,19 +142,14 @@ impl ServerConfig {
         if !(online.tirm.eps > 0.0 && online.tirm.eps < 1.0) {
             return Err("online.tirm.eps must lie in (0, 1)".into());
         }
-        if let Some(d) = &self.durability {
-            if d.state_dir.as_os_str().is_empty() {
-                return Err("durability needs a non-empty state_dir".into());
-            }
-            if d.checkpoint_interval < 1 {
-                return Err("checkpoint_interval must be >= 1 event".into());
-            }
-            if d.segment_events < 1 {
-                return Err("segment_events must be >= 1 frame".into());
-            }
+        if self.state_dir.as_os_str().is_empty() {
+            return Err("state_dir must be a non-empty path".into());
         }
-        if self.follow.is_some() && self.durability.is_none() {
-            return Err("follow needs durability (a follower keeps its own WAL)".into());
+        if self.checkpoint_interval < 1 {
+            return Err("checkpoint_interval must be >= 1 event".into());
+        }
+        if self.segment_events < 1 {
+            return Err("segment_events must be >= 1 frame".into());
         }
         Ok(())
     }
@@ -192,9 +168,9 @@ pub(crate) struct Shared {
     pub(crate) connections_open: AtomicUsize,
     pub(crate) connections_total: AtomicU64,
     pub(crate) connections_refused: AtomicU64,
-    /// Durable frontier: mutations logged *and* fsynced (equal to the
-    /// count applied when durability is off). The `hello` response
-    /// carries it as the resume anchor for reconnecting clients.
+    /// Durable frontier: mutations logged *and* fsynced. The `hello`
+    /// response carries it as the resume anchor for reconnecting
+    /// clients.
     pub(crate) wal_seq: AtomicU64,
     /// The fencing epoch this process serves under (see
     /// [`wal::read_fencing_epoch`]). Bumped only by promotion; carried
@@ -299,7 +275,7 @@ pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
     pub(crate) swap: Arc<SnapshotSwap>,
     pub(crate) shared: Arc<Shared>,
-    recovery: Option<RecoveryReport>,
+    recovery: RecoveryReport,
 }
 
 impl ServerHandle {
@@ -309,11 +285,11 @@ impl ServerHandle {
         self.addr
     }
 
-    /// What start-up recovery found (`None` when durability is off) —
-    /// known before the first request is served, and the same report
-    /// [`ServeReport::recovery`] carries at the end.
-    pub fn recovery(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
+    /// What start-up recovery found — known before the first request
+    /// is served, and the same report [`ServeReport::recovery`] carries
+    /// at the end.
+    pub fn recovery(&self) -> &RecoveryReport {
+        &self.recovery
     }
 
     /// An in-process reader over the same snapshot cell the connection
@@ -337,8 +313,7 @@ impl ServerHandle {
         self.shared.shed.load(Ordering::Relaxed)
     }
 
-    /// The durable frontier: mutations WAL-logged and fsynced so far
-    /// (count of mutations applied when durability is off).
+    /// The durable frontier: mutations WAL-logged and fsynced so far.
     pub fn wal_seq(&self) -> u64 {
         self.shared.wal_seq.load(Ordering::Acquire)
     }
@@ -397,13 +372,13 @@ pub struct ServeReport {
     pub connections: u64,
     /// Connections refused by the admission bound.
     pub connections_refused: u64,
-    /// What startup recovery found (`None` when durability is off).
-    pub recovery: Option<RecoveryReport>,
+    /// What startup recovery found.
+    pub recovery: RecoveryReport,
     /// Final durable frontier — the WAL sequence number after the last
     /// drained mutation.
     pub wal_seq: u64,
     /// The fencing epoch the run served under (0 when no promotion ever
-    /// happened in this state dir's lineage, or durability is off).
+    /// happened in this state dir's lineage).
     pub fencing_epoch: u64,
     /// The role the run ended in: a follower that was promoted ends as
     /// the leader.
@@ -466,20 +441,21 @@ pub fn serve<R>(
     flight::now_ns();
 
     let ctx = ReplicaCtx {
-        state_dir: cfg.durability.as_ref().map(|d| d.state_dir.clone()),
+        state_dir: cfg.state_dir.clone(),
         leader_addr: Mutex::new(
             cfg.follow
                 .as_ref()
                 .map_or_else(String::new, |f| f.leader_addr.clone()),
         ),
     };
-    // `validate` refused `follow` without durability.
-    let follow = cfg.follow.zip(ctx.state_dir.clone());
+    let follow = cfg.follow;
     let (mut state, recovery) = DurableState::open(Origin {
         graph,
         topic_probs,
         online: cfg.online,
-        durability: cfg.durability,
+        state_dir: cfg.state_dir,
+        checkpoint_interval: cfg.checkpoint_interval,
+        segment_events: cfg.segment_events,
     })?;
     let (swap, shared) = (state.swap.clone(), state.shared.clone());
     shared.leading.store(follow.is_none(), Ordering::Release);
@@ -495,8 +471,13 @@ pub fn serve<R>(
     let (result, fed) = std::thread::scope(|s| {
         let (ctx, shared) = (&ctx, &*shared);
         let writer = s.spawn(move || -> std::io::Result<_> {
+            // A writer that fails (a refused bootstrap checkpoint, a log
+            // I/O error) or panics ends the run instead of leaving it
+            // serving a frozen snapshot. A drained writer only returns
+            // once the run is stopping anyway.
+            let _ended = ShutdownOnDrop(shared);
             let tail = match &follow {
-                Some((follow, dir)) => replica::follow(follow, dir, &mut state, ctx)?,
+                Some(follow) => replica::follow(follow, &mut state, ctx)?,
                 None => Tail::default(),
             };
             feed_from_queue(&mut state, &rx);
@@ -572,9 +553,8 @@ pub fn serve<R>(
 /// segments live for replication reads, and where a follower redirects
 /// mutations.
 pub(crate) struct ReplicaCtx {
-    /// The state dir replication reads stream segments from (`None` ⇒
-    /// memory-only, replication refused with a typed error).
-    pub(crate) state_dir: Option<PathBuf>,
+    /// The state dir replication reads stream segments from.
+    pub(crate) state_dir: PathBuf,
     /// Where a follower redirects mutations (the leader it is
     /// tailing); updated by the apply loop when the leader moves.
     pub(crate) leader_addr: Mutex<String>,
@@ -598,6 +578,16 @@ impl Drop for StopGuard<'_> {
         self.shared.request_shutdown();
         // Wake the blocked accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
+    }
+}
+
+/// Wakes [`ServerHandle::wait_shutdown`] when the writer thread ends,
+/// on every exit path.
+struct ShutdownOnDrop<'a>(&'a Shared);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.request_shutdown();
     }
 }
 
@@ -928,11 +918,7 @@ fn replicate_poll(
     if shared.role() == Role::Follower {
         return not_leader(ctx);
     }
-    let Some(dir) = &ctx.state_dir else {
-        return Response::Rejected {
-            why: "replication requires durability (this server has no state dir)".to_string(),
-        };
-    };
+    let dir = &ctx.state_dir;
     tirm_obs::registry::REPL_POLLS.inc();
     // Only frames at or below the durable frontier are streamed: they
     // are fsynced (the WAL-before-apply invariant), so a disk read
@@ -1013,11 +999,7 @@ fn replicate_checkpoint_chunk(
     if shared.role() == Role::Follower {
         return not_leader(ctx);
     }
-    let Some(dir) = &ctx.state_dir else {
-        return Response::Rejected {
-            why: "replication requires durability (this server has no state dir)".to_string(),
-        };
-    };
+    let dir = &ctx.state_dir;
     match wal::newest_checkpoint(dir) {
         Ok(Some((checkpoint_seq, path))) => {
             match read_file_range(&path, offset, max_bytes.clamp(1, MAX_CHECKPOINT_CHUNK)) {

@@ -1,7 +1,7 @@
-//! The `tirm_server` bin's argument checks: a flag that only means
-//! something with a state directory, or only to a follower, is refused
-//! before any dataset loads. And what a started server says on stderr
-//! before it is asked anything.
+//! The `tirm_server` bin's argument checks: a run without a state
+//! directory, or a flag that only means something to a follower, is
+//! refused before any dataset loads. And what a started server says on
+//! stderr before it is asked anything.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -33,6 +33,29 @@ fn tirm_server(args: &[&str]) -> (Option<i32>, String) {
     let out = child.wait_with_output().unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     (out.status.code(), stderr)
+}
+
+/// Every run keeps a state dir: without `--state-dir` the bin prints
+/// the usage and exits 2 before it generates or loads a dataset.
+#[test]
+fn a_run_without_a_state_dir_exits_2_before_loading() {
+    for args in [&[][..], &["--kappa", "3"][..]] {
+        let (code, stderr) = tirm_server(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: --state-dir DIR is required"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: tirm_server"), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("== tirm_server"),
+            "{args:?} started: {stderr}"
+        );
+        assert!(
+            !stderr.contains("dataset generated"),
+            "{args:?} loaded: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@ use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::protocol::{read_frame, write_frame};
-use tirm_server::{serve, Client, DurabilityConfig, Request, Response, ServerConfig};
+use tirm_server::{serve, Client, Request, Response, ServerConfig};
 use tirm_topics::{genprob, TopicDist};
 
 const QUEUE_DEPTH: usize = 4;
@@ -114,8 +114,7 @@ fn a_pipelined_burst_commits_in_groups() {
     let cfg = ServerConfig {
         online: config(),
         queue_depth: QUEUE_DEPTH,
-        durability: Some(DurabilityConfig::new(&dir)),
-        ..ServerConfig::default()
+        ..ServerConfig::new(&dir)
     };
 
     let ((admitted, sheds, trace), report) = serve(&graph, &probs, cfg, |handle| {

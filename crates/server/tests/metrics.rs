@@ -10,7 +10,7 @@ use std::time::Duration;
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, DurabilityConfig, Request, ServerConfig};
+use tirm_server::{serve, Client, Request, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -75,8 +75,7 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
     std::fs::remove_dir_all(&dir).ok();
     let cfg = ServerConfig {
         online: config(7),
-        durability: Some(DurabilityConfig::new(&dir)),
-        ..ServerConfig::default()
+        ..ServerConfig::new(&dir)
     };
     let events = mutations();
     let (dump, _report) = serve(&graph, &probs, cfg, |handle| {
@@ -258,9 +257,16 @@ fn allocation_bodies_render_at_most_once_per_epoch_read() {
     let renders = &tirm_obs::registry::SERVER_ALLOCATION_RENDERS;
     let (graph, probs) = setup(250, 31);
     let events = mutations();
-    let cfg = || ServerConfig {
+    // Each run starts from an empty state dir of its own.
+    let dir = |run: u32| {
+        let dir =
+            std::env::temp_dir().join(format!("tirm_metrics_renders_{run}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    };
+    let cfg = |dir: &std::path::Path| ServerConfig {
         online: config(5),
-        ..ServerConfig::default()
+        ..ServerConfig::new(dir)
     };
     let send = |client: &mut Client, ev: &OnlineEvent| {
         client
@@ -270,7 +276,8 @@ fn allocation_bodies_render_at_most_once_per_epoch_read() {
 
     // Every mutation publishes; nobody reads the allocation.
     let before = renders.get();
-    let ((), _) = serve(&graph, &probs, cfg(), |handle| {
+    let quiet = dir(1);
+    let ((), _) = serve(&graph, &probs, cfg(&quiet), |handle| {
         let mut client = Client::connect(handle.addr()).unwrap();
         for ev in &events {
             send(&mut client, ev);
@@ -287,7 +294,8 @@ fn allocation_bodies_render_at_most_once_per_epoch_read() {
     // Two connections read the allocation three times after every
     // mutation, racing the writer's publishes.
     let before = renders.get();
-    let (epochs_read, _) = serve(&graph, &probs, cfg(), |handle| {
+    let read = dir(2);
+    let (epochs_read, _) = serve(&graph, &probs, cfg(&read), |handle| {
         let mut writer = Client::connect(handle.addr()).unwrap();
         let mut readers = [
             Client::connect(handle.addr()).unwrap(),
@@ -305,6 +313,9 @@ fn allocation_bodies_render_at_most_once_per_epoch_read() {
         epochs
     })
     .unwrap();
+    for dir in [quiet, read] {
+        std::fs::remove_dir_all(dir).ok();
+    }
     let rendered = renders.get() - before;
     assert!(
         rendered >= 1 && rendered <= epochs_read.len() as u64,

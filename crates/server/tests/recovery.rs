@@ -12,7 +12,7 @@ use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::wal::RecoveryWarning;
-use tirm_server::{serve, Client, DurabilityConfig, ServerConfig};
+use tirm_server::{serve, Client, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -84,12 +84,9 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
     let server_cfg = ServerConfig {
         online: config(7),
         queue_depth: 16,
-        durability: Some(DurabilityConfig {
-            checkpoint_interval: 3,
-            segment_events: 4,
-            ..DurabilityConfig::new(&dir)
-        }),
-        ..ServerConfig::default()
+        checkpoint_interval: 3,
+        segment_events: 4,
+        ..ServerConfig::new(&dir)
     };
 
     // First life: the log's head.
@@ -104,7 +101,7 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
     .unwrap();
     let first_epoch = report1.final_snapshot.epoch;
     assert_eq!(report1.wal_seq, split as u64);
-    assert!(report1.recovery.is_some());
+    assert_eq!(report1.recovery.wal_seq, 0, "the first life starts empty");
 
     // Second life: recovery + the log's tail.
     let ((), report2) = serve(&graph, &probs, server_cfg, |handle| {
@@ -137,7 +134,7 @@ fn server_restart_resumes_from_checkpoint_and_wal_tail() {
     })
     .unwrap();
 
-    let recovery = report2.recovery.expect("durable server reports recovery");
+    let recovery = report2.recovery;
     assert_eq!(recovery.wal_seq, split as u64);
     assert!(
         recovery

@@ -17,8 +17,7 @@ use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_server::wal::{bump_fencing_epoch, list_segments, read_fencing_epoch};
 use tirm_server::{
-    serve, Client, ClientOptions, DurabilityConfig, FollowConfig, Response, Role, ServerConfig,
-    StatsView,
+    serve, Client, ClientOptions, FollowConfig, Response, Role, ServerConfig, StatsView,
 };
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
@@ -79,14 +78,11 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn leader_cfg(cfg: &OnlineConfig, dir: &Path, bind: Option<String>) -> ServerConfig {
     ServerConfig {
         online: cfg.clone(),
-        bind: bind.unwrap_or_else(|| ServerConfig::default().bind),
+        bind: bind.unwrap_or_else(|| "127.0.0.1:0".to_string()),
         queue_depth: 16,
-        durability: Some(DurabilityConfig {
-            checkpoint_interval: 3,
-            segment_events: 4,
-            ..DurabilityConfig::new(dir)
-        }),
-        ..ServerConfig::default()
+        checkpoint_interval: 3,
+        segment_events: 4,
+        ..ServerConfig::new(dir)
     }
 }
 
@@ -535,40 +531,48 @@ fn a_followers_rejections_reach_both_ledgers() {
     // only ever grows, so the check is on what this test adds to it.
     let before = tirm_obs::registry::SERVER_REJECTED.get();
 
-    let (follower_stats, leader_report) =
-        serve(&graph, &probs, leader_cfg(&cfg, &ldir, None), |h| {
-            let fcfg = follower_cfg(&cfg, h.addr().to_string(), &fdir);
-            let (stats, _) = serve(&graph, &probs, fcfg, |fh| {
-                let mut client = Client::connect(h.addr()).unwrap();
-                for ev in events {
-                    client.send_event(ev).unwrap();
+    // No leader checkpoint, and so no prune, within the five events: a
+    // leader that took all five in one batch would otherwise checkpoint
+    // and prune segment 0 at once, and a follower whose first poll read
+    // the log after that prune bootstraps past the duplicate from the
+    // checkpoint and never applies (or counts) it.
+    let leader = ServerConfig {
+        checkpoint_interval: 64,
+        ..leader_cfg(&cfg, &ldir, None)
+    };
+    let (follower_stats, leader_report) = serve(&graph, &probs, leader, |h| {
+        let fcfg = follower_cfg(&cfg, h.addr().to_string(), &fdir);
+        let (stats, _) = serve(&graph, &probs, fcfg, |fh| {
+            let mut client = Client::connect(h.addr()).unwrap();
+            for ev in events {
+                client.send_event(ev).unwrap();
+            }
+            wait_applied(fh.addr(), events.len() as u64, epochs[events.len()]);
+            // The follower's `wal_seq` moves at fsync, before the
+            // apply, and the rejected duplicate moves no epoch: the
+            // waits above can return before it is counted. The
+            // leader ships a batch once it is fsynced, before its
+            // own apply, so the follower may count the rejection
+            // first: wait for the leader's count too before reading
+            // the shared registry.
+            let deadline = Instant::now() + Duration::from_secs(60);
+            loop {
+                let leader = Client::connect(h.addr()).unwrap().stats().unwrap();
+                let stats = Client::connect(fh.addr()).unwrap().stats().unwrap();
+                let counted = leader.rejected >= 1 && stats.rejected >= 1;
+                if counted || Instant::now() >= deadline {
+                    break stats;
                 }
-                wait_applied(fh.addr(), events.len() as u64, epochs[events.len()]);
-                // The follower's `wal_seq` moves at fsync, before the
-                // apply, and the rejected duplicate moves no epoch: the
-                // waits above can return before it is counted. The
-                // leader ships a batch once it is fsynced, before its
-                // own apply, so the follower may count the rejection
-                // first: wait for the leader's count too before reading
-                // the shared registry.
-                let deadline = Instant::now() + Duration::from_secs(60);
-                loop {
-                    let leader = Client::connect(h.addr()).unwrap().stats().unwrap();
-                    let stats = Client::connect(fh.addr()).unwrap().stats().unwrap();
-                    let counted = leader.rejected >= 1 && stats.rejected >= 1;
-                    if counted || Instant::now() >= deadline {
-                        break stats;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            })
-            .unwrap();
-            stats
+                std::thread::sleep(Duration::from_millis(2));
+            }
         })
         .unwrap();
+        stats
+    })
+    .unwrap();
 
     assert_eq!(leader_report.rejected, 1);
-    assert_eq!(follower_stats.rejected, 1);
+    assert_eq!(follower_stats.rejected, 1, "{follower_stats:?}");
     assert!(
         follower_stats.rejected_total >= before + 2,
         "leader and follower each count the rejection: {} after {before}",
@@ -666,6 +670,104 @@ fn late_follower_bootstraps_from_a_pruned_anchor() {
         );
         stop_tx.send(()).unwrap();
         leader.join().unwrap().unwrap();
+    });
+
+    std::fs::remove_dir_all(&ldir).ok();
+    std::fs::remove_dir_all(&fdir).ok();
+}
+
+/// A follower whose configuration differs from the leader's (κ = 5
+/// against κ = 2) and who must bootstrap from the leader's checkpoint
+/// stops there: its `serve` returns `InvalidInput` naming `kappa`, its
+/// run ends without a shutdown request, and it never publishes an
+/// allocation the leader's checkpoint holds.
+#[test]
+fn a_follower_under_another_kappa_stops_at_the_bootstrap() {
+    let (graph, probs) = setup(250, 13);
+    let cfg = config(7);
+    let events = mutations();
+    let ldir = fresh_dir("skew_l");
+    let fdir = fresh_dir("skew_f");
+    let epochs = epoch_per_prefix(&graph, &probs, &cfg, &events);
+
+    std::thread::scope(|s| {
+        let (addr_tx, addr_rx) = mpsc::channel();
+        let (stop_tx, stop_rx) = mpsc::channel::<()>();
+        let leader = {
+            let (graph, probs, cfg, ldir) = (&graph, &probs, &cfg, &ldir);
+            s.spawn(move || {
+                serve(graph, probs, leader_cfg(cfg, ldir, None), move |h| {
+                    addr_tx.send(h.addr()).unwrap();
+                    stop_rx.recv().ok();
+                })
+            })
+        };
+        let laddr = addr_rx.recv().unwrap();
+        let mut client = Client::connect(laddr).unwrap();
+        for ev in &events {
+            client
+                .send_event_retrying(ev, Duration::from_millis(1), Duration::from_secs(30))
+                .unwrap();
+        }
+        wait_applied(laddr, events.len() as u64, epochs[events.len()]);
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while list_segments(&ldir)
+            .unwrap()
+            .first()
+            .map(|(start, _)| *start)
+            == Some(0)
+        {
+            assert!(Instant::now() < deadline, "the leader never pruned seq 0");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+
+        let skewed = OnlineConfig {
+            kappa: 5,
+            ..cfg.clone()
+        };
+        let fcfg = follower_cfg(&skewed, laddr.to_string(), &fdir);
+        let (tx, rx) = mpsc::channel();
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let fjoin = {
+            let (graph, probs) = (&graph, &probs);
+            s.spawn(move || {
+                serve(graph, probs, fcfg, move |fh| {
+                    tx.send(fh.addr()).unwrap();
+                    fh.wait_shutdown();
+                    let mut reader = fh.reader();
+                    let snap = &reader.latest().snapshot;
+                    seen_tx.send((snap.epoch, snap.num_ads())).unwrap();
+                })
+            })
+        };
+        let faddr = rx.recv().unwrap();
+        // The run must end on its own; past the deadline it is told to
+        // stop, so a follower that keeps serving fails instead of hangs.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !fjoin.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let ended_alone = fjoin.is_finished();
+        if !ended_alone {
+            let _ = Client::connect(faddr).and_then(|mut c| c.shutdown_server());
+        }
+        let outcome = fjoin.join().unwrap();
+        stop_tx.send(()).unwrap();
+        leader.join().unwrap().unwrap();
+
+        assert!(
+            ended_alone,
+            "the follower kept serving after a refused bootstrap"
+        );
+        let err = outcome.expect_err("a follower under another kappa must not serve");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("kappa"), "{err}");
+        assert_eq!(
+            seen_rx.recv().unwrap(),
+            (0, 0),
+            "the follower published an allocation"
+        );
     });
 
     std::fs::remove_dir_all(&ldir).ok();

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::OnlineConfig;
-use tirm_server::{serve, Client, DurabilityConfig, FollowConfig, Role, ServerConfig};
+use tirm_server::{serve, Client, FollowConfig, Role, ServerConfig};
 use tirm_topics::genprob;
 
 #[test]
@@ -38,8 +38,7 @@ fn an_idle_follower_polls_once_per_interval_and_a_parked_poll_does_not_delay_pro
     let (leader_dir, follower_dir) = (dir("leader"), dir("follower"));
     let leader_cfg = ServerConfig {
         online: online.clone(),
-        durability: Some(DurabilityConfig::new(&leader_dir)),
-        ..ServerConfig::default()
+        ..ServerConfig::new(&leader_dir)
     };
     let polls = &tirm_obs::registry::REPL_POLLS;
 
@@ -47,12 +46,11 @@ fn an_idle_follower_polls_once_per_interval_and_a_parked_poll_does_not_delay_pro
         let follower_cfg = ServerConfig {
             online: online.clone(),
             read_poll: Duration::from_millis(5),
-            durability: Some(DurabilityConfig::new(&follower_dir)),
             follow: Some(FollowConfig {
                 poll_interval: POLL_INTERVAL,
                 ..FollowConfig::new(leader.addr().to_string())
             }),
-            ..ServerConfig::default()
+            ..ServerConfig::new(&follower_dir)
         };
         std::thread::scope(|s| {
             let (addr_tx, addr_rx) = mpsc::channel();

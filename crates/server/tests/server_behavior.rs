@@ -2,12 +2,13 @@
 //! connection refusal), the drain-then-close guarantee, the lock-free
 //! read path under a busy writer, and the wire shutdown flow.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, DurabilityConfig, FollowConfig, Request, Response, ServerConfig};
+use tirm_server::{serve, Client, Request, Response, ServerConfig};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -26,6 +27,35 @@ fn config(seed: u64, theta: usize) -> OnlineConfig {
         },
         kappa: 2,
         ..OnlineConfig::default()
+    }
+}
+
+/// A state dir of its own for one `serve` run, removed when dropped.
+struct StateDir(PathBuf);
+
+impl StateDir {
+    fn new() -> StateDir {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "tirm_behavior_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        StateDir(dir)
+    }
+
+    fn config(&self, online: OnlineConfig) -> ServerConfig {
+        ServerConfig {
+            online,
+            ..ServerConfig::new(&self.0)
+        }
+    }
+}
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
     }
 }
 
@@ -48,10 +78,10 @@ fn overload_sheds_and_drain_applies_exactly_the_admitted_subsequence() {
     // A graph big enough that one arrival keeps the writer busy for
     // many milliseconds, and a queue of 1: a fast burst must shed.
     let (graph, probs) = setup(1_500, 7);
+    let dir = StateDir::new();
     let cfg = ServerConfig {
-        online: config(5, 60_000),
         queue_depth: 1,
-        ..ServerConfig::default()
+        ..dir.config(config(5, 60_000))
     };
     let events: Vec<OnlineEvent> = (1..=24)
         .map(|i| arrival(i, 6.0, (i % 2) as usize))
@@ -98,10 +128,10 @@ fn overload_sheds_and_drain_applies_exactly_the_admitted_subsequence() {
 #[test]
 fn shutdown_drains_admitted_mutations() {
     let (graph, probs) = setup(200, 3);
+    let dir = StateDir::new();
     let cfg = ServerConfig {
-        online: config(9, 4_000),
         queue_depth: 64,
-        ..ServerConfig::default()
+        ..dir.config(config(9, 4_000))
     };
     let events: Vec<OnlineEvent> = (1..=6).map(|i| arrival(i, 5.0, (i % 2) as usize)).collect();
     let (n, report) = serve(&graph, &probs, cfg, |handle| {
@@ -131,10 +161,10 @@ fn shutdown_drains_admitted_mutations() {
 #[test]
 fn readers_never_block_on_the_writer() {
     let (graph, probs) = setup(1_500, 11);
+    let dir = StateDir::new();
     let cfg = ServerConfig {
-        online: config(5, 60_000),
         queue_depth: 8,
-        ..ServerConfig::default()
+        ..dir.config(config(5, 60_000))
     };
     const READERS: usize = 4;
     let ((mutation_ms, read_stats), report) = serve(&graph, &probs, cfg, |handle| {
@@ -224,10 +254,10 @@ fn readers_never_block_on_the_writer() {
 #[test]
 fn bad_requests_and_connection_admission() {
     let (graph, probs) = setup(120, 5);
+    let dir = StateDir::new();
     let cfg = ServerConfig {
-        online: config(5, 2_000),
         max_connections: 1,
-        ..ServerConfig::default()
+        ..dir.config(config(5, 2_000))
     };
     let ((), report) = serve(&graph, &probs, cfg, |handle| {
         let mut client = Client::connect(handle.addr()).unwrap();
@@ -257,9 +287,9 @@ fn bad_requests_and_connection_admission() {
 #[test]
 fn wire_shutdown_unblocks_wait() {
     let (graph, probs) = setup(120, 5);
+    let dir = StateDir::new();
     let cfg = ServerConfig {
-        online: config(5, 2_000),
-        ..ServerConfig::default()
+        ..dir.config(config(5, 2_000))
     };
     let ((), report) = serve(&graph, &probs, cfg, |handle| {
         std::thread::scope(|s| {
@@ -281,9 +311,9 @@ fn wire_shutdown_unblocks_wait() {
 #[test]
 fn ad_queries_serve_from_snapshot() {
     let (graph, probs) = setup(200, 3);
+    let dir = StateDir::new();
     let cfg = ServerConfig {
-        online: config(9, 4_000),
-        ..ServerConfig::default()
+        ..dir.config(config(9, 4_000))
     };
     let ((), _) = serve(&graph, &probs, cfg, |handle| {
         let mut client = Client::connect(handle.addr()).unwrap();
@@ -338,10 +368,8 @@ fn read_frames_are_the_encoding_of_the_epochs_snapshot() {
         local.process(ev).unwrap();
         at_epoch.push(local.snapshot());
     }
-    let cfg = ServerConfig {
-        online,
-        ..ServerConfig::default()
-    };
+    let dir = StateDir::new();
+    let cfg = dir.config(online);
     let ((), _) = serve(&graph, &probs, cfg, |handle| {
         let mut writer = Client::connect(handle.addr()).unwrap();
         let mut conns = [
@@ -354,12 +382,19 @@ fn read_frames_are_the_encoding_of_the_epochs_snapshot() {
         };
         for (ev, snap) in events.iter().zip(&at_epoch[1..]) {
             let epoch = snap.epoch;
-            writer
+            let sent = writer
                 .send_event_retrying(ev, Duration::from_millis(1), Duration::from_secs(30))
                 .unwrap();
             let deadline = Instant::now() + Duration::from_secs(30);
-            while writer.stats().unwrap().epoch < epoch {
-                assert!(Instant::now() < deadline, "epoch {epoch} never shown");
+            loop {
+                let stats = writer.stats().unwrap();
+                if stats.epoch >= epoch {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "epoch {epoch} never shown: sent {sent:?}, {stats:?}"
+                );
                 std::thread::sleep(Duration::from_millis(1));
             }
             let allocation = Response::Allocation((**snap).clone()).encode();
@@ -388,13 +423,8 @@ fn read_frames_are_the_encoding_of_the_epochs_snapshot() {
 #[test]
 fn shutdown_releases_a_parked_replicate_poll() {
     let (graph, probs) = setup(120, 5);
-    let dir = std::env::temp_dir().join(format!("tirm_parked_poll_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = ServerConfig {
-        online: config(5, 2_000),
-        durability: Some(DurabilityConfig::new(&dir)),
-        ..ServerConfig::default()
-    };
+    let dir = StateDir::new();
+    let cfg = dir.config(config(5, 2_000));
     let polls = &tirm_obs::registry::REPL_POLLS;
     std::thread::scope(|s| {
         let ((stop_began, parked), _report) = serve(&graph, &probs, cfg, |handle| {
@@ -428,7 +458,6 @@ fn shutdown_releases_a_parked_replicate_poll() {
             other => panic!("{other:?}"),
         }
     });
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A `replicate_poll` anchored at `u64::MAX` — a value the codec reads
@@ -437,13 +466,8 @@ fn shutdown_releases_a_parked_replicate_poll() {
 #[test]
 fn a_poll_from_the_last_sequence_number_is_answered() {
     let (graph, probs) = setup(120, 5);
-    let dir = std::env::temp_dir().join(format!("tirm_max_poll_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let cfg = ServerConfig {
-        online: config(5, 2_000),
-        durability: Some(DurabilityConfig::new(&dir)),
-        ..ServerConfig::default()
-    };
+    let dir = StateDir::new();
+    let cfg = dir.config(config(5, 2_000));
     let ((), _report) = serve(&graph, &probs, cfg, |handle| {
         let mut client = Client::connect(handle.addr()).unwrap();
         match client.replicate_poll(u64::MAX, 16, 0).unwrap() {
@@ -463,16 +487,15 @@ fn a_poll_from_the_last_sequence_number_is_answered() {
         assert_eq!(client.stats().unwrap().accepted, 1, "still serving");
     })
     .unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every bad value in a struct-literal config is a typed
 /// `InvalidInput` from `serve` before anything binds — not a panic
 /// mid-startup (κ = 0, a NaN λ) or at the first arrival (ε ≥ 1), and
 /// not a server that accepts connections it can never answer
-/// (`read_poll: 0`), checkpoints after every commit
-/// (`checkpoint_interval: 0`) or follows a leader with no log of its
-/// own (`follow` without `durability`).
+/// (`read_poll: 0`) or checkpoints after every commit
+/// (`checkpoint_interval: 0`). Nothing is written to the state dir
+/// either.
 #[test]
 fn serve_rejects_an_invalid_config_before_binding() {
     let (graph, probs) = setup(50, 3);
@@ -482,35 +505,23 @@ fn serve_rejects_an_invalid_config_before_binding() {
         .unwrap()
         .local_addr()
         .unwrap();
-    fn durable(checkpoint_interval: u64, segment_events: u64) -> Option<DurabilityConfig> {
-        Some(DurabilityConfig {
-            checkpoint_interval,
-            segment_events,
-            ..DurabilityConfig::new(std::env::temp_dir().join("tirm_invalid_cfg_never_created"))
-        })
-    }
+    let dir = StateDir::new();
     type Spoil = fn(&mut ServerConfig);
-    let bad: [(&str, Spoil); 10] = [
+    let bad: [(&str, Spoil); 9] = [
         ("queue_depth", |c| c.queue_depth = 0),
         ("max_connections", |c| c.max_connections = 0),
         ("read_poll", |c| c.read_poll = Duration::ZERO),
-        ("checkpoint_interval", |c| c.durability = durable(0, 4)),
-        ("segment_events", |c| c.durability = durable(4, 0)),
-        ("state_dir", |c| {
-            c.durability = Some(DurabilityConfig::new(""))
-        }),
+        ("checkpoint_interval", |c| c.checkpoint_interval = 0),
+        ("segment_events", |c| c.segment_events = 0),
+        ("state_dir", |c| c.state_dir = PathBuf::new()),
         ("online.kappa", |c| c.online.kappa = 0),
         ("online.lambda", |c| c.online.lambda = f64::NAN),
         ("online.tirm.eps", |c| c.online.tirm.eps = 1.0),
-        ("follow", |c| {
-            c.follow = Some(FollowConfig::new("127.0.0.1:9"))
-        }),
     ];
     for (field, spoil) in bad {
         let mut cfg = ServerConfig {
-            online: config(5, 500),
             bind: addr.to_string(),
-            ..ServerConfig::default()
+            ..dir.config(config(5, 500))
         };
         spoil(&mut cfg);
         let err = serve(&graph, &probs, cfg, |_| panic!("{field}: served"))
@@ -522,5 +533,6 @@ fn serve_rejects_an_invalid_config_before_binding() {
             std::net::TcpStream::connect(addr).is_err(),
             "{field}: something is listening on {addr}"
         );
+        assert!(!dir.0.exists(), "{field}: a refused run made its state dir");
     }
 }

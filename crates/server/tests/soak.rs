@@ -54,6 +54,8 @@ fn server_soak() {
         max_theta_per_ad: Some(50_000),
         ..TirmOptions::default()
     };
+    let dir = std::env::temp_dir().join(format!("tirm_overload_soak_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     let cfg = ServerConfig {
         online: OnlineConfig {
             tirm: opts,
@@ -61,7 +63,7 @@ fn server_soak() {
             ..OnlineConfig::default()
         },
         queue_depth: QUEUE_DEPTH,
-        ..ServerConfig::default()
+        ..ServerConfig::new(&dir)
     };
 
     // One long event stream: a calibration prefix (closed-loop with
@@ -155,6 +157,7 @@ fn server_soak() {
         })
     })
     .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 
     let (sustainable, target, offered, accepted, shed, sampled_max_depth, samples) = driven;
     let mutations = accepted + shed; // regret queries ride the stream but aren't offered load

@@ -7,6 +7,7 @@
 //! come from, never what is computed.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
@@ -151,10 +152,18 @@ fn server_final(
     lambda: f64,
     queue_depth: usize,
 ) -> (std::sync::Arc<AllocationSnapshot>, AllocationSnapshot) {
+    // A fresh state dir per case: every server logs what it admits.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "tirm_wire_eq_{}_{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_dir_all(&dir).ok();
     let cfg = ServerConfig {
         online: config(seed, kappa, lambda),
         queue_depth,
-        ..ServerConfig::default()
+        ..ServerConfig::new(&dir)
     };
     let (wire_alloc, report) = serve(graph, probs, cfg, |handle| {
         let mut client = Client::connect(handle.addr()).expect("connect");
@@ -181,6 +190,7 @@ fn server_final(
         reader.allocation().expect("allocation query")
     })
     .expect("serve");
+    std::fs::remove_dir_all(&dir).ok();
     assert_eq!(report.bad_requests, 0);
     (report.final_snapshot, wire_alloc)
 }

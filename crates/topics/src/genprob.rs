@@ -7,8 +7,6 @@
 //!   transform applied to `U(0,1)` samples. Arc probabilities must lie in
 //!   `[0,1]`, so we interpret the paper's "mean 30" as rate 30 (mean 1/30 ≈
 //!   0.033, matching realistic influence strengths) and clamp the tail.
-//! * **Trivalency** — probabilities picked uniformly from
-//!   `{0.1, 0.01, 0.001}` (a standard IC benchmark; used in ablations).
 //! * **Topic-concentrated** — the FLIXSTER stand-in: each arc is "active"
 //!   in a small random subset of topics with exponential magnitudes and
 //!   near-zero elsewhere, mimicking probabilities learned by MLE for TIC.
@@ -41,26 +39,11 @@ fn exp_inverse_transform(uniform: f64, rate: f64) -> f32 {
     ((-(1.0 - uniform).ln()) / rate).min(1.0) as f32
 }
 
-/// Exponential probabilities for `m` arcs (single topic).
-pub fn exponential_probs(m: usize, rate: f64, seed: u64) -> Vec<f32> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..m)
-        .map(|_| exp_inverse_transform(rng.gen::<f64>(), rate))
-        .collect()
-}
-
 /// Per-topic exponential probabilities (the EPINIONS setup, §6.1):
 /// every `(arc, topic)` entry drawn i.i.d. `Exp(rate)` clamped to `[0,1]`.
 pub fn exponential_topic_probs(m: usize, k: usize, rate: f64, seed: u64) -> TopicEdgeProbs {
     let mut rng = SmallRng::seed_from_u64(seed);
     TopicEdgeProbs::from_fn(m, k, |_, _| exp_inverse_transform(rng.gen::<f64>(), rate))
-}
-
-/// Trivalency probabilities: uniform choice from `{0.1, 0.01, 0.001}`.
-pub fn trivalency_probs(m: usize, seed: u64) -> Vec<f32> {
-    const LEVELS: [f32; 3] = [0.1, 0.01, 0.001];
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..m).map(|_| LEVELS[rng.gen_range(0..3)]).collect()
 }
 
 /// Topic-concentrated probabilities (the FLIXSTER stand-in, see
@@ -127,7 +110,8 @@ mod tests {
 
     #[test]
     fn exponential_mean_matches_rate() {
-        let p = exponential_probs(200_000, 30.0, 11);
+        let probs = exponential_topic_probs(200_000, 1, 30.0, 11);
+        let p = probs.flat();
         let mean: f64 = p.iter().map(|&x| x as f64).sum::<f64>() / p.len() as f64;
         assert!(
             (mean - 1.0 / 30.0).abs() < 2e-3,
@@ -142,14 +126,6 @@ mod tests {
         assert!(exp_inverse_transform(0.9, 5.0) > exp_inverse_transform(0.5, 5.0));
         // Tiny rate pushes values above 1 → clamped.
         assert_eq!(exp_inverse_transform(0.999999, 0.001), 1.0);
-    }
-
-    #[test]
-    fn trivalency_levels_only() {
-        let p = trivalency_probs(1000, 5);
-        for &x in &p {
-            assert!((x - 0.1).abs() < 1e-9 || (x - 0.01).abs() < 1e-9 || (x - 0.001).abs() < 1e-9);
-        }
     }
 
     #[test]

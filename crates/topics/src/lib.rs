@@ -6,7 +6,7 @@
 //! seed click probabilities `p^z_{H,u}` with their projected
 //! click-through probabilities `δ(u,i)`, and the probability generators
 //! used by the evaluation (§6): Weighted-Cascade, exponential
-//! inverse-transform, trivalency and topic-concentrated samplers.
+//! inverse-transform and topic-concentrated samplers.
 //!
 //! ```
 //! use tirm_topics::{TopicDist, TopicEdgeProbs};

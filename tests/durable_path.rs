@@ -13,9 +13,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{
-    serve, wal, Client, DurabilityConfig, FollowConfig, Response, Role, ServerConfig,
-};
+use tirm_server::{serve, wal, Client, FollowConfig, Response, Role, ServerConfig};
 use tirm_topics::{genprob, TopicDist};
 
 fn arrival(id: u64, budget: f64, topic: usize) -> OnlineEvent {
@@ -67,12 +65,9 @@ fn crash_image(live: &Path, image: &Path) {
 fn durable_cfg(online: &OnlineConfig, dir: &Path) -> ServerConfig {
     ServerConfig {
         online: online.clone(),
-        durability: Some(DurabilityConfig {
-            checkpoint_interval: 4,
-            segment_events: 3,
-            ..DurabilityConfig::new(dir)
-        }),
-        ..ServerConfig::default()
+        checkpoint_interval: 4,
+        segment_events: 3,
+        ..ServerConfig::new(dir)
     }
 }
 

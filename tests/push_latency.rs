@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::generators;
 use tirm_online::{OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, DurabilityConfig, FollowConfig, Response, ServerConfig};
+use tirm_server::{serve, Client, FollowConfig, Response, ServerConfig};
 use tirm_topics::{genprob, TopicDist};
 
 #[test]
@@ -40,8 +40,7 @@ fn a_mutation_reaches_an_idle_follower_without_waiting_for_its_poll_interval() {
     let (leader_dir, follower_dir) = (dir("leader"), dir("follower"));
     let leader_cfg = ServerConfig {
         online: online.clone(),
-        durability: Some(DurabilityConfig::new(&leader_dir)),
-        ..ServerConfig::default()
+        ..ServerConfig::new(&leader_dir)
     };
     let arrival = OnlineEvent::AdArrival {
         id: 1,
@@ -55,12 +54,11 @@ fn a_mutation_reaches_an_idle_follower_without_waiting_for_its_poll_interval() {
     let (slowest, _) = serve(&graph, &probs, leader_cfg, |leader| {
         let follower_cfg = ServerConfig {
             online: online.clone(),
-            durability: Some(DurabilityConfig::new(&follower_dir)),
             follow: Some(FollowConfig {
                 poll_interval: POLL_INTERVAL,
                 ..FollowConfig::new(leader.addr().to_string())
             }),
-            ..ServerConfig::default()
+            ..ServerConfig::new(&follower_dir)
         };
         let (slowest, _) = serve(&graph, &probs, follower_cfg, |follower| {
             let mut to_leader = Client::connect(leader.addr()).unwrap();
