@@ -5,6 +5,8 @@
 //!   on average), and 300 k random [`RrIndex::set`] reads over them:
 //!   the write cost a shard redraw pays per set and the read cost the
 //!   coverage overlay pays per activated or decayed set.
+//! * **Unpark** — [`RrSets::into_index`] over the same 100 k sets: the
+//!   postings rebuild a pool reclaim pays for a parked shard.
 //! * **Postings scan** — traversing every node's posting list through
 //!   the two-tier arena [`RrIndex`] vs the legacy one-`Vec`-per-node
 //!   layout it replaced. The coverage overlays spend their time exactly
@@ -22,7 +24,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
 use tirm_graph::NodeId;
-use tirm_rrset::{FastPath, RrIndex, RrSampler, SampleWorkspace, SamplingLayout};
+use tirm_rrset::{FastPath, RrIndex, RrSampler, RrSets, SampleWorkspace, SamplingLayout};
 use tirm_workloads::{Dataset, DatasetKind, ScaleConfig};
 
 const NODES: usize = 4096;
@@ -127,6 +129,23 @@ fn bench_forward_store(c: &mut Criterion) {
             }
             acc
         })
+    });
+    g.finish();
+
+    // A shard as the pool parks it: compacted at release, postings
+    // dropped.
+    idx.compact();
+    let parked: RrSets = idx.into_sets();
+    let mut g = c.benchmark_group("unpark");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(4));
+    g.throughput(criterion::Throughput::Elements(STORE_SETS as u64));
+    g.bench_function("into_index_100k", |b| {
+        b.iter_batched(
+            || parked.clone(),
+            |sets| sets.into_index(),
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
 }

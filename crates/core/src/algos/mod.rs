@@ -20,7 +20,7 @@ pub use myopic::myopic_allocate;
 pub use myopic_plus::myopic_plus_allocate;
 pub use tirm::{
     tirm_allocate, tirm_allocate_resumable, tirm_allocate_seeded, tirm_allocate_warm, AdSeeds,
-    AdWarmState, RelabelMode, ResumableRun, RunRecord, TirmOptions, WarmCounts,
+    AdWarmState, ParkedWarmState, RelabelMode, ResumableRun, RunRecord, TirmOptions, WarmCounts,
 };
 
 /// Numerical tolerance for "strictly decreasing regret" tests: guards

@@ -45,7 +45,7 @@ use tirm_obs::registry::{CORE_PHASES, CORE_PHASE_NS};
 use tirm_rrset::heap::Verdict;
 use tirm_rrset::weighted::{score_key, WeightedRrCollection};
 use tirm_rrset::{
-    FastPath, KptEstimator, KptState, LazyMaxHeap, ParallelSampler, RrIndex, RrSampler,
+    FastPath, KptEstimator, KptState, LazyMaxHeap, ParallelSampler, RrIndex, RrSampler, RrSets,
     SampleBound, SamplingConfig, SamplingLayout,
 };
 
@@ -218,14 +218,7 @@ impl AdWarmState {
     /// online pool's eviction currency. Sampling workspaces are lent to
     /// the drawing thread per batch and charged to no ad.
     pub fn memory_bytes(&self) -> usize {
-        self.index.memory_bytes()
-            + self.engine.memory_bytes()
-            + self.kpt.memory_bytes()
-            + self
-                .base
-                .as_ref()
-                .map(|(_, s)| s.capacity() * 8)
-                .unwrap_or(0)
+        self.index.memory_bytes() + engine_bytes(&self.engine, &self.kpt, &self.base)
     }
 
     /// The seed plan this state was built under.
@@ -235,11 +228,24 @@ impl AdWarmState {
 
     /// The counts [`Self::regenerate`] rebuilds this state from.
     pub fn counts(&self) -> WarmCounts {
-        WarmCounts {
-            theta: self.index.num_sets(),
-            kpt_samples: self.kpt.samples_used(),
-            theta0: self.base.as_ref().map_or(0, |(theta0, _)| *theta0),
-            total_entries: self.index.total_entries(),
+        warm_counts(
+            self.index.num_sets(),
+            self.index.total_entries(),
+            &self.kpt,
+            &self.base,
+        )
+    }
+
+    /// The state kept while no run uses it: the RR sets without their
+    /// postings, everything else as it is.
+    pub fn park(self) -> ParkedWarmState {
+        ParkedWarmState {
+            sets: self.index.into_sets(),
+            engine: self.engine,
+            kpt: self.kpt,
+            base: self.base,
+            seeds: self.seeds,
+            threads: self.threads,
         }
     }
 
@@ -304,6 +310,79 @@ impl AdWarmState {
             seeds,
             threads: opts.threads,
         })
+    }
+}
+
+/// An [`AdWarmState`] without its postings: what the online pool keeps
+/// of a departed ad. The RR sets are the sampled capital and stay as they
+/// were, bit-packed; the node → set-id postings are a function of them,
+/// so they are dropped here and rebuilt by [`Self::unpark`]. Nothing can
+/// scan a parked state.
+pub struct ParkedWarmState {
+    sets: RrSets,
+    engine: ParallelSampler,
+    kpt: KptState,
+    base: Option<(usize, Vec<f64>)>,
+    seeds: AdSeeds,
+    threads: usize,
+}
+
+impl ParkedWarmState {
+    /// The state parked, its postings rebuilt by a counting sort over
+    /// the sets: every field, and `memory_bytes` to the byte, as the run
+    /// that released it left them.
+    pub fn unpark(self) -> AdWarmState {
+        AdWarmState {
+            index: self.sets.into_index(),
+            engine: self.engine,
+            kpt: self.kpt,
+            base: self.base,
+            seeds: self.seeds,
+            threads: self.threads,
+        }
+    }
+
+    /// The counts the state was parked with.
+    pub fn counts(&self) -> WarmCounts {
+        warm_counts(
+            self.sets.num_sets(),
+            self.sets.total_entries(),
+            &self.kpt,
+            &self.base,
+        )
+    }
+
+    /// Exact bytes held parked: the packed RR sets, the engines' RNG
+    /// states, the KPT width cache and the base score snapshot — the
+    /// online pool's eviction currency.
+    pub fn memory_bytes(&self) -> usize {
+        self.sets.memory_bytes() + engine_bytes(&self.engine, &self.kpt, &self.base)
+    }
+}
+
+/// Bytes of a shard's capital beside its RR sets and postings.
+fn engine_bytes(
+    engine: &ParallelSampler,
+    kpt: &KptState,
+    base: &Option<(usize, Vec<f64>)>,
+) -> usize {
+    engine.memory_bytes()
+        + kpt.memory_bytes()
+        + base.as_ref().map(|(_, s)| s.capacity() * 8).unwrap_or(0)
+}
+
+/// A shard's [`WarmCounts`] from its parts.
+fn warm_counts(
+    theta: usize,
+    total_entries: usize,
+    kpt: &KptState,
+    base: &Option<(usize, Vec<f64>)>,
+) -> WarmCounts {
+    WarmCounts {
+        theta,
+        kpt_samples: kpt.samples_used(),
+        theta0: base.as_ref().map_or(0, |(theta0, _)| *theta0),
+        total_entries,
     }
 }
 
@@ -1490,7 +1569,24 @@ mod tests {
                 ..held[0].counts()
             };
             assert!(AdWarmState::regenerate(&g, &probs[0], &o, plan[0], off_by_one).is_err());
-            // Both continue the same streams.
+            // Parked, a shard weighs all but its postings and keeps its
+            // counts; unparked, it is the held shard again.
+            let held: Vec<AdWarmState> = held
+                .into_iter()
+                .map(|w| {
+                    let (counts, postings) = (w.counts(), w.index.postings_bytes());
+                    let bytes = w.memory_bytes();
+                    let parked = w.park();
+                    assert_eq!(parked.counts(), counts);
+                    assert_eq!(parked.memory_bytes(), bytes - postings);
+                    parked.unpark()
+                })
+                .collect();
+            for (a, b) in held.iter().zip(&redrawn) {
+                same(a, b);
+            }
+            // The unparked and the redrawn shards continue the same
+            // streams.
             let next = mk(50.0);
             let (x, xs, held) =
                 tirm_allocate_warm(&next, o, &plan, held.into_iter().map(Some).collect());

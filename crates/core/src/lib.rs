@@ -24,8 +24,8 @@ pub mod report;
 pub use algos::{
     greedy_allocate, greedy_irie_allocate, myopic_allocate, myopic_plus_allocate, tirm_allocate,
     tirm_allocate_resumable, tirm_allocate_seeded, tirm_allocate_warm, AdSeeds, AdWarmState,
-    GreedyIrieOptions, GreedyOptions, RelabelMode, ResumableRun, RunRecord, TirmOptions,
-    WarmCounts,
+    GreedyIrieOptions, GreedyOptions, ParkedWarmState, RelabelMode, ResumableRun, RunRecord,
+    TirmOptions, WarmCounts,
 };
 pub use allocation::Allocation;
 pub use eval::{evaluate, evaluate_rr, Evaluation, DEFAULT_EVAL_RUNS};

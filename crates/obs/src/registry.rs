@@ -76,6 +76,10 @@ pub static RESUME_SKIPPED_STEPS: Histogram = Histogram::new();
 pub static POOL_EVICTIONS: Counter = Counter::new();
 /// Departed-ad shards reclaimed warm on re-arrival.
 pub static POOL_RECLAIMS: Counter = Counter::new();
+/// Bytes the retained pool holds, parked, as of the last publish.
+pub static POOL_BYTES: Gauge = Gauge::new();
+/// Shards the retained pool holds as of the last publish.
+pub static POOLED_SHARDS: Gauge = Gauge::new();
 /// Wall time one checkpoint restore spent re-running its shards' streams.
 pub static RESTORE_REGENERATE_NS: Histogram = Histogram::new();
 /// RR sets and KPT samples redrawn by checkpoint restores.
@@ -315,6 +319,16 @@ static GAUGES: &[(&str, &str, &Gauge)] = &[
         "tirm_rrset_arena_bytes_high_water",
         "High-water mark of resident RR index arena bytes",
         &RR_ARENA_BYTES,
+    ),
+    (
+        "tirm_online_pool_bytes",
+        "Bytes the retained pool holds, parked, as of the last publish",
+        &POOL_BYTES,
+    ),
+    (
+        "tirm_online_pooled_shards",
+        "Shards the retained pool holds as of the last publish",
+        &POOLED_SHARDS,
     ),
     (
         "tirm_server_queue_depth_high_water",

@@ -60,7 +60,9 @@ pub struct OnlineConfig {
     /// Seed-set size penalty λ.
     pub lambda: f64,
     /// Byte budget of the retained pool: departed ads' index shards are
-    /// kept for re-arrival, oldest evicted beyond it (0 keeps none).
+    /// kept for re-arrival, parked (their RR sets without postings),
+    /// and the budget counts parked bytes; oldest evicted beyond it (0
+    /// keeps none).
     pub max_retained_bytes: usize,
 }
 
@@ -540,6 +542,12 @@ impl<'g> OnlineAllocator<'g> {
         self.pool.len()
     }
 
+    /// Bytes the retained pool holds, parked (part of
+    /// [`Self::memory_bytes`]).
+    pub fn pool_bytes(&self) -> usize {
+        self.pool.memory_bytes()
+    }
+
     /// Shards evicted from the retained pool under budget pressure.
     pub fn pool_evictions(&self) -> usize {
         self.pool.evictions()
@@ -694,6 +702,24 @@ mod tests {
         assert_eq!(a.total_rr_sets(), cached);
         assert_eq!(a.stats().shard_reclaims, 1);
         assert!(a.allocation().total_seeds() > 0);
+    }
+
+    #[test]
+    fn a_departed_shard_is_counted_parked_and_comes_back_whole() {
+        let (g, probs) = setup();
+        let mut a = allocator(&g, &probs, 2);
+        a.process(&arrival(1, 8.0, 0)).unwrap();
+        let shard = |a: &OnlineAllocator<'_>| a.live[0].warm.as_ref().unwrap().memory_bytes();
+        let (live, total) = (shard(&a), a.memory_bytes());
+        a.process(&OnlineEvent::AdDeparture { id: 1 }).unwrap();
+        let parked = a.pool.entries().map(|e| e.state.memory_bytes()).sum();
+        assert_eq!(a.memory_bytes(), parked, "the pool counts the parked size");
+        assert!(parked < live, "parked {parked} of {live} bytes");
+
+        a.process(&arrival(1, 8.0, 0)).unwrap();
+        assert_eq!(a.stats().shard_reclaims, 1);
+        assert_eq!(shard(&a), live, "reclaimed, the shard weighs what it did");
+        assert_eq!(a.memory_bytes(), total);
     }
 
     #[test]

@@ -217,8 +217,7 @@ impl<'a> WordReader<'a> {
     }
 }
 
-fn put_shard(w: &mut WordWriter, shard: &AdWarmState) {
-    let counts = shard.counts();
+fn put_shard(w: &mut WordWriter, counts: WarmCounts) {
     w.usize(counts.theta);
     w.usize(counts.kpt_samples);
     w.usize(counts.theta0);
@@ -273,7 +272,7 @@ fn encode(a: &OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
         w.f64(ad.revenue_est);
         w.bool(ad.warm.is_some());
         if let Some(shard) = &ad.warm {
-            put_shard(&mut w, shard);
+            put_shard(&mut w, shard.counts());
         }
     }
     // Retained pool, release order.
@@ -282,7 +281,7 @@ fn encode(a: &OnlineAllocator<'_>, wal_seq: u64) -> Vec<u32> {
     for entry in a.pool.entries() {
         w.u64(entry.id);
         w.f32s(entry.topics.weights());
-        put_shard(&mut w, &entry.state);
+        put_shard(&mut w, entry.state.counts());
     }
     w.words
 }
@@ -427,10 +426,10 @@ fn decode<'g>(
     for (id, topics, counts) in pooled {
         let probs = topic_probs.project(&topics);
         let state = regenerate(graph, &probs, &a.cfg, id, counts)?;
-        // Re-released through the normal path: the redrawn shard weighs
-        // what the held one did, so the pool trims — if the budget is
-        // tighter than the one the checkpoint was written under — exactly
-        // as a release would.
+        // Re-released through the normal path, so it is parked: the
+        // redrawn shard weighs what the held one did, so the pool trims —
+        // if the budget is tighter than the one the checkpoint was
+        // written under — exactly as a release would.
         a.pool.release(id, topics, state);
     }
     a.pool.set_evictions(evictions);

@@ -63,6 +63,9 @@ use tirm_graph::NodeId;
 /// Sentinel for "no block" in the per-class free lists.
 const NIL: u32 = u32::MAX;
 
+/// Size classes with a free list (4 up to past any u32 run length).
+const FREE_CLASSES: usize = 40;
+
 /// Per-node hot-tier head: `start` is an arena offset when `len ≥ 2`,
 /// the single set id itself when `len == 1`, and unused when `len == 0`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -142,6 +145,103 @@ impl<'a> IntoIterator for Postings<'a> {
     }
 }
 
+/// An [`RrIndex`]'s forward store alone — its sets without postings.
+///
+/// What a shard is kept as while nothing scans it: the sets are the
+/// sampled capital, the postings a function of them. Nothing can be
+/// looked up here; [`RrSets::into_index`] derives the postings again.
+#[derive(Clone, Debug)]
+pub struct RrSets {
+    n: usize,
+    offsets: PackedVec,
+    nodes: PackedVec,
+}
+
+impl RrSets {
+    /// Number of sets stored.
+    #[inline]
+    pub fn num_sets(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Sum of set sizes.
+    pub fn total_entries(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Exact bytes held: the two packed streams.
+    pub fn memory_bytes(&self) -> usize {
+        self.nodes.capacity_bytes() + self.offsets.capacity_bytes()
+    }
+
+    /// The index over these sets, its postings rebuilt by a counting
+    /// sort straight into the frozen tier: exact-fit, each node's set
+    /// ids ascending, the hot tier empty — the index [`RrIndex::compact`]
+    /// leaves, to the byte. O(n + entries), two passes over the packed
+    /// members and one over the offsets.
+    pub fn into_index(self) -> RrIndex {
+        let RrSets { n, offsets, nodes } = self;
+        let entries = nodes.len();
+        // `frozen_offsets[v + 1]` counts node `v`'s postings, then holds
+        // where they start, then — advanced past each one placed — where
+        // they end, which is where node `v + 1`'s start.
+        let mut frozen_offsets = vec![0u32; n + 1];
+        for v in nodes.range(0, entries) {
+            frozen_offsets[v as usize + 1] += 1;
+        }
+        let mut start = 0u32;
+        for slot in &mut frozen_offsets[1..] {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        // One bit per entry marks the first member of each non-empty set,
+        // so the members are placed in one flat pass whose set id is a
+        // running count of those bits — no branch on where a set ends,
+        // which a set size of 1.44 on average would mispredict.
+        let mut starts = vec![0u64; entries / 64 + 1];
+        let mut bounds = offsets.range(0, offsets.len());
+        let mut lo = bounds.next().unwrap_or(0) as usize;
+        let mut empty = false;
+        for hi in bounds {
+            starts[lo >> 6] |= 1 << (lo & 63);
+            empty |= hi as usize == lo;
+            lo = hi as usize;
+        }
+        let mut frozen_data = vec![0u32; entries];
+        let mut rank = u32::MAX;
+        for (j, v) in nodes.range(0, entries).enumerate() {
+            rank = rank.wrapping_add((starts[j >> 6] >> (j & 63)) as u32 & 1);
+            let slot = &mut frozen_offsets[v as usize + 1];
+            frozen_data[*slot as usize] = rank;
+            *slot += 1;
+        }
+        // That count skips empty sets: map it back to set ids.
+        if empty {
+            let ids: Vec<u32> = (0..offsets.len() - 1)
+                .filter(|&sid| {
+                    let (lo, hi) = offsets.pair(sid);
+                    lo < hi
+                })
+                .map(|sid| sid as u32)
+                .collect();
+            for sid in &mut frozen_data {
+                *sid = ids[*sid as usize];
+            }
+        }
+        RrIndex {
+            n,
+            offsets,
+            nodes,
+            frozen_offsets,
+            frozen_data,
+            data: Vec::new(),
+            heads: vec![PostingHead::default(); n],
+            free: vec![NIL; FREE_CLASSES],
+        }
+    }
+}
+
 /// Flat RR-set storage with an inverted node → set-id index.
 #[derive(Clone, Debug)]
 pub struct RrIndex {
@@ -179,7 +279,18 @@ impl RrIndex {
             frozen_data: Vec::new(),
             data: Vec::new(),
             heads: vec![PostingHead::default(); n],
-            free: vec![NIL; 40],
+            free: vec![NIL; FREE_CLASSES],
+        }
+    }
+
+    /// The sets alone: the postings are dropped, the packed forward
+    /// store kept as it is. [`RrSets::into_index`] gives the index back
+    /// — the one [`Self::compact`] leaves.
+    pub fn into_sets(self) -> RrSets {
+        RrSets {
+            n: self.n,
+            offsets: self.offsets,
+            nodes: self.nodes,
         }
     }
 
@@ -630,6 +741,12 @@ mod tests {
                     members.push(v);
                 }
             }
+            // Now and then an empty set first: the API takes one, and an
+            // unparked index must number the sets after it right.
+            if draw % 19 == 0 {
+                assert_eq!(ix.push_set(&[]) as usize, sets.len());
+                sets.push(Vec::new());
+            }
             let width = ix.offsets.width();
             let sid = ix.push_set(&members);
             widenings += usize::from(ix.offsets.width() > width);
@@ -640,12 +757,49 @@ mod tests {
             sets.push(members);
             assert!(ix.set(sid).eq(sets[sid as usize].iter().copied()));
             if compact {
-                ix.compact();
+                ix = park_and_unpark(ix);
                 check(&ix, &sets, &postings);
             }
         }
         check(&ix, &sets, &postings);
+        let ix = park_and_unpark(ix);
+        check(&ix, &sets, &postings);
         assert!(widenings >= 3, "offsets widened {widenings} times");
+    }
+
+    /// Compacts `ix`, parks it and unparks it again: the round trip must
+    /// give back the compacted index field by field — postings, every
+    /// capacity, an empty hot tier — and `memory_bytes` to the byte,
+    /// while parked weighing the forward store alone.
+    fn park_and_unpark(mut ix: RrIndex) -> RrIndex {
+        ix.compact();
+        let bytes = ix.memory_bytes();
+        let forward = bytes - ix.postings_bytes();
+        let frozen = (ix.frozen_offsets.clone(), ix.frozen_data.clone());
+        let capacities = |ix: &RrIndex| {
+            [
+                ix.frozen_offsets.capacity(),
+                ix.frozen_data.capacity(),
+                ix.data.capacity(),
+                ix.heads.capacity(),
+                ix.free.capacity(),
+            ]
+        };
+        let held = capacities(&ix);
+        let (num_sets, entries) = (ix.num_sets(), ix.total_entries());
+        let sets = ix.into_sets();
+        assert_eq!(sets.memory_bytes(), forward);
+        assert_eq!((sets.num_sets(), sets.total_entries()), (num_sets, entries));
+        let ix = sets.into_index();
+        assert_eq!(
+            (&ix.frozen_offsets, &ix.frozen_data),
+            (&frozen.0, &frozen.1)
+        );
+        assert_eq!(capacities(&ix), held);
+        assert!(ix.heads.iter().all(|h| h.len == 0));
+        assert!(ix.free.iter().all(|&f| f == NIL));
+        assert_eq!(ix.memory_bytes(), bytes);
+        ix
     }
 
     proptest::proptest! {

@@ -296,8 +296,9 @@ fn main() -> ExitCode {
             for w in &rec.warnings {
                 eprintln!("recovery warning: {w}");
             }
-            handle.wait_shutdown();
-            eprintln!("shutdown requested — draining the write queue");
+            if handle.wait_shutdown() {
+                eprintln!("shutdown requested — draining the write queue");
+            }
         },
     );
     match served {

@@ -68,7 +68,7 @@ impl<'g> DurableState<'g> {
     pub(crate) fn open(origin: Origin<'g>) -> io::Result<(Self, RecoveryReport)> {
         let (allocator, log, recovery) = Self::load(&origin)?;
         let state = DurableState {
-            swap: SnapshotSwap::new(allocator.snapshot()),
+            swap: SnapshotSwap::new(snapshot_for_readers(&allocator)),
             shared: Shared::new(),
             origin,
             allocator,
@@ -88,7 +88,7 @@ impl<'g> DurableState<'g> {
         self.log = log;
         self.since_checkpoint = 0;
         self.announce()?;
-        self.swap.publish(self.allocator.snapshot());
+        self.swap.publish(snapshot_for_readers(&self.allocator));
         Ok(())
     }
 
@@ -193,7 +193,7 @@ impl<'g> DurableState<'g> {
         let apply_end = flight::now_ns();
         let published = self.allocator.epoch() != epoch;
         if published {
-            self.swap.publish(self.allocator.snapshot());
+            self.swap.publish(snapshot_for_readers(&self.allocator));
         }
         let publish_end = flight::now_ns();
         flight::set_current_trace(0);
@@ -253,4 +253,12 @@ impl<'g> DurableState<'g> {
         }
         Ok((self.allocator.snapshot(), self.allocator.stats()))
     }
+}
+
+/// The allocator's snapshot for the readers, with the retained-pool
+/// gauges set from the same state. Write-only: no outcome reads them.
+fn snapshot_for_readers(allocator: &OnlineAllocator<'_>) -> Arc<AllocationSnapshot> {
+    tirm_obs::registry::POOL_BYTES.set(allocator.pool_bytes() as u64);
+    tirm_obs::registry::POOLED_SHARDS.set(allocator.pooled_shards() as u64);
+    allocator.snapshot()
 }

@@ -189,9 +189,10 @@ pub(crate) struct Shared {
     /// returns and the writer takes over as leader in place, unless the
     /// run is stopping.
     pub(crate) promote_requested: AtomicBool,
-    /// Set by a wire `shutdown` request; [`ServerHandle::wait_shutdown`]
-    /// blocks on it.
-    shutdown_requested: Mutex<bool>,
+    /// Why the run stops, once something stops it — the first cause
+    /// set wins; [`ServerHandle::wait_shutdown`] blocks until there is
+    /// one.
+    stop_cause: Mutex<Option<StopCause>>,
     shutdown_cv: Condvar,
     /// Raised whenever `wal_seq` advances or the run starts to stop:
     /// what a caught-up `replicate_poll` parks on
@@ -220,7 +221,7 @@ impl Shared {
             leader_seq: AtomicU64::new(0),
             leading: AtomicBool::new(true),
             promote_requested: AtomicBool::new(false),
-            shutdown_requested: Mutex::new(false),
+            stop_cause: Mutex::new(None),
             shutdown_cv: Condvar::new(),
             frontier_lock: Mutex::new(()),
             frontier_cv: Condvar::new(),
@@ -235,12 +236,9 @@ impl Shared {
         }
     }
 
-    pub(crate) fn request_shutdown(&self) {
-        let mut requested = self
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned");
-        *requested = true;
+    pub(crate) fn request_shutdown(&self, cause: StopCause) {
+        let mut stop = self.stop_cause.lock().expect("stop cause poisoned");
+        stop.get_or_insert(cause);
         self.shutdown_cv.notify_all();
     }
 
@@ -331,21 +329,19 @@ impl ServerHandle {
         self.shared.leader_seq.load(Ordering::Acquire)
     }
 
-    /// Blocks until some client sends a `shutdown` request — how the
-    /// `tirm_server` binary's main thread parks itself.
-    pub fn wait_shutdown(&self) {
-        let mut requested = self
+    /// Blocks until some client sends a `shutdown` request or the
+    /// writer ends the run — how the `tirm_server` binary's main thread
+    /// parks itself. Returns `true` for a requested shutdown and `false`
+    /// when the writer ended first: it failed (a refused bootstrap
+    /// checkpoint, a log I/O error) or panicked, and `serve` returns why.
+    pub fn wait_shutdown(&self) -> bool {
+        let stop = self.shared.stop_cause.lock().expect("stop cause poisoned");
+        let stop = self
             .shared
-            .shutdown_requested
-            .lock()
-            .expect("shutdown flag poisoned");
-        while !*requested {
-            requested = self
-                .shared
-                .shutdown_cv
-                .wait(requested)
-                .expect("shutdown flag poisoned");
-        }
+            .shutdown_cv
+            .wait_while(stop, |cause| cause.is_none())
+            .expect("stop cause poisoned");
+        *stop == Some(StopCause::Requested)
     }
 }
 
@@ -575,10 +571,20 @@ impl Drop for StopGuard<'_> {
         self.shared.stop.store(true, Ordering::Release);
         // No handler outlives the stop by a hold: wake the parked polls.
         self.shared.notify_frontier();
-        self.shared.request_shutdown();
+        self.shared.request_shutdown(StopCause::Requested);
         // Wake the blocked accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }
+}
+
+/// What ended a run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum StopCause {
+    /// A client's `shutdown` request, or the run's own caller returning.
+    Requested,
+    /// The writer thread returned or panicked before anything asked it
+    /// to stop.
+    WriterEnded,
 }
 
 /// Wakes [`ServerHandle::wait_shutdown`] when the writer thread ends,
@@ -587,7 +593,7 @@ struct ShutdownOnDrop<'a>(&'a Shared);
 
 impl Drop for ShutdownOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.request_shutdown();
+        self.0.request_shutdown(StopCause::WriterEnded);
     }
 }
 
@@ -800,7 +806,7 @@ pub(crate) fn handle_connection(
             }
             .into(),
             Ok(Request::Shutdown) => {
-                shared.request_shutdown();
+                shared.request_shutdown(StopCause::Requested);
                 Response::ShuttingDown.into()
             }
         };

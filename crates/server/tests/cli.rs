@@ -227,3 +227,127 @@ fn a_checkpoint_under_another_kappa_stops_the_restart_before_it_listens() {
     assert!(!stderr.contains("listening on"), "served anyway: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Spawns `tirm_server` over `dir` with `args`, its stderr lines sent
+/// to the returned channel as they come (drained to the end: a closed
+/// pipe would fail the server's later lines).
+fn spawn_server(dir: &std::path::Path, args: &[&str]) -> (KillOnDrop, mpsc::Receiver<String>) {
+    let mut server = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_tirm_server"))
+            .args(["--bind", "127.0.0.1:0"])
+            .args(args)
+            .arg("--state-dir")
+            .arg(dir)
+            .env("TIRM_SCALE", "0.02")
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("tirm_server starts"),
+    );
+    let (tx, lines) = mpsc::channel();
+    let stderr = BufReader::new(server.0.stderr.take().unwrap());
+    std::thread::spawn(move || {
+        for line in stderr.lines().map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    (server, lines)
+}
+
+/// A writer that fails ends the run, and nothing asked for that: a
+/// follower under κ = 5 whose leader has pruned its log down to a κ = 2
+/// checkpoint must bootstrap from it, is refused, and exits 1 with its
+/// banner, then the `error:` naming κ — and no "shutdown requested"
+/// line. The leader's requested stop still prints that line, before its
+/// "drained." summary.
+#[test]
+fn a_failed_writer_ends_the_run_without_a_shutdown_line() {
+    let tag = std::process::id();
+    let ldir = std::env::temp_dir().join(format!("tirm_cli_failed_l_{tag}"));
+    let fdir = std::env::temp_dir().join(format!("tirm_cli_failed_f_{tag}"));
+    for dir in [&ldir, &fdir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let leader_args = [
+        "--kappa",
+        "2",
+        "--checkpoint-interval",
+        "1",
+        "--segment-events",
+        "1",
+    ];
+    let (mut leader, leader_lines) = spawn_server(&ldir, &leader_args);
+    let addr = leader_lines
+        .iter()
+        .find_map(|l| {
+            l.split_once("listening on ")
+                .and_then(|(_, rest)| rest.split_whitespace().next().map(str::to_string))
+        })
+        .expect("the leader listens");
+    // Logged mutations (rejected: no such ad), each checkpointed, until
+    // the segment holding seq 0 is pruned.
+    let mut client = tirm_server::Client::connect(addr.as_str()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for id in 0.. {
+        assert!(Instant::now() < deadline, "the leader never pruned seq 0");
+        let first = tirm_server::wal::list_segments(&ldir)
+            .unwrap()
+            .first()
+            .map(|s| s.0);
+        if id >= 3 && first != Some(0) {
+            break;
+        }
+        client
+            .send_event(&tirm_online::OnlineEvent::AdDeparture { id })
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let (mut follower, follower_lines) = spawn_server(&fdir, &["--kappa", "5", "--follow", &addr]);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let code = loop {
+        if let Some(status) = follower.0.try_wait().unwrap() {
+            break status.code();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the refused follower kept serving"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let seen: Vec<String> = follower_lines.iter().collect();
+    assert_eq!(code, Some(1), "{seen:#?}");
+    let banner = seen
+        .iter()
+        .position(|l| l.contains("serving reads on "))
+        .expect("the follower starts serving");
+    let error = seen
+        .iter()
+        .position(|l| l.starts_with("error:"))
+        .expect("the follower says why it stopped");
+    assert!(banner < error, "{seen:#?}");
+    assert!(
+        seen[error].contains("kappa is 2, this process runs 5"),
+        "{seen:#?}"
+    );
+    assert!(
+        !seen.iter().any(|l| l.starts_with("shutdown requested")),
+        "nothing requested this shutdown: {seen:#?}"
+    );
+
+    client.shutdown_server().unwrap();
+    assert!(leader.0.wait().unwrap().success());
+    let seen: Vec<String> = leader_lines.iter().collect();
+    let requested = seen
+        .iter()
+        .position(|l| l == "shutdown requested — draining the write queue")
+        .expect("a requested shutdown says so");
+    let drained = seen
+        .iter()
+        .position(|l| l.starts_with("drained."))
+        .expect("the leader drains");
+    assert!(requested < drained, "{seen:#?}");
+    for dir in [&ldir, &fdir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}

@@ -157,6 +157,9 @@ fn metrics_request_and_http_exposition_cover_the_core_inventory() {
         section_u64(&gauges, "tirm_server_checkpoint_bytes").is_some(),
         "checkpoint size gauge not covered"
     );
+    for name in ["tirm_online_pool_bytes", "tirm_online_pooled_shards"] {
+        assert!(section_u64(&gauges, name).is_some(), "{name} not covered");
+    }
     assert!(
         section_u64(&counters, "tirm_online_restore_sets_regenerated_total").is_some(),
         "restore's redrawn-set counter not covered"
