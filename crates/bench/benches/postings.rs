@@ -2,15 +2,17 @@
 //!
 //! * **Forward store** — [`RrIndex::push_set`] of 100 k sets shaped
 //!   like the `serve-churn` workload's (1 200 nodes, 1.44 members a set
-//!   on average), and 300 k random [`RrIndex::set`] reads over them:
-//!   the write cost a shard redraw pays per set and the read cost the
-//!   coverage overlay pays per activated or decayed set.
+//!   on average), the same pushes followed by the one
+//!   [`RrIndex::compact`] that places their postings (what a cold ad's
+//!   θ₀ batch costs before its first decay), and 300 k random
+//!   [`RrIndex::set`] reads over them: the read cost the coverage
+//!   overlay pays per activated or decayed set.
 //! * **Unpark** — [`RrSets::into_index`] over the same 100 k sets: the
 //!   postings rebuild a pool reclaim pays for a parked shard.
 //! * **Postings scan** — traversing every node's posting list through
-//!   the two-tier arena [`RrIndex`] vs the legacy one-`Vec`-per-node
-//!   layout it replaced. The coverage overlays spend their time exactly
-//!   here, so this is the locality story in isolation.
+//!   the one exact-fit CSR of [`RrIndex`] vs the legacy
+//!   one-`Vec`-per-node layout. The coverage overlays spend their time
+//!   exactly here, so this is the locality story in isolation.
 //! * **Sampler inner loop** — the threshold-batched BFS
 //!   ([`RrSampler::sample_with`]) vs the float-coin path
 //!   ([`RrSampler::sample`]), with and without the degree-ordered mark
@@ -32,8 +34,7 @@ const SETS: usize = 8192;
 const SET_SIZE: usize = 16;
 
 /// The same synthetic membership stream materialised both ways: the
-/// arena index (compacted, as the allocator reports it) and the legacy
-/// per-node `Vec` layout.
+/// compacted index and the legacy per-node `Vec` layout.
 fn build_layouts() -> (RrIndex, Vec<Vec<u32>>) {
     let mut idx = RrIndex::new(NODES);
     let mut legacy: Vec<Vec<u32>> = vec![Vec::new(); NODES];
@@ -114,6 +115,16 @@ fn bench_forward_store(c: &mut Criterion) {
             idx
         })
     });
+    g.bench_function("push_and_index_100k", |b| {
+        b.iter(|| {
+            let mut idx = RrIndex::new(STORE_NODES as usize);
+            for s in &sets {
+                idx.push_set(black_box(s));
+            }
+            idx.compact();
+            idx
+        })
+    });
     let mut idx = RrIndex::new(STORE_NODES as usize);
     for s in &sets {
         idx.push_set(s);
@@ -132,9 +143,7 @@ fn bench_forward_store(c: &mut Criterion) {
     });
     g.finish();
 
-    // A shard as the pool parks it: compacted at release, postings
-    // dropped.
-    idx.compact();
+    // A shard as the pool parks it: postings dropped.
     let parked: RrSets = idx.into_sets();
     let mut g = c.benchmark_group("unpark");
     g.sample_size(20);
@@ -158,15 +167,11 @@ fn bench_postings_scan(c: &mut Criterion) {
     g.sample_size(30);
     g.measurement_time(std::time::Duration::from_secs(4));
     g.throughput(criterion::Throughput::Elements(entries));
-    g.bench_function("arena_two_tier", |b| {
+    g.bench_function("csr", |b| {
         b.iter(|| {
             let mut acc = 0u64;
             for v in 0..NODES as u32 {
-                let (frozen, hot) = idx.postings(v).as_slices();
-                for &s in frozen {
-                    acc = acc.wrapping_add(s as u64);
-                }
-                for &s in hot {
+                for &s in idx.postings(v) {
                     acc = acc.wrapping_add(s as u64);
                 }
             }

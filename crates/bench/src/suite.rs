@@ -13,12 +13,13 @@ use crate::{allocate, scalability_problem};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use tirm_core::{
-    evaluate, Advertiser, AlgoStats, Allocation, Attention, Evaluation, ProblemInstance,
-    TirmOptions,
+    evaluate, tirm_allocate_warm, AdSeeds, AdWarmState, Advertiser, AlgoStats, Allocation,
+    Attention, Evaluation, ProblemInstance, TirmOptions, WarmCounts,
 };
+use tirm_graph::generators;
 use tirm_online::{AllocationSnapshot, OnlineAllocator, OnlineConfig};
 use tirm_server::{Client, FollowConfig, ServerConfig};
-use tirm_topics::CtpTable;
+use tirm_topics::{CtpTable, TopicDist};
 use tirm_workloads::replay::replay;
 use tirm_workloads::{
     campaigns, final_population, tirm_options, Dataset, DatasetKind, EventStreamSpec, LogEvent,
@@ -140,7 +141,72 @@ fn run_scenario_on(
         Mode::Batch => run_batch_cell(dataset, spec, scale, base_seed),
         Mode::Online => run_online_cell(dataset, spec, scale, base_seed),
         Mode::Serving | Mode::ServingRepl => run_serving_cell(dataset, spec, scale, base_seed),
+        Mode::Growth => run_growth_cell(spec, scale, base_seed),
     }
+}
+
+/// Runs the θ-growth cell. Its instance is fixed whatever the tier: a
+/// 200-node preferential-attachment graph at a uniform arc probability of
+/// 0.3 and two ads at CTP 0.3, budgets 50 and 6. Cascades there are
+/// supercritical, so the revised seed count of the first ad asks for
+/// more RR sets than θ₀, and the family's cap (unscaled, 400 000) is
+/// never reached. Panics unless every ad stays under the cap and some
+/// ad's growth drew sets.
+fn run_growth_cell(spec: &ScenarioSpec, scale: &ScaleConfig, base_seed: u64) -> BenchCell {
+    let graph = generators::preferential_attachment(200, 3, 0.2, 4);
+    let budgets = [50.0, 6.0];
+    let h = budgets.len();
+    let ads = budgets
+        .iter()
+        .map(|&b| Advertiser::new(b, 1.0, TopicDist::single(1, 0)))
+        .collect();
+    let problem = ProblemInstance::new(
+        &graph,
+        ads,
+        vec![vec![0.3; graph.num_edges()]; h],
+        CtpTable::constant(graph.num_nodes(), h, 0.3),
+        Attention::Uniform(spec.kappa),
+        spec.lambda,
+    );
+    let seed = spec.seed(base_seed);
+    let tirm = TirmOptions {
+        threads: spec.threads,
+        ..tirm_options(spec.is_quality(), seed)
+    };
+    let cap = tirm.max_theta_per_ad.unwrap_or(usize::MAX);
+    let plan: Vec<AdSeeds> = (0..h).map(|i| AdSeeds::for_index(seed, i)).collect();
+    let t0 = Instant::now();
+    let (alloc, stats, warm) =
+        tirm_allocate_warm(&problem, tirm, &plan, (0..h).map(|_| None).collect());
+    let wall_s = t0.elapsed().as_secs_f64();
+    let counts: Vec<WarmCounts> = warm.iter().map(AdWarmState::counts).collect();
+    assert!(
+        counts.iter().all(|c| c.theta < cap),
+        "a growth cell must stay under its cap of {cap}: {counts:?}"
+    );
+    assert!(
+        counts.iter().any(|c| c.theta > c.theta0),
+        "no θ growth drew sets: {counts:?}"
+    );
+    let ev = (scale.eval_runs > 0)
+        .then(|| evaluate(&problem, &alloc, scale.eval_runs, 0xe7a1, spec.threads));
+    cell_from_run(
+        CellLabels {
+            id: spec.id(),
+            dataset: "PA200",
+            prob_model: "uniform",
+            allocator: spec.allocator.name(),
+            threads: spec.threads,
+            kappa: spec.kappa,
+            lambda: spec.lambda,
+            seed,
+        },
+        &problem,
+        &alloc,
+        &stats,
+        ev.as_ref(),
+        wall_s,
+    )
 }
 
 /// Events per online serving cell. Fixed (not scale-derived): the point
@@ -278,7 +344,7 @@ pub fn run_serving_cell(
     let replicated = match spec.mode {
         Mode::Serving => false,
         Mode::ServingRepl => true,
-        Mode::Batch | Mode::Online => panic!("not a serving cell: {}", spec.id()),
+        Mode::Batch | Mode::Online | Mode::Growth => panic!("not a serving cell: {}", spec.id()),
     };
     let aseed = spec.seed(base_seed);
     // A distinct stream salt per family: a served cell measures the same
@@ -515,7 +581,7 @@ fn served_cell(
     // ONLINE cell of the same grid point pins θ and memory.
     let (theta, memory_bytes) = match spec.mode {
         Mode::Online => (snap.total_rr_sets, snap.engine_memory_bytes),
-        Mode::Batch | Mode::Serving | Mode::ServingRepl => (0, 0),
+        Mode::Batch | Mode::Serving | Mode::ServingRepl | Mode::Growth => (0, 0),
     };
     BenchCell {
         id: spec.id(),
@@ -710,7 +776,7 @@ mod tests {
 
     #[test]
     fn tirm_quick_cell_carries_postings_layout_ratios() {
-        // One tiny TIRM cell end to end: the arena ratio must land in
+        // One tiny TIRM cell end to end: the postings ratio must land in
         // the artifact (the ≥25% reduction against the legacy layout is
         // pinned at the index layer; here we pin the plumbing).
         let spec = Tier::Quick

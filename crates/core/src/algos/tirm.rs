@@ -226,7 +226,7 @@ impl AdWarmState {
         self.seeds
     }
 
-    /// The counts [`Self::regenerate`] rebuilds this state from.
+    /// The counts [`ParkedWarmState::regenerate`] rebuilds this state from.
     pub fn counts(&self) -> WarmCounts {
         warm_counts(
             self.index.num_sets(),
@@ -248,16 +248,33 @@ impl AdWarmState {
             threads: self.threads,
         }
     }
+}
 
-    /// Rebuilds the state a run under `(opts, seeds)` over `graph` and the
-    /// ad's projected `probs` holds at `want`, by drawing both streams
-    /// again from their seeds. Every field comes back as the run left it
-    /// — sets, postings, engine positions, widths, base scores, and
-    /// `memory_bytes` to the byte — because each is a function of how
-    /// many draws its stream has made and in which batches: the widths
-    /// are drawn round by round as the estimator draws them, the θ₀ sets
-    /// first so the base scores are taken where a run takes them, then
-    /// the rest, then the postings settle as they do when a run ends.
+/// An [`AdWarmState`] without its postings: what the online pool keeps
+/// of a departed ad. The RR sets are the sampled capital and stay as they
+/// were, bit-packed; the node → set-id postings are a function of them,
+/// so they are dropped here and rebuilt by [`Self::unpark`]. Nothing can
+/// scan a parked state.
+pub struct ParkedWarmState {
+    sets: RrSets,
+    engine: ParallelSampler,
+    kpt: KptState,
+    base: Option<(usize, Vec<f64>)>,
+    seeds: AdSeeds,
+    threads: usize,
+}
+
+impl ParkedWarmState {
+    /// Rebuilds, parked, the state a run under `(opts, seeds)` over
+    /// `graph` and the ad's projected `probs` holds at `want`, by drawing
+    /// both streams again from their seeds. Every field comes back as the
+    /// run left it — sets, engine positions, widths, base scores — and
+    /// [`Self::unpark`] gives the held state, `memory_bytes` to the byte,
+    /// because each is a function of how many draws its stream has made
+    /// and in which batches: the widths are drawn round by round as the
+    /// estimator draws them, the θ₀ sets first so the base scores are
+    /// taken where a run takes them, then the rest. No postings are
+    /// placed: a pooled shard is never scanned.
     ///
     /// `want` is a checkpoint's word. Its counts are checked before
     /// anything is drawn (`theta0 ≤ theta`, `theta` within
@@ -270,7 +287,7 @@ impl AdWarmState {
         opts: &TirmOptions,
         seeds: AdSeeds,
         want: WarmCounts,
-    ) -> Result<AdWarmState, String> {
+    ) -> Result<ParkedWarmState, String> {
         let cap = opts.max_theta_per_ad.unwrap_or(u32::MAX as usize);
         if want.theta > cap.min(u32::MAX as usize) {
             return Err(format!("{} RR sets exceed the cap of {cap}", want.theta));
@@ -292,7 +309,6 @@ impl AdWarmState {
         engine.sample_into_with(&sampler, Some(&fast), want.theta0, &mut coll);
         let base = Some((want.theta0, coll.scores().to_vec()));
         engine.sample_into_with(&sampler, Some(&fast), want.theta - want.theta0, &mut coll);
-        coll.compact_postings();
         if coll.total_entries() != want.total_entries {
             return Err(format!(
                 "{} RR sets redrawn here hold {} members, the checkpointed ones held {}: not \
@@ -302,8 +318,8 @@ impl AdWarmState {
                 want.total_entries
             ));
         }
-        Ok(AdWarmState {
-            index: coll.take_index(),
+        Ok(ParkedWarmState {
+            sets: coll.take_index().into_sets(),
             engine,
             kpt: kpt.into_state(),
             base,
@@ -311,23 +327,7 @@ impl AdWarmState {
             threads: opts.threads,
         })
     }
-}
 
-/// An [`AdWarmState`] without its postings: what the online pool keeps
-/// of a departed ad. The RR sets are the sampled capital and stay as they
-/// were, bit-packed; the node → set-id postings are a function of them,
-/// so they are dropped here and rebuilt by [`Self::unpark`]. Nothing can
-/// scan a parked state.
-pub struct ParkedWarmState {
-    sets: RrSets,
-    engine: ParallelSampler,
-    kpt: KptState,
-    base: Option<(usize, Vec<f64>)>,
-    seeds: AdSeeds,
-    threads: usize,
-}
-
-impl ParkedWarmState {
     /// The state parked, its postings rebuilt by a counting sort over
     /// the sets: every field, and `memory_bytes` to the byte, as the run
     /// that released it left them.
@@ -499,8 +499,8 @@ impl<'a> AdState<'a> {
     }
 
     /// Releases the saturated ad's overlay and heap at θ `theta` and
-    /// settles its postings, so the run reports the exact-fit frozen tier,
-    /// not the hot arena's slack, and no later ad holds that slack.
+    /// places the postings of any sets drawn since its last decay, so the
+    /// index it hands back is whole and the run reports its exact size.
     fn release(&mut self, theta: usize) {
         let overlay = self.coll.overlay_bytes();
         self.heap = LazyMaxHeap::new();
@@ -1557,7 +1557,9 @@ mod tests {
                 .map(|((w, p), &seeds)| {
                     let c = w.counts();
                     assert!(0 < c.theta0 && c.theta0 <= c.theta && c.kpt_samples > 0);
-                    AdWarmState::regenerate(&g, p, &o, seeds, c).unwrap()
+                    ParkedWarmState::regenerate(&g, p, &o, seeds, c)
+                        .unwrap()
+                        .unpark()
                 })
                 .collect();
             for (a, b) in held.iter().zip(&redrawn) {
@@ -1568,7 +1570,7 @@ mod tests {
                 total_entries: held[0].counts().total_entries + 1,
                 ..held[0].counts()
             };
-            assert!(AdWarmState::regenerate(&g, &probs[0], &o, plan[0], off_by_one).is_err());
+            assert!(ParkedWarmState::regenerate(&g, &probs[0], &o, plan[0], off_by_one).is_err());
             // Parked, a shard weighs all but its postings and keeps its
             // counts; unparked, it is the held shard again.
             let held: Vec<AdWarmState> = held
@@ -1617,7 +1619,7 @@ mod tests {
                 theta0,
                 total_entries: 0,
             };
-            AdWarmState::regenerate(&g, &probs, opts, AdSeeds::for_ad_id(3, 1), want)
+            ParkedWarmState::regenerate(&g, &probs, opts, AdSeeds::for_ad_id(3, 1), want)
         };
         // (That nothing is drawn first is counted where tests take turns
         // at the counter: `tirm_online`'s `hostile_checkpoint`.)

@@ -18,7 +18,9 @@ use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
 
 /// RR sets materialized by the parallel sampler (both RR and RRC modes).
 pub static RR_SETS_SAMPLED: Counter = Counter::new();
-/// High-water mark of resident RR index arena bytes.
+/// High-water mark of one RR index's bytes (its packed sets and its
+/// postings CSR), taken at each `memory_bytes` read. The series keeps
+/// its `arena` name.
 pub static RR_ARENA_BYTES: Gauge = Gauge::new();
 /// Per-run relabel decisions that chose scale-aware mark relabeling.
 pub static RELABEL_SCALE_AWARE: Counter = Counter::new();
@@ -317,7 +319,7 @@ static COUNTERS: &[(&str, Option<(&str, &str)>, &str, &Counter)] = &[
 static GAUGES: &[(&str, &str, &Gauge)] = &[
     (
         "tirm_rrset_arena_bytes_high_water",
-        "High-water mark of resident RR index arena bytes",
+        "High-water mark of one RR index's bytes: packed sets plus postings CSR",
         &RR_ARENA_BYTES,
     ),
     (

@@ -345,7 +345,7 @@ impl<'g> OnlineAllocator<'g> {
             record.forget(ad.plan);
         }
         if let Some(state) = ad.warm {
-            self.pool.release(id, ad.adv.topics.clone(), state);
+            self.pool.release(id, ad.adv.topics.clone(), state.park());
         }
         self.stale = true;
         Ok(())

@@ -11,10 +11,12 @@
 //! The RR sets are not in it: a shard is a pure function of `(graph,
 //! projected probabilities, seed plan, threads, θ count, KPT count)`.
 //! `restore` re-runs each shard's two id-derived streams from their seeds
-//! ([`AdWarmState::regenerate`]) and gets back the shard the checkpointed
-//! allocator held, `memory_bytes` included — so the restored allocator
-//! **continues the same RNG streams**, evicts from its pool in the same
-//! order, and replaying the WAL tail after a crash produces allocations
+//! ([`ParkedWarmState::regenerate`]) and gets back the shard the
+//! checkpointed allocator held, parked and `memory_bytes` included. A live
+//! ad's shard is unparked; a pooled one goes back to the pool as it is,
+//! its postings never placed. So the restored allocator **continues the
+//! same RNG streams**, evicts from its pool in the same order, and
+//! replaying the WAL tail after a crash produces allocations
 //! and revenue estimates bit-identical to the uninterrupted run. Writing
 //! a checkpoint costs the model and nothing else; a restore, once per
 //! process life, pays the graph walks of the sets it redraws.
@@ -40,7 +42,7 @@ use super::{LiveAd, OnlineAllocator, OnlineConfig, OnlineStats};
 use crate::events::AdId;
 use std::collections::HashSet;
 use std::io::{Read, Write};
-use tirm_core::{AdSeeds, AdWarmState, Advertiser, WarmCounts};
+use tirm_core::{AdSeeds, Advertiser, ParkedWarmState, WarmCounts};
 use tirm_graph::snapshot::{read_words_stream, write_words_stream, SnapshotError};
 use tirm_graph::{DiGraph, NodeId};
 use tirm_obs::registry::{RESTORE_REGENERATE_NS, RESTORE_SETS_REGENERATED};
@@ -420,16 +422,16 @@ fn decode<'g>(
     let t0 = std::time::Instant::now();
     for (ad, counts) in a.live.iter_mut().zip(live_shards) {
         if let Some(counts) = counts {
-            ad.warm = Some(regenerate(graph, &ad.probs, &a.cfg, ad.id, counts)?);
+            ad.warm = Some(regenerate(graph, &ad.probs, &a.cfg, ad.id, counts)?.unpark());
         }
     }
     for (id, topics, counts) in pooled {
         let probs = topic_probs.project(&topics);
         let state = regenerate(graph, &probs, &a.cfg, id, counts)?;
-        // Re-released through the normal path, so it is parked: the
-        // redrawn shard weighs what the held one did, so the pool trims —
-        // if the budget is tighter than the one the checkpoint was
-        // written under — exactly as a release would.
+        // Redrawn parked and re-released through the normal path: the
+        // shard weighs what the held one did, so the pool trims — if the
+        // budget is tighter than the one the checkpoint was written
+        // under — exactly as a release would.
         a.pool.release(id, topics, state);
     }
     a.pool.set_evictions(evictions);
@@ -437,16 +439,16 @@ fn decode<'g>(
     Ok((a, wal_seq))
 }
 
-/// Redraws ad `id`'s shard from its checkpointed counts.
+/// Redraws ad `id`'s shard from its checkpointed counts, parked.
 fn regenerate(
     graph: &DiGraph,
     probs: &[f32],
     cfg: &OnlineConfig,
     id: AdId,
     counts: WarmCounts,
-) -> Result<AdWarmState, SnapshotError> {
+) -> Result<ParkedWarmState, SnapshotError> {
     let plan = AdSeeds::for_ad_id(cfg.tirm.seed, id);
-    let shard = AdWarmState::regenerate(graph, probs, &cfg.tirm, plan, counts)
+    let shard = ParkedWarmState::regenerate(graph, probs, &cfg.tirm, plan, counts)
         .map_err(|e| malformed(format!("ad {id}: {e}")))?;
     RESTORE_SETS_REGENERATED.add((counts.theta + counts.kpt_samples) as u64);
     Ok(shard)

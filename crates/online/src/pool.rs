@@ -9,10 +9,13 @@
 //! parked ([`ParkedWarmState`]): the bit-packed sets without their node →
 //! set-id postings, which a reclaim rebuilds by a counting sort over the
 //! sets (≈ 0.65 ms for 100 k sets, against ≈ 13 ms to redraw them).
-//! The pool is bounded by an explicit budget in parked bytes and evicts
-//! oldest-released-first; reclaiming under a *changed* topic distribution
-//! invalidates the shard (the cached sets were sampled under the old
-//! projected probabilities) and drops it instead.
+//! [`RetainedPool::release`] takes the shard already parked: a departure
+//! parks its live shard, and a checkpoint restore redraws a pooled shard
+//! parked, so its postings are never placed. The pool is bounded by an
+//! explicit budget in parked bytes and evicts oldest-released-first;
+//! reclaiming under a *changed* topic distribution invalidates the shard
+//! (the cached sets were sampled under the old projected probabilities)
+//! and drops it instead.
 
 use crate::events::AdId;
 use tirm_core::{AdWarmState, ParkedWarmState};
@@ -67,15 +70,14 @@ impl RetainedPool {
         self.evictions
     }
 
-    /// Parks a departed ad's shard in the pool, then trims to the byte
-    /// budget (which may evict the shard just released). A shard already
-    /// pooled under the same id is replaced.
-    pub fn release(&mut self, id: AdId, topics: TopicDist, state: AdWarmState) {
+    /// Keeps a departed ad's parked shard in the pool, then trims to the
+    /// byte budget (which may evict the shard just released). A shard
+    /// already pooled under the same id is replaced.
+    pub fn release(&mut self, id: AdId, topics: TopicDist, state: ParkedWarmState) {
         if let Some(pos) = self.entries.iter().position(|e| e.id == id) {
             let old = self.entries.remove(pos);
             self.total_bytes -= old.bytes;
         }
-        let state = state.park();
         let bytes = state.memory_bytes();
         self.total_bytes += bytes;
         self.entries.push(Retained {
@@ -155,7 +157,7 @@ mod tests {
         let w = warm_state(1);
         let (sets, bytes) = (w.num_sets(), w.memory_bytes());
         let topics = TopicDist::single(1, 0);
-        pool.release(1, topics.clone(), w);
+        pool.release(1, topics.clone(), w.park());
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.memory_bytes(), parked_bytes(1));
         assert!(pool.memory_bytes() < bytes, "parked without postings");
@@ -169,7 +171,7 @@ mod tests {
     #[test]
     fn changed_topics_invalidate() {
         let mut pool = RetainedPool::new(usize::MAX);
-        pool.release(1, TopicDist::single(2, 0), warm_state(1));
+        pool.release(1, TopicDist::single(2, 0), warm_state(1).park());
         assert!(pool.reclaim(1, &TopicDist::single(2, 1)).is_none());
         assert!(pool.is_empty(), "invalid shard is dropped, not kept");
         assert!(pool.reclaim(2, &TopicDist::single(2, 0)).is_none());
@@ -182,9 +184,9 @@ mod tests {
         let budget = parked_bytes(1) + parked_bytes(2) / 2;
         let mut pool = RetainedPool::new(budget);
         let topics = TopicDist::single(1, 0);
-        pool.release(1, topics.clone(), w1);
+        pool.release(1, topics.clone(), w1.park());
         assert_eq!(pool.len(), 1);
-        pool.release(2, topics.clone(), w2);
+        pool.release(2, topics.clone(), w2.park());
         assert_eq!(pool.len(), 1, "budget forces eviction");
         assert_eq!(pool.evictions(), 1);
         assert!(pool.reclaim(1, &topics).is_none(), "oldest was evicted");
@@ -202,7 +204,7 @@ mod tests {
         assert!(bytes > 1, "fixture shard must be non-trivial");
         let mut pool = RetainedPool::new(bytes / 2);
         let topics = TopicDist::single(1, 0);
-        pool.release(1, topics.clone(), w);
+        pool.release(1, topics.clone(), w.park());
         assert!(pool.is_empty(), "oversized shard cannot be retained");
         assert_eq!(pool.memory_bytes(), 0, "accounting back to zero");
         assert_eq!(pool.evictions(), 1);
@@ -211,7 +213,7 @@ mod tests {
         // The pool still works afterwards: a shard that fits is kept.
         let w = warm_state(2);
         let mut pool = RetainedPool::new(parked_bytes(2));
-        pool.release(2, topics.clone(), w);
+        pool.release(2, topics.clone(), w.park());
         assert_eq!(pool.len(), 1, "exactly-fitting shard is retained");
         assert!(pool.reclaim(2, &topics).is_some());
     }
@@ -230,9 +232,9 @@ mod tests {
         let b = TopicDist::single(2, 1);
         let mut pool = RetainedPool::new(usize::MAX);
 
-        pool.release(1, a.clone(), warm_state(1));
+        pool.release(1, a.clone(), warm_state(1).park());
         // Resumption under B replaces the pooled entry (same id).
-        pool.release(1, b.clone(), warm_state(2));
+        pool.release(1, b.clone(), warm_state(2).park());
         assert_eq!(pool.len(), 1, "same id replaces, never duplicates");
 
         // Stale reclaim under A: invalid, and the entry is consumed.
@@ -244,7 +246,7 @@ mod tests {
 
         // Opposite interleaving: the valid reclaim arrives first and is
         // served; the stale one then finds nothing.
-        pool.release(1, b.clone(), warm_state(3));
+        pool.release(1, b.clone(), warm_state(3).park());
         assert!(pool.reclaim(1, &b).is_some());
         assert!(pool.reclaim(1, &a).is_none());
         assert_eq!(pool.evictions(), 0, "invalidations are not evictions");
@@ -253,7 +255,7 @@ mod tests {
     #[test]
     fn zero_budget_retains_nothing() {
         let mut pool = RetainedPool::new(0);
-        pool.release(1, TopicDist::single(1, 0), warm_state(1));
+        pool.release(1, TopicDist::single(1, 0), warm_state(1).park());
         assert!(pool.is_empty());
         assert_eq!(pool.evictions(), 1);
     }
@@ -262,8 +264,8 @@ mod tests {
     fn rerelease_replaces() {
         let mut pool = RetainedPool::new(usize::MAX);
         let topics = TopicDist::single(1, 0);
-        pool.release(1, topics.clone(), warm_state(1));
-        pool.release(1, topics.clone(), warm_state(9));
+        pool.release(1, topics.clone(), warm_state(1).park());
+        pool.release(1, topics.clone(), warm_state(9).park());
         assert_eq!(pool.len(), 1, "same id replaces, never duplicates");
         assert!(pool.reclaim(1, &topics).is_some());
         assert!(pool.is_empty());

@@ -23,127 +23,32 @@
 //! ([`RrIndex::set`]) is an exact-size iterator that decodes each member
 //! from one 8-byte window.
 //!
-//! # Postings layout
+//! # Postings
 //!
-//! Postings are **not** one `Vec<u32>` per node (a 24-byte header plus a
-//! private doubling buffer each — ~44% expected slack and a header tax
-//! that dominates short lists). They live in two tiers:
+//! The postings are one exact-fit CSR: a flat array of set ids plus an
+//! `n + 1` offset table, 4 bytes a posting and 4 a node, no slack. Each
+//! node's run is strictly ascending, so prefix-bounded scans keep their
+//! early exit.
 //!
-//! * a **frozen CSR** — one exact-fit flat array plus an `n+1` offset
-//!   table holding every posting up to the last freeze: 4 bytes per
-//!   posting, 4 bytes per node, zero slack;
-//! * a **hot tail** — a chunked u32 bump arena for postings appended
-//!   since: one shared buffer holds each node's recent ids as a
-//!   contiguous run addressed by an 8-byte `{start, len}` head; a run
-//!   that outgrows its ×1.5 size class (4, 6, 8, 12, 16, 24, …) is
-//!   copied to the next class and the old block recycled through a
-//!   per-class free list.
-//!
-//! When the hot tail outgrows half the frozen tier it is merged in
-//! (geometric doubling ⇒ amortized O(1) slots moved per append), so at
-//! any reporting point all but a bounded fraction of postings sit in the
-//! exact-fit tier. Set ids are appended in ascending order, which makes
-//! `frozen ++ hot` per node ascending too — prefix-bounded scans keep
-//! their early exit.
+//! [`RrIndex::push_set`] writes the forward store only. The CSR covers a
+//! prefix of the sets, and [`RrIndex::compact`] extends it over the rest
+//! in one counting sort into fresh exact-fit vectors, O(n + entries).
+//! TIRM draws its sets in batches and reads postings only to decay a
+//! seed's sets, so the coverage overlay compacts at its first decay after
+//! a batch. [`RrSets::into_index`] is the same sort from an empty CSR.
 //!
 //! Invariants:
 //!
 //! * Sets are append-only and identified by dense ids `0..num_sets()` in
 //!   insertion order.
-//! * Postings lists are strictly ascending in set id across both tiers.
+//! * Postings are read only when the CSR covers every set.
 //! * Memory accounting ([`RrIndex::memory_bytes`]) is exact over the
-//!   packed streams, both postings tiers and the head table — the Table 4 metric
-//!   and the online pool's eviction currency — and is O(1): capacities
-//!   are read off the backing vectors, never recomputed by walking `n`
-//!   lists.
+//!   packed streams and the CSR — the Table 4 metric and the online
+//!   pool's eviction currency — and is O(1): capacities are read off the
+//!   backing vectors, never recomputed by walking `n` lists.
 
 use crate::packed::{width_for, PackedVec};
 use tirm_graph::NodeId;
-
-/// Sentinel for "no block" in the per-class free lists.
-const NIL: u32 = u32::MAX;
-
-/// Size classes with a free list (4 up to past any u32 run length).
-const FREE_CLASSES: usize = 40;
-
-/// Per-node hot-tier head: `start` is an arena offset when `len ≥ 2`,
-/// the single set id itself when `len == 1`, and unused when `len == 0`.
-#[derive(Clone, Copy, Debug, Default)]
-struct PostingHead {
-    start: u32,
-    len: u32,
-}
-
-/// Smallest size class that fits `len` elements (`len ≥ 1`).
-/// Classes are 4, 6, 8, 12, 16, 24, 32, … — powers of two interleaved
-/// with 3·2^k, i.e. ×1.5 geometric growth rounded to even sizes.
-#[inline]
-fn class_ceil(len: u32) -> u32 {
-    if len <= 4 {
-        return 4;
-    }
-    let p = len.next_power_of_two();
-    let three_quarter = p / 2 + p / 4;
-    if len <= three_quarter {
-        three_quarter
-    } else {
-        p
-    }
-}
-
-/// Dense index of a size class in the free-list table.
-/// 4 → 0, 6 → 1, 8 → 2, 12 → 3, 16 → 4, 24 → 5, …
-#[inline]
-fn class_index(class: u32) -> usize {
-    debug_assert!(class >= 4 && class_ceil(class) == class);
-    let tz = class.trailing_zeros() as usize;
-    if class.is_power_of_two() {
-        2 * (tz - 2)
-    } else {
-        2 * (tz - 1) + 1
-    }
-}
-
-/// A node's postings: the frozen exact-fit run followed by the hot-tail
-/// run, together strictly ascending in set id.
-#[derive(Clone, Copy, Debug)]
-pub struct Postings<'a> {
-    frozen: &'a [u32],
-    hot: &'a [u32],
-}
-
-impl<'a> Postings<'a> {
-    /// Total posting count.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.frozen.len() + self.hot.len()
-    }
-
-    /// True when the node appears in no set.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.frozen.is_empty() && self.hot.is_empty()
-    }
-
-    /// The two contiguous runs `(frozen, hot)` — each ascending, every
-    /// frozen id smaller than every hot id. Hot loops that want plain
-    /// slice traversals use this instead of the chained iterator.
-    #[inline]
-    pub fn as_slices(&self) -> (&'a [u32], &'a [u32]) {
-        (self.frozen, self.hot)
-    }
-}
-
-impl<'a> IntoIterator for Postings<'a> {
-    type Item = u32;
-    type IntoIter =
-        std::iter::Copied<std::iter::Chain<std::slice::Iter<'a, u32>, std::slice::Iter<'a, u32>>>;
-
-    #[inline]
-    fn into_iter(self) -> Self::IntoIter {
-        self.frozen.iter().chain(self.hot.iter()).copied()
-    }
-}
 
 /// An [`RrIndex`]'s forward store alone — its sets without postings.
 ///
@@ -174,71 +79,21 @@ impl RrSets {
         self.nodes.capacity_bytes() + self.offsets.capacity_bytes()
     }
 
-    /// The index over these sets, its postings rebuilt by a counting
-    /// sort straight into the frozen tier: exact-fit, each node's set
-    /// ids ascending, the hot tier empty — the index [`RrIndex::compact`]
-    /// leaves, to the byte. O(n + entries), two passes over the packed
-    /// members and one over the offsets.
+    /// The index over these sets, its postings placed by
+    /// [`RrIndex::compact`] from an empty CSR: the index a compaction of
+    /// the index these sets came from leaves, to the byte.
     pub fn into_index(self) -> RrIndex {
         let RrSets { n, offsets, nodes } = self;
-        let entries = nodes.len();
-        // `frozen_offsets[v + 1]` counts node `v`'s postings, then holds
-        // where they start, then — advanced past each one placed — where
-        // they end, which is where node `v + 1`'s start.
-        let mut frozen_offsets = vec![0u32; n + 1];
-        for v in nodes.range(0, entries) {
-            frozen_offsets[v as usize + 1] += 1;
-        }
-        let mut start = 0u32;
-        for slot in &mut frozen_offsets[1..] {
-            let count = *slot;
-            *slot = start;
-            start += count;
-        }
-        // One bit per entry marks the first member of each non-empty set,
-        // so the members are placed in one flat pass whose set id is a
-        // running count of those bits — no branch on where a set ends,
-        // which a set size of 1.44 on average would mispredict.
-        let mut starts = vec![0u64; entries / 64 + 1];
-        let mut bounds = offsets.range(0, offsets.len());
-        let mut lo = bounds.next().unwrap_or(0) as usize;
-        let mut empty = false;
-        for hi in bounds {
-            starts[lo >> 6] |= 1 << (lo & 63);
-            empty |= hi as usize == lo;
-            lo = hi as usize;
-        }
-        let mut frozen_data = vec![0u32; entries];
-        let mut rank = u32::MAX;
-        for (j, v) in nodes.range(0, entries).enumerate() {
-            rank = rank.wrapping_add((starts[j >> 6] >> (j & 63)) as u32 & 1);
-            let slot = &mut frozen_offsets[v as usize + 1];
-            frozen_data[*slot as usize] = rank;
-            *slot += 1;
-        }
-        // That count skips empty sets: map it back to set ids.
-        if empty {
-            let ids: Vec<u32> = (0..offsets.len() - 1)
-                .filter(|&sid| {
-                    let (lo, hi) = offsets.pair(sid);
-                    lo < hi
-                })
-                .map(|sid| sid as u32)
-                .collect();
-            for sid in &mut frozen_data {
-                *sid = ids[*sid as usize];
-            }
-        }
-        RrIndex {
+        let mut index = RrIndex {
             n,
             offsets,
             nodes,
-            frozen_offsets,
-            frozen_data,
-            data: Vec::new(),
-            heads: vec![PostingHead::default(); n],
-            free: vec![NIL; FREE_CLASSES],
-        }
+            post_offsets: vec![0; n + 1],
+            post_ids: Vec::new(),
+            indexed: 0,
+        };
+        index.compact();
+        index
     }
 }
 
@@ -252,17 +107,12 @@ pub struct RrIndex {
     /// Flattened membership lists, in set-id order; packed at the width
     /// of the largest node id.
     nodes: PackedVec,
-    /// Frozen tier: `frozen_offsets[v]..frozen_offsets[v+1]` delimits
-    /// node `v`'s frozen postings in `frozen_data`.
-    frozen_offsets: Vec<u32>,
-    frozen_data: Vec<u32>,
-    /// Hot-tier size-class arena (see module docs).
-    data: Vec<u32>,
-    /// Hot-tier heads: node → `{start, len}` into `data`.
-    heads: Vec<PostingHead>,
-    /// Head of the free-block chain per size class (blocks chain through
-    /// their slot 0).
-    free: Vec<u32>,
+    /// `post_offsets[v]..post_offsets[v+1]` delimits node `v`'s postings
+    /// in `post_ids`.
+    post_offsets: Vec<u32>,
+    post_ids: Vec<u32>,
+    /// Sets `0..indexed` have their postings in the CSR.
+    indexed: usize,
 }
 
 impl RrIndex {
@@ -275,11 +125,9 @@ impl RrIndex {
             n,
             offsets,
             nodes: PackedVec::new(width_for(max_id)),
-            frozen_offsets: vec![0; n + 1],
-            frozen_data: Vec::new(),
-            data: Vec::new(),
-            heads: vec![PostingHead::default(); n],
-            free: vec![NIL; FREE_CLASSES],
+            post_offsets: vec![0; n + 1],
+            post_ids: Vec::new(),
+            indexed: 0,
         }
     }
 
@@ -306,107 +154,73 @@ impl RrIndex {
         self.offsets.len() - 1
     }
 
-    /// Pops a free block of `class` slots or bumps the arena tail.
-    #[inline]
-    fn alloc_block(&mut self, class: u32) -> u32 {
-        let idx = class_index(class);
-        let head = self.free[idx];
-        if head != NIL {
-            self.free[idx] = self.data[head as usize];
-            return head;
-        }
-        let start = self.data.len();
-        debug_assert!(start + class as usize <= u32::MAX as usize);
-        self.data.resize(start + class as usize, 0);
-        start as u32
-    }
-
-    /// Returns a block to its class's free list.
-    #[inline]
-    fn free_block(&mut self, start: u32, class: u32) {
-        let idx = class_index(class);
-        self.data[start as usize] = self.free[idx];
-        self.free[idx] = start;
-    }
-
-    /// Appends `sid` to node `v`'s hot-tail run.
-    #[inline]
-    fn append_posting(&mut self, v: usize, sid: u32) {
-        let PostingHead { start, len } = self.heads[v];
-        match len {
-            0 => self.heads[v] = PostingHead { start: sid, len: 1 },
-            1 => {
-                // Spill the inline element into a first arena block.
-                let b = self.alloc_block(4);
-                self.data[b as usize] = start;
-                self.data[b as usize + 1] = sid;
-                self.heads[v] = PostingHead { start: b, len: 2 };
-            }
-            _ => {
-                let cap = class_ceil(len);
-                if len == cap {
-                    // Full: copy-grow to the next class, recycle the run.
-                    let ncap = class_ceil(len + 1);
-                    let nb = self.alloc_block(ncap);
-                    self.data
-                        .copy_within(start as usize..(start + len) as usize, nb as usize);
-                    self.free_block(start, cap);
-                    self.data[(nb + len) as usize] = sid;
-                    self.heads[v] = PostingHead {
-                        start: nb,
-                        len: len + 1,
-                    };
-                } else {
-                    self.data[(start + len) as usize] = sid;
-                    self.heads[v].len = len + 1;
-                }
-            }
-        }
-    }
-
-    /// Node `v`'s hot-tail run.
-    #[inline]
-    fn hot(&self, v: usize) -> &[u32] {
-        let h = &self.heads[v];
-        match h.len {
-            0 => &[],
-            1 => std::slice::from_ref(&h.start),
-            len => &self.data[h.start as usize..(h.start + len) as usize],
-        }
-    }
-
-    /// Merges the hot tail into the frozen exact-fit tier and resets the
-    /// arena. Postings order per node is preserved (frozen then hot,
-    /// both ascending). O(n + entries).
+    /// Extends the CSR over the sets pushed since the last compaction: a
+    /// counting sort into fresh exact-fit vectors that copies each node's
+    /// run and appends its new set ids, ascending. A no-op when no set is
+    /// pending. O(n + entries).
     pub fn compact(&mut self) {
-        if self.data.is_empty() && self.heads.iter().all(|h| h.len == 0) {
+        let (first, sets) = (self.indexed, self.num_sets());
+        if first == sets {
             return;
         }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for v in 0..self.n {
-            total += (self.frozen_offsets[v + 1] - self.frozen_offsets[v]) + self.heads[v].len;
-            offsets.push(total);
+        let (lo, entries) = (self.offsets.get(first) as usize, self.nodes.len());
+        // `ends[v + 1]` counts node `v`'s new postings, then holds where
+        // they start (after its old run), then — advanced past each one
+        // placed — where they end, which is where node `v + 1`'s start.
+        let mut ends = vec![0u32; self.n + 1];
+        for v in self.nodes.range(lo, entries) {
+            ends[v as usize + 1] += 1;
         }
-        let mut data = Vec::with_capacity(total as usize);
+        let mut ids = vec![0u32; entries];
+        let mut start = 0;
         for v in 0..self.n {
-            let lo = self.frozen_offsets[v] as usize;
-            let hi = self.frozen_offsets[v + 1] as usize;
-            data.extend_from_slice(&self.frozen_data[lo..hi]);
-            data.extend_from_slice(self.hot(v));
+            let old =
+                &self.post_ids[self.post_offsets[v] as usize..self.post_offsets[v + 1] as usize];
+            ids[start..start + old.len()].copy_from_slice(old);
+            let count = ends[v + 1] as usize;
+            ends[v + 1] = (start + old.len()) as u32;
+            start += old.len() + count;
         }
-        self.frozen_offsets = offsets;
-        self.frozen_data = data;
-        self.data = Vec::new();
-        self.heads
-            .iter_mut()
-            .for_each(|h| *h = PostingHead::default());
-        self.free.iter_mut().for_each(|f| *f = NIL);
+        // One bit per new entry marks the first member of each non-empty
+        // set, so the members are placed in one flat pass whose set id is
+        // a running count of those bits — no branch on where a set ends,
+        // which a set size of 1.44 on average would mispredict.
+        let mut starts = vec![0u64; (entries - lo) / 64 + 1];
+        let (mut at, mut empty) = (0, false);
+        for end in self.offsets.range(first + 1, sets + 1) {
+            starts[at >> 6] |= 1 << (at & 63);
+            empty |= end as usize - lo == at;
+            at = end as usize - lo;
+        }
+        let mut rank = (first as u32).wrapping_sub(1);
+        for (j, v) in self.nodes.range(lo, entries).enumerate() {
+            rank = rank.wrapping_add((starts[j >> 6] >> (j & 63)) as u32 & 1);
+            let slot = &mut ends[v as usize + 1];
+            ids[*slot as usize] = rank;
+            *slot += 1;
+        }
+        // That count skips empty sets: map it back to set ids. Old ids
+        // are below `first`, counted ones from it on.
+        if empty {
+            let sids: Vec<u32> = (first..sets)
+                .filter(|&sid| {
+                    let (lo, hi) = self.offsets.pair(sid);
+                    lo < hi
+                })
+                .map(|sid| sid as u32)
+                .collect();
+            for sid in ids.iter_mut().filter(|sid| **sid as usize >= first) {
+                *sid = sids[*sid as usize - first];
+            }
+        }
+        self.post_offsets = ends;
+        self.post_ids = ids;
+        self.indexed = sets;
     }
 
     /// Appends one set (members must be duplicate-free — the sampler's
-    /// contract) and indexes its members. Returns the new set's id.
+    /// contract) to the forward store; its postings wait for the next
+    /// [`Self::compact`]. Returns the new set's id.
     pub fn push_set(&mut self, members: &[NodeId]) -> u32 {
         let sid = self.num_sets() as u32;
         self.nodes.extend_from_slice(members);
@@ -415,14 +229,6 @@ impl RrIndex {
             self.offsets.widen(width_for(end));
         }
         self.offsets.push(end);
-        for &v in members {
-            self.append_posting(v as usize, sid);
-        }
-        // Geometric merge policy: fold the hot tail in once it outgrows
-        // half the frozen tier — amortized O(1) slots moved per append.
-        if self.data.len() > 4096.max(self.frozen_data.len() / 2) {
-            self.compact();
-        }
         sid
     }
 
@@ -434,16 +240,17 @@ impl RrIndex {
         self.nodes.range(lo as usize, hi as usize)
     }
 
-    /// Ids of the sets containing `v`, ascending.
+    /// Ids of the sets containing `v`, ascending. Every set must be
+    /// indexed: [`Self::compact`] after pushing.
     #[inline]
-    pub fn postings(&self, v: NodeId) -> Postings<'_> {
+    pub fn postings(&self, v: NodeId) -> &[u32] {
+        debug_assert_eq!(
+            self.indexed,
+            self.num_sets(),
+            "postings read before compact"
+        );
         let v = v as usize;
-        let lo = self.frozen_offsets[v] as usize;
-        let hi = self.frozen_offsets[v + 1] as usize;
-        Postings {
-            frozen: &self.frozen_data[lo..hi],
-            hot: self.hot(v),
-        }
+        &self.post_ids[self.post_offsets[v] as usize..self.post_offsets[v + 1] as usize]
     }
 
     /// Sum of set sizes (total membership entries). Every entry owns
@@ -452,47 +259,23 @@ impl RrIndex {
         self.nodes.len()
     }
 
-    /// Exact bytes held: the packed forward store, both postings tiers
-    /// and the head table. This is the reusable-capital size the online pool budgets
-    /// against, and the storage share of the Table 4 metric. O(1): pure
-    /// capacity reads, no per-node walk.
+    /// Exact bytes held: the packed forward store and the CSR. This is
+    /// the reusable-capital size the online pool budgets against, and the
+    /// storage share of the Table 4 metric. O(1): pure capacity reads, no
+    /// per-node walk.
     pub fn memory_bytes(&self) -> usize {
         let bytes =
             self.nodes.capacity_bytes() + self.offsets.capacity_bytes() + self.postings_bytes();
         // Budget accounting polls this on every pool/online decision, so
-        // it doubles as the arena high-water observation point.
+        // it doubles as the index high-water observation point.
         tirm_obs::registry::RR_ARENA_BYTES.set_max(bytes as u64);
         bytes
     }
 
-    /// Bytes attributable to the postings structure alone (frozen tier,
-    /// arena, head table, free lists) — numerator of the
-    /// `bytes_per_posting` metric the bench schema reports.
+    /// Bytes of the CSR alone — numerator of the `bytes_per_posting`
+    /// metric the bench schema reports.
     pub fn postings_bytes(&self) -> usize {
-        self.frozen_offsets.capacity() * 4
-            + self.frozen_data.capacity() * 4
-            + self.data.capacity() * 4
-            + self.heads.capacity() * std::mem::size_of::<PostingHead>()
-            + self.free.capacity() * 4
-    }
-
-    /// What the postings structure would occupy under the pre-arena
-    /// layout (`Vec<Vec<u32>>`: one 24-byte header per node plus a
-    /// doubling buffer of capacity `max(4, len.next_power_of_two())`).
-    /// Deterministic in the list lengths, so the arena's byte reduction
-    /// is testable without ever building the old layout. O(n).
-    pub fn legacy_postings_bytes(&self) -> usize {
-        (0..self.n)
-            .map(|v| {
-                let len = self.frozen_offsets[v + 1] - self.frozen_offsets[v] + self.heads[v].len;
-                let cap = if len == 0 {
-                    0
-                } else {
-                    len.next_power_of_two().max(4)
-                };
-                cap as usize * 4 + std::mem::size_of::<Vec<u32>>()
-            })
-            .sum()
+        (self.post_offsets.capacity() + self.post_ids.capacity()) * 4
     }
 }
 
@@ -500,10 +283,6 @@ impl RrIndex {
 mod tests {
     use super::*;
     use proptest::strategy::Strategy;
-
-    fn collected(ix: &RrIndex, v: NodeId) -> Vec<u32> {
-        ix.postings(v).into_iter().collect()
-    }
 
     #[test]
     fn push_and_lookup() {
@@ -515,9 +294,9 @@ mod tests {
         assert_eq!(ix.num_sets(), 3);
         assert_eq!(ix.set(1).collect::<Vec<_>>(), [2, 4]);
         assert_eq!(ix.set(1).len(), 2);
-        assert_eq!(collected(&ix, 2), vec![0, 1]);
+        ix.compact();
+        assert_eq!(ix.postings(2), [0, 1]);
         assert!(ix.postings(3).is_empty());
-        assert_eq!(ix.postings(2).len(), 2);
         assert_eq!(ix.total_entries(), 5);
         assert!(ix.memory_bytes() > 0);
     }
@@ -528,80 +307,55 @@ mod tests {
         for _ in 0..10 {
             ix.push_set(&[1]);
         }
-        let p = collected(&ix, 1);
-        assert!(p.windows(2).all(|w| w[0] < w[1]));
+        ix.compact();
+        assert!(ix.postings(1).windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// A push places no posting; each compaction extends the CSR over the
+    /// sets pushed since the last one, exact-fit.
     #[test]
-    fn class_schedule() {
-        for (len, cap) in [
-            (1, 4),
-            (4, 4),
-            (5, 6),
-            (6, 6),
-            (7, 8),
-            (8, 8),
-            (9, 12),
-            (12, 12),
-            (13, 16),
-            (17, 24),
-            (25, 32),
-            (97, 128),
-            (96, 96),
-        ] {
-            assert_eq!(class_ceil(len), cap, "class_ceil({len})");
-        }
-        // Class indices are dense and injective.
-        let classes = [4u32, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256];
-        for (i, &c) in classes.iter().enumerate() {
-            assert_eq!(class_index(c), i, "class_index({c})");
-        }
-    }
-
-    #[test]
-    fn growth_crosses_classes_and_freezes() {
+    fn repeated_compaction_extends_the_csr() {
         let mut ix = RrIndex::new(2);
-        for _ in 0..5000 {
-            ix.push_set(&[1]);
+        for batch in [1, 999, 4000] {
+            let bytes = ix.postings_bytes();
+            for _ in 0..batch {
+                ix.push_set(&[1]);
+            }
+            assert_eq!(ix.postings_bytes(), bytes, "pushes leave the CSR alone");
+            ix.compact();
+            let sets = ix.num_sets() as u32;
+            assert!(ix.postings(1).iter().copied().eq(0..sets));
+            assert!(ix.postings(0).is_empty());
+            assert_eq!(ix.postings_bytes(), (3 + sets as usize) * 4);
         }
-        let expect: Vec<u32> = (0..5000).collect();
-        assert_eq!(collected(&ix, 1), expect);
-        assert!(ix.postings(0).is_empty());
-        // 5000 singleton appends crossed the merge threshold at least once.
-        assert!(
-            !ix.postings(1).as_slices().0.is_empty(),
-            "frozen tier populated"
-        );
     }
 
     #[test]
     fn compact_preserves_contents_and_order() {
         let mut ix = RrIndex::new(50);
+        let mut want: Vec<Vec<u32>> = vec![Vec::new(); 50];
         for i in 0..400u32 {
             let members: Vec<NodeId> = (0..50u32).filter(|v| i % (v + 1) == 0).collect();
+            for &v in &members {
+                want[v as usize].push(i);
+            }
             ix.push_set(&members);
+            if i == 150 {
+                ix.compact();
+            }
         }
-        let before: Vec<Vec<u32>> = (0..50).map(|v| collected(&ix, v)).collect();
         ix.compact();
         for v in 0..50u32 {
-            let p = ix.postings(v);
-            assert!(p.as_slices().1.is_empty(), "hot tier empty after compact");
-            assert_eq!(collected(&ix, v), before[v as usize], "node {v}");
-            let all = collected(&ix, v);
-            assert!(all.windows(2).all(|w| w[0] < w[1]), "ascending after merge");
+            assert_eq!(ix.postings(v), want[v as usize], "node {v}");
         }
         // Compacting twice is a no-op.
-        let bytes = ix.total_entries();
+        let csr = (ix.post_offsets.clone(), ix.post_ids.clone());
         ix.compact();
-        assert_eq!(ix.total_entries(), bytes);
-        assert_eq!(collected(&ix, 0), before[0]);
+        assert_eq!((ix.post_offsets, ix.post_ids), csr);
     }
 
-    /// Satellite: `memory_bytes` must stay pinned to the exact walk even
-    /// though it is now an O(1) capacity read. The walk re-derives every
-    /// hot-arena slot from scratch — live runs via the head table, free
-    /// blocks via the free chains — and must account for the arena
-    /// exactly: nothing leaked, nothing double-counted.
+    /// `memory_bytes` is an O(1) capacity read; it must stay pinned to
+    /// the exact walk over the node runs and the packed streams.
     #[test]
     fn memory_bytes_pinned_against_exact_walk() {
         let mut ix = RrIndex::new(300);
@@ -611,31 +365,13 @@ mod tests {
             let members: Vec<NodeId> = (0..300u32).filter(|v| i % (v + 1) == 0).collect();
             ix.push_set(&members);
         }
-        // Live slots: every spilled hot run occupies exactly one block of
-        // its length's class.
-        let live: usize = ix
-            .heads
-            .iter()
-            .filter(|h| h.len >= 2)
-            .map(|h| class_ceil(h.len) as usize)
-            .sum();
-        // Free slots: walk every class chain, far past any class in use.
-        let mut freed = 0usize;
-        let mut class = 4u32;
-        while class_index(class) < ix.free.len() {
-            let mut b = ix.free[class_index(class)];
-            while b != NIL {
-                freed += class as usize;
-                b = ix.data[b as usize];
-            }
-            class = class_ceil(class + 1);
-        }
-        assert_eq!(live + freed, ix.data.len(), "every arena slot accounted");
-        // Frozen tier holds exactly the postings merged so far.
-        let frozen_total: usize = *ix.frozen_offsets.last().unwrap() as usize;
-        assert_eq!(frozen_total, ix.frozen_data.len());
-        let hot_total: usize = ix.heads.iter().map(|h| h.len as usize).sum();
-        assert_eq!(frozen_total + hot_total, ix.total_entries());
+        ix.compact();
+        // The CSR holds one posting per entry and one offset per node
+        // plus one, with no spare capacity.
+        let walked: usize = (0..300).map(|v| ix.postings(v).len()).sum();
+        assert_eq!(walked, ix.total_entries());
+        assert_eq!(ix.post_ids.capacity(), walked);
+        assert_eq!(ix.post_offsets.capacity(), 301);
         // Forward store: member ids at 9 bits (ids < 300), offsets at
         // the entry count's width, each stream its packed bits plus 8
         // spare bytes.
@@ -646,13 +382,7 @@ mod tests {
             assert_eq!(packed.len(), len);
             assert!(packed.capacity_bytes() >= ((len * packed.width() as usize) >> 3) + 8);
         }
-        let exact = ix.nodes.capacity_bytes()
-            + ix.offsets.capacity_bytes()
-            + ix.frozen_offsets.capacity() * 4
-            + ix.frozen_data.capacity() * 4
-            + ix.data.capacity() * 4
-            + ix.heads.capacity() * 8
-            + ix.free.capacity() * 4;
+        let exact = ix.nodes.capacity_bytes() + ix.offsets.capacity_bytes() + (301 + walked) * 4;
         assert_eq!(ix.memory_bytes(), exact);
         assert!(ix.postings_bytes() <= ix.memory_bytes());
     }
@@ -699,9 +429,7 @@ mod tests {
                 assert!(got.eq(want.iter().copied()), "n {n}, set {sid}");
             }
             for (v, want) in postings.iter().enumerate() {
-                let got = ix.postings(v as NodeId);
-                assert_eq!(got.len(), want.len(), "n {n}, node {v}");
-                assert!(got.into_iter().eq(want.iter().copied()), "n {n}, node {v}");
+                assert_eq!(ix.postings(v as NodeId), want, "n {n}, node {v}");
             }
             // The forward store is packed at the widths `n` and the entry
             // count need, and `memory_bytes` counts its capacities.
@@ -741,8 +469,8 @@ mod tests {
                     members.push(v);
                 }
             }
-            // Now and then an empty set first: the API takes one, and an
-            // unparked index must number the sets after it right.
+            // Now and then an empty set first: the API takes one, and a
+            // compaction must number the sets after it right.
             if draw % 19 == 0 {
                 assert_eq!(ix.push_set(&[]) as usize, sets.len());
                 sets.push(Vec::new());
@@ -757,49 +485,41 @@ mod tests {
             sets.push(members);
             assert!(ix.set(sid).eq(sets[sid as usize].iter().copied()));
             if compact {
-                ix = park_and_unpark(ix);
+                ix = compact_against_rebuild(ix);
                 check(&ix, &sets, &postings);
             }
         }
-        check(&ix, &sets, &postings);
-        let ix = park_and_unpark(ix);
+        let ix = compact_against_rebuild(ix);
         check(&ix, &sets, &postings);
         assert!(widenings >= 3, "offsets widened {widenings} times");
     }
 
-    /// Compacts `ix`, parks it and unparks it again: the round trip must
-    /// give back the compacted index field by field — postings, every
-    /// capacity, an empty hot tier — and `memory_bytes` to the byte,
-    /// while parked weighing the forward store alone.
-    fn park_and_unpark(mut ix: RrIndex) -> RrIndex {
+    /// Compacts `ix` — a merge into a non-empty CSR once it has been
+    /// compacted before — then parks it and rebuilds the postings from
+    /// scratch. Parked, the index weighs its forward store alone; rebuilt,
+    /// it is the compacted index vector for vector and capacity for
+    /// capacity, and `memory_bytes` to the byte.
+    fn compact_against_rebuild(mut ix: RrIndex) -> RrIndex {
         ix.compact();
         let bytes = ix.memory_bytes();
-        let forward = bytes - ix.postings_bytes();
-        let frozen = (ix.frozen_offsets.clone(), ix.frozen_data.clone());
-        let capacities = |ix: &RrIndex| {
-            [
-                ix.frozen_offsets.capacity(),
-                ix.frozen_data.capacity(),
-                ix.data.capacity(),
-                ix.heads.capacity(),
-                ix.free.capacity(),
-            ]
+        let csr = |ix: &RrIndex| {
+            (
+                ix.post_offsets.clone(),
+                ix.post_ids.clone(),
+                ix.post_offsets.capacity(),
+                ix.post_ids.capacity(),
+                ix.indexed,
+            )
         };
-        let held = capacities(&ix);
+        let merged = csr(&ix);
         let (num_sets, entries) = (ix.num_sets(), ix.total_entries());
         let sets = ix.into_sets();
-        assert_eq!(sets.memory_bytes(), forward);
+        assert_eq!(sets.memory_bytes(), bytes - (merged.2 + merged.3) * 4);
         assert_eq!((sets.num_sets(), sets.total_entries()), (num_sets, entries));
-        let ix = sets.into_index();
-        assert_eq!(
-            (&ix.frozen_offsets, &ix.frozen_data),
-            (&frozen.0, &frozen.1)
-        );
-        assert_eq!(capacities(&ix), held);
-        assert!(ix.heads.iter().all(|h| h.len == 0));
-        assert!(ix.free.iter().all(|&f| f == NIL));
-        assert_eq!(ix.memory_bytes(), bytes);
-        ix
+        let rebuilt = sets.into_index();
+        assert_eq!(csr(&rebuilt), merged);
+        assert_eq!(rebuilt.memory_bytes(), bytes);
+        rebuilt
     }
 
     proptest::proptest! {
@@ -835,13 +555,30 @@ mod tests {
         soak();
     }
 
+    /// What the postings would occupy as one `Vec<u32>` per node: a
+    /// 24-byte header each plus a doubling buffer of capacity
+    /// `max(4, len.next_power_of_two())`. O(n).
+    fn legacy_postings_bytes(ix: &RrIndex) -> usize {
+        (0..ix.n as NodeId)
+            .map(|v| {
+                let len = ix.postings(v).len();
+                let cap = if len == 0 {
+                    0
+                } else {
+                    len.next_power_of_two().max(4)
+                };
+                cap * 4 + std::mem::size_of::<Vec<u32>>()
+            })
+            .sum()
+    }
+
     #[test]
     fn arena_beats_legacy_layout_on_heavy_tail() {
         // Harmonic lengths: most lists are short (the regime where the
-        // 24-byte Vec header dominates), a few are long. After the final
-        // merge — the state reported to the bench schema and budgeted by
-        // the online pool — the exact-fit tier must undercut the legacy
-        // Vec-of-Vecs layout by well over the 25% acceptance bar.
+        // 24-byte Vec header dominates), a few are long. Compacted — the
+        // state reported to the bench schema and budgeted by the online
+        // pool — the exact-fit CSR must undercut the legacy Vec-of-Vecs
+        // layout by well over the 25% acceptance bar.
         let mut ix = RrIndex::new(2000);
         for i in 0..3000u32 {
             let members: Vec<NodeId> = (0..2000u32).filter(|v| i % (v + 1) == 0).collect();
@@ -849,10 +586,10 @@ mod tests {
         }
         ix.compact();
         let new = ix.postings_bytes() as f64;
-        let old = ix.legacy_postings_bytes() as f64;
+        let old = legacy_postings_bytes(&ix) as f64;
         assert!(
             new <= 0.75 * old,
-            "arena {new} vs legacy {old}: reduction {:.1}% < 25%",
+            "CSR {new} vs legacy {old}: reduction {:.1}% < 25%",
             (1.0 - new / old) * 100.0
         );
     }

@@ -41,7 +41,7 @@ pub mod weighted;
 
 pub use fastpath::{coin_threshold, FastPath, SamplingLayout};
 pub use heap::LazyMaxHeap;
-pub use index::{Postings, RrIndex, RrSets};
+pub use index::{RrIndex, RrSets};
 pub use parallel::{ParallelSampler, RrSink, SamplingConfig};
 pub use sampler::{RrSampler, SampleWorkspace};
 pub use tim::{KptEstimator, KptState, SampleBound};

@@ -226,7 +226,9 @@ impl WeightedRrCollection {
         let keep = 1.0 - delta;
         let active = self.weights.len() as u32;
         let mut before = 0.0f64;
-        for sid in self.index.postings(v) {
+        // Sets drawn since the last decay get their postings now.
+        self.index.compact();
+        for &sid in self.index.postings(v) {
             if sid < from_sid {
                 continue;
             }
@@ -286,9 +288,9 @@ impl WeightedRrCollection {
         self.index.total_entries()
     }
 
-    /// Merges the index's hot postings arena into the frozen exact-fit
-    /// tier (contents and order unchanged) — run owners call this before
-    /// reporting memory so artifact numbers measure the settled layout.
+    /// Places the postings of the sets drawn since the last decay
+    /// ([`RrIndex::compact`]) — run owners call this before reporting
+    /// memory so artifact numbers count every set's postings.
     pub fn compact_postings(&mut self) {
         self.index.compact();
     }

@@ -22,26 +22,45 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn cover_counts_are_conserved(sets in arb_sets(12, 24), picks in proptest::collection::vec(0u32..12, 1..6)) {
+    fn cover_counts_are_conserved(
+        sets in arb_sets(12, 24),
+        steps in proptest::collection::vec((0u32..12, arb_sets(12, 4)), 1..6),
+    ) {
         let mut c = WeightedRrCollection::new(12);
-        for s in &sets {
-            c.add_set(s);
-        }
+        let mut all: Vec<Vec<NodeId>> = Vec::new();
         // At δ = 1 a set is covered once it holds any pick; then every
         // score is the exact count of uncovered sets holding its node,
         // and the deficit is the exact count of covered sets.
-        let check = |c: &WeightedRrCollection, picked: &[NodeId]| {
+        let check = |c: &WeightedRrCollection, all: &[Vec<NodeId>], picked: &[NodeId]| {
             let covered = |s: &Vec<NodeId>| s.iter().any(|v| picked.contains(v));
             for v in 0..12u32 {
-                let want = sets.iter().filter(|s| !covered(s) && s.contains(&v)).count();
+                let want = all.iter().filter(|s| !covered(s) && s.contains(&v)).count();
                 assert_eq!(c.score(v), want as f64, "node {v}");
             }
-            assert_eq!(c.deficit(), sets.iter().filter(|s| covered(s)).count() as f64);
+            assert_eq!(c.deficit(), all.iter().filter(|s| covered(s)).count() as f64);
         };
-        check(&c, &[]);
-        for (k, &p) in picks.iter().enumerate() {
-            c.decay_node(p, 1.0);
-            check(&c, &picks[..=k]);
+        for s in &sets {
+            c.add_set(s);
+            all.push(s.clone());
+        }
+        check(&c, &all, &[]);
+        let mut picked: Vec<NodeId> = Vec::new();
+        for (p, batch) in &steps {
+            // A fresh batch that nothing compacts explicitly: the seeds
+            // so far are applied to it as Algorithm 4 does, and their
+            // scans, or else the pick's, must see its postings.
+            let first_new = c.num_sets() as u32;
+            for s in batch {
+                c.add_set(s);
+                all.push(s.clone());
+            }
+            for &q in &picked {
+                c.decay_node_from(q, 1.0, first_new);
+            }
+            check(&c, &all, &picked);
+            c.decay_node(*p, 1.0);
+            picked.push(*p);
+            check(&c, &all, &picked);
         }
     }
 

@@ -84,6 +84,11 @@ pub enum Mode {
     /// taking part of the reader pool; follower reads and replication
     /// lag too.
     ServingRepl,
+    /// One batch TIRM allocation on a tiny instance of its own, where θ
+    /// grows past θ₀ (Algorithm 2, lines 14–19) under a cap it does not
+    /// reach — every capped cell sits at its cap from θ₀ on. Its run
+    /// asserts that a growth drew sets.
+    Growth,
 }
 
 impl Mode {
@@ -94,6 +99,7 @@ impl Mode {
             Mode::Online => "ONLINE",
             Mode::Serving => "SERVING",
             Mode::ServingRepl => "SERVING-REPL",
+            Mode::Growth => "GROWTH",
         }
     }
 }
@@ -154,13 +160,16 @@ impl ScenarioSpec {
     /// Stable cell identity, the join key between two baseline files:
     /// `DATASET/model/ALLOCATOR/t<threads>/k<kappa>/l<lambda>`,
     /// `ONLINE/DATASET/model/t…/k…/l…` for in-process serving cells,
-    /// `SERVING/DATASET/model/t…/k…/l…` for network serving cells, or
-    /// `SERVING-REPL/DATASET/model/t…/k…/l…` for replicated ones.
+    /// `SERVING/DATASET/model/t…/k…/l…` for network serving cells,
+    /// `SERVING-REPL/DATASET/model/t…/k…/l…` for replicated ones, or
+    /// `GROWTH/PA200/t…/k…/l…` for the θ-growth cell, whose graph is its
+    /// own.
     pub fn id(&self) -> String {
         let (dataset, model) = (self.dataset.name(), self.model.name());
         let (t, k, l) = (self.threads, self.kappa, self.lambda);
         match self.mode {
             Mode::Batch => format!("{dataset}/{model}/{}/t{t}/k{k}/l{l}", self.allocator.name()),
+            Mode::Growth => format!("GROWTH/PA200/t{t}/k{k}/l{l}"),
             mode => format!("{}/{dataset}/{model}/t{t}/k{k}/l{l}", mode.name()),
         }
     }
@@ -442,6 +451,12 @@ impl Tier {
         // batch cells, so the suite reuses the materialised instance.
         match self {
             Tier::Quick => {
+                // The scalability family's options on the growth cell's
+                // own tiny graph.
+                specs.push(ScenarioSpec {
+                    mode: Mode::Growth,
+                    ..ScenarioSpec::base(DatasetKind::Dblp)
+                });
                 specs.push(ScenarioSpec::served(Mode::Online, DatasetKind::Epinions, 2));
                 specs.push(ScenarioSpec::served(
                     Mode::Serving,

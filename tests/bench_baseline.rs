@@ -1,7 +1,7 @@
 //! The drift gate's slice of the root test run: the committed quick-tier
 //! baseline must be readable by this build, list exactly the quick
 //! matrix, and still be what the code computes. Every compared field is
-//! deterministic on any machine and in any build profile, so two cells
+//! deterministic on any machine and in any build profile, so three cells
 //! re-run here in a debug build must equal the release-built baseline to
 //! the last bit; CI's `bench-regression` job re-runs all of them.
 
@@ -39,16 +39,16 @@ fn committed_baseline_lists_the_quick_matrix() {
     assert_eq!(ids, matrix);
 }
 
-#[test]
-fn quality_cells_still_compute_the_committed_baseline() {
+/// Re-runs the quick-tier cells whose id contains `filter` — spelled
+/// out, with no environment overrides: the inputs the baseline was
+/// generated from — and checks they are `ids` and equal the baseline.
+fn recompute(filter: &str, ids: &[&str]) {
     let baseline = baseline();
-    // Spelled out, with no environment overrides: the inputs the
-    // baseline was generated from.
     let cfg = SuiteConfig {
         tier: Tier::Quick,
         scale: Tier::Quick.scale_defaults(),
         base_seed: 0x71a6_5eed,
-        filter: Some("EPINIONS/topic".to_string()),
+        filter: Some(filter.to_string()),
         snapshot_dir: None,
     };
     let fresh = run_suite(&cfg);
@@ -56,16 +56,28 @@ fn quality_cells_still_compute_the_committed_baseline() {
         (fresh.scale, fresh.eval_runs),
         (baseline.scale, baseline.eval_runs)
     );
-    let ids: Vec<&str> = fresh.cells.iter().map(|c| c.id.as_str()).collect();
-    assert_eq!(
-        ids,
-        [
-            "EPINIONS/topic/TIRM/t1/k1/l0",
-            "EPINIONS/topic/IRIE/t1/k1/l0"
-        ]
-    );
+    let got: Vec<&str> = fresh.cells.iter().map(|c| c.id.as_str()).collect();
+    assert_eq!(got, ids);
     for cell in &fresh.cells {
         let committed = baseline.cell(&cell.id).expect("cell is in the baseline");
         assert_eq!(diff_cell(committed, cell), [], "drift in {}", cell.id);
     }
+}
+
+#[test]
+fn quality_cells_still_compute_the_committed_baseline() {
+    recompute(
+        "EPINIONS/topic",
+        &[
+            "EPINIONS/topic/TIRM/t1/k1/l0",
+            "EPINIONS/topic/IRIE/t1/k1/l0",
+        ],
+    );
+}
+
+/// The one gated run whose θ grows past θ₀: its postings are merged into
+/// a non-empty CSR mid-run (the cell itself asserts the growth).
+#[test]
+fn growth_cell_still_computes_the_committed_baseline() {
+    recompute("GROWTH", &["GROWTH/PA200/t1/k1/l0"]);
 }
