@@ -7,8 +7,14 @@
 //!   θ₀ batch costs before its first decay), and 300 k random
 //!   [`RrIndex::set`] reads over them: the read cost the coverage
 //!   overlay pays per activated or decayed set.
-//! * **Unpark** — [`RrSets::into_index`] over the same 100 k sets: the
-//!   postings rebuild a pool reclaim pays for a parked shard.
+//! * **Park** — [`RrIndex::into_sets`] of the same 100 k sets, cloned
+//!   outside the timing: what a departure pays to park its shard, which
+//!   is coding the set offsets as the boundary stream (the postings are
+//!   only freed).
+//! * **Unpark** — [`RrSets::into_index`] over the same 100 k sets, cloned
+//!   outside the timing: what a pool reclaim pays for a parked shard,
+//!   which is the one counting sort that places the postings, decoding
+//!   the boundaries and writing the offsets back as it goes.
 //! * **Postings scan** — traversing every node's posting list through
 //!   the one exact-fit CSR of [`RrIndex`] vs the legacy
 //!   one-`Vec`-per-node layout. The coverage overlays spend their time
@@ -143,7 +149,17 @@ fn bench_forward_store(c: &mut Criterion) {
     });
     g.finish();
 
-    // A shard as the pool parks it: postings dropped.
+    idx.compact();
+    let mut g = c.benchmark_group("park");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(4));
+    g.throughput(criterion::Throughput::Elements(STORE_SETS as u64));
+    g.bench_function("into_sets_100k", |b| {
+        b.iter_batched(|| idx.clone(), |idx| idx.into_sets(), BatchSize::SmallInput)
+    });
+    g.finish();
+
+    // A shard as the pool parks it: postings dropped, boundaries coded.
     let parked: RrSets = idx.into_sets();
     let mut g = c.benchmark_group("unpark");
     g.sample_size(20);

@@ -226,6 +226,11 @@ impl AdWarmState {
         self.seeds
     }
 
+    /// The RR sets with their postings.
+    pub fn index(&self) -> &RrIndex {
+        &self.index
+    }
+
     /// The counts [`ParkedWarmState::regenerate`] rebuilds this state from.
     pub fn counts(&self) -> WarmCounts {
         warm_counts(
@@ -237,7 +242,8 @@ impl AdWarmState {
     }
 
     /// The state kept while no run uses it: the RR sets without their
-    /// postings, everything else as it is.
+    /// postings and with their boundaries coded, everything else as it
+    /// is.
     pub fn park(self) -> ParkedWarmState {
         ParkedWarmState {
             sets: self.index.into_sets(),
@@ -251,10 +257,11 @@ impl AdWarmState {
 }
 
 /// An [`AdWarmState`] without its postings: what the online pool keeps
-/// of a departed ad. The RR sets are the sampled capital and stay as they
-/// were, bit-packed; the node → set-id postings are a function of them,
-/// so they are dropped here and rebuilt by [`Self::unpark`]. Nothing can
-/// scan a parked state.
+/// of a departed ad. The RR sets are the sampled capital: their member
+/// ids stay as they were, bit-packed, and their set offsets are coded
+/// as a boundary stream ([`RrSets`]). The node → set-id postings are a
+/// function of them, so they are dropped here, and [`Self::unpark`]
+/// rebuilds both. Nothing can scan a parked state.
 pub struct ParkedWarmState {
     sets: RrSets,
     engine: ParallelSampler,
@@ -328,9 +335,9 @@ impl ParkedWarmState {
         })
     }
 
-    /// The state parked, its postings rebuilt by a counting sort over
-    /// the sets: every field, and `memory_bytes` to the byte, as the run
-    /// that released it left them.
+    /// The state parked, its set offsets and postings rebuilt by a
+    /// counting sort over the sets: every field, and `memory_bytes` to
+    /// the byte, as the run that released it left them.
     pub fn unpark(self) -> AdWarmState {
         AdWarmState {
             index: self.sets.into_index(),
@@ -340,6 +347,11 @@ impl ParkedWarmState {
             seeds: self.seeds,
             threads: self.threads,
         }
+    }
+
+    /// The RR sets as they are parked.
+    pub fn sets(&self) -> &RrSets {
+        &self.sets
     }
 
     /// The counts the state was parked with.
@@ -352,9 +364,9 @@ impl ParkedWarmState {
         )
     }
 
-    /// Exact bytes held parked: the packed RR sets, the engines' RNG
-    /// states, the KPT width cache and the base score snapshot — the
-    /// online pool's eviction currency.
+    /// Exact bytes held parked: the RR sets' member ids and boundary
+    /// stream, the engines' RNG states, the KPT width cache and the base
+    /// score snapshot — the online pool's eviction currency.
     pub fn memory_bytes(&self) -> usize {
         self.sets.memory_bytes() + engine_bytes(&self.engine, &self.kpt, &self.base)
     }
@@ -1571,16 +1583,18 @@ mod tests {
                 ..held[0].counts()
             };
             assert!(ParkedWarmState::regenerate(&g, &probs[0], &o, plan[0], off_by_one).is_err());
-            // Parked, a shard weighs all but its postings and keeps its
-            // counts; unparked, it is the held shard again.
+            // Parked, a shard weighs all but its postings and its set
+            // offsets, plus the boundary stream the offsets are coded as,
+            // and keeps its counts; unparked, it is the held shard again.
             let held: Vec<AdWarmState> = held
                 .into_iter()
                 .map(|w| {
-                    let (counts, postings) = (w.counts(), w.index.postings_bytes());
-                    let bytes = w.memory_bytes();
+                    let (counts, bytes) = (w.counts(), w.memory_bytes());
+                    let (postings, offsets) = (w.index.postings_bytes(), w.index.offsets_bytes());
                     let parked = w.park();
                     assert_eq!(parked.counts(), counts);
-                    assert_eq!(parked.memory_bytes(), bytes - postings);
+                    let boundary = parked.sets.boundary_bytes();
+                    assert_eq!(parked.memory_bytes(), bytes - postings - offsets + boundary);
                     parked.unpark()
                 })
                 .collect();

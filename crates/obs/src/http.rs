@@ -104,61 +104,97 @@ fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str)
         .and_then(|()| stream.flush());
 }
 
-fn handle(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(2_000)));
-    // Read until the end of the request head (or timeout); only the
-    // request line matters.
+/// How long a peer has, from accept, to send its request head. Scrapes
+/// are served one at a time, so a peer trickling its head must not hold
+/// the endpoint longer than this.
+const REQUEST_HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Bytes of request head read before it is parsed as it stands.
+const REQUEST_HEAD_CAP: usize = 8192;
+
+/// What a request asks for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    Metrics,
+    MetricsJson,
+    Trace,
+}
+
+/// Why a request gets no route.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Refusal {
+    /// No request line at all: closed without a response.
+    Empty,
+    /// Anything but `GET`: 405.
+    Method,
+    /// A path the endpoint does not serve: 404.
+    NotFound,
+}
+
+/// Routes a request head, as much of it as was read: its request line
+/// (up to the first `\r`, or all of it) is read lossily as UTF-8 and
+/// split on whitespace into a method and a path.
+fn route(head: &[u8]) -> Result<Route, Refusal> {
+    let line = head.split(|&b| b == b'\r').next().unwrap_or_default();
+    if line.is_empty() {
+        return Err(Refusal::Empty);
+    }
+    let line = String::from_utf8_lossy(line);
+    let mut parts = line.split_whitespace();
+    if parts.next() != Some("GET") {
+        return Err(Refusal::Method);
+    }
+    match parts.next() {
+        Some("/metrics") => Ok(Route::Metrics),
+        Some("/metrics.json") => Ok(Route::MetricsJson),
+        Some("/trace.json") => Ok(Route::Trace),
+        _ => Err(Refusal::NotFound),
+    }
+}
+
+/// Reads until the end of the request head, [`REQUEST_HEAD_CAP`] bytes,
+/// EOF, an error or `deadline`, whichever is first.
+fn read_head(stream: &mut TcpStream, deadline: Instant) -> Vec<u8> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 256];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return buf;
+        }
         match stream.read(&mut chunk) {
-            Ok(0) => break,
+            Ok(0) => return buf,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 8192 {
-                    break;
+                if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > REQUEST_HEAD_CAP {
+                    return buf;
                 }
             }
-            Err(_) => break,
+            Err(_) => return buf,
         }
     }
-    let request_line = match buf.split(|&b| b == b'\r').next() {
-        Some(l) if !l.is_empty() => String::from_utf8_lossy(l).into_owned(),
-        _ => return,
+}
+
+fn handle(mut stream: TcpStream) {
+    let deadline = Instant::now() + REQUEST_HEAD_DEADLINE;
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(2_000)));
+    let (content_type, body) = match route(&read_head(&mut stream, deadline)) {
+        Ok(Route::Metrics) => (
+            "text/plain; version=0.0.4; charset=utf-8",
+            prom::render(&registry::snapshot()),
+        ),
+        Ok(Route::MetricsJson) => ("application/json", registry::dump_json()),
+        Ok(Route::Trace) => ("application/json", flight::dump_chrome_json()),
+        Err(Refusal::Empty) => return,
+        Err(Refusal::Method) => {
+            let body = "method not allowed\n";
+            return respond(&mut stream, "405 Method Not Allowed", "text/plain", body);
+        }
+        Err(Refusal::NotFound) => {
+            return respond(&mut stream, "404 Not Found", "text/plain", "not found\n")
+        }
     };
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    if method != "GET" {
-        respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain",
-            "method not allowed\n",
-        );
-        return;
-    }
-    match path {
-        "/metrics" => {
-            let body = prom::render(&registry::snapshot());
-            respond(
-                &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-            );
-        }
-        "/metrics.json" => {
-            let body = registry::dump_json();
-            respond(&mut stream, "200 OK", "application/json", &body);
-        }
-        "/trace.json" => {
-            let body = flight::dump_chrome_json();
-            respond(&mut stream, "200 OK", "application/json", &body);
-        }
-        _ => respond(&mut stream, "404 Not Found", "text/plain", "not found\n"),
-    }
+    respond(&mut stream, "200 OK", content_type, &body);
 }
 
 /// Binds `addr` and serves the exposition endpoint on a background
@@ -254,6 +290,136 @@ mod tests {
         server.stop();
         // Port is released once stopped.
         assert!(TcpListener::bind(addr).is_ok());
+    }
+
+    /// A peer that trickles its request head one byte at a time holds
+    /// the one acceptor thread until the head deadline, not for as long
+    /// as it keeps trickling: a scrape that arrives behind it is served
+    /// within a few seconds.
+    #[test]
+    fn a_trickling_peer_does_not_hold_the_endpoint() {
+        let mut server = serve("127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        // 20 bytes 400 ms apart: 8 s, unless the server hangs up first.
+        let trickler = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            for &b in b"GET /slow HTTP/1.0\r\nX-Slow: x".iter().take(20) {
+                if s.write_all(&[b]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(400));
+            }
+        });
+        // Let the acceptor take the trickling peer first.
+        std::thread::sleep(Duration::from_millis(300));
+        let start = Instant::now();
+        let text = fetch(addr, "/metrics", Duration::from_secs(10)).expect("scrape /metrics");
+        let waited = start.elapsed();
+        assert!(prom::parse(&text).is_ok());
+        assert!(
+            waited < REQUEST_HEAD_DEADLINE + Duration::from_secs(2),
+            "scrape waited {waited:?} behind a trickling peer"
+        );
+        trickler.join().unwrap();
+        server.stop();
+    }
+
+    #[test]
+    fn request_lines_route() {
+        for (head, want) in [
+            (&b"GET /metrics HTTP/1.0\r\n\r\n"[..], Ok(Route::Metrics)),
+            (
+                b"GET /metrics.json HTTP/1.1\r\nHost: x\r\n\r\n",
+                Ok(Route::MetricsJson),
+            ),
+            (b"GET /trace.json", Ok(Route::Trace)),
+            (b"  GET\t/metrics  ", Ok(Route::Metrics)),
+            (b"GET /metrics\xff HTTP/1.0\r\n", Err(Refusal::NotFound)),
+            (b"GET /nope HTTP/1.0\r\n", Err(Refusal::NotFound)),
+            (b"GET", Err(Refusal::NotFound)),
+            (b"POST /metrics HTTP/1.0\r\n", Err(Refusal::Method)),
+            (b"get /metrics", Err(Refusal::Method)),
+            (b" ", Err(Refusal::Method)),
+            (b"\r\nGET /metrics", Err(Refusal::Empty)),
+            (b"", Err(Refusal::Empty)),
+        ] {
+            assert_eq!(route(head), want, "{:?}", String::from_utf8_lossy(head));
+        }
+    }
+
+    /// Up to `max` arbitrary bytes.
+    fn bytes(max: usize) -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(0u8..=255, 0..max)
+    }
+
+    /// A request line from parts that each may or may not be the real
+    /// thing, then anything, and the route it must get.
+    fn request_head() -> impl proptest::strategy::Strategy<Value = (Vec<u8>, Option<Route>)> {
+        use proptest::strategy::Strategy;
+        let method = (0usize..5, bytes(6)).prop_map(|(k, any)| match k {
+            0 | 1 => b"GET".to_vec(),
+            2 => b"PUT".to_vec(),
+            3 => b"G\xffT".to_vec(),
+            _ => any,
+        });
+        let path = (0usize..6, bytes(12)).prop_map(|(k, any)| match k {
+            0 => (b"/metrics".to_vec(), Some(Route::Metrics)),
+            1 => (b"/metrics.json".to_vec(), Some(Route::MetricsJson)),
+            2 => (b"/trace.json".to_vec(), Some(Route::Trace)),
+            3 => (b"/metrics.jsonx".to_vec(), None),
+            4 => (b"/\xc3\x28".to_vec(), None),
+            _ => (any, None),
+        });
+        // The gap after the method, the one after the path, and whether
+        // the head runs past the read cap.
+        let layout = (0usize..3, 0usize..3, 0usize..2);
+        ((method, path), layout, bytes(64)).prop_map(
+            |((method, (path, route)), (lead, sep, pad), rest)| {
+                let gaps: [&[u8]; 3] = [b" ", b"\t ", b""];
+                let mut head = method.clone();
+                head.extend_from_slice(gaps[lead]);
+                head.extend_from_slice(&path);
+                head.extend_from_slice(gaps[sep]);
+                head.extend_from_slice(b"\r\n");
+                head.extend(rest);
+                head.resize(head.len() + pad * (REQUEST_HEAD_CAP + 100), b'a');
+                // Routed only as a GET, a gap and the path.
+                let clean = method == b"GET" && !gaps[lead].is_empty();
+                (head, route.filter(|_| clean))
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Any bytes at all, an 8 kB+ head or no `\r` in it: no panic,
+        /// and a route only for a `GET` of one of the three paths.
+        #[test]
+        fn arbitrary_heads_never_panic_and_route_only_the_three_gets(
+            bytes in bytes(9000),
+        ) {
+            if let Ok(r) = route(&bytes) {
+                let line = bytes.split(|&b| b == b'\r').next().unwrap();
+                let line = String::from_utf8_lossy(line);
+                let words: Vec<&str> = line.split_whitespace().take(2).collect();
+                let path = match r {
+                    Route::Metrics => "/metrics",
+                    Route::MetricsJson => "/metrics.json",
+                    Route::Trace => "/trace.json",
+                };
+                proptest::prop_assert_eq!(words, ["GET", path]);
+            }
+        }
+
+        #[test]
+        fn request_lines_route_exactly_the_three_gets((head, want) in request_head()) {
+            let got = route(&head);
+            match want {
+                Some(r) => proptest::prop_assert_eq!(got, Ok(r)),
+                None => proptest::prop_assert!(got.is_err(), "{:?} routed", String::from_utf8_lossy(&head)),
+            }
+        }
     }
 
     /// The satellite fix behind `write_fully`: a reader draining a large

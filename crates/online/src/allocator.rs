@@ -60,9 +60,9 @@ pub struct OnlineConfig {
     /// Seed-set size penalty λ.
     pub lambda: f64,
     /// Byte budget of the retained pool: departed ads' index shards are
-    /// kept for re-arrival, parked (their RR sets without postings),
-    /// and the budget counts parked bytes; oldest evicted beyond it (0
-    /// keeps none).
+    /// kept for re-arrival, parked (their RR sets without postings or
+    /// set offsets), and the budget counts parked bytes; oldest evicted
+    /// beyond it (0 keeps none).
     pub max_retained_bytes: usize,
 }
 
@@ -711,10 +711,23 @@ mod tests {
         a.process(&arrival(1, 8.0, 0)).unwrap();
         let shard = |a: &OnlineAllocator<'_>| a.live[0].warm.as_ref().unwrap().memory_bytes();
         let (live, total) = (shard(&a), a.memory_bytes());
+        let index = a.live[0].warm.as_ref().unwrap().index();
+        let (postings, offsets) = (index.postings_bytes(), index.offsets_bytes());
         a.process(&OnlineEvent::AdDeparture { id: 1 }).unwrap();
         let parked = a.pool.entries().map(|e| e.state.memory_bytes()).sum();
         assert_eq!(a.memory_bytes(), parked, "the pool counts the parked size");
-        assert!(parked < live, "parked {parked} of {live} bytes");
+        // Parked: without postings, the set offsets coded as a boundary
+        // stream.
+        let boundary: usize = a
+            .pool
+            .entries()
+            .map(|e| e.state.sets().boundary_bytes())
+            .sum();
+        assert_eq!(parked, live - postings - offsets + boundary);
+        assert!(
+            boundary < offsets,
+            "{boundary} boundary bytes for {offsets}"
+        );
 
         a.process(&arrival(1, 8.0, 0)).unwrap();
         assert_eq!(a.stats().shard_reclaims, 1);

@@ -23,6 +23,13 @@
 //! ([`RrIndex::set`]) is an exact-size iterator that decodes each member
 //! from one 8-byte window.
 //!
+//! Parked ([`RrIndex::into_sets`]), a shard keeps its member ids and
+//! codes its offsets as an Elias–Fano boundary stream (`crate::bounds`):
+//! 2.44 bits a set at the served graph's 1.44 members a set, against the
+//! offsets' ⌈log₂(entries + 1)⌉. A live shard keeps the offsets because
+//! [`RrIndex::set`] reads them by set id in O(1), where the stream would
+//! need a select.
+//!
 //! # Postings
 //!
 //! The postings are one exact-fit CSR: a flat array of set ids plus an
@@ -35,7 +42,11 @@
 //! in one counting sort into fresh exact-fit vectors, O(n + entries).
 //! TIRM draws its sets in batches and reads postings only to decay a
 //! seed's sets, so the coverage overlay compacts at its first decay after
-//! a batch. [`RrSets::into_index`] is the same sort from an empty CSR.
+//! a batch. The sort's placing pass reads the new sets' boundaries as a
+//! unary stream, which a compaction builds from the offsets and which is
+//! a parked shard's boundary stream itself: [`RrSets::into_index`] is the
+//! same sort from an empty CSR, and writes the offsets back as it passes
+//! each set end.
 //!
 //! Invariants:
 //!
@@ -47,26 +58,33 @@
 //!   pool's eviction currency — and is O(1): capacities are read off the
 //!   backing vectors, never recomputed by walking `n` lists.
 
+use crate::bounds::{self, Bounds};
 use crate::packed::{width_for, PackedVec};
 use tirm_graph::NodeId;
 
-/// An [`RrIndex`]'s forward store alone — its sets without postings.
+/// An [`RrIndex`]'s sets alone — without postings, and with their
+/// boundaries as an Elias–Fano stream instead of the packed offsets.
 ///
-/// What a shard is kept as while nothing scans it: the sets are the
-/// sampled capital, the postings a function of them. Nothing can be
-/// looked up here; [`RrSets::into_index`] derives the postings again.
+/// What a shard is kept as while nothing scans it: the member ids are the
+/// sampled capital, the postings a function of them, and the offsets
+/// serve only [`RrIndex::set`]'s random access, which nothing asks of a
+/// parked shard. Nothing can be looked up here; [`RrSets::into_index`]
+/// derives the offsets and the postings again.
 #[derive(Clone, Debug)]
 pub struct RrSets {
     n: usize,
-    offsets: PackedVec,
     nodes: PackedVec,
+    bounds: Bounds,
+    /// The packed offsets' stream length and capacity, which
+    /// [`Self::into_index`] rebuilds them at.
+    offsets_stream: (usize, usize),
 }
 
 impl RrSets {
     /// Number of sets stored.
     #[inline]
     pub fn num_sets(&self) -> usize {
-        self.offsets.len() - 1
+        self.bounds.sets()
     }
 
     /// Sum of set sizes.
@@ -74,25 +92,44 @@ impl RrSets {
         self.nodes.len()
     }
 
-    /// Exact bytes held: the two packed streams.
+    /// Exact bytes held: the packed member ids and the boundary stream.
     pub fn memory_bytes(&self) -> usize {
-        self.nodes.capacity_bytes() + self.offsets.capacity_bytes()
+        self.nodes.capacity_bytes() + self.boundary_bytes()
     }
 
-    /// The index over these sets, its postings placed by
-    /// [`RrIndex::compact`] from an empty CSR: the index a compaction of
-    /// the index these sets came from leaves, to the byte.
+    /// Bytes of the boundary stream alone — what the set offsets
+    /// ([`RrIndex::offsets_bytes`]) are parked as.
+    pub fn boundary_bytes(&self) -> usize {
+        self.bounds.memory_bytes()
+    }
+
+    /// The index over these sets: the pass that places the postings
+    /// decodes the boundaries and writes the offsets back at their width
+    /// and capacity. It is the index a compaction of the index these sets
+    /// came from leaves, to the byte.
     pub fn into_index(self) -> RrIndex {
-        let RrSets { n, offsets, nodes } = self;
+        let RrSets {
+            n,
+            nodes,
+            bounds,
+            offsets_stream,
+        } = self;
+        let width = width_for(u32::try_from(nodes.len()).expect("entry count fits u32"));
+        let mut offsets = PackedVec::with_stream(width, offsets_stream);
         let mut index = RrIndex {
             n,
-            offsets,
+            // Placed below, once the pass that writes it is done.
+            offsets: PackedVec::new(1),
             nodes,
             post_offsets: vec![0; n + 1],
             post_ids: Vec::new(),
             indexed: 0,
         };
-        index.compact();
+        let mut ends = offsets.writer();
+        ends.push(0);
+        index.place(0, bounds.sets(), &bounds.unary(), |end| ends.push(end));
+        ends.finish();
+        index.offsets = offsets;
         index
     }
 }
@@ -131,13 +168,16 @@ impl RrIndex {
         }
     }
 
-    /// The sets alone: the postings are dropped, the packed forward
-    /// store kept as it is. [`RrSets::into_index`] gives the index back
-    /// — the one [`Self::compact`] leaves.
+    /// The sets alone: the postings are dropped, the set offsets coded
+    /// as a boundary stream, the member ids kept as they are.
+    /// [`RrSets::into_index`] gives the index back — the one
+    /// [`Self::compact`] leaves.
     pub fn into_sets(self) -> RrSets {
+        let sets = self.num_sets();
         RrSets {
+            bounds: Bounds::encode(self.offsets.range(1, sets + 1), sets, self.nodes.len()),
+            offsets_stream: self.offsets.stream(),
             n: self.n,
-            offsets: self.offsets,
             nodes: self.nodes,
         }
     }
@@ -154,16 +194,27 @@ impl RrIndex {
         self.offsets.len() - 1
     }
 
-    /// Extends the CSR over the sets pushed since the last compaction: a
-    /// counting sort into fresh exact-fit vectors that copies each node's
-    /// run and appends its new set ids, ascending. A no-op when no set is
-    /// pending. O(n + entries).
+    /// Extends the CSR over the sets pushed since the last compaction. A
+    /// no-op when no set is pending. O(n + entries).
     pub fn compact(&mut self) {
         let (first, sets) = (self.indexed, self.num_sets());
         if first == sets {
             return;
         }
-        let (lo, entries) = (self.offsets.get(first) as usize, self.nodes.len());
+        let lo = self.offsets.get(first);
+        let ends = self.offsets.range(first + 1, sets + 1).map(|end| end - lo);
+        let unary = bounds::unary(ends, sets - first, self.nodes.len() - lo as usize);
+        self.place(lo as usize, sets - first, &unary, |_| {});
+    }
+
+    /// The one counting sort, which extends the CSR over the `sets` sets
+    /// from `self.indexed` on, whose members are the entries from `lo` on
+    /// and whose ends, counted from `lo`, `unary` holds as
+    /// [`bounds::unary`] has them. It copies each node's run into fresh
+    /// exact-fit vectors and appends its new set ids, ascending, and hands
+    /// each end to `on_end` as it passes it.
+    fn place(&mut self, lo: usize, sets: usize, unary: &[u64], mut on_end: impl FnMut(u32)) {
+        let (first, entries) = (self.indexed, self.nodes.len());
         // `ends[v + 1]` counts node `v`'s new postings, then holds where
         // they start (after its old run), then — advanced past each one
         // placed — where they end, which is where node `v + 1`'s start.
@@ -181,41 +232,37 @@ impl RrIndex {
             ends[v + 1] = (start + old.len()) as u32;
             start += old.len() + count;
         }
-        // One bit per new entry marks the first member of each non-empty
-        // set, so the members are placed in one flat pass whose set id is
-        // a running count of those bits — no branch on where a set ends,
-        // which a set size of 1.44 on average would mispredict.
-        let mut starts = vec![0u64; (entries - lo) / 64 + 1];
-        let (mut at, mut empty) = (0, false);
-        for end in self.offsets.range(first + 1, sets + 1) {
-            starts[at >> 6] |= 1 << (at & 63);
-            empty |= end as usize - lo == at;
-            at = end as usize - lo;
-        }
-        let mut rank = (first as u32).wrapping_sub(1);
-        for (j, v) in self.nodes.range(lo, entries).enumerate() {
-            rank = rank.wrapping_add((starts[j >> 6] >> (j & 63)) as u32 & 1);
-            let slot = &mut ends[v as usize + 1];
-            ids[*slot as usize] = rank;
-            *slot += 1;
-        }
-        // That count skips empty sets: map it back to set ids. Old ids
-        // are below `first`, counted ones from it on.
-        if empty {
-            let sids: Vec<u32> = (first..sets)
-                .filter(|&sid| {
-                    let (lo, hi) = self.offsets.pair(sid);
-                    lo < hi
-                })
-                .map(|sid| sid as u32)
-                .collect();
-            for sid in ids.iter_mut().filter(|sid| **sid as usize >= first) {
-                *sid = sids[*sid as usize - first];
+        // Word by word through the unary stream: its `i`-th 1 bit, at bit
+        // `p`, ends a set at entry `p − i`, and its `j`-th 0 bit, at bit
+        // `p`, is member `j`, of set `p − j`. No branch on where a set
+        // ends, which a set size of 1.44 on average would mispredict, and
+        // an empty set is just another 1 bit.
+        let bits = entries - lo + sets;
+        let mut members = self.nodes.range(lo, entries);
+        let (mut ended, mut placed) = (0, 0);
+        for (k, &word) in unary.iter().enumerate() {
+            let at = k * 64;
+            let mut ones = word;
+            while ones != 0 {
+                on_end((at + ones.trailing_zeros() as usize - ended) as u32);
+                ones &= ones - 1;
+                ended += 1;
+            }
+            let mut zeros = !word & (u64::MAX >> (64 - (bits - at).min(64)));
+            while zeros != 0 {
+                let sid = first + at + zeros.trailing_zeros() as usize - placed;
+                zeros &= zeros - 1;
+                let v = members.next().expect("a member per 0 bit");
+                let slot = &mut ends[v as usize + 1];
+                ids[*slot as usize] = sid as u32;
+                *slot += 1;
+                placed += 1;
             }
         }
+        debug_assert_eq!((ended, placed), (sets, entries - lo));
         self.post_offsets = ends;
         self.post_ids = ids;
-        self.indexed = sets;
+        self.indexed = first + sets;
     }
 
     /// Appends one set (members must be duplicate-free — the sampler's
@@ -272,6 +319,12 @@ impl RrIndex {
         bytes
     }
 
+    /// Bytes of the packed set offsets alone — what parking codes as a
+    /// boundary stream ([`RrSets::boundary_bytes`]).
+    pub fn offsets_bytes(&self) -> usize {
+        self.offsets.capacity_bytes()
+    }
+
     /// Bytes of the CSR alone — numerator of the `bytes_per_posting`
     /// metric the bench schema reports.
     pub fn postings_bytes(&self) -> usize {
@@ -286,6 +339,13 @@ mod tests {
 
     #[test]
     fn push_and_lookup() {
+        // Parked and rebuilt with no sets, and with empty sets only.
+        let mut empty = compact_against_rebuild(RrIndex::new(5));
+        for _ in 0..3 {
+            empty.push_set(&[]);
+        }
+        let empty = compact_against_rebuild(empty);
+        assert_eq!((empty.num_sets(), empty.total_entries()), (3, 0));
         let mut ix = RrIndex::new(5);
         assert_eq!(ix.num_sets(), 0);
         assert_eq!(ix.push_set(&[0, 2]), 0);
@@ -495,10 +555,12 @@ mod tests {
     }
 
     /// Compacts `ix` — a merge into a non-empty CSR once it has been
-    /// compacted before — then parks it and rebuilds the postings from
-    /// scratch. Parked, the index weighs its forward store alone; rebuilt,
-    /// it is the compacted index vector for vector and capacity for
-    /// capacity, and `memory_bytes` to the byte.
+    /// compacted before — then parks it and rebuilds the offsets and the
+    /// postings from scratch. Parked, the index weighs its member ids and
+    /// its boundary stream: all but its postings and its offsets, plus
+    /// the stream. Rebuilt, it is the compacted index vector for vector,
+    /// stream for stream and capacity for capacity, and `memory_bytes` to
+    /// the byte.
     fn compact_against_rebuild(mut ix: RrIndex) -> RrIndex {
         ix.compact();
         let bytes = ix.memory_bytes();
@@ -512,12 +574,19 @@ mod tests {
             )
         };
         let merged = csr(&ix);
+        let store = format!("{:?}", (&ix.offsets, &ix.nodes));
+        let offsets = (ix.offsets.stream(), ix.offsets_bytes());
         let (num_sets, entries) = (ix.num_sets(), ix.total_entries());
+        let postings = ix.postings_bytes();
         let sets = ix.into_sets();
-        assert_eq!(sets.memory_bytes(), bytes - (merged.2 + merged.3) * 4);
+        let boundary = crate::bounds::tests::coded_bytes(num_sets, entries);
+        assert_eq!(sets.boundary_bytes(), boundary);
+        assert_eq!(sets.memory_bytes(), bytes - postings - offsets.1 + boundary);
         assert_eq!((sets.num_sets(), sets.total_entries()), (num_sets, entries));
         let rebuilt = sets.into_index();
         assert_eq!(csr(&rebuilt), merged);
+        assert_eq!(format!("{:?}", (&rebuilt.offsets, &rebuilt.nodes)), store);
+        assert_eq!((rebuilt.offsets.stream(), rebuilt.offsets_bytes()), offsets);
         assert_eq!(rebuilt.memory_bytes(), bytes);
         rebuilt
     }

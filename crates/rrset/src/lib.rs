@@ -12,7 +12,9 @@
 //!   offsets bit-packed at the widths `n` and the entry count need) +
 //!   inverted node→set-id postings under the coverage overlay, with
 //!   exact memory accounting. Persistent: the online serving layer
-//!   keeps one per ad alive across re-allocations.
+//!   keeps one per ad alive across re-allocations, and parks a departed
+//!   ad's as an [`RrSets`]: the member ids and an Elias–Fano stream of
+//!   the set boundaries, without postings or offsets.
 //! * [`weighted`] — [`WeightedRrCollection`], the one coverage overlay:
 //!   per-set survival weights and per-node scores over an [`RrIndex`]
 //!   prefix. Decaying a seed by its CTP is TIRM's weighted rule; decaying
@@ -29,6 +31,7 @@
 //!   and the `λ(s, ε)` / `L(s, ε)` bounds (Eq. 5).
 //! * [`special`] — `ln Γ`, `ln C(n, s)` helpers the bounds need.
 
+mod bounds;
 pub mod fastpath;
 pub mod heap;
 pub mod index;

@@ -51,6 +51,48 @@ impl PackedVec {
         }
     }
 
+    /// Empty array storing values of `width` bits whose stream is `len`
+    /// zero bytes in an allocation of `capacity`: the shape
+    /// [`Self::stream`] read off another array, so that writing its
+    /// values back through [`Self::writer`] gives that array to the byte.
+    pub(crate) fn with_stream(width: u32, (len, capacity): (usize, usize)) -> Self {
+        let mut packed = PackedVec::new(width);
+        packed.bytes.reserve_exact(capacity);
+        packed.bytes.resize(len, 0);
+        packed
+    }
+
+    /// Empty array storing values of `width` bits with a stream exactly
+    /// long enough for `count` of them.
+    pub(crate) fn exact(width: u32, count: usize) -> Self {
+        let len = ((count * width as usize) >> 3) + SLACK;
+        PackedVec::with_stream(width, (len, len))
+    }
+
+    /// The stream's length and capacity in bytes.
+    pub(crate) fn stream(&self) -> (usize, usize) {
+        (self.bytes.len(), self.bytes.capacity())
+    }
+
+    /// Appends values one at a time to a stream long enough for them
+    /// (from [`Self::reach`], [`Self::with_stream`] or [`Self::exact`]).
+    #[inline]
+    pub(crate) fn writer(&mut self) -> Writer<'_> {
+        let bit = self.len * self.width as usize;
+        let at = bit >> 3;
+        // The accumulator starts with the partial byte's bits (all else
+        // past `bit` is 0).
+        Writer {
+            acc: window(&self.bytes, at),
+            fill: bit & 7,
+            at,
+            width: self.width as usize,
+            mask: self.mask(),
+            pushed: 0,
+            packed: self,
+        }
+    }
+
     /// Number of values stored.
     #[inline]
     pub(crate) fn len(&self) -> usize {
@@ -134,37 +176,15 @@ impl PackedVec {
         }
     }
 
-    /// Appends `values`, every one of which must fit the width. The values
-    /// gather in a 64-bit accumulator that is flushed four whole bytes at
-    /// a time, and once more, as a full window, at the end.
+    /// Appends `values`, every one of which must fit the width.
     #[inline]
     pub(crate) fn extend_from_slice(&mut self, values: &[u32]) {
-        let mask = self.mask();
-        assert!(
-            values.iter().all(|&v| u64::from(v) <= mask),
-            "value wider than {} bits",
-            self.width
-        );
-        let width = self.width as usize;
-        let bit = self.len * width;
-        self.reach(bit + values.len() * width);
-        let mut at = bit >> 3;
-        // The accumulator starts with the partial byte's bits (all else
-        // past `bit` is 0) and holds `fill < 32` bits between values.
-        let mut acc = window(&self.bytes, at);
-        let mut fill = bit & 7;
+        self.reach((self.len + values.len()) * self.width as usize);
+        let mut out = self.writer();
         for &v in values {
-            acc |= u64::from(v) << fill;
-            fill += width;
-            if fill >= 32 {
-                self.bytes[at..at + 4].copy_from_slice(&(acc as u32).to_le_bytes());
-                acc >>= 32;
-                at += 4;
-                fill -= 32;
-            }
+            out.push(v);
         }
-        self.bytes[at..at + 8].copy_from_slice(&acc.to_le_bytes());
-        self.len += values.len();
+        out.finish();
     }
 
     /// Appends one value.
@@ -208,6 +228,53 @@ impl PackedVec {
         // What is left is bits `0 .. top·8`, the high bytes of `acc`.
         self.bytes[..top].copy_from_slice(&acc.to_le_bytes()[8 - top..]);
         self.width = width;
+    }
+}
+
+/// Appends to a [`PackedVec`] whose stream already reaches past the
+/// values to come. The values gather in a 64-bit accumulator that holds
+/// `fill < 32` bits between values and is flushed four whole bytes at a
+/// time, and once more, as a full window, by [`Writer::finish`], which
+/// is what appends them.
+#[must_use = "values are appended by `finish`"]
+pub(crate) struct Writer<'a> {
+    packed: &'a mut PackedVec,
+    acc: u64,
+    fill: usize,
+    /// The byte the accumulator's low bits go to.
+    at: usize,
+    width: usize,
+    mask: u64,
+    pushed: usize,
+}
+
+impl Writer<'_> {
+    /// Appends `v`, which must fit the width.
+    #[inline]
+    pub(crate) fn push(&mut self, v: u32) {
+        assert!(
+            u64::from(v) <= self.mask,
+            "value wider than {} bits",
+            self.width
+        );
+        self.acc |= u64::from(v) << self.fill;
+        self.fill += self.width;
+        if self.fill >= 32 {
+            self.packed.bytes[self.at..self.at + 4]
+                .copy_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.at += 4;
+            self.fill -= 32;
+        }
+        self.pushed += 1;
+    }
+
+    /// Writes out what the accumulator holds and appends the values
+    /// pushed.
+    #[inline]
+    pub(crate) fn finish(self) {
+        self.packed.bytes[self.at..self.at + 8].copy_from_slice(&self.acc.to_le_bytes());
+        self.packed.len += self.pushed;
     }
 }
 

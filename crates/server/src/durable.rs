@@ -28,7 +28,7 @@
 //! publishes carries the same bits on all of them.
 
 use crate::protocol::Role;
-use crate::server::Shared;
+use crate::server::{Shared, WriterStep};
 use crate::swap::SnapshotSwap;
 use crate::wal::{self, RecoveryReport, Wal};
 use std::io;
@@ -143,6 +143,7 @@ impl<'g> DurableState<'g> {
     /// rejected event changed nothing (and didn't bump the epoch); a
     /// batch that applied nothing publishes nothing. Rejection is
     /// deterministic, so every copy of the state counts the same ones.
+    /// Each step it reaches is published as the writer's [`WriterStep`].
     ///
     /// An `Err` is a log or checkpoint I/O failure: the state on disk is
     /// still a consistent prefix, but this process can no longer vouch
@@ -157,10 +158,14 @@ impl<'g> DurableState<'g> {
         // Trace ids are labels a leader sent, so they wrap rather than
         // overflow.
         let traces = (0..n).map(|i| first_trace.wrapping_add(i));
+        let (shared, last) = (Arc::clone(&self.shared), self.log.seq() + n);
+        let step = |step| shared.set_writer_step(step, last);
+        step(WriterStep::Appending);
         let append_start = flight::now_ns();
         for ev in batch {
             self.log.append(ev)?;
         }
+        step(WriterStep::Syncing);
         self.log.sync()?;
         let frontier = self.log.seq();
         self.shared.wal_seq.store(frontier, Ordering::Release);
@@ -188,11 +193,13 @@ impl<'g> DurableState<'g> {
         // exemplars) is pinned to its newest trace, like the fsync's.
         flight::set_current_trace(first_trace.wrapping_add(n.saturating_sub(1)));
         let epoch = self.allocator.epoch();
+        step(WriterStep::Applying);
         let apply_start = flight::now_ns();
         let outcomes = self.allocator.apply(batch);
         let apply_end = flight::now_ns();
         let published = self.allocator.epoch() != epoch;
         if published {
+            step(WriterStep::Publishing);
             self.swap.publish(snapshot_for_readers(&self.allocator));
         }
         let publish_end = flight::now_ns();
@@ -220,8 +227,10 @@ impl<'g> DurableState<'g> {
         // covered segments go.
         self.since_checkpoint += n;
         if self.since_checkpoint >= self.origin.checkpoint_interval {
+            step(WriterStep::Checkpointing);
             self.checkpoint()?;
         }
+        step(WriterStep::Waiting);
         Ok(())
     }
 

@@ -201,7 +201,41 @@ pub(crate) struct Shared {
     /// orders a waiter's re-check against the notifier.
     frontier_lock: Mutex<()>,
     frontier_cv: Condvar,
+    /// The writer's [`WriterStep`] in the low 3 bits, the seq it holds
+    /// above them. Write-only, like every obs record: no decision reads
+    /// it, [`ServerHandle::writer_step`] shows it.
+    writer_step: AtomicU64,
 }
+
+/// Where the writer is: waiting for a batch, or which step of
+/// committing one it has reached ([`ServerHandle::writer_step`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WriterStep {
+    /// Between batches, holding the last seq it committed.
+    Waiting,
+    /// A leader's batch came off the admission queue.
+    Dequeued,
+    /// Appending the batch to the log.
+    Appending,
+    /// Fsyncing the log.
+    Syncing,
+    /// Applying the batch to the allocator.
+    Applying,
+    /// Publishing the new snapshot to the readers.
+    Publishing,
+    /// Writing a checkpoint and pruning the log.
+    Checkpointing,
+}
+
+const WRITER_STEPS: [WriterStep; 7] = [
+    WriterStep::Waiting,
+    WriterStep::Dequeued,
+    WriterStep::Appending,
+    WriterStep::Syncing,
+    WriterStep::Applying,
+    WriterStep::Publishing,
+    WriterStep::Checkpointing,
+];
 
 impl Shared {
     pub(crate) fn new() -> Arc<Shared> {
@@ -225,7 +259,16 @@ impl Shared {
             shutdown_cv: Condvar::new(),
             frontier_lock: Mutex::new(()),
             frontier_cv: Condvar::new(),
+            writer_step: AtomicU64::new(0),
         })
+    }
+
+    /// Records that the writer reached `step`, holding `seq`: the last
+    /// seq it committed while waiting, the batch's last seq from
+    /// dequeuing it on.
+    pub(crate) fn set_writer_step(&self, step: WriterStep, seq: u64) {
+        self.writer_step
+            .store(seq << 3 | step as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn role(&self) -> Role {
@@ -327,6 +370,13 @@ impl ServerHandle {
     /// `leader_seq() - wal_seq()` is the current replication lag.
     pub fn leader_seq(&self) -> u64 {
         self.shared.leader_seq.load(Ordering::Acquire)
+    }
+
+    /// The writer's step and the seq it holds: what a write that never
+    /// shows was stuck behind. Read without ordering — a diagnostic.
+    pub fn writer_step(&self) -> (WriterStep, u64) {
+        let word = self.shared.writer_step.load(Ordering::Relaxed);
+        (WRITER_STEPS[(word & 7) as usize], word >> 3)
     }
 
     /// Blocks until some client sends a `shutdown` request or the
@@ -622,6 +672,9 @@ pub(crate) struct Admitted {
 /// panic propagates through the scope join, tearing the server down
 /// loudly instead of serving silently non-durable writes.
 fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>) {
+    state
+        .shared
+        .set_writer_step(WriterStep::Waiting, state.seq());
     while let Ok(first) = rx.recv() {
         let admitted: Vec<Admitted> = std::iter::once(first).chain(rx.try_iter()).collect();
         let dequeue_ns = flight::now_ns();
@@ -629,6 +682,8 @@ fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>) {
         // traces: record the admission-side stages now that they are
         // known.
         let first_trace = state.seq() + 1;
+        let last = state.seq() + admitted.len() as u64;
+        state.shared.set_writer_step(WriterStep::Dequeued, last);
         let events: Vec<OnlineEvent> = (first_trace..)
             .zip(admitted)
             .map(|(trace, a)| {

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
-use tirm_server::{serve, Client, Request, Response, ServerConfig};
+use tirm_server::{serve, Client, Request, Response, ServerConfig, WriterStep};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
 fn setup(nodes: usize, seed: u64) -> (DiGraph, TopicEdgeProbs) {
@@ -345,6 +345,37 @@ fn ad_queries_serve_from_snapshot() {
     .unwrap();
 }
 
+/// The writer publishes its step with the seq it holds: waiting at the
+/// recovered frontier before any event, and waiting again at the last
+/// committed seq once the events are applied.
+#[test]
+fn the_writer_step_names_the_seq_it_holds() {
+    let (graph, probs) = setup(200, 3);
+    let dir = StateDir::new();
+    let ((), _) = serve(&graph, &probs, dir.config(config(9, 4_000)), |handle| {
+        assert_eq!(handle.writer_step(), (WriterStep::Waiting, 0));
+        let mut client = Client::connect(handle.addr()).unwrap();
+        for ev in [
+            arrival(7, 8.0, 0),
+            OnlineEvent::BudgetTopUp { id: 7, amount: 2.0 },
+        ] {
+            client
+                .send_event_retrying(&ev, Duration::from_millis(1), Duration::from_secs(30))
+                .unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while handle.writer_step() != (WriterStep::Waiting, 2) {
+            assert!(
+                Instant::now() < deadline,
+                "writer at {:?}",
+                handle.writer_step()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    })
+    .unwrap();
+}
+
 /// The `allocation` and `ad` frames a connection reads off the socket
 /// are, byte for byte, `Response::encode` of the in-process snapshot at
 /// the same epoch — on both connections, on a first and a repeated read
@@ -393,7 +424,8 @@ fn read_frames_are_the_encoding_of_the_epochs_snapshot() {
                 }
                 assert!(
                     Instant::now() < deadline,
-                    "epoch {epoch} never shown: sent {sent:?}, {stats:?}"
+                    "epoch {epoch} never shown: sent {sent:?}, {stats:?}, writer {:?}",
+                    handle.writer_step()
                 );
                 std::thread::sleep(Duration::from_millis(1));
             }
