@@ -269,44 +269,54 @@ fn expected_len(n: u64, m: u64, k: u64) -> u64 {
     HEADER_BYTES + 4 * (2 * (n + 1) + 3 * m + m * k) + CHECKSUM_BYTES
 }
 
-/// Writes `contents` to `path` **atomically**: bytes go to a sibling
-/// process-unique temp file and are renamed into place, so a crashed or
-/// interrupted writer (SIGKILL, SIGINT mid-write, disk-full) can never
-/// leave a half-written file under the final name — the path either
-/// holds the previous content or the complete new content. Parent
-/// directories are created. This is the workspace-wide durable-output
-/// primitive: binary dataset snapshots, JSONL event logs and experiment
-/// artifacts all commit through it.
+/// Writes `contents` to `path` **atomically** and durably: bytes go to
+/// a sibling process-unique temp file, which is fsynced and renamed into
+/// place, and the rename is made durable by fsyncing the directory — so
+/// a crashed or interrupted writer (SIGKILL, SIGINT mid-write,
+/// disk-full, power loss) can never leave a half-written file under the
+/// final name: the path either holds the previous content or the
+/// complete new content. Parent directories are created. This is the
+/// workspace-wide durable-output primitive: binary dataset snapshots,
+/// JSONL event logs, experiment artifacts and the server's checkpoints
+/// and fencing epoch all commit through it.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
     write_atomic_with(path, |w| w.write_all(contents))
 }
 
 /// Streaming variant of [`write_atomic`]: `fill` produces the bytes into
-/// a buffered writer backed by the temp file; the rename happens only
-/// after `fill` succeeds and the buffer is flushed. On any error the
-/// temp file is removed and the final path is left untouched.
+/// a buffered writer backed by the temp file; the fsync and rename
+/// happen only after `fill` succeeds and the buffer is flushed. On any
+/// error the temp file is removed and the final path is left untouched.
+/// The temp file is named `path` with its extension replaced by
+/// `tmp.<pid>`. The buffer has the default size: the snapshot and
+/// checkpoint writers hand it 256 KiB chunks, which go straight to the
+/// file, and a small file (the fencing epoch) needs no more.
 pub fn write_atomic_with(
     path: &Path,
     fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
 ) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     let result = (|| -> io::Result<()> {
-        let mut w = BufWriter::with_capacity(1 << 20, File::create(&tmp)?);
+        let mut w = BufWriter::new(File::create(&tmp)?);
         fill(&mut w)?;
-        w.flush()
+        w.into_inner()
+            .map_err(io::IntoInnerError::into_error)?
+            .sync_all()?;
+        std::fs::rename(&tmp, path)
     })();
-    match result {
-        Ok(()) => std::fs::rename(&tmp, path),
-        Err(e) => {
-            std::fs::remove_file(&tmp).ok();
-            Err(e)
-        }
+    if let Err(e) = result {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e);
     }
+    // Directory fsync fails on filesystems that do not support it; those
+    // do not need it either.
+    let _ = File::open(dir)?.sync_all();
+    Ok(())
 }
 
 /// Header bytes of the generic word-payload container: caller magic (8),

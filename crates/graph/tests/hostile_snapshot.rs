@@ -6,35 +6,52 @@
 //! buffer, whatever the header claims. A forged file whose checksum was
 //! recomputed after an id was put out of range is `Malformed`.
 //!
-//! Its own binary, and its tests take turns ([`SERIAL`]): the
-//! allocation high-water mark is process-wide.
+//! Its own binary, with a counting allocator that keeps each thread's
+//! live bytes and high-water mark apart: `read_snapshot` runs wholly on
+//! the calling thread, so what another test's thread allocates meanwhile
+//! never lands in a load's peak, and the tests need not take turns.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use tirm_graph::generators;
 use tirm_graph::snapshot::{read_snapshot, write_snapshot, Snapshot, SnapshotError};
 
-/// The system allocator, counting live bytes and their high-water mark.
+/// The system allocator, counting each thread's live bytes and their
+/// high-water mark.
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes this thread allocated minus the bytes it freed. Signed: a
+    /// block allocated on another thread and freed here takes it below
+    /// zero instead of underflowing.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest `LIVE` reached since [`load`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` bytes to this thread's count. `try_with`: a thread
+/// being torn down has lost its counters, and its last frees go
+/// uncounted rather than panicking inside the allocator.
+fn count(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
 
 // SAFETY: every call goes to `System` unchanged, so `System` keeps the
-// `GlobalAlloc` contract; the counters are statistics that only read the
-// layout's size (hence `Relaxed`).
+// `GlobalAlloc` contract; the counters are `const`-initialised
+// thread-locals without destructors, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's guarantees on `layout` are passed on as given.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            PEAK.fetch_max(
-                LIVE.fetch_add(layout.size(), Relaxed) + layout.size(),
-                Relaxed,
-            );
+            count(layout.size() as isize);
         }
         ptr
     }
@@ -42,28 +59,24 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` was allocated by `System` with `layout` in `alloc`.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        count(-(layout.size() as isize));
     }
 }
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Held for the whole of each case, so no other test's allocations land
-/// in the high-water mark a case reads.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 /// The loader's one scratch buffer (`4 · CHUNK_ELEMS` bytes), plus room
 /// for the path and the file handle.
 const SCRATCH: usize = (1 << 18) + 4096;
 
-/// Loads `path`, returning the result and the most heap it held at once
-/// beyond what was live before.
+/// Loads `path`, returning the result and the most heap the calling
+/// thread held at once beyond what it held before.
 fn load(path: &Path) -> (Result<Snapshot, SnapshotError>, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
     let got = read_snapshot(path);
-    (got, PEAK.load(Relaxed) - base)
+    (got, (PEAK.with(Cell::get) - base) as usize)
 }
 
 /// Header fields as (offset, width): version, K, n, m.
@@ -139,7 +152,6 @@ proptest! {
         at in 0usize..1 << 20,
         value in 0u64..u64::MAX,
     ) {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let fx = fixture();
         let bytes = hostile(&fx.valid, what, at, value);
         std::fs::write(&fx.path, &bytes).unwrap();
@@ -181,7 +193,6 @@ fn checksum(body: &[u8]) -> u64 {
 /// with the trailer recomputed to match, is refused as `Malformed`.
 #[test]
 fn a_forged_out_of_range_id_with_a_recomputed_checksum_is_malformed() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let fx = fixture();
     let mut bytes = fx.valid.clone();
     let body = bytes.len() - 8;

@@ -8,10 +8,11 @@
 //! - `GET /trace.json`    → the flight-recorder lineage dump in Chrome
 //!   trace-event format (load in `about:tracing` or Perfetto)
 //!
-//! The acceptor runs on its own thread with a non-blocking listener and
-//! a short poll so [`MetricsServer::stop`] (or drop) tears it down
-//! promptly. Serving a scrape only *reads* metrics, so the endpoint
-//! cannot perturb the instrumented process beyond scheduler noise.
+//! The acceptor runs on its own thread, blocked in `accept` between
+//! scrapes and serving each scrape itself; [`MetricsServer::stop`] (or
+//! drop) wakes it with a throwaway connection. Serving a scrape only
+//! *reads* metrics, so the endpoint cannot perturb the instrumented
+//! process beyond scheduler noise.
 
 use crate::{flight, prom, registry};
 use std::io::{self, Read, Write};
@@ -44,6 +45,8 @@ impl MetricsServer {
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            // Wake the blocked accept with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
     }
@@ -58,11 +61,10 @@ impl Drop for MetricsServer {
 /// Writes all of `buf`, riding out partial writes and transient
 /// `WouldBlock`/`TimedOut` stalls until `deadline`.
 ///
-/// The accepted stream is switched to blocking mode, but that call can
-/// fail (and a short write timeout turns a slow reader into a spurious
-/// `TimedOut` mid-body), so a plain `write_all` could silently truncate
-/// a large `/metrics.json` or `/trace.json` response. Here a stall only
-/// fails the response once the overall deadline passes.
+/// A short write timeout turns a slow reader into a spurious `TimedOut`
+/// mid-body, so a plain `write_all` could silently truncate a large
+/// `/metrics.json` or `/trace.json` response. Here a stall only fails
+/// the response once the overall deadline passes.
 fn write_fully(stream: &mut TcpStream, mut buf: &[u8], deadline: Instant) -> io::Result<()> {
     while !buf.is_empty() {
         match stream.write(buf) {
@@ -201,23 +203,22 @@ fn handle(mut stream: TcpStream) {
 /// thread until the returned handle is stopped or dropped.
 pub fn serve(addr: impl ToSocketAddrs) -> io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let handle = std::thread::Builder::new()
         .name("tirm-metrics-http".to_string())
         .spawn(move || {
-            while !stop_flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        handle_quietly(stream);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            for stream in listener.incoming() {
+                if stop_flag.load(Ordering::SeqCst) {
+                    break;
+                }
+                // Scrapes are serialized on the acceptor thread:
+                // exposition is rare (seconds apart) and cheap, and a
+                // single thread keeps the endpoint's footprint on the
+                // instrumented process minimal.
+                if let Ok(stream) = stream {
+                    handle(stream);
                 }
             }
         })?;
@@ -226,13 +227,6 @@ pub fn serve(addr: impl ToSocketAddrs) -> io::Result<MetricsServer> {
         stop,
         handle: Some(handle),
     })
-}
-
-fn handle_quietly(stream: TcpStream) {
-    // Scrapes are serialized on the acceptor thread: exposition is rare
-    // (seconds apart) and cheap, and a single thread keeps the endpoint's
-    // footprint on the instrumented process minimal.
-    handle(stream);
 }
 
 /// Blocking one-shot HTTP GET against an exposition endpoint, returning

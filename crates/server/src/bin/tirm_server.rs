@@ -45,8 +45,9 @@
 //!   an ephemeral port, printed on stderr.
 //! * `--metrics-json PATH` — on clean shutdown, write the final
 //!   registry snapshot to PATH as JSON (atomic temp+rename).
-//! * `--trace-json PATH` — flight-recorder dump: on clean shutdown
-//!   *or panic*, write the event-lineage timeline to PATH as Chrome
+//! * `--trace-json PATH` — flight-recorder dump: on clean shutdown,
+//!   on a run a failed writer ended (exit 1) *or on panic*, write the
+//!   event-lineage timeline to PATH as Chrome
 //!   trace-event JSON (atomic temp+rename; load in `about:tracing`).
 //!   A SIGKILL leaves no dump — scrape HTTP `/trace.json` for
 //!   last-breath timelines instead.
@@ -234,7 +235,7 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     };
 
-    // Clean-shutdown twin of the panic hook above.
+    // Twin of the panic hook above, for a run that ends without one.
     let dump_trace_json = |path: &Option<String>| -> ExitCode {
         if let Some(path) = path {
             let dump = tirm_obs::flight::dump_chrome_json();
@@ -341,7 +342,11 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
+            // A writer that failed (a log I/O error, a refused bootstrap
+            // checkpoint) ends the run here: its lineage is dumped as a
+            // panic's would be.
             eprintln!("error: {e}");
+            dump_trace_json(&trace_json);
             ExitCode::FAILURE
         }
     }

@@ -54,7 +54,7 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tirm_online::OnlineEvent;
 
 /// Frames asked for per poll (the leader clamps its own cap on top).
@@ -155,13 +155,13 @@ fn apply_loop(
         .unwrap_or(u64::MAX)
         .max(1);
 
-    'reconnect: while !stopping(&shared) {
+    'reconnect: while !shared.stop_or_promotion() {
         let target = endpoints[0].clone();
         let mut client = match Client::connect_with(target.as_str(), &leader_client) {
             Ok(c) => c,
             Err(_) => {
                 endpoints.rotate_left(1);
-                sleep_checked(&shared, cfg.poll_interval);
+                shared.pause_follower(cfg.poll_interval);
                 continue 'reconnect;
             }
         };
@@ -172,7 +172,7 @@ fn apply_loop(
                 out.fenced_rejects += 1;
                 tirm_obs::registry::REPL_FENCED_REJECTS.inc();
                 endpoints.rotate_left(1);
-                sleep_checked(&shared, cfg.poll_interval);
+                shared.pause_follower(cfg.poll_interval);
                 continue 'reconnect;
             }
             if h.fencing_epoch > local_epoch {
@@ -181,7 +181,7 @@ fn apply_loop(
         }
 
         loop {
-            if stopping(&shared) {
+            if shared.stop_or_promotion() {
                 break 'reconnect;
             }
             match client.replicate_poll(state.seq(), MAX_FRAMES_PER_POLL, wait_ms) {
@@ -269,7 +269,7 @@ fn apply_loop(
                             eprintln!("bootstrap from {target} failed (will retry): {e}");
                             tirm_obs::registry::REPL_BOOTSTRAP_RETRIES.inc();
                             endpoints.rotate_left(1);
-                            sleep_checked(&shared, cfg.poll_interval);
+                            shared.pause_follower(cfg.poll_interval);
                             continue 'reconnect;
                         }
                     }
@@ -282,7 +282,7 @@ fn apply_loop(
                         *ctx.leader_addr.lock().expect("leader addr poisoned") = leader;
                     } else {
                         endpoints.rotate_left(1);
-                        sleep_checked(&shared, cfg.poll_interval);
+                        shared.pause_follower(cfg.poll_interval);
                     }
                     continue 'reconnect;
                 }
@@ -292,7 +292,7 @@ fn apply_loop(
                 // frontier and try the next endpoint.
                 Ok(_) | Err(_) => {
                     endpoints.rotate_left(1);
-                    sleep_checked(&shared, cfg.poll_interval);
+                    shared.pause_follower(cfg.poll_interval);
                     continue 'reconnect;
                 }
             }
@@ -305,21 +305,6 @@ fn apply_loop(
         }
     }
     Ok(out)
-}
-
-/// Whether the apply loop should return (stop flag or promotion).
-fn stopping(shared: &Shared) -> bool {
-    shared.stop.load(Ordering::Acquire) || shared.promote_requested.load(Ordering::Acquire)
-}
-
-/// Sleeps up to `total`, returning early when the apply loop should
-/// return.
-fn sleep_checked(shared: &Shared, total: Duration) {
-    let t0 = Instant::now();
-    let tick = Duration::from_millis(5).min(total);
-    while t0.elapsed() < total && !stopping(shared) {
-        std::thread::sleep(tick);
-    }
 }
 
 /// Records a newly observed fencing epoch durably and in the shared

@@ -24,10 +24,13 @@
 //! # Shutdown (drain-then-close)
 //!
 //! [`serve`] stops in a fixed order that makes the drain guarantee
-//! structural: (1) the stop flag flips and the acceptor is woken — no
-//! new connections; (2) handler threads finish their in-flight request
-//! (the stop wakes a `replicate_poll` parked on the durable frontier)
-//! and exit, dropping their queue senders; (3) with all senders gone
+//! structural: (1) the stop flag flips, the acceptor is woken — no new
+//! connections — and the read half of every open connection is shut,
+//! which wakes each handler blocked reading its next request; (2)
+//! handler threads finish their in-flight request (the stop wakes a
+//! `replicate_poll` parked on the durable frontier) and exit, dropping
+//! their queue senders; a frame that had not fully arrived is cut,
+//! never admitted; (3) with all senders gone
 //! the writer drains every admitted mutation from the channel,
 //! processes it, publishes, and only then returns the final snapshot.
 //! An admitted (`Accepted`) mutation is therefore *always* processed
@@ -46,19 +49,18 @@
 
 use crate::durable::{DurableState, Origin};
 use crate::protocol::{
-    hex_encode, read_frame_polling, write_frame, Request, Response, Role, StatsView,
-    PROTOCOL_VERSION,
+    hex_encode, read_frame, write_frame, Request, Response, Role, StatsView, PROTOCOL_VERSION,
 };
 use crate::replica::{self, FollowConfig, Tail};
 use crate::swap::{SnapshotReader, SnapshotSwap};
 use crate::wal::{self, RecoveryReport, ReplicaBatch};
 use std::fs::File;
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 use tirm_graph::DiGraph;
 use tirm_obs::flight::{self, Stage};
@@ -81,10 +83,6 @@ pub struct ServerConfig {
     /// Connection admission bound: connections beyond this many open at
     /// once are answered with one `Overloaded` frame and closed.
     pub max_connections: usize,
-    /// Handler read-poll interval — the granularity at which idle
-    /// connections notice shutdown. Also bounds how long an exiting
-    /// handler can block on an idle socket.
-    pub read_poll: Duration,
     /// Directory holding WAL segments and checkpoint files. Created on
     /// startup if missing; recovery scans it first. Every admitted
     /// mutation is logged here (group-commit fsync) before it is
@@ -112,7 +110,6 @@ impl ServerConfig {
             bind: "127.0.0.1:0".to_string(),
             queue_depth: 64,
             max_connections: 64,
-            read_poll: Duration::from_millis(25),
             state_dir: state_dir.into(),
             checkpoint_interval: 256,
             segment_events: 1024,
@@ -128,9 +125,6 @@ impl ServerConfig {
         }
         if self.max_connections < 1 {
             return Err("max_connections must be >= 1".into());
-        }
-        if self.read_poll.is_zero() {
-            return Err("read_poll must be non-zero (it paces shutdown checks)".into());
         }
         let online = &self.online;
         if online.kappa < 1 {
@@ -185,7 +179,8 @@ pub(crate) struct Shared {
     /// promotion, after the new fencing epoch is stored (Release; every
     /// reader loads it with Acquire and so sees that epoch).
     pub(crate) leading: AtomicBool,
-    /// Set by a wire `promote` request on a follower: the apply loop
+    /// Set by a wire `promote` request on a follower
+    /// ([`request_promotion`](Self::request_promotion)): the apply loop
     /// returns and the writer takes over as leader in place, unless the
     /// run is stopping.
     pub(crate) promote_requested: AtomicBool,
@@ -193,6 +188,9 @@ pub(crate) struct Shared {
     /// set wins; [`ServerHandle::wait_shutdown`] blocks until there is
     /// one.
     stop_cause: Mutex<Option<StopCause>>,
+    /// Raised when a stop cause is set, when the stop flag flips and on
+    /// a promotion request: what `wait_shutdown` and a follower's retry
+    /// pause ([`pause_follower`](Self::pause_follower)) wait on.
     shutdown_cv: Condvar,
     /// Raised whenever `wal_seq` advances or the run starts to stop:
     /// what a caught-up `replicate_poll` parks on
@@ -283,6 +281,41 @@ impl Shared {
         let mut stop = self.stop_cause.lock().expect("stop cause poisoned");
         stop.get_or_insert(cause);
         self.shutdown_cv.notify_all();
+    }
+
+    /// Records a wire `promote` and wakes a follower pausing between
+    /// retries, so the apply loop returns at once.
+    pub(crate) fn request_promotion(&self) {
+        self.promote_requested.store(true, Ordering::Release);
+        // Taking the lock orders the store before the pausing
+        // follower's next re-check, so the wake-up is never lost. The
+        // lock guards one `Option` set in a single store: a poisoned
+        // one is whole.
+        let _ordered = self
+            .stop_cause
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.shutdown_cv.notify_all();
+    }
+
+    /// Whether a follower's apply loop should return: the run is
+    /// stopping or a promotion was requested.
+    pub(crate) fn stop_or_promotion(&self) -> bool {
+        self.stop.load(Ordering::Acquire) || self.promote_requested.load(Ordering::Acquire)
+    }
+
+    /// Parks up to `wait`, returning early once
+    /// [`stop_or_promotion`](Self::stop_or_promotion) holds: a
+    /// follower's pause before retrying an endpoint that failed.
+    pub(crate) fn pause_follower(&self, wait: Duration) {
+        let guard = self
+            .stop_cause
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        drop(
+            self.shutdown_cv
+                .wait_timeout_while(guard, wait, |_| !self.stop_or_promotion()),
+        );
     }
 
     /// Wakes every parked `replicate_poll`. Call *after* storing the
@@ -506,7 +539,7 @@ pub fn serve<R>(
     let (swap, shared) = (state.swap.clone(), state.shared.clone());
     shared.leading.store(follow.is_none(), Ordering::Release);
     let (tx, rx) = std::sync::mpsc::sync_channel::<Admitted>(cfg.queue_depth);
-    let (read_poll, queue_depth) = (cfg.read_poll, cfg.queue_depth);
+    let conns = Connections(Mutex::new(Some(Vec::new())));
     let handle = ServerHandle {
         addr,
         swap: swap.clone(),
@@ -515,7 +548,7 @@ pub fn serve<R>(
     };
 
     let (result, fed) = std::thread::scope(|s| {
-        let (ctx, shared) = (&ctx, &*shared);
+        let (ctx, shared, conns) = (&ctx, &*shared, &conns);
         let writer = s.spawn(move || -> std::io::Result<_> {
             // A writer that fails (a refused bootstrap checkpoint, a log
             // I/O error) or panics ends the run instead of leaving it
@@ -526,7 +559,7 @@ pub fn serve<R>(
                 Some(follow) => replica::follow(follow, &mut state, ctx)?,
                 None => Tail::default(),
             };
-            feed_from_queue(&mut state, &rx);
+            feed_from_queue(&mut state, &rx)?;
             // The queue disconnected ⇒ every sender is gone and
             // everything admitted was applied (the drain guarantee).
             let (final_snapshot, stats) = state.finish()?;
@@ -547,24 +580,34 @@ pub fn serve<R>(
                     refuse_connection(stream);
                     continue;
                 }
+                let stream = Arc::new(stream);
+                if !conns.register(&stream) {
+                    // Accepted just before the stop swept: closed.
+                    continue;
+                }
                 shared.connections_open.fetch_add(1, Ordering::Relaxed);
                 shared.connections_total.fetch_add(1, Ordering::Relaxed);
                 let (tx, swap) = (tx.clone(), swap.clone());
                 s.spawn(move || {
-                    handle_connection(stream, tx, swap, shared, ctx, read_poll, queue_depth);
+                    handle_connection(&stream, tx, swap, shared, ctx, cfg.queue_depth);
                     shared.connections_open.fetch_sub(1, Ordering::Relaxed);
                 });
             }
         });
 
         let result = {
-            let _stop = StopGuard { shared, addr };
+            let _stop = StopGuard {
+                shared,
+                conns,
+                addr,
+            };
             f(&handle)
         };
 
-        // Drain-then-close (the guard above already flipped stop and
-        // woke the acceptor). Handlers exit via their read-poll stop
-        // checks, dropping their queue senders; the writer then takes
+        // Drain-then-close (the guard above already flipped stop, woke
+        // the acceptor and shut every open connection's read half).
+        // Handlers answer their in-flight request, read EOF and exit,
+        // dropping their queue senders; the writer then takes
         // in whatever is left, winds the state down and returns the
         // final snapshot. The explicit join order just makes the
         // sequence readable — the scope would join everything anyway.
@@ -606,13 +649,46 @@ pub(crate) struct ReplicaCtx {
     pub(crate) leader_addr: Mutex<String>,
 }
 
-/// Flips the stop flag and unparks the acceptor on BOTH exits from the
-/// caller's closure: a clean return and an unwind. A panicking closure
-/// (a failed harness expectation) would otherwise leave the acceptor
-/// parked in `accept()` forever — the scope joins all threads before
-/// re-raising, so the panic would hang instead of propagating.
+/// The sockets of the open connections, so the stop can wake every
+/// handler blocked reading one; `None` once the stop has swept them.
+/// Held weakly: a handler's socket closes when the handler exits, and
+/// its dead entry is dropped at the next registration.
+struct Connections(Mutex<Option<Vec<Weak<TcpStream>>>>);
+
+impl Connections {
+    /// Registers a new connection's socket before its handler starts;
+    /// `false` once the stop has swept, and the connection is refused.
+    fn register(&self, stream: &Arc<TcpStream>) -> bool {
+        // Nothing panics holding the lock; a poisoned list is whole.
+        let mut open = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(open) = open.as_mut() else {
+            return false;
+        };
+        open.retain(|s| s.strong_count() > 0);
+        open.push(Arc::downgrade(stream));
+        true
+    }
+
+    /// Shuts the read half of every open connection — a handler blocked
+    /// reading its next request reads EOF — and closes the list, so a
+    /// connection accepted after the sweep is refused, not left blocked.
+    fn sweep(&self) {
+        let open = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
+        for stream in open.iter().flatten().filter_map(Weak::upgrade) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// Flips the stop flag and wakes every blocked server thread on BOTH
+/// exits from the caller's closure: a clean return and an unwind. A
+/// panicking closure (a failed harness expectation) would otherwise
+/// leave the acceptor parked in `accept()` forever — the scope joins
+/// all threads before re-raising, so the panic would hang instead of
+/// propagating.
 struct StopGuard<'a> {
     shared: &'a Shared,
+    conns: &'a Connections,
     addr: SocketAddr,
 }
 
@@ -621,7 +697,10 @@ impl Drop for StopGuard<'_> {
         self.shared.stop.store(true, Ordering::Release);
         // No handler outlives the stop by a hold: wake the parked polls.
         self.shared.notify_frontier();
+        // Also wakes a follower pausing between retries.
         self.shared.request_shutdown(StopCause::Requested);
+        // Wake the handlers blocked reading an idle connection.
+        self.conns.sweep();
         // Wake the blocked accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
     }
@@ -667,11 +746,10 @@ pub(crate) struct Admitted {
 /// batch of one; a backlog is drained in as many commits as it takes
 /// the writer to catch up, instead of one per event.
 ///
-/// A commit failure is fatal by design: continuing would hand out
-/// `Accepted` responses for mutations that can never be recovered. The
-/// panic propagates through the scope join, tearing the server down
-/// loudly instead of serving silently non-durable writes.
-fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>) {
+/// A commit failure ends the run: continuing would hand out `Accepted`
+/// responses for mutations that can never be recovered. The writer
+/// returns the error, which stops the run and is what `serve` returns.
+fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>) -> std::io::Result<()> {
     state
         .shared
         .set_writer_step(WriterStep::Waiting, state.seq());
@@ -692,10 +770,9 @@ fn feed_from_queue(state: &mut DurableState<'_>, rx: &Receiver<Admitted>) {
                 a.ev
             })
             .collect();
-        state
-            .commit(&events, first_trace, Role::Leader)
-            .expect("durable commit failed");
+        state.commit(&events, first_trace, Role::Leader)?;
     }
+    Ok(())
 }
 
 /// How long a response write may block on a peer that isn't reading
@@ -729,30 +806,27 @@ impl From<Response> for Reply<'_> {
 /// One connection's request loop. Reads answer from the handler's
 /// cached epoch (no lock unless the writer published); mutations are
 /// `try_send` admission — full queue ⇒ `Overloaded`, never a block.
-pub(crate) fn handle_connection(
-    mut stream: TcpStream,
+fn handle_connection(
+    mut stream: &TcpStream,
     tx: SyncSender<Admitted>,
     swap: Arc<SnapshotSwap>,
     shared: &Shared,
     ctx: &ReplicaCtx,
-    read_poll: Duration,
     queue_depth: usize,
 ) {
     // The write timeout bounds a peer that stops *reading*: without it,
     // a full kernel send buffer would block the handler in `write_all`
     // forever — unjoinable at shutdown. A timed-out write corrupts that
     // connection's framing, so the handler drops the connection.
-    if stream.set_read_timeout(Some(read_poll)).is_err()
-        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let mut reader = SnapshotReader::new(swap);
     loop {
-        let frame = match read_frame_polling(&mut stream, || shared.stop.load(Ordering::Acquire)) {
+        let frame = match read_frame(&mut stream) {
             Ok(Some(frame)) => frame,
-            // Clean EOF, stop while idle, or a broken peer: close.
+            // Clean EOF (the peer's, or the stop's sweep), a frame the
+            // sweep cut short, or a broken peer: close.
             Ok(None) | Err(_) => return,
         };
         let reply: Reply = match Request::decode(&frame) {
@@ -853,7 +927,7 @@ pub(crate) fn handle_connection(
                     // Acknowledge with the epoch the writer will bump
                     // to once its apply loop sees the request; the run
                     // goes on, as leader.
-                    shared.promote_requested.store(true, Ordering::Release);
+                    shared.request_promotion();
                     Response::Promoting {
                         fencing_epoch: shared.fencing_epoch.load(Ordering::Acquire) + 1,
                     }
@@ -874,9 +948,9 @@ pub(crate) fn handle_connection(
         }
         // Drain-then-close: the in-flight request got its answer; once
         // shutdown is underway the connection closes rather than serving
-        // a busy peer forever (a closed-loop reader re-requests fast
-        // enough that the idle-poll stop check above never fires, which
-        // would wedge the scope join on this handler).
+        // a busy peer forever (a request that reached the socket before
+        // the sweep still reads as a frame, so a closed-loop reader
+        // would otherwise wedge the scope join on this handler).
         if shared.stop.load(Ordering::Acquire) {
             return;
         }

@@ -72,7 +72,8 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
-use tirm_graph::{snapshot::SnapshotError, DiGraph};
+use tirm_graph::snapshot::{write_atomic_with, SnapshotError};
+use tirm_graph::DiGraph;
 use tirm_obs::flight::{self, Stage};
 use tirm_online::{OnlineAllocator, OnlineConfig, OnlineEvent};
 use tirm_topics::TopicEdgeProbs;
@@ -151,31 +152,6 @@ pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 fn sync_dir(dir: &Path) -> io::Result<()> {
     let _ = File::open(dir)?.sync_all();
     Ok(())
-}
-
-/// Replaces `dir/name` atomically: the content goes to a temp file,
-/// is fsynced, renamed into place, and the rename made durable — a
-/// crash at any point leaves either the old file or the new one, never
-/// a half-written file under a valid name.
-fn write_atomically(
-    dir: &Path,
-    name: &str,
-    content: impl FnOnce(&mut File) -> io::Result<()>,
-) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
-    let result = (|| {
-        let mut f = File::create(&tmp)?;
-        content(&mut f)?;
-        f.sync_all()?;
-        fs::rename(&tmp, &path)?;
-        sync_dir(dir)
-    })();
-    if result.is_err() {
-        fs::remove_file(&tmp).ok();
-    }
-    result.map(|()| path)
 }
 
 /// The append side of the write-ahead log: owned by the writer thread,
@@ -339,7 +315,7 @@ pub fn read_fencing_epoch(dir: &Path) -> io::Result<u64> {
 /// Persists `epoch` as the fencing epoch of `dir` (atomically, like
 /// checkpoints — a crash mid-write leaves the old epoch).
 pub fn write_fencing_epoch(dir: &Path, epoch: u64) -> io::Result<()> {
-    write_atomically(dir, FENCING_EPOCH_FILE, |f| writeln!(f, "{epoch}")).map(drop)
+    write_atomic_with(&dir.join(FENCING_EPOCH_FILE), |f| writeln!(f, "{epoch}"))
 }
 
 /// Atomically advances the fencing epoch in `dir` by one and returns
@@ -365,7 +341,7 @@ pub fn newest_checkpoint(dir: &Path) -> io::Result<Option<(u64, PathBuf)>> {
 /// writes its own. The payload is validated by [`recover`]'s
 /// checksummed restore, not here.
 pub fn install_checkpoint(dir: &Path, wal_seq: u64, bytes: &[u8]) -> io::Result<()> {
-    write_atomically(dir, &checkpoint_name(wal_seq), |f| f.write_all(bytes)).map(drop)
+    write_atomic_with(&dir.join(checkpoint_name(wal_seq)), |f| f.write_all(bytes))
 }
 
 /// One answer from the leader-side replication read path.
@@ -471,9 +447,9 @@ pub fn write_checkpoint(
 ) -> io::Result<PathBuf> {
     let t0 = std::time::Instant::now();
     let mut bytes = 0;
-    let path = write_atomically(dir, &checkpoint_name(wal_seq), |f| {
-        let mut w = BufWriter::with_capacity(1 << 20, f);
-        allocator.checkpoint(wal_seq, &mut w)?;
+    let path = dir.join(checkpoint_name(wal_seq));
+    write_atomic_with(&path, |w| {
+        allocator.checkpoint(wal_seq, &mut *w)?;
         w.flush()?;
         bytes = w.get_ref().metadata()?.len();
         Ok(())
@@ -873,6 +849,32 @@ mod tests {
             let _ = a.process(ev);
         }
         a
+    }
+
+    /// A checkpoint write cut short leaves its temp file behind (a
+    /// crash removes nothing): no listing takes it for a checkpoint or a
+    /// segment, so the newest checkpoint is still the last complete one.
+    #[test]
+    fn a_leftover_checkpoint_temp_file_is_never_listed() {
+        let dir = fresh_dir("leftover_tmp");
+        install_checkpoint(&dir, 3, b"complete").unwrap();
+        let crashed = std::panic::catch_unwind(|| {
+            write_atomic_with(&dir.join(checkpoint_name(9)), |w| {
+                w.write_all(b"half")?;
+                w.flush()?;
+                panic!("killed mid-checkpoint");
+            })
+        });
+        assert!(crashed.is_err());
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names.len(), 2, "the checkpoint and the leftover: {names:?}");
+        let complete = (3, dir.join(checkpoint_name(3)));
+        assert_eq!(list_checkpoints(&dir).unwrap(), vec![complete]);
+        assert!(list_segments(&dir).unwrap().is_empty());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

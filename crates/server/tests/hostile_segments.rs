@@ -6,14 +6,17 @@
 //! typed `InvalidData` error. Neither panics, and neither holds more
 //! heap at once than one frame at the 16 MiB cap, plus fixed slack.
 //!
-//! One test in its own binary: the allocation high-water mark is
-//! process-wide.
+//! One test in its own binary, with a counting allocator that keeps
+//! each thread's live bytes and high-water mark apart: `recover` and
+//! `read_frames` run wholly on the calling thread (the fixture's TIRM
+//! runs one sampling thread, which draws inline), so nothing the test
+//! harness's other threads allocate lands in a measured peak.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::ErrorKind;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::OnceLock;
 use tirm_core::TirmOptions;
 use tirm_graph::{generators, DiGraph};
@@ -21,24 +24,39 @@ use tirm_online::{OnlineConfig, OnlineEvent};
 use tirm_server::wal::{self, RecoveryWarning, ReplicaBatch, Wal};
 use tirm_topics::{genprob, TopicDist, TopicEdgeProbs};
 
-/// The system allocator, counting live bytes and their high-water mark.
+/// The system allocator, counting each thread's live bytes and their
+/// high-water mark.
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes this thread allocated minus the bytes it freed. Signed: a
+    /// block allocated on another thread and freed here takes it below
+    /// zero instead of underflowing.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest `LIVE` reached since [`peak_of`] last reset it.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Adds `delta` bytes to this thread's count. `try_with`: a thread
+/// being torn down has lost its counters, and its last frees go
+/// uncounted rather than panicking inside the allocator.
+fn count(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
 
 // SAFETY: every call goes to `System` unchanged, so `System` keeps the
-// `GlobalAlloc` contract; the counters are statistics that only read the
-// layout's size (hence `Relaxed`).
+// `GlobalAlloc` contract; the counters are `const`-initialised
+// thread-locals without destructors, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's guarantees on `layout` are passed on as given.
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            PEAK.fetch_max(
-                LIVE.fetch_add(layout.size(), Relaxed) + layout.size(),
-                Relaxed,
-            );
+            count(layout.size() as isize);
         }
         ptr
     }
@@ -46,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr` was allocated by `System` with `layout` in `alloc`.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        count(-(layout.size() as isize));
     }
 }
 
@@ -61,13 +79,13 @@ const FRAME_CAP: usize = 16 << 20;
 /// replaying the fixture's three events (about 0.3 MB).
 const SLACK: usize = 1 << 20;
 
-/// Runs `f`, returning its result and the most heap it held at once
-/// beyond what was live before.
+/// Runs `f`, returning its result and the most heap the calling thread
+/// held at once beyond what it held before.
 fn peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
     let got = f();
-    (got, PEAK.load(Relaxed).saturating_sub(base))
+    (got, (PEAK.with(Cell::get) - base) as usize)
 }
 
 struct Fixture {

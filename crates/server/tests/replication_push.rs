@@ -45,7 +45,6 @@ fn an_idle_follower_polls_once_per_interval_and_a_parked_poll_does_not_delay_pro
     serve(&graph, &probs, leader_cfg, |leader| {
         let follower_cfg = ServerConfig {
             online: online.clone(),
-            read_poll: Duration::from_millis(5),
             follow: Some(FollowConfig {
                 poll_interval: POLL_INTERVAL,
                 ..FollowConfig::new(leader.addr().to_string())

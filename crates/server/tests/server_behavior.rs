@@ -525,8 +525,7 @@ fn a_poll_from_the_last_sequence_number_is_answered() {
 /// `InvalidInput` from `serve` before anything binds — not a panic
 /// mid-startup (κ = 0, a NaN λ) or at the first arrival (ε ≥ 1), and
 /// not a server that accepts connections it can never answer
-/// (`read_poll: 0`) or checkpoints after every commit
-/// (`checkpoint_interval: 0`). Nothing is written to the state dir
+/// or checkpoints after every commit (`checkpoint_interval: 0`). Nothing is written to the state dir
 /// either.
 #[test]
 fn serve_rejects_an_invalid_config_before_binding() {
@@ -539,10 +538,9 @@ fn serve_rejects_an_invalid_config_before_binding() {
         .unwrap();
     let dir = StateDir::new();
     type Spoil = fn(&mut ServerConfig);
-    let bad: [(&str, Spoil); 9] = [
+    let bad: [(&str, Spoil); 8] = [
         ("queue_depth", |c| c.queue_depth = 0),
         ("max_connections", |c| c.max_connections = 0),
-        ("read_poll", |c| c.read_poll = Duration::ZERO),
         ("checkpoint_interval", |c| c.checkpoint_interval = 0),
         ("segment_events", |c| c.segment_events = 0),
         ("state_dir", |c| c.state_dir = PathBuf::new()),
@@ -567,4 +565,114 @@ fn serve_rejects_an_invalid_config_before_binding() {
         );
         assert!(!dir.0.exists(), "{field}: a refused run made its state dir");
     }
+}
+
+/// Blocks until the server counts `n` open connections (the asking
+/// client's own included).
+fn await_open_connections(client: &mut Client, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.stats().unwrap().connections < n {
+        assert!(Instant::now() < deadline, "never {n} open connections");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A peer that sent two bytes of a frame header and stalled does not
+/// hold the stop: its handler is woken and the unfinished frame cut at
+/// once, so `serve` returns within 1 s of the closure's return, and the
+/// peer reads EOF. The frame was never admitted, so nothing is lost.
+#[test]
+fn a_stalled_partial_frame_is_cut_at_the_stop() {
+    use std::io::{Read, Write};
+    let (graph, probs) = setup(120, 5);
+    let dir = StateDir::new();
+    let ((stop_began, mut stalled), report) =
+        serve(&graph, &probs, dir.config(config(5, 2_000)), |handle| {
+            let mut stalled = std::net::TcpStream::connect(handle.addr()).unwrap();
+            stalled.write_all(&[7, 0]).unwrap();
+            await_open_connections(&mut Client::connect(handle.addr()).unwrap(), 2);
+            (Instant::now(), stalled)
+        })
+        .unwrap();
+    let stop_took = stop_began.elapsed();
+    assert!(
+        stop_took < Duration::from_secs(1),
+        "serve waited {stop_took:?} on a stalled partial frame"
+    );
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert_eq!(
+        stalled.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "the peer reads EOF"
+    );
+    assert_eq!((report.accepted, report.bad_requests), (0, 0));
+}
+
+/// A connection's socket closes when its handler exits: a peer the
+/// server drops mid-run (an oversized length prefix) reads EOF at once,
+/// while the server keeps serving, and an idle peer reads EOF once
+/// `serve` has returned.
+#[test]
+fn a_connection_closes_when_its_handler_exits() {
+    use std::io::{Read, Write};
+    let (graph, probs) = setup(120, 5);
+    let dir = StateDir::new();
+    let (mut idle, _report) = serve(&graph, &probs, dir.config(config(5, 2_000)), |handle| {
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let idle = std::net::TcpStream::connect(handle.addr()).unwrap();
+        await_open_connections(&mut client, 2);
+
+        let mut dropped = std::net::TcpStream::connect(handle.addr()).unwrap();
+        dropped.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        dropped
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let asked = Instant::now();
+        assert_eq!(dropped.read(&mut [0u8; 1]).unwrap(), 0, "dropped, not held");
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            asked.elapsed()
+        );
+        assert!(client.stats().is_ok(), "still serving");
+        idle
+    })
+    .unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(
+        idle.read(&mut [0u8; 1]).unwrap(),
+        0,
+        "the idle peer reads EOF"
+    );
+}
+
+/// A leader whose commit fails ends the run instead of panicking:
+/// `wait_shutdown` returns `false` (the writer ended it, nobody asked)
+/// and `serve` returns the commit's error. Here the checkpoint after the
+/// first commit cannot be written: the state dir has become a regular
+/// file.
+#[test]
+fn a_failed_commit_ends_the_run_with_its_error() {
+    let (graph, probs) = setup(120, 5);
+    let dir = StateDir::new();
+    let cfg = ServerConfig {
+        checkpoint_interval: 1,
+        ..dir.config(config(5, 2_000))
+    };
+    let mut requested = None;
+    let served = serve(&graph, &probs, cfg, |handle| {
+        std::fs::remove_dir_all(&dir.0).unwrap();
+        std::fs::write(&dir.0, b"not a state dir").unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        match client.send_event(&arrival(1, 5.0, 0)).unwrap() {
+            Response::Accepted { .. } => {}
+            other => panic!("{other:?}"),
+        }
+        requested = Some(handle.wait_shutdown());
+    });
+    std::fs::remove_file(&dir.0).ok();
+    assert_eq!(requested, Some(false), "the writer ended the run");
+    assert!(served.is_err(), "serve returns the commit's error");
 }

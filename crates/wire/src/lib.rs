@@ -889,28 +889,23 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame, blocking. `Ok(None)` on clean EOF before the first
-/// header byte; errors on truncation mid-frame or an oversized length
-/// prefix.
+/// Reads one frame, blocking until all of it has arrived. `Ok(None)` on
+/// clean EOF before the first header byte; errors on truncation
+/// mid-frame, on an oversized length prefix, and on whatever the reader
+/// errors with (a socket's read timeout included). A server wakes a
+/// handler blocked here by shutting the socket's read half: a frame not
+/// yet started reads as clean EOF, a partial one as truncation.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    read_frame_polling(r, || false)
-}
-
-/// [`read_frame`] with a cancellation probe for sockets carrying a read
-/// timeout: on `WouldBlock`/`TimedOut` with **no bytes buffered yet**,
-/// `should_stop()` decides between waiting for the next request
-/// (`false`) and a clean `Ok(None)` exit (`true`). A *partial* frame is
-/// never abandoned at the first timeout — the peer gets a grace period
-/// of further polls to finish it (so a slow writer isn't corrupted by
-/// shutdown racing its frame), after which truncation is an error.
-pub fn read_frame_polling(
-    r: &mut impl Read,
-    should_stop: impl Fn() -> bool,
-) -> std::io::Result<Option<Vec<u8>>> {
     let mut header = [0u8; 4];
-    match read_exact_polling(r, &mut header, &should_stop, true)? {
-        ReadOutcome::CleanExit => return Ok(None),
-        ReadOutcome::Done => {}
+    let mut filled = 0;
+    while filled < header.len() {
+        match r.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_le_bytes(header) as usize;
     if len > MAX_FRAME_BYTES {
@@ -920,56 +915,8 @@ pub fn read_frame_polling(
         ));
     }
     let mut body = vec![0u8; len];
-    match read_exact_polling(r, &mut body, &should_stop, false)? {
-        ReadOutcome::CleanExit => unreachable!("mid-frame reads never exit cleanly"),
-        ReadOutcome::Done => Ok(Some(body)),
-    }
-}
-
-enum ReadOutcome {
-    Done,
-    CleanExit,
-}
-
-/// Number of timeout polls a peer gets to finish a frame it started
-/// after shutdown was requested. With the default 25 ms poll interval
-/// this is a ~2 s grace period.
-const PARTIAL_FRAME_GRACE_POLLS: u32 = 80;
-
-fn read_exact_polling(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    should_stop: &impl Fn() -> bool,
-    eof_is_clean: bool,
-) -> std::io::Result<ReadOutcome> {
-    let mut filled = 0usize;
-    let mut stopped_polls = 0u32;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if eof_is_clean && filled == 0 {
-                    Ok(ReadOutcome::CleanExit)
-                } else {
-                    Err(ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if should_stop() {
-                    if filled == 0 && eof_is_clean {
-                        return Ok(ReadOutcome::CleanExit);
-                    }
-                    stopped_polls += 1;
-                    if stopped_polls > PARTIAL_FRAME_GRACE_POLLS {
-                        return Err(ErrorKind::TimedOut.into());
-                    }
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadOutcome::Done)
+    r.read_exact(&mut body)?;
+    Ok(Some(body))
 }
 
 #[cfg(test)]
@@ -1293,6 +1240,8 @@ mod tests {
         truncated.truncate(6);
         let mut r = &truncated[..];
         assert!(read_frame(&mut r).is_err());
+        // So is a header cut short: only EOF before its first byte is clean.
+        assert!(read_frame(&mut &truncated[..2]).is_err());
     }
 
     #[test]
